@@ -1,15 +1,17 @@
 """In-process expression evaluation.
 
-Two layers:
+Two evaluators over the same scalar semantics:
 
 * ``eval_expr`` — direct tree-order interpreter, the reference oracle.
-* tapes — expressions compiled to a flat instruction list over a register
-  file, evaluated for many points at once.  The tape loop is the hot path
-  of verification, so it has a compiled backend (``acorns._evalcore``,
-  built from Cython) with a pure-Python fallback selected at import.
+* ``evaluate`` — expressions compiled to a flat instruction tape over a
+  register file, run for a chunk of points at once: each instruction is
+  one array operation over the chunk.  Arithmetic and comparisons are
+  numpy ufuncs; the libm intrinsics map the same scalar functions
+  ``eval_expr`` calls (numpy's SIMD transcendentals can differ by an ulp),
+  so the two agree bitwise except for NaN payloads.
 
-Both backends execute the identical instruction stream, so their results
-are bitwise equal at non-singular points.
+The scalar intrinsics follow C99 Annex F: domain errors give NaN, poles
+and overflow give a signed infinity, and nothing raises.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from .cast import Binary, Call, Constant, Expr, Unary, Var
 from .errors import UnboundSlot
 from .flatten import StraightLineProgram
 
-try:
-    from . import _evalcore  # compiled extension
-
-    HAVE_NATIVE = True
-except ImportError:  # pragma: no cover - depends on build environment
-    _evalcore = None
-    HAVE_NATIVE = False
+HAVE_NATIVE = False  # no compiled evaluator; kept for callers that record it
 
 
 def _c_div(a: float, b: float) -> float:
@@ -51,21 +47,41 @@ def _c_sqrt(u: float) -> float:
     return math.sqrt(u) if u >= 0.0 else math.nan
 
 
+def _odd_integer(y: float) -> bool:
+    return float(y).is_integer() and math.fmod(y, 2.0) != 0.0
+
+
 def _c_pow(a: float, b: float) -> float:
     try:
         return math.pow(a, b)
     except ValueError:
+        if a == 0.0:  # pole: pow(±0, y < 0)
+            return math.copysign(math.inf, a) if _odd_integer(b) else math.inf
         return math.nan
     except OverflowError:
-        return math.copysign(math.inf, a)
+        return -math.inf if a < 0.0 and _odd_integer(b) else math.inf
+
+
+def _c_exp(u: float) -> float:
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return math.inf
+
+
+def _c_trig(fn):
+    def f(u: float) -> float:
+        return math.nan if math.isinf(u) else fn(u)
+
+    return f
 
 
 _INTRINSIC_FN = {
     "log": _c_log,
-    "exp": math.exp,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
+    "exp": _c_exp,
+    "sin": _c_trig(math.sin),
+    "cos": _c_trig(math.cos),
+    "tan": _c_trig(math.tan),
     "sqrt": _c_sqrt,
 }
 
@@ -259,50 +275,47 @@ def compile_program(p: StraightLineProgram) -> Tape:
     return b.finish([out])
 
 
-def eval_tape_python(ops, consts, out_regs, points, out):
-    """Pure-Python tape executor; same instruction semantics as the extension."""
-    fns = (
-        None, None,
-        lambda a, b: a + b,
-        lambda a, b: a - b,
-        lambda a, b: a * b,
-        _c_div,
-        None,
-        _c_pow,
-        _c_log, math.exp, math.sin, math.cos, math.tan, _c_sqrt,
-        lambda a, b: 1.0 if a < b else 0.0,
-        lambda a, b: 1.0 if a <= b else 0.0,
-        lambda a, b: 1.0 if a > b else 0.0,
-        lambda a, b: 1.0 if a >= b else 0.0,
-        lambda a, b: 1.0 if a == b else 0.0,
-        lambda a, b: 1.0 if a != b else 0.0,
-    )
-    n_ops = len(ops)
-    regs = [0.0] * n_ops
-    op_list = [tuple(row) for row in ops.tolist()]
-    for p in range(points.shape[0]):
-        row = points[p]
-        for k, (op, a, b) in enumerate(op_list):
-            if op == OP_LOAD_SLOT:
-                regs[k] = row[a]
-            elif op == OP_LOAD_CONST:
-                regs[k] = consts[a]
-            elif op == OP_NEG:
-                regs[k] = -regs[a]
-            elif op in (OP_EXP, OP_SIN, OP_COS, OP_TAN, OP_LOG, OP_SQRT):
-                regs[k] = fns[op](regs[a])
-            else:
-                regs[k] = fns[op](regs[a], regs[b])
-        for j, r in enumerate(out_regs):
-            out[p, j] = regs[r]
-    return out
+# Registers x points per evaluation chunk; bounds `evaluate`'s working set
+# (every instruction keeps its register for the chunk) at 32 MiB.
+CHUNK_CELLS = 1 << 22
+
+_UFUNC = {
+    OP_ADD: np.add, OP_SUB: np.subtract, OP_MUL: np.multiply, OP_DIV: np.divide,
+    OP_LT: np.less, OP_LE: np.less_equal, OP_GT: np.greater,
+    OP_GE: np.greater_equal, OP_EQ: np.equal, OP_NE: np.not_equal,
+}
+_COMPARISONS = frozenset((OP_LT, OP_LE, OP_GT, OP_GE, OP_EQ, OP_NE))
+# libm calls go through eval_expr's scalar functions, one call per point
+_UNARY_FN = {_CALL_CODE[name]: fn for name, fn in _INTRINSIC_FN.items()}
 
 
-def evaluate(tape: Tape, points, backend: str | None = None) -> np.ndarray:
+def _run_chunk(ops: list, consts: np.ndarray, cols: np.ndarray) -> list:
+    """Execute the tape over one chunk; `cols` is (n_slots, n). Returns the registers."""
+    n = cols.shape[1]
+    regs: list[np.ndarray] = []
+    for op, a, b in ops:
+        if op == OP_LOAD_SLOT:
+            r = cols[a]
+        elif op == OP_LOAD_CONST:
+            r = np.full(n, consts[a])
+        elif op == OP_NEG:
+            r = np.negative(regs[a])
+        elif op == OP_POW:
+            r = np.fromiter(map(_c_pow, regs[a].tolist(), regs[b].tolist()), np.float64, n)
+        elif op in _UNARY_FN:
+            r = np.fromiter(map(_UNARY_FN[op], regs[a].tolist()), np.float64, n)
+        else:
+            r = _UFUNC[op](regs[a], regs[b])
+            if op in _COMPARISONS:
+                r = r.astype(np.float64)
+        regs.append(r)
+    return regs
+
+
+def evaluate(tape: Tape, points) -> np.ndarray:
     """Evaluate a tape at many points.
 
     `points` is (num_points, n_slots); returns (num_points, n_out).
-    `backend` forces "native" or "python"; default prefers the extension.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -310,14 +323,13 @@ def evaluate(tape: Tape, points, backend: str | None = None) -> np.ndarray:
     if points.shape[1] != tape.n_slots:
         raise ValueError(f"expected {tape.n_slots} slots per point, got {points.shape[1]}")
     out = np.empty((points.shape[0], tape.n_out), dtype=np.float64)
-    if backend is None:
-        backend = "native" if HAVE_NATIVE else "python"
-    if backend == "native":
-        if not HAVE_NATIVE:
-            raise RuntimeError("compiled evaluation backend is not available")
-        _evalcore.eval_tape(tape.ops, tape.consts, tape.out_regs, points, out)
-    elif backend == "python":
-        eval_tape_python(tape.ops, tape.consts, tape.out_regs, points, out)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    ops = tape.ops.tolist()
+    out_regs = tape.out_regs.tolist()
+    chunk = max(1, CHUNK_CELLS // max(1, len(ops)))
+    with np.errstate(all="ignore"):
+        for lo in range(0, points.shape[0], chunk):
+            hi = lo + chunk
+            regs = _run_chunk(ops, tape.consts, points[lo:hi].T.copy())
+            for j, r in enumerate(out_regs):
+                out[lo:hi, j] = regs[r]
     return out

@@ -260,22 +260,28 @@ class _ProgramEvaluator:
         self.slot_pos = {label: i for i, label in enumerate(self.tape.slots)}
         self.var_pos = [self.slot_pos[v] for v in vars_.labels]
 
-    def __call__(self, point: np.ndarray) -> float:
-        return float(evaluate(self.tape, point.reshape(1, -1))[0, 0])
+    def __call__(self, points: np.ndarray) -> list:
+        """f at each row of `points`, as Python floats."""
+        return evaluate(self.tape, points)[:, 0].tolist()
 
 
 def fd_gradient(program: StraightLineProgram, vars_: VarIndexMap,
                 point: np.ndarray, h: float | None = None) -> np.ndarray:
     """Central-difference gradient over the full input-slot vector `point`."""
     f = _ProgramEvaluator(program, vars_)
-    out = np.empty(vars_.n)
+    n = vars_.n
+    # rows 2j and 2j + 1 step variable j up and down
+    rows = np.repeat(point.reshape(1, -1), 2 * n, axis=0)
+    steps = []
     for j, pos in enumerate(f.var_pos):
         hj = _fd_h(point[pos], h)
-        up = point.copy()
-        dn = point.copy()
-        up[pos] += hj
-        dn[pos] -= hj
-        out[j] = (f(up) - f(dn)) / (2 * hj)
+        steps.append(hj)
+        rows[2 * j, pos] += hj
+        rows[2 * j + 1, pos] -= hj
+    vals = f(rows)
+    out = np.empty(n)
+    for j, hj in enumerate(steps):
+        out[j] = (vals[2 * j] - vals[2 * j + 1]) / (2 * hj)
     return out
 
 
@@ -284,27 +290,39 @@ def fd_hessian(program: StraightLineProgram, vars_: VarIndexMap,
     """Central second differences; the i == j case uses the 3-point stencil."""
     f = _ProgramEvaluator(program, vars_)
     n = vars_.n
-    out = np.empty((n, n))
-    f0 = f(point)
+    steps = [_fd_h(point[pos], h) for pos in f.var_pos]
+    # row 0 is the point itself; then each (i, j) with j <= i takes 2 rows on
+    # the diagonal (up, dn) and 4 off it (pp, pm, mp, mm): 1 + 2n^2 in all
+    rows = np.repeat(point.reshape(1, -1), 1 + 2 * n * n, axis=0)
+    k = 1
     for i in range(n):
-        pi = f.var_pos[i]
-        hi = _fd_h(point[pi], h)
+        pi, hi = f.var_pos[i], steps[i]
         for j in range(i + 1):
-            pj = f.var_pos[j]
-            hj = _fd_h(point[pj], h)
+            pj, hj = f.var_pos[j], steps[j]
             if i == j:
-                up = point.copy()
-                dn = point.copy()
-                up[pi] += hi
-                dn[pi] -= hi
-                val = (f(up) - 2 * f0 + f(dn)) / (hi * hi)
+                rows[k, pi] += hi
+                rows[k + 1, pi] -= hi
+                k += 2
             else:
-                pp = point.copy(); pm = point.copy(); mp = point.copy(); mm = point.copy()
-                pp[pi] += hi; pp[pj] += hj
-                pm[pi] += hi; pm[pj] -= hj
-                mp[pi] -= hi; mp[pj] += hj
-                mm[pi] -= hi; mm[pj] -= hj
-                val = (f(pp) - f(pm) - f(mp) + f(mm)) / (4 * hi * hj)
+                rows[k, pi] += hi; rows[k, pj] += hj
+                rows[k + 1, pi] += hi; rows[k + 1, pj] -= hj
+                rows[k + 2, pi] -= hi; rows[k + 2, pj] += hj
+                rows[k + 3, pi] -= hi; rows[k + 3, pj] -= hj
+                k += 4
+    vals = f(rows)
+    f0 = vals[0]
+    out = np.empty((n, n))
+    k = 1
+    for i in range(n):
+        hi = steps[i]
+        for j in range(i + 1):
+            hj = steps[j]
+            if i == j:
+                val = (vals[k] - 2 * f0 + vals[k + 1]) / (hi * hi)
+                k += 2
+            else:
+                val = (vals[k] - vals[k + 1] - vals[k + 2] + vals[k + 3]) / (4 * hi * hj)
+                k += 4
             out[i, j] = val
             out[j, i] = val
     return out
@@ -331,6 +349,7 @@ class FdReport:
     tolerance: float
     points: int
     entries: list = field(default_factory=list)
+    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # name -> position in entries
 
     @property
     def max_rel_err(self) -> float:
@@ -349,12 +368,12 @@ class FdReport:
         rel_err = abs_err / max(1.0, abs(analytic))
         entry = FdEntry(name, analytic, fd, abs_err, rel_err, rel_err <= self.tolerance)
         # keep the worst instance per entry name
-        for i, old in enumerate(self.entries):
-            if old.name == name:
-                if rel_err > old.rel_err:
-                    self.entries[i] = entry
-                return
-        self.entries.append(entry)
+        i = self._index.get(name)
+        if i is None:
+            self._index[name] = len(self.entries)
+            self.entries.append(entry)
+        elif rel_err > self.entries[i].rel_err:
+            self.entries[i] = entry
 
     def render(self) -> str:
         lines = [

@@ -203,3 +203,14 @@ def test_verify_user_file_needs_metadata(function_0_file, capsys):
 def test_verify_impossible_tolerance_fails(capsys):
     rc = main(["verify", "eq1", "--points", "5", "--tolerance", "1e-18"])
     assert rc == 1
+
+
+def test_verify_exp_overflow_reports_failure(tmp_path, capsys):
+    path = tmp_path / "expf.c"
+    path.write_text("double f(double x) {\n    double e = exp(x);\n    return 0;\n}\n")
+    rc = main(["verify", str(path), "--func", "f", "--energy", "e", "--vars", "x",
+               "--box", "700", "800"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "grad[0]" in captured.out and "FAIL" in captured.out
+    assert "Traceback" not in captured.err

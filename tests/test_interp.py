@@ -7,13 +7,8 @@ import pytest
 
 from acorns.errors import UnboundSlot
 from acorns.flatten import unroll
-from acorns.interp import (
-    HAVE_NATIVE,
-    compile_exprs,
-    compile_program,
-    eval_expr,
-    evaluate,
-)
+import acorns.interp
+from acorns.interp import compile_exprs, compile_program, eval_expr, evaluate
 from acorns.parser import parse_expr, parse_source
 from acorns.verify import corpus_function, corpus_program
 
@@ -91,7 +86,7 @@ def test_tape_matches_eval_expr_on_corpus():
         from acorns.verify import sample_points
 
         pts = sample_points(fn, program, 30, rng)
-        got = evaluate(tape, pts, backend="python")
+        got = evaluate(tape, pts)
         from acorns.derivatives import substitute
 
         e = substitute(program)
@@ -103,7 +98,7 @@ def test_tape_matches_eval_expr_on_corpus():
 def test_compile_exprs_multi_output():
     exprs = [parse_expr("x + y"), parse_expr("x * y"), parse_expr("pow(x, 2)")]
     tape = compile_exprs(exprs, ["x", "y"])
-    out = evaluate(tape, np.array([[3.0, 4.0]]), backend="python")
+    out = evaluate(tape, np.array([[3.0, 4.0]]))
     assert out.tolist() == [[7.0, 12.0, 9.0]]
 
 
@@ -123,8 +118,7 @@ def test_shared_subtrees_compile_once():
     assert tape.ops.shape[0] == 3
 
 
-@pytest.mark.skipif(not HAVE_NATIVE, reason="compiled backend not built")
-def test_native_backend_bitwise_parity():
+def _parity_case():
     rng = random.Random(42)
     exprs = [random_expr(rng, ["x", "y", "z"], depth=6) for _ in range(40)]
     # include singular operations on purpose
@@ -132,14 +126,57 @@ def test_native_backend_bitwise_parity():
     exprs.append(parse_expr("log(x - y - y)"))
     exprs.append(parse_expr("sqrt(x - 10)"))
     exprs.append(parse_expr("pow(x - 2, 0.5)"))
-    tape = compile_exprs(exprs, ["x", "y", "z"])
     nprng = np.random.default_rng(42)
-    pts = nprng.uniform(0.5, 2.0, size=(50, 3))
-    a = evaluate(tape, pts, backend="native")
-    b = evaluate(tape, pts, backend="python")
-    # bitwise equal except that NaN payloads may differ between libm and Python
-    nan = np.isnan(a) & np.isnan(b)
-    assert (a[~nan].tobytes() == b[~nan].tobytes()) and nan.sum() > 0
+    return exprs, nprng.uniform(0.5, 2.0, size=(50, 3))
+
+
+def test_evaluate_bitwise_parity_with_eval_expr():
+    exprs, pts = _parity_case()
+    tape = compile_exprs(exprs, ["x", "y", "z"])
+    got = evaluate(tape, pts)
+    ref = np.array([[eval_expr(e, dict(zip("xyz", row))) for e in exprs] for row in pts.tolist()])
+    # bitwise equal except that NaN payloads may differ between numpy and Python
+    nan = np.isnan(got) & np.isnan(ref)
+    assert np.array_equal(np.isnan(got), np.isnan(ref)) and nan.sum() > 0
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
+
+
+def test_evaluate_chunks_match_single_chunk(monkeypatch):
+    exprs, pts = _parity_case()
+    tape = compile_exprs(exprs, ["x", "y", "z"])
+    whole = evaluate(tape, pts)
+    # 7 points per chunk: 50 points end in a partial chunk
+    monkeypatch.setattr(acorns.interp, "CHUNK_CELLS", 7 * tape.ops.shape[0])
+    assert evaluate(tape, pts).tobytes() == whole.tobytes()
+
+
+_INF = math.inf
+
+
+@pytest.mark.parametrize("src,x,y,expected", [
+    ("exp(x)", 800.0, 0.0, _INF),
+    ("sin(x)", _INF, 0.0, math.nan),
+    ("sin(x)", -_INF, 0.0, math.nan),
+    ("cos(x)", _INF, 0.0, math.nan),
+    ("cos(x)", -_INF, 0.0, math.nan),
+    ("tan(x)", _INF, 0.0, math.nan),
+    ("tan(x)", -_INF, 0.0, math.nan),
+    ("pow(x, y)", 0.0, -1.0, _INF),
+    ("pow(x, y)", -0.0, -1.0, -_INF),
+    ("pow(x, y)", -0.0, -2.0, _INF),
+    ("pow(x, y)", -0.0, -0.5, _INF),
+    ("pow(x, y)", -10.0, 400.0, _INF),
+    ("pow(x, y)", -10.0, 400.5, math.nan),
+    ("pow(x, y)", -10.0, 401.0, -_INF),
+])
+def test_intrinsics_follow_c99_annex_f(src, x, y, expected):
+    e = parse_expr(src)
+    tape = compile_exprs([e], ["x", "y"])
+    for got in (eval_expr(e, {"x": x, "y": y}), evaluate(tape, np.array([[x, y]]))[0, 0]):
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert _bits(got) == _bits(expected)
 
 
 def test_evaluate_shape_checks():
@@ -161,5 +198,5 @@ def test_program_tape_local_reuse():
     """
     p = unroll(parse_source(src, "f", "e"))
     tape = compile_program(p)
-    out = evaluate(tape, np.array([[2.0]]), backend="python")
+    out = evaluate(tape, np.array([[2.0]]))
     assert out[0, 0] == 32.0
