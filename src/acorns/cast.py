@@ -8,7 +8,7 @@ re-parsed pretty-print of a tree compares equal to the original.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import SourceSpan
 
@@ -223,6 +223,41 @@ def to_source(e: Expr) -> str:
         else:
             raise TypeError(f"not an expression: {node!r}")
     return "".join(out)
+
+
+def children(node: Expr) -> tuple:
+    """The direct subexpressions of `node`, left to right."""
+    if isinstance(node, Binary):
+        return (node.lhs, node.rhs)
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, Call):
+        return node.args
+    if isinstance(node, ArrayRef):
+        return node.indices
+    return ()
+
+
+def post_order(root: Expr, done) -> Iterator[Expr]:
+    """Yield each node under `root` whose id() is not in `done`, children first.
+
+    A node is yielded once all its children are in `done`, and the caller
+    must record it in `done` before asking for the next node, so a shared
+    subtree is visited once.  Uses an explicit stack, so depth is not
+    bounded by the recursion limit.
+    """
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        pending = [k for k in children(node) if id(k) not in done]
+        if pending:
+            stack.extend(pending)
+        else:
+            stack.pop()
+            yield node
 
 
 def count_nodes(e: Expr) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .cast import Binary, Call, Constant, Expr, Unary, Var, to_source
+from .cast import Expr, Var, children, post_order, to_source
 from .derivatives import DerivativeBundle, VarIndexMap
 from .errors import AcornsError
 from .flatten import StraightLineProgram
@@ -69,27 +69,35 @@ def layout_slots(program: StraightLineProgram, vars_: VarIndexMap) -> list:
     return list(vars_.labels) + rest
 
 
-def _collect_params(e: Expr, out: set):
-    if isinstance(e, Var):
-        out.add(e.name.split("[", 1)[0])
-    elif isinstance(e, Unary):
-        _collect_params(e.operand, out)
-    elif isinstance(e, Binary):
-        _collect_params(e.lhs, out)
-        _collect_params(e.rhs, out)
-    elif isinstance(e, Call):
-        for a in e.args:
-            _collect_params(a, out)
+_NO_PARAMS = frozenset()
+
+
+def _collect_params(e: Expr, memo: dict) -> frozenset:
+    """Parameter names `e` reads.
+
+    `memo` maps id(node) -> (names, node) and is shared by the statements
+    of one emit, so a subtree shared between statements is walked once.
+    """
+    for node in post_order(e, memo):
+        if isinstance(node, Var):
+            names = frozenset((node.name.split("[", 1)[0],))
+        else:
+            names = _NO_PARAMS
+            for k in children(node):
+                got = memo[id(k)][0]
+                if not got <= names:  # reuse a child's set where the union adds nothing
+                    names = (names | got) if names else got
+        memo[id(node)] = (names, node)
+    return memo[id(e)][0]
 
 
 def _statements(bundle: DerivativeBundle, cfg: EmitConfig) -> list:
     n = bundle.n
     stmts = []
+    params: dict = {}
 
     def add(mode: str, target: str, expr: Expr):
-        params: set = set()
-        _collect_params(expr, params)
-        stmts.append(Statement(mode, f"{target} = {to_source(expr)};", frozenset(params)))
+        stmts.append(Statement(mode, f"{target} = {to_source(expr)};", _collect_params(expr, params)))
 
     if "function" in cfg.mode:
         add("function", "out[0]", bundle.f)

@@ -266,9 +266,13 @@ class _ProgramEvaluator:
 
 
 def fd_gradient(program: StraightLineProgram, vars_: VarIndexMap,
-                point: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Central-difference gradient over the full input-slot vector `point`."""
-    f = _ProgramEvaluator(program, vars_)
+                point: np.ndarray, h: float | None = None, *,
+                oracle: _ProgramEvaluator | None = None) -> np.ndarray:
+    """Central-difference gradient over the full input-slot vector `point`.
+
+    `oracle` is the program's evaluator, built here when not given.
+    """
+    f = oracle if oracle is not None else _ProgramEvaluator(program, vars_)
     n = vars_.n
     # rows 2j and 2j + 1 step variable j up and down
     rows = np.repeat(point.reshape(1, -1), 2 * n, axis=0)
@@ -286,9 +290,13 @@ def fd_gradient(program: StraightLineProgram, vars_: VarIndexMap,
 
 
 def fd_hessian(program: StraightLineProgram, vars_: VarIndexMap,
-               point: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Central second differences; the i == j case uses the 3-point stencil."""
-    f = _ProgramEvaluator(program, vars_)
+               point: np.ndarray, h: float | None = None, *,
+               oracle: _ProgramEvaluator | None = None) -> np.ndarray:
+    """Central second differences; the i == j case uses the 3-point stencil.
+
+    `oracle` is the program's evaluator, built here when not given.
+    """
+    f = oracle if oracle is not None else _ProgramEvaluator(program, vars_)
     n = vars_.n
     steps = [_fd_h(point[pos], h) for pos in f.var_pos]
     # row 0 is the point itself; then each (i, j) with j <= i takes 2 rows on
@@ -421,13 +429,14 @@ def verify(fn: CorpusFunction, mode: str = "gradient", points: int = 100,
     analytic = evaluate(tape, pts)
 
     report = FdReport(fn.name, mode, tol, points)
+    oracle = _ProgramEvaluator(program, vars_)  # one program tape for every point
     for p in range(points):
         if mode == "gradient":
-            fd = fd_gradient(program, vars_, pts[p])
+            fd = fd_gradient(program, vars_, pts[p], oracle=oracle)
             for j in range(n):
                 report.record(names[j], analytic[p, j], fd[j])
         else:
-            fd = fd_hessian(program, vars_, pts[p])
+            fd = fd_hessian(program, vars_, pts[p], oracle=oracle)
             k = 0
             for i in range(n):
                 for j in range(i + 1):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,41 @@ def test_emit_deterministic():
     a = emit(bundle, vars_, cfg, program)
     b = emit(bundle, vars_, cfg, program)
     assert a == b
+
+
+# sha256 of every emitted file for fixed inputs: generated C must stay
+# byte-stable across refactors of derivation and emission
+GOLDEN_EMIT = {
+    # (corpus name, s, simplify, split target): {file: sha256}
+    ("eq3", 5, False, 2**16): {
+        "golden.h": "09ab26712f5425525db9861b13bc8dcc721afa1c5edbe4bf556787e5eea75068",
+        "golden_part0.c": "5746a20689a3f64d17ab5eb190771cadcf59011c7c4f4b859a7ba943e64c47e7",
+        "golden_part1.c": "dd43dc9870f55cc9ffb43e9a30beb94a8e1fe6ddbd8e8fa1634649458f021629",
+    },
+    ("eq3", 5, True, DEFAULT_SPLIT_TARGET): {
+        "golden.h": "667372bf593b2b49b20635c949a870367dc9af348e65bf9be70b73d90f1ed0d0",
+        "golden_part0.c": "a372e86b15d42b6a10a2e638af3ab00e2b5ff6b4c1ddad8f25b18e8fb89bbe08",
+    },
+    ("cross_entropy", None, True, DEFAULT_SPLIT_TARGET): {
+        "golden.h": "1d0991d510033d73777d615d7088b61a1d0621da90d422f02b4c48ea4047912d",
+        "golden_part0.c": "0964320b974af188b2a8dd42f64262779023c1541940b38e8c70925d20355651",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_EMIT),
+                         ids=["eq3_s5_raw_split64k", "eq3_s5_simplified", "cross_entropy"])
+def test_emit_bytes_match_golden(case):
+    name, s, do_simplify, split_target = case
+    fn = corpus_function(name, s=s)
+    _, program, vars_ = corpus_program(fn)
+    bundle = derive_bundle(program, vars_, do_simplify=do_simplify)
+    cfg = EmitConfig(split_target_bytes=split_target, basename="golden",
+                     simplified=do_simplify, source_name=f"{name}.c", var_names=fn.var_names)
+    art = emit(bundle, vars_, cfg, program)
+    files = [("golden.h", art.header), *art.sources]
+    got = {f: hashlib.sha256(text.encode()).hexdigest() for f, text in files}
+    assert got == GOLDEN_EMIT[case]
 
 
 # --- splitting ----------------------------------------------------------------

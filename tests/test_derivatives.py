@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from acorns.cast import Binary, Call, Constant, Unary, Var, const, count_nodes, to_source
+from acorns.cast import ONE, ZERO, Binary, Call, Constant, Unary, Var, const, count_nodes, to_source
 from acorns.derivatives import (
     VarIndexMap,
     derive_bundle,
@@ -223,6 +223,103 @@ def test_fd_consistency_sample():
             for j, g in enumerate(grads):
                 analytic = eval_expr(g, bindings)
                 assert abs(analytic - fd[j]) <= 1e-5 * max(1.0, abs(analytic))
+
+
+# --- activity pruning --------------------------------------------------------
+
+
+def _naive_differentiate(e, v):
+    """Reference: the forward rule walk over every node, in every pass."""
+    memo = {}
+
+    def d(node):
+        if id(node) not in memo:
+            memo[id(node)] = rule(node)
+        return memo[id(node)]
+
+    def rule(node):
+        if isinstance(node, Constant):
+            return ZERO
+        if isinstance(node, Var):
+            return ONE if node.name == v else ZERO
+        if isinstance(node, Unary):
+            return Unary("-", d(node.operand))
+        if isinstance(node, Binary):
+            a, b = node.lhs, node.rhs
+            if node.op in ("+", "-"):
+                da, db = d(a), d(b)
+                if all(isinstance(t, Constant) and t.value == 0.0 for t in (da, db)):
+                    return ZERO
+                return Binary(node.op, da, db)
+            if node.op == "*":
+                return Binary("+", Binary("*", d(a), b), Binary("*", a, d(b)))
+            if node.op == "/":
+                num = Binary("-", Binary("*", d(a), b), Binary("*", a, d(b)))
+                return Binary("/", num, Binary("*", b, b))
+            return ZERO
+        name, u = node.name, node.args[0]
+        if name == "pow":
+            expo = node.args[1]
+            if isinstance(expo, Constant):
+                down = Call("pow", (u, const(expo.value - 1.0)))
+                return Binary("*", Binary("*", expo, down), d(u))
+            bracket = Binary("+", Binary("*", d(expo), Call("log", (u,))),
+                             Binary("/", Binary("*", expo, d(u)), u))
+            return Binary("*", node, bracket)
+        du = d(u)
+        if name == "log":
+            return Binary("*", Binary("/", ONE, u), du)
+        if name == "exp":
+            return Binary("*", node, du)
+        if name == "sin":
+            return Binary("*", Call("cos", (u,)), du)
+        if name == "cos":
+            return Unary("-", Binary("*", Call("sin", (u,)), du))
+        if name == "tan":
+            return Binary("/", du, Binary("*", Call("cos", (u,)), Call("cos", (u,))))
+        return Binary("/", du, Binary("*", const(2.0, "2"), node))  # sqrt
+
+    return d(e)
+
+
+def _reference_bundle(program, labels, do_simplify):
+    """(gradient, lower Hessian) from the naive walk, in derive_bundle's order."""
+    tidy = simplify if do_simplify else (lambda e: e)
+    f = tidy(substitute(program))
+    grad = [tidy(_naive_differentiate(f, v)) for v in labels]
+    hess = [tidy(_naive_differentiate(grad[j], labels[i]))
+            for i in range(len(labels)) for j in range(i + 1)]
+    return grad, hess
+
+
+@pytest.mark.parametrize("do_simplify", [False, True], ids=["raw", "simplified"])
+def test_pruned_bundle_matches_naive_walk(do_simplify):
+    rng = random.Random(2024)
+    names = ["x", "y", "z", "w"]
+    for case in range(30):
+        k = rng.choice([3, 4])  # w is a plain input when k == 3
+        t = to_source(random_expr(rng, names, depth=4))
+        e = to_source(random_expr(rng, names + ["t"], depth=4))
+        src = (f"double f(double x, double y, double z, double w){{ double t = {t}; "
+               f"double e = t * ({e}) + t; return 0; }}")
+        program = _program(src)
+        vars_ = VarIndexMap.from_names(program, names[:k])
+        bundle = derive_bundle(program, vars_, do_simplify=do_simplify)
+        grad, hess = _reference_bundle(program, names[:k], do_simplify)
+        assert list(bundle.grad) == grad, (case, src)
+        assert list(bundle.hess_lower) == hess, (case, src)
+
+
+def test_inactive_subtree_shares_one_skeleton():
+    src = "double f(double x, double y, double w){ double e = x * y + sin(w * w); return 0; }"
+    program = _program(src)
+    vars_ = VarIndexMap.from_names(program, ["x", "y"])
+    gx, gy = derive_bundle(program, vars_, do_simplify=False, want_hessian=False).grad
+    # sin(w * w) reads neither x nor y: both passes reuse one derivative tree
+    assert gx.rhs is gy.rhs
+    # and it is the full rule walk's tree, not a bare zero
+    inactive = parse_expr("sin(w * w)")
+    assert gx.rhs == _naive_differentiate(inactive, "x") != ZERO
 
 
 # --- simplify ----------------------------------------------------------------
