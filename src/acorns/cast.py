@@ -168,61 +168,121 @@ _PRECEDENCE = {
     "*": 4, "/": 4,
 }
 _UNARY_PREC = 5
+_ATOM_PREC = 6
 
 
-def to_source(e: Expr) -> str:
+def _prec(node: Expr) -> int:
+    """How tightly `node`'s text binds.
+
+    A child is parenthesized when it binds less tightly than its context,
+    or equally tightly as a right operand or the operand of a unary minus.
+    """
+    if isinstance(node, Binary):
+        return _PRECEDENCE[node.op]
+    if isinstance(node, Unary):
+        return _UNARY_PREC
+    if isinstance(node, Constant) and node.text.startswith("-"):
+        return _UNARY_PREC  # a negative literal is a unary minus: -(-1), never --1
+    return _ATOM_PREC
+
+
+class SharedText:
+    """The C text of several expressions, rendering each DAG node once.
+
+    The constructor counts each node's uses over the union DAG of `roots`:
+    one per parent edge, plus one per appearance in `roots`.  Rendering a
+    root writes a node with one use straight into its user's text.  A node
+    with several uses is rendered once, on its first use, into `text`, and
+    its last use takes it out.  So `uses` and `text` hold only what is still
+    to be used, and both are empty once every root has been rendered as
+    many times as it appears in `roots`.
+    """
+
+    def __init__(self, roots):
+        self.roots = tuple(roots)  # keeps every node alive, so ids stay unique
+        self.uses: dict[int, int] = {}  # id(node) -> uses not yet rendered
+        for root in self.roots:
+            for node in post_order(root, self.uses):
+                self.uses[id(node)] = 0  # its parents come after it
+                for k in children(node):
+                    self.uses[id(k)] += 1
+            self.uses[id(root)] += 1
+        self.text: dict[int, str] = {}  # id(node) -> text of a node with uses left
+
+    def _take(self, key: int) -> str:
+        left = self.uses[key] - 1
+        if left:
+            self.uses[key] = left
+            return self.text[key]
+        del self.uses[key]
+        return self.text.pop(key)
+
+    def render(self, root: Expr) -> str:
+        """`root`'s text.  Uses an explicit stack, so depth is not bounded by
+        the recursion limit."""
+        out: list[str] = []
+        # work items: text, (node, context precedence, is right operand), or
+        # (None, id(node), start): out[start:] is the whole text of a shared node
+        work: list = [(root, 0, False)]
+        while work:
+            item = work.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            if item[0] is None:  # a shared node's first use ends here
+                _, key, start = item
+                self.text[key] = "".join(out[start:])
+                del out[start:]
+                out.append(self._take(key))
+                continue
+            node, outer, right = item
+            prec = _prec(node)
+            if prec < outer or (prec == outer and right):
+                out.append("(")
+                work.append(")")
+            key = id(node)
+            if key in self.text:
+                out.append(self._take(key))
+                continue
+            if self.uses[key] > 1:
+                work.append((None, key, len(out)))
+            else:
+                del self.uses[key]
+            if isinstance(node, Constant):
+                out.append(node.text)
+            elif isinstance(node, Var):
+                out.append(node.name)
+            elif isinstance(node, ArrayRef):
+                out.append(node.base)
+                for ix in reversed(node.indices):
+                    work += ("]", (ix, 0, False), "[")
+            elif isinstance(node, Unary):
+                out.append("-")
+                work.append((node.operand, _UNARY_PREC, True))
+            elif isinstance(node, Binary):
+                work += ((node.rhs, prec, True), f" {node.op} ", (node.lhs, prec, False))
+            elif isinstance(node, Call):
+                out.append(node.name + "(")
+                work.append(")")
+                for i, a in enumerate(reversed(node.args)):
+                    if i:
+                        work.append(", ")
+                    work.append((a, 0, False))
+            else:
+                raise TypeError(f"not an expression: {node!r}")
+        return "".join(out)
+
+
+def to_source(e: Expr, shared: SharedText | None = None) -> str:
     """Render an expression as C source, parenthesized by precedence.
 
-    Re-parsing the result yields a structurally identical tree.  Uses an
-    explicit stack so arbitrarily deep trees print without recursion.
+    Re-parsing the text of a parsed tree yields a structurally identical
+    tree.  `shared` renders several expressions over one DAG, each node
+    once; without it `e` is rendered alone.
     """
-    out: list[str] = []
-    # work items: ("expr", node, parent_prec, is_right) or ("text", s)
-    work: list[tuple] = [("expr", e, 0, False)]
-    while work:
-        kind, *rest = work.pop()
-        if kind == "text":
-            out.append(rest[0])
-            continue
-        node, parent_prec, is_right = rest
-        if isinstance(node, Constant):
-            out.append(node.text)
-        elif isinstance(node, Var):
-            out.append(node.name)
-        elif isinstance(node, ArrayRef):
-            out.append(node.base)
-            for ix in reversed(node.indices):
-                work.append(("text", "]"))
-                work.append(("expr", ix, 0, False))
-                work.append(("text", "["))
-        elif isinstance(node, Unary):
-            need = parent_prec > _UNARY_PREC or (parent_prec == _UNARY_PREC)
-            if need:
-                work.append(("text", ")"))
-            work.append(("expr", node.operand, _UNARY_PREC, False))
-            work.append(("text", "-"))
-            if need:
-                out.append("(")
-        elif isinstance(node, Binary):
-            prec = _PRECEDENCE[node.op]
-            need = prec < parent_prec or (prec == parent_prec and is_right)
-            if need:
-                work.append(("text", ")"))
-            work.append(("expr", node.rhs, prec, True))
-            work.append(("text", f" {node.op} "))
-            work.append(("expr", node.lhs, prec, False))
-            if need:
-                out.append("(")
-        elif isinstance(node, Call):
-            work.append(("text", ")"))
-            for i, a in enumerate(reversed(node.args)):
-                work.append(("expr", a, 0, False))
-                if i != len(node.args) - 1:
-                    work.append(("text", ", "))
-            out.append(node.name + "(")
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-    return "".join(out)
+    if shared is None:
+        shared = SharedText((e,))
+    return shared.render(e)
 
 
 def children(node: Expr) -> tuple:
@@ -260,25 +320,14 @@ def post_order(root: Expr, done) -> Iterator[Expr]:
             yield node
 
 
-def count_nodes(e: Expr) -> int:
-    """Tree-expanded node count; shared subtrees are counted once per use."""
-    counts: dict[int, int] = {}
+def count_nodes(e: Expr, counts: dict | None = None) -> int:
+    """Tree-expanded node count; shared subtrees are counted once per use.
 
-    def walk(node: Expr) -> int:
-        got = counts.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, (Constant, Var)):
-            n = 1
-        elif isinstance(node, ArrayRef):
-            n = 1 + sum(walk(ix) for ix in node.indices)
-        elif isinstance(node, Unary):
-            n = 1 + walk(node.operand)
-        elif isinstance(node, Binary):
-            n = 1 + walk(node.lhs) + walk(node.rhs)
-        else:
-            n = 1 + sum(walk(a) for a in node.args)
-        counts[id(node)] = n
-        return n
-
-    return walk(e)
+    `counts` maps id(node) -> (size, node); a caller that keeps it across
+    calls walks each shared subtree once.
+    """
+    if counts is None:
+        counts = {}
+    for node in post_order(e, counts):
+        counts[id(node)] = (1 + sum(counts[id(k)][0] for k in children(node)), node)
+    return counts[id(e)][0]

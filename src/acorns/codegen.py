@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .cast import Expr, Var, children, post_order, to_source
+from .cast import Expr, SharedText, Var, children, post_order, to_source
 from .derivatives import DerivativeBundle, VarIndexMap
 from .errors import AcornsError
 from .flatten import StraightLineProgram
@@ -93,24 +93,24 @@ def _collect_params(e: Expr, memo: dict) -> frozenset:
 
 def _statements(bundle: DerivativeBundle, cfg: EmitConfig) -> list:
     n = bundle.n
+    entries = []  # (mode, out index, expression, out index of its mirror or None)
+    if "function" in cfg.mode:
+        entries.append(("function", 0, bundle.f, None))
+    if "gradient" in cfg.mode:
+        entries += [("gradient", j, g, None) for j, g in enumerate(bundle.grad)]
+    if "hessian" in cfg.mode:
+        # the upper triangle mirrors the lower instead of recomputing
+        entries += [("hessian", i * n + j, bundle.hess_lower[i * (i + 1) // 2 + j],
+                     j * n + i if i != j else None)
+                    for i in range(n) for j in range(i + 1)]
+    shared = SharedText(expr for _, _, expr, _ in entries)
     stmts = []
     params: dict = {}
-
-    def add(mode: str, target: str, expr: Expr):
-        stmts.append(Statement(mode, f"{target} = {to_source(expr)};", _collect_params(expr, params)))
-
-    if "function" in cfg.mode:
-        add("function", "out[0]", bundle.f)
-    if "gradient" in cfg.mode:
-        for j, g in enumerate(bundle.grad):
-            add("gradient", f"out[{j}]", g)
-    if "hessian" in cfg.mode:
-        for i in range(n):
-            for j in range(i + 1):
-                add("hessian", f"out[{i * n + j}]", bundle.hess_lower[i * (i + 1) // 2 + j])
-                if i != j:
-                    # mirror the lower triangle instead of recomputing
-                    stmts.append(Statement("hessian", f"out[{j * n + i}] = out[{i * n + j}];", frozenset()))
+    for mode, k, expr, mirror in entries:
+        stmts.append(Statement(mode, f"out[{k}] = {to_source(expr, shared)};",
+                               _collect_params(expr, params)))
+        if mirror is not None:
+            stmts.append(Statement(mode, f"out[{mirror}] = out[{k}];", frozenset()))
     return stmts
 
 

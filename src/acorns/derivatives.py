@@ -26,6 +26,7 @@ structurally identical to a walk of every node in every pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cast import (
@@ -95,8 +96,13 @@ class DerivativeBundle:
         return [[self.hess_entry(i, j) for j in range(self.n)] for i in range(self.n)]
 
 
-def _check_cap(e: Expr, cap: int):
-    n = count_nodes(e)
+def _check_cap(e: Expr, cap: int, sizes: dict | None = None):
+    """Raise ExpressionExplosion when `e` tree-expands past `cap` nodes.
+
+    `sizes` is `count_nodes`' memo, kept by the caller across the entries
+    of one bundle so a subtree they share is counted once.
+    """
+    n = count_nodes(e, sizes)
     if n > cap:
         raise ExpressionExplosion(n, cap)
 
@@ -137,9 +143,9 @@ class _Activity:
     `masks` holds each node's activity mask: bit j is set when the node
     reads independent variable j.  `skeletons` holds each inactive node's
     zero skeleton, and `simplified` maps each skeleton root to its simplified
-    form (None until the first `simplify` pass reaches it).  All three are
-    keyed by id() and keep their key node alive, so an id cannot be reused
-    while the memo lives.
+    form (None until the first `simplify` pass reaches it).  `sizes` is
+    the tree-size memo of `_check_cap`.  All four are keyed by id() and keep
+    their key node alive, so an id cannot be reused while the memo lives.
     """
 
     def __init__(self, labels):
@@ -147,6 +153,7 @@ class _Activity:
         self.masks: dict[int, tuple] = {}  # id(node) -> (mask, node)
         self.skeletons: dict[int, tuple] = {}  # id(node) -> (skeleton, node)
         self.simplified: dict[int, tuple] = {}  # id(skeleton) -> (skeleton, simplified or None)
+        self.sizes: dict[int, tuple] = {}  # id(node) -> (tree size, node)
 
     def mark(self, root: Expr):
         """Give every node under `root` its activity mask."""
@@ -195,7 +202,13 @@ def differentiate(e: Expr, v: str, activity: _Activity | None = None) -> Expr:
         memo[id(node)] = out
         return out
 
-    return d(e)
+    try:
+        return d(e)
+    finally:
+        # `d` reaches itself through its closure; breaking the cycle frees
+        # the memo and the closure's hold on `activity` now rather than at
+        # some later cycle collection
+        del d
 
 
 def _rule(node: Expr, d, v: str | None) -> Expr:
@@ -272,15 +285,19 @@ _FOLDABLE = ("+", "-", "*", "/")
 
 
 def _fold(op: str, a: Constant, b: Constant) -> Expr | None:
+    """The constant `a op b`, or None to leave it for the C runtime: x / 0,
+    and any result that is not finite, which no literal spells."""
     if op == "+":
-        return const(a.value + b.value)
-    if op == "-":
-        return const(a.value - b.value)
-    if op == "*":
-        return const(a.value * b.value)
-    if b.value == 0.0:
-        return None  # x / 0 is left for the C runtime
-    return const(a.value / b.value)
+        value = a.value + b.value
+    elif op == "-":
+        value = a.value - b.value
+    elif op == "*":
+        value = a.value * b.value
+    elif b.value == 0.0:
+        return None
+    else:
+        value = a.value / b.value
+    return const(value) if math.isfinite(value) else None
 
 
 def simplify(e: Expr, activity: _Activity | None = None) -> Expr:
@@ -359,7 +376,10 @@ def simplify(e: Expr, activity: _Activity | None = None) -> Expr:
             return Binary(op, a, b)
         raise TypeError(f"not an expression: {node!r}")
 
-    return s(e)
+    try:
+        return s(e)
+    finally:
+        del s, _rewrite  # the two call each other; see `differentiate`
 
 
 def gradient(
@@ -379,7 +399,7 @@ def _gradient_of(f: Expr, vars_: VarIndexMap, do_simplify: bool, cap: int,
         g = differentiate(f, label, activity)
         if do_simplify:
             g = simplify(g, activity)
-        _check_cap(g, cap)
+        _check_cap(g, cap, activity.sizes)
         out.append(g)
     return tuple(out)
 
@@ -404,7 +424,7 @@ def _hessian_of(grad: tuple, vars_: VarIndexMap, do_simplify: bool, cap: int,
             h = differentiate(grad[j], vars_.labels[i], activity)
             if do_simplify:
                 h = simplify(h, activity)
-            _check_cap(h, cap)
+            _check_cap(h, cap, activity.sizes)
             lower.append(h)
     return tuple(lower)
 

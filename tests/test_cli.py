@@ -1,4 +1,5 @@
 import os
+import subprocess
 
 import pytest
 
@@ -162,6 +163,31 @@ def test_no_simplify_flag_changes_output(cross_entropy_file, tmp_path):
     raw = open(stem_b + "_part0.c").read()
     assert len(raw) > len(simplified)
     assert "simplify: off" in raw and "simplify: on" in simplified
+
+
+def test_negated_negative_constant_compiles(tmp_path, cc):
+    # 1.0 - 2.0 folds to the literal -1; its negation must not print as --1
+    src = tmp_path / "neg.c"
+    src.write_text("double f(const double x[1]) {\n    double e = x[0] * -(1.0 - 2.0);\n"
+                   "    return 0;\n}\n")
+    stem = str(tmp_path / "neg")
+    assert main([str(src), "e", "--vars", "x", "--func", "f", "--output_filename", stem]) == 0
+    part = stem + "_part0.c"
+    text = open(part).read()
+    assert "out[0] = x[0] * -(-1);" in text and "--" not in text
+    subprocess.run([cc, "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-c", part,
+                    "-I", str(tmp_path), "-o", str(tmp_path / "neg.o")],
+                   check=True, capture_output=True)
+
+
+@pytest.mark.parametrize("energy", ["x * (1e308 * 10.0)", "x * (1e309 + 1.0)"])
+def test_overflowing_constant_is_left_unfolded(tmp_path, capsys, energy):
+    src = tmp_path / "big.c"
+    src.write_text(f"double f(double x) {{\n    double e = {energy};\n    return 0;\n}}\n")
+    stem = str(tmp_path / "big")
+    assert main([str(src), "e", "--vars", "x", "--func", "f", "--output_filename", stem]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert f"out[0] = {energy};" in open(stem + "_part0.c").read()
 
 
 # --- verify subcommand ----------------------------------------------------------

@@ -1,8 +1,11 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
+from acorns import codegen
+from acorns.cast import ArrayRef, Binary, Call, Constant, SharedText, Unary, Var, const, to_source
 from acorns.codegen import (
     DEFAULT_SPLIT_TARGET,
     EmitConfig,
@@ -11,7 +14,7 @@ from acorns.codegen import (
     layout_slots,
     split,
 )
-from acorns.derivatives import VarIndexMap, derive_bundle
+from acorns.derivatives import VarIndexMap, derive_bundle, differentiate
 from acorns.errors import AcornsError
 from acorns.flatten import unroll
 from acorns.interp import compile_exprs, evaluate
@@ -19,6 +22,7 @@ from acorns.parser import parse_source
 from acorns.verify import corpus_function, corpus_program, sample_points
 
 from cc_util import compile_and_run, compile_strict
+from randgen import random_expr
 
 
 def _bundle(src, func, energy, var_names, do_simplify=True):
@@ -160,6 +164,148 @@ def test_emit_bytes_match_golden(case):
     files = [("golden.h", art.header), *art.sources]
     got = {f: hashlib.sha256(text.encode()).hexdigest() for f, text in files}
     assert got == GOLDEN_EMIT[case]
+
+
+# --- printer ------------------------------------------------------------------
+
+_REF_PRECEDENCE = {"==": 1, "!=": 1, "<": 2, "<=": 2, ">": 2, ">=": 2,
+                   "+": 3, "-": 3, "*": 4, "/": 4}
+
+
+def _reference_to_source(e):
+    """The tree-expanding explicit-stack printer `to_source` replaced, kept
+    as an oracle: it visits every node once per use.  It prints a negative
+    literal under a unary minus as `--1`, so it is only given trees without
+    negative literals."""
+    out = []
+    work = [("expr", e, 0, False)]
+    while work:
+        kind, *rest = work.pop()
+        if kind == "text":
+            out.append(rest[0])
+            continue
+        node, parent_prec, is_right = rest
+        if isinstance(node, Constant):
+            out.append(node.text)
+        elif isinstance(node, Var):
+            out.append(node.name)
+        elif isinstance(node, ArrayRef):
+            out.append(node.base)
+            for ix in reversed(node.indices):
+                work.append(("text", "]"))
+                work.append(("expr", ix, 0, False))
+                work.append(("text", "["))
+        elif isinstance(node, Unary):
+            need = parent_prec >= 5
+            if need:
+                work.append(("text", ")"))
+            work.append(("expr", node.operand, 5, False))
+            work.append(("text", "-"))
+            if need:
+                out.append("(")
+        elif isinstance(node, Binary):
+            prec = _REF_PRECEDENCE[node.op]
+            need = prec < parent_prec or (prec == parent_prec and is_right)
+            if need:
+                work.append(("text", ")"))
+            work.append(("expr", node.rhs, prec, True))
+            work.append(("text", f" {node.op} "))
+            work.append(("expr", node.lhs, prec, False))
+            if need:
+                out.append("(")
+        else:
+            work.append(("text", ")"))
+            for i, a in enumerate(reversed(node.args)):
+                work.append(("expr", a, 0, False))
+                if i != len(node.args) - 1:
+                    work.append(("text", ", "))
+            out.append(node.name + "(")
+    return "".join(out)
+
+
+def test_to_source_matches_reference_printer():
+    # random trees, plus derivatives of every fourth one: differentiation
+    # shares primal subtrees, so those are DAGs with nodes of several uses
+    # (unsimplified, as folding makes negative literals)
+    rng = random.Random(2024)
+    names = ["x", "y", "z"]
+    exprs = [random_expr(rng, names, depth=rng.randint(1, 7)) for _ in range(2000)]
+    exprs += [differentiate(e, v) for e in exprs[::4] for v in ("x", "y")]
+    exprs += [ArrayRef("a", (Binary("+", Var("i"), const(1.0)), Var("j"))),
+              Call("pow", (Unary("-", Var("x")), Binary("<", Var("x"), Var("y"))))]
+    for e in exprs:
+        assert to_source(e) == _reference_to_source(e)
+
+
+def test_shared_text_matches_separate_calls():
+    rng = random.Random(7)
+    pool = [random_expr(rng, ["x", "y"], depth=4) for _ in range(30)]
+    pool += [differentiate(e, "x") for e in pool[:10]]
+    roots = [Binary(rng.choice("+-*/"), rng.choice(pool), rng.choice(pool)) for _ in range(60)]
+    roots += [pool[3], roots[5], Unary("-", roots[5]), pool[3]]  # a root under another, repeats
+    shared = SharedText(roots)
+    got = [to_source(r, shared) for r in roots]
+    assert got == [to_source(r) for r in roots] == [_reference_to_source(r) for r in roots]
+    assert shared.uses == {} and shared.text == {}
+
+
+def test_shared_text_drops_text_after_last_use():
+    s = Binary("*", Var("x"), Binary("+", Var("y"), Var("z")))
+    first, second = Binary("+", s, Var("w")), Binary("-", Var("w"), s)
+    shared = SharedText((first, second))
+    assert to_source(first, shared) == "x * (y + z) + w"
+    assert list(shared.text) == [id(s)]  # s still has a use left
+    assert to_source(second, shared) == "w - x * (y + z)"
+    assert shared.uses == {} and shared.text == {}
+
+
+def test_negative_literal_under_unary_minus():
+    minus_one = const(-1.0)
+    assert minus_one.text == "-1"
+    assert to_source(Unary("-", minus_one)) == "-(-1)"
+    assert to_source(Binary("*", Var("x"), Unary("-", minus_one))) == "x * -(-1)"
+    # elsewhere a negative literal prints as before
+    assert to_source(Binary("-", Var("x"), minus_one)) == "x - -1"
+    assert to_source(Binary("*", minus_one, Var("x"))) == "-1 * x"
+    assert to_source(Call("sin", (minus_one,))) == "sin(-1)"
+    assert to_source(Unary("-", Unary("-", Var("x")))) == "-(-x)"
+
+
+def test_deep_chains_render_without_recursion():
+    n = 100_000
+    x, y = Var("x"), Var("y")
+    left, right, neg = x, x, x
+    checkpoints = []
+    for k in range(1, n + 1):
+        left = Binary("+", left, y)
+        right = Binary("-", y, right)
+        neg = Unary("-", neg)
+        if k % 10_000 == 0:
+            checkpoints.append(left)
+    assert to_source(right) == "y - (" * (n - 1) + "y - x" + ")" * (n - 1)
+    assert to_source(neg) == "-(" * (n - 1) + "-x" + ")" * (n - 1)
+    # each checkpoint is a root and a node of the chain above it
+    shared = SharedText(checkpoints)
+    for k, root in enumerate(checkpoints, 1):
+        assert to_source(root, shared) == "x" + " + y" * (k * 10_000)
+    assert shared.uses == {} and shared.text == {}
+
+
+def test_emit_leaves_no_text_behind(monkeypatch):
+    made = []
+
+    class Recorded(SharedText):
+        def __init__(self, roots):
+            super().__init__(roots)
+            made.append(self)
+
+    monkeypatch.setattr(codegen, "SharedText", Recorded)
+    fn = corpus_function("eq3", s=5)
+    _, program, vars_ = corpus_program(fn)
+    bundle = derive_bundle(program, vars_, do_simplify=False)
+    emit(bundle, vars_, EmitConfig(basename="t", var_names=fn.var_names), program)
+    assert len(made) == 1
+    assert made[0].uses == {} and made[0].text == {}
 
 
 # --- splitting ----------------------------------------------------------------

@@ -43,6 +43,27 @@ def test_substitute_shared_chain():
     assert count_nodes(e) == 7
 
 
+def test_count_nodes_memo_is_shared():
+    p = _program("double f(double x){ double t = x * x; double e = t + t; return 0; }")
+    e = substitute(p)
+    counts = {}
+    assert count_nodes(e.lhs, counts) == 3
+    assert count_nodes(e, counts) == 7
+    assert count_nodes(e, counts) == count_nodes(e) == 7
+    assert counts[id(e.lhs)] == (3, e.lhs)  # the shared t, counted once
+
+
+def test_bundle_cap_trips_at_the_largest_entry():
+    fn = corpus_function("eq3", s=4)
+    _, program, vars_ = corpus_program(fn)
+    bundle = derive_bundle(program, vars_, do_simplify=False)
+    largest = max(count_nodes(e) for e in (bundle.f, *bundle.grad, *bundle.hess_lower))
+    derive_bundle(program, vars_, do_simplify=False, cap=largest)
+    with pytest.raises(ExpressionExplosion) as exc:
+        derive_bundle(program, vars_, do_simplify=False, cap=largest - 1)
+    assert exc.value.count == largest
+
+
 def test_substitute_cross_entropy_shape():
     ir = parse_source(CROSS_ENTROPY_SRC, "cross_entropy", "loss")
     e = substitute(unroll(ir))
@@ -353,6 +374,14 @@ def test_simplify_double_negation():
 
 def test_simplify_constant_folding():
     assert simplify(parse_expr("2 * 3 + 1")).value == 7.0
+
+
+def test_simplify_leaves_non_finite_folds():
+    # no C literal spells inf or nan; the runtime computes them, as for x / 0
+    for text in ("x * (1e308 * 10.0)", "x * (1e308 / 0.5)", "x * (1e309 + 1.0)",
+                 "x * (1e309 - 1e309)"):
+        e = parse_expr(text)
+        assert simplify(e) == e
 
 
 def test_simplify_no_cancellation():
