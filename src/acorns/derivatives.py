@@ -2,8 +2,8 @@
 
 All transforms work on a shared-subtree DAG: results are memoized by node
 identity, so repeated subexpressions (which unrolled programs produce in
-abundance) are differentiated and simplified once.  Tree-expanded node
-counts are checked against a cap because emission re-expands the DAG.
+abundance) are differentiated once.  Tree-expanded node counts are checked
+against a cap because emission re-expands the DAG.
 
 Forward mode differentiates once per independent variable: n passes for
 the gradient and n(n+1)/2 for the Hessian.  Activity analysis keeps most
@@ -16,8 +16,16 @@ of each pass off the nodes that do not read its variable:
 - A pass that reaches a node whose mask lacks its variable's bit uses the
   node's zero skeleton: the tree the rules build when no variable matches
   (`_rule` with no active variable).  It depends on the node alone, so it
-  is built once and reused by every gradient and Hessian pass, and its
-  simplified form is memoised once too.
+  is built once and reused by every gradient and Hessian pass.
+
+The rules build every node through a constructor set.  `_RAW` is the plain
+`Binary`/`Unary`/`Call` classes (`--no-simplify`).  `_SIMPLIFYING` applies
+`simplify`'s local rewrites as each node is built, to operands that are
+already simplified, so a simplified bundle never builds the raw derivative
+and is not walked again.  Because `simplify` is idempotent (every node it
+returns, and every node the constructors build, is a fixed point of it),
+differentiating a simplified `f` this way gives exactly
+`simplify(differentiate(f))`.
 
 The skeleton is not folded to a bare zero, because `--no-simplify` output
 keeps its `u * 0` factors and `simplify` keeps `-(0)`; the derivatives are
@@ -140,19 +148,19 @@ def substitute(p: StraightLineProgram, cap: int = DEFAULT_NODE_CAP) -> Expr:
 class _Activity:
     """Differentiation state shared by every pass of one `derive_bundle`.
 
-    `masks` holds each node's activity mask: bit j is set when the node
-    reads independent variable j.  `skeletons` holds each inactive node's
-    zero skeleton, and `simplified` maps each skeleton root to its simplified
-    form (None until the first `simplify` pass reaches it).  `sizes` is
-    the tree-size memo of `_check_cap`.  All four are keyed by id() and keep
-    their key node alive, so an id cannot be reused while the memo lives.
+    `build` is the constructor set the rules build with (`_RAW` or
+    `_SIMPLIFYING`).  `masks` holds each node's activity mask: bit j is set
+    when the node reads independent variable j.  `skeletons` holds each
+    inactive node's zero skeleton.  `sizes` is the tree-size memo of
+    `_check_cap`.  The three memos are keyed by id() and keep their key node
+    alive, so an id cannot be reused while the memo lives.
     """
 
-    def __init__(self, labels):
+    def __init__(self, labels, build):
+        self.build = build
         self.bit = {label: 1 << j for j, label in enumerate(labels)}
         self.masks: dict[int, tuple] = {}  # id(node) -> (mask, node)
         self.skeletons: dict[int, tuple] = {}  # id(node) -> (skeleton, node)
-        self.simplified: dict[int, tuple] = {}  # id(skeleton) -> (skeleton, simplified or None)
         self.sizes: dict[int, tuple] = {}  # id(node) -> (tree size, node)
 
     def mark(self, root: Expr):
@@ -172,9 +180,8 @@ class _Activity:
         got = self.skeletons.get(id(node))
         if got is not None:
             return got[0]
-        out = _rule(node, self.skeleton, None)
+        out = _rule(node, self.skeleton, None, self.build)
         self.skeletons[id(node)] = (out, node)
-        self.simplified.setdefault(id(out), (out, None))
         return out
 
 
@@ -182,13 +189,13 @@ def differentiate(e: Expr, v: str, activity: _Activity | None = None) -> Expr:
     """Exact symbolic derivative of `e` with respect to the slot named `v`.
 
     `activity` is shared by the passes of one bundle; `v` must be one of
-    its variables.
+    its variables.  Without it the raw rules are used.
     """
     if activity is None:
-        activity = _Activity((v,))
+        activity = _Activity((v,), _RAW)
     activity.mark(e)
     bit = activity.bit[v]
-    masks = activity.masks
+    masks, build = activity.masks, activity.build
     memo: dict[int, Expr] = {}
 
     def d(node: Expr) -> Expr:
@@ -196,7 +203,7 @@ def differentiate(e: Expr, v: str, activity: _Activity | None = None) -> Expr:
         if got is not None:
             return got
         if masks[id(node)][0] & bit:
-            out = _rule(node, d, v)
+            out = _rule(node, d, v, build)
         else:
             out = activity.skeleton(node)
         memo[id(node)] = out
@@ -211,14 +218,16 @@ def differentiate(e: Expr, v: str, activity: _Activity | None = None) -> Expr:
         del d
 
 
-def _rule(node: Expr, d, v: str | None) -> Expr:
-    """One forward rule application; `d` differentiates the operands."""
+def _rule(node: Expr, d, v: str | None, build) -> Expr:
+    """One forward rule application; `d` differentiates the operands and
+    `build` = (binary, unary, call) makes the new nodes."""
+    binary, unary, call = build
     if isinstance(node, Constant):
         return ZERO
     if isinstance(node, Var):
         return ONE if node.name == v else ZERO
     if isinstance(node, Unary):
-        return Unary("-", d(node.operand))
+        return unary("-", d(node.operand))
     if isinstance(node, Binary):
         if node.op in ("+", "-"):
             da = d(node.lhs)
@@ -227,57 +236,61 @@ def _rule(node: Expr, d, v: str | None) -> Expr:
                 # a sum of two structural zeros collapses even without
                 # simplification; the `u * 0` factors are kept
                 return ZERO
-            return Binary(node.op, da, db)
+            return binary(node.op, da, db)
         if node.op == "*":
-            return Binary(
+            return binary(
                 "+",
-                Binary("*", d(node.lhs), node.rhs),
-                Binary("*", node.lhs, d(node.rhs)),
+                binary("*", d(node.lhs), node.rhs),
+                binary("*", node.lhs, d(node.rhs)),
             )
         if node.op == "/":
-            num = Binary(
+            num = binary(
                 "-",
-                Binary("*", d(node.lhs), node.rhs),
-                Binary("*", node.lhs, d(node.rhs)),
+                binary("*", d(node.lhs), node.rhs),
+                binary("*", node.lhs, d(node.rhs)),
             )
-            return Binary("/", num, Binary("*", node.rhs, node.rhs))
+            return binary("/", num, binary("*", node.rhs, node.rhs))
         return ZERO  # comparisons are piecewise constant
     if isinstance(node, Call):
-        return _call_rule(node, d)
+        return _call_rule(node, d, binary, unary, call)
     raise TypeError(f"cannot differentiate {node!r}")
 
 
-def _call_rule(node: Call, d) -> Expr:
+def _call_rule(node: Call, d, binary, unary, call) -> Expr:
     name = node.name
     if name == "pow":
         base, expo = node.args
         if isinstance(expo, Constant):
-            # c * pow(u, c-1) * u'
-            down = Call("pow", (base, const(expo.value - 1.0)))
-            return Binary("*", Binary("*", expo, down), d(base))
+            # c * pow(u, c-1) * u'; an exponent whose c-1 no literal spells
+            # (c = 1e309) keeps the subtraction for the C runtime
+            down_value = expo.value - 1.0
+            down_expo = (const(down_value) if math.isfinite(down_value)
+                         else binary("-", expo, ONE))
+            down = call("pow", (base, down_expo))
+            return binary("*", binary("*", expo, down), d(base))
         # pow(u, w) * (w' * log(u) + w * u' / u), valid for positive base
-        bracket = Binary(
+        bracket = binary(
             "+",
-            Binary("*", d(expo), Call("log", (base,))),
-            Binary("/", Binary("*", expo, d(base)), base),
+            binary("*", d(expo), call("log", (base,))),
+            binary("/", binary("*", expo, d(base)), base),
         )
-        return Binary("*", node, bracket)
+        return binary("*", node, bracket)
     u = node.args[0]
     du = d(u)
     if name == "log":
         # (1/u) * u', the shape the emitted derivative code shows
-        return Binary("*", Binary("/", ONE, u), du)
+        return binary("*", binary("/", ONE, u), du)
     if name == "exp":
-        return Binary("*", node, du)
+        return binary("*", node, du)
     if name == "sin":
-        return Binary("*", Call("cos", (u,)), du)
+        return binary("*", call("cos", (u,)), du)
     if name == "cos":
-        return Unary("-", Binary("*", Call("sin", (u,)), du))
+        return unary("-", binary("*", call("sin", (u,)), du))
     if name == "tan":
-        cos_u = Call("cos", (u,))
-        return Binary("/", du, Binary("*", cos_u, cos_u))
+        cos_u = call("cos", (u,))
+        return binary("/", du, binary("*", cos_u, cos_u))
     if name == "sqrt":
-        return Binary("/", du, Binary("*", const(2.0, "2"), node))
+        return binary("/", du, binary("*", const(2.0, "2"), node))
     raise TypeError(f"cannot differentiate call to {name!r}")
 
 
@@ -300,86 +313,91 @@ def _fold(op: str, a: Constant, b: Constant) -> Expr | None:
     return const(value) if math.isfinite(value) else None
 
 
-def simplify(e: Expr, activity: _Activity | None = None) -> Expr:
+# The simplifying constructors.  Each takes operands that are already
+# simplified and returns the simplified node; `node`, when given, is an
+# existing node of the same kind, returned instead of a new one when no
+# rule applies and the operands are its own.
+
+
+def _simple_binary(op: str, a: Expr, b: Expr, node: Binary | None = None) -> Expr:
+    """Identity/annihilator elimination and constant folding."""
+    if op == "*":
+        if is_const(a, 0.0) or is_const(b, 0.0):
+            return ZERO
+        if is_const(a, 1.0):
+            return b
+        if is_const(b, 1.0):
+            return a
+    elif op == "+":
+        if is_const(a, 0.0):
+            return b
+        if is_const(b, 0.0):
+            return a
+    elif op == "-":
+        if is_const(b, 0.0):
+            return a
+    elif op == "/":
+        if is_const(b, 1.0):
+            return a
+    if op in _FOLDABLE and isinstance(a, Constant) and isinstance(b, Constant):
+        folded = _fold(op, a, b)
+        if folded is not None:
+            return folded
+    if node is not None and a is node.lhs and b is node.rhs:
+        return node
+    return Binary(op, a, b)
+
+
+def _simple_unary(op: str, u: Expr, node: Unary | None = None) -> Expr:
+    """Double negation."""
+    if isinstance(u, Unary):
+        return u.operand  # -(-u) -> u
+    if node is not None and u is node.operand:
+        return node
+    return Unary(op, u)
+
+
+def _simple_call(name: str, args: tuple, node: Call | None = None) -> Expr:
+    """Trivial pow exponents."""
+    if name == "pow":
+        base, expo = args
+        if is_const(expo, 1.0):
+            return base
+        if is_const(expo, 0.0):
+            return ONE
+    if node is not None and all(a is b for a, b in zip(args, node.args)):
+        return node
+    return Call(name, args)
+
+
+_RAW = (Binary, Unary, Call)
+_SIMPLIFYING = (_simple_binary, _simple_unary, _simple_call)
+
+
+def simplify(e: Expr) -> Expr:
     """Value-preserving local rewrites: identity/annihilator elimination,
     trivial pow exponents, double negation, and constant folding.
 
-    No reassociation, distribution, or cancellation; subtrees the rules do
-    not touch are returned as the same objects.  With `activity`, the
-    simplified form of each zero skeleton is computed once and reused.
+    One explicit-stack pass rebuilds each node, children first, with the
+    `_SIMPLIFYING` constructors that forward rules also build with.  No
+    reassociation, distribution, or cancellation; subtrees the rules do not
+    touch are returned as the same objects, so the result is a fixed point:
+    `simplify(simplify(e)) is simplify(e)`.
     """
-    memo: dict[int, Expr] = {}
-    roots = activity.simplified if activity is not None else {}
-
-    def s(node: Expr) -> Expr:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        root = roots.get(id(node))
-        if root is None:
-            out = _rewrite(node)
-        elif root[1] is not None:
-            out = root[1]
-        else:
-            out = _rewrite(node)
-            roots[id(node)] = (node, out)
-        memo[id(node)] = out
-        return out
-
-    def _rewrite(node: Expr) -> Expr:
+    done: dict[int, Expr] = {}
+    for node in post_order(e, done):
         if isinstance(node, (Constant, Var)):
-            return node
-        if isinstance(node, Unary):
-            u = s(node.operand)
-            if isinstance(u, Unary):
-                return u.operand  # -(-u) -> u
-            return node if u is node.operand else Unary("-", u)
-        if isinstance(node, Call):
-            args = tuple(s(a) for a in node.args)
-            if node.name == "pow":
-                base, expo = args
-                if is_const(expo, 1.0):
-                    return base
-                if is_const(expo, 0.0):
-                    return ONE
-            if all(a is b for a, b in zip(args, node.args)):
-                return node
-            return Call(node.name, args)
-        if isinstance(node, Binary):
-            a = s(node.lhs)
-            b = s(node.rhs)
-            op = node.op
-            if op == "*":
-                if is_const(a, 0.0) or is_const(b, 0.0):
-                    return ZERO
-                if is_const(a, 1.0):
-                    return b
-                if is_const(b, 1.0):
-                    return a
-            elif op == "+":
-                if is_const(a, 0.0):
-                    return b
-                if is_const(b, 0.0):
-                    return a
-            elif op == "-":
-                if is_const(b, 0.0):
-                    return a
-            elif op == "/":
-                if is_const(b, 1.0):
-                    return a
-            if op in _FOLDABLE and isinstance(a, Constant) and isinstance(b, Constant):
-                folded = _fold(op, a, b)
-                if folded is not None:
-                    return folded
-            if a is node.lhs and b is node.rhs:
-                return node
-            return Binary(op, a, b)
-        raise TypeError(f"not an expression: {node!r}")
-
-    try:
-        return s(e)
-    finally:
-        del s, _rewrite  # the two call each other; see `differentiate`
+            out = node
+        elif isinstance(node, Binary):
+            out = _simple_binary(node.op, done[id(node.lhs)], done[id(node.rhs)], node)
+        elif isinstance(node, Unary):
+            out = _simple_unary(node.op, done[id(node.operand)], node)
+        elif isinstance(node, Call):
+            out = _simple_call(node.name, tuple(done[id(a)] for a in node.args), node)
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+        done[id(node)] = out
+    return done[id(e)]
 
 
 def gradient(
@@ -388,17 +406,13 @@ def gradient(
     do_simplify: bool = True,
     cap: int = DEFAULT_NODE_CAP,
 ) -> tuple:
-    f = substitute(p, cap)
-    return _gradient_of(f, vars_, do_simplify, cap, _Activity(vars_.labels))
+    return derive_bundle(p, vars_, do_simplify, cap, want_hessian=False).grad
 
 
-def _gradient_of(f: Expr, vars_: VarIndexMap, do_simplify: bool, cap: int,
-                 activity: _Activity) -> tuple:
+def _gradient_of(f: Expr, vars_: VarIndexMap, cap: int, activity: _Activity) -> tuple:
     out = []
     for label in vars_.labels:
         g = differentiate(f, label, activity)
-        if do_simplify:
-            g = simplify(g, activity)
         _check_cap(g, cap, activity.sizes)
         out.append(g)
     return tuple(out)
@@ -410,20 +424,14 @@ def hessian(
     do_simplify: bool = True,
     cap: int = DEFAULT_NODE_CAP,
 ) -> tuple:
-    f = substitute(p, cap)
-    activity = _Activity(vars_.labels)
-    grad = _gradient_of(f, vars_, do_simplify, cap, activity)
-    return _hessian_of(grad, vars_, do_simplify, cap, activity)
+    return derive_bundle(p, vars_, do_simplify, cap).hess_lower
 
 
-def _hessian_of(grad: tuple, vars_: VarIndexMap, do_simplify: bool, cap: int,
-                activity: _Activity) -> tuple:
+def _hessian_of(grad: tuple, vars_: VarIndexMap, cap: int, activity: _Activity) -> tuple:
     lower = []
     for i in range(vars_.n):
         for j in range(i + 1):
             h = differentiate(grad[j], vars_.labels[i], activity)
-            if do_simplify:
-                h = simplify(h, activity)
             _check_cap(h, cap, activity.sizes)
             lower.append(h)
     return tuple(lower)
@@ -437,12 +445,16 @@ def derive_bundle(
     want_gradient: bool = True,
     want_hessian: bool = True,
 ) -> DerivativeBundle:
-    """Run substitute/differentiate once and share the gradient with the Hessian."""
+    """Run substitute/differentiate once and share the gradient with the Hessian.
+
+    With `do_simplify`, `f` is simplified once and every derivative node is
+    built simplified; the entries equal `simplify` of the raw derivatives.
+    """
     f = substitute(p, cap)
     if do_simplify:
         f = simplify(f)
-    activity = _Activity(vars_.labels)
-    grad = (_gradient_of(f, vars_, do_simplify, cap, activity)
+    activity = _Activity(vars_.labels, _SIMPLIFYING if do_simplify else _RAW)
+    grad = (_gradient_of(f, vars_, cap, activity)
             if (want_gradient or want_hessian) else ())
-    hess = _hessian_of(grad, vars_, do_simplify, cap, activity) if want_hessian else ()
+    hess = _hessian_of(grad, vars_, cap, activity) if want_hessian else ()
     return DerivativeBundle(f, grad, hess)

@@ -398,8 +398,10 @@ class FdReport:
         return "\n".join(lines)
 
     def render_machine(self) -> str:
+        # float() first: the repr of a numpy scalar is `np.float64(...)`
         return "\n".join(
-            f"{e.name},{e.analytic!r},{e.fd!r},{e.rel_err!r},{int(e.ok)}" for e in self.entries
+            f"{e.name},{float(e.analytic)!r},{float(e.fd)!r},{float(e.rel_err)!r},{int(e.ok)}"
+            for e in self.entries
         )
 
 

@@ -6,6 +6,8 @@ import pytest
 from acorns.cli import main
 from acorns.verify import FUNCTION_0_SRC, CROSS_ENTROPY_SRC
 
+from conftest import find_cc
+
 
 @pytest.fixture
 def function_0_file(tmp_path):
@@ -190,6 +192,23 @@ def test_overflowing_constant_is_left_unfolded(tmp_path, capsys, energy):
     assert f"out[0] = {energy};" in open(stem + "_part0.c").read()
 
 
+def test_infinite_constant_exponent_is_left_unfolded(tmp_path, capsys):
+    # the power rule's c - 1 is not finite for c = 1e309; it stays a subtraction
+    cc = find_cc()  # the generation is checked without a compiler too
+    src = tmp_path / "inf.c"
+    src.write_text("double f(double x) {\n    double e = pow(x, 1e309);\n    return 0;\n}\n")
+    for flags in ((), ("--no-simplify",)):
+        stem = str(tmp_path / ("raw" if flags else "simplified"))
+        assert main([str(src), "e", "--vars", "x", "--func", "f", "--mode", "gradient",
+                     "hessian", "--output_filename", stem, *flags]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        part = stem + "_part0.c"
+        assert "pow(x, 1e309 - 1)" in open(part).read()
+        if cc is not None:
+            subprocess.run([cc, "-std=c99", "-c", part, "-I", str(tmp_path),
+                            "-o", stem + ".o"], check=True, capture_output=True)
+
+
 # --- verify subcommand ----------------------------------------------------------
 
 
@@ -207,6 +226,11 @@ def test_verify_machine_output(capsys):
     out = capsys.readouterr().out.strip()
     fields = out.split(",")
     assert fields[0] == "grad[0]" and fields[-1] == "1"
+    # analytic, FD and relative error are plain numbers, not numpy reprs
+    assert len(fields) == 5
+    for field in fields[1:4]:
+        assert "np." not in field
+        float(field)
 
 
 def test_verify_hessian_eq3(capsys):

@@ -8,6 +8,7 @@ from acorns import codegen
 from acorns.cast import ArrayRef, Binary, Call, Constant, SharedText, Unary, Var, const, to_source
 from acorns.codegen import (
     DEFAULT_SPLIT_TARGET,
+    MODE_ORDER,
     EmitConfig,
     Statement,
     emit,
@@ -19,7 +20,7 @@ from acorns.errors import AcornsError
 from acorns.flatten import unroll
 from acorns.interp import compile_exprs, evaluate
 from acorns.parser import parse_source
-from acorns.verify import corpus_function, corpus_program, sample_points
+from acorns.verify import CorpusFunction, corpus_function, corpus_program, sample_points
 
 from cc_util import compile_and_run, compile_strict
 from randgen import random_expr
@@ -148,17 +149,49 @@ GOLDEN_EMIT = {
         "golden.h": "1d0991d510033d73777d615d7088b61a1d0621da90d422f02b4c48ea4047912d",
         "golden_part0.c": "0964320b974af188b2a8dd42f64262779023c1541940b38e8c70925d20355651",
     },
+    ("grad_steps", 3, True, DEFAULT_SPLIT_TARGET): {
+        "golden.h": "16bf24711b8335248b2353917a911660487589a5193aa827fb8cceb19cfd373b",
+        "golden_part0.c": "cec57239909568ffd57bcc85ef3d1994c78a4c72057d35cb7429725e1def92e1",
+    },
 }
 
 
+# the benchmark's grad_steps input shape at a small size: an accumulation
+# loop whose every step subtracts a log term of each a[i][j]
+_GRAD_STEPS_SRC = """\
+double cross_entropy(const double **a, const double **b){{
+    double loss = 0;
+    for(int t = 0; t < {steps}; t++){{
+        for(int i = 0; i < 4; i++){{
+            for(int j = 0; j < 4; j++){{
+                loss = loss - b[i][j] * log(a[i][j] + 0.001 * (t + 1));
+            }}
+        }}
+    }}
+    return loss;
+}}
+"""
+
+
+def _golden_function(name, s):
+    """(function, emitted modes): a corpus function, or grad_steps with `s` steps."""
+    if name == "grad_steps":
+        fn = CorpusFunction(name, _GRAD_STEPS_SRC.format(steps=s), "cross_entropy", "loss",
+                            ("a",), {}, s)
+        return fn, ("function", "gradient")
+    return corpus_function(name, s=s), MODE_ORDER
+
+
 @pytest.mark.parametrize("case", list(GOLDEN_EMIT),
-                         ids=["eq3_s5_raw_split64k", "eq3_s5_simplified", "cross_entropy"])
+                         ids=["eq3_s5_raw_split64k", "eq3_s5_simplified", "cross_entropy",
+                              "grad_steps_3"])
 def test_emit_bytes_match_golden(case):
     name, s, do_simplify, split_target = case
-    fn = corpus_function(name, s=s)
+    fn, modes = _golden_function(name, s)
     _, program, vars_ = corpus_program(fn)
-    bundle = derive_bundle(program, vars_, do_simplify=do_simplify)
-    cfg = EmitConfig(split_target_bytes=split_target, basename="golden",
+    bundle = derive_bundle(program, vars_, do_simplify=do_simplify,
+                           want_hessian="hessian" in modes)
+    cfg = EmitConfig(mode=frozenset(modes), split_target_bytes=split_target, basename="golden",
                      simplified=do_simplify, source_name=f"{name}.c", var_names=fn.var_names)
     art = emit(bundle, vars_, cfg, program)
     files = [("golden.h", art.header), *art.sources]

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from acorns import derivatives
 from acorns.cast import ONE, ZERO, Binary, Call, Constant, Unary, Var, const, count_nodes, to_source
 from acorns.derivatives import (
     VarIndexMap,
@@ -331,6 +332,33 @@ def test_pruned_bundle_matches_naive_walk(do_simplify):
         assert list(bundle.hess_lower) == hess, (case, src)
 
 
+@pytest.mark.parametrize("do_simplify", [False, True], ids=["raw", "simplified"])
+def test_bundle_calls_module_globals_once_per_entry(monkeypatch, do_simplify):
+    # one `differentiate` per gradient and Hessian entry, and one `simplify`
+    # (of f) per simplified bundle: derivatives are built simplified
+    calls = {"differentiate": 0, "simplify": 0}
+
+    def counting(name):
+        real = getattr(derivatives, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(derivatives, name, counting(name))
+    fn = corpus_function("eq3", s=4)
+    _, program, vars_ = corpus_program(fn)
+    bundle = derive_bundle(program, vars_, do_simplify=do_simplify)
+    assert len(bundle.grad) == 4 and len(bundle.hess_lower) == 10
+    assert calls == {"differentiate": 4 + 10, "simplify": int(do_simplify)}
+    calls.update(differentiate=0, simplify=0)
+    derive_bundle(program, vars_, do_simplify=do_simplify, want_hessian=False)
+    assert calls == {"differentiate": 4, "simplify": int(do_simplify)}
+
+
 def test_inactive_subtree_shares_one_skeleton():
     src = "double f(double x, double y, double w){ double e = x * y + sin(w * w); return 0; }"
     program = _program(src)
@@ -408,6 +436,19 @@ def test_simplify_reduces_eq2_gradient_nodes():
         a = eval_expr(raw, b)
         c = eval_expr(simp, b)
         assert c == pytest.approx(a, rel=1e-15, abs=1e-300) or a == c
+
+
+def test_simplify_is_idempotent():
+    # derivatives are built simplified on a simplified f; that equals
+    # simplifying the raw derivative only because every simplified node is
+    # a fixed point, returned as the same object
+    rng = random.Random(5)
+    for _ in range(1200):
+        e = random_expr(rng, ["x", "y", "z"], depth=rng.randint(1, 7))
+        # the raw derivative adds the 0 and 1 operands the rules remove
+        for expr in (e, differentiate(e, "x")):
+            once = simplify(expr)
+            assert simplify(once) is once
 
 
 def test_simplify_soundness_random():
