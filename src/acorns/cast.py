@@ -186,6 +186,9 @@ def _prec(node: Expr) -> int:
     return _ATOM_PREC
 
 
+_ATOMS = (Constant, Var, ArrayRef)
+
+
 class SharedText:
     """The C text of several expressions, rendering each DAG node once.
 
@@ -196,9 +199,17 @@ class SharedText:
     its last use takes it out.  So `uses` and `text` hold only what is still
     to be used, and both are empty once every root has been rendered as
     many times as it appears in `roots`.
+
+    With a `temp` prefix the text is bound (SSA form): a node that is not an
+    atom and has several uses is a temporary.  Its first use appends
+    `const double <temp>K = <its text>;` to `decls`, K being the number of
+    temporaries declared before it, and every use, that first one included,
+    prints `<temp>K`.  `deps[K]` lists the temporaries that declaration
+    reads, and after each `render`, `reads` holds the temporaries declared
+    by earlier renders that the root's text or its new declarations read.
     """
 
-    def __init__(self, roots):
+    def __init__(self, roots, temp: str | None = None):
         self.roots = tuple(roots)  # keeps every node alive, so ids stay unique
         self.uses: dict[int, int] = {}  # id(node) -> uses not yet rendered
         for root in self.roots:
@@ -208,6 +219,11 @@ class SharedText:
                     self.uses[id(k)] += 1
             self.uses[id(root)] += 1
         self.text: dict[int, str] = {}  # id(node) -> text of a node with uses left
+        self.temp = temp
+        self.decls: list[str] = []
+        self.deps: list[tuple] = []
+        self.reads: frozenset = frozenset()
+        self._index: dict[int, int] = {}  # id(node) -> K, for temporaries with uses left
 
     def _take(self, key: int) -> str:
         left = self.uses[key] - 1
@@ -215,14 +231,18 @@ class SharedText:
             self.uses[key] = left
             return self.text[key]
         del self.uses[key]
+        self._index.pop(key, None)
         return self.text.pop(key)
 
     def render(self, root: Expr) -> str:
         """`root`'s text.  Uses an explicit stack, so depth is not bounded by
         the recursion limit."""
         out: list[str] = []
+        first = len(self.decls)
+        reads: list[set] = [set()]  # temporaries read by the root, then by each open declaration
         # work items: text, (node, context precedence, is right operand), or
-        # (None, id(node), start): out[start:] is the whole text of a shared node
+        # (None, id(node), start, named): out[start:] is the whole text of a
+        # shared node
         work: list = [(root, 0, False)]
         while work:
             item = work.pop()
@@ -230,22 +250,39 @@ class SharedText:
                 out.append(item)
                 continue
             if item[0] is None:  # a shared node's first use ends here
-                _, key, start = item
-                self.text[key] = "".join(out[start:])
+                _, key, start, named = item
+                text = "".join(out[start:])
                 del out[start:]
+                if named:
+                    k = len(self.decls)
+                    self.decls.append(f"const double {self.temp}{k} = {text};")
+                    self.deps.append(tuple(sorted(reads.pop())))
+                    self._index[key] = k
+                    reads[-1].add(k)
+                    text = f"{self.temp}{k}"
+                self.text[key] = text
                 out.append(self._take(key))
                 continue
             node, outer, right = item
+            key = id(node)
+            # whether `node` is, or is about to become, a temporary
+            named = (self.temp is not None and not isinstance(node, _ATOMS)
+                     and (key in self.text or self.uses[key] > 1))
+            if named:
+                outer = 0  # a name, or the right side of its declaration
             prec = _prec(node)
             if prec < outer or (prec == outer and right):
                 out.append("(")
                 work.append(")")
-            key = id(node)
             if key in self.text:
+                if key in self._index:
+                    reads[-1].add(self._index[key])
                 out.append(self._take(key))
                 continue
             if self.uses[key] > 1:
-                work.append((None, key, len(out)))
+                work.append((None, key, len(out), named))
+                if named:
+                    reads.append(set())
             else:
                 del self.uses[key]
             if isinstance(node, Constant):
@@ -270,6 +307,9 @@ class SharedText:
                     work.append((a, 0, False))
             else:
                 raise TypeError(f"not an expression: {node!r}")
+        new = range(first, len(self.decls))
+        self.reads = frozenset(k for k in reads[0].union(*(self.deps[j] for j in new))
+                               if k < first)
         return "".join(out)
 
 

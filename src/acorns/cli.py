@@ -81,6 +81,13 @@ def _pipeline_parser() -> _ArgumentParser:
     return p
 
 
+def _exhausted(exc: BaseException) -> str:
+    """The one-line diagnostic for a RecursionError or a MemoryError."""
+    if isinstance(exc, RecursionError):
+        return "input nests too deeply to process (maximum recursion depth exceeded)"
+    return "out of memory"
+
+
 def _node_cap() -> int:
     raw = os.environ.get("ACORNS_MAX_NODES")
     if not raw:
@@ -132,6 +139,9 @@ def _run_pipeline(args) -> int:
         artifact = emit(bundle, vars_, cfg, program)
     except (BoundExplosion, ExpressionExplosion) as exc:
         print(f"acorns_autodiff: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (RecursionError, MemoryError) as exc:
+        print(f"acorns_autodiff: {args.input}: {_exhausted(exc)}", file=sys.stderr)
         return EXIT_RESOURCE
     except _INPUT_ERRORS as exc:
         print(f"acorns_autodiff: {args.input}: {exc}", file=sys.stderr)
@@ -217,6 +227,9 @@ def _run_verify(argv) -> int:
                             tolerance=args.tolerance, **kwargs)
     except (BoundExplosion, ExpressionExplosion) as exc:
         print(f"acorns_autodiff verify: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (RecursionError, MemoryError) as exc:
+        print(f"acorns_autodiff verify: {args.function}: {_exhausted(exc)}", file=sys.stderr)
         return EXIT_RESOURCE
     except _INPUT_ERRORS as exc:
         print(f"acorns_autodiff verify: {exc}", file=sys.stderr)

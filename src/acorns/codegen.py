@@ -6,6 +6,13 @@ same-mode statements in a file becomes a chunk function evaluating one
 point, and exported drivers (`compute`, `compute_grad`, `compute_hess`)
 in part 0 loop over points calling the chunks in order.  Output text is
 fully deterministic for a given bundle and config.
+
+A simplified bundle is emitted in bound (SSA) form: within one driver, a
+subexpression that several entries or operands share is declared once as
+a `const double tK` temporary, just before the statement that first reads
+it, and a chunk that reads a temporary declared in an earlier file declares
+it again.  An unsimplified bundle writes each entry as one expanded
+expression.
 """
 
 from __future__ import annotations
@@ -58,8 +65,15 @@ class GeneratedArtifact:
 @dataclass(frozen=True)
 class Statement:
     mode: str
-    text: str
+    text: str  # the `out[k] = ...;` line
     params: frozenset  # parameter names the expression reads
+    temps: tuple = ()  # (K, declaration) of each temporary this statement reads first
+    reads: frozenset = frozenset()  # temporaries of earlier statements it reads
+
+    @property
+    def size(self) -> int:
+        """Bytes the statement takes in a chunk function, roughly."""
+        return sum(len(decl) + 16 for _, decl in self.temps) + len(self.text) + 16
 
 
 def layout_slots(program: StraightLineProgram, vars_: VarIndexMap) -> list:
@@ -91,7 +105,23 @@ def _collect_params(e: Expr, memo: dict) -> frozenset:
     return memo[id(e)][0]
 
 
-def _statements(bundle: DerivativeBundle, cfg: EmitConfig) -> list:
+def _temp_prefix(program: StraightLineProgram) -> str:
+    """`t`, or `t_`, `t__`, ... when a parameter is named like a temporary."""
+    params = {s.param for s in program.inputs}
+    prefix = "t"
+    while any(re.fullmatch(re.escape(prefix) + r"\d+", p) for p in params):
+        prefix += "_"
+    return prefix
+
+
+def _statements(bundle: DerivativeBundle, cfg: EmitConfig, temp: str | None = None) -> tuple:
+    """The statements in order, and each mode's `SharedText` when `temp` binds.
+
+    Without `temp` every expression is one expanded `out[k] = ...;` line,
+    rendered over the DAG of all modes.  With it each mode's expressions
+    are rendered in bound form over that mode's DAG, so a temporary serves
+    one driver.
+    """
     n = bundle.n
     entries = []  # (mode, out index, expression, out index of its mirror or None)
     if "function" in cfg.mode:
@@ -103,15 +133,28 @@ def _statements(bundle: DerivativeBundle, cfg: EmitConfig) -> list:
         entries += [("hessian", i * n + j, bundle.hess_lower[i * (i + 1) // 2 + j],
                      j * n + i if i != j else None)
                     for i in range(n) for j in range(i + 1)]
-    shared = SharedText(expr for _, _, expr, _ in entries)
+    if temp is None:
+        groups = [entries]
+    else:
+        groups = [[e for e in entries if e[0] == m] for m in MODE_ORDER]
     stmts = []
     params: dict = {}
-    for mode, k, expr, mirror in entries:
-        stmts.append(Statement(mode, f"out[{k}] = {to_source(expr, shared)};",
-                               _collect_params(expr, params)))
-        if mirror is not None:
-            stmts.append(Statement(mode, f"out[{mirror}] = out[{k}];", frozenset()))
-    return stmts
+    temps: dict = {}
+    for group in groups:
+        if not group:
+            continue
+        shared = SharedText((expr for _, _, expr, _ in group), temp)
+        for mode, k, expr, mirror in group:
+            first = len(shared.decls)
+            text = to_source(expr, shared)
+            stmts.append(Statement(mode, f"out[{k}] = {text};", _collect_params(expr, params),
+                                   tuple(enumerate(shared.decls[first:], first)),
+                                   shared.reads))
+            if mirror is not None:
+                stmts.append(Statement(mode, f"out[{mirror}] = out[{k}];", frozenset()))
+        if temp is not None:
+            temps[group[0][0]] = shared
+    return stmts, temps
 
 
 def split(statements: list, cfg: EmitConfig) -> list:
@@ -124,7 +167,7 @@ def split(statements: list, cfg: EmitConfig) -> list:
     current: list = []
     size = 0
     for st in statements:
-        nbytes = len(st.text) + 16
+        nbytes = st.size
         if current and size + nbytes > budget:
             files.append(current)
             current = []
@@ -138,6 +181,20 @@ def split(statements: list, cfg: EmitConfig) -> list:
     if current:
         files.append(current)
     return files
+
+
+def _missing(reads: frozenset, declared: set, deps: list) -> list:
+    """The temporaries `reads` needs that `declared` lacks, with the ones
+    their declarations need, in declaration order; adds them to `declared`."""
+    need = set()
+    stack = [k for k in reads if k not in declared]
+    while stack:
+        k = stack.pop()
+        if k not in need:
+            need.add(k)
+            stack.extend(j for j in deps[k] if j not in declared)
+    declared |= need
+    return sorted(need)
 
 
 def _param_decls(program: StraightLineProgram, layout: list, params: frozenset) -> list:
@@ -193,7 +250,8 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
     stride_in = len(layout)
     out_stride = {"function": 1, "gradient": n, "hessian": n * n}
 
-    statements = _statements(bundle, cfg)
+    temp = _temp_prefix(program) if bundle.simplified else None
+    statements, temps = _statements(bundle, cfg, temp)
     file_groups = split(statements, cfg)
     stem = _header_stem(cfg.basename)
 
@@ -260,7 +318,15 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
                 lines.append("")
             else:
                 lines.append("    (void) vals;")
+            declared: set = set()
             for st in run:
+                if st.reads:  # re-declare what an earlier file declared
+                    shared = temps[mode]
+                    for k in _missing(st.reads, declared, shared.deps):
+                        lines.append(f"    {shared.decls[k]}")
+                for k, decl in st.temps:
+                    declared.add(k)
+                    lines.append(f"    {decl}")
                 lines.append(f"    {st.text}")
             lines.append("}")
             lines.append("")

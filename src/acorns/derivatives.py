@@ -90,6 +90,7 @@ class DerivativeBundle:
     f: Expr
     grad: tuple
     hess_lower: tuple  # row-major, entry (i, j) with i >= j at i*(i+1)//2 + j
+    simplified: bool = False  # built by the simplifying rules; emitted in bound form
 
     @property
     def n(self) -> int:
@@ -457,4 +458,4 @@ def derive_bundle(
     grad = (_gradient_of(f, vars_, cap, activity)
             if (want_gradient or want_hessian) else ())
     hess = _hessian_of(grad, vars_, cap, activity) if want_hessian else ()
-    return DerivativeBundle(f, grad, hess)
+    return DerivativeBundle(f, grad, hess, do_simplify)

@@ -12,18 +12,24 @@ Two evaluators over the same scalar semantics:
 
 The scalar intrinsics follow C99 Annex F: domain errors give NaN, poles
 and overflow give a signed infinity, and nothing raises.
+
+numpy is imported on first use, not with the module, so generating code
+(which never evaluates) does not pay for loading it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cast import Binary, Call, Constant, Expr, Unary, Var
 from .errors import UnboundSlot
 from .flatten import StraightLineProgram
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HAVE_NATIVE = False  # no compiled evaluator; kept for callers that record it
 
@@ -247,6 +253,8 @@ class _TapeBuilder:
         raise TypeError(f"cannot compile {e!r}")
 
     def finish(self, out_regs) -> Tape:
+        import numpy as np
+
         ops = np.asarray(self.ops, dtype=np.int32).reshape(-1, 3)
         return Tape(
             ops=np.ascontiguousarray(ops),
@@ -279,18 +287,28 @@ def compile_program(p: StraightLineProgram) -> Tape:
 # (every instruction keeps its register for the chunk) at 32 MiB.
 CHUNK_CELLS = 1 << 22
 
-_UFUNC = {
-    OP_ADD: np.add, OP_SUB: np.subtract, OP_MUL: np.multiply, OP_DIV: np.divide,
-    OP_LT: np.less, OP_LE: np.less_equal, OP_GT: np.greater,
-    OP_GE: np.greater_equal, OP_EQ: np.equal, OP_NE: np.not_equal,
-}
 _COMPARISONS = frozenset((OP_LT, OP_LE, OP_GT, OP_GE, OP_EQ, OP_NE))
 # libm calls go through eval_expr's scalar functions, one call per point
 _UNARY_FN = {_CALL_CODE[name]: fn for name, fn in _INTRINSIC_FN.items()}
 
 
+@functools.cache
+def _ufuncs() -> dict:
+    """Opcode -> the numpy ufunc that runs it."""
+    import numpy as np
+
+    return {
+        OP_ADD: np.add, OP_SUB: np.subtract, OP_MUL: np.multiply, OP_DIV: np.divide,
+        OP_LT: np.less, OP_LE: np.less_equal, OP_GT: np.greater,
+        OP_GE: np.greater_equal, OP_EQ: np.equal, OP_NE: np.not_equal,
+    }
+
+
 def _run_chunk(ops: list, consts: np.ndarray, cols: np.ndarray) -> list:
     """Execute the tape over one chunk; `cols` is (n_slots, n). Returns the registers."""
+    import numpy as np
+
+    ufuncs = _ufuncs()
     n = cols.shape[1]
     regs: list[np.ndarray] = []
     for op, a, b in ops:
@@ -305,7 +323,7 @@ def _run_chunk(ops: list, consts: np.ndarray, cols: np.ndarray) -> list:
         elif op in _UNARY_FN:
             r = np.fromiter(map(_UNARY_FN[op], regs[a].tolist()), np.float64, n)
         else:
-            r = _UFUNC[op](regs[a], regs[b])
+            r = ufuncs[op](regs[a], regs[b])
             if op in _COMPARISONS:
                 r = r.astype(np.float64)
         regs.append(r)
@@ -317,6 +335,8 @@ def evaluate(tape: Tape, points) -> np.ndarray:
 
     `points` is (num_points, n_slots); returns (num_points, n_out).
     """
+    import numpy as np
+
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points.reshape(1, -1)

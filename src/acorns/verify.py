@@ -3,14 +3,14 @@ pipeline check.
 
 The FD oracles evaluate only the original straight-line program (never a
 differentiated expression), so they are independent of the symbolic
-differentiator they validate.
+differentiator they validate.  numpy is imported on first use, as in
+`interp`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cast import ArrayRef, Assignment, Binary, Call, Constant, Declaration, Expr, ForLoop, FunctionIR, If, Return, Unary, Var
 from .derivatives import VarIndexMap, derive_bundle
@@ -18,6 +18,9 @@ from .errors import AcornsError, UnboundSlot
 from .flatten import StraightLineProgram, eval_const, unroll
 from .interp import _c_div, _c_log, _c_pow, _c_sqrt, _INTRINSIC_FN, compile_exprs, compile_program, evaluate, eval_expr
 from .parser import parse_source, validate_subset
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GRAD_TOL = 1e-5
 HESS_TOL = 5e-4
@@ -272,6 +275,8 @@ def fd_gradient(program: StraightLineProgram, vars_: VarIndexMap,
 
     `oracle` is the program's evaluator, built here when not given.
     """
+    import numpy as np
+
     f = oracle if oracle is not None else _ProgramEvaluator(program, vars_)
     n = vars_.n
     # rows 2j and 2j + 1 step variable j up and down
@@ -296,6 +301,8 @@ def fd_hessian(program: StraightLineProgram, vars_: VarIndexMap,
 
     `oracle` is the program's evaluator, built here when not given.
     """
+    import numpy as np
+
     f = oracle if oracle is not None else _ProgramEvaluator(program, vars_)
     n = vars_.n
     steps = [_fd_h(point[pos], h) for pos in f.var_pos]
@@ -409,6 +416,8 @@ def verify(fn: CorpusFunction, mode: str = "gradient", points: int = 100,
            seed: int = DEFAULT_SEED, do_simplify: bool = True,
            tolerance: float | None = None) -> FdReport:
     """Run the pipeline and compare analytic derivatives with FD oracles."""
+    import numpy as np
+
     if mode not in ("gradient", "hessian"):
         raise AcornsError(f"verify mode must be gradient or hessian, not {mode!r}")
     _, program, vars_ = corpus_program(fn)

@@ -1,5 +1,6 @@
 """Compile-and-run helper for the optional end-to-end test tier."""
 
+import ctypes
 import os
 import subprocess
 
@@ -79,3 +80,27 @@ def compile_strict(cc, artifact, directory, stem):
         subprocess.run(cmd, check=True, capture_output=True)
         objs.append(obj)
     return objs
+
+
+def run_drivers(cc, artifact, directory, stem, points, n, flags=("-O2",)):
+    """Build the artifact as a shared library and run every driver it
+    exports over `points`; returns {mode: (num_points, stride) array}."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    sources = write_artifact(artifact, directory, stem)
+    lib_path = os.path.join(directory, f"lib{stem}.so")
+    cmd = [cc, "-std=c99", *flags, "-shared", "-fPIC", "-o", lib_path, *sources,
+           "-I", directory, "-lm"]
+    subprocess.run(cmd, check=True, capture_output=True)
+    lib = ctypes.CDLL(os.path.abspath(lib_path))
+    double_p = ctypes.POINTER(ctypes.c_double)
+    out = {}
+    for mode, stride in (("function", 1), ("gradient", n), ("hessian", n * n)):
+        if f" {DRIVERS[mode]}(" not in artifact.header:
+            continue
+        fn = getattr(lib, DRIVERS[mode])
+        fn.argtypes = [double_p, ctypes.c_int, double_p]
+        fn.restype = None
+        got = np.empty((points.shape[0], stride))
+        fn(points.ctypes.data_as(double_p), points.shape[0], got.ctypes.data_as(double_p))
+        out[mode] = got
+    return out

@@ -1,8 +1,11 @@
 import os
 import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import acorns
 from acorns.cli import main
 from acorns.verify import FUNCTION_0_SRC, CROSS_ENTROPY_SRC
 
@@ -207,6 +210,61 @@ def test_infinite_constant_exponent_is_left_unfolded(tmp_path, capsys):
         if cc is not None:
             subprocess.run([cc, "-std=c99", "-c", part, "-I", str(tmp_path),
                             "-o", stem + ".o"], check=True, capture_output=True)
+
+
+def _run_python(code, cwd):
+    """Run `code` in a fresh interpreter that imports this checkout's acorns."""
+    src = os.path.dirname(os.path.dirname(acorns.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_generate_does_not_load_numpy(function_0_file, tmp_path):
+    # numpy is loaded by evaluation alone, on first use
+    code = textwrap.dedent(f"""\
+        import sys
+        from acorns.cli import main
+        assert main([{function_0_file!r}, "energy", "--vars", "x", "--func", "function_0",
+                     "--output_filename", "der"]) == 0
+        assert "numpy" not in sys.modules
+        assert main(["verify", "eq3", "--s", "3", "--points", "5", "--mode", "hessian"]) == 0
+        assert "numpy" in sys.modules
+        """)
+    done = _run_python(code, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "der_part0.c").exists()
+
+
+_DEEP_LOOP_SRC = """\
+double deep(const double *x) {
+    double e = 0;
+    for (int i = 0; i < 12000; i++) {
+        e = e + x[0] * 0.5;
+    }
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_deep_loop_exits_3_without_traceback(tmp_path, command):
+    # the forward rules still recurse per node (ROADMAP item 4); until they
+    # do not, a too-deep input must end in a diagnostic, not a traceback
+    (tmp_path / "deep.c").write_text(_DEEP_LOOP_SRC)
+    if command == "generate":
+        argv = ["deep.c", "e", "--vars", "x", "--func", "deep", "--output_filename", "d"]
+    else:
+        argv = ["verify", "deep.c", "--func", "deep", "--energy", "e", "--vars", "x",
+                "--points", "2"]
+    done = _run_python(f"import sys\nfrom acorns.cli import main\nsys.exit(main({argv!r}))",
+                       tmp_path)
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("acorns_autodiff")
+    assert "deep.c" in lines[0]
 
 
 # --- verify subcommand ----------------------------------------------------------

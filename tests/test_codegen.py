@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from acorns.interp import compile_exprs, evaluate
 from acorns.parser import parse_source
 from acorns.verify import CorpusFunction, corpus_function, corpus_program, sample_points
 
-from cc_util import compile_and_run, compile_strict
-from randgen import random_expr
+from cc_util import compile_and_run, compile_strict, run_drivers
+from randgen import random_expr, random_loop_program
 
 
 def _bundle(src, func, energy, var_names, do_simplify=True):
@@ -133,25 +134,34 @@ def test_emit_deterministic():
 
 
 # sha256 of every emitted file for fixed inputs: generated C must stay
-# byte-stable across refactors of derivation and emission
+# byte-stable across refactors of derivation and emission.  The tree layout
+# of a simplified bundle is emitted from `replace(bundle, simplified=False)`.
 GOLDEN_EMIT = {
-    # (corpus name, s, simplify, split target): {file: sha256}
-    ("eq3", 5, False, 2**16): {
+    # (corpus name, s, simplify, split target, layout): {file: sha256}
+    ("eq3", 5, False, 2**16, "tree"): {
         "golden.h": "09ab26712f5425525db9861b13bc8dcc721afa1c5edbe4bf556787e5eea75068",
         "golden_part0.c": "5746a20689a3f64d17ab5eb190771cadcf59011c7c4f4b859a7ba943e64c47e7",
         "golden_part1.c": "dd43dc9870f55cc9ffb43e9a30beb94a8e1fe6ddbd8e8fa1634649458f021629",
     },
-    ("eq3", 5, True, DEFAULT_SPLIT_TARGET): {
+    ("eq3", 5, True, DEFAULT_SPLIT_TARGET, "tree"): {
         "golden.h": "667372bf593b2b49b20635c949a870367dc9af348e65bf9be70b73d90f1ed0d0",
         "golden_part0.c": "a372e86b15d42b6a10a2e638af3ab00e2b5ff6b4c1ddad8f25b18e8fb89bbe08",
     },
-    ("cross_entropy", None, True, DEFAULT_SPLIT_TARGET): {
+    ("cross_entropy", None, True, DEFAULT_SPLIT_TARGET, "tree"): {
         "golden.h": "1d0991d510033d73777d615d7088b61a1d0621da90d422f02b4c48ea4047912d",
         "golden_part0.c": "0964320b974af188b2a8dd42f64262779023c1541940b38e8c70925d20355651",
     },
-    ("grad_steps", 3, True, DEFAULT_SPLIT_TARGET): {
+    ("grad_steps", 3, True, DEFAULT_SPLIT_TARGET, "ssa"): {
         "golden.h": "16bf24711b8335248b2353917a911660487589a5193aa827fb8cceb19cfd373b",
         "golden_part0.c": "cec57239909568ffd57bcc85ef3d1994c78a4c72057d35cb7429725e1def92e1",
+    },
+    ("eq3", 5, True, DEFAULT_SPLIT_TARGET, "ssa"): {
+        "golden.h": "667372bf593b2b49b20635c949a870367dc9af348e65bf9be70b73d90f1ed0d0",
+        "golden_part0.c": "c7b11273b1b1ea0485572d54808368b262f68d2da891eedb31f3cc211481d844",
+    },
+    ("cross_entropy", None, True, DEFAULT_SPLIT_TARGET, "ssa"): {
+        "golden.h": "1d0991d510033d73777d615d7088b61a1d0621da90d422f02b4c48ea4047912d",
+        "golden_part0.c": "1f3f11bc4da44fbdaee4fccb4005a8f24c66678ffc6e329c2cdcda8e6c98d8d8",
     },
 }
 
@@ -184,13 +194,16 @@ def _golden_function(name, s):
 
 @pytest.mark.parametrize("case", list(GOLDEN_EMIT),
                          ids=["eq3_s5_raw_split64k", "eq3_s5_simplified", "cross_entropy",
-                              "grad_steps_3"])
+                              "grad_steps_3", "eq3_s5_simplified_ssa", "cross_entropy_ssa"])
 def test_emit_bytes_match_golden(case):
-    name, s, do_simplify, split_target = case
+    name, s, do_simplify, split_target, layout = case
     fn, modes = _golden_function(name, s)
     _, program, vars_ = corpus_program(fn)
     bundle = derive_bundle(program, vars_, do_simplify=do_simplify,
                            want_hessian="hessian" in modes)
+    assert bundle.simplified == do_simplify
+    if layout == "tree":
+        bundle = replace(bundle, simplified=False)
     cfg = EmitConfig(mode=frozenset(modes), split_target_bytes=split_target, basename="golden",
                      simplified=do_simplify, source_name=f"{name}.c", var_names=fn.var_names)
     art = emit(bundle, vars_, cfg, program)
@@ -322,14 +335,52 @@ def test_deep_chains_render_without_recursion():
     for k, root in enumerate(checkpoints, 1):
         assert to_source(root, shared) == "x" + " + y" * (k * 10_000)
     assert shared.uses == {} and shared.text == {}
+    # bound, each checkpoint below the top one is a temporary that the next
+    # one reads
+    bound = SharedText(checkpoints, "t")
+    step = " + y" * 10_000
+    last = len(checkpoints) - 1
+    for k, root in enumerate(checkpoints):
+        assert to_source(root, bound) == (f"t{k}" if k < last else f"t{k - 1}" + step)
+        assert bound.reads == frozenset({k - 1} if k else ())
+    assert bound.decls == [f"const double t0 = x{step};"] + [
+        f"const double t{k} = t{k - 1}{step};" for k in range(1, last)]
+    assert bound.deps == [()] + [(k - 1,) for k in range(1, last)]
+    assert bound.uses == {} and bound.text == {}
+    # a chain whose every node is both operands of the next
+    square = x
+    for _ in range(n):
+        square = Binary("*", square, square)
+    bound = SharedText((square,), "t")
+    assert to_source(square, bound) == f"t{n - 2} * t{n - 2}"
+    assert bound.decls[0] == "const double t0 = x * x;"
+    assert bound.decls[-1] == f"const double t{n - 2} = t{n - 3} * t{n - 3};"
+    assert len(bound.decls) == n - 1 and bound.uses == {} and bound.text == {}
+
+
+def test_bound_text_declares_each_shared_node_once():
+    x, y = Var("x"), Var("y")
+    s = Binary("+", x, y)  # three uses
+    p = Binary("*", s, Call("sin", (s,)))  # used by both roots
+    first = Binary("-", p, Unary("-", s))
+    second = Binary("/", p, x)  # x has several uses, but atoms stay inline
+    shared = SharedText((first, second), "t")
+    assert to_source(first, shared) == "t1 - -t0"
+    assert shared.decls == ["const double t0 = x + y;", "const double t1 = t0 * sin(t0);"]
+    assert shared.deps == [(), (0,)]
+    assert shared.reads == frozenset()  # it declared everything it read
+    assert to_source(second, shared) == "t1 / x"
+    assert shared.reads == frozenset({1})
+    assert len(shared.decls) == 2
+    assert shared.uses == {} and shared.text == {}
 
 
 def test_emit_leaves_no_text_behind(monkeypatch):
     made = []
 
     class Recorded(SharedText):
-        def __init__(self, roots):
-            super().__init__(roots)
+        def __init__(self, roots, *temp):
+            super().__init__(roots, *temp)
             made.append(self)
 
     monkeypatch.setattr(codegen, "SharedText", Recorded)
@@ -339,6 +390,11 @@ def test_emit_leaves_no_text_behind(monkeypatch):
     emit(bundle, vars_, EmitConfig(basename="t", var_names=fn.var_names), program)
     assert len(made) == 1
     assert made[0].uses == {} and made[0].text == {}
+    # a simplified bundle is bound per mode: one SharedText per driver
+    made.clear()
+    emit(derive_bundle(program, vars_), vars_, EmitConfig(basename="t"), program)
+    assert len(made) == 3
+    assert all(m.uses == {} and m.text == {} for m in made)
 
 
 # --- splitting ----------------------------------------------------------------
@@ -443,3 +499,114 @@ def test_compiled_matches_interpreter(cc, tmp_path):
     # the mirrored upper triangle is exactly symmetric
     h = got_h.reshape(-1, n, n)
     assert (h == np.transpose(h, (0, 2, 1))).all()
+
+
+# --- bound (SSA) layout against the tree layout ---------------------------------
+
+
+def _ssa_and_tree(bundle, vars_, program, cfg):
+    """Both layouts of one simplified bundle: the oracle is its tree layout."""
+    assert bundle.simplified
+    return (emit(bundle, vars_, cfg, program),
+            emit(replace(bundle, simplified=False), vars_, cfg, program))
+
+
+def _assert_kernels_match(cc, directory, ssa, tree, points, n):
+    """Every driver of the two artifacts agrees bitwise at -O0 and at -O2."""
+    for opt in ("-O0", "-O2"):
+        got = run_drivers(cc, ssa, str(directory / f"ssa{opt}"), "k", points, n, (opt,))
+        want = run_drivers(cc, tree, str(directory / f"tree{opt}"), "k", points, n, (opt,))
+        assert got.keys() == want.keys() == {"function", "gradient", "hessian"}
+        for mode in want:
+            assert got[mode].tobytes() == want[mode].tobytes(), (opt, mode)
+
+
+@pytest.mark.parametrize("name,s", [("eq1", None), ("eq2", None), ("eq3", 5), ("eq3", 10),
+                                    ("eq3", 25), ("cross_entropy", None)])
+def test_ssa_kernels_match_tree_kernels(cc, tmp_path, name, s):
+    fn = corpus_function(name, s=s)
+    _, program, vars_ = corpus_program(fn)
+    bundle = derive_bundle(program, vars_)
+    ssa, tree = _ssa_and_tree(bundle, vars_, program, EmitConfig(basename="k"))
+    if name == "eq3":  # its entries share the factors of the product
+        assert "    const double t0 = " in ssa.sources[0][1]
+    assert ssa.n_statements == tree.n_statements == len(_statement_lines(ssa))
+    points = sample_points(fn, program, 300, np.random.default_rng(6))
+    _assert_kernels_match(cc, tmp_path, ssa, tree, points, bundle.n)
+
+
+def test_ssa_kernels_match_tree_kernels_random(cc, tmp_path):
+    # 30 programs whose tree layout is at most 256 KB: gcc -O0 takes about
+    # 25 s on the 1.3 MB tree layout of one program of this seed
+    rng = random.Random(6006)
+    nprng = np.random.default_rng(6006)
+    checked = bound = 0
+    while checked < 30:
+        src, func, energy = random_loop_program(rng)
+        program = unroll(parse_source(src, func, energy))
+        params = {slot.param for slot in program.inputs}
+        vars_ = VarIndexMap.from_names(program, [p for p in ("u", "a") if p in params])
+        bundle = derive_bundle(program, vars_)
+        ssa, tree = _ssa_and_tree(bundle, vars_, program, EmitConfig(basename="k"))
+        if sum(len(text) for _, text in tree.sources) > 2**18:
+            continue
+        checked += 1
+        if ssa == tree:
+            continue  # nothing shared: the same source, so the same kernels
+        bound += 1
+        points = nprng.uniform(0.5, 2.0, size=(50, len(program.inputs)))
+        _assert_kernels_match(cc, tmp_path / str(checked), ssa, tree, points, bundle.n)
+    assert bound >= 15  # 20 with this seed
+
+
+def test_ssa_strict_compile_clean(cc, tmp_path):
+    fn = corpus_function("eq3", s=10)
+    _, program, vars_ = corpus_program(fn)
+    art = emit(derive_bundle(program, vars_), vars_, EmitConfig(basename="eq3"), program)
+    assert "    const double t0 = " in art.sources[0][1]
+    compile_strict(cc, art, str(tmp_path), "eq3")
+
+
+def test_temporaries_avoid_parameter_names(cc, tmp_path):
+    # a parameter named t0 moves the temporaries to t_0, t_1, ...
+    src = ("double f(const double *t0) {\n    double e = 1;\n"
+           "    for (int i = 0; i < 3; i++) {\n        e = e * (4 * t0[i] * (1 - t0[i]));\n"
+           "    }\n    return 0;\n}\n")
+    program, vars_, bundle = _bundle(src, "f", "e", ["t0"])
+    ssa, tree = _ssa_and_tree(bundle, vars_, program, EmitConfig(basename="k"))
+    body = "".join(text for _, text in ssa.sources)
+    assert "const double t0[3] = " in body and "const double t_0 = " in body
+    assert "const double t0 = " not in body
+    points = np.random.default_rng(3).uniform(0.05, 0.95, size=(50, 3))
+    _assert_kernels_match(cc, tmp_path, ssa, tree, points, bundle.n)
+
+
+def _ssa_split_artifacts():
+    fn = corpus_function("eq3", s=50)
+    _, program, vars_ = corpus_program(fn)
+    bundle = derive_bundle(program, vars_)
+    artifacts = {}
+    for target in (2**16, 2**20, DEFAULT_SPLIT_TARGET):
+        cfg = EmitConfig(mode=frozenset({"hessian"}), split_target_bytes=target,
+                         basename="s50", var_names=("x",))
+        artifacts[target] = emit(bundle, vars_, cfg, program)
+    return fn, program, bundle, artifacts
+
+
+def test_ssa_split_invariance(cc, tmp_path):
+    fn, program, bundle, artifacts = _ssa_split_artifacts()
+    seqs = [_statement_lines(a) for a in artifacts.values()]
+    assert seqs[0] == seqs[1] == seqs[2]
+    assert all(a.n_statements == len(seqs[0]) == 50 * 50 for a in artifacts.values())
+    small = artifacts[2**16]
+    assert len(small.sources) >= 2
+    # some temporary is declared in more than one file
+    decls = [{ln for ln in text.splitlines() if ln.startswith("    const double t")}
+             for _, text in small.sources]
+    assert any(decls[i] & decls[j] for i in range(len(decls)) for j in range(i))
+    # -O0: gcc -O2 takes about 40 s on the 282 KB single-file layout
+    points = sample_points(fn, program, 100, np.random.default_rng(50))
+    results = [run_drivers(cc, art, str(tmp_path / str(target)), "s50", points, 50,
+                           ("-O0",))["hessian"]
+               for target, art in artifacts.items()]
+    assert results[0].tobytes() == results[1].tobytes() == results[2].tobytes()
