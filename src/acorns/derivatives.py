@@ -30,6 +30,13 @@ differentiating a simplified `f` this way gives exactly
 The skeleton is not folded to a bare zero, because `--no-simplify` output
 keeps its `u * 0` factors and `simplify` keeps `-(0)`; the derivatives are
 structurally identical to a walk of every node in every pass.
+
+A simplified bundle without a Hessian takes its gradient from one reverse
+(adjoint) sweep instead, `_adjoint_gradient`, whose cost is O(|f|) where
+the n forward passes cost O(n |f|) on a chain.  Raw bundles keep the
+forward passes, whose shape acceptance test 1 pins, and so do Hessian
+bundles: differentiating reverse-built gradient entries forward makes a
+larger Hessian than the forward-built ones.
 """
 
 from __future__ import annotations
@@ -419,6 +426,110 @@ def _gradient_of(f: Expr, vars_: VarIndexMap, cap: int, activity: _Activity) -> 
     return tuple(out)
 
 
+def _unit(_operand: Expr) -> Expr:
+    return ONE
+
+
+def _signed_sum(terms: list, binary) -> tuple:
+    """Sum (negated, expression) pairs left to right, as one such pair.
+
+    -a + b is built as -(a - b), and -a - b as -(a + b), which IEEE
+    arithmetic rounds to the same value, since negation is exact."""
+    neg, acc = terms[0]
+    for term_neg, e in terms[1:]:
+        acc = binary("+" if term_neg == neg else "-", acc, e)
+    return neg, acc
+
+
+def _adjoint_gradient(f: Expr, vars_: VarIndexMap, cap: int, activity: _Activity) -> tuple:
+    """The gradient of a simplified `f` from one reverse (adjoint) sweep.
+
+    One `post_order` pass lists `f`'s nodes; walking the list backwards
+    reaches every parent of a node before the node, so a node's adjoint is
+    complete when it is pushed on to its operands.  An adjoint is a pair
+    (negated, expression): `-` and unary minus flip the sign rather than
+    build `-1 *` factors.  Only nodes whose activity mask is non-zero
+    receive adjoints, so an inactive subtree's derivative is an exact zero.
+    A node's contributions, and a variable's across its `Var` nodes, are
+    summed in the order they arrive, left operand first, which is the order
+    the forward rules add them in a chain of sums: there the entries equal
+    the forward passes' bitwise, up to the sign of zero.  The cost is
+    O(|f|) rather than O(n |f|), and the sweep does not recurse.
+    """
+    activity.mark(f)
+    masks = activity.masks
+    binary, unary, call = activity.build
+    order: list = []
+    done: set = set()
+    for node in post_order(f, done):
+        done.add(id(node))
+        order.append(node)
+    terms: dict[int, list] = {}  # id(node) -> contributions to its adjoint
+    by_var: dict[str, list] = {label: [] for label in vars_.labels}
+
+    def active(node: Expr) -> int:
+        return masks[id(node)][0]
+
+    def push(node: Expr, neg: bool, e: Expr):
+        if not active(node) or is_const(e, 0.0):
+            return
+        if isinstance(node, Var):
+            by_var[node.name].append((neg, e))
+        else:
+            terms.setdefault(id(node), []).append((neg, e))
+
+    push(f, False, ONE)
+    for node in reversed(order):
+        got = terms.pop(id(node), None)
+        if got is None:
+            continue
+        neg, a = _signed_sum(got, binary)
+        if isinstance(node, Unary):
+            push(node.operand, not neg, a)
+        elif isinstance(node, Binary):
+            lhs, rhs, op = node.lhs, node.rhs, node.op
+            if op in ("+", "-"):
+                push(lhs, neg, a)
+                push(rhs, neg != (op == "-"), a)
+            elif op == "*":
+                if active(lhs):
+                    push(lhs, neg, binary("*", a, rhs))
+                if active(rhs):
+                    push(rhs, neg, binary("*", a, lhs))
+            elif op == "/":
+                if active(lhs):
+                    push(lhs, neg, binary("/", a, rhs))
+                if active(rhs):
+                    push(rhs, not neg,
+                         binary("/", binary("*", a, lhs), binary("*", rhs, rhs)))
+            # comparisons are piecewise constant: nothing flows back
+        elif isinstance(node, Call):
+            base = node.args[0]
+            if node.name == "pow" and not isinstance(node.args[1], Constant):
+                expo = node.args[1]
+                if active(base):
+                    push(base, neg, binary("*", a, binary("*", node, binary("/", expo, base))))
+                if active(expo):
+                    push(expo, neg, binary("*", a, binary("*", node, call("log", (base,)))))
+            else:
+                # the forward rule with a unit operand derivative is the partial
+                partial = _call_rule(node, _unit, binary, unary, call)
+                if isinstance(partial, Unary):  # cos: -sin(u)
+                    neg, partial = not neg, partial.operand
+                push(base, neg, binary("*", a, partial))
+
+    grad = []
+    for label in vars_.labels:
+        g = ZERO
+        if by_var[label]:
+            neg, g = _signed_sum(by_var[label], binary)
+            if neg and not is_const(g, 0.0):
+                g = unary("-", g)
+        _check_cap(g, cap, activity.sizes)
+        grad.append(g)
+    return tuple(grad)
+
+
 def hessian(
     p: StraightLineProgram,
     vars_: VarIndexMap,
@@ -449,13 +560,19 @@ def derive_bundle(
     """Run substitute/differentiate once and share the gradient with the Hessian.
 
     With `do_simplify`, `f` is simplified once and every derivative node is
-    built simplified; the entries equal `simplify` of the raw derivatives.
+    built simplified.  The entries of the forward passes equal `simplify` of
+    the raw derivatives; a gradient without a Hessian comes from the reverse
+    sweep, whose entries equal those up to rounding.
     """
     f = substitute(p, cap)
     if do_simplify:
         f = simplify(f)
     activity = _Activity(vars_.labels, _SIMPLIFYING if do_simplify else _RAW)
-    grad = (_gradient_of(f, vars_, cap, activity)
-            if (want_gradient or want_hessian) else ())
+    if not (want_gradient or want_hessian):
+        grad = ()
+    elif do_simplify and not want_hessian:
+        grad = _adjoint_gradient(f, vars_, cap, activity)
+    else:
+        grad = _gradient_of(f, vars_, cap, activity)
     hess = _hessian_of(grad, vars_, cap, activity) if want_hessian else ()
     return DerivativeBundle(f, grad, hess, do_simplify)

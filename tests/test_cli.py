@@ -238,26 +238,27 @@ def test_generate_does_not_load_numpy(function_0_file, tmp_path):
 
 
 _DEEP_LOOP_SRC = """\
-double deep(const double *x) {
+double deep(const double *x) {{
     double e = 0;
-    for (int i = 0; i < 12000; i++) {
+    for (int i = 0; i < {n}; i++) {{
         e = e + x[0] * 0.5;
-    }
+    }}
     return 0;
-}
+}}
 """
 
 
 @pytest.mark.parametrize("command", ["generate", "verify"])
 def test_deep_loop_exits_3_without_traceback(tmp_path, command):
-    # the forward rules still recurse per node (ROADMAP item 4); until they
-    # do not, a too-deep input must end in a diagnostic, not a traceback
-    (tmp_path / "deep.c").write_text(_DEEP_LOOP_SRC)
+    # the forward rules that build Hessians still recurse per node (ROADMAP
+    # item 4); until they do not, a too-deep input must end in a diagnostic,
+    # not a traceback
+    (tmp_path / "deep.c").write_text(_DEEP_LOOP_SRC.format(n=12000))
     if command == "generate":
         argv = ["deep.c", "e", "--vars", "x", "--func", "deep", "--output_filename", "d"]
     else:
         argv = ["verify", "deep.c", "--func", "deep", "--energy", "e", "--vars", "x",
-                "--points", "2"]
+                "--points", "2", "--mode", "hessian"]
     done = _run_python(f"import sys\nfrom acorns.cli import main\nsys.exit(main({argv!r}))",
                        tmp_path)
     assert done.returncode == 3
@@ -265,6 +266,25 @@ def test_deep_loop_exits_3_without_traceback(tmp_path, command):
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("acorns_autodiff")
     assert "deep.c" in lines[0]
+
+
+@pytest.mark.parametrize("n", [12000, 50000])
+def test_deep_loop_gradient_succeeds(tmp_path, n):
+    # a simplified gradient alone comes from the reverse sweep, which does not
+    # recurse: generate and verify both succeed at the default recursion limit
+    (tmp_path / "deep.c").write_text(_DEEP_LOOP_SRC.format(n=n))
+    code = textwrap.dedent("""\
+        from acorns.cli import main
+        assert main(["deep.c", "e", "--vars", "x", "--func", "deep", "--mode", "gradient",
+                     "--output_filename", "d"]) == 0
+        assert main(["verify", "deep.c", "--func", "deep", "--energy", "e", "--vars", "x",
+                     "--points", "2", "--mode", "gradient"]) == 0
+        """)
+    done = _run_python(code, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"    out[0] = {n // 2};" in (tmp_path / "d_part0.c").read_text()
+    assert "1/1 entries pass" in done.stdout
 
 
 # --- verify subcommand ----------------------------------------------------------

@@ -153,7 +153,7 @@ GOLDEN_EMIT = {
     },
     ("grad_steps", 3, True, DEFAULT_SPLIT_TARGET, "ssa"): {
         "golden.h": "16bf24711b8335248b2353917a911660487589a5193aa827fb8cceb19cfd373b",
-        "golden_part0.c": "cec57239909568ffd57bcc85ef3d1994c78a4c72057d35cb7429725e1def92e1",
+        "golden_part0.c": "e3bace11aa391b37c598a19b954ebeabfe439c9afd29726dd4dbe554ac3c01e1",
     },
     ("eq3", 5, True, DEFAULT_SPLIT_TARGET, "ssa"): {
         "golden.h": "667372bf593b2b49b20635c949a870367dc9af348e65bf9be70b73d90f1ed0d0",
@@ -190,6 +190,24 @@ def _golden_function(name, s):
                             ("a",), {}, s)
         return fn, ("function", "gradient")
     return corpus_function(name, s=s), MODE_ORDER
+
+
+@pytest.mark.parametrize("name,s", [("cross_entropy", None), ("grad_steps", 3)])
+def test_reverse_gradient_bitwise_on_sums(name, s):
+    # a chain of sums: the reverse sweep adds the terms in the forward
+    # passes' order, so the values agree bitwise up to the sign of zero
+    # (`-(a + b)` where the forward passes build `0 - a - b`)
+    fn, _ = _golden_function(name, s)
+    _, program, vars_ = corpus_program(fn)
+    reverse = derive_bundle(program, vars_, want_hessian=False)
+    forward = derive_bundle(program, vars_)  # a Hessian bundle keeps the forward passes
+    assert reverse.grad != forward.grad
+    labels = [slot.label for slot in program.inputs]
+    points = np.random.default_rng(500).uniform(0.01, 1.0, size=(500, len(labels)))
+    got = evaluate(compile_exprs(reverse.grad, labels), points)
+    want = evaluate(compile_exprs(forward.grad, labels), points)
+    assert np.isfinite(want).all()
+    assert (got == want).all()
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_EMIT),
@@ -511,12 +529,12 @@ def _ssa_and_tree(bundle, vars_, program, cfg):
             emit(replace(bundle, simplified=False), vars_, cfg, program))
 
 
-def _assert_kernels_match(cc, directory, ssa, tree, points, n):
+def _assert_kernels_match(cc, directory, ssa, tree, points, n, modes=MODE_ORDER):
     """Every driver of the two artifacts agrees bitwise at -O0 and at -O2."""
     for opt in ("-O0", "-O2"):
         got = run_drivers(cc, ssa, str(directory / f"ssa{opt}"), "k", points, n, (opt,))
         want = run_drivers(cc, tree, str(directory / f"tree{opt}"), "k", points, n, (opt,))
-        assert got.keys() == want.keys() == {"function", "gradient", "hessian"}
+        assert got.keys() == want.keys() == set(modes)
         for mode in want:
             assert got[mode].tobytes() == want[mode].tobytes(), (opt, mode)
 
@@ -533,6 +551,22 @@ def test_ssa_kernels_match_tree_kernels(cc, tmp_path, name, s):
     assert ssa.n_statements == tree.n_statements == len(_statement_lines(ssa))
     points = sample_points(fn, program, 300, np.random.default_rng(6))
     _assert_kernels_match(cc, tmp_path, ssa, tree, points, bundle.n)
+
+
+@pytest.mark.parametrize("name,s", [("eq3", 25), ("cross_entropy", None), ("grad_steps", 3)])
+def test_ssa_kernels_match_tree_kernels_reverse_gradient(cc, tmp_path, name, s):
+    # a gradient-only bundle comes from the reverse sweep, whose entries
+    # share adjoint nodes
+    fn, _ = _golden_function(name, s)
+    modes = ("function", "gradient")
+    _, program, vars_ = corpus_program(fn)
+    bundle = derive_bundle(program, vars_, want_hessian=False)
+    cfg = EmitConfig(mode=frozenset(modes), basename="k")
+    ssa, tree = _ssa_and_tree(bundle, vars_, program, cfg)
+    if name == "eq3":  # the adjoints of the product's prefixes are shared
+        assert "    const double t0 = " in ssa.sources[0][1]
+    points = sample_points(fn, program, 300, np.random.default_rng(7))
+    _assert_kernels_match(cc, tmp_path, ssa, tree, points, bundle.n, modes)
 
 
 def test_ssa_kernels_match_tree_kernels_random(cc, tmp_path):

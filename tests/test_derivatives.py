@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from acorns import derivatives
-from acorns.cast import ONE, ZERO, Binary, Call, Constant, Unary, Var, const, count_nodes, to_source
+from acorns.cast import (ONE, ZERO, Binary, Call, Constant, Unary, Var, const, count_nodes,
+                         post_order, to_source)
 from acorns.derivatives import (
     VarIndexMap,
     derive_bundle,
@@ -17,11 +18,11 @@ from acorns.derivatives import (
 )
 from acorns.errors import ExpressionExplosion
 from acorns.flatten import unroll
-from acorns.interp import eval_expr
+from acorns.interp import compile_exprs, eval_expr, evaluate
 from acorns.parser import parse_expr, parse_source
 from acorns.verify import CROSS_ENTROPY_SRC, corpus_function, corpus_program, fd_gradient
 
-from randgen import random_expr
+from randgen import random_expr, random_loop_program
 
 
 def _program(src, func="f", energy="e"):
@@ -335,7 +336,9 @@ def test_pruned_bundle_matches_naive_walk(do_simplify):
 @pytest.mark.parametrize("do_simplify", [False, True], ids=["raw", "simplified"])
 def test_bundle_calls_module_globals_once_per_entry(monkeypatch, do_simplify):
     # one `differentiate` per gradient and Hessian entry, and one `simplify`
-    # (of f) per simplified bundle: derivatives are built simplified
+    # (of f) per simplified bundle: derivatives are built simplified.  A
+    # simplified gradient alone comes from one reverse sweep, with no
+    # forward pass
     calls = {"differentiate": 0, "simplify": 0}
 
     def counting(name):
@@ -356,7 +359,7 @@ def test_bundle_calls_module_globals_once_per_entry(monkeypatch, do_simplify):
     assert calls == {"differentiate": 4 + 10, "simplify": int(do_simplify)}
     calls.update(differentiate=0, simplify=0)
     derive_bundle(program, vars_, do_simplify=do_simplify, want_hessian=False)
-    assert calls == {"differentiate": 4, "simplify": int(do_simplify)}
+    assert calls == {"differentiate": 0 if do_simplify else 4, "simplify": int(do_simplify)}
 
 
 def test_inactive_subtree_shares_one_skeleton():
@@ -369,6 +372,90 @@ def test_inactive_subtree_shares_one_skeleton():
     # and it is the full rule walk's tree, not a bare zero
     inactive = parse_expr("sin(w * w)")
     assert gx.rhs == _naive_differentiate(inactive, "x") != ZERO
+
+
+# --- reverse sweep ------------------------------------------------------------
+
+
+def _forward_gradient(f, vars_):
+    """The simplified gradient from forward passes, the reverse sweep's reference."""
+    activity = derivatives._Activity(vars_.labels, derivatives._SIMPLIFYING)
+    return derivatives._gradient_of(f, vars_, derivatives.DEFAULT_NODE_CAP, activity)
+
+
+def _assert_matches_forward(program, vars_, points):
+    """The reverse-swept gradient is built simplified and equals the forward
+    one within 1e-10 relative wherever both are finite; returns the worst
+    relative difference."""
+    bundle = derive_bundle(program, vars_, want_hessian=False)
+    assert all(simplify(g) is g for g in bundle.grad)
+    labels = [slot.label for slot in program.inputs]
+    got = evaluate(compile_exprs(bundle.grad, labels), points)
+    want = evaluate(compile_exprs(_forward_gradient(bundle.f, vars_), labels), points)
+    both = np.isfinite(got) & np.isfinite(want)
+    scale = np.maximum(np.abs(got), np.abs(want))[both]
+    diff = np.abs(got - want)[both]
+    assert (diff <= 1e-10 * scale).all()
+    return float(np.max(diff / np.where(scale > 0, scale, 1.0), initial=0.0))
+
+
+@pytest.mark.parametrize("src", [
+    "pow(x, y) + pow(y, 2.5) * x",
+    "tan(x * y) - log(x) / y",
+    "-cos(x) * sqrt(y) + exp(-x)",
+    "x / x + (x < y) * y - (x - y) * (x + y)",
+    "sin(x) * sin(x) - y * (0 - x)",
+])
+def test_reverse_sweep_rules_match_forward(src):
+    program = _program(f"double f(double x, double y){{ double e = {src}; return 0; }}")
+    vars_ = VarIndexMap.from_names(program, ["x", "y"])
+    points = np.random.default_rng(5).uniform(0.5, 2.0, size=(50, 2))
+    _assert_matches_forward(program, vars_, points)
+
+
+def test_reverse_sweep_matches_forward_random():
+    # loop programs (accumulations over + - * sin cos) and two-assignment
+    # expression programs (/, unary minus, sqrt, exp, constant pow)
+    rng = random.Random(7007)
+    nprng = np.random.default_rng(7007)
+    worst = 0.0
+    for _ in range(60):
+        src, func, energy = random_loop_program(rng)
+        program = _program(src, func, energy)
+        params = {slot.param for slot in program.inputs}
+        vars_ = VarIndexMap.from_names(program, [p for p in ("u", "a") if p in params])
+        points = nprng.uniform(0.5, 2.0, size=(40, len(program.inputs)))
+        worst = max(worst, _assert_matches_forward(program, vars_, points))
+    names = ["x", "y", "z", "w"]
+    for _ in range(30):
+        t = to_source(random_expr(rng, names, depth=4))
+        e = to_source(random_expr(rng, names + ["t"], depth=4))
+        program = _program(f"double f(double x, double y, double z, double w){{ "
+                           f"double t = {t}; double e = t * ({e}) + t; return 0; }}")
+        vars_ = VarIndexMap.from_names(program, names[:rng.choice([3, 4])])
+        points = nprng.uniform(0.5, 2.0, size=(40, 4))
+        worst = max(worst, _assert_matches_forward(program, vars_, points))
+    assert worst > 0.0  # the engines do round differently somewhere
+
+
+def _dag_nodes(roots):
+    seen = set()
+    for root in roots:
+        for node in post_order(root, seen):
+            seen.add(id(node))
+    return len(seen)
+
+
+def test_reverse_gradient_grows_linearly():
+    # forward passes: 6,050 / 22,100 / 84,200 nodes for f and the gradient
+    sizes = []
+    for s in (100, 200, 400):
+        _, program, vars_ = corpus_program(corpus_function("eq3", s=s))
+        bundle = derive_bundle(program, vars_, want_hessian=False)
+        sizes.append(_dag_nodes((bundle.f, *bundle.grad)))
+    assert sizes[0] < 1500  # 1,197
+    # doubling s at most doubles the increment
+    assert sizes[2] - sizes[1] <= 2 * (sizes[1] - sizes[0])
 
 
 # --- simplify ----------------------------------------------------------------

@@ -109,7 +109,8 @@ def test_sample_points_seeded_reproducible():
 
 
 def test_verify_gradient_corpus_quick():
-    for fn in (corpus_function("eq1"), corpus_function("eq2"), corpus_function("eq3", s=3)):
+    for name in CORPUS:
+        fn = corpus_function(name, s=3) if name == "eq3" else corpus_function(name)
         report = verify(fn, "gradient", points=20)
         assert report.ok, report.render()
         assert report.max_rel_err <= GRAD_TOL
