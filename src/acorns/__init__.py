@@ -4,17 +4,11 @@ Pipeline: parse -> unroll -> differentiate -> emit C99 kernels for the
 function value, gradient, and Hessian.
 """
 
-import sys
-
 __version__ = "0.1.0"
 
-# substituted expressions can nest as deep as the unrolled assignment chain
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
-
-from .cast import Expr, FunctionIR, to_source  # noqa: E402
-from .codegen import EmitConfig, GeneratedArtifact, emit  # noqa: E402
-from .derivatives import (  # noqa: E402
+from .cast import Expr, FunctionIR, to_source
+from .codegen import EmitConfig, GeneratedArtifact, emit
+from .derivatives import (
     DerivativeBundle,
     VarIndexMap,
     derive_bundle,
@@ -24,16 +18,16 @@ from .derivatives import (  # noqa: E402
     simplify,
     substitute,
 )
-from .flatten import (  # noqa: E402
+from .flatten import (
     StraightLineProgram,
     deserialize,
     eval_const,
     serialize,
     unroll,
 )
-from .interp import eval_expr  # noqa: E402
-from .parser import parse_source, validate_subset  # noqa: E402
-from .verify import fd_gradient, fd_hessian, verify  # noqa: E402
+from .interp import eval_expr
+from .parser import parse_source, validate_subset
+from .verify import fd_gradient, fd_hessian, verify
 
 __all__ = [
     "__version__",

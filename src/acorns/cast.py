@@ -338,26 +338,53 @@ def children(node: Expr) -> tuple:
     return ()
 
 
-def post_order(root: Expr, done) -> Iterator[Expr]:
+def post_order(root: Expr, done, kids=children) -> Iterator[Expr]:
     """Yield each node under `root` whose id() is not in `done`, children first.
 
-    A node is yielded once all its children are in `done`, and the caller
+    A node is yielded once all its `kids` are in `done`, and the caller
     must record it in `done` before asking for the next node, so a shared
-    subtree is visited once.  Uses an explicit stack, so depth is not
-    bounded by the recursion limit.
+    subtree is visited once.  Kids are finished right to left.  Uses an
+    explicit stack, so depth is not bounded by the recursion limit.
     """
-    stack = [root]
+    stack = [root]  # None marks the end of the kids of the node below it
+    pop, push = stack.pop, stack.append
     while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        pending = [k for k in children(node) if id(k) not in done]
-        if pending:
-            stack.extend(pending)
-        else:
-            stack.pop()
-            yield node
+        node = pop()
+        if node is None:
+            yield pop()
+        elif id(node) not in done:
+            push(node)
+            push(None)
+            for k in kids(node):
+                if id(k) not in done:
+                    push(k)
+
+
+def operands(node: Expr) -> tuple:
+    """The operands of a parsed node, right to left.
+
+    `post_order(root, done, operands)` finishes a parsed tree's nodes in
+    source order, as a left-to-right recursive walk would, so a walk that
+    raises reports the leftmost fault.  An array reference's indices are
+    compile-time addresses, not operands.
+    """
+    if isinstance(node, Binary):
+        return (node.rhs, node.lhs)
+    return () if isinstance(node, ArrayRef) else children(node)[::-1]
+
+
+def rebuild(node: Expr, new: dict) -> Expr:
+    """`node` over the operands `new[id(operand)]`, keeping its span.
+
+    Constants, variables and array references are returned as they are.
+    """
+    if isinstance(node, Binary):
+        return Binary(node.op, new[id(node.lhs)], new[id(node.rhs)], node.span)
+    if isinstance(node, Unary):
+        return Unary(node.op, new[id(node.operand)], node.span)
+    if isinstance(node, Call):
+        return Call(node.name, tuple(new[id(a)] for a in node.args), node.span)
+    return node
 
 
 def count_nodes(e: Expr, counts: dict | None = None) -> int:

@@ -3,7 +3,10 @@
 All transforms work on a shared-subtree DAG: results are memoized by node
 identity, so repeated subexpressions (which unrolled programs produce in
 abundance) are differentiated once.  Tree-expanded node counts are checked
-against a cap because emission re-expands the DAG.
+against a cap because emission re-expands the DAG.  Each transform is one
+`cast.post_order` loop whose per-node rule reads its operands' results
+from the memo, so the depth of an expression, which grows with the length
+of an unrolled loop, is bounded by memory, not by the recursion limit.
 
 Forward mode differentiates once per independent variable: n passes for
 the gradient and n(n+1)/2 for the Hessian.  Activity analysis keeps most
@@ -58,6 +61,7 @@ from .cast import (
     count_nodes,
     is_const,
     post_order,
+    rebuild,
 )
 from .errors import AcornsError, ExpressionExplosion
 from .flatten import StraightLineProgram
@@ -126,26 +130,14 @@ def _check_cap(e: Expr, cap: int, sizes: dict | None = None):
 def substitute(p: StraightLineProgram, cap: int = DEFAULT_NODE_CAP) -> Expr:
     """Inline every intermediate definition into one expression for the output."""
     env: dict[str, Expr] = {}
-
-    def subst(e: Expr, memo: dict) -> Expr:
-        got = memo.get(id(e))
-        if got is not None:
-            return got
-        if isinstance(e, Var):
-            out = env.get(e.name, e)  # unmapped names are input slots
-        elif isinstance(e, Unary):
-            out = Unary(e.op, subst(e.operand, memo))
-        elif isinstance(e, Binary):
-            out = Binary(e.op, subst(e.lhs, memo), subst(e.rhs, memo))
-        elif isinstance(e, Call):
-            out = Call(e.name, tuple(subst(a, memo) for a in e.args))
-        else:
-            out = e
-        memo[id(e)] = out
-        return out
-
     for a in p.assigns:
-        env[a.target] = subst(a.rhs, {})
+        memo: dict[int, Expr] = {}
+        for node in post_order(a.rhs, memo):
+            if isinstance(node, Var):
+                memo[id(node)] = env.get(node.name, node)  # unmapped names are input slots
+            else:
+                memo[id(node)] = rebuild(node, memo)
+        env[a.target] = memo[id(a.rhs)]
     result = env.get(p.output)
     if result is None:
         raise AcornsError(f"output slot {p.output!r} is never assigned")
@@ -159,7 +151,8 @@ class _Activity:
     `build` is the constructor set the rules build with (`_RAW` or
     `_SIMPLIFYING`).  `masks` holds each node's activity mask: bit j is set
     when the node reads independent variable j.  `skeletons` holds each
-    inactive node's zero skeleton.  `sizes` is the tree-size memo of
+    inactive node's zero skeleton, built from its operands' skeletons by a
+    `post_order` walk.  `sizes` is the tree-size memo of
     `_check_cap`.  The three memos are keyed by id() and keep their key node
     alive, so an id cannot be reused while the memo lives.
     """
@@ -185,19 +178,26 @@ class _Activity:
 
     def skeleton(self, node: Expr) -> Expr:
         """The derivative `_rule` builds for `node` when no variable matches."""
-        got = self.skeletons.get(id(node))
+        skeletons = self.skeletons
+        got = skeletons.get(id(node))
         if got is not None:
             return got[0]
-        out = _rule(node, self.skeleton, None, self.build)
-        self.skeletons[id(node)] = (out, node)
-        return out
+
+        def d(k: Expr) -> Expr:
+            return skeletons[id(k)][0]
+
+        for n in post_order(node, skeletons):
+            skeletons[id(n)] = (_rule(n, d, None, self.build), n)
+        return skeletons[id(node)][0]
 
 
 def differentiate(e: Expr, v: str, activity: _Activity | None = None) -> Expr:
     """Exact symbolic derivative of `e` with respect to the slot named `v`.
 
     `activity` is shared by the passes of one bundle; `v` must be one of
-    its variables.  Without it the raw rules are used.
+    its variables.  Without it the raw rules are used.  One `post_order`
+    walk applies the rule to each node that reads `v`, children first; it
+    does not enter the other nodes, which take their zero skeletons.
     """
     if activity is None:
         activity = _Activity((v,), _RAW)
@@ -206,28 +206,22 @@ def differentiate(e: Expr, v: str, activity: _Activity | None = None) -> Expr:
     masks, build = activity.masks, activity.build
     memo: dict[int, Expr] = {}
 
-    def d(node: Expr) -> Expr:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if masks[id(node)][0] & bit:
-            out = _rule(node, d, v, build)
-        else:
-            out = activity.skeleton(node)
-        memo[id(node)] = out
-        return out
+    def active_children(node: Expr) -> tuple:
+        return children(node) if masks[id(node)][0] & bit else ()
 
-    try:
-        return d(e)
-    finally:
-        # `d` reaches itself through its closure; breaking the cycle frees
-        # the memo and the closure's hold on `activity` now rather than at
-        # some later cycle collection
-        del d
+    def d(k: Expr) -> Expr:
+        return memo[id(k)]
+
+    for node in post_order(e, memo, active_children):
+        if masks[id(node)][0] & bit:
+            memo[id(node)] = _rule(node, d, v, build)
+        else:
+            memo[id(node)] = activity.skeleton(node)
+    return memo[id(e)]
 
 
 def _rule(node: Expr, d, v: str | None, build) -> Expr:
-    """One forward rule application; `d` differentiates the operands and
+    """One forward rule application; `d` gives the operands' derivatives and
     `build` = (binary, unary, call) makes the new nodes."""
     binary, unary, call = build
     if isinstance(node, Constant):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .cast import (
     ArrayRef,
@@ -29,7 +29,11 @@ from .cast import (
     Return,
     Unary,
     Var,
+    children,
     const,
+    operands,
+    post_order,
+    rebuild,
     to_source,
 )
 from .errors import (
@@ -80,15 +84,13 @@ def strip_version(name: str) -> str:
 
 def display_expr(e: Expr) -> Expr:
     """Replace versioned slot references by their source-level names."""
-    if isinstance(e, Var):
-        return Var(strip_version(e.name)) if VERSION_SEP in e.name else e
-    if isinstance(e, Unary):
-        return replace(e, operand=display_expr(e.operand))
-    if isinstance(e, Binary):
-        return replace(e, lhs=display_expr(e.lhs), rhs=display_expr(e.rhs))
-    if isinstance(e, Call):
-        return replace(e, args=tuple(display_expr(a) for a in e.args))
-    return e
+    done: dict[int, Expr] = {}
+    for node in post_order(e, done):
+        if isinstance(node, Var) and VERSION_SEP in node.name:
+            done[id(node)] = Var(strip_version(node.name))
+        else:
+            done[id(node)] = rebuild(node, done)
+    return done[id(e)]
 
 
 def pretty_assign(a: SlpAssign) -> str:
@@ -109,20 +111,27 @@ def dump_text(p: StraightLineProgram) -> str:
 
 def eval_const(expr: Expr, env: dict):
     """Evaluate an integer/boolean expression over the given bindings."""
-    if isinstance(expr, Constant):
-        if any(ch in expr.text for ch in ".eE"):
-            raise NotConstant(expr.span, f"non-integer literal {expr.text!r} in constant context")
-        return int(expr.text)
-    if isinstance(expr, Var):
-        if expr.name not in env:
-            raise NotConstant(expr.span, f"{expr.name!r} is not compile-time constant")
-        return env[expr.name]
-    if isinstance(expr, Unary):
-        return -eval_const(expr.operand, env)
-    if isinstance(expr, Binary):
-        a = eval_const(expr.lhs, env)
-        b = eval_const(expr.rhs, env)
-        op = expr.op
+    done: dict[int, object] = {}
+    if not isinstance(expr, (Unary, Binary)):  # most indices: a leaf needs no walk
+        return _const_value(expr, done, env)
+    for node in post_order(expr, done, operands):
+        done[id(node)] = _const_value(node, done, env)
+    return done[id(expr)]
+
+
+def _const_value(e: Expr, done: dict, env: dict):
+    if isinstance(e, Constant):
+        if any(ch in e.text for ch in ".eE"):
+            raise NotConstant(e.span, f"non-integer literal {e.text!r} in constant context")
+        return int(e.text)
+    if isinstance(e, Var):
+        if e.name not in env:
+            raise NotConstant(e.span, f"{e.name!r} is not compile-time constant")
+        return env[e.name]
+    if isinstance(e, Unary):
+        return -done[id(e.operand)]
+    if isinstance(e, Binary):
+        a, b, op = done[id(e.lhs)], done[id(e.rhs)], e.op
         if op == "+":
             return a + b
         if op == "-":
@@ -131,7 +140,7 @@ def eval_const(expr: Expr, env: dict):
             return a * b
         if op == "/":
             if b == 0:
-                raise NotConstant(expr.span, "division by zero in constant expression")
+                raise NotConstant(e.span, "division by zero in constant expression")
             q = abs(a) // abs(b)  # C integer division truncates toward zero
             return q if (a >= 0) == (b >= 0) else -q
         if op == "<":
@@ -146,7 +155,7 @@ def eval_const(expr: Expr, env: dict):
             return a == b
         if op == "!=":
             return a != b
-    raise NotConstant(getattr(expr, "span", None), "expression is not compile-time constant")
+    raise NotConstant(getattr(e, "span", None), "expression is not compile-time constant")
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +203,12 @@ class _Unroller:
     # -- expression rewriting ------------------------------------------------
 
     def rewrite(self, e: Expr, env: dict) -> Expr:
-        if isinstance(e, Constant):
-            return e
+        done: dict[int, Expr] = {}
+        for node in post_order(e, done, operands):
+            done[id(node)] = self._rewrite_node(node, done, env)
+        return done[id(e)]
+
+    def _rewrite_node(self, e: Expr, done: dict, env: dict) -> Expr:
         if isinstance(e, Var):
             if e.name in env:
                 return const(float(env[e.name]))
@@ -218,13 +231,7 @@ class _Unroller:
                     raise NotConstant(e.span, f"{label!r} used before assignment")
                 return Var(live)
             raise NotConstant(e.span, f"unknown array {e.base!r}")
-        if isinstance(e, Unary):
-            return Unary(e.op, self.rewrite(e.operand, env))
-        if isinstance(e, Binary):
-            return Binary(e.op, self.rewrite(e.lhs, env), self.rewrite(e.rhs, env))
-        if isinstance(e, Call):
-            return Call(e.name, tuple(self.rewrite(a, env) for a in e.args))
-        raise TypeError(f"not an expression: {e!r}")
+        return rebuild(e, done)
 
     # -- statement execution -------------------------------------------------
 
@@ -339,31 +346,29 @@ def _w_str(out: list, s: str):
 
 
 def _w_expr(out: list, e: Expr):
-    if isinstance(e, Constant):
-        out.append(bytes([_TAG_CONST]))
-        _w_str(out, e.text)
-    elif isinstance(e, Var):
-        out.append(bytes([_TAG_VAR]))
-        _w_str(out, e.name)
-    elif isinstance(e, Unary):
-        out.append(bytes([_TAG_UNARY]))
-        _w_expr(out, e.operand)
-    elif isinstance(e, Binary):
-        out.append(bytes([_TAG_BINARY, _OP_CODE[e.op]]))
-        _w_expr(out, e.lhs)
-        _w_expr(out, e.rhs)
-    elif isinstance(e, Call):
-        out.append(bytes([_TAG_CALL, len(e.args)]))
-        _w_str(out, e.name)
-        for a in e.args:
-            _w_expr(out, a)
-    elif isinstance(e, ArrayRef):
-        out.append(bytes([_TAG_ARRAYREF, len(e.indices)]))
-        _w_str(out, e.base)
-        for ix in e.indices:
-            _w_expr(out, ix)
-    else:
-        raise TypeError(f"not an expression: {e!r}")
+    """Write `e` in prefix order: each node's tag and fields, then its operands."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Constant):
+            out.append(bytes([_TAG_CONST]))
+            _w_str(out, e.text)
+        elif isinstance(e, Var):
+            out.append(bytes([_TAG_VAR]))
+            _w_str(out, e.name)
+        elif isinstance(e, Unary):
+            out.append(bytes([_TAG_UNARY]))
+        elif isinstance(e, Binary):
+            out.append(bytes([_TAG_BINARY, _OP_CODE[e.op]]))
+        elif isinstance(e, Call):
+            out.append(bytes([_TAG_CALL, len(e.args)]))
+            _w_str(out, e.name)
+        elif isinstance(e, ArrayRef):
+            out.append(bytes([_TAG_ARRAYREF, len(e.indices)]))
+            _w_str(out, e.base)
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+        stack.extend(reversed(children(e)))
 
 
 class _Reader:
@@ -387,29 +392,46 @@ class _Reader:
     def str_(self) -> str:
         return self.take(self.u32()).decode("utf-8")
 
-    def expr(self) -> Expr:
+    def head(self):
+        """Read one node's tag and fields: (make, arity), where `make` builds
+        the node from the list of its `arity` operands, which follow."""
         tag = self.u8()
         if tag == _TAG_CONST:
             text = self.str_()
-            return Constant(text, float(text))
+            return (lambda _: Constant(text, float(text))), 0
         if tag == _TAG_VAR:
-            return Var(self.str_())
+            name = self.str_()
+            return (lambda _: Var(name)), 0
         if tag == _TAG_UNARY:
-            return Unary("-", self.expr())
+            return (lambda ops: Unary("-", ops[0])), 1
         if tag == _TAG_BINARY:
             code = self.u8()
             if code >= len(_OPS):
                 raise FormatError(f"unknown operator code {code}")
-            return Binary(_OPS[code], self.expr(), self.expr())
+            return (lambda ops: Binary(_OPS[code], *ops)), 2
         if tag == _TAG_CALL:
             argc = self.u8()
             name = self.str_()
-            return Call(name, tuple(self.expr() for _ in range(argc)))
+            return (lambda ops: Call(name, tuple(ops))), argc
         if tag == _TAG_ARRAYREF:
             n = self.u8()
             base = self.str_()
-            return ArrayRef(base, tuple(self.expr() for _ in range(n)))
+            return (lambda ops: ArrayRef(base, tuple(ops))), n
         raise FormatError(f"unknown expression tag {tag}")
+
+    def expr(self) -> Expr:
+        """Read one prefix-encoded expression with an explicit stack."""
+        waiting: list = []  # (make, arity, operands read) of nodes still reading operands
+        while True:
+            make, arity = self.head()
+            ops: list = []
+            while len(ops) == arity:  # the node is complete: hand it to its parent
+                node = make(ops)
+                if not waiting:
+                    return node
+                make, arity, ops = waiting.pop()
+                ops.append(node)
+            waiting.append((make, arity, ops))
 
 
 def serialize(p: StraightLineProgram) -> bytes:

@@ -2,7 +2,7 @@
 
 Two evaluators over the same scalar semantics:
 
-* ``eval_expr`` — direct tree-order interpreter, the reference oracle.
+* ``eval_expr`` — direct scalar interpreter, the reference oracle.
 * ``evaluate`` — expressions compiled to a flat instruction tape over a
   register file, run for a chunk of points at once: each instruction is
   one array operation over the chunk.  Arithmetic and comparisons are
@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cast import Binary, Call, Constant, Expr, Unary, Var
+from .cast import Binary, Call, Constant, Expr, Unary, Var, children, post_order
 from .errors import UnboundSlot
 from .flatten import StraightLineProgram
 
@@ -92,59 +93,43 @@ _INTRINSIC_FN = {
 }
 
 
+def _compare(test):
+    return lambda a, b: 1.0 if test(a, b) else 0.0
+
+
+_BINARY_FN = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _c_div,
+    "<": _compare(operator.lt), "<=": _compare(operator.le), ">": _compare(operator.gt),
+    ">=": _compare(operator.ge), "==": _compare(operator.eq), "!=": _compare(operator.ne),
+}
+
+
+def _apply(node: Expr, args: list) -> float:
+    """The value of a constant, or of an operation over the values `args`
+    of its operands, left to right."""
+    if isinstance(node, Constant):
+        return node.value
+    if isinstance(node, Unary):
+        return -args[0]
+    if isinstance(node, Binary):
+        return _BINARY_FN[node.op](*args)
+    if isinstance(node, Call):
+        return _c_pow(*args) if node.name == "pow" else _INTRINSIC_FN[node.name](*args)
+    raise TypeError(f"cannot evaluate {node!r}")
+
+
 def eval_expr(e: Expr, bindings: dict) -> float:
-    """IEEE-754 evaluation in tree order; slots are looked up in `bindings`."""
+    """IEEE-754 evaluation of each node once; slots are looked up in `bindings`."""
     memo: dict[int, float] = {}
-
-    def ev(node: Expr) -> float:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        out = _ev(node)
-        memo[id(node)] = out
-        return out
-
-    def _ev(node: Expr) -> float:
-        if isinstance(node, Constant):
-            return node.value
+    for node in post_order(e, memo):
         if isinstance(node, Var):
             try:
-                return bindings[node.name]
+                memo[id(node)] = bindings[node.name]
             except KeyError:
                 raise UnboundSlot(node.name) from None
-        if isinstance(node, Unary):
-            return -ev(node.operand)
-        if isinstance(node, Binary):
-            a = ev(node.lhs)
-            b = ev(node.rhs)
-            op = node.op
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                return _c_div(a, b)
-            if op == "<":
-                return 1.0 if a < b else 0.0
-            if op == "<=":
-                return 1.0 if a <= b else 0.0
-            if op == ">":
-                return 1.0 if a > b else 0.0
-            if op == ">=":
-                return 1.0 if a >= b else 0.0
-            if op == "==":
-                return 1.0 if a == b else 0.0
-            if op == "!=":
-                return 1.0 if a != b else 0.0
-        if isinstance(node, Call):
-            if node.name == "pow":
-                return _c_pow(ev(node.args[0]), ev(node.args[1]))
-            return _INTRINSIC_FN[node.name](ev(node.args[0]))
-        raise TypeError(f"cannot evaluate {node!r}")
-
-    return ev(e)
+        else:
+            memo[id(node)] = _apply(node, [memo[id(k)] for k in children(node)])
+    return memo[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -220,37 +205,29 @@ class _TapeBuilder:
         return got
 
     def compile(self, e: Expr) -> int:
-        got = self.reg_of.get(id(e))
-        if got is not None:
-            return got
-        reg = self._compile(e)
-        self.reg_of[id(e)] = reg
-        return reg
-
-    def _compile(self, e: Expr) -> int:
-        if isinstance(e, Constant):
-            return self.instr(OP_LOAD_CONST, self.const_slot(e.value))
-        if isinstance(e, Var):
-            reg = self.named.get(e.name)
-            if reg is not None:
-                return reg
-            slot = self.slot_index.get(e.name)
-            if slot is None:
-                raise UnboundSlot(e.name)
-            return self.instr(OP_LOAD_SLOT, slot)
-        if isinstance(e, Unary):
-            return self.instr(OP_NEG, self.compile(e.operand))
-        if isinstance(e, Binary):
-            a = self.compile(e.lhs)
-            b = self.compile(e.rhs)
-            return self.instr(_BINOP_CODE[e.op], a, b)
-        if isinstance(e, Call):
-            if e.name == "pow":
-                a = self.compile(e.args[0])
-                b = self.compile(e.args[1])
-                return self.instr(OP_POW, a, b)
-            return self.instr(_CALL_CODE[e.name], self.compile(e.args[0]))
-        raise TypeError(f"cannot compile {e!r}")
+        """The register of `e`, compiling each node not yet on the tape."""
+        reg_of = self.reg_of
+        for node in post_order(e, reg_of):
+            if isinstance(node, Binary):
+                reg = self.instr(_BINOP_CODE[node.op], reg_of[id(node.lhs)], reg_of[id(node.rhs)])
+            elif isinstance(node, Constant):
+                reg = self.instr(OP_LOAD_CONST, self.const_slot(node.value))
+            elif isinstance(node, Var):
+                reg = self.named.get(node.name)
+                if reg is None:
+                    slot = self.slot_index.get(node.name)
+                    if slot is None:
+                        raise UnboundSlot(node.name)
+                    reg = self.instr(OP_LOAD_SLOT, slot)
+            elif isinstance(node, Unary):
+                reg = self.instr(OP_NEG, reg_of[id(node.operand)])
+            elif isinstance(node, Call):
+                code = OP_POW if node.name == "pow" else _CALL_CODE[node.name]
+                reg = self.instr(code, *[reg_of[id(a)] for a in node.args])
+            else:
+                raise TypeError(f"cannot compile {node!r}")
+            reg_of[id(node)] = reg
+        return reg_of[id(e)]
 
     def finish(self, out_regs) -> Tape:
         import numpy as np

@@ -5,6 +5,11 @@ functions over double scalars/arrays, variable declarations, plain and
 compound assignments, constant-bound for loops, compile-time-evaluable
 conditionals, and calls to the math intrinsics in `cast.INTRINSICS`.
 Everything else is rejected with a precise source span.
+
+Binary operators are parsed by operator precedence with an explicit stack,
+so only nesting recurses: parentheses, unary minus, call arguments and
+indices.  The scope and subset checks walk expressions with
+`cast.post_order`.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .cast import (
+    _PRECEDENCE,
     INTRINSICS,
     ArrayRef,
     Assignment,
@@ -29,7 +35,10 @@ from .cast import (
     Stmt,
     Unary,
     Var,
+    children,
     const,
+    operands,
+    post_order,
 )
 from .errors import (
     MissingEnergyVar,
@@ -386,29 +395,32 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def expr(self) -> Expr:
-        return self.equality()
+        """Operands joined by binary operators, by operator precedence over
+        the printer's table.  Pending operators wait on a stack and are
+        applied once an operator that binds no more tightly follows, so each
+        is left-associative, and neither a long chain nor a mix of
+        precedences costs a frame."""
+        terms = [self.unary()]
+        pending: list[Token] = []
 
-    def _left_assoc(self, sub, ops) -> Expr:
-        e = sub()
-        while self.peek().kind in ops:
-            tok = self.next()
-            e = Binary(tok.kind, e, sub(), span=tok.span)
-        return e
+        def apply():
+            tok, rhs = pending.pop(), terms.pop()
+            terms.append(Binary(tok.kind, terms.pop(), rhs, span=tok.span))
 
-    def equality(self) -> Expr:
-        return self._left_assoc(self.relational, ("==", "!="))
-
-    def relational(self) -> Expr:
-        return self._left_assoc(self.additive, ("<", "<=", ">", ">="))
-
-    def additive(self) -> Expr:
-        return self._left_assoc(self.multiplicative, ("+", "-"))
-
-    def multiplicative(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "%":
-            raise UnsupportedConstruct(tok.span, "modulo operator")
-        return self._left_assoc(self.unary, ("*", "/"))
+        while True:
+            tok = self.peek()
+            if tok.kind == "%":
+                raise UnsupportedConstruct(tok.span, "modulo operator")
+            prec = _PRECEDENCE.get(tok.kind)
+            if prec is None:
+                break
+            while pending and _PRECEDENCE[pending[-1].kind] >= prec:
+                apply()
+            pending.append(self.next())
+            terms.append(self.unary())
+        while pending:
+            apply()
+        return terms[0]
 
     def unary(self) -> Expr:
         tok = self.peek()
@@ -508,22 +520,14 @@ def _check_scopes(ir: FunctionIR):
     """Every identifier must be a parameter, loop counter, or prior local."""
 
     def check_expr(e: Expr, scope: set):
-        if isinstance(e, Var):
-            if e.name not in scope:
-                raise ParseError(e.span or SourceSpan(1, 1), f"use of undeclared identifier {e.name!r}")
-        elif isinstance(e, ArrayRef):
-            if e.base not in scope:
-                raise ParseError(e.span or SourceSpan(1, 1), f"use of undeclared identifier {e.base!r}")
-            for ix in e.indices:
-                check_expr(ix, scope)
-        elif isinstance(e, Unary):
-            check_expr(e.operand, scope)
-        elif isinstance(e, Binary):
-            check_expr(e.lhs, scope)
-            check_expr(e.rhs, scope)
-        elif isinstance(e, Call):
-            for a in e.args:
-                check_expr(a, scope)
+        seen: set = set()
+        for node in post_order(e, seen, lambda n: children(n)[::-1]):  # in source order
+            seen.add(id(node))
+            if isinstance(node, (Var, ArrayRef)):
+                name = node.name if isinstance(node, Var) else node.base
+                if name not in scope:
+                    raise ParseError(node.span or SourceSpan(1, 1),
+                                     f"use of undeclared identifier {name!r}")
 
     def check_block(stmts, scope: set):
         scope = set(scope)
@@ -566,14 +570,18 @@ def _is_integer_literal(c: Constant) -> bool:
 
 
 def _const_evaluable(e: Expr, allowed: set) -> bool:
-    if isinstance(e, Constant):
-        return _is_integer_literal(e)
-    if isinstance(e, Var):
-        return e.name in allowed
-    if isinstance(e, (Unary, Binary)):
-        kids = [e.operand] if isinstance(e, Unary) else [e.lhs, e.rhs]
-        return all(_const_evaluable(k, allowed) for k in kids)
-    return False  # array refs and intrinsic calls are never compile-time
+    seen: set = set()
+    for node in post_order(e, seen, operands):
+        if isinstance(node, Constant):
+            ok = _is_integer_literal(node)
+        elif isinstance(node, Var):
+            ok = node.name in allowed
+        else:  # array refs and intrinsic calls are never compile-time
+            ok = isinstance(node, (Unary, Binary))
+        if not ok:
+            return False
+        seen.add(id(node))
+    return True
 
 
 def validate_subset(ir: FunctionIR) -> list[Violation]:

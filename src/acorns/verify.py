@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .cast import ArrayRef, Assignment, Binary, Call, Constant, Declaration, Expr, ForLoop, FunctionIR, If, Return, Unary, Var
+from .cast import ArrayRef, Assignment, Declaration, Expr, ForLoop, FunctionIR, If, Return, Var, children, operands, post_order
 from .derivatives import VarIndexMap, derive_bundle
 from .errors import AcornsError, UnboundSlot
 from .flatten import StraightLineProgram, eval_const, unroll
-from .interp import _c_div, _c_log, _c_pow, _c_sqrt, _INTRINSIC_FN, compile_exprs, compile_program, evaluate, eval_expr
+from .interp import _apply, compile_exprs, compile_program, evaluate, eval_expr
 from .parser import parse_source, validate_subset
 
 if TYPE_CHECKING:
@@ -170,46 +170,17 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
         raise UnboundSlot(label)
 
     def ev(e: Expr, env: dict) -> float:
-        if isinstance(e, Constant):
-            return e.value
-        if isinstance(e, Var):
-            if e.name in env:
-                return float(env[e.name])
-            return read(e.name, e.span)
-        if isinstance(e, ArrayRef):
-            indices = tuple(eval_const(ix, env) for ix in e.indices)
-            label = e.base + "".join(f"[{ix}]" for ix in indices)
-            return read(label, e.span)
-        if isinstance(e, Unary):
-            return -ev(e.operand, env)
-        if isinstance(e, Binary):
-            a = ev(e.lhs, env)
-            b = ev(e.rhs, env)
-            op = e.op
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                return _c_div(a, b)
-            if op == "<":
-                return 1.0 if a < b else 0.0
-            if op == "<=":
-                return 1.0 if a <= b else 0.0
-            if op == ">":
-                return 1.0 if a > b else 0.0
-            if op == ">=":
-                return 1.0 if a >= b else 0.0
-            if op == "==":
-                return 1.0 if a == b else 0.0
-            return 1.0 if a != b else 0.0
-        if isinstance(e, Call):
-            if e.name == "pow":
-                return _c_pow(ev(e.args[0], env), ev(e.args[1], env))
-            return _INTRINSIC_FN[e.name](ev(e.args[0], env))
-        raise TypeError(f"cannot evaluate {e!r}")
+        values: dict[int, float] = {}
+        for node in post_order(e, values, operands):
+            if isinstance(node, Var):
+                value = float(env[node.name]) if node.name in env else read(node.name, node.span)
+            elif isinstance(node, ArrayRef):
+                indices = tuple(eval_const(ix, env) for ix in node.indices)
+                value = read(node.base + "".join(f"[{ix}]" for ix in indices), node.span)
+            else:
+                value = _apply(node, [values[id(k)] for k in children(node)])
+            values[id(node)] = value
+        return values[id(e)]
 
     def store(lvalue: Expr, value: float, env: dict):
         if isinstance(lvalue, Var):

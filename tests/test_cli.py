@@ -241,24 +241,63 @@ _DEEP_LOOP_SRC = """\
 double deep(const double *x) {{
     double e = 0;
     for (int i = 0; i < {n}; i++) {{
-        e = e + x[0] * 0.5;
+        e = e + {term};
     }}
     return 0;
 }}
 """
 
 
+def _nested_src(levels):
+    """`e` as `levels` parenthesized sums, each nested in the right operand."""
+    rhs = "x[0]"
+    for _ in range(levels):
+        rhs = f"(x[0] + {rhs})"
+    return f"double deep(const double *x) {{\n    double e = {rhs};\n    return 0;\n}}\n"
+
+
+def _sum_of_products_src(n, k):
+    """`e` as one statement of `n` terms x[i % k] * x[(i + 1) % k]."""
+    terms = " + ".join(f"x[{i % k}] * x[{(i + 1) % k}]" for i in range(n))
+    return f"double wide(const double *x) {{\n    double e = {terms};\n    return 0;\n}}\n"
+
+
+# Every walk over an expression uses an explicit stack, and importing acorns
+# leaves the recursion limit alone, so these subprocesses run at the default
+# limit: loop length and statement length are bounded only by the caps.
+
+
+@pytest.mark.parametrize("n", [12000, 50000])
+def test_deep_loops_generate_every_mode(tmp_path, n):
+    (tmp_path / "deep.c").write_text(_DEEP_LOOP_SRC.format(n=n, term="x[0] * x[0]"))
+    code = textwrap.dedent("""\
+        import sys
+        limit = sys.getrecursionlimit()
+        from acorns.cli import main
+        assert sys.getrecursionlimit() == limit
+        for stem, flags in (("s", []), ("r", ["--no-simplify"])):
+            assert main(["deep.c", "e", "--vars", "x", "--func", "deep",
+                         "--output_filename", stem, *flags]) == 0
+        """)
+    done = _run_python(code, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    simplified = (tmp_path / "s_part0.c").read_text()
+    assert f"    out[0] = {2 * n};" in simplified  # the Hessian
+    raw = (tmp_path / "r_part0.c").read_text()
+    assert raw.count("(0 * x[0] + 1 * 1 + (1 * 1 + x[0] * 0))") == n  # the Hessian
+
+
 @pytest.mark.parametrize("command", ["generate", "verify"])
-def test_deep_loop_exits_3_without_traceback(tmp_path, command):
-    # the forward rules that build Hessians still recurse per node (ROADMAP
-    # item 4); until they do not, a too-deep input must end in a diagnostic,
-    # not a traceback
-    (tmp_path / "deep.c").write_text(_DEEP_LOOP_SRC.format(n=12000))
+def test_deep_nesting_exits_3_without_traceback(tmp_path, command):
+    # parentheses nest through the parser's recursion, one level of the
+    # grammar per level of nesting: too deep an input ends in a diagnostic
+    (tmp_path / "deep.c").write_text(_nested_src(2000))
     if command == "generate":
         argv = ["deep.c", "e", "--vars", "x", "--func", "deep", "--output_filename", "d"]
     else:
         argv = ["verify", "deep.c", "--func", "deep", "--energy", "e", "--vars", "x",
-                "--points", "2", "--mode", "hessian"]
+                "--points", "2"]
     done = _run_python(f"import sys\nfrom acorns.cli import main\nsys.exit(main({argv!r}))",
                        tmp_path)
     assert done.returncode == 3
@@ -268,23 +307,67 @@ def test_deep_loop_exits_3_without_traceback(tmp_path, command):
     assert "deep.c" in lines[0]
 
 
-@pytest.mark.parametrize("n", [12000, 50000])
-def test_deep_loop_gradient_succeeds(tmp_path, n):
-    # a simplified gradient alone comes from the reverse sweep, which does not
-    # recurse: generate and verify both succeed at the default recursion limit
-    (tmp_path / "deep.c").write_text(_DEEP_LOOP_SRC.format(n=n))
+def test_nested_parentheses_generate(tmp_path):
+    (tmp_path / "deep.c").write_text(_nested_src(256))
     code = textwrap.dedent("""\
         from acorns.cli import main
-        assert main(["deep.c", "e", "--vars", "x", "--func", "deep", "--mode", "gradient",
-                     "--output_filename", "d"]) == 0
-        assert main(["verify", "deep.c", "--func", "deep", "--energy", "e", "--vars", "x",
+        assert main(["deep.c", "e", "--vars", "x", "--func", "deep", "--output_filename", "d"]) == 0
+        """)
+    done = _run_python(code, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "    out[0] = 257;" in (tmp_path / "d_part0.c").read_text()
+
+
+@pytest.mark.parametrize("n", [12000, 50000])
+def test_deep_loop_gradient_succeeds(tmp_path, n):
+    # the gradient of a long accumulation loop generates and passes verify
+    for term, gradient in (("x[0] * 0.5", f"    out[0] = {n // 2};"),
+                           ("x[0] * x[0]", "    out[0] = x[0] + x[0] + x[0]")):
+        (tmp_path / "deep.c").write_text(_DEEP_LOOP_SRC.format(n=n, term=term))
+        code = textwrap.dedent("""\
+            from acorns.cli import main
+            assert main(["deep.c", "e", "--vars", "x", "--func", "deep", "--mode", "gradient",
+                         "--output_filename", "d"]) == 0
+            assert main(["verify", "deep.c", "--func", "deep", "--energy", "e", "--vars", "x",
+                         "--points", "2", "--mode", "gradient"]) == 0
+            """)
+        done = _run_python(code, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert gradient in (tmp_path / "d_part0.c").read_text()
+        assert "1/1 entries pass" in done.stdout
+
+
+@pytest.mark.parametrize("n", [3000, 20000])
+def test_long_statement_depth_contract(tmp_path, n):
+    # one statement of n products: generate with and without simplification,
+    # the .slp dump reads back, and the gradient passes verify.  The verified
+    # statement cycles through 16 variables, because the FD oracle holds a
+    # 2n x n matrix of points (6.4 GB at n = 20,001)
+    (tmp_path / "wide.c").write_text(_sum_of_products_src(n, n + 1))
+    (tmp_path / "cyclic.c").write_text(_sum_of_products_src(n, 16))
+    code = textwrap.dedent("""\
+        from acorns.cli import main
+        from acorns.flatten import deserialize, serialize, unroll
+        from acorns.parser import parse_source
+        for stem, flags in (("s", ["--vars", "x", "--mode", "function", "gradient"]),
+                            ("r", ["--mode", "function", "--no-simplify"])):
+            assert main(["wide.c", "e", "--func", "wide", "--output_filename", stem,
+                         "--dump-slp", *flags]) == 0
+        data = open("s.slp", "rb").read()
+        assert serialize(unroll(parse_source(open("wide.c").read(), "wide", "e"))) == data
+        assert serialize(deserialize(data)) == data
+        assert main(["verify", "cyclic.c", "--func", "wide", "--energy", "e", "--vars", "x",
                      "--points", "2", "--mode", "gradient"]) == 0
         """)
     done = _run_python(code, tmp_path)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
-    assert f"    out[0] = {n // 2};" in (tmp_path / "d_part0.c").read_text()
-    assert "1/1 entries pass" in done.stdout
+    assert "16/16 entries pass" in done.stdout
+    simplified = (tmp_path / "s_part0.c").read_text()
+    assert "    out[1] = x[0] + x[2];" in simplified
+    assert f"    out[{n}] = x[{n - 1}];" in simplified
+    assert (tmp_path / "r_part0.c").read_text().count("x[0] * x[1] + x[1] * x[2]") == 1
 
 
 # --- verify subcommand ----------------------------------------------------------

@@ -87,12 +87,20 @@ def test_constant_text_preserved():
         ("double f(double x){ double e = x; switch (1) {} return 0; }", "switch"),
         ("double f(double x){ double e = !x; return 0; }", "'!'"),
         ("float f(double x){ double e = x; return 0; }", "float"),
+        ("double f(double x){ double e = x % 2; return 0; }", "modulo"),
+        ("double f(double x){ double e = x * 3 % 2 + 1; return 0; }", "modulo"),
     ],
 )
 def test_unsupported_constructs(source, construct):
     with pytest.raises(UnsupportedConstruct) as exc:
         parse_source(source, "f", "e")
     assert construct.strip("'") in str(exc.value)
+
+
+def test_first_fault_in_source_order_is_reported():
+    with pytest.raises(ParseError) as exc:
+        parse_source("double f(double x){ double e = y * (x + z); return 0; }", "f", "e")
+    assert "'y'" in str(exc.value)
 
 
 def test_missing_function():
