@@ -14,6 +14,7 @@ comment carries no timestamps, so build systems can hash the files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -174,25 +175,49 @@ def _run_pipeline(args) -> int:
     return EXIT_OK
 
 
+def _checked(convert, ok, need: str):
+    """An argparse type: `convert`, then reject a value that fails `ok`."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "at least 1")
+
+
+class _Box(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        if not values[0] < values[1]:
+            parser.error(f"argument --box: LO must be below HI, got {values[0]:g} {values[1]:g}")
+        setattr(namespace, self.dest, tuple(values))
+
+
 def _verify_parser() -> _ArgumentParser:
     p = _ArgumentParser(
         prog="acorns_autodiff verify",
         description="Check analytic derivatives against finite-difference oracles.",
     )
     p.add_argument("function", help=f"corpus name ({', '.join(CORPUS)}) or a C source file")
-    p.add_argument("--s", type=int, default=None, help="variable count for the eq3 family")
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--s", type=_AT_LEAST_ONE, default=None,
+                   help="variable count for the eq3 family")
+    p.add_argument("--points", type=_AT_LEAST_ONE, default=100)
     p.add_argument("--mode", default="gradient", choices=["gradient", "hessian"])
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-simplify", action="store_true")
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", default=None,
+                   type=_checked(float, lambda v: 0 < v < math.inf, "positive and finite"))
     p.add_argument("--machine", action="store_true",
                    help="line-oriented output: entry,analytic,fd,relerr,pass")
     # for verifying a user source file instead of a corpus entry:
     p.add_argument("--func", default=None, help="function name (file inputs)")
     p.add_argument("--energy", default=None, help="energy variable (file inputs)")
     p.add_argument("--vars", nargs="+", default=None, help="independent vars (file inputs)")
-    p.add_argument("--box", nargs=2, type=float, default=(0.01, 1.0), metavar=("LO", "HI"),
+    p.add_argument("--box", nargs=2, type=_checked(float, math.isfinite, "finite"),
+                   action=_Box, default=(0.01, 1.0), metavar=("LO", "HI"),
                    help="sampling interval for file inputs (default 0.01 1)")
     return p
 

@@ -8,38 +8,33 @@ against a cap because emission re-expands the DAG.  Each transform is one
 from the memo, so the depth of an expression, which grows with the length
 of an unrolled loop, is bounded by memory, not by the recursion limit.
 
-Forward mode differentiates once per independent variable: n passes for
-the gradient and n(n+1)/2 for the Hessian.  Activity analysis keeps most
-of each pass off the nodes that do not read its variable:
+A simplified bundle (the default) is built in reverse mode.  `f` is
+simplified once; the gradient comes from one adjoint sweep over it,
+`_adjoint_gradient`, and Hessian row i from one sweep over gradient entry i
+restricted to variables 0..i, the lower triangle.  A sweep builds every node
+with the `_SIMPLIFYING` constructors, which apply `simplify`'s local
+rewrites to operands that are already simplified, so no derivative is
+walked again.  A sweep costs O(|f|) where forward passes cost O(n |f|) on a
+chain, and a node that reads no wanted variable gets no adjoint: its
+derivative is an exact zero, never a `0 / u` that is NaN where u is 0.
+
+A `--no-simplify` bundle keeps the forward rules' raw shape, which
+acceptance test 1 pins: one `differentiate` pass per variable for the
+gradient and one per lower entry for the Hessian.  Activity analysis keeps
+most of each pass, and of each sweep, off the nodes that do not read its
+variables:
 
 - Every node gets an activity mask, an int whose bit j is set when the
   node reads independent variable j.  One explicit-stack walk per
   differentiated expression computes it, shared by every pass of a
   `derive_bundle`.
-- A pass that reaches a node whose mask lacks its variable's bit uses the
-  node's zero skeleton: the tree the rules build when no variable matches
-  (`_rule` with no active variable).  It depends on the node alone, so it
-  is built once and reused by every gradient and Hessian pass.
-
-The rules build every node through a constructor set.  `_RAW` is the plain
-`Binary`/`Unary`/`Call` classes (`--no-simplify`).  `_SIMPLIFYING` applies
-`simplify`'s local rewrites as each node is built, to operands that are
-already simplified, so a simplified bundle never builds the raw derivative
-and is not walked again.  Because `simplify` is idempotent (every node it
-returns, and every node the constructors build, is a fixed point of it),
-differentiating a simplified `f` this way gives exactly
-`simplify(differentiate(f))`.
-
-The skeleton is not folded to a bare zero, because `--no-simplify` output
-keeps its `u * 0` factors and `simplify` keeps `-(0)`; the derivatives are
-structurally identical to a walk of every node in every pass.
-
-A simplified bundle without a Hessian takes its gradient from one reverse
-(adjoint) sweep instead, `_adjoint_gradient`, whose cost is O(|f|) where
-the n forward passes cost O(n |f|) on a chain.  Raw bundles keep the
-forward passes, whose shape acceptance test 1 pins, and so do Hessian
-bundles: differentiating reverse-built gradient entries forward makes a
-larger Hessian than the forward-built ones.
+- A forward pass that reaches a node whose mask lacks its variable's bit
+  uses the node's zero skeleton: the tree the rules build when no variable
+  matches (`_rule` with no active variable).  It depends on the node alone,
+  so it is built once and reused by every pass.  It is not folded to a bare
+  zero, because `--no-simplify` output keeps its `u * 0` factors; the
+  derivatives are structurally identical to a walk of every node in every
+  pass.
 """
 
 from __future__ import annotations
@@ -101,7 +96,7 @@ class DerivativeBundle:
     f: Expr
     grad: tuple
     hess_lower: tuple  # row-major, entry (i, j) with i >= j at i*(i+1)//2 + j
-    simplified: bool = False  # built by the simplifying rules; emitted in bound form
+    simplified: bool = False  # built by the simplifying sweeps; emitted in bound form
 
     @property
     def n(self) -> int:
@@ -146,19 +141,17 @@ def substitute(p: StraightLineProgram, cap: int = DEFAULT_NODE_CAP) -> Expr:
 
 
 class _Activity:
-    """Differentiation state shared by every pass of one `derive_bundle`.
+    """Differentiation state shared by every pass and sweep of one `derive_bundle`.
 
-    `build` is the constructor set the rules build with (`_RAW` or
-    `_SIMPLIFYING`).  `masks` holds each node's activity mask: bit j is set
-    when the node reads independent variable j.  `skeletons` holds each
-    inactive node's zero skeleton, built from its operands' skeletons by a
-    `post_order` walk.  `sizes` is the tree-size memo of
+    `masks` holds each node's activity mask: bit j is set when the node
+    reads independent variable j.  `skeletons` holds each inactive node's
+    zero skeleton for the forward passes, built from its operands' skeletons
+    by a `post_order` walk.  `sizes` is the tree-size memo of
     `_check_cap`.  The three memos are keyed by id() and keep their key node
     alive, so an id cannot be reused while the memo lives.
     """
 
-    def __init__(self, labels, build):
-        self.build = build
+    def __init__(self, labels):
         self.bit = {label: 1 << j for j, label in enumerate(labels)}
         self.masks: dict[int, tuple] = {}  # id(node) -> (mask, node)
         self.skeletons: dict[int, tuple] = {}  # id(node) -> (skeleton, node)
@@ -187,23 +180,24 @@ class _Activity:
             return skeletons[id(k)][0]
 
         for n in post_order(node, skeletons):
-            skeletons[id(n)] = (_rule(n, d, None, self.build), n)
+            skeletons[id(n)] = (_rule(n, d, None), n)
         return skeletons[id(node)][0]
 
 
 def differentiate(e: Expr, v: str, activity: _Activity | None = None) -> Expr:
-    """Exact symbolic derivative of `e` with respect to the slot named `v`.
+    """Exact symbolic derivative of `e` with respect to the slot named `v`,
+    built from raw nodes (`simplify` tidies it).
 
     `activity` is shared by the passes of one bundle; `v` must be one of
-    its variables.  Without it the raw rules are used.  One `post_order`
-    walk applies the rule to each node that reads `v`, children first; it
-    does not enter the other nodes, which take their zero skeletons.
+    its variables.  One `post_order` walk applies the rule to each node that
+    reads `v`, children first; it does not enter the other nodes, which take
+    their zero skeletons.
     """
     if activity is None:
-        activity = _Activity((v,), _RAW)
+        activity = _Activity((v,))
     activity.mark(e)
     bit = activity.bit[v]
-    masks, build = activity.masks, activity.build
+    masks = activity.masks
     memo: dict[int, Expr] = {}
 
     def active_children(node: Expr) -> tuple:
@@ -214,22 +208,20 @@ def differentiate(e: Expr, v: str, activity: _Activity | None = None) -> Expr:
 
     for node in post_order(e, memo, active_children):
         if masks[id(node)][0] & bit:
-            memo[id(node)] = _rule(node, d, v, build)
+            memo[id(node)] = _rule(node, d, v)
         else:
             memo[id(node)] = activity.skeleton(node)
     return memo[id(e)]
 
 
-def _rule(node: Expr, d, v: str | None, build) -> Expr:
-    """One forward rule application; `d` gives the operands' derivatives and
-    `build` = (binary, unary, call) makes the new nodes."""
-    binary, unary, call = build
+def _rule(node: Expr, d, v: str | None) -> Expr:
+    """One forward rule application; `d` gives the operands' derivatives."""
     if isinstance(node, Constant):
         return ZERO
     if isinstance(node, Var):
         return ONE if node.name == v else ZERO
     if isinstance(node, Unary):
-        return unary("-", d(node.operand))
+        return Unary("-", d(node.operand))
     if isinstance(node, Binary):
         if node.op in ("+", "-"):
             da = d(node.lhs)
@@ -238,23 +230,17 @@ def _rule(node: Expr, d, v: str | None, build) -> Expr:
                 # a sum of two structural zeros collapses even without
                 # simplification; the `u * 0` factors are kept
                 return ZERO
-            return binary(node.op, da, db)
+            return Binary(node.op, da, db)
         if node.op == "*":
-            return binary(
-                "+",
-                binary("*", d(node.lhs), node.rhs),
-                binary("*", node.lhs, d(node.rhs)),
-            )
+            return Binary("+", Binary("*", d(node.lhs), node.rhs),
+                          Binary("*", node.lhs, d(node.rhs)))
         if node.op == "/":
-            num = binary(
-                "-",
-                binary("*", d(node.lhs), node.rhs),
-                binary("*", node.lhs, d(node.rhs)),
-            )
-            return binary("/", num, binary("*", node.rhs, node.rhs))
+            num = Binary("-", Binary("*", d(node.lhs), node.rhs),
+                         Binary("*", node.lhs, d(node.rhs)))
+            return Binary("/", num, Binary("*", node.rhs, node.rhs))
         return ZERO  # comparisons are piecewise constant
     if isinstance(node, Call):
-        return _call_rule(node, d, binary, unary, call)
+        return _call_rule(node, d, Binary, Unary, Call)
     raise TypeError(f"cannot differentiate {node!r}")
 
 
@@ -372,7 +358,6 @@ def _simple_call(name: str, args: tuple, node: Call | None = None) -> Expr:
     return Call(name, args)
 
 
-_RAW = (Binary, Unary, Call)
 _SIMPLIFYING = (_simple_binary, _simple_unary, _simple_call)
 
 
@@ -381,7 +366,7 @@ def simplify(e: Expr) -> Expr:
     trivial pow exponents, double negation, and constant folding.
 
     One explicit-stack pass rebuilds each node, children first, with the
-    `_SIMPLIFYING` constructors that forward rules also build with.  No
+    `_SIMPLIFYING` constructors that the reverse sweep also builds with.  No
     reassociation, distribution, or cancellation; subtrees the rules do not
     touch are returned as the same objects, so the result is a fixed point:
     `simplify(simplify(e)) is simplify(e)`.
@@ -424,26 +409,31 @@ def _unit(_operand: Expr) -> Expr:
     return ONE
 
 
-def _signed_sum(terms: list, binary) -> tuple:
+def _signed_sum(terms: list) -> tuple:
     """Sum (negated, expression) pairs left to right, as one such pair.
 
     -a + b is built as -(a - b), and -a - b as -(a + b), which IEEE
     arithmetic rounds to the same value, since negation is exact."""
     neg, acc = terms[0]
     for term_neg, e in terms[1:]:
-        acc = binary("+" if term_neg == neg else "-", acc, e)
+        acc = _simple_binary("+" if term_neg == neg else "-", acc, e)
     return neg, acc
 
 
-def _adjoint_gradient(f: Expr, vars_: VarIndexMap, cap: int, activity: _Activity) -> tuple:
-    """The gradient of a simplified `f` from one reverse (adjoint) sweep.
+def _adjoint_gradient(f: Expr, vars_: VarIndexMap, cap: int, activity: _Activity,
+                      wanted: int = -1) -> tuple:
+    """The gradient of a simplified `f` from one reverse (adjoint) sweep,
+    over the variables whose bits are set in the mask `wanted` (all of
+    them by default), in `vars_` order.
 
     One `post_order` pass lists `f`'s nodes; walking the list backwards
     reaches every parent of a node before the node, so a node's adjoint is
     complete when it is pushed on to its operands.  An adjoint is a pair
     (negated, expression): `-` and unary minus flip the sign rather than
-    build `-1 *` factors.  Only nodes whose activity mask is non-zero
-    receive adjoints, so an inactive subtree's derivative is an exact zero.
+    build `-1 *` factors.  Only nodes that read a wanted variable receive
+    adjoints, and the listing does not enter the others, so an inactive
+    subtree's derivative is an exact zero.  A parent reads every variable
+    its operands read, so the entries equal those of the unmasked sweep.
     A node's contributions, and a variable's across its `Var` nodes, are
     summed in the order they arrive, left operand first, which is the order
     the forward rules add them in a chain of sums: there the entries equal
@@ -452,17 +442,22 @@ def _adjoint_gradient(f: Expr, vars_: VarIndexMap, cap: int, activity: _Activity
     """
     activity.mark(f)
     masks = activity.masks
-    binary, unary, call = activity.build
+    binary, unary, call = _SIMPLIFYING
+
+    def active(node: Expr) -> int:
+        return masks[id(node)][0] & wanted
+
+    def active_children(node: Expr) -> tuple:
+        return children(node) if active(node) else ()
+
     order: list = []
     done: set = set()
-    for node in post_order(f, done):
+    for node in post_order(f, done, active_children):
         done.add(id(node))
         order.append(node)
     terms: dict[int, list] = {}  # id(node) -> contributions to its adjoint
-    by_var: dict[str, list] = {label: [] for label in vars_.labels}
-
-    def active(node: Expr) -> int:
-        return masks[id(node)][0]
+    by_var: dict[str, list] = {label: [] for label in vars_.labels
+                               if activity.bit[label] & wanted}
 
     def push(node: Expr, neg: bool, e: Expr):
         if not active(node) or is_const(e, 0.0):
@@ -477,7 +472,7 @@ def _adjoint_gradient(f: Expr, vars_: VarIndexMap, cap: int, activity: _Activity
         got = terms.pop(id(node), None)
         if got is None:
             continue
-        neg, a = _signed_sum(got, binary)
+        neg, a = _signed_sum(got)
         if isinstance(node, Unary):
             push(node.operand, not neg, a)
         elif isinstance(node, Binary):
@@ -513,10 +508,10 @@ def _adjoint_gradient(f: Expr, vars_: VarIndexMap, cap: int, activity: _Activity
                 push(base, neg, binary("*", a, partial))
 
     grad = []
-    for label in vars_.labels:
+    for got in by_var.values():
         g = ZERO
-        if by_var[label]:
-            neg, g = _signed_sum(by_var[label], binary)
+        if got:
+            neg, g = _signed_sum(got)
             if neg and not is_const(g, 0.0):
                 g = unary("-", g)
         _check_cap(g, cap, activity.sizes)
@@ -553,20 +548,24 @@ def derive_bundle(
 ) -> DerivativeBundle:
     """Run substitute/differentiate once and share the gradient with the Hessian.
 
-    With `do_simplify`, `f` is simplified once and every derivative node is
-    built simplified.  The entries of the forward passes equal `simplify` of
-    the raw derivatives; a gradient without a Hessian comes from the reverse
-    sweep, whose entries equal those up to rounding.
+    `do_simplify` alone picks the engine, so the gradient is the same
+    whichever entries are wanted.  With it, `f` is simplified once and the
+    reverse sweeps build every derivative node simplified; their entries
+    equal `simplify` of the raw derivatives up to rounding wherever both are
+    finite, and an inactive subtree's derivative is an exact zero.  Without
+    it, the forward passes build the raw derivatives.
     """
     f = substitute(p, cap)
     if do_simplify:
         f = simplify(f)
-    activity = _Activity(vars_.labels, _SIMPLIFYING if do_simplify else _RAW)
-    if not (want_gradient or want_hessian):
-        grad = ()
-    elif do_simplify and not want_hessian:
-        grad = _adjoint_gradient(f, vars_, cap, activity)
-    else:
-        grad = _gradient_of(f, vars_, cap, activity)
-    hess = _hessian_of(grad, vars_, cap, activity) if want_hessian else ()
+    activity = _Activity(vars_.labels)
+    grad = hess = ()
+    if want_gradient or want_hessian:
+        grad = (_adjoint_gradient if do_simplify else _gradient_of)(f, vars_, cap, activity)
+    if want_hessian and do_simplify:
+        # row i, the lower triangle's, from one sweep over grad[i] for variables 0..i
+        hess = tuple(h for i, g in enumerate(grad)
+                     for h in _adjoint_gradient(g, vars_, cap, activity, (2 << i) - 1))
+    elif want_hessian:
+        hess = _hessian_of(grad, vars_, cap, activity)
     return DerivativeBundle(f, grad, hess, do_simplify)

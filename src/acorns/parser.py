@@ -77,14 +77,19 @@ _UNSUPPORTED_KEYWORDS = {
     "volatile": "volatile qualifier",
 }
 
-_NUMBER_RE = re.compile(
-    r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
-)
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _PUNCT = (
     "<=", ">=", "==", "!=", "+=", "-=", "*=", "/=", "++", "--", "&&", "||",
     "+", "-", "*", "/", "%", "<", ">", "=", "(", ")", "[", "]", "{", "}",
     ";", ",", "!", "&", "|", "?", ":", ".",
+)
+# one alternation, tried in order at each position: layout, an unterminated
+# comment, number, identifier, punctuation (longest first), any other character
+_TOKEN_RE = re.compile(
+    r"(?P<skip>[ \t\r\n]+|/\*.*?\*/|//[^\n]*)|(?P<open>/\*)"
+    r"|(?P<number>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")|(?P<other>.)",
+    re.DOTALL,
 )
 
 
@@ -104,64 +109,32 @@ class Violation:
 def tokenize(source: str) -> list[Token]:
     tokens = []
     line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            if j < 0:
-                raise ParseError(SourceSpan(line, col, 2), "unterminated comment")
-            chunk = source[i:j + 2]
-            nl = chunk.count("\n")
+    for m in _TOKEN_RE.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":
+            if text.startswith("//"):
+                continue  # the newline that ends it resets the column
+            nl = text.count("\n")
             if nl:
                 line += nl
-                col = len(chunk) - chunk.rfind("\n")
+                col = len(text) - text.rfind("\n")
             else:
-                col += len(chunk)
-            i = j + 2
+                col += len(text)
             continue
-        if c == "#":
+        span = SourceSpan(line, col, len(text))
+        if kind == "open":
+            raise ParseError(span, "unterminated comment")
+        if text == "#":
             raise ParseError(
-                SourceSpan(line, col, 1),
-                "preprocessor directives are not supported; preprocess the input first",
-            )
-        span_start = SourceSpan(line, col, 1)
-        m = _NUMBER_RE.match(source, i)
-        if m and (c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit())):
-            text = m.group()
-            tokens.append(Token("number", text, SourceSpan(line, col, len(text))))
-            i = m.end()
-            col += len(text)
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            text = m.group()
-            kind = "keyword" if text in _KEYWORDS else "ident"
-            tokens.append(Token(kind, text, SourceSpan(line, col, len(text))))
-            i = m.end()
-            col += len(text)
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token(p, p, SourceSpan(line, col, len(p))))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(span_start, f"unexpected character {c!r}")
+                span, "preprocessor directives are not supported; preprocess the input first")
+        if kind == "other":
+            raise ParseError(span, f"unexpected character {text!r}")
+        if kind == "ident" and text in _KEYWORDS:
+            kind = "keyword"
+        elif kind == "punct":
+            kind = text
+        tokens.append(Token(kind, text, span))
+        col += len(text)
     tokens.append(Token("eof", "", SourceSpan(line, col, 0)))
     return tokens
 

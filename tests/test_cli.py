@@ -425,3 +425,25 @@ def test_verify_exp_overflow_reports_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "grad[0]" in captured.out and "FAIL" in captured.out
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["eq1", "--points", "-1"], "argument --points: must be at least 1, got -1"),
+    (["eq1", "--points", "0"], "argument --points: must be at least 1, got 0"),
+    (["eq3", "--s", "0"], "argument --s: must be at least 1, got 0"),
+    (["FILE", "--box", "3", "0"], "argument --box: LO must be below HI, got 3 0"),
+    (["FILE", "--box", "0", "inf"], "argument --box: must be finite, got inf"),
+    (["eq1", "--tolerance", "0"], "argument --tolerance: must be positive and finite, got 0"),
+    (["eq1", "--tolerance", "nan"],
+     "argument --tolerance: must be positive and finite, got nan"),
+], ids=["points", "points_zero", "s", "box", "box_infinite", "tolerance", "tolerance_nan"])
+def test_verify_rejects_bad_numeric_arguments(function_0_file, capsys, args, message):
+    if args[0] == "FILE":
+        args = [function_0_file, "--func", "function_0", "--energy", "energy",
+                "--vars", "x", *args[1:]]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *args])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"acorns_autodiff verify: error: {message}"
+    assert "Traceback" not in err

@@ -7,6 +7,7 @@ import pytest
 from acorns import derivatives
 from acorns.cast import (ONE, ZERO, Binary, Call, Constant, Unary, Var, const, count_nodes,
                          post_order, to_source)
+from acorns.codegen import EmitConfig, emit
 from acorns.derivatives import (
     VarIndexMap,
     derive_bundle,
@@ -20,7 +21,8 @@ from acorns.errors import ExpressionExplosion
 from acorns.flatten import unroll
 from acorns.interp import compile_exprs, eval_expr, evaluate
 from acorns.parser import parse_expr, parse_source
-from acorns.verify import CROSS_ENTROPY_SRC, corpus_function, corpus_program, fd_gradient
+from acorns.verify import (CROSS_ENTROPY_SRC, CorpusFunction, corpus_function, corpus_program,
+                           fd_gradient, verify)
 
 from randgen import random_expr, random_loop_program
 
@@ -315,8 +317,23 @@ def _reference_bundle(program, labels, do_simplify):
     return grad, hess
 
 
+def _assert_close_where_finite(got_exprs, want_exprs, labels, points):
+    """The two lists of expressions agree within 1e-10 relative at every
+    point where both are finite; returns the worst relative difference."""
+    got = evaluate(compile_exprs(list(got_exprs), labels), points)
+    want = evaluate(compile_exprs(list(want_exprs), labels), points)
+    both = np.isfinite(got) & np.isfinite(want)
+    scale = np.maximum(np.abs(got), np.abs(want))[both]
+    diff = np.abs(got - want)[both]
+    assert (diff <= 1e-10 * scale).all()
+    return float(np.max(diff / np.where(scale > 0, scale, 1.0), initial=0.0))
+
+
 @pytest.mark.parametrize("do_simplify", [False, True], ids=["raw", "simplified"])
 def test_pruned_bundle_matches_naive_walk(do_simplify):
+    # raw bundles equal the naive forward walk structurally; simplified
+    # ones come from reverse sweeps, which add terms in another order, so
+    # they equal `simplify` of the walk in value
     rng = random.Random(2024)
     names = ["x", "y", "z", "w"]
     for case in range(30):
@@ -329,16 +346,20 @@ def test_pruned_bundle_matches_naive_walk(do_simplify):
         vars_ = VarIndexMap.from_names(program, names[:k])
         bundle = derive_bundle(program, vars_, do_simplify=do_simplify)
         grad, hess = _reference_bundle(program, names[:k], do_simplify)
+        if do_simplify:
+            points = np.random.default_rng(case).uniform(0.5, 2.0, size=(40, 4))
+            _assert_close_where_finite(bundle.grad + bundle.hess_lower, grad + hess,
+                                       names, points)
+            continue
         assert list(bundle.grad) == grad, (case, src)
         assert list(bundle.hess_lower) == hess, (case, src)
 
 
 @pytest.mark.parametrize("do_simplify", [False, True], ids=["raw", "simplified"])
 def test_bundle_calls_module_globals_once_per_entry(monkeypatch, do_simplify):
-    # one `differentiate` per gradient and Hessian entry, and one `simplify`
-    # (of f) per simplified bundle: derivatives are built simplified.  A
-    # simplified gradient alone comes from one reverse sweep, with no
-    # forward pass
+    # one `differentiate` per raw gradient and Hessian entry, and one
+    # `simplify` (of f) per simplified bundle, whose derivatives come from
+    # reverse sweeps that build them simplified, with no forward pass
     calls = {"differentiate": 0, "simplify": 0}
 
     def counting(name):
@@ -356,7 +377,8 @@ def test_bundle_calls_module_globals_once_per_entry(monkeypatch, do_simplify):
     _, program, vars_ = corpus_program(fn)
     bundle = derive_bundle(program, vars_, do_simplify=do_simplify)
     assert len(bundle.grad) == 4 and len(bundle.hess_lower) == 10
-    assert calls == {"differentiate": 4 + 10, "simplify": int(do_simplify)}
+    assert calls == {"differentiate": 0 if do_simplify else 4 + 10,
+                     "simplify": int(do_simplify)}
     calls.update(differentiate=0, simplify=0)
     derive_bundle(program, vars_, do_simplify=do_simplify, want_hessian=False)
     assert calls == {"differentiate": 0 if do_simplify else 4, "simplify": int(do_simplify)}
@@ -379,8 +401,7 @@ def test_inactive_subtree_shares_one_skeleton():
 
 def _forward_gradient(f, vars_):
     """The simplified gradient from forward passes, the reverse sweep's reference."""
-    activity = derivatives._Activity(vars_.labels, derivatives._SIMPLIFYING)
-    return derivatives._gradient_of(f, vars_, derivatives.DEFAULT_NODE_CAP, activity)
+    return [simplify(differentiate(f, v)) for v in vars_.labels]
 
 
 def _assert_matches_forward(program, vars_, points):
@@ -390,13 +411,8 @@ def _assert_matches_forward(program, vars_, points):
     bundle = derive_bundle(program, vars_, want_hessian=False)
     assert all(simplify(g) is g for g in bundle.grad)
     labels = [slot.label for slot in program.inputs]
-    got = evaluate(compile_exprs(bundle.grad, labels), points)
-    want = evaluate(compile_exprs(_forward_gradient(bundle.f, vars_), labels), points)
-    both = np.isfinite(got) & np.isfinite(want)
-    scale = np.maximum(np.abs(got), np.abs(want))[both]
-    diff = np.abs(got - want)[both]
-    assert (diff <= 1e-10 * scale).all()
-    return float(np.max(diff / np.where(scale > 0, scale, 1.0), initial=0.0))
+    return _assert_close_where_finite(bundle.grad, _forward_gradient(bundle.f, vars_),
+                                      labels, points)
 
 
 @pytest.mark.parametrize("src", [
@@ -456,6 +472,128 @@ def test_reverse_gradient_grows_linearly():
     assert sizes[0] < 1500  # 1,197
     # doubling s at most doubles the increment
     assert sizes[2] - sizes[1] <= 2 * (sizes[1] - sizes[0])
+
+
+# --- one engine per bundle kind ------------------------------------------------
+
+
+def test_reverse_hessian_matches_forward_random():
+    # Hessian rows from reverse sweeps against forward-over-forward entries,
+    # on loop programs and on two-assignment expression programs
+    rng = random.Random(9009)
+    nprng = np.random.default_rng(9009)
+    cases = []
+    for _ in range(30):
+        src, func, energy = random_loop_program(rng)
+        program = _program(src, func, energy)
+        params = {slot.param for slot in program.inputs}
+        cases.append((program, [p for p in ("u", "a") if p in params]))
+    names = ["x", "y", "z", "w"]
+    for _ in range(20):
+        t = to_source(random_expr(rng, names, depth=4))
+        e = to_source(random_expr(rng, names + ["t"], depth=4))
+        cases.append((_program(f"double f(double x, double y, double z, double w){{ "
+                               f"double t = {t}; double e = t * ({e}) + t; return 0; }}"),
+                      names[:rng.choice([3, 4])]))
+    worst = 0.0
+    for program, params in cases:
+        vars_ = VarIndexMap.from_names(program, params)
+        bundle = derive_bundle(program, vars_)
+        grad = _forward_gradient(bundle.f, vars_)
+        labels = vars_.labels
+        hess = [simplify(differentiate(grad[j], labels[i]))
+                for i in range(vars_.n) for j in range(i + 1)]
+        points = nprng.uniform(0.5, 2.0, size=(40, len(program.inputs)))
+        worst = max(worst, _assert_close_where_finite(
+            bundle.hess_lower, hess, [slot.label for slot in program.inputs], points))
+    assert worst > 0.0  # the engines do round differently somewhere
+
+
+@pytest.mark.parametrize("name,s", [("eq3", 5), ("cross_entropy", None), ("eq1", None)])
+def test_gradient_kernel_is_mode_independent(name, s):
+    fn = corpus_function(name, s=s)
+    _, program, vars_ = corpus_program(fn)
+    cfg = EmitConfig(mode=frozenset(("function", "gradient")), basename="k")
+    alone = derive_bundle(program, vars_, want_hessian=False)
+    with_hessian = derive_bundle(program, vars_)
+    assert emit(alone, vars_, cfg, program) == emit(with_hessian, vars_, cfg, program)
+
+
+# A 2-D mass-spring energy (after Baraff & Witkin, "Large steps in cloth
+# simulation", SIGGRAPH 1998): unit-rest-length springs along the horizontal
+# and vertical edges of a G x G grid; node (i, j) is at x[2 (i G + j)],
+# x[2 (i G + j) + 1]
+_SPRINGS_SRC = """\
+double springs(const double *x) {{
+    double e = 0;
+    for (int i = 0; i < {g}; i++) {{
+        for (int j = 0; j + 1 < {g}; j++) {{
+            double dx = x[2 * (i * {g} + j + 1)] - x[2 * (i * {g} + j)];
+            double dy = x[2 * (i * {g} + j + 1) + 1] - x[2 * (i * {g} + j) + 1];
+            double r = sqrt(dx * dx + dy * dy) - 1;
+            e = e + r * r;
+            dx = x[2 * ((j + 1) * {g} + i)] - x[2 * (j * {g} + i)];
+            dy = x[2 * ((j + 1) * {g} + i) + 1] - x[2 * (j * {g} + i) + 1];
+            r = sqrt(dx * dx + dy * dy) - 1;
+            e = e + r * r;
+        }}
+    }}
+    return 0;
+}}
+"""
+
+
+def _springs(g):
+    return CorpusFunction("springs", _SPRINGS_SRC.format(g=g), "springs", "e", ("x",),
+                          {"x": (0.0, 3.0)}, s=g)
+
+
+def _stencil(g):
+    """The lower Hessian entries (i, j) a spring couples: each node's two
+    coordinates, and the coordinates of the two ends of each edge."""
+    node = range(g * g)
+    edges = ([(k, k + 1) for k in node if k % g + 1 < g]
+             + [(k, k + g) for k in node if k + g < g * g])
+    pairs = set()
+    for a, b in [(k, k) for k in node] + edges:
+        for i in (2 * a, 2 * a + 1):
+            for j in (2 * b, 2 * b + 1):
+                pairs.add((max(i, j), min(i, j)))
+    return pairs
+
+
+def test_springs_hessian_is_the_grid_stencil():
+    _, program, vars_ = corpus_program(_springs(6))
+    bundle = derive_bundle(program, vars_)
+    nonzero = {(i, j) for i in range(vars_.n) for j in range(i + 1)
+               if bundle.hess_entry(i, j) != ZERO}
+    assert len(nonzero) == 348
+    assert nonzero == _stencil(6)
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_springs_verify_hessian(g):
+    # seed 1 samples no spring near zero length in (0, 3): max relerr about 6e-5
+    report = verify(_springs(g), mode="hessian", points=20, seed=1)
+    assert report.ok and len(report.entries) == (2 * g * g) * (2 * g * g + 1) // 2
+
+
+def test_zero_length_spring_is_nan_only_at_its_ends():
+    # nodes (0, 0) and (0, 1) coincide: sqrt is singular there, so the two
+    # nodes' 4 gradient entries and the 10 lower Hessian entries among them
+    # are NaN; every other entry is an exact zero or finite
+    g = 3
+    _, program, vars_ = corpus_program(_springs(g))
+    bundle = derive_bundle(program, vars_)
+    point = np.array([[c + 0.1 * r, r + 0.05 * c] for r in range(g) for c in range(g)])
+    point[1] = point[0]
+    labels = [slot.label for slot in program.inputs]
+    values = evaluate(compile_exprs(bundle.grad + bundle.hess_lower, labels),
+                      point.reshape(1, -1))[0]
+    nan = np.isnan(values)
+    assert sorted(np.flatnonzero(nan[:vars_.n])) == [0, 1, 2, 3]
+    assert nan[vars_.n:].sum() == 10
+    assert np.isfinite(values[~nan]).all()
 
 
 # --- simplify ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from acorns.cast import (
     to_source,
 )
 from acorns.errors import MissingEnergyVar, MissingFunction, ParseError, UnsupportedConstruct
-from acorns.parser import parse_expr, parse_source, validate_subset
+from acorns.parser import parse_expr, parse_source, tokenize, validate_subset
 from acorns.verify import CROSS_ENTROPY_SRC, FUNCTION_0_SRC
 
 
@@ -128,6 +128,33 @@ def test_syntax_error_has_span():
     # the span points inside the input text
     lines = src.split("\n")
     assert 1 <= span.column <= len(lines[span.line - 1]) + 1
+
+
+def test_token_kinds_and_spans():
+    # a block comment over two lines, numbers that start or end with a dot,
+    # `<=` next to `<`, and a line comment at the end of the input, which
+    # leaves the end-of-input token at its first column
+    src = "double a /* one\n  two */ = .5+1.e5;\n\tx.5 <=< x-- // end"
+    got = [(t.kind, t.text, t.span.line, t.span.column, t.span.length) for t in tokenize(src)]
+    assert got == [
+        ("keyword", "double", 1, 1, 6), ("ident", "a", 1, 8, 1), ("=", "=", 2, 10, 1),
+        ("number", ".5", 2, 12, 2), ("+", "+", 2, 14, 1), ("number", "1.e5", 2, 15, 4),
+        (";", ";", 2, 19, 1), ("ident", "x", 3, 2, 1), ("number", ".5", 3, 3, 2),
+        ("<=", "<=", 3, 6, 2), ("<", "<", 3, 8, 1), ("ident", "x", 3, 10, 1),
+        ("--", "--", 3, 11, 2), ("eof", "", 3, 14, 0),
+    ]
+
+
+@pytest.mark.parametrize("src,message", [
+    ("x /* open\n", "1:3: unterminated comment"),
+    ("x;\n  #define y", "2:3: preprocessor directives are not supported; "
+                        "preprocess the input first"),
+    ("x @ y", "1:3: unexpected character '@'"),
+])
+def test_tokenize_errors(src, message):
+    with pytest.raises(ParseError) as exc:
+        tokenize(src)
+    assert str(exc.value) == message
 
 
 def test_intrinsic_arity_checked():
