@@ -2,7 +2,8 @@
 
 Expression nodes are immutable and compare structurally; the optional
 source span is carried for diagnostics but ignored by equality, so a
-re-parsed pretty-print of a tree compares equal to the original.
+re-parsed pretty-print of a tree compares equal to the original.  Equality
+and hashing walk with explicit stacks, so they work at any depth.
 """
 
 from __future__ import annotations
@@ -27,8 +28,49 @@ BINARY_OPS = ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=")
 COMPARISON_OPS = ("<", "<=", ">", ">=", "==", "!=")
 
 
-@dataclass(frozen=True)
-class Constant:
+class _Node:
+    """Structural `==` and `hash` for the expression nodes.
+
+    They read every field but `span`, as the generated dataclass methods
+    would, but with an explicit stack instead of one frame per level.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        stack = [(self, other)]
+        seen = set()  # id pairs already compared or on the stack
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if not (isinstance(a, _Node) and isinstance(b, _Node)):
+                if a != b:
+                    return False
+                continue
+            if type(a) is not type(b) or _fields(a) != _fields(b):
+                return False
+            pair = (id(a), id(b))
+            if pair not in seen:
+                seen.add(pair)
+                stack.extend(zip(children(a), children(b)))
+        return True
+
+    def __hash__(self):
+        hashes: dict = {}  # id(node) -> hash
+        for node in post_order(self, hashes):
+            if isinstance(node, _Node):
+                hashes[id(node)] = hash((type(node), _fields(node),
+                                         tuple(hashes[id(k)] for k in children(node))))
+            else:
+                hashes[id(node)] = hash(node)
+        return hashes[id(self)]
+
+
+@dataclass(frozen=True, eq=False)
+class Constant(_Node):
     """Numeric literal; `text` is the exact source spelling."""
 
     text: str
@@ -36,42 +78,55 @@ class Constant:
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class ArrayRef:
+@dataclass(frozen=True, eq=False)
+class ArrayRef(_Node):
     base: str
     indices: tuple  # one Expr per dimension
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class Unary:
+@dataclass(frozen=True, eq=False)
+class Unary(_Node):
     op: str  # only "-"
     operand: "Expr"
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class Binary:
+@dataclass(frozen=True, eq=False)
+class Binary(_Node):
     op: str
     lhs: "Expr"
     rhs: "Expr"
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False)
+class Call(_Node):
     name: str
     args: tuple
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
 Expr = Union[Constant, Var, ArrayRef, Unary, Binary, Call]
+
+
+def _fields(node: Expr) -> tuple:
+    """`node`'s compared fields other than its subexpressions."""
+    if isinstance(node, Constant):
+        return (node.text, node.value)
+    if isinstance(node, Var):
+        return (node.name,)
+    if isinstance(node, (Unary, Binary)):
+        return (node.op,)
+    if isinstance(node, ArrayRef):
+        return (node.base, len(node.indices))
+    return (node.name, len(node.args))
 
 
 def const(value: float, text: str | None = None) -> Constant:
@@ -187,6 +242,10 @@ def _prec(node: Expr) -> int:
 
 
 _ATOMS = (Constant, Var, ArrayRef)
+_SUMS = ("+", "-")
+
+# terms per line of a long sum written as a running accumulator (bound form)
+ACCUMULATOR_TERMS = 32
 
 
 class SharedText:
@@ -203,10 +262,19 @@ class SharedText:
     With a `temp` prefix the text is bound (SSA form): a node that is not an
     atom and has several uses is a temporary.  Its first use appends
     `const double <temp>K = <its text>;` to `decls`, K being the number of
-    temporaries declared before it, and every use, that first one included,
-    prints `<temp>K`.  `deps[K]` lists the temporaries that declaration
-    reads, and after each `render`, `reads` holds the temporaries declared
-    by earlier renders that the root's text or its new declarations read.
+    lines in `decls` before it, and every use, that first one included,
+    prints `<temp>K`.  `deps[K]` lists the lines that line reads, and after
+    each `render`, `reads` holds the lines of earlier renders that the
+    root's text or its new lines read.
+
+    A sum whose left spine holds more than `ACCUMULATOR_TERMS` `+`/`-`
+    nodes that render inline is bound too, as a running accumulator: the
+    line `double <temp>K = <first ACCUMULATOR_TERMS terms>;`, then lines
+    `<temp>K = <temp>K - <next ACCUMULATOR_TERMS terms>;`, each reading the
+    one before, and its users print `<temp>K`.  The additions happen in the
+    same order, so the value is the same; written as one expression, gcc
+    makes every call of a long sum's terms before its first addition and
+    spills all their results.
     """
 
     def __init__(self, roots, temp: str | None = None):
@@ -240,14 +308,40 @@ class SharedText:
         out: list[str] = []
         first = len(self.decls)
         reads: list[set] = [set()]  # temporaries read by the root, then by each open declaration
-        # work items: text, (node, context precedence, is right operand), or
+        # work items: text, (node, context precedence, is right operand),
         # (None, id(node), start, named): out[start:] is the whole text of a
-        # shared node
+        # shared node, or (_Sum, start, is last line): out[start:] is the
+        # text of one line of a running accumulator
         work: list = [(root, 0, False)]
         while work:
             item = work.pop()
             if isinstance(item, str):
                 out.append(item)
+                continue
+            if isinstance(item[0], _Sum):  # one line of a running accumulator ends here
+                acc, start, last = item
+                text = "".join(out[start:])
+                del out[start:]
+                deps = reads.pop()
+                k = len(self.decls)
+                if acc.name is None:
+                    acc.name = f"{self.temp}{k}"
+                    self.decls.append(f"double {acc.name} = {text};")
+                else:
+                    deps.add(acc.line)
+                    self.decls.append(f"{acc.name} = {acc.name}{text};")
+                self.deps.append(tuple(sorted(deps)))
+                acc.line = k
+                if not last:
+                    reads.append(set())
+                    continue
+                reads[-1].add(k)
+                if acc.key in self.uses:  # a shared sum: a temporary
+                    self.text[acc.key] = acc.name
+                    self._index[acc.key] = k
+                    out.append(self._take(acc.key))
+                else:
+                    out.append(acc.name)
                 continue
             if item[0] is None:  # a shared node's first use ends here
                 _, key, start, named = item
@@ -265,6 +359,12 @@ class SharedText:
                 continue
             node, outer, right = item
             key = id(node)
+            # the top of a sum's left spine, not the inline left operand of a sum
+            if (self.temp is not None and isinstance(node, Binary) and node.op in _SUMS
+                    and key not in self.text
+                    and not (outer == _PRECEDENCE["+"] and not right and self.uses[key] == 1)
+                    and self._bind_sum(node, work, len(out), reads)):
+                continue
             # whether `node` is, or is about to become, a temporary
             named = (self.temp is not None and not isinstance(node, _ATOMS)
                      and (key in self.text or self.uses[key] > 1))
@@ -311,6 +411,44 @@ class SharedText:
         self.reads = frozenset(k for k in reads[0].union(*(self.deps[j] for j in new))
                                if k < first)
         return "".join(out)
+
+    def _bind_sum(self, top: Binary, work: list, start: int, reads: list) -> bool:
+        """Queue the sum down `top`'s left spine as running-accumulator
+        lines, if more than `ACCUMULATOR_TERMS` of its `+`/`-` nodes render
+        inline; `start` is where its text begins in the render's output."""
+        spine = [top]
+        lhs = top.lhs
+        while (isinstance(lhs, Binary) and lhs.op in _SUMS and id(lhs) not in self.text
+               and self.uses[id(lhs)] == 1):
+            spine.append(lhs)
+            lhs = lhs.lhs
+        if len(spine) <= ACCUMULATOR_TERMS:
+            return False
+        if self.uses[id(top)] == 1:
+            del self.uses[id(top)]  # a shared top keeps its uses, to be named like a temporary
+        for node in spine[1:]:
+            del self.uses[id(node)]
+        terms = [(None, lhs)] + [(node.op, node.rhs) for node in reversed(spine)]
+        acc = _Sum(id(top))
+        last = True
+        for lo in reversed(range(0, len(terms), ACCUMULATOR_TERMS)):
+            work.append((acc, start, last))
+            last = False
+            for op, term in reversed(terms[lo:lo + ACCUMULATOR_TERMS]):
+                work.append((term, _PRECEDENCE["+"], op is not None))
+                if op is not None:
+                    work.append(f" {op} ")
+        reads.append(set())
+        return True
+
+
+@dataclass
+class _Sum:
+    """A sum being rendered as running-accumulator lines."""
+
+    key: int  # id() of its top node
+    name: str | None = None  # set by its first line
+    line: int | None = None  # its latest line's index in `decls`
 
 
 def to_source(e: Expr, shared: SharedText | None = None) -> str:

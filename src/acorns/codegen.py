@@ -11,7 +11,13 @@ A simplified bundle is emitted in bound (SSA) form: within one driver, a
 subexpression that several entries or operands share is declared once as
 a `const double tK` temporary, just before the statement that first reads
 it, and a chunk that reads a temporary declared in an earlier file declares
-it again.  An unsimplified bundle writes each entry as one expanded
+it again.  A sum of more than `cast.ACCUMULATOR_TERMS` terms is a running
+accumulator, `double tK = <first terms>;` then `tK = tK - <next terms>;`
+lines, because gcc -O2 evaluates every term of one long expression before
+its first addition: on a sum of 800 `log` terms it keeps all 800 results
+live and spills them to a 7 KB stack frame, which makes most of its compile
+time.  The lines add the terms in the same order, so the kernel's values
+do not change.  An unsimplified bundle writes each entry as one expanded
 expression.
 """
 
@@ -67,7 +73,7 @@ class Statement:
     mode: str
     text: str  # the `out[k] = ...;` line
     params: frozenset  # parameter names the expression reads
-    temps: tuple = ()  # (K, declaration) of each temporary this statement reads first
+    temps: tuple = ()  # (K, line) of each temporary's lines this statement reads first
     reads: frozenset = frozenset()  # temporaries of earlier statements it reads
 
     @property

@@ -98,6 +98,55 @@ double const_fn(double x) {
 }
 """
 
+# A 2-D mass-spring energy (after Baraff & Witkin, "Large steps in cloth
+# simulation", SIGGRAPH 1998): unit-rest-length springs along the horizontal
+# and vertical edges of a G x G grid; node (i, j) is at x[2 (i G + j)],
+# x[2 (i G + j) + 1]
+_SPRINGS_TEMPLATE = """\
+double springs(const double *x) {{
+    double e = 0;
+    for (int i = 0; i < {g}; i++) {{
+        for (int j = 0; j + 1 < {g}; j++) {{
+            double dx = x[2 * (i * {g} + j + 1)] - x[2 * (i * {g} + j)];
+            double dy = x[2 * (i * {g} + j + 1) + 1] - x[2 * (i * {g} + j) + 1];
+            double r = sqrt(dx * dx + dy * dy) - 1;
+            e = e + r * r;
+            dx = x[2 * ((j + 1) * {g} + i)] - x[2 * (j * {g} + i)];
+            dy = x[2 * ((j + 1) * {g} + i) + 1] - x[2 * (j * {g} + i) + 1];
+            r = sqrt(dx * dx + dy * dy) - 1;
+            e = e + r * r;
+        }}
+    }}
+    return 0;
+}}
+"""
+
+# A triangle-area barrier (the -log(area) term of Smith & Schaefer,
+# "Bijective parameterization with free boundaries", SIGGRAPH 2015): each
+# cell of a G x G unit grid is split into two counter-clockwise triangles,
+# and node (i, j) sits at (j, i) displaced by x[2 (i G + j)], x[2 (i G + j) + 1].
+# Displacements under 0.2 keep every area positive.
+_BARRIER_TEMPLATE = """\
+double barrier(const double *x) {{
+    double e = 0;
+    for (int i = 0; i + 1 < {g}; i++) {{
+        for (int j = 0; j + 1 < {g}; j++) {{
+            double ax = j + x[2 * (i * {g} + j)];
+            double ay = i + x[2 * (i * {g} + j) + 1];
+            double bx = j + 1 + x[2 * (i * {g} + j + 1)];
+            double by = i + x[2 * (i * {g} + j + 1) + 1];
+            double cx = j + 1 + x[2 * ((i + 1) * {g} + j + 1)];
+            double cy = i + 1 + x[2 * ((i + 1) * {g} + j + 1) + 1];
+            double dx = j + x[2 * ((i + 1) * {g} + j)];
+            double dy = i + 1 + x[2 * ((i + 1) * {g} + j) + 1];
+            e = e - log(0.5 * ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)));
+            e = e - log(0.5 * ((cx - ax) * (dy - ay) - (dx - ax) * (cy - ay)));
+        }}
+    }}
+    return 0;
+}}
+"""
+
 
 def corpus_function(name: str, s: int | None = None) -> CorpusFunction:
     if name == "eq1":
@@ -119,10 +168,18 @@ def corpus_function(name: str, s: int | None = None) -> CorpusFunction:
     if name == "const_fn":
         return CorpusFunction("const_fn", _CONST_SRC, "const_fn", "e", ("x",),
                               {"x": (-1.0, 1.0)})
+    if name == "springs":
+        s = 3 if s is None else s
+        return CorpusFunction("springs", _SPRINGS_TEMPLATE.format(g=s), "springs", "e",
+                              ("x",), {"x": (0.0, 3.0)}, s=s)
+    if name == "barrier":
+        s = 3 if s is None else s
+        return CorpusFunction("barrier", _BARRIER_TEMPLATE.format(g=s), "barrier", "e",
+                              ("x",), {"x": (-0.2, 0.2)}, s=s)
     raise AcornsError(f"unknown corpus function {name!r}")
 
 
-CORPUS = ("eq1", "eq2", "eq3", "cross_entropy", "function_0", "const_fn")
+CORPUS = ("eq1", "eq2", "eq3", "cross_entropy", "function_0", "const_fn", "springs", "barrier")
 
 
 def corpus_program(fn: CorpusFunction):
@@ -226,6 +283,10 @@ def _fd_h(xj: float, h: float | None) -> float:
     return h if h is not None else 1e-5 * max(1.0, abs(xj))
 
 
+# most bytes of input rows the FD oracles build at once
+FD_BLOCK_BYTES = 64 * 2**20
+
+
 class _ProgramEvaluator:
     """Evaluates only the original program; the oracle's f(x)."""
 
@@ -237,6 +298,24 @@ class _ProgramEvaluator:
     def __call__(self, points: np.ndarray) -> list:
         """f at each row of `points`, as Python floats."""
         return evaluate(self.tape, points)[:, 0].tolist()
+
+    def stepped(self, point: np.ndarray, count: int, rows: list, cols: list,
+                steps: list) -> list:
+        """f at `count` copies of `point`, copy rows[k] having steps[k] added
+        to its slot cols[k] (`rows` ascending, each slot stepped at most once
+        per copy).  Builds at most `FD_BLOCK_BYTES` of copies at a time."""
+        import numpy as np
+
+        rows, cols, steps = np.asarray(rows), np.asarray(cols, dtype=np.intp), np.asarray(steps)
+        per_block = max(1, FD_BLOCK_BYTES // (8 * point.size))
+        vals: list = []
+        for lo in range(0, count, per_block):
+            hi = min(count, lo + per_block)
+            a, b = np.searchsorted(rows, (lo, hi))
+            block = np.repeat(point.reshape(1, -1), hi - lo, axis=0)
+            block[rows[a:b] - lo, cols[a:b]] += steps[a:b]
+            vals += self(block)
+        return vals
 
 
 def fd_gradient(program: StraightLineProgram, vars_: VarIndexMap,
@@ -251,14 +330,9 @@ def fd_gradient(program: StraightLineProgram, vars_: VarIndexMap,
     f = oracle if oracle is not None else _ProgramEvaluator(program, vars_)
     n = vars_.n
     # rows 2j and 2j + 1 step variable j up and down
-    rows = np.repeat(point.reshape(1, -1), 2 * n, axis=0)
-    steps = []
-    for j, pos in enumerate(f.var_pos):
-        hj = _fd_h(point[pos], h)
-        steps.append(hj)
-        rows[2 * j, pos] += hj
-        rows[2 * j + 1, pos] -= hj
-    vals = f(rows)
+    steps = [_fd_h(point[pos], h) for pos in f.var_pos]
+    vals = f.stepped(point, 2 * n, range(2 * n), [pos for pos in f.var_pos for _ in (0, 1)],
+                     [s for hj in steps for s in (hj, -hj)])
     out = np.empty(n)
     for j, hj in enumerate(steps):
         out[j] = (vals[2 * j] - vals[2 * j + 1]) / (2 * hj)
@@ -279,23 +353,25 @@ def fd_hessian(program: StraightLineProgram, vars_: VarIndexMap,
     steps = [_fd_h(point[pos], h) for pos in f.var_pos]
     # row 0 is the point itself; then each (i, j) with j <= i takes 2 rows on
     # the diagonal (up, dn) and 4 off it (pp, pm, mp, mm): 1 + 2n^2 in all
-    rows = np.repeat(point.reshape(1, -1), 1 + 2 * n * n, axis=0)
+    rows: list = []
+    cols: list = []
+    deltas: list = []
     k = 1
     for i in range(n):
         pi, hi = f.var_pos[i], steps[i]
         for j in range(i + 1):
             pj, hj = f.var_pos[j], steps[j]
             if i == j:
-                rows[k, pi] += hi
-                rows[k + 1, pi] -= hi
+                rows += (k, k + 1)
+                cols += (pi, pi)
+                deltas += (hi, -hi)
                 k += 2
             else:
-                rows[k, pi] += hi; rows[k, pj] += hj
-                rows[k + 1, pi] += hi; rows[k + 1, pj] -= hj
-                rows[k + 2, pi] -= hi; rows[k + 2, pj] += hj
-                rows[k + 3, pi] -= hi; rows[k + 3, pj] -= hj
+                rows += (k, k, k + 1, k + 1, k + 2, k + 2, k + 3, k + 3)
+                cols += (pi, pj) * 4
+                deltas += (hi, hj, hi, -hj, -hi, hj, -hi, -hj)
                 k += 4
-    vals = f(rows)
+    vals = f.stepped(point, k, rows, cols, deltas)
     f0 = vals[0]
     out = np.empty((n, n))
     k = 1

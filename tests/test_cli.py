@@ -320,9 +320,10 @@ def test_nested_parentheses_generate(tmp_path):
 
 @pytest.mark.parametrize("n", [12000, 50000])
 def test_deep_loop_gradient_succeeds(tmp_path, n):
-    # the gradient of a long accumulation loop generates and passes verify
+    # the gradient of a long accumulation loop generates and passes verify;
+    # the 2n-term sum of the second is written as a running accumulator
     for term, gradient in (("x[0] * 0.5", f"    out[0] = {n // 2};"),
-                           ("x[0] * x[0]", "    out[0] = x[0] + x[0] + x[0]")):
+                           ("x[0] * x[0]", "    double t0 = x[0] + x[0] + x[0]")):
         (tmp_path / "deep.c").write_text(_DEEP_LOOP_SRC.format(n=n, term=term))
         code = textwrap.dedent("""\
             from acorns.cli import main
@@ -342,8 +343,8 @@ def test_deep_loop_gradient_succeeds(tmp_path, n):
 def test_long_statement_depth_contract(tmp_path, n):
     # one statement of n products: generate with and without simplification,
     # the .slp dump reads back, and the gradient passes verify.  The verified
-    # statement cycles through 16 variables, because the FD oracle holds a
-    # 2n x n matrix of points (6.4 GB at n = 20,001)
+    # statement cycles through 16 variables, because the FD oracle evaluates
+    # the program at 2n stepped points (40,002 at n = 20,001)
     (tmp_path / "wide.c").write_text(_sum_of_products_src(n, n + 1))
     (tmp_path / "cyclic.c").write_text(_sum_of_products_src(n, 16))
     code = textwrap.dedent("""\

@@ -6,9 +6,21 @@ import numpy as np
 import pytest
 
 from acorns import codegen
-from acorns.cast import ArrayRef, Binary, Call, Constant, SharedText, Unary, Var, const, to_source
+from acorns.cast import (
+    ACCUMULATOR_TERMS,
+    ArrayRef,
+    Binary,
+    Call,
+    Constant,
+    SharedText,
+    Unary,
+    Var,
+    const,
+    to_source,
+)
 from acorns.codegen import (
     DEFAULT_SPLIT_TARGET,
+    MIN_SPLIT_TARGET,
     MODE_ORDER,
     EmitConfig,
     Statement,
@@ -153,7 +165,7 @@ GOLDEN_EMIT = {
     },
     ("grad_steps", 3, True, DEFAULT_SPLIT_TARGET, "ssa"): {
         "golden.h": "16bf24711b8335248b2353917a911660487589a5193aa827fb8cceb19cfd373b",
-        "golden_part0.c": "e3bace11aa391b37c598a19b954ebeabfe439c9afd29726dd4dbe554ac3c01e1",
+        "golden_part0.c": "8eb0e7d90b3bb20146897df7d2b941a5f6b95a42d1e60f99ead91c3e7ea93608",
     },
     ("eq3", 5, True, DEFAULT_SPLIT_TARGET, "ssa"): {
         "golden.h": "667372bf593b2b49b20635c949a870367dc9af348e65bf9be70b73d90f1ed0d0",
@@ -353,17 +365,23 @@ def test_deep_chains_render_without_recursion():
     for k, root in enumerate(checkpoints, 1):
         assert to_source(root, shared) == "x" + " + y" * (k * 10_000)
     assert shared.uses == {} and shared.text == {}
-    # bound, each checkpoint below the top one is a temporary that the next
-    # one reads
+    # bound, each checkpoint's 10,000 additions are a running accumulator
+    # that starts from the checkpoint below it
     bound = SharedText(checkpoints, "t")
-    step = " + y" * 10_000
-    last = len(checkpoints) - 1
+    per = -(-10_001 // ACCUMULATOR_TERMS)  # lines per checkpoint
+    rest = 10_001 - ACCUMULATOR_TERMS * (per - 1)  # terms on its last line
+    decls, deps = [], []
     for k, root in enumerate(checkpoints):
-        assert to_source(root, bound) == (f"t{k}" if k < last else f"t{k - 1}" + step)
-        assert bound.reads == frozenset({k - 1} if k else ())
-    assert bound.decls == [f"const double t0 = x{step};"] + [
-        f"const double t{k} = t{k - 1}{step};" for k in range(1, last)]
-    assert bound.deps == [()] + [(k - 1,) for k in range(1, last)]
+        name = f"t{k * per}"
+        assert to_source(root, bound) == name
+        assert bound.reads == frozenset({k * per - 1} if k else ())
+        below = f"t{(k - 1) * per}" if k else "x"
+        decls.append(f"double {name} = {below}" + " + y" * (ACCUMULATOR_TERMS - 1) + ";")
+        decls += [f"{name} = {name}" + " + y" * ACCUMULATOR_TERMS + ";"] * (per - 2)
+        decls.append(f"{name} = {name}" + " + y" * rest + ";")
+        deps += [(k * per - 1,) if k else ()] + [(j,) for j in range(k * per, (k + 1) * per - 1)]
+    assert bound.decls == decls
+    assert bound.deps == deps
     assert bound.uses == {} and bound.text == {}
     # a chain whose every node is both operands of the next
     square = x
@@ -390,6 +408,31 @@ def test_bound_text_declares_each_shared_node_once():
     assert to_source(second, shared) == "t1 / x"
     assert shared.reads == frozenset({1})
     assert len(shared.decls) == 2
+    assert shared.uses == {} and shared.text == {}
+
+
+def test_bound_text_writes_long_sums_as_accumulators():
+    x, y = Var("x"), Var("y")
+
+    def chain(first, term, nodes):
+        for _ in range(nodes):
+            first = Binary("+", first, term)
+        return first
+
+    short = chain(x, y, ACCUMULATOR_TERMS)
+    shared = SharedText((short,), "t")
+    assert to_source(short, shared) == "x" + " + y" * ACCUMULATOR_TERMS
+    assert shared.decls == []
+    # a long sum inside a term of another, under a product
+    inner = chain(x, y, ACCUMULATOR_TERMS + 1)
+    root = Binary("*", y, chain(Call("log", (inner,)), x, ACCUMULATOR_TERMS + 1))
+    shared = SharedText((root,), "t")
+    assert to_source(root, shared) == "y * t2"
+    assert shared.decls == ["double t0 = x" + " + y" * (ACCUMULATOR_TERMS - 1) + ";",
+                            "t0 = t0 + y + y;",
+                            "double t2 = log(t0)" + " + x" * (ACCUMULATOR_TERMS - 1) + ";",
+                            "t2 = t2 + x + x;"]
+    assert shared.deps == [(), (0,), (1,), (2,)]
     assert shared.uses == {} and shared.text == {}
 
 
@@ -553,7 +596,8 @@ def test_ssa_kernels_match_tree_kernels(cc, tmp_path, name, s):
     _assert_kernels_match(cc, tmp_path, ssa, tree, points, bundle.n)
 
 
-@pytest.mark.parametrize("name,s", [("eq3", 25), ("cross_entropy", None), ("grad_steps", 3)])
+@pytest.mark.parametrize("name,s", [("eq3", 25), ("cross_entropy", None), ("grad_steps", 3),
+                                    ("grad_steps", 13), ("springs", 5), ("barrier", 6)])
 def test_ssa_kernels_match_tree_kernels_reverse_gradient(cc, tmp_path, name, s):
     # a gradient-only bundle comes from the reverse sweep, whose entries
     # share adjoint nodes
@@ -565,8 +609,57 @@ def test_ssa_kernels_match_tree_kernels_reverse_gradient(cc, tmp_path, name, s):
     ssa, tree = _ssa_and_tree(bundle, vars_, program, cfg)
     if name == "eq3":  # the adjoints of the product's prefixes are shared
         assert "    const double t0 = " in ssa.sources[0][1]
+    if name == "grad_steps":  # f is 0 less 16 s terms: a running accumulator
+        lines = ssa.sources[0][1].splitlines()
+        assert lines.count("    out[0] = t0;") == 1
+        assert (sum(ln.startswith("    t0 = t0 - ") for ln in lines)
+                == -(-(16 * s + 1) // ACCUMULATOR_TERMS) - 1)
+    if name in ("springs", "barrier"):  # so are these energies, of 40 and 50 terms
+        assert "\n    double t" in ssa.sources[0][1]
     points = sample_points(fn, program, 300, np.random.default_rng(7))
     _assert_kernels_match(cc, tmp_path, ssa, tree, points, bundle.n, modes)
+
+
+# a long sum that the function reads three times and every gradient entry
+# reads, so each driver binds it as one running accumulator
+_LONG_SUM_SRC = """\
+double long_sum(const double *x) {
+    double e = 0;
+    for (int i = 0; i < 280; i++) {
+        e = e - x[i] * log(x[i] + 1.5);
+    }
+    e = e * log(e * e + 1);
+    return 0;
+}
+"""
+
+
+def test_long_sum_accumulator_kernels(cc, tmp_path):
+    program = unroll(parse_source(_LONG_SUM_SRC, "long_sum", "e"))
+    vars_ = VarIndexMap.from_names(program, ["x"])
+    bundle = derive_bundle(program, vars_, want_hessian=False)
+    points = np.random.default_rng(9).uniform(0.1, 2.0, size=(100, 280))
+    # the function against its tree layout (the gradient's tree layout
+    # expands the sum into each of its 280 entries)
+    ssa, tree = _ssa_and_tree(bundle, vars_, program,
+                              EmitConfig(mode=frozenset({"function"}), basename="k"))
+    assert "    double t0 = 0 - x[0] * log(x[0] + 1.5) - " in ssa.sources[0][1]
+    assert "    out[0] = t0 * log(t0 * t0 + 1);" in ssa.sources[0][1]
+    _assert_kernels_match(cc, tmp_path / "f", ssa, tree, points, bundle.n, ("function",))
+    # the gradient at the smallest split against one file: each later file
+    # declares the accumulator again, with the temporaries its lines read
+    modes = frozenset({"gradient"})
+    small, whole = (emit(bundle, vars_, EmitConfig(mode=modes, split_target_bytes=target,
+                                                   basename="k"), program)
+                    for target in (MIN_SPLIT_TARGET, DEFAULT_SPLIT_TARGET))
+    heads = [[ln for ln in text.splitlines() if ln.startswith("    double t")]
+             for _, text in small.sources]
+    assert len(heads) >= 2 and all(h == heads[0] and len(h) == 1 for h in heads)
+    assert _statement_lines(small) == _statement_lines(whole)
+    for opt in ("-O0", "-O2"):
+        got = run_drivers(cc, small, str(tmp_path / f"small{opt}"), "k", points, 280, (opt,))
+        want = run_drivers(cc, whole, str(tmp_path / f"whole{opt}"), "k", points, 280, (opt,))
+        assert got["gradient"].tobytes() == want["gradient"].tobytes(), opt
 
 
 def test_ssa_kernels_match_tree_kernels_random(cc, tmp_path):

@@ -21,8 +21,8 @@ from acorns.errors import ExpressionExplosion
 from acorns.flatten import unroll
 from acorns.interp import compile_exprs, eval_expr, evaluate
 from acorns.parser import parse_expr, parse_source
-from acorns.verify import (CROSS_ENTROPY_SRC, CorpusFunction, corpus_function, corpus_program,
-                           fd_gradient, verify)
+from acorns.verify import (CROSS_ENTROPY_SRC, corpus_function, corpus_program, fd_gradient,
+                           verify)
 
 from randgen import random_expr, random_loop_program
 
@@ -519,35 +519,6 @@ def test_gradient_kernel_is_mode_independent(name, s):
     assert emit(alone, vars_, cfg, program) == emit(with_hessian, vars_, cfg, program)
 
 
-# A 2-D mass-spring energy (after Baraff & Witkin, "Large steps in cloth
-# simulation", SIGGRAPH 1998): unit-rest-length springs along the horizontal
-# and vertical edges of a G x G grid; node (i, j) is at x[2 (i G + j)],
-# x[2 (i G + j) + 1]
-_SPRINGS_SRC = """\
-double springs(const double *x) {{
-    double e = 0;
-    for (int i = 0; i < {g}; i++) {{
-        for (int j = 0; j + 1 < {g}; j++) {{
-            double dx = x[2 * (i * {g} + j + 1)] - x[2 * (i * {g} + j)];
-            double dy = x[2 * (i * {g} + j + 1) + 1] - x[2 * (i * {g} + j) + 1];
-            double r = sqrt(dx * dx + dy * dy) - 1;
-            e = e + r * r;
-            dx = x[2 * ((j + 1) * {g} + i)] - x[2 * (j * {g} + i)];
-            dy = x[2 * ((j + 1) * {g} + i) + 1] - x[2 * (j * {g} + i) + 1];
-            r = sqrt(dx * dx + dy * dy) - 1;
-            e = e + r * r;
-        }}
-    }}
-    return 0;
-}}
-"""
-
-
-def _springs(g):
-    return CorpusFunction("springs", _SPRINGS_SRC.format(g=g), "springs", "e", ("x",),
-                          {"x": (0.0, 3.0)}, s=g)
-
-
 def _stencil(g):
     """The lower Hessian entries (i, j) a spring couples: each node's two
     coordinates, and the coordinates of the two ends of each edge."""
@@ -563,7 +534,7 @@ def _stencil(g):
 
 
 def test_springs_hessian_is_the_grid_stencil():
-    _, program, vars_ = corpus_program(_springs(6))
+    _, program, vars_ = corpus_program(corpus_function("springs", s=6))
     bundle = derive_bundle(program, vars_)
     nonzero = {(i, j) for i in range(vars_.n) for j in range(i + 1)
                if bundle.hess_entry(i, j) != ZERO}
@@ -574,7 +545,7 @@ def test_springs_hessian_is_the_grid_stencil():
 @pytest.mark.parametrize("g", [3, 4])
 def test_springs_verify_hessian(g):
     # seed 1 samples no spring near zero length in (0, 3): max relerr about 6e-5
-    report = verify(_springs(g), mode="hessian", points=20, seed=1)
+    report = verify(corpus_function("springs", s=g), mode="hessian", points=20, seed=1)
     assert report.ok and len(report.entries) == (2 * g * g) * (2 * g * g + 1) // 2
 
 
@@ -583,7 +554,7 @@ def test_zero_length_spring_is_nan_only_at_its_ends():
     # nodes' 4 gradient entries and the 10 lower Hessian entries among them
     # are NaN; every other entry is an exact zero or finite
     g = 3
-    _, program, vars_ = corpus_program(_springs(g))
+    _, program, vars_ = corpus_program(corpus_function("springs", s=g))
     bundle = derive_bundle(program, vars_)
     point = np.array([[c + 0.1 * r, r + 0.05 * c] for r in range(g) for c in range(g)])
     point[1] = point[0]

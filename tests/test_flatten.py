@@ -1,5 +1,6 @@
 import re
 import struct
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -222,6 +223,21 @@ def test_large_program_reserializes_byte_identically():
     data = serialize(p)
     p2 = deserialize(data)
     assert serialize(p2) == data
+
+
+def test_long_statement_round_trips_by_value():
+    # a 3,000-term sum nests 3,000 levels deep: `==` and `hash` on the
+    # programs walk it at the default recursion limit
+    def program(first):
+        terms = " + ".join([first] + [f"x[{i % 7}] * x[{(i + 1) % 7}]" for i in range(1, 3000)])
+        src = f"double wide(const double *x) {{\n    double e = {terms};\n    return 0;\n}}\n"
+        return unroll(parse_source(src, "wide", "e"))
+
+    assert sys.getrecursionlimit() < 3000
+    p = program("x[0] * x[1]")
+    q = deserialize(serialize(p))
+    assert q == p and hash(q) == hash(p)
+    assert program("x[0] * x[2]") != p  # the terms differ only at the bottom
 
 
 def test_magic_and_version_checked():

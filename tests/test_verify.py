@@ -1,3 +1,4 @@
+import importlib
 import math
 import struct
 
@@ -83,6 +84,28 @@ def test_fd_hessian_product_poly():
     assert h[0, 1] == h[1, 0]
 
 
+def test_fd_blocks_match_one_block(monkeypatch):
+    # with room for 3 rows per block the oracles evaluate their 36 and 649
+    # stepped rows a block at a time, and give the same bits as in one block
+    verify_module = importlib.import_module("acorns.verify")
+    fn = corpus_function("barrier", s=3)
+    _, program, vars_ = corpus_program(fn)
+    point = sample_points(fn, program, 1, np.random.default_rng(4))[0]
+    whole = [fd_gradient(program, vars_, point), fd_hessian(program, vars_, point)]
+    sizes = []
+
+    def evaluate(tape, points):
+        sizes.append(len(points))
+        return verify_module.evaluate.__wrapped__(tape, points)
+
+    evaluate.__wrapped__ = verify_module.evaluate
+    monkeypatch.setattr(verify_module, "evaluate", evaluate)
+    monkeypatch.setattr(verify_module, "FD_BLOCK_BYTES", 3 * 8 * point.size + 7)
+    blocked = [fd_gradient(program, vars_, point), fd_hessian(program, vars_, point)]
+    assert sizes == [3] * 12 + [3] * 216 + [1]
+    assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
+
+
 def test_fd_step_scales_with_magnitude():
     # f(x) = x^2 at a large point still differentiates accurately
     program = unroll(parse_source(
@@ -121,6 +144,20 @@ def test_verify_hessian_quick():
     assert report.ok, report.render()
     assert report.max_rel_err <= HESS_TOL
     assert len(report.entries) == 3 * 4 // 2
+
+
+@pytest.mark.parametrize("name", ["springs", "barrier"])
+@pytest.mark.parametrize("g,do_simplify", [(3, True), (4, True), (2, False)])
+def test_grid_energies_verify(name, g, do_simplify):
+    # the physical-simulation and geometry-processing energies, at the
+    # default seed and point count
+    fn = corpus_function(name, s=g)
+    assert fn.s == g
+    for mode in ("gradient", "hessian"):
+        report = verify(fn, mode, do_simplify=do_simplify)
+        assert report.ok, report.render()
+        n = 2 * g * g
+        assert len(report.entries) == (n if mode == "gradient" else n * (n + 1) // 2)
 
 
 def test_verify_constant_function_exact():
@@ -162,7 +199,8 @@ def test_report_rendering():
 
 
 def test_corpus_is_complete():
-    assert set(CORPUS) == {"eq1", "eq2", "eq3", "cross_entropy", "function_0", "const_fn"}
+    assert set(CORPUS) == {"eq1", "eq2", "eq3", "cross_entropy", "function_0", "const_fn",
+                           "springs", "barrier"}
     for name in CORPUS:
         fn = corpus_function(name, s=2 if name == "eq3" else None)
         corpus_program(fn)  # parses, validates and unrolls cleanly
