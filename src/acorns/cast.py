@@ -2,13 +2,14 @@
 
 Expression nodes are immutable and compare structurally; the optional
 source span is carried for diagnostics but ignored by equality, so a
-re-parsed pretty-print of a tree compares equal to the original.  Equality
-and hashing walk with explicit stacks, so they work at any depth.
+re-parsed pretty-print of a tree compares equal to the original.  Equality,
+hashing, `repr` and pickling walk with explicit stacks, so they work at any
+depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
 from .errors import SourceSpan
@@ -24,18 +25,49 @@ INTRINSICS = {
     "sqrt": 1,
 }
 
-BINARY_OPS = ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=")
-COMPARISON_OPS = ("<", "<=", ">", ">=", "==", "!=")
-
 
 class _Node:
-    """Structural `==` and `hash` for the expression nodes.
+    """Structural `==` and `hash`, `repr`, copying and pickling for the
+    expression nodes.
 
-    They read every field but `span`, as the generated dataclass methods
-    would, but with an explicit stack instead of one frame per level.
+    `==` and `hash` read every field but `span`, and `repr` writes every
+    field, as the generated dataclass methods would, but with an explicit
+    stack instead of one frame per level.  The nodes are immutable, so a
+    copy is the node itself, and a pickle is the flat list of `_unflatten`.
     """
 
     __slots__ = ()
+
+    def __repr__(self):
+        out: list[str] = []
+        work: list = [self]  # text, or a node still to write
+        while work:
+            item = work.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            items = [f"{type(item).__qualname__}("]
+            for i, f in enumerate(fields(item)):
+                items.append(f"{', ' if i else ''}{f.name}=")
+                items += _repr_items(getattr(item, f.name))
+            items.append(")")
+            work += reversed(items)
+        return "".join(out)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        records = []  # (class, field values), children first
+        index: dict = {}  # id(node) -> its position in records
+        for node in post_order(self, index):
+            index[id(node)] = len(records)
+            records.append((type(node), tuple(_flat(getattr(node, f.name), index)
+                                              for f in fields(node))))
+        return _unflatten, (records,)
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
@@ -69,7 +101,7 @@ class _Node:
         return hashes[id(self)]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Constant(_Node):
     """Numeric literal; `text` is the exact source spelling."""
 
@@ -78,27 +110,27 @@ class Constant(_Node):
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
     name: str
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ArrayRef(_Node):
     base: str
     indices: tuple  # one Expr per dimension
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Unary(_Node):
     op: str  # only "-"
     operand: "Expr"
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Binary(_Node):
     op: str
     lhs: "Expr"
@@ -106,7 +138,7 @@ class Binary(_Node):
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
     name: str
     args: tuple
@@ -114,6 +146,47 @@ class Call(_Node):
 
 
 Expr = Union[Constant, Var, ArrayRef, Unary, Binary, Call]
+
+
+def _repr_items(value) -> list:
+    """`repr(value)` as `_Node.__repr__`'s work items, in order."""
+    if isinstance(value, _Node):
+        return [value]
+    if not isinstance(value, tuple):
+        return [repr(value)]
+    items = ["("]
+    for i, v in enumerate(value):
+        if i:
+            items.append(", ")
+        items += _repr_items(v)
+    items.append(",)" if len(value) == 1 else ")")
+    return items
+
+
+def _flat(value, index: dict):
+    """A field value with each node in it replaced by `[its index]`; no
+    field holds a list, so a list marks a node."""
+    if isinstance(value, _Node):
+        return [index[id(value)]]
+    if isinstance(value, tuple):
+        return tuple(_flat(v, index) for v in value)
+    return value
+
+
+def _unflatten(records: list) -> Expr:
+    """The last node of `_Node.__reduce__`'s records, rebuilt."""
+    nodes: list = []
+
+    def thaw(value):
+        if isinstance(value, list):
+            return nodes[value[0]]
+        if isinstance(value, tuple):
+            return tuple(thaw(v) for v in value)
+        return value
+
+    for cls, values in records:
+        nodes.append(cls(*(thaw(v) for v in values)))
+    return nodes[-1]
 
 
 def _fields(node: Expr) -> tuple:

@@ -249,7 +249,7 @@ def _run_verify(argv) -> int:
             kwargs["seed"] = args.seed
         report = run_verify(fn, mode=args.mode, points=args.points,
                             do_simplify=not args.no_simplify,
-                            tolerance=args.tolerance, **kwargs)
+                            tolerance=args.tolerance, cap=_node_cap(), **kwargs)
     except (BoundExplosion, ExpressionExplosion) as exc:
         print(f"acorns_autodiff verify: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

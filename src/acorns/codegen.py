@@ -23,6 +23,7 @@ expression.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -258,29 +259,7 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
 
     temp = _temp_prefix(program) if bundle.simplified else None
     statements, temps = _statements(bundle, cfg, temp)
-    file_groups = split(statements, cfg)
     stem = _header_stem(cfg.basename)
-
-    # assign chunk numbers: one chunk per run of same-mode statements per file
-    chunk_defs = []  # (file_index, chunk_id, mode, [Statement])
-    chunks_by_mode: dict[str, list[int]] = {m: [] for m in MODE_ORDER}
-    chunk_id = 0
-    for fi, group in enumerate(file_groups):
-        run: list = []
-        run_mode = None
-        for st in group:
-            if run and st.mode != run_mode:
-                chunk_defs.append((fi, chunk_id, run_mode, run))
-                chunks_by_mode[run_mode].append(chunk_id)
-                chunk_id += 1
-                run = []
-            run_mode = st.mode
-            run.append(st)
-        if run:
-            chunk_defs.append((fi, chunk_id, run_mode, run))
-            chunks_by_mode[run_mode].append(chunk_id)
-            chunk_id += 1
-
     provenance = [
         f"/* generated by acorns-autodiff {__version__}",
         f" * source: {cfg.source_name}" if cfg.source_name else " * source: <in-memory>",
@@ -290,40 +269,19 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
         " */",
     ]
 
-    guard = _guard_name(cfg.basename)
-    header_lines = list(provenance)
-    header_lines += [f"#ifndef {guard}", f"#define {guard}", ""]
-    if "function" in cfg.mode:
-        header_lines.append("void compute(const double* vals, int num_points, double* out);")
-    if "gradient" in cfg.mode:
-        header_lines.append("void compute_grad(const double* vals, int num_points, double* ders);")
-    if "hessian" in cfg.mode:
-        header_lines.append("void compute_hess(const double* vals, int num_points, double* hess);")
-    header_lines.append("")
-    header_lines.append("/* per-point chunk functions, called in order by the drivers */")
-    for _, cid, _, _ in chunk_defs:
-        header_lines.append(f"void {stem}_chunk_{cid}(const double* vals, double* out);")
-    header_lines += ["", f"#endif /* {guard} */", ""]
-    header = "\n".join(header_lines)
-
-    sources = []
-    for fi, group in enumerate(file_groups):
-        lines = list(provenance)
-        lines.append(f'#include "{stem}.h"')
-        lines.append("#include <math.h>")
-        lines.append("")
-        for cfi, cid, mode, run in chunk_defs:
-            if cfi != fi:
-                continue
-            used = frozenset().union(*(st.params for st in run)) if run else frozenset()
-            lines.append(f"void {stem}_chunk_{cid}(const double* vals, double* out)")
-            lines.append("{")
-            decls = _param_decls(program, layout, used)
-            if decls:
-                lines.extend(decls)
-                lines.append("")
-            else:
-                lines.append("    (void) vals;")
+    # one chunk function per mode per file, numbered in file order
+    texts = []
+    chunks: dict[str, list[int]] = {m: [] for m in MODE_ORDER}  # mode -> its chunks, in order
+    n_chunks = 0
+    for group in split(statements, cfg):
+        lines = [*provenance, f'#include "{stem}.h"', "#include <math.h>", ""]
+        for mode, run in itertools.groupby(group, key=lambda st: st.mode):
+            run = list(run)
+            chunks[mode].append(n_chunks)
+            lines += [f"void {stem}_chunk_{n_chunks}(const double* vals, double* out)", "{"]
+            n_chunks += 1
+            decls = _param_decls(program, layout, frozenset().union(*(st.params for st in run)))
+            lines += [*decls, ""] if decls else ["    (void) vals;"]
             declared: set = set()
             for st in run:
                 if st.reads:  # re-declare what an earlier file declared
@@ -334,28 +292,30 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
                     declared.add(k)
                     lines.append(f"    {decl}")
                 lines.append(f"    {st.text}")
-            lines.append("}")
-            lines.append("")
-        if fi == 0:
-            for mode in MODE_ORDER:
-                if mode not in cfg.mode:
-                    continue
-                arg = DRIVER_OUT_ARG[mode]
-                lines.append(f"void {DRIVER_NAME[mode]}(const double* vals, int num_points, double* {arg})")
-                lines.append("{")
-                if cfg.parallel:
-                    lines.append("#ifdef _OPENMP")
-                    lines.append("#pragma omp parallel for")
-                    lines.append("#endif")
-                lines.append("    for (int p = 0; p < num_points; ++p) {")
-                for cid in chunks_by_mode[mode]:
-                    lines.append(
-                        f"        {stem}_chunk_{cid}(vals + (long)p * {stride_in}, "
-                        f"{arg} + (long)p * {out_stride[mode]});"
-                    )
-                lines.append("    }")
-                lines.append("}")
-                lines.append("")
-        sources.append((f"{stem}_part{fi}.c", "\n".join(lines)))
+            lines += ["}", ""]
+        texts.append("\n".join(lines))
 
-    return GeneratedArtifact(header, tuple(sources), len(statements))
+    modes = [m for m in MODE_ORDER if m in cfg.mode]
+    signature = {m: f"void {DRIVER_NAME[m]}(const double* vals, int num_points, "
+                    f"double* {DRIVER_OUT_ARG[m]})" for m in modes}
+    drivers = []  # in part 0, after its chunks
+    for mode in modes:
+        drivers += [signature[mode], "{"]
+        if cfg.parallel:
+            drivers += ["#ifdef _OPENMP", "#pragma omp parallel for", "#endif"]
+        drivers.append("    for (int p = 0; p < num_points; ++p) {")
+        for cid in chunks[mode]:
+            drivers.append(f"        {stem}_chunk_{cid}(vals + (long)p * {stride_in}, "
+                           f"{DRIVER_OUT_ARG[mode]} + (long)p * {out_stride[mode]});")
+        drivers += ["    }", "}", ""]
+    texts[0] += "\n" + "\n".join(drivers)
+
+    guard = _guard_name(cfg.basename)
+    header = [*provenance, f"#ifndef {guard}", f"#define {guard}", ""]
+    header += [f"{signature[m]};" for m in modes]
+    header += ["", "/* per-point chunk functions, called in order by the drivers */"]
+    header += [f"void {stem}_chunk_{cid}(const double* vals, double* out);"
+               for cid in range(n_chunks)]
+    header += ["", f"#endif /* {guard} */", ""]
+    sources = tuple((f"{stem}_part{fi}.c", text) for fi, text in enumerate(texts))
+    return GeneratedArtifact("\n".join(header), sources, len(statements))

@@ -60,6 +60,7 @@ from .cast import (
 )
 from .errors import AcornsError, ExpressionExplosion
 from .flatten import StraightLineProgram
+from .interp import _BINARY_FN
 
 DEFAULT_NODE_CAP = 10**8
 
@@ -286,18 +287,9 @@ _FOLDABLE = ("+", "-", "*", "/")
 
 
 def _fold(op: str, a: Constant, b: Constant) -> Expr | None:
-    """The constant `a op b`, or None to leave it for the C runtime: x / 0,
-    and any result that is not finite, which no literal spells."""
-    if op == "+":
-        value = a.value + b.value
-    elif op == "-":
-        value = a.value - b.value
-    elif op == "*":
-        value = a.value * b.value
-    elif b.value == 0.0:
-        return None
-    else:
-        value = a.value / b.value
+    """The constant `a op b`, or None to leave it for the C runtime: a
+    result that is not finite, x / 0 among them, which no literal spells."""
+    value = _BINARY_FN[op](a.value, b.value)
     return const(value) if math.isfinite(value) else None
 
 

@@ -10,6 +10,19 @@ Two evaluators over the same scalar semantics:
   ``eval_expr`` calls (numpy's SIMD transcendentals can differ by an ulp),
   so the two agree bitwise except for NaN payloads.
 
+A tape instruction is a tuple ``(op, a, b)`` whose result is the register
+numbered by its position, and ``op`` is the node's own operator name:
+
+* ``("slot", i, 0)`` loads input slot i, and ``("const", value, 0)`` the
+  constant value;
+* a ``Binary.op`` such as ``"+"`` or ``"<"``, and ``"pow"``, read
+  registers a and b;
+* ``"neg"`` and the other ``Call.name`` intrinsics read register a only,
+  with b = 0.
+
+Instructions are in topological order, so every operand register comes
+before its user.
+
 The scalar intrinsics follow C99 Annex F: domain errors give NaN, poles
 and overflow give a signed infinity, and nothing raises.
 
@@ -25,7 +38,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cast import Binary, Call, Constant, Expr, Unary, Var, children, post_order
+from .cast import INTRINSICS, Binary, Call, Constant, Expr, Unary, Var, children, post_order
 from .errors import UnboundSlot
 from .flatten import StraightLineProgram
 
@@ -84,6 +97,7 @@ def _c_trig(fn):
 
 
 _INTRINSIC_FN = {
+    "pow": _c_pow,
     "log": _c_log,
     "exp": _c_exp,
     "sin": _c_trig(math.sin),
@@ -114,7 +128,7 @@ def _apply(node: Expr, args: list) -> float:
     if isinstance(node, Binary):
         return _BINARY_FN[node.op](*args)
     if isinstance(node, Call):
-        return _c_pow(*args) if node.name == "pow" else _INTRINSIC_FN[node.name](*args)
+        return _INTRINSIC_FN[node.name](*args)
     raise TypeError(f"cannot evaluate {node!r}")
 
 
@@ -135,42 +149,11 @@ def eval_expr(e: Expr, bindings: dict) -> float:
 # ---------------------------------------------------------------------------
 # Tape compilation
 
-OP_LOAD_SLOT = 0
-OP_LOAD_CONST = 1
-OP_ADD = 2
-OP_SUB = 3
-OP_MUL = 4
-OP_DIV = 5
-OP_NEG = 6
-OP_POW = 7
-OP_LOG = 8
-OP_EXP = 9
-OP_SIN = 10
-OP_COS = 11
-OP_TAN = 12
-OP_SQRT = 13
-OP_LT = 14
-OP_LE = 15
-OP_GT = 16
-OP_GE = 17
-OP_EQ = 18
-OP_NE = 19
-
-_BINOP_CODE = {
-    "+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV,
-    "<": OP_LT, "<=": OP_LE, ">": OP_GT, ">=": OP_GE, "==": OP_EQ, "!=": OP_NE,
-}
-_CALL_CODE = {
-    "log": OP_LOG, "exp": OP_EXP, "sin": OP_SIN,
-    "cos": OP_COS, "tan": OP_TAN, "sqrt": OP_SQRT,
-}
-
 
 @dataclass
 class Tape:
-    ops: np.ndarray  # (m, 3) int32: opcode, a, b
-    consts: np.ndarray  # float64 pool
-    out_regs: np.ndarray  # int32, one register per output expression
+    ops: list  # (op, a, b) per instruction; see the module docstring
+    out_regs: list  # one register per output expression
     slots: tuple  # slot labels; points are laid out in this order
 
     @property
@@ -186,66 +169,44 @@ class _TapeBuilder:
     def __init__(self, slots):
         self.slot_index = {label: i for i, label in enumerate(slots)}
         self.slots = tuple(slots)
-        self.ops: list[tuple[int, int, int]] = []
-        self.consts: list[float] = []
-        self.const_index: dict[float, int] = {}
+        self.ops: list[tuple] = []
         self.reg_of: dict[int, int] = {}  # id(node) -> register
         self.named: dict[str, int] = {}  # assigned slot name -> register
-
-    def instr(self, op: int, a: int = 0, b: int = 0) -> int:
-        self.ops.append((op, a, b))
-        return len(self.ops) - 1
-
-    def const_slot(self, value: float) -> int:
-        got = self.const_index.get(value)
-        if got is None:
-            got = len(self.consts)
-            self.consts.append(value)
-            self.const_index[value] = got
-        return got
 
     def compile(self, e: Expr) -> int:
         """The register of `e`, compiling each node not yet on the tape."""
         reg_of = self.reg_of
         for node in post_order(e, reg_of):
             if isinstance(node, Binary):
-                reg = self.instr(_BINOP_CODE[node.op], reg_of[id(node.lhs)], reg_of[id(node.rhs)])
+                instr = (node.op, reg_of[id(node.lhs)], reg_of[id(node.rhs)])
             elif isinstance(node, Constant):
-                reg = self.instr(OP_LOAD_CONST, self.const_slot(node.value))
+                instr = ("const", node.value, 0)
             elif isinstance(node, Var):
                 reg = self.named.get(node.name)
-                if reg is None:
-                    slot = self.slot_index.get(node.name)
-                    if slot is None:
-                        raise UnboundSlot(node.name)
-                    reg = self.instr(OP_LOAD_SLOT, slot)
+                if reg is not None:
+                    reg_of[id(node)] = reg
+                    continue
+                slot = self.slot_index.get(node.name)
+                if slot is None:
+                    raise UnboundSlot(node.name)
+                instr = ("slot", slot, 0)
             elif isinstance(node, Unary):
-                reg = self.instr(OP_NEG, reg_of[id(node.operand)])
+                instr = ("neg", reg_of[id(node.operand)], 0)
             elif isinstance(node, Call):
-                code = OP_POW if node.name == "pow" else _CALL_CODE[node.name]
-                reg = self.instr(code, *[reg_of[id(a)] for a in node.args])
+                regs = [reg_of[id(a)] for a in node.args] + [0]
+                instr = (node.name, regs[0], regs[1])
             else:
                 raise TypeError(f"cannot compile {node!r}")
-            reg_of[id(node)] = reg
+            reg_of[id(node)] = len(self.ops)
+            self.ops.append(instr)
         return reg_of[id(e)]
-
-    def finish(self, out_regs) -> Tape:
-        import numpy as np
-
-        ops = np.asarray(self.ops, dtype=np.int32).reshape(-1, 3)
-        return Tape(
-            ops=np.ascontiguousarray(ops),
-            consts=np.asarray(self.consts, dtype=np.float64),
-            out_regs=np.asarray(out_regs, dtype=np.int32),
-            slots=self.slots,
-        )
 
 
 def compile_exprs(exprs, slots) -> Tape:
     """Compile expressions over input-slot labels into one shared tape."""
     b = _TapeBuilder(slots)
     out_regs = [b.compile(e) for e in exprs]
-    return b.finish(out_regs)
+    return Tape(b.ops, out_regs, b.slots)
 
 
 def compile_program(p: StraightLineProgram) -> Tape:
@@ -257,52 +218,53 @@ def compile_program(p: StraightLineProgram) -> Tape:
         out = b.named[p.output]
     except KeyError:
         raise UnboundSlot(p.output) from None
-    return b.finish([out])
+    return Tape(b.ops, [out], b.slots)
 
 
 # Registers x points per evaluation chunk; bounds `evaluate`'s working set
 # (every instruction keeps its register for the chunk) at 32 MiB.
 CHUNK_CELLS = 1 << 22
 
-_COMPARISONS = frozenset((OP_LT, OP_LE, OP_GT, OP_GE, OP_EQ, OP_NE))
-# libm calls go through eval_expr's scalar functions, one call per point
-_UNARY_FN = {_CALL_CODE[name]: fn for name, fn in _INTRINSIC_FN.items()}
-
 
 @functools.cache
-def _ufuncs() -> dict:
-    """Opcode -> the numpy ufunc that runs it."""
+def _array_fn() -> dict:
+    """Operator -> its function over a chunk's operand registers (a, b); a
+    unary operator ignores b."""
     import numpy as np
 
-    return {
-        OP_ADD: np.add, OP_SUB: np.subtract, OP_MUL: np.multiply, OP_DIV: np.divide,
-        OP_LT: np.less, OP_LE: np.less_equal, OP_GT: np.greater,
-        OP_GE: np.greater_equal, OP_EQ: np.equal, OP_NE: np.not_equal,
+    def compare(ufunc):
+        return lambda a, b: ufunc(a, b).astype(np.float64)
+
+    def per_point(fn, arity):  # eval_expr's scalar function, called once per point
+        if arity == 2:
+            return lambda a, b: np.fromiter(map(fn, a.tolist(), b.tolist()), np.float64, len(a))
+        return lambda a, _: np.fromiter(map(fn, a.tolist()), np.float64, len(a))
+
+    table = {
+        "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+        "<": compare(np.less), "<=": compare(np.less_equal), ">": compare(np.greater),
+        ">=": compare(np.greater_equal), "==": compare(np.equal), "!=": compare(np.not_equal),
+        "neg": lambda a, _: np.negative(a),
     }
+    for name, fn in _INTRINSIC_FN.items():
+        table[name] = per_point(fn, INTRINSICS[name])
+    return table
 
 
-def _run_chunk(ops: list, consts: np.ndarray, cols: np.ndarray) -> list:
+def _run_chunk(ops: list, cols: np.ndarray) -> list:
     """Execute the tape over one chunk; `cols` is (n_slots, n). Returns the registers."""
     import numpy as np
 
-    ufuncs = _ufuncs()
+    fns = _array_fn()
     n = cols.shape[1]
     regs: list[np.ndarray] = []
     for op, a, b in ops:
-        if op == OP_LOAD_SLOT:
+        if op == "slot":
             r = cols[a]
-        elif op == OP_LOAD_CONST:
-            r = np.full(n, consts[a])
-        elif op == OP_NEG:
-            r = np.negative(regs[a])
-        elif op == OP_POW:
-            r = np.fromiter(map(_c_pow, regs[a].tolist(), regs[b].tolist()), np.float64, n)
-        elif op in _UNARY_FN:
-            r = np.fromiter(map(_UNARY_FN[op], regs[a].tolist()), np.float64, n)
+        elif op == "const":
+            r = np.full(n, a, np.float64)
         else:
-            r = ufuncs[op](regs[a], regs[b])
-            if op in _COMPARISONS:
-                r = r.astype(np.float64)
+            r = fns[op](regs[a], regs[b])
         regs.append(r)
     return regs
 
@@ -320,13 +282,11 @@ def evaluate(tape: Tape, points) -> np.ndarray:
     if points.shape[1] != tape.n_slots:
         raise ValueError(f"expected {tape.n_slots} slots per point, got {points.shape[1]}")
     out = np.empty((points.shape[0], tape.n_out), dtype=np.float64)
-    ops = tape.ops.tolist()
-    out_regs = tape.out_regs.tolist()
-    chunk = max(1, CHUNK_CELLS // max(1, len(ops)))
+    chunk = max(1, CHUNK_CELLS // max(1, len(tape.ops)))
     with np.errstate(all="ignore"):
         for lo in range(0, points.shape[0], chunk):
             hi = lo + chunk
-            regs = _run_chunk(ops, tape.consts, points[lo:hi].T.copy())
-            for j, r in enumerate(out_regs):
+            regs = _run_chunk(tape.ops, points[lo:hi].T.copy())
+            for j, r in enumerate(tape.out_regs):
                 out[lo:hi, j] = regs[r]
     return out

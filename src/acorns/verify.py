@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .cast import ArrayRef, Assignment, Declaration, Expr, ForLoop, FunctionIR, If, Return, Var, children, operands, post_order
-from .derivatives import VarIndexMap, derive_bundle
+from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle
 from .errors import AcornsError, UnboundSlot
 from .flatten import StraightLineProgram, eval_const, unroll
 from .interp import _apply, compile_exprs, compile_program, evaluate, eval_expr
@@ -402,6 +402,7 @@ class FdEntry:
     abs_err: float
     rel_err: float  # |analytic - fd| / max(1, |analytic|)
     ok: bool
+    point: int  # index of the sample point where rel_err occurred
 
 
 @dataclass
@@ -410,6 +411,9 @@ class FdReport:
     mode: str
     tolerance: float
     points: int
+    seed: int
+    slots: tuple  # input-slot labels of the samples
+    samples: list  # each sample point's slot values
     entries: list = field(default_factory=list)
     _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # name -> position in entries
 
@@ -425,10 +429,10 @@ class FdReport:
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
 
-    def record(self, name: str, analytic: float, fd: float):
+    def record(self, name: str, analytic: float, fd: float, point: int):
         abs_err = abs(analytic - fd)
         rel_err = abs_err / max(1.0, abs(analytic))
-        entry = FdEntry(name, analytic, fd, abs_err, rel_err, rel_err <= self.tolerance)
+        entry = FdEntry(name, analytic, fd, abs_err, rel_err, rel_err <= self.tolerance, point)
         # keep the worst instance per entry name
         i = self._index.get(name)
         if i is None:
@@ -439,13 +443,19 @@ class FdReport:
 
     def render(self) -> str:
         lines = [
-            f"verify {self.function} mode={self.mode} points={self.points} tol={self.tolerance:g}",
+            f"verify {self.function} mode={self.mode} points={self.points} "
+            f"tol={self.tolerance:g} seed={self.seed}",
             f"{'entry':<14} {'analytic':>16} {'fd':>16} {'relerr':>10}  pass",
         ]
         for e in self.entries:
             lines.append(
                 f"{e.name:<14} {e.analytic:>16.8g} {e.fd:>16.8g} {e.rel_err:>10.2e}  {'ok' if e.ok else 'FAIL'}"
             )
+        if self.entries:
+            worst = max(self.entries, key=lambda e: e.rel_err)
+            values = zip(self.slots, self.samples[worst.point])
+            at = ", ".join(f"{label}={v!r}" for label, v in values)
+            lines.append(f"worst {worst.name} at point {worst.point}: {at}")
         lines.append(
             f"{self.pass_count}/{len(self.entries)} entries pass, max relerr {self.max_rel_err:.2e}"
         )
@@ -461,14 +471,17 @@ class FdReport:
 
 def verify(fn: CorpusFunction, mode: str = "gradient", points: int = 100,
            seed: int = DEFAULT_SEED, do_simplify: bool = True,
-           tolerance: float | None = None) -> FdReport:
-    """Run the pipeline and compare analytic derivatives with FD oracles."""
+           tolerance: float | None = None, cap: int = DEFAULT_NODE_CAP) -> FdReport:
+    """Run the pipeline and compare analytic derivatives with FD oracles.
+
+    `cap` bounds the derivative expressions' size, as in `derive_bundle`.
+    """
     import numpy as np
 
     if mode not in ("gradient", "hessian"):
         raise AcornsError(f"verify mode must be gradient or hessian, not {mode!r}")
     _, program, vars_ = corpus_program(fn)
-    bundle = derive_bundle(program, vars_, do_simplify=do_simplify,
+    bundle = derive_bundle(program, vars_, do_simplify=do_simplify, cap=cap,
                            want_hessian=(mode == "hessian"))
     n = vars_.n
     if mode == "gradient":
@@ -486,18 +499,18 @@ def verify(fn: CorpusFunction, mode: str = "gradient", points: int = 100,
     pts = sample_points(fn, program, points, rng)
     analytic = evaluate(tape, pts)
 
-    report = FdReport(fn.name, mode, tol, points)
+    report = FdReport(fn.name, mode, tol, points, seed, tuple(labels), pts.tolist())
     oracle = _ProgramEvaluator(program, vars_)  # one program tape for every point
     for p in range(points):
         if mode == "gradient":
             fd = fd_gradient(program, vars_, pts[p], oracle=oracle)
             for j in range(n):
-                report.record(names[j], analytic[p, j], fd[j])
+                report.record(names[j], analytic[p, j], fd[j], p)
         else:
             fd = fd_hessian(program, vars_, pts[p], oracle=oracle)
             k = 0
             for i in range(n):
                 for j in range(i + 1):
-                    report.record(names[k], analytic[p, k], fd[i, j])
+                    report.record(names[k], analytic[p, k], fd[i, j], p)
                     k += 1
     return report

@@ -122,6 +122,15 @@ def test_node_cap_exits_3(function_0_file, tmp_path, capsys, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("form", ["corpus", "file"])
+def test_verify_node_cap_exits_3(function_0_file, capsys, monkeypatch, form):
+    monkeypatch.setenv("ACORNS_MAX_NODES", "4")
+    target = ["function_0"] if form == "corpus" else [
+        function_0_file, "--func", "function_0", "--energy", "energy", "--vars", "x"]
+    assert main(["verify", *target, "--points", "3"]) == 3
+    assert capsys.readouterr().err == "acorns_autodiff verify: expression node count 11 exceeds cap 4\n"
+
+
 def test_bad_node_cap_warns_and_continues(function_0_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ACORNS_MAX_NODES", "lots")
     rc = main([function_0_file, "energy", "--vars", "x",

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from acorns.cast import _PRECEDENCE, INTRINSICS
 from acorns.errors import UnboundSlot
 from acorns.flatten import unroll
 import acorns.interp
@@ -115,7 +116,7 @@ def test_shared_subtrees_compile_once():
     e = Binary("+", xx, xx)
     tape = compile_exprs([e], ["x"])
     # load, mul, add: each shared object is emitted a single time
-    assert tape.ops.shape[0] == 3
+    assert len(tape.ops) == 3
 
 
 def _parity_case():
@@ -141,12 +142,30 @@ def test_evaluate_bitwise_parity_with_eval_expr():
     assert got[~nan].tobytes() == ref[~nan].tobytes()
 
 
+def test_every_operator_matches_eval_expr():
+    ops = list(_PRECEDENCE)
+    exprs = [parse_expr(f"x {op} y") for op in ops] + [parse_expr("-x"), parse_expr("pow(x, y)")]
+    exprs += [parse_expr(f"{name}(x)") for name in INTRINSICS if name != "pow"]
+    assert len(ops) == 10 and len(exprs) == 10 + 1 + len(INTRINSICS)
+    values = [-math.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 710.0, math.inf, math.nan]
+    pts = np.array([(x, y) for x in values for y in values])
+    tape = compile_exprs(exprs, ["x", "y"])
+    got = evaluate(tape, pts)
+    ref = np.array([[eval_expr(e, {"x": x, "y": y}) for e in exprs] for x, y in pts.tolist()])
+    # bitwise equal except that NaN payloads may differ between numpy and Python
+    nan = np.isnan(got)
+    assert np.array_equal(nan, np.isnan(ref))
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
+    # the array functions cover the whole operator vocabulary, and only it
+    assert set(acorns.interp._array_fn()) == set(_PRECEDENCE) | set(INTRINSICS) | {"neg"}
+
+
 def test_evaluate_chunks_match_single_chunk(monkeypatch):
     exprs, pts = _parity_case()
     tape = compile_exprs(exprs, ["x", "y", "z"])
     whole = evaluate(tape, pts)
     # 7 points per chunk: 50 points end in a partial chunk
-    monkeypatch.setattr(acorns.interp, "CHUNK_CELLS", 7 * tape.ops.shape[0])
+    monkeypatch.setattr(acorns.interp, "CHUNK_CELLS", 7 * len(tape.ops))
     assert evaluate(tape, pts).tobytes() == whole.tobytes()
 
 

@@ -1,3 +1,7 @@
+import copy
+import pickle
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -247,3 +251,34 @@ _exprs = st.recursive(_leaves, _compound, max_leaves=25)
 @given(_exprs)
 def test_print_parse_round_trip(e):
     assert parse_expr(to_source(e)) == e
+
+
+# --- repr, copying and pickling of deep trees --------------------------------
+
+
+def test_repr_writes_the_dataclass_text():
+    e = parse_expr("-pow(a[i + 1], 2.5) * y")
+    span = "SourceSpan(line=1, column={}, length={})".format
+    assert repr(e) == (
+        "Binary(op='*', lhs=Unary(op='-', operand=Call(name='pow', args=(ArrayRef(base='a', "
+        "indices=(Binary(op='+', lhs=Var(name='i', span=" + span(8, 1) + "), "
+        "rhs=Constant(text='1', value=1.0, span=" + span(12, 1) + "), span=" + span(10, 1)
+        + "),), span=" + span(6, 1) + "), Constant(text='2.5', value=2.5, span=" + span(16, 3)
+        + ")), span=" + span(2, 3) + "), span=" + span(1, 1) + "), rhs=Var(name='y', span="
+        + span(23, 1) + "), span=" + span(21, 1) + ")")
+    assert repr(Call("sqrt", (Var("x"),))) == (
+        "Call(name='sqrt', args=(Var(name='x', span=None),), span=None)")
+
+
+def test_deep_chain_repr_copy_and_pickle():
+    x, y = Var("x"), Var("y")
+    chain = x
+    for _ in range(3000):
+        chain = Binary("+", chain, y)
+    assert sys.getrecursionlimit() < 3000
+    assert repr(chain) == "Binary(op='+', lhs=" * 3000 + "Var(name='x', span=None)" + (
+        ", rhs=Var(name='y', span=None), span=None)" * 3000)
+    assert copy.deepcopy(chain) is chain and copy.copy(chain) is chain
+    back = pickle.loads(pickle.dumps(chain))
+    assert back is not chain and back == chain
+    assert back.rhs is back.lhs.rhs  # one node per shared node, as pickled

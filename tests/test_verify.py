@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from acorns.derivatives import VarIndexMap, substitute
+from acorns.derivatives import VarIndexMap, derive_bundle, substitute
 from acorns.errors import AcornsError
 from acorns.flatten import unroll
 from acorns.interp import eval_expr
@@ -196,6 +196,26 @@ def test_report_rendering():
     machine = report.render_machine()
     assert machine.count("\n") == len(report.entries) - 1
     assert machine.split(",")[0] == "grad[0]"
+
+
+def test_report_names_the_worst_point_and_seed():
+    fn = corpus_function("eq3", s=3)
+    report = verify(fn, "gradient", points=12, seed=99)
+    _, program, vars_ = corpus_program(fn)
+    pts = sample_points(fn, program, 12, np.random.default_rng(99))
+    grad = derive_bundle(program, vars_).grad
+    labels = [s.label for s in program.inputs]
+    for j, entry in enumerate(report.entries):
+        errs = []
+        for row in pts:
+            analytic = eval_expr(grad[j], dict(zip(labels, row)))
+            errs.append(abs(analytic - fd_gradient(program, vars_, row)[j]) / max(1.0, abs(analytic)))
+        assert errs[entry.point] == entry.rel_err == max(errs)
+    worst = max(report.entries, key=lambda e: e.rel_err)
+    lines = report.render().splitlines()
+    assert lines[0].endswith(" seed=99")
+    values = ", ".join(f"{label}={v!r}" for label, v in zip(labels, pts[worst.point].tolist()))
+    assert lines[-2] == f"worst {worst.name} at point {worst.point}: {values}"
 
 
 def test_corpus_is_complete():
