@@ -9,6 +9,7 @@ depth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
@@ -205,7 +206,9 @@ def _fields(node: Expr) -> tuple:
 def const(value: float, text: str | None = None) -> Constant:
     """Make a constant with a round-tripping literal text."""
     if text is None:
-        if float(value) == int(value) and abs(value) < 1e15:
+        # -0.0 takes repr's "-0.0": the integer spelling "0" would drop its sign
+        negative_zero = value == 0 and math.copysign(1.0, value) < 0
+        if float(value) == int(value) and abs(value) < 1e15 and not negative_zero:
             text = str(int(value))
         else:
             text = repr(float(value))

@@ -108,9 +108,6 @@ class DerivativeBundle:
             i, j = j, i  # the upper triangle mirrors the lower
         return self.hess_lower[i * (i + 1) // 2 + j]
 
-    def hess_full(self) -> list:
-        return [[self.hess_entry(i, j) for j in range(self.n)] for i in range(self.n)]
-
 
 def _check_cap(e: Expr, cap: int, sizes: dict | None = None):
     """Raise ExpressionExplosion when `e` tree-expands past `cap` nodes.

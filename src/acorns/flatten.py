@@ -12,6 +12,7 @@ either an input slot or an earlier versioned target.
 from __future__ import annotations
 
 import itertools
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -119,6 +120,19 @@ def eval_const(expr: Expr, env: dict):
     return done[id(expr)]
 
 
+def _c_int_div(a: int, b: int) -> int:
+    q = abs(a) // abs(b)  # C integer division truncates toward zero
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+# the binary operators over compile-time integers, as C computes them
+_INT_BINARY_FN = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _c_int_div,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+}
+
+
 def _const_value(e: Expr, done: dict, env: dict):
     if isinstance(e, Constant):
         if any(ch in e.text for ch in ".eE"):
@@ -130,31 +144,11 @@ def _const_value(e: Expr, done: dict, env: dict):
         return env[e.name]
     if isinstance(e, Unary):
         return -done[id(e.operand)]
-    if isinstance(e, Binary):
-        a, b, op = done[id(e.lhs)], done[id(e.rhs)], e.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0:
-                raise NotConstant(e.span, "division by zero in constant expression")
-            q = abs(a) // abs(b)  # C integer division truncates toward zero
-            return q if (a >= 0) == (b >= 0) else -q
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        if op == "==":
-            return a == b
-        if op == "!=":
-            return a != b
+    if isinstance(e, Binary) and e.op in _INT_BINARY_FN:
+        a, b = done[id(e.lhs)], done[id(e.rhs)]
+        if e.op == "/" and b == 0:
+            raise NotConstant(e.span, "division by zero in constant expression")
+        return _INT_BINARY_FN[e.op](a, b)
     raise NotConstant(getattr(e, "span", None), "expression is not compile-time constant")
 
 

@@ -9,6 +9,7 @@ differentiator they validate.  numpy is imported on first use, as in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -186,7 +187,7 @@ def corpus_program(fn: CorpusFunction):
     ir = parse_source(fn.source, fn.func_name, fn.energy_var)
     violations = validate_subset(ir)
     if violations:
-        raise AcornsError(f"corpus function {fn.name} violates the subset: {violations}")
+        raise AcornsError("\n".join(f"{fn.name}:{v.span}: {v.reason}" for v in violations))
     program = unroll(ir)
     vars_ = VarIndexMap.from_names(program, fn.var_names)
     return ir, program, vars_
@@ -279,10 +280,6 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
 # Finite differences
 
 
-def _fd_h(xj: float, h: float | None) -> float:
-    return h if h is not None else 1e-5 * max(1.0, abs(xj))
-
-
 # most bytes of input rows the FD oracles build at once
 FD_BLOCK_BYTES = 64 * 2**20
 
@@ -291,36 +288,39 @@ class _ProgramEvaluator:
     """Evaluates only the original program; the oracle's f(x)."""
 
     def __init__(self, program: StraightLineProgram, vars_: VarIndexMap):
+        import numpy as np
+
         self.tape = compile_program(program)
-        self.slot_pos = {label: i for i, label in enumerate(self.tape.slots)}
-        self.var_pos = [self.slot_pos[v] for v in vars_.labels]
+        slot_pos = {label: i for i, label in enumerate(self.tape.slots)}
+        self.var_pos = np.array([slot_pos[v] for v in vars_.labels], dtype=np.intp)
 
-    def __call__(self, points: np.ndarray) -> list:
-        """f at each row of `points`, as Python floats."""
-        return evaluate(self.tape, points)[:, 0].tolist()
-
-    def stepped(self, point: np.ndarray, count: int, rows: list, cols: list,
-                steps: list) -> list:
+    def stepped(self, point: np.ndarray, count: int, rows: np.ndarray, cols: np.ndarray,
+                steps: np.ndarray) -> np.ndarray:
         """f at `count` copies of `point`, copy rows[k] having steps[k] added
         to its slot cols[k] (`rows` ascending, each slot stepped at most once
         per copy).  Builds at most `FD_BLOCK_BYTES` of copies at a time."""
         import numpy as np
 
-        rows, cols, steps = np.asarray(rows), np.asarray(cols, dtype=np.intp), np.asarray(steps)
         per_block = max(1, FD_BLOCK_BYTES // (8 * point.size))
-        vals: list = []
+        vals = np.empty(count)
         for lo in range(0, count, per_block):
             hi = min(count, lo + per_block)
             a, b = np.searchsorted(rows, (lo, hi))
             block = np.repeat(point.reshape(1, -1), hi - lo, axis=0)
             block[rows[a:b] - lo, cols[a:b]] += steps[a:b]
-            vals += self(block)
+            vals[lo:hi] = evaluate(self.tape, block)[:, 0]
         return vals
 
 
+def _steps(f: _ProgramEvaluator, point: np.ndarray) -> np.ndarray:
+    """Each variable's FD step: 1e-5, scaled up with its magnitude past 1."""
+    import numpy as np
+
+    return 1e-5 * np.maximum(1.0, np.abs(point[f.var_pos]))
+
+
 def fd_gradient(program: StraightLineProgram, vars_: VarIndexMap,
-                point: np.ndarray, h: float | None = None, *,
-                oracle: _ProgramEvaluator | None = None) -> np.ndarray:
+                point: np.ndarray, *, oracle: _ProgramEvaluator | None = None) -> np.ndarray:
     """Central-difference gradient over the full input-slot vector `point`.
 
     `oracle` is the program's evaluator, built here when not given.
@@ -328,20 +328,20 @@ def fd_gradient(program: StraightLineProgram, vars_: VarIndexMap,
     import numpy as np
 
     f = oracle if oracle is not None else _ProgramEvaluator(program, vars_)
-    n = vars_.n
+    n, h = vars_.n, _steps(f, point)
     # rows 2j and 2j + 1 step variable j up and down
-    steps = [_fd_h(point[pos], h) for pos in f.var_pos]
-    vals = f.stepped(point, 2 * n, range(2 * n), [pos for pos in f.var_pos for _ in (0, 1)],
-                     [s for hj in steps for s in (hj, -hj)])
-    out = np.empty(n)
-    for j, hj in enumerate(steps):
-        out[j] = (vals[2 * j] - vals[2 * j + 1]) / (2 * hj)
-    return out
+    vals = f.stepped(point, 2 * n, np.arange(2 * n), np.repeat(f.var_pos, 2),
+                     np.stack((h, -h), axis=1).ravel())
+    with np.errstate(all="ignore"):
+        return (vals[0::2] - vals[1::2]) / (2 * h)
+
+
+# the signs of the (i, j) steps in the rows pp, pm, mp, mm of an off-diagonal pair
+_OFF_SIGNS = (1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0)
 
 
 def fd_hessian(program: StraightLineProgram, vars_: VarIndexMap,
-               point: np.ndarray, h: float | None = None, *,
-               oracle: _ProgramEvaluator | None = None) -> np.ndarray:
+               point: np.ndarray, *, oracle: _ProgramEvaluator | None = None) -> np.ndarray:
     """Central second differences; the i == j case uses the 3-point stencil.
 
     `oracle` is the program's evaluator, built here when not given.
@@ -349,44 +349,22 @@ def fd_hessian(program: StraightLineProgram, vars_: VarIndexMap,
     import numpy as np
 
     f = oracle if oracle is not None else _ProgramEvaluator(program, vars_)
-    n = vars_.n
-    steps = [_fd_h(point[pos], h) for pos in f.var_pos]
-    # row 0 is the point itself; then each (i, j) with j <= i takes 2 rows on
-    # the diagonal (up, dn) and 4 off it (pp, pm, mp, mm): 1 + 2n^2 in all
-    rows: list = []
-    cols: list = []
-    deltas: list = []
-    k = 1
-    for i in range(n):
-        pi, hi = f.var_pos[i], steps[i]
-        for j in range(i + 1):
-            pj, hj = f.var_pos[j], steps[j]
-            if i == j:
-                rows += (k, k + 1)
-                cols += (pi, pi)
-                deltas += (hi, -hi)
-                k += 2
-            else:
-                rows += (k, k, k + 1, k + 1, k + 2, k + 2, k + 3, k + 3)
-                cols += (pi, pj) * 4
-                deltas += (hi, hj, hi, -hj, -hi, hj, -hi, -hj)
-                k += 4
-    vals = f.stepped(point, k, rows, cols, deltas)
-    f0 = vals[0]
-    out = np.empty((n, n))
-    k = 1
-    for i in range(n):
-        hi = steps[i]
-        for j in range(i + 1):
-            hj = steps[j]
-            if i == j:
-                val = (vals[k] - 2 * f0 + vals[k + 1]) / (hi * hi)
-                k += 2
-            else:
-                val = (vals[k] - vals[k + 1] - vals[k + 2] + vals[k + 3]) / (4 * hi * hj)
-                k += 4
-            out[i, j] = val
-            out[j, i] = val
+    n, h, pos = vars_.n, _steps(f, point), f.var_pos
+    i, j = np.tril_indices(n, -1)  # the off-diagonal pairs, j < i
+    # row 0 is the point itself; rows 2v + 1 and 2v + 2 step variable v up
+    # and down; then 4 rows per pair step both i and j: 1 + 2n^2 rows in all
+    off_rows = np.arange(2 * n + 1, 1 + 2 * n * n)
+    off_cols = np.tile(np.stack((pos[i], pos[j]), axis=1), 4)
+    off_steps = _OFF_SIGNS * np.tile(np.stack((h[i], h[j]), axis=1), 4)
+    vals = f.stepped(point, 1 + 2 * n * n,
+                     np.concatenate((np.arange(1, 2 * n + 1), np.repeat(off_rows, 2))),
+                     np.concatenate((np.repeat(pos, 2), off_cols.ravel())),
+                     np.concatenate((np.stack((h, -h), axis=1).ravel(), off_steps.ravel())))
+    up, dn = vals[1:2 * n + 1:2], vals[2:2 * n + 2:2]
+    pp, pm, mp, mm = vals[2 * n + 1:].reshape(-1, 4).T
+    with np.errstate(all="ignore"):
+        out = np.diag((up - 2 * vals[0] + dn) / (h * h))
+        out[i, j] = out[j, i] = (pp - pm - mp + mm) / (4 * h[i] * h[j])
     return out
 
 
@@ -402,7 +380,7 @@ class FdEntry:
     abs_err: float
     rel_err: float  # |analytic - fd| / max(1, |analytic|)
     ok: bool
-    point: int  # index of the sample point where rel_err occurred
+    point: int  # index of the entry's worst sample point, where rel_err occurred
 
 
 @dataclass
@@ -415,11 +393,17 @@ class FdReport:
     slots: tuple  # input-slot labels of the samples
     samples: list  # each sample point's slot values
     entries: list = field(default_factory=list)
-    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # name -> position in entries
+
+    @property
+    def worst(self) -> FdEntry | None:
+        """The first entry with the largest error; a NaN error ranks above
+        every number."""
+        return max(self.entries, key=lambda e: (math.isnan(e.rel_err), e.rel_err), default=None)
 
     @property
     def max_rel_err(self) -> float:
-        return max((e.rel_err for e in self.entries), default=0.0)
+        worst = self.worst
+        return 0.0 if worst is None else worst.rel_err
 
     @property
     def pass_count(self) -> int:
@@ -429,17 +413,18 @@ class FdReport:
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
 
-    def record(self, name: str, analytic: float, fd: float, point: int):
-        abs_err = abs(analytic - fd)
-        rel_err = abs_err / max(1.0, abs(analytic))
-        entry = FdEntry(name, analytic, fd, abs_err, rel_err, rel_err <= self.tolerance, point)
-        # keep the worst instance per entry name
-        i = self._index.get(name)
-        if i is None:
-            self._index[name] = len(self.entries)
-            self.entries.append(entry)
-        elif rel_err > self.entries[i].rel_err:
-            self.entries[i] = entry
+    def record(self, name: str, analytic: np.ndarray, fd: np.ndarray):
+        """Score entry `name` from its analytic and FD values at every sample
+        point, and keep its worst point: the first NaN error, or else the
+        first largest one."""
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            abs_err = np.abs(analytic - fd)
+            rel_err = abs_err / np.maximum(1.0, np.abs(analytic))
+        p = int(np.argmax(rel_err))  # argmax picks the first NaN, if any
+        self.entries.append(FdEntry(name, analytic[p], fd[p], abs_err[p], rel_err[p],
+                                    rel_err[p] <= self.tolerance, p))
 
     def render(self) -> str:
         lines = [
@@ -451,8 +436,8 @@ class FdReport:
             lines.append(
                 f"{e.name:<14} {e.analytic:>16.8g} {e.fd:>16.8g} {e.rel_err:>10.2e}  {'ok' if e.ok else 'FAIL'}"
             )
-        if self.entries:
-            worst = max(self.entries, key=lambda e: e.rel_err)
+        worst = self.worst
+        if worst is not None:
             values = zip(self.slots, self.samples[worst.point])
             at = ", ".join(f"{label}={v!r}" for label, v in values)
             lines.append(f"worst {worst.name} at point {worst.point}: {at}")
@@ -480,6 +465,8 @@ def verify(fn: CorpusFunction, mode: str = "gradient", points: int = 100,
 
     if mode not in ("gradient", "hessian"):
         raise AcornsError(f"verify mode must be gradient or hessian, not {mode!r}")
+    if points < 1:  # each entry is scored at its worst point
+        raise AcornsError(f"verify needs at least 1 point, not {points}")
     _, program, vars_ = corpus_program(fn)
     bundle = derive_bundle(program, vars_, do_simplify=do_simplify, cap=cap,
                            want_hessian=(mode == "hessian"))
@@ -501,16 +488,13 @@ def verify(fn: CorpusFunction, mode: str = "gradient", points: int = 100,
 
     report = FdReport(fn.name, mode, tol, points, seed, tuple(labels), pts.tolist())
     oracle = _ProgramEvaluator(program, vars_)  # one program tape for every point
-    for p in range(points):
+    fd = np.empty_like(analytic)  # (points, entries), as `analytic`
+    lower = np.tril_indices(n)  # the Hessian entries, in the order of `names`
+    for p, point in enumerate(pts):
         if mode == "gradient":
-            fd = fd_gradient(program, vars_, pts[p], oracle=oracle)
-            for j in range(n):
-                report.record(names[j], analytic[p, j], fd[j], p)
+            fd[p] = fd_gradient(program, vars_, point, oracle=oracle)
         else:
-            fd = fd_hessian(program, vars_, pts[p], oracle=oracle)
-            k = 0
-            for i in range(n):
-                for j in range(i + 1):
-                    report.record(names[k], analytic[p, k], fd[i, j], p)
-                    k += 1
+            fd[p] = fd_hessian(program, vars_, point, oracle=oracle)[lower]
+    for k, name in enumerate(names):
+        report.record(name, analytic[:, k], fd[:, k])
     return report

@@ -437,6 +437,31 @@ def test_verify_exp_overflow_reports_failure(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
+def test_verify_fails_on_a_nan_at_any_point(tmp_path, capsys, seed):
+    # sqrt's derivative is NaN at the negative samples; under seeds 1 and 4
+    # the first sample is positive, so the first NaN comes at a later point
+    path = tmp_path / "sq.c"
+    path.write_text("double f(double x) {\n    double e = sqrt(x);\n    return 0;\n}\n")
+    rc = main(["verify", str(path), "--func", "f", "--energy", "e", "--vars", "x",
+               "--box", "-1", "1", "--points", "20", "--seed", seed])
+    assert rc == 1
+    assert capsys.readouterr().out.endswith("0/1 entries pass, max relerr nan\n")
+
+
+def test_verify_prints_subset_violations_as_generate_does(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.c").write_text(
+        "double f(double x, double n) {\n    double e = 0;\n"
+        "    for (int i = 0; i < n; i++) {\n        e = e + x;\n    }\n    return 0;\n}\n")
+    assert main(["bad.c", "e", "--func", "f", "--vars", "x", "--output_filename", "out"]) == 1
+    assert capsys.readouterr().err == "bad.c:3:5: non-constant loop bound\n"
+    assert main(["verify", "bad.c", "--func", "f", "--energy", "e", "--vars", "x"]) == 1
+    err = capsys.readouterr().err
+    assert err == "acorns_autodiff verify: bad.c:3:5: non-constant loop bound\n"
+    assert "Violation(" not in err
+
+
 @pytest.mark.parametrize("args,message", [
     (["eq1", "--points", "-1"], "argument --points: must be at least 1, got -1"),
     (["eq1", "--points", "0"], "argument --points: must be at least 1, got 0"),

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from dataclasses import replace
 
@@ -31,7 +32,7 @@ from acorns.codegen import (
 from acorns.derivatives import VarIndexMap, derive_bundle, differentiate, simplify
 from acorns.errors import AcornsError
 from acorns.flatten import unroll
-from acorns.interp import compile_exprs, evaluate
+from acorns.interp import compile_exprs, eval_expr, evaluate
 from acorns.parser import parse_source
 from acorns.verify import CorpusFunction, corpus_function, corpus_program, sample_points
 
@@ -345,6 +346,25 @@ def test_negative_literal_under_unary_minus():
     assert to_source(Binary("*", minus_one, Var("x"))) == "-1 * x"
     assert to_source(Call("sin", (minus_one,))) == "sin(-1)"
     assert to_source(Unary("-", Unary("-", Var("x")))) == "-(-x)"
+
+
+# 0 / (1 - 2) folds to -0.0, so e is -inf at x = 2, not +inf
+_NEGATIVE_ZERO_SRC = "double f(double x){ double e = x / (0 / (1 - 2)); return 0; }"
+
+
+def test_folded_negative_zero_keeps_its_sign():
+    program, vars_, bundle = _bundle(_NEGATIVE_ZERO_SRC, "f", "e", ["x"])
+    assert const(-0.0).text == "-0.0"
+    art = emit(bundle, vars_, EmitConfig(mode=frozenset({"function"}), basename="nz"), program)
+    assert _statement_lines(art) == ["out[0] = x / -0.0;"]
+    assert eval_expr(bundle.f, {"x": 2.0}) == -math.inf
+
+
+def test_folded_negative_zero_compiles_to_its_value(cc, tmp_path):
+    program, vars_, bundle = _bundle(_NEGATIVE_ZERO_SRC, "f", "e", ["x"])
+    art = emit(bundle, vars_, EmitConfig(mode=frozenset({"function"}), basename="nz"), program)
+    got = compile_and_run(cc, art, str(tmp_path), "nz", "function", np.array([[2.0]]), 1)
+    assert got[0, 0] == -math.inf
 
 
 def test_deep_chains_render_without_recursion():

@@ -13,6 +13,7 @@ from acorns.parser import parse_source
 from acorns.verify import (
     CORPUS,
     GRAD_TOL,
+    FdReport,
     HESS_TOL,
     corpus_function,
     corpus_program,
@@ -180,6 +181,11 @@ def test_verify_rejects_bad_mode():
         verify(corpus_function("eq1"), "function")
 
 
+def test_verify_rejects_no_points():
+    with pytest.raises(AcornsError, match="at least 1 point"):
+        verify(corpus_function("eq1"), "gradient", points=0)
+
+
 def test_verify_no_simplify_agrees():
     fn = corpus_function("eq2")
     a = verify(fn, "gradient", points=10, do_simplify=True)
@@ -216,6 +222,37 @@ def test_report_names_the_worst_point_and_seed():
     assert lines[0].endswith(" seed=99")
     values = ", ".join(f"{label}={v!r}" for label, v in zip(labels, pts[worst.point].tolist()))
     assert lines[-2] == f"worst {worst.name} at point {worst.point}: {values}"
+
+
+def _report(points: int) -> FdReport:
+    """An empty gradient report over the samples x = 0, 1, ..."""
+    samples = [[float(p)] for p in range(points)]
+    return FdReport("f", "gradient", GRAD_TOL, points, 0, ("x",), samples)
+
+
+def test_record_fails_a_nan_at_the_last_point():
+    report = _report(3)
+    report.record("grad[0]", np.array([1.0, 2.0, math.nan]), np.array([1.0, 2.5, 3.0]))
+    (entry,) = report.entries
+    assert entry.point == 2 and math.isnan(entry.rel_err)
+    assert not entry.ok and not report.ok
+
+
+def test_record_names_the_first_largest_error():
+    report = _report(3)
+    report.record("grad[0]", np.zeros(3), np.array([1e-9, 3e-7, 3e-7]))
+    (entry,) = report.entries
+    assert entry.point == 1 and entry.rel_err == 3e-7
+
+
+def test_a_later_nan_entry_is_the_worst():
+    report = _report(2)
+    report.record("grad[0]", np.zeros(2), np.array([0.5, 0.0]))
+    report.record("grad[1]", np.array([0.0, math.nan]), np.zeros(2))
+    assert math.isnan(report.max_rel_err)
+    lines = report.render().splitlines()
+    assert lines[-2] == "worst grad[1] at point 1: x=1.0"
+    assert lines[-1] == "0/2 entries pass, max relerr nan"
 
 
 def test_corpus_is_complete():
