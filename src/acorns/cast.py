@@ -344,13 +344,18 @@ class SharedText:
     root's text or its new lines read.
 
     A sum whose left spine holds more than `ACCUMULATOR_TERMS` `+`/`-`
-    nodes that render inline is bound too, as a running accumulator: the
-    line `double <temp>K = <first ACCUMULATOR_TERMS terms>;`, then lines
-    `<temp>K = <temp>K - <next ACCUMULATOR_TERMS terms>;`, each reading the
-    one before, and its users print `<temp>K`.  The additions happen in the
-    same order, so the value is the same; written as one expression, gcc
-    makes every call of a long sum's terms before its first addition and
-    spills all their results.
+    nodes that render inline is bound too, as a running accumulator: its
+    top and some nodes down its spine are named like temporaries, all under
+    one name.  The lowest, `ACCUMULATOR_TERMS` terms up from the bottom,
+    appends `double <temp>K = <its text>;`, and each later one appends
+    `<temp>K = <its text>;`, its text starting `<temp>K` since its left
+    operand is the line before.  The additions happen in the same order, so
+    the value is the same; written as one expression, gcc makes every call
+    of a long sum's terms before its first addition and spills all their
+    results.  The lines reassign one `double` on purpose: as a chain of
+    distinct names, `const` or not, the 800-term loss of the grad_steps
+    benchmark takes a 7,232 B stack frame under gcc -O2 instead of 2,112 B,
+    and compiles a quarter to a half slower.
     """
 
     def __init__(self, roots, temp: str | None = None):
@@ -368,6 +373,8 @@ class SharedText:
         self.deps: list[tuple] = []
         self.reads: frozenset = frozenset()
         self._index: dict[int, int] = {}  # id(node) -> K, for temporaries with uses left
+        # id(node) -> [its accumulator's name] once the first line is written, else []
+        self._lines: dict[int, list] = {}
 
     def _take(self, key: int) -> str:
         left = self.uses[key] - 1
@@ -384,52 +391,33 @@ class SharedText:
         out: list[str] = []
         first = len(self.decls)
         reads: list[set] = [set()]  # temporaries read by the root, then by each open declaration
-        # work items: text, (node, context precedence, is right operand),
-        # (None, id(node), start, named): out[start:] is the whole text of a
-        # shared node, or (_Sum, start, is last line): out[start:] is the
-        # text of one line of a running accumulator
+        # work items: text, (node, context precedence, is right operand), or
+        # (None, id(node), start, named, acc): out[start:] is the whole text
+        # of a shared or named node, and `acc` is None or, for a running
+        # accumulator's line, the `_lines` list that holds its name
         work: list = [(root, 0, False)]
         while work:
             item = work.pop()
             if isinstance(item, str):
                 out.append(item)
                 continue
-            if isinstance(item[0], _Sum):  # one line of a running accumulator ends here
-                acc, start, last = item
-                text = "".join(out[start:])
-                del out[start:]
-                deps = reads.pop()
-                k = len(self.decls)
-                if acc.name is None:
-                    acc.name = f"{self.temp}{k}"
-                    self.decls.append(f"double {acc.name} = {text};")
-                else:
-                    deps.add(acc.line)
-                    self.decls.append(f"{acc.name} = {acc.name}{text};")
-                self.deps.append(tuple(sorted(deps)))
-                acc.line = k
-                if not last:
-                    reads.append(set())
-                    continue
-                reads[-1].add(k)
-                if acc.key in self.uses:  # a shared sum: a temporary
-                    self.text[acc.key] = acc.name
-                    self._index[acc.key] = k
-                    out.append(self._take(acc.key))
-                else:
-                    out.append(acc.name)
-                continue
-            if item[0] is None:  # a shared node's first use ends here
-                _, key, start, named = item
+            if item[0] is None:  # a shared or named node's first use ends here
+                _, key, start, named, acc = item
                 text = "".join(out[start:])
                 del out[start:]
                 if named:
                     k = len(self.decls)
-                    self.decls.append(f"const double {self.temp}{k} = {text};")
+                    if acc:  # a later accumulator line: its text starts with the name
+                        self.decls.append(f"{acc[0]} = {text};")
+                    elif acc is None:
+                        self.decls.append(f"const double {self.temp}{k} = {text};")
+                    else:
+                        acc.append(f"{self.temp}{k}")
+                        self.decls.append(f"double {acc[0]} = {text};")
                     self.deps.append(tuple(sorted(reads.pop())))
                     self._index[key] = k
                     reads[-1].add(k)
-                    text = f"{self.temp}{k}"
+                    text = acc[0] if acc else f"{self.temp}{k}"
                 self.text[key] = text
                 out.append(self._take(key))
                 continue
@@ -438,12 +426,12 @@ class SharedText:
             # the top of a sum's left spine, not the inline left operand of a sum
             if (self.temp is not None and isinstance(node, Binary) and node.op in _SUMS
                     and key not in self.text
-                    and not (outer == _PRECEDENCE["+"] and not right and self.uses[key] == 1)
-                    and self._bind_sum(node, work, len(out), reads)):
-                continue
-            # whether `node` is, or is about to become, a temporary
+                    and not (outer == _PRECEDENCE["+"] and not right and self.uses[key] == 1)):
+                self._mark_sum(node)
+            acc = self._lines.pop(key, None)
+            # whether `node` is, or is about to become, a temporary or an accumulator line
             named = (self.temp is not None and not isinstance(node, _ATOMS)
-                     and (key in self.text or self.uses[key] > 1))
+                     and (key in self.text or self.uses[key] > 1 or acc is not None))
             if named:
                 outer = 0  # a name, or the right side of its declaration
             prec = _prec(node)
@@ -455,8 +443,8 @@ class SharedText:
                     reads[-1].add(self._index[key])
                 out.append(self._take(key))
                 continue
-            if self.uses[key] > 1:
-                work.append((None, key, len(out), named))
+            if named or self.uses[key] > 1:
+                work.append((None, key, len(out), named, acc))
                 if named:
                     reads.append(set())
             else:
@@ -488,43 +476,22 @@ class SharedText:
                                if k < first)
         return "".join(out)
 
-    def _bind_sum(self, top: Binary, work: list, start: int, reads: list) -> bool:
-        """Queue the sum down `top`'s left spine as running-accumulator
-        lines, if more than `ACCUMULATOR_TERMS` of its `+`/`-` nodes render
-        inline; `start` is where its text begins in the render's output."""
+    def _mark_sum(self, top: Binary):
+        """Mark the lines of a running accumulator down `top`'s left spine,
+        if more than `ACCUMULATOR_TERMS` of its `+`/`-` nodes render inline.
+        Lines end at `top` and at the (k * ACCUMULATOR_TERMS - 1)-th node
+        up from the bottom, so that each holds `ACCUMULATOR_TERMS` terms
+        but the last; the marks share one name."""
         spine = [top]
         lhs = top.lhs
         while (isinstance(lhs, Binary) and lhs.op in _SUMS and id(lhs) not in self.text
                and self.uses[id(lhs)] == 1):
             spine.append(lhs)
             lhs = lhs.lhs
-        if len(spine) <= ACCUMULATOR_TERMS:
-            return False
-        if self.uses[id(top)] == 1:
-            del self.uses[id(top)]  # a shared top keeps its uses, to be named like a temporary
-        for node in spine[1:]:
-            del self.uses[id(node)]
-        terms = [(None, lhs)] + [(node.op, node.rhs) for node in reversed(spine)]
-        acc = _Sum(id(top))
-        last = True
-        for lo in reversed(range(0, len(terms), ACCUMULATOR_TERMS)):
-            work.append((acc, start, last))
-            last = False
-            for op, term in reversed(terms[lo:lo + ACCUMULATOR_TERMS]):
-                work.append((term, _PRECEDENCE["+"], op is not None))
-                if op is not None:
-                    work.append(f" {op} ")
-        reads.append(set())
-        return True
-
-
-@dataclass
-class _Sum:
-    """A sum being rendered as running-accumulator lines."""
-
-    key: int  # id() of its top node
-    name: str | None = None  # set by its first line
-    line: int | None = None  # its latest line's index in `decls`
+        if len(spine) > ACCUMULATOR_TERMS:
+            name: list = []  # set by the first line
+            for node in [top, *spine[1 - ACCUMULATOR_TERMS::-ACCUMULATOR_TERMS]]:
+                self._lines[id(node)] = name
 
 
 def to_source(e: Expr, shared: SharedText | None = None) -> str:

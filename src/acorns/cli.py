@@ -21,17 +21,7 @@ import sys
 from . import __version__
 from .codegen import DEFAULT_SPLIT_TARGET, EmitConfig, emit
 from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle
-from .errors import (
-    AcornsError,
-    BoundExplosion,
-    ExpressionExplosion,
-    FormatError,
-    MissingEnergyVar,
-    MissingFunction,
-    NotConstant,
-    ParseError,
-    UnsupportedConstruct,
-)
+from .errors import AcornsError, BoundExplosion, ExpressionExplosion
 from .flatten import dump_text, serialize, unroll
 from .parser import parse_source, validate_subset
 from .verify import CORPUS, CorpusFunction, verify as run_verify, corpus_function
@@ -40,9 +30,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_IO = 2
 EXIT_RESOURCE = 3
-
-_INPUT_ERRORS = (ParseError, UnsupportedConstruct, MissingFunction, MissingEnergyVar,
-                 NotConstant, FormatError, AcornsError)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -144,7 +131,7 @@ def _run_pipeline(args) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"acorns_autodiff: {args.input}: {_exhausted(exc)}", file=sys.stderr)
         return EXIT_RESOURCE
-    except _INPUT_ERRORS as exc:
+    except AcornsError as exc:
         print(f"acorns_autodiff: {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -256,7 +243,7 @@ def _run_verify(argv) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"acorns_autodiff verify: {args.function}: {_exhausted(exc)}", file=sys.stderr)
         return EXIT_RESOURCE
-    except _INPUT_ERRORS as exc:
+    except AcornsError as exc:
         print(f"acorns_autodiff verify: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(report.render_machine() if args.machine else report.render())

@@ -27,7 +27,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .cast import Expr, SharedText, Var, children, post_order, to_source
+from .cast import INTRINSICS, Expr, SharedText, Var, children, post_order, to_source
 from .derivatives import DerivativeBundle, VarIndexMap
 from .errors import AcornsError
 from .flatten import StraightLineProgram
@@ -40,6 +40,10 @@ DEFAULT_SPLIT_TARGET = 16 * 2**20
 MIN_SPLIT_TARGET = 2**16
 
 RECOMMENDED_FLAGS = "-O3 -ffast-math -flto"
+
+# names a parameter local would shadow: the chunk functions' arguments,
+# and the math functions an expression or its derivatives may call
+_C_NAMES = frozenset(("vals", "out", *INTRINSICS))
 
 
 @dataclass(frozen=True)
@@ -252,6 +256,10 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
     """Generate the header and split source files for the selected modes."""
     from . import __version__
 
+    clash = sorted({s.param for s in program.inputs} & _C_NAMES)
+    if clash:
+        raise AcornsError(f"parameter {clash[0]!r} is a name the generated C uses "
+                          "(vals, out, or a math function); rename it")
     n = bundle.n
     layout = layout_slots(program, vars_)
     stride_in = len(layout)

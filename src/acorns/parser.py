@@ -52,7 +52,8 @@ _KEYWORDS = {
     "double", "int", "float", "void", "const", "for", "if", "else", "return",
     "while", "do", "switch", "case", "break", "continue", "goto", "static",
     "struct", "union", "enum", "unsigned", "signed", "long", "short", "char",
-    "sizeof", "typedef", "extern", "volatile",
+    "sizeof", "typedef", "extern", "volatile", "auto", "register", "default",
+    "inline", "restrict", "_Bool", "_Complex", "_Imaginary",
 }
 
 _UNSUPPORTED_KEYWORDS = {
@@ -75,6 +76,14 @@ _UNSUPPORTED_KEYWORDS = {
     "static": "storage-class specifier",
     "extern": "storage-class specifier",
     "volatile": "volatile qualifier",
+    "auto": "storage-class specifier",
+    "register": "storage-class specifier",
+    "default": "switch statement",
+    "inline": "inline function",
+    "restrict": "restrict qualifier",
+    "_Bool": "_Bool type",
+    "_Complex": "complex type",
+    "_Imaginary": "imaginary type",
 }
 
 _PUNCT = (
@@ -198,7 +207,7 @@ class _Parser:
         rank = 0
         while self.accept("*"):
             rank += 1
-            while self.peek().kind == "keyword" and self.peek().text == "const":
+            while self.peek().kind == "keyword" and self.peek().text in ("const", "restrict"):
                 self.next()
         name = self.expect("ident", "parameter name").text
         extents: list[int | None] = [None] * rank
@@ -464,33 +473,17 @@ def parse_source(source_text: str, func_name: str, energy_var: str) -> FunctionI
         raise MissingFunction(func_name)
     params, body, span = found
     ir = FunctionIR(func_name, tuple(params), energy_var, tuple(body))
-    _check_scopes(ir)
-    if not _defines_energy(ir.body, energy_var):
+    if not _check_scopes(ir):
         raise MissingEnergyVar(energy_var)
     return ir
 
 
-def _defines_energy(stmts, energy_var: str) -> bool:
-    for s in stmts:
-        if isinstance(s, Declaration) and s.name == energy_var:
-            return True
-        if isinstance(s, Assignment):
-            lv = s.lvalue
-            if isinstance(lv, Var) and lv.name == energy_var:
-                return True
-            if isinstance(lv, ArrayRef) and lv.base == energy_var:
-                return True
-        if isinstance(s, ForLoop) and _defines_energy(s.body, energy_var):
-            return True
-        if isinstance(s, If) and (
-            _defines_energy(s.then_body, energy_var) or _defines_energy(s.else_body, energy_var)
-        ):
-            return True
-    return False
+def _check_scopes(ir: FunctionIR) -> bool:
+    """Every identifier must be a parameter, loop counter, or prior local.
 
-
-def _check_scopes(ir: FunctionIR):
-    """Every identifier must be a parameter, loop counter, or prior local."""
+    Returns whether a declaration or an assignment targets the energy
+    variable.
+    """
 
     def check_expr(e: Expr, scope: set):
         seen: set = set()
@@ -502,8 +495,9 @@ def _check_scopes(ir: FunctionIR):
                     raise ParseError(node.span or SourceSpan(1, 1),
                                      f"use of undeclared identifier {name!r}")
 
-    def check_block(stmts, scope: set):
+    def check_block(stmts, scope: set) -> bool:
         scope = set(scope)
+        defines = False
         for s in stmts:
             if isinstance(s, Declaration):
                 for ext in s.extents:
@@ -511,23 +505,27 @@ def _check_scopes(ir: FunctionIR):
                 if s.init is not None:
                     check_expr(s.init, scope)
                 scope.add(s.name)
+                defines |= s.name == ir.energy_var
             elif isinstance(s, Assignment):
                 check_expr(s.lvalue, scope)
                 check_expr(s.rhs, scope)
+                lv = s.lvalue
+                defines |= (lv.name if isinstance(lv, Var) else lv.base) == ir.energy_var
             elif isinstance(s, ForLoop):
                 check_expr(s.init, scope)
                 inner = scope | {s.counter}
                 check_expr(s.cond, inner)
                 check_expr(s.update, inner)
-                check_block(s.body, inner)
+                defines |= check_block(s.body, inner)
             elif isinstance(s, If):
                 check_expr(s.cond, scope)
-                check_block(s.then_body, scope)
-                check_block(s.else_body, scope)
+                defines |= check_block(s.then_body, scope)
+                defines |= check_block(s.else_body, scope)
             elif isinstance(s, Return) and s.value is not None:
                 check_expr(s.value, scope)
+        return defines
 
-    check_block(ir.body, {p.name for p in ir.params})
+    return check_block(ir.body, {p.name for p in ir.params})
 
 
 def parse_expr(text: str) -> Expr:

@@ -482,3 +482,28 @@ def test_verify_rejects_bad_numeric_arguments(function_0_file, capsys, args, mes
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == f"acorns_autodiff verify: error: {message}"
     assert "Traceback" not in err
+
+
+_C99_KEYWORDS = ["auto", "default", "inline", "register", "restrict", "_Bool", "_Complex",
+                 "_Imaginary"]
+
+
+@pytest.mark.parametrize("name,energy,message", [
+    *((k, f"{k} * {k}", f"1:17: expected parameter name, got '{k}'") for k in _C99_KEYWORDS),
+    ("vals", "vals * vals", "parameter 'vals' is a name the generated C uses"),
+    ("out", "out * out", "parameter 'out' is a name the generated C uses"),
+    ("sqrt", "sqrt(sqrt * sqrt + 1)", "parameter 'sqrt' is a name the generated C uses"),
+    # the input calls no cos, but its derivative does
+    ("cos", "sin(cos)", "parameter 'cos' is a name the generated C uses"),
+], ids=[*_C99_KEYWORDS, "vals", "out", "sqrt", "sin_of_cos"])
+def test_names_the_generated_c_cannot_use_exit_1(tmp_path, capsys, monkeypatch, name, energy,
+                                                  message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.c").write_text(
+        f"double f(double {name}) {{ double e = {energy}; return 0; }}\n")
+    rc = main(["bad.c", "e", "--vars", name, "--func", "f", "--output_filename", "gen/d"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"acorns_autodiff: bad.c: {message}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "gen").exists()

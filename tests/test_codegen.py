@@ -34,7 +34,7 @@ from acorns.errors import AcornsError
 from acorns.flatten import unroll
 from acorns.interp import compile_exprs, eval_expr, evaluate
 from acorns.parser import parse_source
-from acorns.verify import CorpusFunction, corpus_function, corpus_program, sample_points
+from acorns.verify import CORPUS, CorpusFunction, corpus_function, corpus_program, sample_points
 
 from cc_util import compile_and_run, compile_strict, run_drivers
 from randgen import random_expr, random_loop_program
@@ -176,6 +176,17 @@ GOLDEN_EMIT = {
         "golden.h": "1d0991d510033d73777d615d7088b61a1d0621da90d422f02b4c48ea4047912d",
         "golden_part0.c": "b9795a42fa34de75dffb31e60b25c64606d4099ca0477940ebaa7e7615769e0a",
     },
+    # an accumulator that each later file declares again
+    ("long_sum", None, True, MIN_SPLIT_TARGET, "ssa"): {
+        "golden.h": "3e060d21c1e6d8dd0fa74a75b79f70b3412a3df0f24b08f4f55a286c33f5ce0f",
+        "golden_part0.c": "b490bfc50c73d65cffe59d429c5c415ba02570156fe573d3e09923a5986c6d74",
+        "golden_part1.c": "6280429724ea8a07b0611f7edeab3f0895d182b80f9d5995bd2c36c963270b5e",
+    },
+    # one accumulator, in the function driver
+    ("barrier", 6, True, DEFAULT_SPLIT_TARGET, "ssa"): {
+        "golden.h": "29658fb399784008a8ba9b751cab927dec46683621c450469cf9d016f07676c2",
+        "golden_part0.c": "f4a198545ed5a3c2f953d74f2dc9e2406c1d77a4f1a28f84558df7bb3663734f",
+    },
 }
 
 
@@ -197,7 +208,10 @@ double cross_entropy(const double **a, const double **b){{
 
 
 def _golden_function(name, s):
-    """(function, emitted modes): a corpus function, or grad_steps with `s` steps."""
+    """(function, emitted modes): a corpus function, grad_steps with `s` steps,
+    or the gradient of `_LONG_SUM_SRC`."""
+    if name == "long_sum":
+        return CorpusFunction(name, _LONG_SUM_SRC, name, "e", ("x",), {}), ("gradient",)
     if name == "grad_steps":
         fn = CorpusFunction(name, _GRAD_STEPS_SRC.format(steps=s), "cross_entropy", "loss",
                             ("a",), {}, s)
@@ -225,7 +239,8 @@ def test_reverse_gradient_bitwise_on_sums(name, s):
 
 @pytest.mark.parametrize("case", list(GOLDEN_EMIT),
                          ids=["eq3_s5_raw_split64k", "eq3_s5_simplified", "cross_entropy",
-                              "grad_steps_3", "eq3_s5_simplified_ssa", "cross_entropy_ssa"])
+                              "grad_steps_3", "eq3_s5_simplified_ssa", "cross_entropy_ssa",
+                              "long_sum_gradient_split64k", "barrier_6_ssa"])
 def test_emit_bytes_match_golden(case):
     name, s, do_simplify, split_target, layout = case
     fn, modes = _golden_function(name, s)
@@ -453,6 +468,62 @@ def test_bound_text_writes_long_sums_as_accumulators():
                             "double t2 = log(t0)" + " + x" * (ACCUMULATOR_TERMS - 1) + ";",
                             "t2 = t2 + x + x;"]
     assert shared.deps == [(), (0,), (1,), (2,)]
+    assert shared.uses == {} and shared.text == {}
+
+
+def _spine_sum(nodes, term):
+    """x, then `nodes` sum nodes up a left spine; node k (from 1 at the
+    bottom) subtracts `term(k)` when k is a multiple of 3, else adds it."""
+    top = Var("x")
+    for k in range(1, nodes + 1):
+        top = Binary("-" if k % 3 == 0 else "+", top, term(k))
+    return top
+
+
+def _terms(lo, hi, name=lambda k: f"y{k}"):
+    """The text that spine nodes lo..hi of `_spine_sum` add."""
+    return "".join(f" {'-' if k % 3 == 0 else '+'} {name(k)}" for k in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("nodes,ends", [(63, [31, 63]), (64, [31, 63, 64]), (65, [31, 63, 65]),
+                                        (97, [31, 63, 95, 97])])
+def test_bound_text_ends_accumulator_lines_every_32nd_spine_node(nodes, ends):
+    # the first line holds x and the terms of nodes 1..31, each later line
+    # the terms of the next 32 nodes, and the last line the rest
+    top = _spine_sum(nodes, lambda k: Var(f"y{k}"))
+    shared = SharedText((top,), "t")
+    assert ACCUMULATOR_TERMS == 32
+    assert to_source(top, shared) == "t0"
+    assert shared.decls == ["double t0 = x" + _terms(1, 31) + ";"] + [
+        "t0 = t0" + _terms(lo + 1, hi) + ";" for lo, hi in zip(ends, ends[1:])]
+    assert shared.deps == [()] + [(k,) for k in range(len(ends) - 1)]
+    assert shared.reads == frozenset()
+    assert shared.uses == {} and shared.text == {}
+
+
+def test_bound_text_long_sum_read_by_two_roots():
+    # a 70-node sum that two roots read, whose terms 40 and 70 are one
+    # shared product: the product is a temporary declared between the
+    # accumulator's lines, and both roots print the accumulator's name
+    x, z = Var("x"), Var("z")
+    s = Binary("*", x, Call("sin", (z,)))
+    top = _spine_sum(70, lambda k: s if k in (40, 70) else Var(f"y{k}"))
+    first, second = Binary("/", top, z), Binary("+", Call("log", (top,)), x)
+    shared = SharedText((first, second), "t")
+
+    def name(k):
+        return "t1" if k in (40, 70) else f"y{k}"
+
+    assert to_source(first, shared) == "t0 / z"
+    assert shared.decls == ["double t0 = x" + _terms(1, 31) + ";",
+                            "const double t1 = x * sin(z);",
+                            "t0 = t0" + _terms(32, 63, name) + ";",
+                            "t0 = t0" + _terms(64, 70, name) + ";"]
+    assert shared.deps == [(), (), (0, 1), (1, 2)]
+    assert shared.reads == frozenset()
+    assert to_source(second, shared) == "log(t0) + x"
+    assert shared.reads == frozenset({3})
+    assert len(shared.decls) == 4 and shared.deps[3] == (1, 2)
     assert shared.uses == {} and shared.text == {}
 
 
@@ -712,6 +783,25 @@ def test_ssa_strict_compile_clean(cc, tmp_path):
     art = emit(derive_bundle(program, vars_), vars_, EmitConfig(basename="eq3"), program)
     assert "    const double t0 = " in art.sources[0][1]
     compile_strict(cc, art, str(tmp_path), "eq3")
+
+
+# grid sizes at which these energies are running accumulators; their tree
+# layouts (4.9 MB and 2.4 MB at the default G = 3) take gcc 30 s and 12 s
+_ACCUMULATED = {"springs": 5, "barrier": 6}
+
+
+@pytest.mark.parametrize("layout,name", [("ssa", n) for n in CORPUS]
+                         + [("tree", n) for n in CORPUS if n not in _ACCUMULATED])
+def test_corpus_strict_compile_clean(cc, tmp_path, layout, name):
+    fn = corpus_function(name, s=_ACCUMULATED.get(name))
+    _, program, vars_ = corpus_program(fn)
+    bundle = derive_bundle(program, vars_)
+    if layout == "tree":
+        bundle = replace(bundle, simplified=False)
+    art = emit(bundle, vars_, EmitConfig(basename="k", var_names=fn.var_names), program)
+    if name in _ACCUMULATED:
+        assert "\n    double t" in art.sources[0][1]
+    compile_strict(cc, art, str(tmp_path), "k")
 
 
 def test_temporaries_avoid_parameter_names(cc, tmp_path):

@@ -282,3 +282,31 @@ def test_deep_chain_repr_copy_and_pickle():
     back = pickle.loads(pickle.dumps(chain))
     assert back is not chain and back == chain
     assert back.rhs is back.lhs.rhs  # one node per shared node, as pickled
+
+
+def test_restrict_after_a_pointer_is_skipped_as_a_qualifier():
+    ir = parse_source("double f(const double *restrict x, double *const restrict y)"
+                      "{ double e = x[0] * y[1]; return 0; }", "f", "e")
+    assert [(p.name, p.rank) for p in ir.params] == [("x", 1), ("y", 1)]
+
+
+@pytest.mark.parametrize("keyword", ["auto", "register", "inline", "_Bool", "_Complex",
+                                     "_Imaginary"])
+def test_c99_keywords_outside_the_subset_are_rejected(keyword):
+    with pytest.raises(UnsupportedConstruct) as exc:
+        parse_source(f"double f(double x){{ {keyword} double e = x; return 0; }}", "f", "e")
+    assert exc.value.span.column == 21
+
+
+def test_energy_assigned_in_a_branch_or_loop_is_found():
+    src = ("double f(double x){ double y = 0; if (1) { y = x; } else { double e = x; }"
+           " for (int i = 0; i < 2; i++) { y = y + x; } return 0; }")
+    assert parse_source(src, "f", "e").energy_var == "e"
+    with pytest.raises(MissingEnergyVar):
+        parse_source(src, "f", "z")
+
+
+def test_scope_errors_come_before_a_missing_energy_variable():
+    with pytest.raises(ParseError) as exc:
+        parse_source("double f(double x){ double y = z; return 0; }", "f", "e")
+    assert "'z'" in str(exc.value)
