@@ -7,8 +7,10 @@ import pytest
 
 import acorns
 from acorns.cli import main
+from acorns.codegen import GeneratedArtifact
 from acorns.verify import FUNCTION_0_SRC, CROSS_ENTROPY_SRC
 
+from cc_util import compile_strict, run_drivers
 from conftest import find_cc
 
 
@@ -487,6 +489,13 @@ def test_verify_rejects_bad_numeric_arguments(function_0_file, capsys, args, mes
 _C99_KEYWORDS = ["auto", "default", "inline", "register", "restrict", "_Bool", "_Complex",
                  "_Imaginary"]
 
+# object-like macros of <math.h>: C99 7.12's, and glibc's M_* constants
+_MATH_MACROS = ["HUGE_VAL", "HUGE_VALF", "HUGE_VALL", "INFINITY", "NAN", "FP_INFINITE",
+                "FP_NAN", "FP_NORMAL", "FP_SUBNORMAL", "FP_ZERO", "FP_FAST_FMA", "FP_FAST_FMAF",
+                "FP_FAST_FMAL", "FP_ILOGB0", "FP_ILOGBNAN", "MATH_ERRNO", "MATH_ERREXCEPT",
+                "math_errhandling", "M_E", "M_LOG2E", "M_LOG10E", "M_LN2", "M_LN10", "M_PI",
+                "M_PI_2", "M_PI_4", "M_1_PI", "M_2_PI", "M_2_SQRTPI", "M_SQRT2", "M_SQRT1_2"]
+
 
 @pytest.mark.parametrize("name,energy,message", [
     *((k, f"{k} * {k}", f"1:17: expected parameter name, got '{k}'") for k in _C99_KEYWORDS),
@@ -495,7 +504,8 @@ _C99_KEYWORDS = ["auto", "default", "inline", "register", "restrict", "_Bool", "
     ("sqrt", "sqrt(sqrt * sqrt + 1)", "parameter 'sqrt' is a name the generated C uses"),
     # the input calls no cos, but its derivative does
     ("cos", "sin(cos)", "parameter 'cos' is a name the generated C uses"),
-], ids=[*_C99_KEYWORDS, "vals", "out", "sqrt", "sin_of_cos"])
+    *((m, f"{m} * {m}", f"parameter '{m}' is a name the generated C uses") for m in _MATH_MACROS),
+], ids=[*_C99_KEYWORDS, "vals", "out", "sqrt", "sin_of_cos", *_MATH_MACROS])
 def test_names_the_generated_c_cannot_use_exit_1(tmp_path, capsys, monkeypatch, name, energy,
                                                   message):
     monkeypatch.chdir(tmp_path)
@@ -507,3 +517,20 @@ def test_names_the_generated_c_cannot_use_exit_1(tmp_path, capsys, monkeypatch, 
     assert err.startswith(f"acorns_autodiff: bad.c: {message}")
     assert err.count("\n") == 1
     assert not (tmp_path / "gen").exists()
+
+
+def test_hessian_of_a_linear_input_is_zero_filled(tmp_path, capsys, monkeypatch, cc):
+    # every lower entry is +0, so no chunk is written: the driver only
+    # zero-fills, and still compiles clean
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lin.c").write_text("double f(double x){ double e = 5 + x; return 0; }\n")
+    rc = main(["lin.c", "e", "--vars", "x", "--func", "f", "--mode", "hessian",
+               "--output_filename", "gen/d"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "n=1 statements=0 files=1"
+    art = GeneratedArtifact((tmp_path / "gen" / "d.h").read_text(),
+                            (("d_part0.c", (tmp_path / "gen" / "d_part0.c").read_text()),))
+    assert "_chunk_" not in art.sources[0][1]
+    compile_strict(cc, art, str(tmp_path / "strict"), "d")
+    got = run_drivers(cc, art, str(tmp_path / "run"), "d", [[0.5], [2.0]], 1)
+    assert got["hessian"].tobytes() == bytes(16)

@@ -104,15 +104,15 @@ def test_emit_modes_subset():
 
 
 def test_hessian_mirror_copy():
-    src = "double f(const double x[2]){ double e = x[0] * x[1]; return 0; }"
+    src = "double f(const double x[2]){ double e = x[0] * x[0] * x[1] * x[1]; return 0; }"
     program, vars_, bundle = _bundle(src, "f", "e", ["x"])
     art = emit(bundle, vars_, EmitConfig(mode=frozenset({"hessian"}), basename="m"), program)
     body = art.sources[0][1]
-    # n = 2: lower entries out[0], out[2], out[3]; mirror fills out[1]
-    assert "out[1] = out[2];" in body
-    # n(n+1)/2 = 3 distinct entries are computed, one mirrored
-    computed = [ln for ln in _statement_lines(art) if "= out[" not in ln]
-    assert len(computed) == 3
+    # n = 2: the chunk writes the lower entries out[0], out[2], out[3]; the
+    # driver copies h[2] up to h[1] and writes no statement for it
+    assert not any("= out[" in ln for ln in _statement_lines(art))
+    assert [ln.split(" =")[0] for ln in _statement_lines(art)] == ["out[0]", "out[2]", "out[3]"]
+    assert "for (int j = 0; j < i; ++j) h[j * 2 + i] = h[i * 2 + j];" in body
 
 
 def test_header_declares_every_chunk():
@@ -153,16 +153,16 @@ GOLDEN_EMIT = {
     # (corpus name, s, simplify, split target, layout): {file: sha256}
     ("eq3", 5, False, 2**16, "tree"): {
         "golden.h": "09ab26712f5425525db9861b13bc8dcc721afa1c5edbe4bf556787e5eea75068",
-        "golden_part0.c": "5746a20689a3f64d17ab5eb190771cadcf59011c7c4f4b859a7ba943e64c47e7",
-        "golden_part1.c": "dd43dc9870f55cc9ffb43e9a30beb94a8e1fe6ddbd8e8fa1634649458f021629",
+        "golden_part0.c": "cec4ddc8db523d0d4c58c5622b507b8843ef90e88a8d52ac66656f55fee93e8a",
+        "golden_part1.c": "c9e0197db70033cdb63c3679da7ac13918e77eb093a4afa85574df1c3fb2e39a",
     },
     ("eq3", 5, True, DEFAULT_SPLIT_TARGET, "tree"): {
         "golden.h": "667372bf593b2b49b20635c949a870367dc9af348e65bf9be70b73d90f1ed0d0",
-        "golden_part0.c": "a974b45f7a43b6f51fce1e7909e4eadc4785dc4474075c5b7e5ea467dd1e08b6",
+        "golden_part0.c": "04d221134548e7830c925b9d5e5b2a550d03e86a4d3519d0684b284735f05521",
     },
     ("cross_entropy", None, True, DEFAULT_SPLIT_TARGET, "tree"): {
         "golden.h": "1d0991d510033d73777d615d7088b61a1d0621da90d422f02b4c48ea4047912d",
-        "golden_part0.c": "38de7cb34d91da469661ae337dfb283a5ae9e44e9e63f7260202c240d7dd91c1",
+        "golden_part0.c": "146faa133e1c14ae2fb4a761902e44fa9a3663a821d24b84a76cbbae1ba4006e",
     },
     ("grad_steps", 3, True, DEFAULT_SPLIT_TARGET, "ssa"): {
         "golden.h": "16bf24711b8335248b2353917a911660487589a5193aa827fb8cceb19cfd373b",
@@ -170,11 +170,11 @@ GOLDEN_EMIT = {
     },
     ("eq3", 5, True, DEFAULT_SPLIT_TARGET, "ssa"): {
         "golden.h": "667372bf593b2b49b20635c949a870367dc9af348e65bf9be70b73d90f1ed0d0",
-        "golden_part0.c": "08f9a3db1e8c757583f4b925b859b0ad107eb56c0f016a2dd90be3bf3e7e1d85",
+        "golden_part0.c": "00ff56c712ed97b8df0d411c1f0a58daedfc2ac96858cbf1eeae4fc22eb368f0",
     },
     ("cross_entropy", None, True, DEFAULT_SPLIT_TARGET, "ssa"): {
         "golden.h": "1d0991d510033d73777d615d7088b61a1d0621da90d422f02b4c48ea4047912d",
-        "golden_part0.c": "b9795a42fa34de75dffb31e60b25c64606d4099ca0477940ebaa7e7615769e0a",
+        "golden_part0.c": "09cb96fb53c7a0973dbb17e4a98c8e2f86c2f636ef4f98518a9b03d5d3dcaafe",
     },
     # an accumulator that each later file declares again
     ("long_sum", None, True, MIN_SPLIT_TARGET, "ssa"): {
@@ -185,7 +185,7 @@ GOLDEN_EMIT = {
     # one accumulator, in the function driver
     ("barrier", 6, True, DEFAULT_SPLIT_TARGET, "ssa"): {
         "golden.h": "29658fb399784008a8ba9b751cab927dec46683621c450469cf9d016f07676c2",
-        "golden_part0.c": "f4a198545ed5a3c2f953d74f2dc9e2406c1d77a4f1a28f84558df7bb3663734f",
+        "golden_part0.c": "179ec4195ae5928d34f7bcdb25fcdedf8a8a37654cdf6e53124fd66e3f30cb3b",
     },
 }
 
@@ -653,6 +653,58 @@ def test_compiled_matches_interpreter(cc, tmp_path):
     assert (h == np.transpose(h, (0, 2, 1))).all()
 
 
+# --- the Hessian driver: zero-fill, chunks, mirror -------------------------------
+
+
+def _plus_zero(e):
+    return isinstance(e, Constant) and e.value == 0 and math.copysign(1.0, e.value) > 0
+
+
+@pytest.mark.parametrize("name,s", [(name, None) for name in CORPUS]
+                         + [("springs", 4), ("barrier", 4)])
+def test_compiled_hessian_is_full_and_symmetric(cc, tmp_path, name, s):
+    # chunks write only the lower entries that are not +0: every other slot
+    # of the poisoned buffer is the driver's zero-fill or its mirror copy
+    fn = corpus_function(name, s=s)
+    _, program, vars_ = corpus_program(fn)
+    bundle = derive_bundle(program, vars_)
+    n = bundle.n
+    art = emit(bundle, vars_, EmitConfig(mode=frozenset({"hessian"}), basename="k"), program)
+    full = [bundle.hess_entry(i, j) for i in range(n) for j in range(n)]
+    zero = np.array([_plus_zero(e) for e in full])
+    points = sample_points(fn, program, 100, np.random.default_rng(14))
+    want = evaluate(compile_exprs(full, layout_slots(program, vars_)), points)
+    for opt in ("-O0", "-O2"):
+        got = run_drivers(cc, art, str(tmp_path / opt), "k", points, n, (opt,))["hessian"]
+        h = got.reshape(-1, n, n)
+        assert h.tobytes() == np.ascontiguousarray(h.transpose(0, 2, 1)).tobytes(), opt
+        assert got[:, zero].tobytes() == bytes(got[:, zero].nbytes), opt
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+def test_hessian_of_one_variable_has_no_mirror_loop():
+    program, vars_, bundle = _bundle(
+        "double f(double x){ double e = pow(x, 2); return 0; }", "f", "e", ["x"]
+    )
+    art = emit(bundle, vars_, EmitConfig(mode=frozenset({"hessian"}), basename="k"), program)
+    body = art.sources[0][1]
+    assert _statement_lines(art) == ["out[0] = 2;"]
+    assert "for (int i" not in body and "h[k] = 0" not in body
+
+
+def test_negative_zero_lower_entry_is_written(cc, tmp_path):
+    # only +0 is left to the zero-fill: a -0 entry keeps its statement and sign
+    program, vars_, bundle = _bundle(
+        "double f(const double x[2]){ double e = x[0] * x[1]; return 0; }", "f", "e", ["x"]
+    )
+    bundle = replace(bundle, hess_lower=(const(-0.0), bundle.hess_lower[1], const(0.0)))
+    art = emit(bundle, vars_, EmitConfig(mode=frozenset({"hessian"}), basename="k"), program)
+    assert _statement_lines(art) == ["out[0] = -0.0;", "out[2] = 1;"]
+    assert "        for (int k = 0; k < 4; ++k) h[k] = 0;" in art.sources[0][1]
+    got = run_drivers(cc, art, str(tmp_path), "k", np.ones((3, 2)), 2)["hessian"]
+    assert got.tobytes() == np.tile([-0.0, 1.0, 1.0, 0.0], (3, 1)).tobytes()
+
+
 # --- bound (SSA) layout against the tree layout ---------------------------------
 
 
@@ -834,7 +886,7 @@ def test_ssa_split_invariance(cc, tmp_path):
     fn, program, bundle, artifacts = _ssa_split_artifacts()
     seqs = [_statement_lines(a) for a in artifacts.values()]
     assert seqs[0] == seqs[1] == seqs[2]
-    assert all(a.n_statements == len(seqs[0]) == 50 * 50 for a in artifacts.values())
+    assert all(a.n_statements == len(seqs[0]) == 50 * 51 // 2 for a in artifacts.values())
     small = artifacts[2**16]
     assert len(small.sources) >= 2
     # some temporary is declared in more than one file
