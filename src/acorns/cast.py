@@ -219,6 +219,11 @@ ZERO = const(0.0, "0")
 ONE = const(1.0, "1")
 
 
+def is_integer_literal(text: str) -> bool:
+    """Whether a numeric literal's spelling is an integer's: no point, no exponent."""
+    return not any(ch in text for ch in ".eE")
+
+
 def is_const(e: Expr, value: float | None = None) -> bool:
     if not isinstance(e, Constant):
         return False

@@ -190,7 +190,8 @@ def _verify_parser() -> _ArgumentParser:
     )
     p.add_argument("function", help=f"corpus name ({', '.join(CORPUS)}) or a C source file")
     p.add_argument("--s", type=_AT_LEAST_ONE, default=None,
-                   help="variable count for eq3; grid size G for springs and barrier")
+                   help="variable count for eq3; grid size G for springs and barrier; "
+                        "step count for rollout")
     p.add_argument("--points", type=_AT_LEAST_ONE, default=100)
     p.add_argument("--mode", default="gradient", choices=["gradient", "hessian"])
     p.add_argument("--seed", type=int, default=None)

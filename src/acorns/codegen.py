@@ -53,9 +53,10 @@ MIN_SPLIT_TARGET = 2**16
 RECOMMENDED_FLAGS = "-O3 -ffast-math -flto"
 
 # names a parameter local cannot take: the chunk functions' arguments, the
-# math functions an expression or its derivatives may call, and the
-# object-like macros of <math.h> (C99 7.12, and glibc's M_* constants,
-# which it defines under the recommended flags)
+# math functions an expression or its derivatives may call, the object-like
+# macros of <math.h> (C99 7.12, and glibc's M_* constants, which it defines
+# under the recommended flags), and `linux` and `unix`, which gcc predefines
+# as 1 unless a strict -std=c99 is asked for
 _C_NAMES = frozenset((
     "vals", "out", *INTRINSICS,
     "HUGE_VAL", "HUGE_VALF", "HUGE_VALL", "INFINITY", "NAN",
@@ -64,6 +65,7 @@ _C_NAMES = frozenset((
     "MATH_ERRNO", "MATH_ERREXCEPT", "math_errhandling",
     "M_E", "M_LOG2E", "M_LOG10E", "M_LN2", "M_LN10", "M_PI", "M_PI_2", "M_PI_4",
     "M_1_PI", "M_2_PI", "M_2_SQRTPI", "M_SQRT2", "M_SQRT1_2",
+    "linux", "unix",
 ))
 
 
@@ -152,42 +154,36 @@ def _zero(e: Expr) -> bool:
 
 
 def _statements(bundle: DerivativeBundle, cfg: EmitConfig, temp: str | None = None) -> tuple:
-    """The statements in order, and each mode's `SharedText` when `temp` binds.
+    """The statements in order, and the `SharedText` of each mode.
 
-    Without `temp` every expression is one expanded `out[k] = ...;` line,
-    rendered over the DAG of all modes.  With it each mode's expressions
-    are rendered in bound form over that mode's DAG, so a temporary serves
-    one driver.  The Hessian has a statement per lower entry that is not
-    +0: its driver zero-fills and mirrors the rest.
+    Each mode's expressions are rendered over that mode's DAG.  With `temp`
+    they are in bound form, so a temporary serves one driver; without it
+    every expression is one expanded `out[k] = ...;` line.  The Hessian has
+    a statement per lower entry that is not +0: its driver zero-fills and
+    mirrors the rest.
     """
     n = bundle.n
-    entries = []  # (mode, out index, expression)
+    groups = {}  # mode -> its (out index, expression) pairs, in MODE_ORDER
     if "function" in cfg.mode:
-        entries.append(("function", 0, bundle.f))
+        groups["function"] = [(0, bundle.f)]
     if "gradient" in cfg.mode:
-        entries += [("gradient", j, g) for j, g in enumerate(bundle.grad)]
+        groups["gradient"] = list(enumerate(bundle.grad))
     if "hessian" in cfg.mode:
         lower = (i * n + j for i in range(n) for j in range(i + 1))  # hess_lower's order
-        entries += [("hessian", k, e) for k, e in zip(lower, bundle.hess_lower) if not _zero(e)]
-    if temp is None:
-        groups = [entries]
-    else:
-        groups = [[e for e in entries if e[0] == m] for m in MODE_ORDER]
+        groups["hessian"] = [(k, e) for k, e in zip(lower, bundle.hess_lower) if not _zero(e)]
     stmts = []
     params: dict = {}
     temps: dict = {}
-    for group in groups:
+    for mode, group in groups.items():
         if not group:
             continue
-        shared = SharedText((expr for _, _, expr in group), temp)
-        for mode, k, expr in group:
+        shared = temps[mode] = SharedText((expr for _, expr in group), temp)
+        for k, expr in group:
             first = len(shared.decls)
             text = to_source(expr, shared)
             stmts.append(Statement(mode, f"out[{k}] = {text};", _collect_params(expr, params),
                                    tuple(enumerate(shared.decls[first:], first)),
                                    shared.reads))
-        if temp is not None:
-            temps[group[0][0]] = shared
     return stmts, temps
 
 
@@ -264,13 +260,12 @@ def _param_decls(program: StraightLineProgram, layout: list, params: frozenset) 
     return lines
 
 
-def _guard_name(basename: str) -> str:
-    stem = basename.replace("\\", "/").rsplit("/", 1)[-1]
-    return re.sub(r"[^A-Za-z0-9]", "_", stem).upper() + "_H"
-
-
 def _header_stem(basename: str) -> str:
     return basename.replace("\\", "/").rsplit("/", 1)[-1]
+
+
+def _guard_name(basename: str) -> str:
+    return re.sub(r"[^A-Za-z0-9]", "_", _header_stem(basename)).upper() + "_H"
 
 
 def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
@@ -281,7 +276,8 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
     clash = sorted({s.param for s in program.inputs} & _C_NAMES)
     if clash:
         raise AcornsError(f"parameter {clash[0]!r} is a name the generated C uses "
-                          "(vals, out, a math function or a <math.h> macro); rename it")
+                          "(vals, out, a math function, a <math.h> macro or a "
+                          "compiler-predefined macro); rename it")
     n = bundle.n
     layout = layout_slots(program, vars_)
     stride_in = len(layout)

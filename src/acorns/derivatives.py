@@ -3,10 +3,12 @@
 All transforms work on a shared-subtree DAG: results are memoized by node
 identity, so repeated subexpressions (which unrolled programs produce in
 abundance) are differentiated once.  Tree-expanded node counts are checked
-against a cap because emission re-expands the DAG.  Each transform is one
-`cast.post_order` loop whose per-node rule reads its operands' results
-from the memo, so the depth of an expression, which grows with the length
-of an unrolled loop, is bounded by memory, not by the recursion limit.
+against a cap because emission re-expands the DAG: `substitute` checks the
+expression, and `derive_bundle` each finished stage of derivatives, so the
+engines only build them.  Each transform is one `cast.post_order` loop
+whose per-node rule reads its operands' results from the memo, so the
+depth of an expression, which grows with the length of an unrolled loop,
+is bounded by memory, not by the recursion limit.
 
 A simplified bundle (the default) is built in reverse mode.  `f` is
 simplified once; the gradient comes from one adjoint sweep over it,
@@ -109,15 +111,17 @@ class DerivativeBundle:
         return self.hess_lower[i * (i + 1) // 2 + j]
 
 
-def _check_cap(e: Expr, cap: int, sizes: dict | None = None):
-    """Raise ExpressionExplosion when `e` tree-expands past `cap` nodes.
+def _check_cap(entries, cap: int, sizes: dict | None = None):
+    """Raise ExpressionExplosion at the first of `entries` that tree-expands
+    past `cap` nodes.
 
     `sizes` is `count_nodes`' memo, kept by the caller across the entries
-    of one bundle so a subtree they share is counted once.
+    of one bundle so a subtree they share is walked once.
     """
-    n = count_nodes(e, sizes)
-    if n > cap:
-        raise ExpressionExplosion(n, cap)
+    for e in entries:
+        n = count_nodes(e, sizes)
+        if n > cap:
+            raise ExpressionExplosion(n, cap)
 
 
 def substitute(p: StraightLineProgram, cap: int = DEFAULT_NODE_CAP) -> Expr:
@@ -134,7 +138,7 @@ def substitute(p: StraightLineProgram, cap: int = DEFAULT_NODE_CAP) -> Expr:
     result = env.get(p.output)
     if result is None:
         raise AcornsError(f"output slot {p.output!r} is never assigned")
-    _check_cap(result, cap)
+    _check_cap((result,), cap)
     return result
 
 
@@ -144,16 +148,14 @@ class _Activity:
     `masks` holds each node's activity mask: bit j is set when the node
     reads independent variable j.  `skeletons` holds each inactive node's
     zero skeleton for the forward passes, built from its operands' skeletons
-    by a `post_order` walk.  `sizes` is the tree-size memo of
-    `_check_cap`.  The three memos are keyed by id() and keep their key node
-    alive, so an id cannot be reused while the memo lives.
+    by a `post_order` walk.  Both memos are keyed by id() and keep their key
+    node alive, so an id cannot be reused while the memo lives.
     """
 
     def __init__(self, labels):
         self.bit = {label: 1 << j for j, label in enumerate(labels)}
         self.masks: dict[int, tuple] = {}  # id(node) -> (mask, node)
         self.skeletons: dict[int, tuple] = {}  # id(node) -> (skeleton, node)
-        self.sizes: dict[int, tuple] = {}  # id(node) -> (tree size, node)
 
     def mark(self, root: Expr):
         """Give every node under `root` its activity mask."""
@@ -385,15 +387,6 @@ def gradient(
     return derive_bundle(p, vars_, do_simplify, cap, want_hessian=False).grad
 
 
-def _gradient_of(f: Expr, vars_: VarIndexMap, cap: int, activity: _Activity) -> tuple:
-    out = []
-    for label in vars_.labels:
-        g = differentiate(f, label, activity)
-        _check_cap(g, cap, activity.sizes)
-        out.append(g)
-    return tuple(out)
-
-
 def _unit(_operand: Expr) -> Expr:
     return ONE
 
@@ -409,7 +402,7 @@ def _signed_sum(terms: list) -> tuple:
     return neg, acc
 
 
-def _adjoint_gradient(f: Expr, vars_: VarIndexMap, cap: int, activity: _Activity,
+def _adjoint_gradient(f: Expr, vars_: VarIndexMap, activity: _Activity,
                       wanted: int = -1) -> tuple:
     """The gradient of a simplified `f` from one reverse (adjoint) sweep,
     over the variables whose bits are set in the mask `wanted` (all of
@@ -503,7 +496,6 @@ def _adjoint_gradient(f: Expr, vars_: VarIndexMap, cap: int, activity: _Activity
             neg, g = _signed_sum(got)
             if neg and not is_const(g, 0.0):
                 g = unary("-", g)
-        _check_cap(g, cap, activity.sizes)
         grad.append(g)
     return tuple(grad)
 
@@ -515,16 +507,6 @@ def hessian(
     cap: int = DEFAULT_NODE_CAP,
 ) -> tuple:
     return derive_bundle(p, vars_, do_simplify, cap).hess_lower
-
-
-def _hessian_of(grad: tuple, vars_: VarIndexMap, cap: int, activity: _Activity) -> tuple:
-    lower = []
-    for i in range(vars_.n):
-        for j in range(i + 1):
-            h = differentiate(grad[j], vars_.labels[i], activity)
-            _check_cap(h, cap, activity.sizes)
-            lower.append(h)
-    return tuple(lower)
 
 
 def derive_bundle(
@@ -543,18 +525,32 @@ def derive_bundle(
     equal `simplify` of the raw derivatives up to rounding wherever both are
     finite, and an inactive subtree's derivative is an exact zero.  Without
     it, the forward passes build the raw derivatives.
+
+    `substitute` checks `f` against the cap, and this function alone checks
+    the derivatives, each stage once it is built: the gradient before the
+    Hessian is built from it, then the Hessian.  The entries are counted in
+    bundle order over one `count_nodes` memo, so a subtree they share is
+    walked once, and the first entry past the cap raises.
     """
     f = substitute(p, cap)
     if do_simplify:
         f = simplify(f)
     activity = _Activity(vars_.labels)
+    sizes: dict = {}  # count_nodes' memo for every entry of the bundle
     grad = hess = ()
     if want_gradient or want_hessian:
-        grad = (_adjoint_gradient if do_simplify else _gradient_of)(f, vars_, cap, activity)
-    if want_hessian and do_simplify:
-        # row i, the lower triangle's, from one sweep over grad[i] for variables 0..i
-        hess = tuple(h for i, g in enumerate(grad)
-                     for h in _adjoint_gradient(g, vars_, cap, activity, (2 << i) - 1))
-    elif want_hessian:
-        hess = _hessian_of(grad, vars_, cap, activity)
+        if do_simplify:
+            grad = _adjoint_gradient(f, vars_, activity)
+        else:
+            grad = tuple(differentiate(f, label, activity) for label in vars_.labels)
+        _check_cap(grad, cap, sizes)
+    if want_hessian:
+        if do_simplify:
+            # row i, the lower triangle's, from one sweep over grad[i] for variables 0..i
+            hess = tuple(h for i, g in enumerate(grad)
+                         for h in _adjoint_gradient(g, vars_, activity, (2 << i) - 1))
+        else:
+            hess = tuple(differentiate(g, label, activity)
+                         for i, label in enumerate(vars_.labels) for g in grad[:i + 1])
+        _check_cap(hess, cap, sizes)
     return DerivativeBundle(f, grad, hess, do_simplify)

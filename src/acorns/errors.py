@@ -25,22 +25,25 @@ class AcornsError(Exception):
     """Base for all tool errors."""
 
 
-class ParseError(AcornsError):
-    """Malformed input text."""
+class _Located(AcornsError):
+    """An error at a source span, shown as `line:col: message`, or as the
+    message alone when no span is known."""
 
-    def __init__(self, span: SourceSpan, message: str):
-        super().__init__(f"{span}: {message}")
+    def __init__(self, span: SourceSpan | None, message: str):
+        super().__init__(f"{span}: {message}" if span else message)
         self.span = span
         self.message = message
 
 
-class UnsupportedConstruct(AcornsError):
+class ParseError(_Located):
+    """Malformed input text."""
+
+
+class UnsupportedConstruct(_Located):
     """Input is valid C but outside the supported subset."""
 
     def __init__(self, span: SourceSpan | None, construct: str):
-        where = f"{span}: " if span else ""
-        super().__init__(f"{where}unsupported construct: {construct}")
-        self.span = span
+        super().__init__(span, f"unsupported construct: {construct}")
         self.construct = construct
 
 
@@ -56,14 +59,8 @@ class MissingEnergyVar(AcornsError):
         self.name = name
 
 
-class NotConstant(AcornsError):
+class NotConstant(_Located):
     """Expression is not compile-time evaluable."""
-
-    def __init__(self, span: SourceSpan | None, message: str):
-        where = f"{span}: " if span else ""
-        super().__init__(f"{where}{message}")
-        self.span = span
-        self.message = message
 
 
 class BoundExplosion(AcornsError):

@@ -32,6 +32,7 @@ from .cast import (
     Var,
     children,
     const,
+    is_integer_literal,
     operands,
     post_order,
     rebuild,
@@ -135,7 +136,7 @@ _INT_BINARY_FN = {
 
 def _const_value(e: Expr, done: dict, env: dict):
     if isinstance(e, Constant):
-        if any(ch in e.text for ch in ".eE"):
+        if not is_integer_literal(e.text):
             raise NotConstant(e.span, f"non-integer literal {e.text!r} in constant context")
         return int(e.text)
     if isinstance(e, Var):

@@ -37,6 +37,7 @@ from .cast import (
     Var,
     children,
     const,
+    is_integer_literal,
     operands,
     post_order,
 )
@@ -47,14 +48,6 @@ from .errors import (
     SourceSpan,
     UnsupportedConstruct,
 )
-
-_KEYWORDS = {
-    "double", "int", "float", "void", "const", "for", "if", "else", "return",
-    "while", "do", "switch", "case", "break", "continue", "goto", "static",
-    "struct", "union", "enum", "unsigned", "signed", "long", "short", "char",
-    "sizeof", "typedef", "extern", "volatile", "auto", "register", "default",
-    "inline", "restrict", "_Bool", "_Complex", "_Imaginary",
-}
 
 _UNSUPPORTED_KEYWORDS = {
     "while": "while loop",
@@ -86,6 +79,11 @@ _UNSUPPORTED_KEYWORDS = {
     "_Imaginary": "imaginary type",
 }
 
+# the words no identifier may take: the grammar's own, `case`, which only
+# a switch uses and is rejected where it stands, and the unsupported ones
+_KEYWORDS = {"double", "int", "float", "void", "const", "for", "if", "else", "return", "case",
+             *_UNSUPPORTED_KEYWORDS}
+
 _PUNCT = (
     "<=", ">=", "==", "!=", "+=", "-=", "*=", "/=", "++", "--", "&&", "||",
     "+", "-", "*", "/", "%", "<", ">", "=", "(", ")", "[", "]", "{", "}",
@@ -104,7 +102,7 @@ _TOKEN_RE = re.compile(
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "ident", "number", "keyword", or the punctuation itself
+    kind: str  # "ident", "number", "eof", or the keyword or punctuation itself
     text: str
     span: SourceSpan
 
@@ -138,9 +136,7 @@ def tokenize(source: str) -> list[Token]:
                 span, "preprocessor directives are not supported; preprocess the input first")
         if kind == "other":
             raise ParseError(span, f"unexpected character {text!r}")
-        if kind == "ident" and text in _KEYWORDS:
-            kind = "keyword"
-        elif kind == "punct":
+        if kind == "punct" or (kind == "ident" and text in _KEYWORDS):
             kind = text
         tokens.append(Token(kind, text, span))
         col += len(text)
@@ -176,29 +172,23 @@ class _Parser:
             raise ParseError(tok.span, f"expected {shown}, got {tok.text or 'end of input'!r}")
         return self.next()
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "keyword" or tok.text != word:
-            raise ParseError(tok.span, f"expected '{word}', got {tok.text or 'end of input'!r}")
-        return self.next()
-
     def reject_unsupported(self, tok: Token):
-        if tok.kind == "keyword" and tok.text in _UNSUPPORTED_KEYWORDS:
+        if tok.kind in _UNSUPPORTED_KEYWORDS:
             raise UnsupportedConstruct(tok.span, _UNSUPPORTED_KEYWORDS[tok.text])
 
     # -- declarations ------------------------------------------------------
 
     def type_specifier(self) -> str:
-        while self.peek().kind == "keyword" and self.peek().text == "const":
-            self.next()
+        while self.accept("const"):
+            pass
         tok = self.peek()
         self.reject_unsupported(tok)
-        if tok.kind == "keyword" and tok.text in ("double", "int", "void", "float"):
-            if tok.text == "float":
+        if tok.kind in ("double", "int", "void", "float"):
+            if tok.kind == "float":
                 raise UnsupportedConstruct(tok.span, "float type (use double)")
             self.next()
-            while self.peek().kind == "keyword" and self.peek().text == "const":
-                self.next()
+            while self.accept("const"):
+                pass
             return tok.text
         raise ParseError(tok.span, f"expected type specifier, got {tok.text!r}")
 
@@ -207,14 +197,14 @@ class _Parser:
         rank = 0
         while self.accept("*"):
             rank += 1
-            while self.peek().kind == "keyword" and self.peek().text in ("const", "restrict"):
-                self.next()
+            while self.accept("const") or self.accept("restrict"):
+                pass
         name = self.expect("ident", "parameter name").text
         extents: list[int | None] = [None] * rank
         while self.accept("["):
             if self.peek().kind == "number":
                 tok = self.next()
-                if "." in tok.text or "e" in tok.text or "E" in tok.text:
+                if not is_integer_literal(tok.text):
                     raise ParseError(tok.span, "array extent must be an integer literal")
                 extents.append(int(tok.text))
             else:
@@ -229,7 +219,7 @@ class _Parser:
         self.expect("(")
         params = []
         if self.peek().kind != ")":
-            if not (self.peek().kind == "keyword" and self.peek().text == "void" and self.peek(1).kind == ")"):
+            if not (self.peek().kind == "void" and self.peek(1).kind == ")"):
                 params.append(self.param())
                 while self.accept(","):
                     params.append(self.param())
@@ -255,20 +245,20 @@ class _Parser:
     def statement(self) -> list[Stmt]:
         tok = self.peek()
         self.reject_unsupported(tok)
-        if tok.kind == "keyword":
-            if tok.text in ("double", "int", "const"):
-                return self.declaration()
-            if tok.text == "for":
-                return [self.for_loop()]
-            if tok.text == "if":
-                return [self.if_stmt()]
-            if tok.text == "return":
-                self.next()
-                value = None if self.peek().kind == ";" else self.expr()
-                self.expect(";")
-                return [Return(value, span=tok.span)]
-            if tok.text == "float":
-                raise UnsupportedConstruct(tok.span, "float type (use double)")
+        if tok.kind in ("double", "int", "const"):
+            return self.declaration()
+        if tok.kind == "for":
+            return [self.for_loop()]
+        if tok.kind == "if":
+            return [self.if_stmt()]
+        if tok.kind == "return":
+            self.next()
+            value = None if self.peek().kind == ";" else self.expr()
+            self.expect(";")
+            return [Return(value, span=tok.span)]
+        if tok.kind == "float":
+            raise UnsupportedConstruct(tok.span, "float type (use double)")
+        if tok.kind in _KEYWORDS:
             raise ParseError(tok.span, f"unexpected keyword {tok.text!r}")
         if tok.kind == "{":
             return self.compound()
@@ -325,12 +315,10 @@ class _Parser:
         raise ParseError(tok.span, f"expected assignment operator, got {tok.text!r}")
 
     def for_loop(self) -> Stmt:
-        for_tok = self.expect_keyword("for")
+        for_tok = self.expect("for")
         self.expect("(")
-        kw = self.peek()
-        if not (kw.kind == "keyword" and kw.text == "int"):
-            raise UnsupportedConstruct(kw.span, "for loop without `int` counter declaration")
-        self.next()
+        if not self.accept("int"):
+            raise UnsupportedConstruct(self.peek().span, "for loop without `int` counter declaration")
         counter_tok = self.expect("ident", "loop counter name")
         self.expect("=")
         init = self.expr()
@@ -363,14 +351,13 @@ class _Parser:
         raise UnsupportedConstruct(tok.span, f"loop update form {tok.text!r}")
 
     def if_stmt(self) -> Stmt:
-        if_tok = self.expect_keyword("if")
+        if_tok = self.expect("if")
         self.expect("(")
         cond = self.expr()
         self.expect(")")
         then_body = self.statement()
         else_body: list[Stmt] = []
-        if self.peek().kind == "keyword" and self.peek().text == "else":
-            self.next()
+        if self.accept("else"):
             else_body = self.statement()
         return If(cond, tuple(then_body), tuple(else_body), span=if_tok.span)
 
@@ -536,15 +523,11 @@ def parse_expr(text: str) -> Expr:
     return e
 
 
-def _is_integer_literal(c: Constant) -> bool:
-    return not any(ch in c.text for ch in ".eE")
-
-
 def _const_evaluable(e: Expr, allowed: set) -> bool:
     seen: set = set()
     for node in post_order(e, seen, operands):
         if isinstance(node, Constant):
-            ok = _is_integer_literal(node)
+            ok = is_integer_literal(node.text)
         elif isinstance(node, Var):
             ok = node.name in allowed
         else:  # array refs and intrinsic calls are never compile-time

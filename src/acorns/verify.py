@@ -10,7 +10,7 @@ differentiator they validate.  numpy is imported on first use, as in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .cast import ArrayRef, Assignment, Declaration, Expr, ForLoop, FunctionIR, If, Return, Var, children, operands, post_order
@@ -46,7 +46,7 @@ class CorpusFunction:
     energy_var: str
     var_names: tuple
     boxes: dict  # param name -> (lo, hi) sampling interval
-    s: int | None = None  # variable count for the parametric family
+    s: int | None = None  # the size of a sized entry: variables, grid side or steps
 
 
 _LONG_POLY_SRC = """\
@@ -101,19 +101,19 @@ double const_fn(double x) {
 
 # A 2-D mass-spring energy (after Baraff & Witkin, "Large steps in cloth
 # simulation", SIGGRAPH 1998): unit-rest-length springs along the horizontal
-# and vertical edges of a G x G grid; node (i, j) is at x[2 (i G + j)],
-# x[2 (i G + j) + 1]
+# and vertical edges of a G x G grid, G = s; node (i, j) is at
+# x[2 (i G + j)], x[2 (i G + j) + 1]
 _SPRINGS_TEMPLATE = """\
 double springs(const double *x) {{
     double e = 0;
-    for (int i = 0; i < {g}; i++) {{
-        for (int j = 0; j + 1 < {g}; j++) {{
-            double dx = x[2 * (i * {g} + j + 1)] - x[2 * (i * {g} + j)];
-            double dy = x[2 * (i * {g} + j + 1) + 1] - x[2 * (i * {g} + j) + 1];
+    for (int i = 0; i < {s}; i++) {{
+        for (int j = 0; j + 1 < {s}; j++) {{
+            double dx = x[2 * (i * {s} + j + 1)] - x[2 * (i * {s} + j)];
+            double dy = x[2 * (i * {s} + j + 1) + 1] - x[2 * (i * {s} + j) + 1];
             double r = sqrt(dx * dx + dy * dy) - 1;
             e = e + r * r;
-            dx = x[2 * ((j + 1) * {g} + i)] - x[2 * (j * {g} + i)];
-            dy = x[2 * ((j + 1) * {g} + i) + 1] - x[2 * (j * {g} + i) + 1];
+            dx = x[2 * ((j + 1) * {s} + i)] - x[2 * (j * {s} + i)];
+            dy = x[2 * ((j + 1) * {s} + i) + 1] - x[2 * (j * {s} + i) + 1];
             r = sqrt(dx * dx + dy * dy) - 1;
             e = e + r * r;
         }}
@@ -124,22 +124,22 @@ double springs(const double *x) {{
 
 # A triangle-area barrier (the -log(area) term of Smith & Schaefer,
 # "Bijective parameterization with free boundaries", SIGGRAPH 2015): each
-# cell of a G x G unit grid is split into two counter-clockwise triangles,
-# and node (i, j) sits at (j, i) displaced by x[2 (i G + j)], x[2 (i G + j) + 1].
-# Displacements under 0.2 keep every area positive.
+# cell of a G x G unit grid, G = s, is split into two counter-clockwise
+# triangles, and node (i, j) sits at (j, i) displaced by x[2 (i G + j)],
+# x[2 (i G + j) + 1].  Displacements under 0.2 keep every area positive.
 _BARRIER_TEMPLATE = """\
 double barrier(const double *x) {{
     double e = 0;
-    for (int i = 0; i + 1 < {g}; i++) {{
-        for (int j = 0; j + 1 < {g}; j++) {{
-            double ax = j + x[2 * (i * {g} + j)];
-            double ay = i + x[2 * (i * {g} + j) + 1];
-            double bx = j + 1 + x[2 * (i * {g} + j + 1)];
-            double by = i + x[2 * (i * {g} + j + 1) + 1];
-            double cx = j + 1 + x[2 * ((i + 1) * {g} + j + 1)];
-            double cy = i + 1 + x[2 * ((i + 1) * {g} + j + 1) + 1];
-            double dx = j + x[2 * ((i + 1) * {g} + j)];
-            double dy = i + 1 + x[2 * ((i + 1) * {g} + j) + 1];
+    for (int i = 0; i + 1 < {s}; i++) {{
+        for (int j = 0; j + 1 < {s}; j++) {{
+            double ax = j + x[2 * (i * {s} + j)];
+            double ay = i + x[2 * (i * {s} + j) + 1];
+            double bx = j + 1 + x[2 * (i * {s} + j + 1)];
+            double by = i + x[2 * (i * {s} + j + 1) + 1];
+            double cx = j + 1 + x[2 * ((i + 1) * {s} + j + 1)];
+            double cy = i + 1 + x[2 * ((i + 1) * {s} + j + 1) + 1];
+            double dx = j + x[2 * ((i + 1) * {s} + j)];
+            double dy = i + 1 + x[2 * ((i + 1) * {s} + j) + 1];
             e = e - log(0.5 * ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)));
             e = e - log(0.5 * ((cx - ax) * (dy - ay) - (dx - ax) * (cy - ay)));
         }}
@@ -148,39 +148,65 @@ double barrier(const double *x) {{
 }}
 """
 
+# A simulation rollout: 4 unit masses on a line, at 0, 1, 2, 3 and joined in
+# a chain by unit-rest-length springs, start with the velocities x and are
+# stepped s times by symplectic Euler with step 0.1; the energy is the
+# squared distance of their final positions from the targets 0, 1.5, 3, 4.5.
+_ROLLOUT_TEMPLATE = """\
+double rollout(const double *x) {{
+    double p[4];
+    double v[4];
+    for (int k = 0; k < 4; k++) {{
+        p[k] = k;
+        v[k] = x[k];
+    }}
+    for (int t = 0; t < {s}; t++) {{
+        for (int k = 0; k < 3; k++) {{
+            double f = p[k + 1] - p[k] - 1;
+            v[k] = v[k] + 0.1 * f;
+            v[k + 1] = v[k + 1] - 0.1 * f;
+        }}
+        for (int k = 0; k < 4; k++) {{
+            p[k] = p[k] + 0.1 * v[k];
+        }}
+    }}
+    double e = 0;
+    for (int k = 0; k < 4; k++) {{
+        e = e + (p[k] - 1.5 * k) * (p[k] - 1.5 * k);
+    }}
+    return 0;
+}}
+"""
+
+# Every corpus entry.  The source of a sized one (its `s` set, to the
+# default) is a template over `{s}`.
+_ENTRIES = {fn.name: fn for fn in (
+    CorpusFunction("eq1", _LONG_POLY_SRC, "long_poly", "e", ("x",), {"x": (0.15, 1.5)}),
+    CorpusFunction("eq2", _TRIG_SRC, "trig", "e", ("x",), {"x": (-2.0, 2.0)}),
+    CorpusFunction("eq3", _PROD_POLY_TEMPLATE, "prod_poly", "e", ("x",),
+                   {"x": (0.05, 0.95)}, s=2),
+    CorpusFunction("cross_entropy", CROSS_ENTROPY_SRC, "cross_entropy", "loss", ("a",),
+                   {"a": (0.01, 1.0), "b": (0.05, 0.95)}),
+    CorpusFunction("function_0", FUNCTION_0_SRC, "function_0", "energy", ("x",),
+                   {"x": (0.5, 4.0)}),
+    CorpusFunction("const_fn", _CONST_SRC, "const_fn", "e", ("x",), {"x": (-1.0, 1.0)}),
+    CorpusFunction("springs", _SPRINGS_TEMPLATE, "springs", "e", ("x",), {"x": (0.0, 3.0)}, s=3),
+    CorpusFunction("barrier", _BARRIER_TEMPLATE, "barrier", "e", ("x",), {"x": (-0.2, 0.2)}, s=3),
+    CorpusFunction("rollout", _ROLLOUT_TEMPLATE, "rollout", "e", ("x",), {"x": (-1.0, 1.0)}, s=3),
+)}
+
+CORPUS = tuple(_ENTRIES)
+
 
 def corpus_function(name: str, s: int | None = None) -> CorpusFunction:
-    if name == "eq1":
-        return CorpusFunction("eq1", _LONG_POLY_SRC, "long_poly", "e", ("x",),
-                              {"x": (0.15, 1.5)})
-    if name == "eq2":
-        return CorpusFunction("eq2", _TRIG_SRC, "trig", "e", ("x",),
-                              {"x": (-2.0, 2.0)})
-    if name == "eq3":
-        s = 2 if s is None else s
-        return CorpusFunction("eq3", _PROD_POLY_TEMPLATE.format(s=s), "prod_poly",
-                              "e", ("x",), {"x": (0.05, 0.95)}, s=s)
-    if name == "cross_entropy":
-        return CorpusFunction("cross_entropy", CROSS_ENTROPY_SRC, "cross_entropy",
-                              "loss", ("a",), {"a": (0.01, 1.0), "b": (0.05, 0.95)})
-    if name == "function_0":
-        return CorpusFunction("function_0", FUNCTION_0_SRC, "function_0", "energy",
-                              ("x",), {"x": (0.5, 4.0)})
-    if name == "const_fn":
-        return CorpusFunction("const_fn", _CONST_SRC, "const_fn", "e", ("x",),
-                              {"x": (-1.0, 1.0)})
-    if name == "springs":
-        s = 3 if s is None else s
-        return CorpusFunction("springs", _SPRINGS_TEMPLATE.format(g=s), "springs", "e",
-                              ("x",), {"x": (0.0, 3.0)}, s=s)
-    if name == "barrier":
-        s = 3 if s is None else s
-        return CorpusFunction("barrier", _BARRIER_TEMPLATE.format(g=s), "barrier", "e",
-                              ("x",), {"x": (-0.2, 0.2)}, s=s)
-    raise AcornsError(f"unknown corpus function {name!r}")
-
-
-CORPUS = ("eq1", "eq2", "eq3", "cross_entropy", "function_0", "const_fn", "springs", "barrier")
+    """Corpus entry `name`; a sized one at size `s`, or its default."""
+    fn = _ENTRIES.get(name)
+    if fn is None:
+        raise AcornsError(f"unknown corpus function {name!r}")
+    if fn.s is None:
+        return fn
+    s = fn.s if s is None else s
+    return replace(fn, source=fn.source.format(s=s), s=s)
 
 
 def corpus_program(fn: CorpusFunction):

@@ -496,6 +496,9 @@ _MATH_MACROS = ["HUGE_VAL", "HUGE_VALF", "HUGE_VALL", "INFINITY", "NAN", "FP_INF
                 "math_errhandling", "M_E", "M_LOG2E", "M_LOG10E", "M_LN2", "M_LN10", "M_PI",
                 "M_PI_2", "M_PI_4", "M_1_PI", "M_2_PI", "M_2_SQRTPI", "M_SQRT2", "M_SQRT1_2"]
 
+# macros gcc predefines as 1 in its default GNU mode
+_GCC_MACROS = ["linux", "unix"]
+
 
 @pytest.mark.parametrize("name,energy,message", [
     *((k, f"{k} * {k}", f"1:17: expected parameter name, got '{k}'") for k in _C99_KEYWORDS),
@@ -504,8 +507,9 @@ _MATH_MACROS = ["HUGE_VAL", "HUGE_VALF", "HUGE_VALL", "INFINITY", "NAN", "FP_INF
     ("sqrt", "sqrt(sqrt * sqrt + 1)", "parameter 'sqrt' is a name the generated C uses"),
     # the input calls no cos, but its derivative does
     ("cos", "sin(cos)", "parameter 'cos' is a name the generated C uses"),
-    *((m, f"{m} * {m}", f"parameter '{m}' is a name the generated C uses") for m in _MATH_MACROS),
-], ids=[*_C99_KEYWORDS, "vals", "out", "sqrt", "sin_of_cos", *_MATH_MACROS])
+    *((m, f"{m} * {m}", f"parameter '{m}' is a name the generated C uses")
+      for m in (*_MATH_MACROS, *_GCC_MACROS)),
+], ids=[*_C99_KEYWORDS, "vals", "out", "sqrt", "sin_of_cos", *_MATH_MACROS, *_GCC_MACROS])
 def test_names_the_generated_c_cannot_use_exit_1(tmp_path, capsys, monkeypatch, name, energy,
                                                   message):
     monkeypatch.chdir(tmp_path)

@@ -539,10 +539,10 @@ def test_emit_leaves_no_text_behind(monkeypatch):
     fn = corpus_function("eq3", s=5)
     _, program, vars_ = corpus_program(fn)
     bundle = derive_bundle(program, vars_, do_simplify=False)
+    # either layout renders each mode over its own DAG: one SharedText per driver
     emit(bundle, vars_, EmitConfig(basename="t", var_names=fn.var_names), program)
-    assert len(made) == 1
-    assert made[0].uses == {} and made[0].text == {}
-    # a simplified bundle is bound per mode: one SharedText per driver
+    assert len(made) == 3
+    assert all(m.uses == {} and m.text == {} for m in made)
     made.clear()
     emit(derive_bundle(program, vars_), vars_, EmitConfig(basename="t"), program)
     assert len(made) == 3

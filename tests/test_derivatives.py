@@ -21,8 +21,8 @@ from acorns.errors import ExpressionExplosion
 from acorns.flatten import unroll
 from acorns.interp import compile_exprs, eval_expr, evaluate
 from acorns.parser import parse_expr, parse_source
-from acorns.verify import (CROSS_ENTROPY_SRC, corpus_function, corpus_program, fd_gradient,
-                           verify)
+from acorns.verify import (CROSS_ENTROPY_SRC, CorpusFunction, corpus_function, corpus_program,
+                           fd_gradient, verify)
 
 from randgen import random_expr, random_loop_program
 
@@ -57,14 +57,26 @@ def test_count_nodes_memo_is_shared():
     assert counts[id(e.lhs)] == (3, e.lhs)  # the shared t, counted once
 
 
-def test_bundle_cap_trips_at_the_largest_entry():
-    fn = corpus_function("eq3", s=4)
-    _, program, vars_ = corpus_program(fn)
-    bundle = derive_bundle(program, vars_, do_simplify=False)
+# eq3, and an input whose largest entry in both engines is a Hessian entry
+_CAP_INPUTS = {
+    "eq3_s4": corpus_function("eq3", s=4),
+    "sin_of_product": CorpusFunction(
+        "sin_of_product", "double f(double x, double y){ double e = sin(x * y); return 0; }",
+        "f", "e", ("x", "y"), {}),
+}
+
+
+@pytest.mark.parametrize("do_simplify", [False, True])
+@pytest.mark.parametrize("name", list(_CAP_INPUTS))
+def test_bundle_cap_trips_at_the_largest_entry(name, do_simplify):
+    _, program, vars_ = corpus_program(_CAP_INPUTS[name])
+    bundle = derive_bundle(program, vars_, do_simplify=do_simplify)
     largest = max(count_nodes(e) for e in (bundle.f, *bundle.grad, *bundle.hess_lower))
-    derive_bundle(program, vars_, do_simplify=False, cap=largest)
+    if name == "sin_of_product":
+        assert max(count_nodes(e) for e in (bundle.f, *bundle.grad)) < largest
+    derive_bundle(program, vars_, do_simplify=do_simplify, cap=largest)
     with pytest.raises(ExpressionExplosion) as exc:
-        derive_bundle(program, vars_, do_simplify=False, cap=largest - 1)
+        derive_bundle(program, vars_, do_simplify=do_simplify, cap=largest - 1)
     assert exc.value.count == largest
 
 

@@ -141,7 +141,7 @@ def test_token_kinds_and_spans():
     src = "double a /* one\n  two */ = .5+1.e5;\n\tx.5 <=< x-- // end"
     got = [(t.kind, t.text, t.span.line, t.span.column, t.span.length) for t in tokenize(src)]
     assert got == [
-        ("keyword", "double", 1, 1, 6), ("ident", "a", 1, 8, 1), ("=", "=", 2, 10, 1),
+        ("double", "double", 1, 1, 6), ("ident", "a", 1, 8, 1), ("=", "=", 2, 10, 1),
         ("number", ".5", 2, 12, 2), ("+", "+", 2, 14, 1), ("number", "1.e5", 2, 15, 4),
         (";", ";", 2, 19, 1), ("ident", "x", 3, 2, 1), ("number", ".5", 3, 3, 2),
         ("<=", "<=", 3, 6, 2), ("<", "<", 3, 8, 1), ("ident", "x", 3, 10, 1),

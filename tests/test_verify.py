@@ -257,7 +257,7 @@ def test_a_later_nan_entry_is_the_worst():
 
 def test_corpus_is_complete():
     assert set(CORPUS) == {"eq1", "eq2", "eq3", "cross_entropy", "function_0", "const_fn",
-                           "springs", "barrier"}
+                           "springs", "barrier", "rollout"}
     for name in CORPUS:
         fn = corpus_function(name, s=2 if name == "eq3" else None)
         corpus_program(fn)  # parses, validates and unrolls cleanly
