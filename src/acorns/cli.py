@@ -17,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .codegen import DEFAULT_SPLIT_TARGET, EmitConfig, emit
@@ -175,6 +176,8 @@ def _checked(convert, ok, need: str):
 
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "at least 1")
 
+_FILE_BOX = (0.01, 1.0)  # a file input's sampling interval when --box is not given
+
 
 class _Box(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
@@ -205,8 +208,9 @@ def _verify_parser() -> _ArgumentParser:
     p.add_argument("--energy", default=None, help="energy variable (file inputs)")
     p.add_argument("--vars", nargs="+", default=None, help="independent vars (file inputs)")
     p.add_argument("--box", nargs=2, type=_checked(float, math.isfinite, "finite"),
-                   action=_Box, default=(0.01, 1.0), metavar=("LO", "HI"),
-                   help="sampling interval for file inputs (default 0.01 1)")
+                   action=_Box, default=None, metavar=("LO", "HI"),
+                   help="sampling interval of the differentiated parameters (default: "
+                        "a corpus entry's own, 0.01 1 for file inputs)")
     return p
 
 
@@ -215,6 +219,8 @@ def _run_verify(argv) -> int:
     try:
         if args.function in CORPUS:
             fn = corpus_function(args.function, s=args.s)
+            if args.box is not None:
+                fn = replace(fn, boxes={**fn.boxes, **dict.fromkeys(fn.var_names, args.box)})
         else:
             if not (args.func and args.energy and args.vars):
                 print("acorns_autodiff verify: file inputs need --func, --energy and --vars",
@@ -230,7 +236,7 @@ def _run_verify(argv) -> int:
                 name=os.path.basename(args.function), source=source,
                 func_name=args.func, energy_var=args.energy,
                 var_names=tuple(args.vars),
-                boxes={p: tuple(args.box) for p in args.vars},
+                boxes=dict.fromkeys(args.vars, args.box or _FILE_BOX),
             )
         kwargs = {}
         if args.seed is not None:

@@ -4,7 +4,10 @@ The generated artifact is one header plus N source files.  Statements are
 packed greedily into files of roughly `split_target_bytes`; each run of
 same-mode statements in a file becomes a chunk function evaluating one
 point, and exported drivers (`compute`, `compute_grad`, `compute_hess`)
-in part 0 loop over points calling the chunks in order.  Output text is
+in part 0 loop over points calling the chunks in order.  A chunk function
+loads from `vals` only the parameters its run of statements reads: each
+node's parameters are one int mask, found by one walk over the DAG of
+every statement, shared by the chunk functions.  Output text is
 fully deterministic for a given bundle and config.
 
 The Hessian chunks write only the lower entries `(i, j <= i)` that are not
@@ -100,7 +103,7 @@ class GeneratedArtifact:
 class Statement:
     mode: str
     text: str  # the `out[k] = ...;` line
-    params: frozenset  # parameter names the expression reads
+    expr: Expr  # what the line computes
     temps: tuple = ()  # (K, line) of each temporary's lines this statement reads first
     reads: frozenset = frozenset()  # temporaries of earlier statements it reads
 
@@ -117,26 +120,29 @@ def layout_slots(program: StraightLineProgram, vars_: VarIndexMap) -> list:
     return list(vars_.labels) + rest
 
 
-_NO_PARAMS = frozenset()
+def _param_bits(program: StraightLineProgram) -> dict:
+    """Each input slot's label -> the bit of its parameter, bit i for the
+    program's i-th parameter in declaration order."""
+    index = {p: i for i, p in enumerate(dict.fromkeys(s.param for s in program.inputs))}
+    return {s.label: 1 << index[s.param] for s in program.inputs}
 
 
-def _collect_params(e: Expr, memo: dict) -> frozenset:
-    """Parameter names `e` reads.
+def _param_mask(e: Expr, bits: dict, memo: dict) -> int:
+    """The parameters `e` reads, as a mask of `bits`.
 
-    `memo` maps id(node) -> (names, node) and is shared by the statements
-    of one emit, so a subtree shared between statements is walked once.
+    `memo` maps id(node) -> mask and is shared by the statements of one
+    emit, so a subtree that statements or chunk functions share is walked
+    once; the bundle keeps every node, and so its id, alive meanwhile.
     """
     for node in post_order(e, memo):
         if isinstance(node, Var):
-            names = frozenset((node.name.split("[", 1)[0],))
+            mask = bits[node.name]
         else:
-            names = _NO_PARAMS
+            mask = 0
             for k in children(node):
-                got = memo[id(k)][0]
-                if not got <= names:  # reuse a child's set where the union adds nothing
-                    names = (names | got) if names else got
-        memo[id(node)] = (names, node)
-    return memo[id(e)][0]
+                mask |= memo[id(k)]
+        memo[id(node)] = mask
+    return memo[id(e)]
 
 
 def _temp_prefix(program: StraightLineProgram) -> str:
@@ -172,7 +178,6 @@ def _statements(bundle: DerivativeBundle, cfg: EmitConfig, temp: str | None = No
         lower = (i * n + j for i in range(n) for j in range(i + 1))  # hess_lower's order
         groups["hessian"] = [(k, e) for k, e in zip(lower, bundle.hess_lower) if not _zero(e)]
     stmts = []
-    params: dict = {}
     temps: dict = {}
     for mode, group in groups.items():
         if not group:
@@ -181,7 +186,7 @@ def _statements(bundle: DerivativeBundle, cfg: EmitConfig, temp: str | None = No
         for k, expr in group:
             first = len(shared.decls)
             text = to_source(expr, shared)
-            stmts.append(Statement(mode, f"out[{k}] = {text};", _collect_params(expr, params),
+            stmts.append(Statement(mode, f"out[{k}] = {text};", expr,
                                    tuple(enumerate(shared.decls[first:], first)),
                                    shared.reads))
     return stmts, temps
@@ -226,8 +231,9 @@ def _missing(reads: frozenset, declared: set, deps: list) -> list:
     return sorted(need)
 
 
-def _param_decls(program: StraightLineProgram, layout: list, params: frozenset) -> list:
-    """Declare C locals for each referenced parameter, loaded from vals."""
+def _param_decls(program: StraightLineProgram, layout: list, mask: int) -> list:
+    """Declare C locals, loaded from vals, for each parameter whose bit
+    (`_param_bits`) is set in `mask`."""
     slot_pos = {label: i for i, label in enumerate(layout)}
     by_param: dict[str, list] = {}
     order: list[str] = []
@@ -237,8 +243,8 @@ def _param_decls(program: StraightLineProgram, layout: list, params: frozenset) 
             order.append(s.param)
         by_param[s.param].append(s)
     lines = []
-    for name in order:
-        if name not in params:
+    for i, name in enumerate(order):
+        if not mask >> i & 1:
             continue
         slots = by_param[name]
         if slots[0].indices == ():
@@ -285,6 +291,8 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
 
     temp = _temp_prefix(program) if bundle.simplified else None
     statements, temps = _statements(bundle, cfg, temp)
+    bits = _param_bits(program)
+    masks: dict = {}  # _param_mask's memo
     stem = _header_stem(cfg.basename)
     provenance = [
         f"/* generated by acorns-autodiff {__version__}",
@@ -306,7 +314,10 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
             chunks[mode].append(n_chunks)
             lines += [f"void {stem}_chunk_{n_chunks}(const double* vals, double* out)", "{"]
             n_chunks += 1
-            decls = _param_decls(program, layout, frozenset().union(*(st.params for st in run)))
+            mask = 0
+            for st in run:
+                mask |= _param_mask(st.expr, bits, masks)
+            decls = _param_decls(program, layout, mask)
             lines += [*decls, ""] if decls else ["    (void) vals;"]
             declared: set = set()
             for st in run:

@@ -3,19 +3,21 @@
 All transforms work on a shared-subtree DAG: results are memoized by node
 identity, so repeated subexpressions (which unrolled programs produce in
 abundance) are differentiated once.  Tree-expanded node counts are checked
-against a cap because emission re-expands the DAG: `substitute` checks the
-expression, and `derive_bundle` each finished stage of derivatives, so the
-engines only build them.  Each transform is one `cast.post_order` loop
-whose per-node rule reads its operands' results from the memo, so the
-depth of an expression, which grows with the length of an unrolled loop,
-is bounded by memory, not by the recursion limit.
+against a cap because emission re-expands the DAG: `substitute` records
+the plain (unsimplified) tree size of each node as it builds `f` and checks
+`f`'s, and `derive_bundle` counts each finished stage of derivatives with
+`count_nodes`, so the engines only build them.  Each transform is one
+`cast.post_order` loop whose per-node rule reads its operands' results from
+the memo, so the depth of an expression, which grows with the length of an
+unrolled loop, is bounded by memory, not by the recursion limit.
 
 A simplified bundle (the default) is built in reverse mode.  `f` is
-simplified once; the gradient comes from one adjoint sweep over it,
-`_adjoint_gradient`, and Hessian row i from one sweep over gradient entry i
-restricted to variables 0..i, the lower triangle.  A sweep builds every node
-with the `_SIMPLIFYING` constructors, which apply `simplify`'s local
-rewrites to operands that are already simplified, so no derivative is
+simplified where it is built, in `substitute`'s one walk; the gradient
+comes from one adjoint sweep over it, `_adjoint_gradient`, and Hessian row
+i from one sweep over gradient entry i restricted to variables 0..i, the
+lower triangle.  That walk and every sweep build each node with the
+`_SIMPLIFYING` constructors, which apply `simplify`'s local rewrites to
+operands that are already simplified, so neither `f` nor a derivative is
 walked again.  A sweep costs O(|f|) where forward passes cost O(n |f|) on a
 chain, and a node that reads no wanted variable gets no adjoint: its
 derivative is an exact zero, never a `0 / u` that is NaN where u is 0.
@@ -124,21 +126,39 @@ def _check_cap(entries, cap: int, sizes: dict | None = None):
             raise ExpressionExplosion(n, cap)
 
 
-def substitute(p: StraightLineProgram, cap: int = DEFAULT_NODE_CAP) -> Expr:
-    """Inline every intermediate definition into one expression for the output."""
-    env: dict[str, Expr] = {}
+def substitute(p: StraightLineProgram, cap: int = DEFAULT_NODE_CAP,
+               simple: bool = False) -> Expr:
+    """Inline every intermediate definition into one expression for the output.
+
+    With `simple`, the one walk rebuilds each node with the `_SIMPLIFYING`
+    constructors, so it returns `simplify` of the plain result.  Either way
+    it records each node's tree-expanded size in the plain result, and
+    checks the result's against `cap`, in that unit, so the cap on `f` is
+    the same whichever form is built.
+    """
+    build = _simple_rebuild if simple else rebuild
+    env: dict[str, tuple] = {}  # target -> (its expression, its plain tree size)
     for a in p.assigns:
         memo: dict[int, Expr] = {}
+        sizes: dict[int, int] = {}  # id(node) -> plain tree size
         for node in post_order(a.rhs, memo):
             if isinstance(node, Var):
-                memo[id(node)] = env.get(node.name, node)  # unmapped names are input slots
-            else:
-                memo[id(node)] = rebuild(node, memo)
-        env[a.target] = memo[id(a.rhs)]
-    result = env.get(p.output)
-    if result is None:
+                got = env.get(node.name)  # unmapped names are input slots
+                if got is not None:
+                    memo[id(node)], sizes[id(node)] = got
+                    continue
+            memo[id(node)] = build(node, memo)
+            size = 1
+            for k in children(node):
+                size += sizes[id(k)]
+            sizes[id(node)] = size
+        env[a.target] = (memo[id(a.rhs)], sizes[id(a.rhs)])
+    got = env.get(p.output)
+    if got is None:
         raise AcornsError(f"output slot {p.output!r} is never assigned")
-    _check_cap((result,), cap)
+    result, size = got
+    if size > cap:
+        raise ExpressionExplosion(size, cap)
     return result
 
 
@@ -364,18 +384,28 @@ def simplify(e: Expr) -> Expr:
     """
     done: dict[int, Expr] = {}
     for node in post_order(e, done):
-        if isinstance(node, (Constant, Var)):
-            out = node
-        elif isinstance(node, Binary):
-            out = _simple_binary(node.op, done[id(node.lhs)], done[id(node.rhs)], node)
-        elif isinstance(node, Unary):
-            out = _simple_unary(node.op, done[id(node.operand)], node)
-        elif isinstance(node, Call):
-            out = _simple_call(node.name, tuple(done[id(a)] for a in node.args), node)
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-        done[id(node)] = out
+        done[id(node)] = _simple_rebuild(node, done, node)
     return done[id(e)]
+
+
+def _simple_rebuild(node: Expr, new: dict, reuse: Expr | None = None) -> Expr:
+    """`node` over the simplified operands `new[id(operand)]`, built by the
+    `_SIMPLIFYING` constructors with `reuse` as their `node`.
+
+    Constants and variables are returned as they are.  `substitute` leaves
+    `reuse` None, so, as `rebuild` does, it makes a new node wherever no
+    rule applies, and its result shares nodes as `simplify` of the plain
+    result does.
+    """
+    if isinstance(node, (Constant, Var)):
+        return node
+    if isinstance(node, Binary):
+        return _simple_binary(node.op, new[id(node.lhs)], new[id(node.rhs)], reuse)
+    if isinstance(node, Unary):
+        return _simple_unary(node.op, new[id(node.operand)], reuse)
+    if isinstance(node, Call):
+        return _simple_call(node.name, tuple(new[id(a)] for a in node.args), reuse)
+    raise TypeError(f"not an expression: {node!r}")
 
 
 def gradient(
@@ -520,21 +550,22 @@ def derive_bundle(
     """Run substitute/differentiate once and share the gradient with the Hessian.
 
     `do_simplify` alone picks the engine, so the gradient is the same
-    whichever entries are wanted.  With it, `f` is simplified once and the
-    reverse sweeps build every derivative node simplified; their entries
-    equal `simplify` of the raw derivatives up to rounding wherever both are
-    finite, and an inactive subtree's derivative is an exact zero.  Without
-    it, the forward passes build the raw derivatives.
+    whichever entries are wanted.  With it, `substitute` builds `f`
+    simplified in its one walk and the reverse sweeps build every
+    derivative node simplified; their entries equal `simplify` of the raw
+    derivatives up to rounding wherever both are finite, and an inactive
+    subtree's derivative is an exact zero.  Without it, the forward passes
+    build the raw derivatives.
 
-    `substitute` checks `f` against the cap, and this function alone checks
-    the derivatives, each stage once it is built: the gradient before the
-    Hessian is built from it, then the Hessian.  The entries are counted in
-    bundle order over one `count_nodes` memo, so a subtree they share is
-    walked once, and the first entry past the cap raises.
+    `substitute` checks `f` against the cap by the plain tree size it
+    records while building `f`, in either engine, so `f` takes no
+    `count_nodes` walk.  This function alone checks the derivatives, each
+    stage once it is built: the gradient before the Hessian is built from
+    it, then the Hessian.  The entries are counted in bundle order over one
+    `count_nodes` memo, so a subtree they share is walked once, and the
+    first entry past the cap raises.
     """
-    f = substitute(p, cap)
-    if do_simplify:
-        f = simplify(f)
+    f = substitute(p, cap, simple=do_simplify)
     activity = _Activity(vars_.labels)
     sizes: dict = {}  # count_nodes' memo for every entry of the bundle
     grad = hess = ()

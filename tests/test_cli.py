@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import acorns
@@ -131,6 +132,18 @@ def test_verify_node_cap_exits_3(function_0_file, capsys, monkeypatch, form):
         function_0_file, "--func", "function_0", "--energy", "energy", "--vars", "x"]
     assert main(["verify", *target, "--points", "3"]) == 3
     assert capsys.readouterr().err == "acorns_autodiff verify: expression node count 11 exceeds cap 4\n"
+
+
+def test_f_node_cap_counts_the_plain_tree(tmp_path, capsys, monkeypatch):
+    # x * 1 * ... * 1 simplifies to x, but the cap counts its 81 plain nodes
+    src = tmp_path / "times_one.c"
+    src.write_text("double f(double x){ double e = x; "
+                   "for (int i = 0; i < 40; i++) { e = e * 1; } return 0; }")
+    monkeypatch.setenv("ACORNS_MAX_NODES", "50")
+    rc = main([str(src), "e", "--vars", "x", "--func", "f",
+               "--output_filename", str(tmp_path / "d")])
+    assert rc == 3
+    assert capsys.readouterr().err == "acorns_autodiff: expression node count 81 exceeds cap 50\n"
 
 
 def test_bad_node_cap_warns_and_continues(function_0_file, tmp_path, capsys, monkeypatch):
@@ -415,6 +428,35 @@ def test_verify_user_file(function_0_file, capsys):
     rc = main(["verify", function_0_file, "--func", "function_0", "--energy", "energy",
                "--vars", "x", "--points", "10", "--box", "1", "4"])
     assert rc == 0
+
+
+def _worst_point(out: str) -> tuple:
+    """The index and input values of the worst sample point a verify report names."""
+    line = next(line for line in out.splitlines() if line.startswith("worst "))
+    head, values = line.split(": ", 1)
+    return int(head.rsplit(" ", 1)[1]), {
+        k: float(v) for k, v in (item.split("=") for item in values.split(", "))}
+
+
+def test_verify_box_applies_to_a_corpus_entry(capsys):
+    # eq3's own box is (0.05, 0.95); the given one replaces it
+    assert main(["verify", "eq3", "--s", "3", "--box", "0.2", "0.8", "--seed", "1"]) == 0
+    index, worst = _worst_point(capsys.readouterr().out)
+    assert list(worst) == ["x[0]", "x[1]", "x[2]"]
+    assert all(0.2 <= v <= 0.8 for v in worst.values())
+    expected = np.random.default_rng(1).uniform(0.2, 0.8, size=(100, 3))[index]
+    assert list(worst.values()) == expected.tolist()
+
+
+def test_verify_box_leaves_the_other_parameters(capsys):
+    # cross_entropy differentiates a; b keeps its own box, (0.05, 0.95)
+    assert main(["verify", "cross_entropy", "--box", "0.5", "0.6", "--seed", "1"]) == 0
+    _, worst = _worst_point(capsys.readouterr().out)
+    a = [v for k, v in worst.items() if k.startswith("a[")]
+    b = [v for k, v in worst.items() if k.startswith("b[")]
+    assert len(a) == len(b) == 4
+    assert all(0.5 <= v <= 0.6 for v in a)
+    assert all(0.05 <= v <= 0.95 for v in b) and not all(0.5 <= v <= 0.6 for v in b)
 
 
 def test_verify_user_file_needs_metadata(function_0_file, capsys):

@@ -21,8 +21,8 @@ from acorns.errors import ExpressionExplosion
 from acorns.flatten import unroll
 from acorns.interp import compile_exprs, eval_expr, evaluate
 from acorns.parser import parse_expr, parse_source
-from acorns.verify import (CROSS_ENTROPY_SRC, CorpusFunction, corpus_function, corpus_program,
-                           fd_gradient, verify)
+from acorns.verify import (CORPUS, CROSS_ENTROPY_SRC, CorpusFunction, corpus_function,
+                           corpus_program, fd_gradient, verify)
 
 from randgen import random_expr, random_loop_program
 
@@ -101,6 +101,47 @@ def test_substitute_node_cap():
     p = _program("\n".join(src))
     with pytest.raises(ExpressionExplosion):
         substitute(p, cap=10**6)
+
+
+def _fused_walk_cases():
+    for name in CORPUS:
+        for s in (None, 3):
+            fn = corpus_function(name, s=s)
+            if s is None or fn.s is not None:
+                yield f"{name} s={fn.s}", corpus_program(fn)[1]
+    rng = random.Random(1616)
+    for k in range(50):
+        yield f"random {k}", _program(*random_loop_program(rng))
+
+
+def test_simple_substitute_is_simplify_of_substitute():
+    # one walk that builds the simplified f equals the two walks it replaces,
+    # in structure and in what it shares, which the bound form prints
+    for case, program in _fused_walk_cases():
+        f = substitute(program, simple=True)
+        want = simplify(substitute(program))
+        assert f == want, case
+        assert _dag_nodes((f,)) == _dag_nodes((want,)), case
+        assert derive_bundle(program, VarIndexMap(()), want_gradient=False,
+                             want_hessian=False).f == want, case
+
+
+_TIMES_ONE = ("double f(double x){ double e = x; "
+              "for (int i = 0; i < 40; i++) { e = e * 1; } return 0; }")
+
+
+@pytest.mark.parametrize("do_simplify", [False, True])
+def test_f_cap_counts_the_plain_tree(do_simplify):
+    # x * 1 * ... * 1 simplifies to x, but the cap counts the 81 nodes of
+    # the plain expression under both engines
+    program = _program(_TIMES_ONE)
+    assert count_nodes(substitute(program)) == 81
+    assert substitute(program, simple=True) == Var("x")
+    vars_ = VarIndexMap.from_names(program, ["x"])
+    with pytest.raises(ExpressionExplosion) as exc:
+        derive_bundle(program, vars_, do_simplify=do_simplify, cap=50)
+    assert (exc.value.count, exc.value.cap) == (81, 50)
+    substitute(program, cap=81, simple=do_simplify)
 
 
 # --- differentiate -----------------------------------------------------------
@@ -369,10 +410,12 @@ def test_pruned_bundle_matches_naive_walk(do_simplify):
 
 @pytest.mark.parametrize("do_simplify", [False, True], ids=["raw", "simplified"])
 def test_bundle_calls_module_globals_once_per_entry(monkeypatch, do_simplify):
-    # one `differentiate` per raw gradient and Hessian entry, and one
-    # `simplify` (of f) per simplified bundle, whose derivatives come from
-    # reverse sweeps that build them simplified, with no forward pass
-    calls = {"differentiate": 0, "simplify": 0}
+    # one `differentiate` per raw gradient and Hessian entry, and none in a
+    # simplified bundle, whose derivatives come from reverse sweeps that
+    # build them simplified; no `simplify`, since `substitute` builds a
+    # simplified f in its own walk; one `count_nodes` per derivative entry
+    # and none for f, whose size `substitute` records as it builds it
+    calls = {"differentiate": 0, "simplify": 0, "count_nodes": 0}
 
     def counting(name):
         real = getattr(derivatives, name)
@@ -389,11 +432,12 @@ def test_bundle_calls_module_globals_once_per_entry(monkeypatch, do_simplify):
     _, program, vars_ = corpus_program(fn)
     bundle = derive_bundle(program, vars_, do_simplify=do_simplify)
     assert len(bundle.grad) == 4 and len(bundle.hess_lower) == 10
-    assert calls == {"differentiate": 0 if do_simplify else 4 + 10,
-                     "simplify": int(do_simplify)}
-    calls.update(differentiate=0, simplify=0)
+    assert calls == {"differentiate": 0 if do_simplify else 4 + 10, "simplify": 0,
+                     "count_nodes": 4 + 10}
+    calls.update(differentiate=0, count_nodes=0)
     derive_bundle(program, vars_, do_simplify=do_simplify, want_hessian=False)
-    assert calls == {"differentiate": 0 if do_simplify else 4, "simplify": int(do_simplify)}
+    assert calls == {"differentiate": 0 if do_simplify else 4, "simplify": 0,
+                     "count_nodes": 4}
 
 
 def test_inactive_subtree_shares_one_skeleton():
