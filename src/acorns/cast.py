@@ -10,6 +10,7 @@ depth.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
@@ -332,9 +333,11 @@ ACCUMULATOR_TERMS = 32
 class SharedText:
     """The C text of several expressions, rendering each DAG node once.
 
-    The constructor counts each node's uses over the union DAG of `roots`:
-    one per parent edge, plus one per appearance in `roots`.  Rendering a
-    root writes a node with one use straight into its user's text.  A node
+    Each node's uses over the union DAG of `roots`, one per parent edge
+    plus one per appearance in `roots`, are read from `lin.uses`.  `lin`
+    must be `linearize(roots)`: `emit` passes the one its bundle built for
+    the stage, and the constructor makes one when none is given.  Rendering
+    a root writes a node with one use straight into its user's text.  A node
     with several uses is rendered once, on its first use, into `text`, and
     its last use takes it out.  So `uses` and `text` hold only what is still
     to be used, and both are empty once every root has been rendered as
@@ -363,15 +366,12 @@ class SharedText:
     and compiles a quarter to a half slower.
     """
 
-    def __init__(self, roots, temp: str | None = None):
+    def __init__(self, roots, temp: str | None = None, lin: Linearized | None = None):
         self.roots = tuple(roots)  # keeps every node alive, so ids stay unique
-        self.uses: dict[int, int] = {}  # id(node) -> uses not yet rendered
-        for root in self.roots:
-            for node in post_order(root, self.uses):
-                self.uses[id(node)] = 0  # its parents come after it
-                for k in children(node):
-                    self.uses[id(k)] += 1
-            self.uses[id(root)] += 1
+        if lin is None:
+            lin = linearize(self.roots)
+        # id(node) -> uses not yet rendered
+        self.uses: dict[int, int] = dict(zip(map(id, lin.nodes), lin.uses))
         self.text: dict[int, str] = {}  # id(node) -> text of a node with uses left
         self.temp = temp
         self.decls: list[str] = []
@@ -571,6 +571,118 @@ def rebuild(node: Expr, new: dict) -> Expr:
     if isinstance(node, Call):
         return Call(node.name, tuple(new[id(a)] for a in node.args), node.span)
     return node
+
+
+@dataclass(eq=False, slots=True)
+class Linearized:
+    """The union DAG of `roots` as arrays: each node once, children first.
+
+    `nodes` is in the order `post_order` yields them when the roots are
+    walked in turn over one `done`, so a node's operands come before it.
+    The arrays are indexed by position in `nodes`.
+    """
+
+    roots: tuple
+    nodes: list
+    at: array  # at[r] is the position of roots[r]
+    start: array  # operands[start[i]:start[i + 1]] are node i's operands, left to right
+    operands: array
+    uses: array  # node i's parent edges plus its appearances in roots
+    # node i's tree-expanded size, a shared subtree counted once per use;
+    # a list when a size overflows int64
+    sizes: array | list
+
+    def masks(self, bits: dict) -> list:
+        """Each node's mask: a variable's `bits.get(name, 0)`, any other
+        node's the OR of its operands' masks."""
+        out: list = []
+        append = out.append
+        operand = iter(self.operands).__next__  # node by node, in order
+        start = self.start
+        for node, a, b in zip(self.nodes, start, start[1:]):
+            if a == b:
+                append(bits.get(node.name, 0) if isinstance(node, Var) else 0)
+            elif b - a == 2:
+                append(out[operand()] | out[operand()])
+            else:
+                mask = 0
+                for _ in range(b - a):
+                    mask |= out[operand()]
+                append(mask)
+        return out
+
+    def order(self, root: int, masks: list, wanted: int) -> list:
+        """The positions of the nodes under the one at `root` whose mask
+        meets `wanted`, in the order `post_order` yields them from that node
+        alone; `masks` is a result of the method of that name.
+
+        A parent's mask holds its operands', so every path to such a node
+        passes through such nodes, and the walk enters no other.  It keeps
+        an explicit stack and costs the size of what it selects, except
+        under a sole root, whose order is the linearisation's own.
+        """
+        if len(self.roots) == 1 and root == len(self.nodes) - 1:
+            return [i for i, mask in enumerate(masks) if mask & wanted]
+        start, operands = self.start, self.operands
+        out: list = []
+        done: set = set()
+        stack = [root]  # a position, or ~position once its operands are pushed
+        while stack:
+            i = stack.pop()
+            if i < 0:
+                out.append(~i)
+            elif i not in done and masks[i] & wanted:
+                done.add(i)
+                stack.append(~i)
+                stack.extend(k for k in operands[start[i]:start[i + 1]] if k not in done)
+        return out
+
+
+def linearize(roots) -> Linearized:
+    """`Linearized` of the union DAG of `roots`.  Uses an explicit stack,
+    so depth is not bounded by the recursion limit."""
+    roots = tuple(roots)
+    nodes: list = []
+    position: dict[int, int] = {}  # id(node) -> its position in nodes
+    start, operands, uses = array("i", [0]), array("i"), array("i")
+    sizes: list = []
+    at = array("i")
+    for root in roots:
+        stack = [root]  # a node to visit, or (node, its operands) to finish
+        pop, push = stack.pop, stack.append
+        while stack:
+            item = pop()
+            size = 1
+            if type(item) is tuple:
+                node, kids = item
+                for k in kids:
+                    i = position[id(k)]
+                    operands.append(i)
+                    uses[i] += 1
+                    size += sizes[i]
+            elif id(item) in position:
+                continue
+            else:
+                node, kids = item, children(item)
+                if kids:
+                    push((node, kids))
+                    for k in kids:
+                        if id(k) not in position:
+                            push(k)
+                    continue
+            position[id(node)] = len(nodes)
+            nodes.append(node)
+            start.append(len(operands))
+            uses.append(0)
+            sizes.append(size)
+        i = position[id(root)]
+        at.append(i)
+        uses[i] += 1
+    try:
+        sizes = array("q", sizes)
+    except OverflowError:
+        pass
+    return Linearized(roots, nodes, at, start, operands, uses, sizes)
 
 
 def count_nodes(e: Expr, counts: dict | None = None) -> int:

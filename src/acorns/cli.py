@@ -14,9 +14,11 @@ comment carries no timestamps, so build systems can hash the files.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from . import __version__
@@ -77,6 +79,23 @@ def _exhausted(exc: BaseException) -> str:
     return "out of memory"
 
 
+@contextmanager
+def _collector_paused():
+    """Pause Python's cyclic garbage collector, restoring its state after.
+
+    Expression nodes form no cycles, yet each full collection re-scans the
+    millions of them a long loop makes, and frees nothing: on a 50,000-step
+    accumulation loop it took about a third of the derivation's time.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _node_cap() -> int:
     raw = os.environ.get("ACORNS_MAX_NODES")
     if not raw:
@@ -109,23 +128,24 @@ def _run_pipeline(args) -> int:
             return EXIT_INPUT
         program = unroll(ir)
         vars_ = VarIndexMap.from_names(program, args.vars)
-        bundle = derive_bundle(
-            program, vars_,
-            do_simplify=not args.no_simplify,
-            cap=_node_cap(),
-            want_gradient=bool(modes & {"gradient", "hessian"}),
-            want_hessian="hessian" in modes,
-        )
-        cfg = EmitConfig(
-            mode=modes,
-            split_target_bytes=args.split_size,
-            parallel=args.parallel,
-            basename=args.output_filename,
-            simplified=not args.no_simplify,
-            source_name=os.path.basename(args.input),
-            var_names=tuple(args.vars),
-        )
-        artifact = emit(bundle, vars_, cfg, program)
+        with _collector_paused():
+            bundle = derive_bundle(
+                program, vars_,
+                do_simplify=not args.no_simplify,
+                cap=_node_cap(),
+                want_gradient=bool(modes & {"gradient", "hessian"}),
+                want_hessian="hessian" in modes,
+            )
+            cfg = EmitConfig(
+                mode=modes,
+                split_target_bytes=args.split_size,
+                parallel=args.parallel,
+                basename=args.output_filename,
+                simplified=not args.no_simplify,
+                source_name=os.path.basename(args.input),
+                var_names=tuple(args.vars),
+            )
+            artifact = emit(bundle, vars_, cfg, program)
     except (BoundExplosion, ExpressionExplosion) as exc:
         print(f"acorns_autodiff: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -241,9 +261,10 @@ def _run_verify(argv) -> int:
         kwargs = {}
         if args.seed is not None:
             kwargs["seed"] = args.seed
-        report = run_verify(fn, mode=args.mode, points=args.points,
-                            do_simplify=not args.no_simplify,
-                            tolerance=args.tolerance, cap=_node_cap(), **kwargs)
+        with _collector_paused():
+            report = run_verify(fn, mode=args.mode, points=args.points,
+                                do_simplify=not args.no_simplify,
+                                tolerance=args.tolerance, cap=_node_cap(), **kwargs)
     except (BoundExplosion, ExpressionExplosion) as exc:
         print(f"acorns_autodiff verify: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

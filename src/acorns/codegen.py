@@ -6,9 +6,10 @@ same-mode statements in a file becomes a chunk function evaluating one
 point, and exported drivers (`compute`, `compute_grad`, `compute_hess`)
 in part 0 loop over points calling the chunks in order.  A chunk function
 loads from `vals` only the parameters its run of statements reads: each
-node's parameters are one int mask, found by one walk over the DAG of
-every statement, shared by the chunk functions.  Output text is
-fully deterministic for a given bundle and config.
+node's parameters are one int mask, found by one pass over the arrays of
+its mode's linearisation (`DerivativeBundle.linearized`), which also
+gives `SharedText` its use counts.  Output text is fully deterministic
+for a given bundle and config.
 
 The Hessian chunks write only the lower entries `(i, j <= i)` that are not
 the constant +0.  Per point, `compute_hess` zero-fills the n*n block when
@@ -40,13 +41,12 @@ import math
 import re
 from dataclasses import dataclass
 
-from .cast import (INTRINSICS, Expr, SharedText, Var, children, is_const, post_order,
-                   to_source)
-from .derivatives import DerivativeBundle, VarIndexMap
+from .cast import INTRINSICS, Expr, SharedText, is_const, to_source
+from .derivatives import STAGES, DerivativeBundle, VarIndexMap
 from .errors import AcornsError
 from .flatten import StraightLineProgram
 
-MODE_ORDER = ("function", "gradient", "hessian")
+MODE_ORDER = STAGES
 DRIVER_NAME = {"function": "compute", "gradient": "compute_grad", "hessian": "compute_hess"}
 DRIVER_OUT_ARG = {"function": "out", "gradient": "ders", "hessian": "hess"}
 
@@ -103,7 +103,7 @@ class GeneratedArtifact:
 class Statement:
     mode: str
     text: str  # the `out[k] = ...;` line
-    expr: Expr  # what the line computes
+    params: int  # the parameters the line reads, as a mask of `_param_bits`
     temps: tuple = ()  # (K, line) of each temporary's lines this statement reads first
     reads: frozenset = frozenset()  # temporaries of earlier statements it reads
 
@@ -127,24 +127,6 @@ def _param_bits(program: StraightLineProgram) -> dict:
     return {s.label: 1 << index[s.param] for s in program.inputs}
 
 
-def _param_mask(e: Expr, bits: dict, memo: dict) -> int:
-    """The parameters `e` reads, as a mask of `bits`.
-
-    `memo` maps id(node) -> mask and is shared by the statements of one
-    emit, so a subtree that statements or chunk functions share is walked
-    once; the bundle keeps every node, and so its id, alive meanwhile.
-    """
-    for node in post_order(e, memo):
-        if isinstance(node, Var):
-            mask = bits[node.name]
-        else:
-            mask = 0
-            for k in children(node):
-                mask |= memo[id(k)]
-        memo[id(node)] = mask
-    return memo[id(e)]
-
-
 def _temp_prefix(program: StraightLineProgram) -> str:
     """`t`, or `t_`, `t__`, ... when a parameter is named like a temporary."""
     params = {s.param for s in program.inputs}
@@ -159,34 +141,36 @@ def _zero(e: Expr) -> bool:
     return is_const(e, 0) and math.copysign(1.0, e.value) > 0
 
 
-def _statements(bundle: DerivativeBundle, cfg: EmitConfig, temp: str | None = None) -> tuple:
+def _statements(bundle: DerivativeBundle, cfg: EmitConfig, bits: dict,
+                temp: str | None = None) -> tuple:
     """The statements in order, and the `SharedText` of each mode.
 
-    Each mode's expressions are rendered over that mode's DAG.  With `temp`
-    they are in bound form, so a temporary serves one driver; without it
-    every expression is one expanded `out[k] = ...;` line.  The Hessian has
-    a statement per lower entry that is not +0: its driver zero-fills and
-    mirrors the rest.
+    Each mode's expressions are rendered over that mode's DAG, whose
+    linearisation (`DerivativeBundle.linearized`) gives the use counts and
+    each statement's parameter mask (`_param_bits`).  With `temp` they are
+    in bound form, so a temporary serves one driver; without it every
+    expression is one expanded `out[k] = ...;` line.  The Hessian has a
+    statement per lower entry that is not +0: its driver zero-fills and
+    mirrors the rest.  A +0 entry is rendered all the same, which spends
+    its use and writes nothing else.
     """
     n = bundle.n
-    groups = {}  # mode -> its (out index, expression) pairs, in MODE_ORDER
-    if "function" in cfg.mode:
-        groups["function"] = [(0, bundle.f)]
-    if "gradient" in cfg.mode:
-        groups["gradient"] = list(enumerate(bundle.grad))
-    if "hessian" in cfg.mode:
-        lower = (i * n + j for i in range(n) for j in range(i + 1))  # hess_lower's order
-        groups["hessian"] = [(k, e) for k, e in zip(lower, bundle.hess_lower) if not _zero(e)]
+    out = {"function": (0,), "gradient": range(n),  # each mode's out indices, in order
+           "hessian": (i * n + j for i in range(n) for j in range(i + 1))}
     stmts = []
     temps: dict = {}
-    for mode, group in groups.items():
-        if not group:
+    for mode in MODE_ORDER:
+        if mode not in cfg.mode or not bundle.exprs(mode):
             continue
-        shared = temps[mode] = SharedText((expr for _, expr in group), temp)
-        for k, expr in group:
+        lin = bundle.linearized(mode)
+        shared = temps[mode] = SharedText(lin.roots, temp, lin)
+        params = lin.masks(bits)
+        for k, expr, at in zip(out[mode], lin.roots, lin.at):
             first = len(shared.decls)
             text = to_source(expr, shared)
-            stmts.append(Statement(mode, f"out[{k}] = {text};", expr,
+            if mode == "hessian" and _zero(expr):
+                continue
+            stmts.append(Statement(mode, f"out[{k}] = {text};", params[at],
                                    tuple(enumerate(shared.decls[first:], first)),
                                    shared.reads))
     return stmts, temps
@@ -290,9 +274,7 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
     out_stride = {"function": 1, "gradient": n, "hessian": n * n}
 
     temp = _temp_prefix(program) if bundle.simplified else None
-    statements, temps = _statements(bundle, cfg, temp)
-    bits = _param_bits(program)
-    masks: dict = {}  # _param_mask's memo
+    statements, temps = _statements(bundle, cfg, _param_bits(program), temp)
     stem = _header_stem(cfg.basename)
     provenance = [
         f"/* generated by acorns-autodiff {__version__}",
@@ -316,7 +298,7 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
             n_chunks += 1
             mask = 0
             for st in run:
-                mask |= _param_mask(st.expr, bits, masks)
+                mask |= st.params
             decls = _param_decls(program, layout, mask)
             lines += [*decls, ""] if decls else ["    (void) vals;"]
             declared: set = set()

@@ -2,14 +2,23 @@
 
 All transforms work on a shared-subtree DAG: results are memoized by node
 identity, so repeated subexpressions (which unrolled programs produce in
-abundance) are differentiated once.  Tree-expanded node counts are checked
-against a cap because emission re-expands the DAG: `substitute` records
-the plain (unsimplified) tree size of each node as it builds `f` and checks
-`f`'s, and `derive_bundle` counts each finished stage of derivatives with
-`count_nodes`, so the engines only build them.  Each transform is one
-`cast.post_order` loop whose per-node rule reads its operands' results from
-the memo, so the depth of an expression, which grows with the length of an
-unrolled loop, is bounded by memory, not by the recursion limit.
+abundance) are differentiated once.  `substitute`, `simplify` and the
+zero skeletons of the forward passes are each one `cast.post_order` loop
+whose per-node rule reads its operands' results from the memo.
+`derive_bundle` linearises each stage once it is built (`f`, then the
+gradient, then the Hessian) with `cast.linearize`: one explicit-stack
+walk that lists the stage's nodes children first, with their operand
+positions, use counts and tree sizes.  The activity masks, the order of
+every sweep and forward pass, and the cap read those arrays, and the
+bundle carries them to emission and the tape.  So the depth of an
+expression, which grows with the length of an unrolled loop, is bounded
+by memory, not by the recursion limit.
+
+Tree-expanded node counts are checked against a cap because emission
+re-expands the DAG: `substitute` records the plain (unsimplified) tree
+size of each node as it builds `f` and checks `f`'s, and `derive_bundle`
+checks each finished stage of derivatives by its linearisation's sizes,
+so the engines only build them.
 
 A simplified bundle (the default) is built in reverse mode.  `f` is
 simplified where it is built, in `substitute`'s one walk; the gradient
@@ -29,9 +38,11 @@ most of each pass, and of each sweep, off the nodes that do not read its
 variables:
 
 - Every node gets an activity mask, an int whose bit j is set when the
-  node reads independent variable j.  One explicit-stack walk per
-  differentiated expression computes it, shared by every pass of a
-  `derive_bundle`.
+  node reads independent variable j.  One pass over the arrays of the
+  stage being differentiated computes them, shared by every pass and
+  sweep that starts from that stage.  A pass or sweep visits only the
+  nodes under its root whose mask meets its variables, in `post_order`
+  (`cast.Linearized.order`).
 - A forward pass that reaches a node whose mask lacks its variable's bit
   uses the node's zero skeleton: the tree the rules build when no variable
   matches (`_rule` with no active variable).  It depends on the node alone,
@@ -44,7 +55,7 @@ variables:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cast import (
     ONE,
@@ -53,12 +64,14 @@ from .cast import (
     Call,
     Constant,
     Expr,
+    Linearized,
     Unary,
     Var,
     children,
     const,
     count_nodes,
     is_const,
+    linearize,
     post_order,
     rebuild,
 )
@@ -94,14 +107,25 @@ class VarIndexMap:
         return cls(tuple(labels))
 
 
+# the bundle's stages, named as the emitted drivers are
+STAGES = ("function", "gradient", "hessian")
+
+
 @dataclass(frozen=True)
 class DerivativeBundle:
-    """Energy expression, gradient, and lower-triangular Hessian."""
+    """Energy expression, gradient, and lower-triangular Hessian.
+
+    `linear` maps a stage to the `Linearized` of its expressions that
+    `derive_bundle` built; `linearized` hands it out only while those are
+    still this bundle's, so a bundle made by `dataclasses.replace` with new
+    expressions is linearised afresh.
+    """
 
     f: Expr
     grad: tuple
     hess_lower: tuple  # row-major, entry (i, j) with i >= j at i*(i+1)//2 + j
     simplified: bool = False  # built by the simplifying sweeps; emitted in bound form
+    linear: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -112,15 +136,29 @@ class DerivativeBundle:
             i, j = j, i  # the upper triangle mirrors the lower
         return self.hess_lower[i * (i + 1) // 2 + j]
 
+    def exprs(self, stage: str) -> tuple:
+        """The expressions of a stage of `STAGES`, in order."""
+        return {"function": (self.f,), "gradient": self.grad, "hessian": self.hess_lower}[stage]
 
-def _check_cap(entries, cap: int, sizes: dict | None = None):
-    """Raise ExpressionExplosion at the first of `entries` that tree-expands
-    past `cap` nodes.
+    def linearized(self, stage: str) -> Linearized:
+        """`linearize(self.exprs(stage))`, reusing `derive_bundle`'s."""
+        exprs = self.exprs(stage)
+        lin = self.linear.get(stage)
+        if (lin is None or len(lin.roots) != len(exprs)
+                or any(a is not b for a, b in zip(lin.roots, exprs))):
+            lin = linearize(exprs)
+        return lin
 
-    `sizes` is `count_nodes`' memo, kept by the caller across the entries
-    of one bundle so a subtree they share is walked once.
+
+def _check_cap(lin: Linearized, cap: int):
+    """Raise ExpressionExplosion at the first root of `lin` that
+    tree-expands past `cap` nodes.
+
+    `count_nodes` sizes each root from a memo that `lin`'s sizes fill, so
+    it walks nothing.
     """
-    for e in entries:
+    sizes = {id(r): (lin.sizes[i], r) for r, i in zip(lin.roots, lin.at)}
+    for e in lin.roots:
         n = count_nodes(e, sizes)
         if n > cap:
             raise ExpressionExplosion(n, cap)
@@ -165,29 +203,26 @@ def substitute(p: StraightLineProgram, cap: int = DEFAULT_NODE_CAP,
 class _Activity:
     """Differentiation state shared by every pass and sweep of one `derive_bundle`.
 
-    `masks` holds each node's activity mask: bit j is set when the node
-    reads independent variable j.  `skeletons` holds each inactive node's
-    zero skeleton for the forward passes, built from its operands' skeletons
-    by a `post_order` walk.  Both memos are keyed by id() and keep their key
-    node alive, so an id cannot be reused while the memo lives.
+    `mark` takes the stage the next passes and sweeps differentiate, a
+    `Linearized` whose roots they start from: `masks` holds each of its
+    nodes' activity mask, bit j set when the node reads independent
+    variable j, and `at` each root's position.  `skeletons` holds each
+    inactive node's zero skeleton for the forward passes, built from its
+    operands' skeletons by a `post_order` walk; it is keyed by id() and
+    keeps its key node alive, so an id cannot be reused while it lives.
     """
 
     def __init__(self, labels):
         self.bit = {label: 1 << j for j, label in enumerate(labels)}
-        self.masks: dict[int, tuple] = {}  # id(node) -> (mask, node)
         self.skeletons: dict[int, tuple] = {}  # id(node) -> (skeleton, node)
+        self.lin: Linearized | None = None
+        self.masks: list = []
+        self.at: dict[int, int] = {}  # id(root) -> its position
 
-    def mark(self, root: Expr):
-        """Give every node under `root` its activity mask."""
-        masks, bit = self.masks, self.bit
-        for node in post_order(root, masks):
-            if isinstance(node, Var):
-                mask = bit.get(node.name, 0)
-            else:
-                mask = 0
-                for k in children(node):
-                    mask |= masks[id(k)][0]
-            masks[id(node)] = (mask, node)
+    def mark(self, lin: Linearized):
+        """Make `lin` the stage to differentiate."""
+        self.lin, self.masks = lin, lin.masks(self.bit)
+        self.at = dict(zip(map(id, lin.roots), lin.at))
 
     def skeleton(self, node: Expr) -> Expr:
         """The derivative `_rule` builds for `node` when no variable matches."""
@@ -209,29 +244,25 @@ def differentiate(e: Expr, v: str, activity: _Activity | None = None) -> Expr:
     built from raw nodes (`simplify` tidies it).
 
     `activity` is shared by the passes of one bundle; `v` must be one of
-    its variables.  One `post_order` walk applies the rule to each node that
-    reads `v`, children first; it does not enter the other nodes, which take
-    their zero skeletons.
+    its variables and `e` a root of its stage.  The rule is applied to
+    each node that reads `v`, children first, in the stage's positions;
+    the other nodes take their zero skeletons.
     """
     if activity is None:
         activity = _Activity((v,))
-    activity.mark(e)
-    bit = activity.bit[v]
-    masks = activity.masks
-    memo: dict[int, Expr] = {}
-
-    def active_children(node: Expr) -> tuple:
-        return children(node) if masks[id(node)][0] & bit else ()
+        activity.mark(linearize((e,)))
+    nodes = activity.lin.nodes
+    skeleton = activity.skeleton
+    memo: dict[int, Expr] = {}  # id(node) -> derivative, for the nodes that read v
 
     def d(k: Expr) -> Expr:
-        return memo[id(k)]
+        got = memo.get(id(k))
+        return skeleton(k) if got is None else got
 
-    for node in post_order(e, memo, active_children):
-        if masks[id(node)][0] & bit:
-            memo[id(node)] = _rule(node, d, v)
-        else:
-            memo[id(node)] = activity.skeleton(node)
-    return memo[id(e)]
+    for i in activity.lin.order(activity.at[id(e)], activity.masks, activity.bit[v]):
+        node = nodes[i]
+        memo[id(node)] = _rule(node, d, v)
+    return d(e)
 
 
 def _rule(node: Expr, d, v: str | None) -> Expr:
@@ -432,92 +463,84 @@ def _signed_sum(terms: list) -> tuple:
     return neg, acc
 
 
-def _adjoint_gradient(f: Expr, vars_: VarIndexMap, activity: _Activity,
+def _adjoint_gradient(activity: _Activity, root: int, vars_: VarIndexMap,
                       wanted: int = -1) -> tuple:
-    """The gradient of a simplified `f` from one reverse (adjoint) sweep,
-    over the variables whose bits are set in the mask `wanted` (all of
-    them by default), in `vars_` order.
+    """The gradient of the simplified expression at position `root` of
+    `activity`'s stage, from one reverse (adjoint) sweep, over the
+    variables whose bits are set in the mask `wanted` (all of them by
+    default), in `vars_` order.
 
-    One `post_order` pass lists `f`'s nodes; walking the list backwards
-    reaches every parent of a node before the node, so a node's adjoint is
-    complete when it is pushed on to its operands.  An adjoint is a pair
-    (negated, expression): `-` and unary minus flip the sign rather than
-    build `-1 *` factors.  Only nodes that read a wanted variable receive
-    adjoints, and the listing does not enter the others, so an inactive
-    subtree's derivative is an exact zero.  A parent reads every variable
-    its operands read, so the entries equal those of the unmasked sweep.
-    A node's contributions, and a variable's across its `Var` nodes, are
-    summed in the order they arrive, left operand first, which is the order
-    the forward rules add them in a chain of sums: there the entries equal
-    the forward passes' bitwise, up to the sign of zero.  The cost is
-    O(|f|) rather than O(n |f|), and the sweep does not recurse.
+    The sweep walks the expression's nodes in reverse `post_order`
+    (`Linearized.order`), which reaches every parent of a node before the
+    node, so a node's adjoint is complete when it is pushed on to its
+    operands.  An adjoint is a pair (negated, expression): `-` and unary
+    minus flip the sign rather than build `-1 *` factors.  Only nodes that
+    read a wanted variable receive adjoints, and the order holds no other,
+    so an inactive subtree's derivative is an exact zero.  A parent reads
+    every variable its operands read, so the entries equal those of the
+    unmasked sweep.  A node's contributions, and a variable's across its
+    `Var` nodes, are summed in the order they arrive, left operand first,
+    which is the order the forward rules add them in a chain of sums:
+    there the entries equal the forward passes' bitwise, up to the sign of
+    zero.  The cost is O(|f|) rather than O(n |f|), and the sweep does not
+    recurse.
     """
-    activity.mark(f)
-    masks = activity.masks
+    lin, masks = activity.lin, activity.masks
+    nodes, start, operands = lin.nodes, lin.start, lin.operands
     binary, unary, call = _SIMPLIFYING
-
-    def active(node: Expr) -> int:
-        return masks[id(node)][0] & wanted
-
-    def active_children(node: Expr) -> tuple:
-        return children(node) if active(node) else ()
-
-    order: list = []
-    done: set = set()
-    for node in post_order(f, done, active_children):
-        done.add(id(node))
-        order.append(node)
-    terms: dict[int, list] = {}  # id(node) -> contributions to its adjoint
+    terms: dict[int, list] = {}  # position -> contributions to its node's adjoint
     by_var: dict[str, list] = {label: [] for label in vars_.labels
                                if activity.bit[label] & wanted}
 
-    def push(node: Expr, neg: bool, e: Expr):
-        if not active(node) or is_const(e, 0.0):
+    def push(i: int, neg: bool, e: Expr):
+        if not masks[i] & wanted or is_const(e, 0.0):
             return
+        node = nodes[i]
         if isinstance(node, Var):
             by_var[node.name].append((neg, e))
         else:
-            terms.setdefault(id(node), []).append((neg, e))
+            terms.setdefault(i, []).append((neg, e))
 
-    push(f, False, ONE)
-    for node in reversed(order):
-        got = terms.pop(id(node), None)
+    push(root, False, ONE)
+    for i in reversed(lin.order(root, masks, wanted)):
+        got = terms.pop(i, None)
         if got is None:
             continue
         neg, a = _signed_sum(got)
+        node, k = nodes[i], start[i]
         if isinstance(node, Unary):
-            push(node.operand, not neg, a)
+            push(operands[k], not neg, a)
         elif isinstance(node, Binary):
-            lhs, rhs, op = node.lhs, node.rhs, node.op
+            lhs, rhs, op = operands[k], operands[k + 1], node.op
             if op in ("+", "-"):
                 push(lhs, neg, a)
                 push(rhs, neg != (op == "-"), a)
             elif op == "*":
-                if active(lhs):
-                    push(lhs, neg, binary("*", a, rhs))
-                if active(rhs):
-                    push(rhs, neg, binary("*", a, lhs))
+                if masks[lhs] & wanted:
+                    push(lhs, neg, binary("*", a, node.rhs))
+                if masks[rhs] & wanted:
+                    push(rhs, neg, binary("*", a, node.lhs))
             elif op == "/":
-                if active(lhs):
-                    push(lhs, neg, binary("/", a, rhs))
-                if active(rhs):
-                    push(rhs, not neg,
-                         binary("/", binary("*", a, lhs), binary("*", rhs, rhs)))
+                if masks[lhs] & wanted:
+                    push(lhs, neg, binary("/", a, node.rhs))
+                if masks[rhs] & wanted:
+                    push(rhs, not neg, binary("/", binary("*", a, node.lhs),
+                                              binary("*", node.rhs, node.rhs)))
             # comparisons are piecewise constant: nothing flows back
         elif isinstance(node, Call):
             base = node.args[0]
             if node.name == "pow" and not isinstance(node.args[1], Constant):
-                expo = node.args[1]
-                if active(base):
-                    push(base, neg, binary("*", a, binary("*", node, binary("/", expo, base))))
-                if active(expo):
-                    push(expo, neg, binary("*", a, binary("*", node, call("log", (base,)))))
+                expo, b, x = node.args[1], operands[k], operands[k + 1]
+                if masks[b] & wanted:
+                    push(b, neg, binary("*", a, binary("*", node, binary("/", expo, base))))
+                if masks[x] & wanted:
+                    push(x, neg, binary("*", a, binary("*", node, call("log", (base,)))))
             else:
                 # the forward rule with a unit operand derivative is the partial
                 partial = _call_rule(node, _unit, binary, unary, call)
                 if isinstance(partial, Unary):  # cos: -sin(u)
                     neg, partial = not neg, partial.operand
-                push(base, neg, binary("*", a, partial))
+                push(operands[k], neg, binary("*", a, partial))
 
     grad = []
     for got in by_var.values():
@@ -557,31 +580,37 @@ def derive_bundle(
     subtree's derivative is an exact zero.  Without it, the forward passes
     build the raw derivatives.
 
-    `substitute` checks `f` against the cap by the plain tree size it
-    records while building `f`, in either engine, so `f` takes no
-    `count_nodes` walk.  This function alone checks the derivatives, each
-    stage once it is built: the gradient before the Hessian is built from
-    it, then the Hessian.  The entries are counted in bundle order over one
-    `count_nodes` memo, so a subtree they share is walked once, and the
-    first entry past the cap raises.
+    Each stage is linearised once it is built (`f`, the gradient, the
+    Hessian), and the bundle carries the linearisations for emission and
+    the tape.  The passes and sweeps of the next stage read the activity
+    masks of this one.  `substitute` checks `f` against the cap by the plain
+    tree size it records while building `f`, in either engine.  This
+    function alone checks the derivatives, each stage from its
+    linearisation's sizes: the gradient before the Hessian is built from
+    it, then the Hessian.  The first entry past the cap, in bundle order,
+    raises.
     """
     f = substitute(p, cap, simple=do_simplify)
+    linear = {"function": linearize((f,))}
     activity = _Activity(vars_.labels)
-    sizes: dict = {}  # count_nodes' memo for every entry of the bundle
     grad = hess = ()
     if want_gradient or want_hessian:
+        activity.mark(linear["function"])
         if do_simplify:
-            grad = _adjoint_gradient(f, vars_, activity)
+            grad = _adjoint_gradient(activity, activity.lin.at[0], vars_)
         else:
             grad = tuple(differentiate(f, label, activity) for label in vars_.labels)
-        _check_cap(grad, cap, sizes)
+        linear["gradient"] = lin = linearize(grad)
+        _check_cap(lin, cap)
     if want_hessian:
+        activity.mark(linear["gradient"])
         if do_simplify:
             # row i, the lower triangle's, from one sweep over grad[i] for variables 0..i
-            hess = tuple(h for i, g in enumerate(grad)
-                         for h in _adjoint_gradient(g, vars_, activity, (2 << i) - 1))
+            hess = tuple(h for i, at in enumerate(activity.lin.at)
+                         for h in _adjoint_gradient(activity, at, vars_, (2 << i) - 1))
         else:
             hess = tuple(differentiate(g, label, activity)
                          for i, label in enumerate(vars_.labels) for g in grad[:i + 1])
-        _check_cap(hess, cap, sizes)
-    return DerivativeBundle(f, grad, hess, do_simplify)
+        linear["hessian"] = lin = linearize(hess)
+        _check_cap(lin, cap)
+    return DerivativeBundle(f, grad, hess, do_simplify, linear)

@@ -38,7 +38,8 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cast import INTRINSICS, Binary, Call, Constant, Expr, Unary, Var, children, post_order
+from .cast import (INTRINSICS, Binary, Call, Constant, Expr, Linearized, Unary, Var, children,
+                   linearize, post_order)
 from .errors import UnboundSlot
 from .flatten import StraightLineProgram
 
@@ -166,6 +167,11 @@ class Tape:
 
 
 class _TapeBuilder:
+    """A program's tape, walked assignment by assignment: a slot that an
+    earlier assignment wrote reads that assignment's register.  The
+    program is compiled once, so this one walk costs less than a
+    linearisation would."""
+
     def __init__(self, slots):
         self.slot_index = {label: i for i, label in enumerate(slots)}
         self.slots = tuple(slots)
@@ -202,11 +208,36 @@ class _TapeBuilder:
         return reg_of[id(e)]
 
 
-def compile_exprs(exprs, slots) -> Tape:
-    """Compile expressions over input-slot labels into one shared tape."""
-    b = _TapeBuilder(slots)
-    out_regs = [b.compile(e) for e in exprs]
-    return Tape(b.ops, out_regs, b.slots)
+def compile_exprs(exprs, slots, lin: Linearized | None = None) -> Tape:
+    """Compile expressions over input-slot labels into one shared tape.
+
+    The tape holds an instruction per node of `lin`, which must be
+    `linearize(exprs)` (one is made when it is not given), in its order, so
+    a node's register is its position.
+    """
+    if lin is None:
+        lin = linearize(exprs)
+    slot_index = {label: i for i, label in enumerate(slots)}
+    start, operands = lin.start, lin.operands
+    ops: list = []
+    for node, a, b in zip(lin.nodes, start, start[1:]):
+        if isinstance(node, Binary):
+            instr = (node.op, operands[a], operands[a + 1])
+        elif isinstance(node, Constant):
+            instr = ("const", node.value, 0)
+        elif isinstance(node, Var):
+            slot = slot_index.get(node.name)
+            if slot is None:
+                raise UnboundSlot(node.name)
+            instr = ("slot", slot, 0)
+        elif isinstance(node, Unary):
+            instr = ("neg", operands[a], 0)
+        elif isinstance(node, Call):
+            instr = (node.name, operands[a], operands[a + 1] if b - a > 1 else 0)
+        else:
+            raise TypeError(f"cannot compile {node!r}")
+        ops.append(instr)
+    return Tape(ops, list(lin.at), tuple(slots))
 
 
 def compile_program(p: StraightLineProgram) -> Tape:

@@ -498,16 +498,15 @@ def verify(fn: CorpusFunction, mode: str = "gradient", points: int = 100,
                            want_hessian=(mode == "hessian"))
     n = vars_.n
     if mode == "gradient":
-        exprs = list(bundle.grad)
         names = [f"grad[{j}]" for j in range(n)]
         tol = GRAD_TOL if tolerance is None else tolerance
     else:
-        exprs = list(bundle.hess_lower)
         names = [f"hess[{i},{j}]" for i in range(n) for j in range(i + 1)]
         tol = HESS_TOL if tolerance is None else tolerance
 
     labels = [s.label for s in program.inputs]
-    tape = compile_exprs(exprs, labels)
+    lin = bundle.linearized(mode)
+    tape = compile_exprs(lin.roots, labels, lin)
     rng = np.random.default_rng(seed)
     pts = sample_points(fn, program, points, rng)
     analytic = evaluate(tape, pts)

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 import acorns
+from acorns import cli
 from acorns.cli import main
 from acorns.codegen import GeneratedArtifact
-from acorns.verify import FUNCTION_0_SRC, CROSS_ENTROPY_SRC
+from acorns.derivatives import derive_bundle
+from acorns.verify import FUNCTION_0_SRC, CROSS_ENTROPY_SRC, corpus_function, corpus_program
 
 from cc_util import compile_strict, run_drivers
 from conftest import find_cc
@@ -152,6 +155,45 @@ def test_bad_node_cap_warns_and_continues(function_0_file, tmp_path, capsys, mon
                "--func", "function_0", "--output_filename", str(tmp_path / "d")])
     assert rc == 0
     assert "ACORNS_MAX_NODES" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_cli_pauses_the_collector_and_restores_it(function_0_file, tmp_path, monkeypatch,
+                                                  enabled):
+    # the cyclic collector is off while a subcommand derives, emits or
+    # verifies, and back as it was after, failure or not; library calls
+    # leave it alone
+    seen = []
+
+    def observed(name):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            seen.append((name, gc.isenabled()))
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("derive_bundle", "emit", "run_verify"):
+        monkeypatch.setattr(cli, name, observed(name))
+    generate = [function_0_file, "energy", "--vars", "x", "--func", "function_0",
+                "--output_filename", str(tmp_path / "d")]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(generate) == 0
+        assert gc.isenabled() == enabled
+        assert main(["verify", "function_0", "--points", "3"]) == 0
+        assert gc.isenabled() == enabled
+        monkeypatch.setenv("ACORNS_MAX_NODES", "4")
+        assert main(generate) == 3
+        assert gc.isenabled() == enabled
+        derive_bundle(*corpus_program(corpus_function("function_0"))[1:])
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [("derive_bundle", False), ("emit", False), ("run_verify", False),
+                    ("derive_bundle", False)]
 
 
 def test_dump_slp(function_0_file, tmp_path):
