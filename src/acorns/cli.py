@@ -18,7 +18,6 @@ import gc
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 
 from . import __version__
@@ -79,23 +78,6 @@ def _exhausted(exc: BaseException) -> str:
     return "out of memory"
 
 
-@contextmanager
-def _collector_paused():
-    """Pause Python's cyclic garbage collector, restoring its state after.
-
-    Expression nodes form no cycles, yet each full collection re-scans the
-    millions of them a long loop makes, and frees nothing: on a 50,000-step
-    accumulation loop it took about a third of the derivation's time.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _node_cap() -> int:
     raw = os.environ.get("ACORNS_MAX_NODES")
     if not raw:
@@ -128,24 +110,23 @@ def _run_pipeline(args) -> int:
             return EXIT_INPUT
         program = unroll(ir)
         vars_ = VarIndexMap.from_names(program, args.vars)
-        with _collector_paused():
-            bundle = derive_bundle(
-                program, vars_,
-                do_simplify=not args.no_simplify,
-                cap=_node_cap(),
-                want_gradient=bool(modes & {"gradient", "hessian"}),
-                want_hessian="hessian" in modes,
-            )
-            cfg = EmitConfig(
-                mode=modes,
-                split_target_bytes=args.split_size,
-                parallel=args.parallel,
-                basename=args.output_filename,
-                simplified=not args.no_simplify,
-                source_name=os.path.basename(args.input),
-                var_names=tuple(args.vars),
-            )
-            artifact = emit(bundle, vars_, cfg, program)
+        bundle = derive_bundle(
+            program, vars_,
+            do_simplify=not args.no_simplify,
+            cap=_node_cap(),
+            want_gradient=bool(modes & {"gradient", "hessian"}),
+            want_hessian="hessian" in modes,
+        )
+        cfg = EmitConfig(
+            mode=modes,
+            split_target_bytes=args.split_size,
+            parallel=args.parallel,
+            basename=args.output_filename,
+            simplified=not args.no_simplify,
+            source_name=os.path.basename(args.input),
+            var_names=tuple(args.vars),
+        )
+        artifact = emit(bundle, vars_, cfg, program)
     except (BoundExplosion, ExpressionExplosion) as exc:
         print(f"acorns_autodiff: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -195,8 +176,6 @@ def _checked(convert, ok, need: str):
 
 
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "at least 1")
-
-_FILE_BOX = (0.01, 1.0)  # a file input's sampling interval when --box is not given
 
 
 class _Box(argparse.Action):
@@ -256,15 +235,14 @@ def _run_verify(argv) -> int:
                 name=os.path.basename(args.function), source=source,
                 func_name=args.func, energy_var=args.energy,
                 var_names=tuple(args.vars),
-                boxes=dict.fromkeys(args.vars, args.box or _FILE_BOX),
+                boxes={} if args.box is None else dict.fromkeys(args.vars, args.box),
             )
         kwargs = {}
         if args.seed is not None:
             kwargs["seed"] = args.seed
-        with _collector_paused():
-            report = run_verify(fn, mode=args.mode, points=args.points,
-                                do_simplify=not args.no_simplify,
-                                tolerance=args.tolerance, cap=_node_cap(), **kwargs)
+        report = run_verify(fn, mode=args.mode, points=args.points,
+                            do_simplify=not args.no_simplify,
+                            tolerance=args.tolerance, cap=_node_cap(), **kwargs)
     except (BoundExplosion, ExpressionExplosion) as exc:
         print(f"acorns_autodiff verify: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -280,10 +258,20 @@ def _run_verify(argv) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "verify":
-        return _run_verify(argv[1:])
-    args = _pipeline_parser().parse_args(argv)
-    return _run_pipeline(args)
+    # Python's cyclic collector is paused for the run, and restored after.
+    # Expression nodes form no cycles, yet each full collection re-scans the
+    # millions of them a long loop makes, and frees nothing: on a 50,000-step
+    # accumulation loop it took about a third of the derivation's time, and
+    # about a tenth of the unrolling's.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if argv and argv[0] == "verify":
+            return _run_verify(argv[1:])
+        return _run_pipeline(_pipeline_parser().parse_args(argv))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -123,15 +123,14 @@ def layout_slots(program: StraightLineProgram, vars_: VarIndexMap) -> list:
 def _param_bits(program: StraightLineProgram) -> dict:
     """Each input slot's label -> the bit of its parameter, bit i for the
     program's i-th parameter in declaration order."""
-    index = {p: i for i, p in enumerate(dict.fromkeys(s.param for s in program.inputs))}
-    return {s.label: 1 << index[s.param] for s in program.inputs}
+    return {s.label: 1 << i
+            for i, slots in enumerate(program.param_slots.values()) for s in slots}
 
 
 def _temp_prefix(program: StraightLineProgram) -> str:
     """`t`, or `t_`, `t__`, ... when a parameter is named like a temporary."""
-    params = {s.param for s in program.inputs}
     prefix = "t"
-    while any(re.fullmatch(re.escape(prefix) + r"\d+", p) for p in params):
+    while any(re.fullmatch(re.escape(prefix) + r"\d+", p) for p in program.param_slots):
         prefix += "_"
     return prefix
 
@@ -219,23 +218,15 @@ def _param_decls(program: StraightLineProgram, layout: list, mask: int) -> list:
     """Declare C locals, loaded from vals, for each parameter whose bit
     (`_param_bits`) is set in `mask`."""
     slot_pos = {label: i for i, label in enumerate(layout)}
-    by_param: dict[str, list] = {}
-    order: list[str] = []
-    for s in program.inputs:
-        if s.param not in by_param:
-            by_param[s.param] = []
-            order.append(s.param)
-        by_param[s.param].append(s)
     lines = []
-    for i, name in enumerate(order):
+    for i, (name, slots) in enumerate(program.param_slots.items()):
         if not mask >> i & 1:
             continue
-        slots = by_param[name]
         if slots[0].indices == ():
             lines.append(f"    const double {name} = vals[{slot_pos[name]}];")
             continue
         rank = len(slots[0].indices)
-        extents = [max(s.indices[d] for s in slots) + 1 for d in range(rank)]
+        extents = [ix + 1 for ix in slots[-1].indices]  # the slots are row-major
         values = {s.indices: slot_pos[s.label] for s in slots}
 
         def braces(prefix: tuple) -> str:
@@ -263,7 +254,7 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
     """Generate the header and split source files for the selected modes."""
     from . import __version__
 
-    clash = sorted({s.param for s in program.inputs} & _C_NAMES)
+    clash = sorted(program.param_slots.keys() & _C_NAMES)
     if clash:
         raise AcornsError(f"parameter {clash[0]!r} is a name the generated C uses "
                           "(vals, out, a math function, a <math.h> macro or a "

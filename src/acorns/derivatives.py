@@ -94,14 +94,11 @@ class VarIndexMap:
 
     @classmethod
     def from_names(cls, program: StraightLineProgram, names) -> "VarIndexMap":
-        by_param: dict[str, list[str]] = {}
-        for slot in program.inputs:
-            by_param.setdefault(slot.param, []).append(slot.label)
         labels: list[str] = []
         for name in names:
-            if name not in by_param:
+            if name not in program.param_slots:
                 raise AcornsError(f"--vars name {name!r} is not an input parameter")
-            labels.extend(by_param[name])  # slots are already row-major
+            labels.extend(s.label for s in program.param_slots[name])
         if len(set(labels)) != len(labels):
             raise AcornsError(f"duplicate differentiation variables in {list(names)!r}")
         return cls(tuple(labels))

@@ -7,6 +7,13 @@ assigned more than once get one versioned slot per definition
 (``loss@1``, ``loss@2``, ...), so def-before-use holds by construction.
 Expression leaves in the straight-line program are ``Var`` nodes naming
 either an input slot or an earlier versioned target.
+
+The unroller keeps one slot table from source label to live slot, and
+every read resolves through it: a scalar or an array element reads the
+slot its last assignment wrote, and a parameter element that no assignment
+has written yet reads its input slot.  Every index is a constant checked
+against its array's rank and declared extents.  A program's input slots,
+grouped by parameter, are `StraightLineProgram.param_slots`.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import itertools
 import operator
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cast import (
     ArrayRef,
@@ -75,6 +83,15 @@ class StraightLineProgram:
     def body_assigns(self) -> tuple:
         """Assignments proper, excluding declaration initializers."""
         return tuple(a for a in self.assigns if not a.from_decl)
+
+    @cached_property
+    def param_slots(self) -> dict:
+        """Each parameter's input slots, row-major, the parameters in
+        declaration order; a parameter without slots is absent."""
+        groups: dict[str, list] = {}
+        for s in self.inputs:
+            groups.setdefault(s.param, []).append(s)
+        return groups
 
     def input_labels(self) -> list[str]:
         return [s.label for s in self.inputs]
@@ -159,29 +176,42 @@ def _const_value(e: Expr, done: dict, env: dict):
 
 class _Unroller:
     def __init__(self, ir: FunctionIR, cap: int):
-        self.ir = ir
         self.cap = cap
-        self.params = {p.name: p for p in ir.params}
-        self.observed: dict[str, list[int]] = {}  # param -> max index per dim
-        self.local_scalars: set[str] = set()
-        self.local_arrays: dict[str, tuple] = {}  # name -> extents
+        self.arrays: dict[str, tuple] = {}  # array -> extents, None where undeclared
+        self.reach: dict[str, list] = {}  # parameter -> the extents of its input slots
         self.versions: dict[str, int] = {}  # slot label -> last version number
         self.current: dict[str, str] = {}  # slot label -> live slot name
         self.assigns: list[SlpAssign] = []
         for p in ir.params:
-            if p.rank == 0:
+            self.reach[p.name] = [n or 0 for n in p.extents]
+            if p.rank:
+                self.arrays[p.name] = p.extents
+            else:
                 self.current[p.name] = p.name
 
     # -- slot bookkeeping ---------------------------------------------------
 
-    def observe(self, param: str, indices: tuple):
-        dims = self.observed.setdefault(param, [-1] * len(indices))
-        if len(dims) != len(indices):
-            raise UnsupportedConstruct(None, f"inconsistent indexing depth for {param!r}")
-        for d, ix in enumerate(indices):
-            if ix < 0:
-                raise NotConstant(None, f"negative index {ix} into {param!r}")
-            dims[d] = max(dims[d], ix)
+    def element(self, ref: ArrayRef, env: dict) -> str:
+        """The label of the element `ref` names, its indices checked against
+        the array's rank and extents.  A parameter element enters the slot
+        table as its input slot when first named, and widens the parameter's
+        undeclared extents to cover it."""
+        extents = self.arrays.get(ref.base)
+        if extents is None:
+            raise NotConstant(ref.span, f"unknown array {ref.base!r}")
+        indices = tuple(eval_const(ix, env) for ix in ref.indices)
+        if len(indices) != len(extents):
+            raise UnsupportedConstruct(ref.span, f"{len(indices)} index(es) into "
+                                                 f"{len(extents)}-dimensional {ref.base!r}")
+        for ix, n in zip(indices, extents):
+            if ix < 0 or n is not None and ix >= n:
+                raise NotConstant(ref.span, f"index {ix} out of range for {ref.base!r}")
+        label = ref.base + "".join(f"[{ix}]" for ix in indices)
+        reach = self.reach.get(ref.base)
+        if reach is not None and label not in self.current:
+            self.current[label] = label
+            reach[:] = map(max, reach, (ix + 1 for ix in indices))
+        return label
 
     def new_version(self, label: str) -> str:
         v = self.versions.get(label, 0) + 1
@@ -207,26 +237,15 @@ class _Unroller:
         if isinstance(e, Var):
             if e.name in env:
                 return const(float(env[e.name]))
-            live = self.current.get(e.name)
-            if live is None:
-                raise NotConstant(e.span, f"{e.name!r} used before assignment")
-            return Var(live)
-        if isinstance(e, ArrayRef):
-            indices = tuple(eval_const(ix, env) for ix in e.indices)
-            label = e.base + "".join(f"[{ix}]" for ix in indices)
-            if e.base in self.params:
-                p = self.params[e.base]
-                if len(indices) != p.rank:
-                    raise UnsupportedConstruct(e.span, f"partial indexing of {e.base!r}")
-                self.observe(e.base, indices)
-                return Var(label)
-            if e.base in self.local_arrays:
-                live = self.current.get(label)
-                if live is None:
-                    raise NotConstant(e.span, f"{label!r} used before assignment")
-                return Var(live)
-            raise NotConstant(e.span, f"unknown array {e.base!r}")
-        return rebuild(e, done)
+            label = e.name
+        elif isinstance(e, ArrayRef):
+            label = self.element(e, env)
+        else:
+            return rebuild(e, done)
+        live = self.current.get(label)
+        if live is None:
+            raise NotConstant(e.span, f"{label!r} used before assignment")
+        return Var(live)
 
     # -- statement execution -------------------------------------------------
 
@@ -241,14 +260,11 @@ class _Unroller:
                     raise NotConstant(s.span, f"int local {s.name!r} needs a constant initializer")
                 env[s.name] = eval_const(s.init, env)
             elif s.extents:
-                extents = tuple(eval_const(x, env) for x in s.extents)
-                self.local_arrays[s.name] = extents
+                self.arrays[s.name] = tuple(eval_const(x, env) for x in s.extents)
                 if s.init is not None:
                     raise UnsupportedConstruct(s.span, "array initializer")
-            else:
-                self.local_scalars.add(s.name)
-                if s.init is not None:
-                    self.emit(s.name, self.rewrite(s.init, env), from_decl=True)
+            elif s.init is not None:
+                self.emit(s.name, self.rewrite(s.init, env), from_decl=True)
         elif isinstance(s, Assignment):
             rhs = self.rewrite(s.rhs, env)
             lv = s.lvalue
@@ -257,11 +273,7 @@ class _Unroller:
                     raise UnsupportedConstruct(lv.span, "assignment to a loop counter")
                 self.emit(lv.name, rhs)
             else:
-                indices = tuple(eval_const(ix, env) for ix in lv.indices)
-                label = lv.base + "".join(f"[{ix}]" for ix in indices)
-                if lv.base in self.params:
-                    self.observe(lv.base, indices)
-                self.emit(label, rhs)
+                self.emit(self.element(lv, env), rhs)
         elif isinstance(s, ForLoop):
             value = eval_const(s.init, env)
             iterations = 0
@@ -287,28 +299,22 @@ class _Unroller:
 
     def input_slots(self) -> list[InputSlot]:
         slots = []
-        for p in self.ir.params:
-            if p.rank == 0:
-                slots.append(InputSlot(p.name, (), p.name))
-                continue
-            extents = []
-            observed = self.observed.get(p.name)
-            for d in range(p.rank):
-                declared = p.extents[d] if d < len(p.extents) else None
-                if declared is not None:
-                    extents.append(declared)
-                elif observed is not None and observed[d] >= 0:
-                    extents.append(observed[d] + 1)
-                else:
-                    extents.append(0)  # never referenced: no slots
-            for indices in itertools.product(*(range(n) for n in extents)):
-                label = p.name + "".join(f"[{ix}]" for ix in indices)
-                slots.append(InputSlot(p.name, indices, label))
+        for name, extents in self.reach.items():  # in declaration order
+            for indices in itertools.product(*map(range, extents)):
+                label = name + "".join(f"[{ix}]" for ix in indices)
+                slots.append(InputSlot(name, indices, label))
         return slots
 
 
 def unroll(ir: FunctionIR, cap: int = DEFAULT_ASSIGN_CAP) -> StraightLineProgram:
-    """Flatten a function to straight-line form (pre: validate_subset empty)."""
+    """Flatten a function to straight-line form (pre: validate_subset empty).
+
+    Every read, of a scalar or of an array element, resolves through one
+    slot table from source label to live slot, so a parameter element reads
+    its input slot only until an assignment writes it.  Every index is
+    checked against its array's rank and declared extents; a parameter's
+    undeclared extent is one past the largest index used.
+    """
     u = _Unroller(ir, cap)
     u.run_block(ir.body, {})
     output = u.current.get(ir.energy_var)

@@ -466,11 +466,18 @@ def parse_source(source_text: str, func_name: str, energy_var: str) -> FunctionI
 
 
 def _check_scopes(ir: FunctionIR) -> bool:
-    """Every identifier must be a parameter, loop counter, or prior local.
+    """Every identifier must be a parameter, loop counter, or prior local,
+    and no declaration may reuse a name visible where it stands: the
+    unroller and `run_ir` keep one binding per name.
 
     Returns whether a declaration or an assignment targets the energy
     variable.
     """
+
+    def declare(name: str, span, scope: set):
+        if name in scope:
+            raise UnsupportedConstruct(span, f"declaration of {name!r} shadows or "
+                                             "redeclares a visible name")
 
     def check_expr(e: Expr, scope: set):
         seen: set = set()
@@ -491,6 +498,7 @@ def _check_scopes(ir: FunctionIR) -> bool:
                     check_expr(ext, scope)
                 if s.init is not None:
                     check_expr(s.init, scope)
+                declare(s.name, s.span, scope)
                 scope.add(s.name)
                 defines |= s.name == ir.energy_var
             elif isinstance(s, Assignment):
@@ -500,6 +508,7 @@ def _check_scopes(ir: FunctionIR) -> bool:
                 defines |= (lv.name if isinstance(lv, Var) else lv.base) == ir.energy_var
             elif isinstance(s, ForLoop):
                 check_expr(s.init, scope)
+                declare(s.counter, s.span, scope)
                 inner = scope | {s.counter}
                 check_expr(s.cond, inner)
                 check_expr(s.update, inner)

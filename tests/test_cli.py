@@ -121,6 +121,32 @@ def test_subset_violation_exits_1(tmp_path, capsys):
     assert "bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, at, message", [
+    ("double e = x[0] * x[5];", "x[5]", "index 5 out of range for 'x'"),
+    ("double a[2]; a[3] = s; double e = s;", "a[3]", "index 3 out of range for 'a'"),
+    ("double e = x[-1];", "x[-1]", "index -1 out of range for 'x'"),
+    ("double e = x[0][1];", "x[0]",
+     "unsupported construct: 2 index(es) into 1-dimensional 'x'"),
+    ("double e = s[0];", "s[0]", "unknown array 's'"),
+    ("double t = s; double e = t[0];", "t[0]", "unknown array 't'"),
+    ("double t; double e = t * s;", "t * s", "'t' used before assignment"),
+    ("double a[2]; double e = a[0] * s;", "a[0]", "'a[0]' used before assignment"),
+    ("double e = x[1 / 0];", "/ 0", "division by zero in constant expression"),
+    ("double e = x[sin(1)];", "sin", "expression is not compile-time constant"),
+], ids=["past_extent", "local_past_extent", "negative", "too_many_indices", "scalar_param",
+        "scalar_local", "unassigned", "unassigned_element", "division_by_zero", "call_index"])
+def test_unroll_errors_exit_1_with_a_located_line(tmp_path, capsys, monkeypatch, body, at,
+                                                  message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.c").write_text(
+        f"double f(double s, double x[3]) {{\n    {body}\n    return 0;\n}}\n")
+    rc = main(["bad.c", "e", "--vars", "s", "--func", "f", "--output_filename", "gen/d"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"acorns_autodiff: bad.c: 2:{5 + body.index(at)}: {message}\n"
+    assert not (tmp_path / "gen").exists()
+
+
 def test_node_cap_exits_3(function_0_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ACORNS_MAX_NODES", "4")
     rc = main([function_0_file, "energy", "--vars", "x",
@@ -160,8 +186,8 @@ def test_bad_node_cap_warns_and_continues(function_0_file, tmp_path, capsys, mon
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 def test_cli_pauses_the_collector_and_restores_it(function_0_file, tmp_path, monkeypatch,
                                                   enabled):
-    # the cyclic collector is off while a subcommand derives, emits or
-    # verifies, and back as it was after, failure or not; library calls
+    # the cyclic collector is off while a subcommand unrolls, derives, emits
+    # or verifies, and back as it was after, failure or not; library calls
     # leave it alone
     seen = []
 
@@ -174,7 +200,7 @@ def test_cli_pauses_the_collector_and_restores_it(function_0_file, tmp_path, mon
 
         return call
 
-    for name in ("derive_bundle", "emit", "run_verify"):
+    for name in ("unroll", "derive_bundle", "emit", "run_verify"):
         monkeypatch.setattr(cli, name, observed(name))
     generate = [function_0_file, "energy", "--vars", "x", "--func", "function_0",
                 "--output_filename", str(tmp_path / "d")]
@@ -192,8 +218,8 @@ def test_cli_pauses_the_collector_and_restores_it(function_0_file, tmp_path, mon
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert seen == [("derive_bundle", False), ("emit", False), ("run_verify", False),
-                    ("derive_bundle", False)]
+    assert seen == [("unroll", False), ("derive_bundle", False), ("emit", False),
+                    ("run_verify", False), ("unroll", False), ("derive_bundle", False)]
 
 
 def test_dump_slp(function_0_file, tmp_path):

@@ -1,3 +1,4 @@
+import random
 import re
 import struct
 import sys
@@ -5,7 +6,8 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from acorns.cast import Binary, Constant, Var, const
+from acorns.cast import Binary, Constant, Var, const, to_source
+from acorns.derivatives import VarIndexMap, derive_bundle, substitute
 from acorns.errors import BoundExplosion, FormatError, NotConstant
 from acorns.flatten import (
     StraightLineProgram,
@@ -18,8 +20,9 @@ from acorns.flatten import (
     serialize,
     unroll,
 )
+from acorns.interp import eval_expr
 from acorns.parser import parse_expr, parse_source
-from acorns.verify import CROSS_ENTROPY_SRC
+from acorns.verify import CROSS_ENTROPY_SRC, run_ir
 
 
 def _parse(src, func="f", energy="e"):
@@ -183,6 +186,31 @@ def test_local_array_slots():
     """
     p = unroll(_parse(src))
     assert [a.display for a in p.assigns] == ["t[0]", "t[1]", "e"]
+
+
+def test_a_written_parameter_element_is_read_back():
+    # a parameter element reads its input slot only until an assignment
+    # writes it, as in C and in `run_ir`: here f = 5 * x[1], so 15 at (2, 3)
+    ir = _parse("double f(double *x){ x[0] = 5; double e = x[0] * x[1]; return 0; }")
+    program = unroll(ir)
+    assert [s.label for s in program.inputs] == ["x[0]", "x[1]"]
+    f = substitute(program)
+    assert eval_expr(f, {"x[0]": 2.0, "x[1]": 3.0}) == 15.0
+    rng = random.Random(18)
+    for _ in range(50):
+        bindings = {"x[0]": rng.uniform(-4, 4), "x[1]": rng.uniform(-4, 4)}
+        assert struct.pack("<d", eval_expr(f, bindings)) == struct.pack("<d", run_ir(ir, bindings))
+    bundle = derive_bundle(program, VarIndexMap.from_names(program, ["x"]))
+    assert [to_source(g) for g in bundle.grad] == ["0", "5"]
+
+
+def test_param_slots_group_the_inputs_in_declaration_order():
+    ir = _parse("double f(double b, double *a, double c[2], double *z)"
+                "{ double e = a[1] * b; return 0; }")
+    program = unroll(ir)
+    assert {name: [s.label for s in slots] for name, slots in program.param_slots.items()} \
+        == {"b": ["b"], "a": ["a[0]", "a[1]"], "c": ["c[0]", "c[1]"]}  # `z` has no slots
+    assert list(program.param_slots) == ["b", "a", "c"]
 
 
 def test_unroll_idempotent_on_straight_line_ir():

@@ -310,3 +310,30 @@ def test_scope_errors_come_before_a_missing_energy_variable():
     with pytest.raises(ParseError) as exc:
         parse_source("double f(double x){ double y = z; return 0; }", "f", "e")
     assert "'z'" in str(exc.value)
+
+
+@pytest.mark.parametrize("body, name, at", [
+    # an inner block's `t` would leak out of it: C computes e = 3 * x
+    ("double t = x; for (int i = 0; i < 2; i++) { double t = 2 * x; } double e = t * 3;",
+     "t", "t = 2"),
+    ("double e = x; double e = 2;", "e", "e = 2"),
+    ("double x = 1; double e = x;", "x", "x = 1"),
+    ("double e = x; if (1) { double e = 2; }", "e", "e = 2"),
+    ("double e = 0; for (int i = 0; i < 2; i++) { double i = 2; }", "i", "i = 2"),
+    ("double e = 0; for (int i = 0; i < 2; i++) { for (int i = 0; i < 2; i++) { e = e + x; } }",
+     "i", "for (int i = 0; i < 2; i++) { e"),
+    ("double e = 0; double d = x; for (int d = 0; d < 2; d++) { e = e + x; }", "d", "for"),
+])
+def test_a_declaration_may_not_shadow_or_redeclare_a_visible_name(body, name, at):
+    src = f"double f(double x){{ {body} return 0; }}"
+    with pytest.raises(UnsupportedConstruct) as exc:
+        parse_source(src, "f", "e")
+    assert exc.value.construct == f"declaration of {name!r} shadows or redeclares a visible name"
+    assert (exc.value.span.line, exc.value.span.column) == (1, src.index(at) + 1)
+
+
+def test_sibling_blocks_may_each_declare_a_name():
+    src = ("double f(double x){ double e = 0; for (int i = 0; i < 2; i++) { double d = x; "
+           "e = e + d; } if (1) { double d = 2 * x; e = e + d; } else { double d = x; } "
+           "for (int i = 0; i < 2; i++) { double d = x * x; e = e + d; } return 0; }")
+    assert parse_source(src, "f", "e").energy_var == "e"
