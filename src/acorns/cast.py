@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 from .errors import SourceSpan
+from .record import Record, set_field
 
 # intrinsic name -> arity
 INTRINSICS = {
@@ -28,14 +28,16 @@ INTRINSICS = {
 }
 
 
-class _Node:
+class _Node(Record):
     """Structural `==` and `hash`, `repr`, copying and pickling for the
-    expression nodes.
+    expression nodes, each a frozen `Record` whose `__init__` sets its
+    fields with `set_field`.
 
     `==` and `hash` read every field but `span`, and `repr` writes every
-    field, as the generated dataclass methods would, but with an explicit
-    stack instead of one frame per level.  The nodes are immutable, so a
-    copy is the node itself, and a pickle is the flat list of `_unflatten`.
+    field of the class's field tuple as `Name(field=value, ...)`, each with
+    an explicit stack instead of one frame per level.  The nodes are
+    immutable, so a copy is the node itself, and a pickle is the flat list
+    of `_unflatten`.
     """
 
     __slots__ = ()
@@ -49,9 +51,9 @@ class _Node:
                 out.append(item)
                 continue
             items = [f"{type(item).__qualname__}("]
-            for i, f in enumerate(fields(item)):
-                items.append(f"{', ' if i else ''}{f.name}=")
-                items += _repr_items(getattr(item, f.name))
+            for i, f in enumerate(item._fields):
+                items.append(f"{', ' if i else ''}{f}=")
+                items += _repr_items(getattr(item, f))
             items.append(")")
             work += reversed(items)
         return "".join(out)
@@ -67,8 +69,8 @@ class _Node:
         index: dict = {}  # id(node) -> its position in records
         for node in post_order(self, index):
             index[id(node)] = len(records)
-            records.append((type(node), tuple(_flat(getattr(node, f.name), index)
-                                              for f in fields(node))))
+            records.append((type(node), tuple(_flat(getattr(node, f), index)
+                                              for f in node._fields)))
         return _unflatten, (records,)
 
     def __eq__(self, other):
@@ -84,7 +86,7 @@ class _Node:
                 if a != b:
                     return False
                 continue
-            if type(a) is not type(b) or _fields(a) != _fields(b):
+            if type(a) is not type(b) or _own_fields(a) != _own_fields(b):
                 return False
             pair = (id(a), id(b))
             if pair not in seen:
@@ -96,55 +98,67 @@ class _Node:
         hashes: dict = {}  # id(node) -> hash
         for node in post_order(self, hashes):
             if isinstance(node, _Node):
-                hashes[id(node)] = hash((type(node), _fields(node),
+                hashes[id(node)] = hash((type(node), _own_fields(node),
                                          tuple(hashes[id(k)] for k in children(node))))
             else:
                 hashes[id(node)] = hash(node)
         return hashes[id(self)]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Constant(_Node):
     """Numeric literal; `text` is the exact source spelling."""
 
-    text: str
-    value: float
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("text", "value", "span")
+
+    def __init__(self, text: str, value: float, span: SourceSpan | None = None):
+        set_field(self, "text", text)
+        set_field(self, "value", value)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
-    name: str
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: SourceSpan | None = None):
+        set_field(self, "name", name)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ArrayRef(_Node):
-    base: str
-    indices: tuple  # one Expr per dimension
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("base", "indices", "span")
+
+    def __init__(self, base: str, indices: tuple, span: SourceSpan | None = None):
+        set_field(self, "base", base)
+        set_field(self, "indices", indices)  # one Expr per dimension
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Unary(_Node):
-    op: str  # only "-"
-    operand: "Expr"
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("op", "operand", "span")
+
+    def __init__(self, op: str, operand: Expr, span: SourceSpan | None = None):
+        set_field(self, "op", op)  # only "-"
+        set_field(self, "operand", operand)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Binary(_Node):
-    op: str
-    lhs: "Expr"
-    rhs: "Expr"
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("op", "lhs", "rhs", "span")
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr, span: SourceSpan | None = None):
+        set_field(self, "op", op)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
-    name: str
-    args: tuple
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("name", "args", "span")
+
+    def __init__(self, name: str, args: tuple, span: SourceSpan | None = None):
+        set_field(self, "name", name)
+        set_field(self, "args", args)
+        set_field(self, "span", span)
 
 
 Expr = Union[Constant, Var, ArrayRef, Unary, Binary, Call]
@@ -191,7 +205,7 @@ def _unflatten(records: list) -> Expr:
     return nodes[-1]
 
 
-def _fields(node: Expr) -> tuple:
+def _own_fields(node: Expr) -> tuple:
     """`node`'s compared fields other than its subexpressions."""
     if isinstance(node, Constant):
         return (node.text, node.value)
@@ -235,64 +249,77 @@ def is_const(e: Expr, value: float | None = None) -> bool:
 # Statements
 
 
-@dataclass(frozen=True)
-class Declaration:
-    name: str
-    elem_type: str  # "double" or "int"
-    extents: tuple = ()  # constant Exprs for local arrays
-    init: Optional[Expr] = None
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+# A statement's span locates it for diagnostics; `==` and `hash` skip it.
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Declaration(Record, uncompared=("span",)):
+    __slots__ = ("name", "elem_type", "extents", "init", "span")
+
+    def __init__(self, name: str, elem_type: str, extents: tuple = (),
+                 init: Expr | None = None, span: SourceSpan | None = None):
+        # elem_type is "double" or "int"; extents are constant Exprs for local arrays
+        super().__init__(name, elem_type, extents, init, span)
+
+
+class Assignment(Record, uncompared=("span",)):
     """Plain `=` assignment; compound forms are desugared by the parser."""
 
-    lvalue: Expr  # Var or ArrayRef
-    rhs: Expr
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("lvalue", "rhs", "span")
+
+    def __init__(self, lvalue: Expr, rhs: Expr, span: SourceSpan | None = None):
+        super().__init__(lvalue, rhs, span)  # lvalue is a Var or an ArrayRef
 
 
-@dataclass(frozen=True)
-class ForLoop:
-    counter: str
-    init: Expr
-    cond: Expr  # comparison over the counter
-    update: Expr  # new counter value, e.g. i + 1
-    body: tuple = ()
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+class ForLoop(Record, uncompared=("span",)):
+    __slots__ = ("counter", "init", "cond", "update", "body", "span")
+
+    def __init__(self, counter: str, init: Expr, cond: Expr, update: Expr,
+                 body: tuple = (), span: SourceSpan | None = None):
+        # cond compares the counter; update is its new value, e.g. i + 1
+        super().__init__(counter, init, cond, update, body, span)
 
 
-@dataclass(frozen=True)
-class If:
-    cond: Expr
-    then_body: tuple = ()
-    else_body: tuple = ()
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+class If(Record, uncompared=("span",)):
+    __slots__ = ("cond", "then_body", "else_body", "span")
+
+    def __init__(self, cond: Expr, then_body: tuple = (), else_body: tuple = (),
+                 span: SourceSpan | None = None):
+        super().__init__(cond, then_body, else_body, span)
 
 
-@dataclass(frozen=True)
-class Return:
-    value: Optional[Expr] = None
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+class Return(Record, uncompared=("span",)):
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: Expr | None = None, span: SourceSpan | None = None):
+        super().__init__(value, span)
 
 
-Stmt = Union[Declaration, Assignment, ForLoop, If, Return]
+class Block(Record, uncompared=("span",)):
+    """A bare `{ ... }` inside a body: its declarations end with it."""
+
+    __slots__ = ("body", "span")
+
+    def __init__(self, body: tuple = (), span: SourceSpan | None = None):
+        super().__init__(body, span)
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    rank: int  # 0 = scalar, k = k-dimensional array
-    extents: tuple = ()  # per-dimension int or None when not declared
+Stmt = Union[Declaration, Assignment, ForLoop, If, Return, Block]
 
 
-@dataclass(frozen=True)
-class FunctionIR:
-    name: str
-    params: tuple
-    energy_var: str
-    body: tuple
+class Param(Record):
+    __slots__ = ("name", "rank", "extents")
+
+    def __init__(self, name: str, rank: int, extents: tuple = ()):
+        # rank 0 is a scalar, k a k-dimensional array; extents holds an int
+        # per dimension, or None where it is not declared
+        super().__init__(name, rank, extents)
+
+
+class FunctionIR(Record):
+    __slots__ = ("name", "params", "energy_var", "body")
+
+    def __init__(self, name: str, params: tuple, energy_var: str, body: tuple):
+        super().__init__(name, params, energy_var, body)
 
 
 # ---------------------------------------------------------------------------
@@ -573,24 +600,28 @@ def rebuild(node: Expr, new: dict) -> Expr:
     return node
 
 
-@dataclass(eq=False, slots=True)
 class Linearized:
     """The union DAG of `roots` as arrays: each node once, children first.
 
     `nodes` is in the order `post_order` yields them when the roots are
     walked in turn over one `done`, so a node's operands come before it.
-    The arrays are indexed by position in `nodes`.
+    The arrays are indexed by position in `nodes`.  Two linearisations are
+    equal only when they are the same object.
     """
 
-    roots: tuple
-    nodes: list
-    at: array  # at[r] is the position of roots[r]
-    start: array  # operands[start[i]:start[i + 1]] are node i's operands, left to right
-    operands: array
-    uses: array  # node i's parent edges plus its appearances in roots
-    # node i's tree-expanded size, a shared subtree counted once per use;
-    # a list when a size overflows int64
-    sizes: array | list
+    __slots__ = ("roots", "nodes", "at", "start", "operands", "uses", "sizes")
+
+    def __init__(self, roots: tuple, nodes: list, at: array, start: array, operands: array,
+                 uses: array, sizes: array | list):
+        self.roots = roots
+        self.nodes = nodes
+        self.at = at  # at[r] is the position of roots[r]
+        self.start = start  # operands[start[i]:start[i + 1]] are node i's operands, left to right
+        self.operands = operands
+        self.uses = uses  # node i's parent edges plus its appearances in roots
+        # node i's tree-expanded size, a shared subtree counted once per use;
+        # a list when a size overflows int64
+        self.sizes = sizes
 
     def masks(self, bits: dict) -> list:
         """Each node's mask: a variable's `bits.get(name, 0)`, any other

@@ -18,7 +18,6 @@ import gc
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .codegen import DEFAULT_SPLIT_TARGET, EmitConfig, emit
@@ -219,7 +218,8 @@ def _run_verify(argv) -> int:
         if args.function in CORPUS:
             fn = corpus_function(args.function, s=args.s)
             if args.box is not None:
-                fn = replace(fn, boxes={**fn.boxes, **dict.fromkeys(fn.var_names, args.box)})
+                fn = CorpusFunction(fn.name, fn.source, fn.func_name, fn.energy_var, fn.var_names,
+                                    {**fn.boxes, **dict.fromkeys(fn.var_names, args.box)}, fn.s)
         else:
             if not (args.func and args.energy and args.vars):
                 print("acorns_autodiff verify: file inputs need --func, --energy and --vars",

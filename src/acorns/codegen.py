@@ -39,12 +39,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 
 from .cast import INTRINSICS, Expr, SharedText, is_const, to_source
 from .derivatives import STAGES, DerivativeBundle, VarIndexMap
 from .errors import AcornsError
 from .flatten import StraightLineProgram
+from .record import Record
 
 MODE_ORDER = STAGES
 DRIVER_NAME = {"function": "compute", "gradient": "compute_grad", "hessian": "compute_hess"}
@@ -72,40 +72,42 @@ _C_NAMES = frozenset((
 ))
 
 
-@dataclass(frozen=True)
-class EmitConfig:
-    mode: frozenset = frozenset(MODE_ORDER)
-    split_target_bytes: int = DEFAULT_SPLIT_TARGET
-    parallel: bool = False
-    basename: str = "der"
-    simplified: bool = True
-    source_name: str = ""
-    var_names: tuple = ()
+class EmitConfig(Record):
+    __slots__ = ("mode", "split_target_bytes", "parallel", "basename", "simplified",
+                 "source_name", "var_names")
 
-    def __post_init__(self):
-        bad = set(self.mode) - set(MODE_ORDER)
+    def __init__(self, mode: frozenset = frozenset(MODE_ORDER),
+                 split_target_bytes: int = DEFAULT_SPLIT_TARGET, parallel: bool = False,
+                 basename: str = "der", simplified: bool = True, source_name: str = "",
+                 var_names: tuple = ()):
+        bad = set(mode) - set(MODE_ORDER)
         if bad:
             raise AcornsError(f"unknown emit mode(s): {sorted(bad)}")
-        if not self.mode:
+        if not mode:
             raise AcornsError("at least one emit mode is required")
-        if self.split_target_bytes < MIN_SPLIT_TARGET:
+        if split_target_bytes < MIN_SPLIT_TARGET:
             raise AcornsError(f"split target must be at least {MIN_SPLIT_TARGET} bytes")
+        super().__init__(mode, split_target_bytes, parallel, basename, simplified,
+                         source_name, var_names)
 
 
-@dataclass(frozen=True)
-class GeneratedArtifact:
-    header: str
-    sources: tuple  # ordered (filename, text) pairs
-    n_statements: int = 0
+class GeneratedArtifact(Record):
+    __slots__ = ("header", "sources", "n_statements")
+
+    def __init__(self, header: str, sources: tuple, n_statements: int = 0):
+        super().__init__(header, sources, n_statements)  # sources: ordered (filename, text) pairs
 
 
-@dataclass(frozen=True)
-class Statement:
-    mode: str
-    text: str  # the `out[k] = ...;` line
-    params: int  # the parameters the line reads, as a mask of `_param_bits`
-    temps: tuple = ()  # (K, line) of each temporary's lines this statement reads first
-    reads: frozenset = frozenset()  # temporaries of earlier statements it reads
+class Statement(Record):
+    __slots__ = ("mode", "text", "params", "temps", "reads")
+
+    def __init__(self, mode: str, text: str, params: int, temps: tuple = (),
+                 reads: frozenset = frozenset()):
+        # text is the `out[k] = ...;` line; params the parameters it reads, as
+        # a mask of `_param_bits`; temps the (K, line) of each temporary's
+        # lines it reads first; reads the temporaries of earlier statements
+        # it reads
+        super().__init__(mode, text, params, temps, reads)
 
     @property
     def size(self) -> int:

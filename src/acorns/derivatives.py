@@ -78,15 +78,18 @@ from .cast import (
 from .errors import AcornsError, ExpressionExplosion
 from .flatten import StraightLineProgram
 from .interp import _BINARY_FN
+from .record import Record
 
 DEFAULT_NODE_CAP = 10**8
 
 
-@dataclass(frozen=True)
-class VarIndexMap:
+class VarIndexMap(Record):
     """Ordered independent scalar slots; index j is differentiation variable j."""
 
-    labels: tuple
+    __slots__ = ("labels",)
+
+    def __init__(self, labels: tuple):
+        super().__init__(labels)
 
     @property
     def n(self) -> int:

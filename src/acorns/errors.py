@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """Location of a token or node in the input text (1-based)."""
 
-    line: int
-    column: int
-    length: int = 0
+    __slots__ = ("line", "column", "length")
 
-    def __post_init__(self):
-        if self.line < 1 or self.column < 1 or self.length < 0:
-            raise ValueError(f"invalid span {self.line}:{self.column}+{self.length}")
+    def __init__(self, line: int, column: int, length: int = 0):
+        if line < 1 or column < 1 or length < 0:
+            raise ValueError(f"invalid span {line}:{column}+{length}")
+        set_field(self, "line", line)
+        set_field(self, "column", column)
+        set_field(self, "length", length)
 
     def __str__(self):
         return f"{self.line}:{self.column}"

@@ -21,13 +21,13 @@ from __future__ import annotations
 import itertools
 import operator
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cast import (
     ArrayRef,
     Assignment,
     Binary,
+    Block,
     Call,
     Constant,
     Declaration,
@@ -53,31 +53,34 @@ from .errors import (
     NotConstant,
     UnsupportedConstruct,
 )
+from .record import Record, set_field
 
 VERSION_SEP = "@"
 DEFAULT_ASSIGN_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class InputSlot:
-    param: str
-    indices: tuple  # () for scalars
-    label: str
+class InputSlot(Record):
+    __slots__ = ("param", "indices", "label")
+
+    def __init__(self, param: str, indices: tuple, label: str):
+        super().__init__(param, indices, label)  # indices is () for scalars
 
 
-@dataclass(frozen=True)
-class SlpAssign:
-    target: str  # versioned slot name
-    display: str  # source-level name, e.g. "loss" or "t[1]"
-    rhs: Expr
-    from_decl: bool = False  # true when this is a declaration initializer
+class SlpAssign(Record):
+    __slots__ = ("target", "display", "rhs", "from_decl")
+
+    def __init__(self, target: str, display: str, rhs: Expr, from_decl: bool = False):
+        set_field(self, "target", target)  # versioned slot name
+        set_field(self, "display", display)  # source-level name, e.g. "loss" or "t[1]"
+        set_field(self, "rhs", rhs)
+        set_field(self, "from_decl", from_decl)  # true for a declaration initializer
 
 
-@dataclass(frozen=True)
-class StraightLineProgram:
-    inputs: tuple
-    assigns: tuple
-    output: str
+class StraightLineProgram(Record):
+    __slots__ = ("inputs", "assigns", "output", "__dict__")  # __dict__ holds param_slots
+
+    def __init__(self, inputs: tuple, assigns: tuple, output: str):
+        super().__init__(inputs, assigns, output)
 
     @property
     def body_assigns(self) -> tuple:
@@ -128,14 +131,31 @@ def dump_text(p: StraightLineProgram) -> str:
 # Compile-time evaluation
 
 
-def eval_const(expr: Expr, env: dict):
-    """Evaluate an integer/boolean expression over the given bindings."""
+def eval_const(expr: Expr, env: dict, order: list | None = None):
+    """Evaluate an integer/boolean expression over the given bindings.
+
+    `order` is `const_order(expr)`, for a caller that evaluates `expr` many
+    times, as a loop does its condition and update, and walks it once.
+    """
     done: dict[int, object] = {}
-    if not isinstance(expr, (Unary, Binary)):  # most indices: a leaf needs no walk
-        return _const_value(expr, done, env)
-    for node in post_order(expr, done, operands):
+    if order is None:
+        if not isinstance(expr, (Unary, Binary)):  # most indices: a leaf needs no walk
+            return _const_value(expr, done, env)
+        order = const_order(expr)
+    for node in order:
         done[id(node)] = _const_value(node, done, env)
     return done[id(expr)]
+
+
+def const_order(expr: Expr) -> list:
+    """The nodes of `expr` in the order `eval_const` evaluates them: source
+    order, so an evaluation that raises reports the leftmost fault."""
+    done: set = set()
+    order = []
+    for node in post_order(expr, done, operands):
+        done.add(id(node))
+        order.append(node)
+    return order
 
 
 def _c_int_div(a: int, b: int) -> int:
@@ -206,7 +226,7 @@ class _Unroller:
         for ix, n in zip(indices, extents):
             if ix < 0 or n is not None and ix >= n:
                 raise NotConstant(ref.span, f"index {ix} out of range for {ref.base!r}")
-        label = ref.base + "".join(f"[{ix}]" for ix in indices)
+        label = slot_label(ref.base, indices)
         reach = self.reach.get(ref.base)
         if reach is not None and label not in self.current:
             self.current[label] = label
@@ -217,6 +237,12 @@ class _Unroller:
         v = self.versions.get(label, 0) + 1
         self.versions[label] = v
         return f"{label}{VERSION_SEP}{v}"
+
+    def unassign(self, labels):
+        """Drop `labels` from the slot table: a declaration run again, in a
+        loop or a block, starts unassigned."""
+        for label in labels:
+            self.current.pop(label, None)
 
     def emit(self, label: str, rhs: Expr, from_decl: bool = False):
         if len(self.assigns) >= self.cap:
@@ -255,6 +281,10 @@ class _Unroller:
 
     def run_stmt(self, s, env: dict):
         if isinstance(s, Declaration):
+            # the name starts unassigned, also where a loop runs the
+            # declaration again or a sibling block declared it, as an array
+            # or a scalar
+            self.unassign([s.name, *element_labels(s.name, self.arrays.pop(s.name, ()))])
             if s.elem_type == "int":
                 if s.init is None:
                     raise NotConstant(s.span, f"int local {s.name!r} needs a constant initializer")
@@ -276,20 +306,23 @@ class _Unroller:
                 self.emit(self.element(lv, env), rhs)
         elif isinstance(s, ForLoop):
             value = eval_const(s.init, env)
+            cond, update = const_order(s.cond), const_order(s.update)
             iterations = 0
             while True:
                 inner = dict(env)
                 inner[s.counter] = value
-                if not eval_const(s.cond, inner):
+                if not eval_const(s.cond, inner, cond):
                     break
                 iterations += 1
                 if iterations > self.cap:
                     raise BoundExplosion(iterations, self.cap)
                 self.run_block(s.body, inner)
-                value = eval_const(s.update, inner)
+                value = eval_const(s.update, inner, update)
         elif isinstance(s, If):
             taken = s.then_body if eval_const(s.cond, env) else s.else_body
             self.run_block(taken, dict(env))
+        elif isinstance(s, Block):
+            self.run_block(s.body, dict(env))
         elif isinstance(s, Return):
             pass  # the energy variable, not the return value, is differentiated
         else:
@@ -301,9 +334,20 @@ class _Unroller:
         slots = []
         for name, extents in self.reach.items():  # in declaration order
             for indices in itertools.product(*map(range, extents)):
-                label = name + "".join(f"[{ix}]" for ix in indices)
-                slots.append(InputSlot(name, indices, label))
+                slots.append(InputSlot(name, indices, slot_label(name, indices)))
         return slots
+
+
+def slot_label(name: str, indices) -> str:
+    """The source label of an element, `a[1][0]`; a scalar's, with no
+    indices, is its name."""
+    return name + "".join(f"[{ix}]" for ix in indices)
+
+
+def element_labels(name: str, extents) -> list[str]:
+    """The labels of an array's elements, row-major: `a[0][0]`, `a[0][1]`,
+    ...; a scalar's, with no extents, is its name."""
+    return [slot_label(name, indices) for indices in itertools.product(*map(range, extents))]
 
 
 def unroll(ir: FunctionIR, cap: int = DEFAULT_ASSIGN_CAP) -> StraightLineProgram:

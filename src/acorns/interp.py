@@ -35,13 +35,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .cast import (INTRINSICS, Binary, Call, Constant, Expr, Linearized, Unary, Var, children,
                    linearize, post_order)
 from .errors import UnboundSlot
 from .flatten import StraightLineProgram
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -151,11 +151,14 @@ def eval_expr(e: Expr, bindings: dict) -> float:
 # Tape compilation
 
 
-@dataclass
-class Tape:
-    ops: list  # (op, a, b) per instruction; see the module docstring
-    out_regs: list  # one register per output expression
-    slots: tuple  # slot labels; points are laid out in this order
+class Tape(Record):
+    __slots__ = ("ops", "out_regs", "slots")
+
+    def __init__(self, ops: list, out_regs: list, slots: tuple):
+        # ops holds (op, a, b) per instruction (see the module docstring),
+        # out_regs a register per output expression, and slots the slot
+        # labels, in the order points are laid out
+        super().__init__(ops, out_regs, slots)
 
     @property
     def n_slots(self) -> int:

@@ -15,7 +15,6 @@ indices.  The scope and subset checks walk expressions with
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .cast import (
     _PRECEDENCE,
@@ -23,6 +22,7 @@ from .cast import (
     ArrayRef,
     Assignment,
     Binary,
+    Block,
     Call,
     Constant,
     Declaration,
@@ -48,6 +48,7 @@ from .errors import (
     SourceSpan,
     UnsupportedConstruct,
 )
+from .record import Record, set_field
 
 _UNSUPPORTED_KEYWORDS = {
     "while": "while loop",
@@ -100,17 +101,20 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "number", "eof", or the keyword or punctuation itself
-    text: str
-    span: SourceSpan
+class Token(Record):
+    __slots__ = ("kind", "text", "span")
+
+    def __init__(self, kind: str, text: str, span: SourceSpan):
+        set_field(self, "kind", kind)  # "ident", "number", "eof", or the keyword or punctuation itself
+        set_field(self, "text", text)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Violation:
-    span: SourceSpan
-    reason: str
+class Violation(Record):
+    __slots__ = ("span", "reason")
+
+    def __init__(self, span: SourceSpan, reason: str):
+        super().__init__(span, reason)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -242,6 +246,10 @@ class _Parser:
             body.extend(self.statement())
         return body
 
+    def body(self) -> list[Stmt]:
+        """A loop's or a branch's body: a block's statements, or one statement."""
+        return self.compound() if self.peek().kind == "{" else self.statement()
+
     def statement(self) -> list[Stmt]:
         tok = self.peek()
         self.reject_unsupported(tok)
@@ -261,7 +269,7 @@ class _Parser:
         if tok.kind in _KEYWORDS:
             raise ParseError(tok.span, f"unexpected keyword {tok.text!r}")
         if tok.kind == "{":
-            return self.compound()
+            return [Block(tuple(self.compound()), span=tok.span)]
         if tok.kind == ";":
             self.next()
             return []
@@ -329,7 +337,7 @@ class _Parser:
         self.expect(";")
         update = self.for_update(counter_tok.text)
         self.expect(")")
-        body = self.statement()
+        body = self.body()
         if not body:
             raise ParseError(for_tok.span, "loop body is empty")
         return ForLoop(counter_tok.text, init, cond, update, tuple(body), span=for_tok.span)
@@ -355,10 +363,10 @@ class _Parser:
         self.expect("(")
         cond = self.expr()
         self.expect(")")
-        then_body = self.statement()
+        then_body = self.body()
         else_body: list[Stmt] = []
         if self.accept("else"):
-            else_body = self.statement()
+            else_body = self.body()
         return If(cond, tuple(then_body), tuple(else_body), span=if_tok.span)
 
     # -- expressions -------------------------------------------------------
@@ -517,6 +525,8 @@ def _check_scopes(ir: FunctionIR) -> bool:
                 check_expr(s.cond, scope)
                 defines |= check_block(s.then_body, scope)
                 defines |= check_block(s.else_body, scope)
+            elif isinstance(s, Block):
+                defines |= check_block(s.body, scope)
             elif isinstance(s, Return) and s.value is not None:
                 check_expr(s.value, scope)
         return defines
@@ -575,6 +585,8 @@ def validate_subset(ir: FunctionIR) -> list[Violation]:
                     violations.append(Violation(s.span or SourceSpan(1, 1), "variable conditional"))
                 walk(s.then_body, allowed)
                 walk(s.else_body, allowed)
+            elif isinstance(s, Block):
+                walk(s.body, allowed)
 
     walk(ir.body, set())
     return violations

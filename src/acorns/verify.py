@@ -10,15 +10,16 @@ differentiator they validate.  numpy is imported on first use, as in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .cast import ArrayRef, Assignment, Declaration, Expr, ForLoop, FunctionIR, If, Return, Var, children, operands, post_order
+from .cast import (ArrayRef, Assignment, Block, Declaration, Expr, ForLoop, FunctionIR, If, Return,
+                   Var, children, operands, post_order)
 from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle
 from .errors import AcornsError, UnboundSlot
-from .flatten import StraightLineProgram, eval_const, unroll
+from .flatten import StraightLineProgram, element_labels, eval_const, slot_label, unroll
 from .interp import _apply, compile_exprs, compile_program, evaluate, eval_expr
 from .parser import parse_source, validate_subset
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,15 +39,14 @@ __all__ = [
 # Corpus
 
 
-@dataclass(frozen=True)
-class CorpusFunction:
-    name: str
-    source: str
-    func_name: str
-    energy_var: str
-    var_names: tuple
-    boxes: dict  # param name -> (lo, hi) sampling interval
-    s: int | None = None  # the size of a sized entry: variables, grid side or steps
+class CorpusFunction(Record):
+    __slots__ = ("name", "source", "func_name", "energy_var", "var_names", "boxes", "s")
+
+    def __init__(self, name: str, source: str, func_name: str, energy_var: str,
+                 var_names: tuple, boxes: dict, s: int | None = None):
+        # boxes maps a param name to its (lo, hi) sampling interval; s is the
+        # size of a sized entry: variables, grid side or steps
+        super().__init__(name, source, func_name, energy_var, var_names, boxes, s)
 
 
 _LONG_POLY_SRC = """\
@@ -206,7 +206,8 @@ def corpus_function(name: str, s: int | None = None) -> CorpusFunction:
     if fn.s is None:
         return fn
     s = fn.s if s is None else s
-    return replace(fn, source=fn.source.format(s=s), s=s)
+    return CorpusFunction(fn.name, fn.source.format(s=s), fn.func_name, fn.energy_var,
+                          fn.var_names, fn.boxes, s)
 
 
 def corpus_program(fn: CorpusFunction):
@@ -242,6 +243,7 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
     """
     params = {p.name for p in ir.params}
     memory: dict[str, float] = {}
+    arrays: dict[str, list] = {}  # local array -> extents
 
     def read(label: str, span) -> float:
         if label in memory:
@@ -260,7 +262,7 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
                 value = float(env[node.name]) if node.name in env else read(node.name, node.span)
             elif isinstance(node, ArrayRef):
                 indices = tuple(eval_const(ix, env) for ix in node.indices)
-                value = read(node.base + "".join(f"[{ix}]" for ix in indices), node.span)
+                value = read(slot_label(node.base, indices), node.span)
             else:
                 value = _apply(node, [values[id(k)] for k in children(node)])
             values[id(node)] = value
@@ -271,13 +273,18 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
             memory[lvalue.name] = value
         else:
             indices = tuple(eval_const(ix, env) for ix in lvalue.indices)
-            memory[lvalue.base + "".join(f"[{ix}]" for ix in indices)] = value
+            memory[slot_label(lvalue.base, indices)] = value
 
     def run_block(stmts, env: dict):
         for s in stmts:
             if isinstance(s, Declaration):
+                # the name starts unassigned, as in the unroller
+                for label in [s.name, *element_labels(s.name, arrays.pop(s.name, ()))]:
+                    memory.pop(label, None)
                 if s.elem_type == "int":
                     env[s.name] = eval_const(s.init, env)
+                elif s.extents:
+                    arrays[s.name] = [eval_const(x, env) for x in s.extents]
                 elif s.init is not None:
                     memory[s.name] = ev(s.init, env)
             elif isinstance(s, Assignment):
@@ -293,6 +300,8 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
                     value = eval_const(s.update, inner)
             elif isinstance(s, If):
                 run_block(s.then_body if eval_const(s.cond, env) else s.else_body, dict(env))
+            elif isinstance(s, Block):
+                run_block(s.body, dict(env))
             elif isinstance(s, Return):
                 pass
 
@@ -398,27 +407,25 @@ def fd_hessian(program: StraightLineProgram, vars_: VarIndexMap,
 # Reports
 
 
-@dataclass
-class FdEntry:
-    name: str
-    analytic: float
-    fd: float
-    abs_err: float
-    rel_err: float  # |analytic - fd| / max(1, |analytic|)
-    ok: bool
-    point: int  # index of the entry's worst sample point, where rel_err occurred
+class FdEntry(Record):
+    __slots__ = ("name", "analytic", "fd", "abs_err", "rel_err", "ok", "point")
+
+    def __init__(self, name: str, analytic: float, fd: float, abs_err: float, rel_err: float,
+                 ok: bool, point: int):
+        # rel_err is |analytic - fd| / max(1, |analytic|), at the entry's
+        # worst sample point, whose index is point
+        super().__init__(name, analytic, fd, abs_err, rel_err, ok, point)
 
 
-@dataclass
-class FdReport:
-    function: str
-    mode: str
-    tolerance: float
-    points: int
-    seed: int
-    slots: tuple  # input-slot labels of the samples
-    samples: list  # each sample point's slot values
-    entries: list = field(default_factory=list)
+class FdReport(Record):
+    __slots__ = ("function", "mode", "tolerance", "points", "seed", "slots", "samples", "entries")
+
+    def __init__(self, function: str, mode: str, tolerance: float, points: int, seed: int,
+                 slots: tuple, samples: list, entries: list | None = None):
+        # slots holds the input-slot labels of the samples, samples each
+        # sample point's slot values
+        super().__init__(function, mode, tolerance, points, seed, slots, samples,
+                         [] if entries is None else entries)
 
     @property
     def worst(self) -> FdEntry | None:

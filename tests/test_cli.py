@@ -133,8 +133,22 @@ def test_subset_violation_exits_1(tmp_path, capsys):
     ("double a[2]; double e = a[0] * s;", "a[0]", "'a[0]' used before assignment"),
     ("double e = x[1 / 0];", "/ 0", "division by zero in constant expression"),
     ("double e = x[sin(1)];", "sin", "expression is not compile-time constant"),
+    # a loop-local declared without a value does not keep the last iteration's
+    ("double e = 0; for (int i = 0; i < 3; i++) { double a[2]; if (i > 0) { e = e + a[0]; } "
+     "a[0] = s * i; }", "a[0]; }", "'a[0]' used before assignment"),
+    ("double e = 0; for (int i = 0; i < 3; i++) { double t; if (i > 0) { e = e + t; } "
+     "t = s * i; }", "t; }", "'t' used before assignment"),
+    # a bare block's declarations end with it
+    ("{ double t = s; } double e = t * 2;", "t * 2", "use of undeclared identifier 't'"),
+    # a sibling block's `d` of the other rank is gone
+    ("double e = 0; { double d[2]; d[0] = s; d[1] = s; } { double d = s * s; e = d[0]; }",
+     "d[0]; }", "unknown array 'd'"),
+    ("double e = 0; { double d = s; } { double d[2]; e = d; }", "d; }",
+     "'d' used before assignment"),
 ], ids=["past_extent", "local_past_extent", "negative", "too_many_indices", "scalar_param",
-        "scalar_local", "unassigned", "unassigned_element", "division_by_zero", "call_index"])
+        "scalar_local", "unassigned", "unassigned_element", "division_by_zero", "call_index",
+        "loop_local_element", "loop_local_scalar", "bare_block_scope", "sibling_array_to_scalar",
+        "sibling_scalar_to_array"])
 def test_unroll_errors_exit_1_with_a_located_line(tmp_path, capsys, monkeypatch, body, at,
                                                   message):
     monkeypatch.chdir(tmp_path)
@@ -145,6 +159,16 @@ def test_unroll_errors_exit_1_with_a_located_line(tmp_path, capsys, monkeypatch,
     assert rc == 1
     assert err == f"acorns_autodiff: bad.c: 2:{5 + body.index(at)}: {message}\n"
     assert not (tmp_path / "gen").exists()
+
+
+def test_sibling_bare_blocks_may_each_declare_a_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blocks.c").write_text(
+        "double f(double s) {\n    double e = 0;\n    { double d = s; e = e + d; }\n"
+        "    { double d = s * s; e = e + d; }\n    return 0;\n}\n")
+    assert main(["blocks.c", "e", "--vars", "s", "--func", "f", "--output_filename", "d",
+                 "--mode", "gradient"]) == 0
+    assert "out[0] = 1 + s + s;" in (tmp_path / "d_part0.c").read_text()
 
 
 def test_node_cap_exits_3(function_0_file, tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from acorns.cast import Binary, Constant, Var, const, to_source
 from acorns.derivatives import VarIndexMap, derive_bundle, substitute
-from acorns.errors import BoundExplosion, FormatError, NotConstant
+from acorns.errors import BoundExplosion, FormatError, NotConstant, UnboundSlot
 from acorns.flatten import (
     StraightLineProgram,
     SlpAssign,
@@ -202,6 +202,41 @@ def test_a_written_parameter_element_is_read_back():
         assert struct.pack("<d", eval_expr(f, bindings)) == struct.pack("<d", run_ir(ir, bindings))
     bundle = derive_bundle(program, VarIndexMap.from_names(program, ["x"]))
     assert [to_source(g) for g in bundle.grad] == ["0", "5"]
+
+
+def test_blocks_and_redeclared_locals_agree_with_run_ir():
+    # sibling bare blocks each declare `d`, the last as an array; a
+    # loop-local array is declared again in each iteration and written
+    # before it is read
+    ir = _parse("double f(double x){ double e = 0; { double d = x; e = e + d; } "
+                "{ double d; d = x * x; e = e * d; } "
+                "{ double d[2]; d[0] = x; d[1] = d[0] * e; e = d[1]; } for (int i = 0; i < 3; i++) "
+                "{ double a[2]; a[i / 2] = x + i; e = e + a[i / 2]; } return 0; }")
+    f = substitute(unroll(ir))
+    rng = random.Random(19)
+    for _ in range(20):
+        bindings = {"x": rng.uniform(-4, 4)}
+        assert struct.pack("<d", eval_expr(f, bindings)) == struct.pack("<d", run_ir(ir, bindings))
+    with pytest.raises(UnboundSlot):  # the oracle forgets a redeclared local too
+        run_ir(_parse("double f(double x){ double e = 0; for (int i = 0; i < 2; i++) "
+                      "{ double t; if (i > 0) { e = t; } t = x; } return 0; }"), {"x": 1.0})
+    for changed_rank in ("{ double d[2]; d[0] = x; d[1] = x; } { double d = x; e = d[0]; }",
+                         "{ double d = x; } { double d[2]; e = d; }"):
+        with pytest.raises(UnboundSlot):  # nor keeps a sibling block's `d` of the other rank
+            run_ir(_parse(f"double f(double x){{ double e = 0; {changed_rank} return 0; }}"),
+                   {"x": 1.0})
+
+
+def test_loop_condition_and_update_are_walked_once(monkeypatch):
+    import acorns.flatten as flatten
+
+    walks = []
+    original = flatten.const_order
+    monkeypatch.setattr(flatten, "const_order", lambda e: walks.append(e) or original(e))
+    p = unroll(_parse("double f(double x){ double e = 0; for (int i = 0; i < 50; i++) "
+                      "{ for (int j = 0; j < 2; j++) { e = e + x; } } return 0; }"))
+    assert len(p.assigns) == 101
+    assert len(walks) == 2 + 2 * 50  # each loop run: its condition and its update
 
 
 def test_param_slots_group_the_inputs_in_declaration_order():

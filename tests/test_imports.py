@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package imports is used in it, and the
+package defines one dataclass.
 
 A deletion that leaves an import behind fails here.  A name the module
 lists in `__all__` is a re-export and counts as used, as does the
@@ -6,6 +7,7 @@ lists in `__all__` is a re-export and counts as used, as does the
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,16 @@ def test_an_unused_import_is_found():
     tree = ast.parse("import os\nimport re as regex\nfrom x import a, b\n__all__ = ['b']\n"
                      "def f():\n    return os.sep\n")
     assert _unused_imports(tree) == [(2, "regex"), (3, "a")]
+
+
+def test_the_derivative_bundle_is_the_only_dataclass():
+    # each dataclass generates its methods when acorns is imported, which
+    # every command-line run pays for; the other classes are records
+    found = set()
+    for path in _PACKAGE.glob("*.py"):
+        module = importlib.import_module("acorns" if path.stem == "__init__" else f"acorns.{path.stem}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and obj.__module__.startswith("acorns")
+                    and hasattr(obj, "__dataclass_fields__")):
+                found.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert found == {"acorns.derivatives.DerivativeBundle"}

@@ -17,8 +17,9 @@ from acorns.cast import (
     Var,
     to_source,
 )
-from acorns.errors import MissingEnergyVar, MissingFunction, ParseError, UnsupportedConstruct
-from acorns.parser import parse_expr, parse_source, tokenize, validate_subset
+from acorns.errors import (MissingEnergyVar, MissingFunction, ParseError, SourceSpan,
+                           UnsupportedConstruct)
+from acorns.parser import Token, parse_expr, parse_source, tokenize, validate_subset
 from acorns.verify import CROSS_ENTROPY_SRC, FUNCTION_0_SRC
 
 
@@ -282,6 +283,48 @@ def test_deep_chain_repr_copy_and_pickle():
     back = pickle.loads(pickle.dumps(chain))
     assert back is not chain and back == chain
     assert back.rhs is back.lhs.rhs  # one node per shared node, as pickled
+
+
+def test_shared_dag_repr_copy_and_pickle():
+    x = Var("x", SourceSpan(1, 2, 1))
+    square = Binary("*", x, x)
+    e = Binary("+", square, Call("pow", (square, Constant("2", 2.0))))
+    square_text = ("Binary(op='*', lhs=Var(name='x', span=SourceSpan(line=1, column=2, length=1)), "
+                   "rhs=Var(name='x', span=SourceSpan(line=1, column=2, length=1)), span=None)")
+    assert repr(e) == (f"Binary(op='+', lhs={square_text}, rhs=Call(name='pow', args=("
+                       f"{square_text}, Constant(text='2', value=2.0, span=None)), span=None), "
+                       "span=None)")
+    assert copy.deepcopy(e) is e and copy.copy(e) is e
+    back = pickle.loads(pickle.dumps(e))
+    assert back is not e and back == e and hash(back) == hash(e)
+    assert back.lhs is back.rhs.args[0] and back.lhs.lhs is back.lhs.rhs  # still shared
+    assert back.lhs.lhs.span == SourceSpan(1, 2, 1)
+
+
+@pytest.mark.parametrize("obj, field", [
+    (Constant("1", 1.0), "value"), (Var("x"), "name"), (ArrayRef("a", (Var("i"),)), "indices"),
+    (Unary("-", Var("x")), "operand"), (Binary("+", Var("x"), Var("y")), "lhs"),
+    (Call("sin", (Var("x"),)), "args"), (Var("x"), "span"), (SourceSpan(1, 2, 3), "line"),
+    (Token("ident", "x", SourceSpan(1, 1, 1)), "text"),
+], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
+def test_nodes_spans_and_tokens_refuse_assignment(obj, field):
+    before = repr(obj)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, None)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.other = None
+    assert repr(obj) == before
+
+
+def test_span_checks_its_range_and_compares_by_value():
+    span = SourceSpan(3, 4, 5)
+    assert (str(span), span, hash(span)) == ("3:4", SourceSpan(3, 4, 5), hash(SourceSpan(3, 4, 5)))
+    assert span != SourceSpan(3, 4) and SourceSpan(3, 4).length == 0
+    for bad in ((0, 1), (1, 0), (1, 1, -1)):
+        with pytest.raises(ValueError):
+            SourceSpan(*bad)
 
 
 def test_restrict_after_a_pointer_is_skipped_as_a_qualifier():
