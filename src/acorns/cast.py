@@ -391,12 +391,17 @@ class SharedText:
     distinct names, `const` or not, the 800-term loss of the grad_steps
     benchmark takes a 7,232 B stack frame under gcc -O2 instead of 2,112 B,
     and compiles a quarter to a half slower.
+
+    With `names`, a map from each variable's name to the text that stands
+    for it, a `Var` prints as `names[its name]`; without it, as its name.
     """
 
-    def __init__(self, roots, temp: str | None = None, lin: Linearized | None = None):
+    def __init__(self, roots, temp: str | None = None, lin: Linearized | None = None,
+                 names: dict | None = None):
         self.roots = tuple(roots)  # keeps every node alive, so ids stay unique
         if lin is None:
             lin = linearize(self.roots)
+        self.names = names
         # id(node) -> uses not yet rendered
         self.uses: dict[int, int] = dict(zip(map(id, lin.nodes), lin.uses))
         self.text: dict[int, str] = {}  # id(node) -> text of a node with uses left
@@ -484,7 +489,7 @@ class SharedText:
             if isinstance(node, Constant):
                 out.append(node.text)
             elif isinstance(node, Var):
-                out.append(node.name)
+                out.append(node.name if self.names is None else self.names[node.name])
             elif isinstance(node, ArrayRef):
                 out.append(node.base)
                 for ix in reversed(node.indices):

@@ -5,11 +5,14 @@ packed greedily into files of roughly `split_target_bytes`; each run of
 same-mode statements in a file becomes a chunk function evaluating one
 point, and exported drivers (`compute`, `compute_grad`, `compute_hess`)
 in part 0 loop over points calling the chunks in order.  A chunk function
-loads from `vals` only the parameters its run of statements reads: each
-node's parameters are one int mask, found by one pass over the arrays of
-its mode's linearisation (`DerivativeBundle.linearized`), which also
-gives `SharedText` its use counts.  Output text is fully deterministic
-for a given bundle and config.
+loads from `vals` exactly the input slots its run of statements reads,
+each into a `const double` local of its own: a scalar parameter keeps its
+name and an array element is named like `x_3` or `a_1_0` (`_c_names`
+gives the rule, which also names the temporaries).  Each node's input
+slots are one int mask, found by one pass over the arrays of its mode's
+linearisation (`DerivativeBundle.linearized`), which also gives
+`SharedText` its use counts.  Output text is fully deterministic for a
+given bundle and config.
 
 The Hessian chunks write only the lower entries `(i, j <= i)` that are not
 the constant +0.  Per point, `compute_hess` zero-fills the n*n block when
@@ -55,7 +58,7 @@ MIN_SPLIT_TARGET = 2**16
 
 RECOMMENDED_FLAGS = "-O3 -ffast-math -flto"
 
-# names a parameter local cannot take: the chunk functions' arguments, the
+# names a local of a chunk function cannot take: its arguments, the
 # math functions an expression or its derivatives may call, the object-like
 # macros of <math.h> (C99 7.12, and glibc's M_* constants, which it defines
 # under the recommended flags), and `linux` and `unix`, which gcc predefines
@@ -103,8 +106,8 @@ class Statement(Record):
 
     def __init__(self, mode: str, text: str, params: int, temps: tuple = (),
                  reads: frozenset = frozenset()):
-        # text is the `out[k] = ...;` line; params the parameters it reads, as
-        # a mask of `_param_bits`; temps the (K, line) of each temporary's
+        # text is the `out[k] = ...;` line; params the input slots it reads,
+        # as a mask of `_param_bits`; temps the (K, line) of each temporary's
         # lines it reads first; reads the temporaries of earlier statements
         # it reads
         super().__init__(mode, text, params, temps, reads)
@@ -122,19 +125,35 @@ def layout_slots(program: StraightLineProgram, vars_: VarIndexMap) -> list:
     return list(vars_.labels) + rest
 
 
-def _param_bits(program: StraightLineProgram) -> dict:
-    """Each input slot's label -> the bit of its parameter, bit i for the
-    program's i-th parameter in declaration order."""
-    return {s.label: 1 << i
-            for i, slots in enumerate(program.param_slots.values()) for s in slots}
+def _param_bits(layout: list) -> dict:
+    """Each input slot's label -> its bit, bit i for the slot at `vals[i]`
+    in the per-point `layout`."""
+    return {label: 1 << i for i, label in enumerate(layout)}
 
 
-def _temp_prefix(program: StraightLineProgram) -> str:
-    """`t`, or `t_`, `t__`, ... when a parameter is named like a temporary."""
-    prefix = "t"
-    while any(re.fullmatch(re.escape(prefix) + r"\d+", p) for p in program.param_slots):
-        prefix += "_"
-    return prefix
+def _c_names(program: StraightLineProgram) -> tuple:
+    """The temporaries' prefix, and each input slot's label -> the name of
+    its local in a chunk function.
+
+    A scalar parameter keeps its name.  An array element joins its array's
+    name and indices with a run of underscores, `x_3` or `a_1_0`, and the
+    temporaries are `t0`, `t1`, ....  When an element's name would be
+    another element's, a parameter's or one of `_C_NAMES`, or a parameter
+    is named like a temporary, both take one underscore more (`x__3`,
+    `t_0`) until none is.  A temporary's run of underscores is shorter
+    than an element's, so the two never meet.
+    """
+    params = program.param_slots
+    for m in itertools.count():
+        prefix, sep = "t" + "_" * m, "_" * (m + 1)
+        names = {s.label: s.param + "".join(f"{sep}{i}" for i in s.indices)
+                 for s in program.inputs}
+        elements = [names[s.label] for s in program.inputs if s.indices]
+        temp = re.compile(re.escape(prefix) + r"\d+").fullmatch
+        if (len(set(elements)) == len(elements)
+                and not (params.keys() | _C_NAMES).intersection(elements)
+                and not any(map(temp, params))):
+            return prefix, names
 
 
 def _zero(e: Expr) -> bool:
@@ -142,13 +161,14 @@ def _zero(e: Expr) -> bool:
     return is_const(e, 0) and math.copysign(1.0, e.value) > 0
 
 
-def _statements(bundle: DerivativeBundle, cfg: EmitConfig, bits: dict,
+def _statements(bundle: DerivativeBundle, cfg: EmitConfig, bits: dict, names: dict,
                 temp: str | None = None) -> tuple:
     """The statements in order, and the `SharedText` of each mode.
 
     Each mode's expressions are rendered over that mode's DAG, whose
     linearisation (`DerivativeBundle.linearized`) gives the use counts and
-    each statement's parameter mask (`_param_bits`).  With `temp` they are
+    each statement's mask of input slots (`_param_bits`); an input slot
+    prints as its local's name in `names`.  With `temp` they are
     in bound form, so a temporary serves one driver; without it every
     expression is one expanded `out[k] = ...;` line.  The Hessian has a
     statement per lower entry that is not +0: its driver zero-fills and
@@ -164,7 +184,7 @@ def _statements(bundle: DerivativeBundle, cfg: EmitConfig, bits: dict,
         if mode not in cfg.mode or not bundle.exprs(mode):
             continue
         lin = bundle.linearized(mode)
-        shared = temps[mode] = SharedText(lin.roots, temp, lin)
+        shared = temps[mode] = SharedText(lin.roots, temp, lin, names)
         params = lin.masks(bits)
         for k, expr, at in zip(out[mode], lin.roots, lin.at):
             first = len(shared.decls)
@@ -216,31 +236,22 @@ def _missing(reads: frozenset, declared: set, deps: list) -> list:
     return sorted(need)
 
 
-def _param_decls(program: StraightLineProgram, layout: list, mask: int) -> list:
-    """Declare C locals, loaded from vals, for each parameter whose bit
-    (`_param_bits`) is set in `mask`."""
-    slot_pos = {label: i for i, label in enumerate(layout)}
-    lines = []
-    for i, (name, slots) in enumerate(program.param_slots.items()):
-        if not mask >> i & 1:
-            continue
-        if slots[0].indices == ():
-            lines.append(f"    const double {name} = vals[{slot_pos[name]}];")
-            continue
-        rank = len(slots[0].indices)
-        extents = [ix + 1 for ix in slots[-1].indices]  # the slots are row-major
-        values = {s.indices: slot_pos[s.label] for s in slots}
+def _param_decls(layout: list, names: dict, mask: int) -> list:
+    """Declare a `const double` local, loaded from vals, for each input
+    slot whose bit (`_param_bits`) is set in `mask`, in `vals` order.
 
-        def braces(prefix: tuple) -> str:
-            d = len(prefix)
-            if d == rank:
-                return f"vals[{values[prefix]}]"
-            inner = ", ".join(braces(prefix + (i,)) for i in range(extents[d]))
-            return "{" + inner + "}"
-
-        dims = "".join(f"[{e}]" for e in extents)
-        lines.append(f"    const double {name}{dims} = {braces(())};")
-    return lines
+    An array element is a scalar local of its own, not an element of a
+    local array: gcc turns each read of `x[3]` from `const double x[12] =
+    {vals[0], ...};` into a load from the stack that its later passes must
+    prove redundant.  Over the parts of the tree-layout eq3 s=12 Hessian
+    (2.1 MB of C), gcc 12.2 -O2 took 4.5-5.3 s of CPU with the arrays and
+    3.3-3.8 s with these locals (x86-64, one pinned core, seven alternated
+    runs).  Reading `vals[k]` directly instead took it 7.9 s: a store
+    through `out` may alias `vals`, so every read is a load again.
+    """
+    loads = [f"{names[layout[i]]} = vals[{i}]"
+             for i, bit in enumerate(reversed(f"{mask:b}")) if bit == "1"]
+    return [f"    const double {', '.join(loads)};"] if loads else []
 
 
 def _header_stem(basename: str) -> str:
@@ -266,8 +277,9 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
     stride_in = len(layout)
     out_stride = {"function": 1, "gradient": n, "hessian": n * n}
 
-    temp = _temp_prefix(program) if bundle.simplified else None
-    statements, temps = _statements(bundle, cfg, _param_bits(program), temp)
+    prefix, names = _c_names(program)
+    temp = prefix if bundle.simplified else None
+    statements, temps = _statements(bundle, cfg, _param_bits(layout), names, temp)
     stem = _header_stem(cfg.basename)
     provenance = [
         f"/* generated by acorns-autodiff {__version__}",
@@ -292,7 +304,7 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
             mask = 0
             for st in run:
                 mask |= st.params
-            decls = _param_decls(program, layout, mask)
+            decls = _param_decls(layout, names, mask)
             lines += [*decls, ""] if decls else ["    (void) vals;"]
             declared: set = set()
             for st in run:

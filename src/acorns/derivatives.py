@@ -55,7 +55,6 @@ variables:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .cast import (
     ONE,
@@ -111,21 +110,23 @@ class VarIndexMap(Record):
 STAGES = ("function", "gradient", "hessian")
 
 
-@dataclass(frozen=True)
-class DerivativeBundle:
+class DerivativeBundle(Record, uncompared=("linear",)):
     """Energy expression, gradient, and lower-triangular Hessian.
 
     `linear` maps a stage to the `Linearized` of its expressions that
     `derive_bundle` built; `linearized` hands it out only while those are
-    still this bundle's, so a bundle made by `dataclasses.replace` with new
-    expressions is linearised afresh.
+    still this bundle's, so a bundle made by `replace` with new expressions
+    is linearised afresh.  `==` and `hash` skip it.
     """
 
-    f: Expr
-    grad: tuple
-    hess_lower: tuple  # row-major, entry (i, j) with i >= j at i*(i+1)//2 + j
-    simplified: bool = False  # built by the simplifying sweeps; emitted in bound form
-    linear: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("f", "grad", "hess_lower", "simplified", "linear")
+
+    def __init__(self, f: Expr, grad: tuple, hess_lower: tuple, simplified: bool = False,
+                 linear: dict | None = None):
+        # hess_lower is row-major, entry (i, j) with i >= j at i*(i+1)//2 + j;
+        # a simplified bundle was built by the simplifying sweeps and is
+        # emitted in bound form
+        super().__init__(f, grad, hess_lower, simplified, {} if linear is None else linear)
 
     @property
     def n(self) -> int:

@@ -90,13 +90,17 @@ _PUNCT = (
     "+", "-", "*", "/", "%", "<", ">", "=", "(", ")", "[", "]", "{", "}",
     ";", ",", "!", "&", "|", "?", ":", ".",
 )
-# one alternation, tried in order at each position: layout, an unterminated
-# comment, number, identifier, punctuation (longest first), any other character
+_PUNCT_SET = frozenset(_PUNCT)
+# one match per token: the layout before it (spaces and comments), then an
+# identifier, a number, or else an unterminated comment, the end of the
+# input (after a line comment that ends it), punctuation (longest first) or
+# any other character.  One of these follows the longest layout, so the
+# matches are contiguous, and `findall` gives each as its four groups.
 _TOKEN_RE = re.compile(
-    r"(?P<skip>[ \t\r\n]+|/\*.*?\*/|//[^\n]*)|(?P<open>/\*)"
-    r"|(?P<number>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")|(?P<other>.)",
+    r"((?:[ \t\r\n]+|/\*.*?\*/|//[^\n]*(?=\n))*)"
+    r"(?:([A-Za-z_][A-Za-z0-9_]*)"
+    r"|((?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"|(/\*|(?://[^\n]*)?\Z|" + "|".join(map(re.escape, _PUNCT)) + r"|.))",
     re.DOTALL,
 )
 
@@ -118,33 +122,38 @@ class Violation(Record):
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of `source`, each spanning its line and column (a tab is
+    one column), ending with an `eof` token at the end of the input, or at
+    the start of a line comment that ends it."""
     tokens = []
+    append = tokens.append
     line, col = 1, 1
-    for m in _TOKEN_RE.finditer(source):
-        kind, text = m.lastgroup, m.group()
-        if kind == "skip":
-            if text.startswith("//"):
-                continue  # the newline that ends it resets the column
-            nl = text.count("\n")
-            if nl:
-                line += nl
-                col = len(text) - text.rfind("\n")
+    for layout, ident, number, other in _TOKEN_RE.findall(source):
+        if layout:
+            if "\n" in layout:
+                line += layout.count("\n")
+                col = len(layout) - layout.rfind("\n")
             else:
-                col += len(text)
-            continue
-        span = SourceSpan(line, col, len(text))
-        if kind == "open":
-            raise ParseError(span, "unterminated comment")
-        if text == "#":
-            raise ParseError(
-                span, "preprocessor directives are not supported; preprocess the input first")
-        if kind == "other":
-            raise ParseError(span, f"unexpected character {text!r}")
-        if kind == "punct" or (kind == "ident" and text in _KEYWORDS):
-            kind = text
-        tokens.append(Token(kind, text, span))
+                col += len(layout)
+        if ident:
+            text, kind = ident, ident if ident in _KEYWORDS else "ident"
+        elif number:
+            text, kind = number, "number"
+        elif other in _PUNCT_SET:
+            text = kind = other
+        elif not other or other.startswith("//"):
+            break  # the end of the input
+        else:
+            span = SourceSpan(line, col, len(other))
+            if other == "/*":
+                raise ParseError(span, "unterminated comment")
+            if other == "#":
+                raise ParseError(
+                    span, "preprocessor directives are not supported; preprocess the input first")
+            raise ParseError(span, f"unexpected character {other!r}")
+        append(Token(kind, text, SourceSpan(line, col, len(text))))
         col += len(text)
-    tokens.append(Token("eof", "", SourceSpan(line, col, 0)))
+    append(Token("eof", "", SourceSpan(line, col, 0)))
     return tokens
 
 

@@ -3,8 +3,10 @@
 A dataclass generates and compiles its methods when its module is
 imported, once per class, and that was most of the command line's start-up.
 A `Record` class writes only its `__slots__` and `__init__`; `==`, `hash`,
-`repr`, copying and pickling read the field tuple that the base takes from
-`__slots__` once, when the class is made.
+`repr`, copying, pickling and `replace` read the field tuple that the base
+takes from `__slots__` once, when the class is made.  No class of the
+package is a dataclass, so importing it imports neither `dataclasses` nor
+the `inspect` that module pulls in.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ class Record:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def replace(self, **changes):
+        """A record of this class with `changes` in place of those fields."""
+        values = [changes.pop(f) if f in changes else getattr(self, f) for f in self._fields]
+        if changes:
+            raise TypeError(f"{type(self).__qualname__} has no field {min(changes)!r}")
+        return type(self)(*values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

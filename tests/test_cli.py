@@ -295,7 +295,7 @@ def test_negated_negative_constant_compiles(tmp_path, cc):
     assert main([str(src), "e", "--vars", "x", "--func", "f", "--output_filename", stem]) == 0
     part = stem + "_part0.c"
     text = open(part).read()
-    assert "out[0] = x[0] * -(-1);" in text and "--" not in text
+    assert "out[0] = x_0 * -(-1);" in text and "--" not in text
     subprocess.run([cc, "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-c", part,
                     "-I", str(tmp_path), "-o", str(tmp_path / "neg.o")],
                    check=True, capture_output=True)
@@ -401,7 +401,7 @@ def test_deep_loops_generate_every_mode(tmp_path, n):
     simplified = (tmp_path / "s_part0.c").read_text()
     assert f"    out[0] = {2 * n};" in simplified  # the Hessian
     raw = (tmp_path / "r_part0.c").read_text()
-    assert raw.count("(0 * x[0] + 1 * 1 + (1 * 1 + x[0] * 0))") == n  # the Hessian
+    assert raw.count("(0 * x_0 + 1 * 1 + (1 * 1 + x_0 * 0))") == n  # the Hessian
 
 
 @pytest.mark.parametrize("command", ["generate", "verify"])
@@ -439,7 +439,7 @@ def test_deep_loop_gradient_succeeds(tmp_path, n):
     # the gradient of a long accumulation loop generates and passes verify;
     # the 2n-term sum of the second is written as a running accumulator
     for term, gradient in (("x[0] * 0.5", f"    out[0] = {n // 2};"),
-                           ("x[0] * x[0]", "    double t0 = x[0] + x[0] + x[0]")):
+                           ("x[0] * x[0]", "    double t0 = x_0 + x_0 + x_0")):
         (tmp_path / "deep.c").write_text(_DEEP_LOOP_SRC.format(n=n, term=term))
         code = textwrap.dedent("""\
             from acorns.cli import main
@@ -482,9 +482,9 @@ def test_long_statement_depth_contract(tmp_path, n):
     assert "Traceback" not in done.stderr
     assert "16/16 entries pass" in done.stdout
     simplified = (tmp_path / "s_part0.c").read_text()
-    assert "    out[1] = x[0] + x[2];" in simplified
-    assert f"    out[{n}] = x[{n - 1}];" in simplified
-    assert (tmp_path / "r_part0.c").read_text().count("x[0] * x[1] + x[1] * x[2]") == 1
+    assert "    out[1] = x_0 + x_2;" in simplified
+    assert f"    out[{n}] = x_{n - 1};" in simplified
+    assert (tmp_path / "r_part0.c").read_text().count("x_0 * x_1 + x_1 * x_2") == 1
 
 
 # --- verify subcommand ----------------------------------------------------------

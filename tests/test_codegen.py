@@ -1,7 +1,7 @@
 import hashlib
 import math
 import random
-from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
@@ -148,44 +148,44 @@ def test_emit_deterministic():
 
 # sha256 of every emitted file for fixed inputs: generated C must stay
 # byte-stable across refactors of derivation and emission.  The tree layout
-# of a simplified bundle is emitted from `replace(bundle, simplified=False)`.
+# of a simplified bundle is emitted from `bundle.replace(simplified=False)`.
 GOLDEN_EMIT = {
     # (corpus name, s, simplify, split target, layout): {file: sha256}
     ("eq3", 5, False, 2**16, "tree"): {
         "golden.h": "09ab26712f5425525db9861b13bc8dcc721afa1c5edbe4bf556787e5eea75068",
-        "golden_part0.c": "cec4ddc8db523d0d4c58c5622b507b8843ef90e88a8d52ac66656f55fee93e8a",
-        "golden_part1.c": "c9e0197db70033cdb63c3679da7ac13918e77eb093a4afa85574df1c3fb2e39a",
+        "golden_part0.c": "8a653d0ce12f4f18618c4dffd68e8643571b1e15a955d06212dc5189f8b510d3",
+        "golden_part1.c": "3fe3930ff01fee902fd61059ffc8cfbb99285424945b0b953ee8c356a58d2847",
     },
     ("eq3", 5, True, DEFAULT_SPLIT_TARGET, "tree"): {
         "golden.h": "667372bf593b2b49b20635c949a870367dc9af348e65bf9be70b73d90f1ed0d0",
-        "golden_part0.c": "04d221134548e7830c925b9d5e5b2a550d03e86a4d3519d0684b284735f05521",
+        "golden_part0.c": "088271a2ac91a141cb307c561ed99a03a8218243de7a4d38328ff0d362f5d02c",
     },
     ("cross_entropy", None, True, DEFAULT_SPLIT_TARGET, "tree"): {
         "golden.h": "1d0991d510033d73777d615d7088b61a1d0621da90d422f02b4c48ea4047912d",
-        "golden_part0.c": "146faa133e1c14ae2fb4a761902e44fa9a3663a821d24b84a76cbbae1ba4006e",
+        "golden_part0.c": "06acc21db65f6abbd63443771aaf3cc9c0386c97f6d8d0e589f8d84963a85d97",
     },
     ("grad_steps", 3, True, DEFAULT_SPLIT_TARGET, "ssa"): {
         "golden.h": "16bf24711b8335248b2353917a911660487589a5193aa827fb8cceb19cfd373b",
-        "golden_part0.c": "8eb0e7d90b3bb20146897df7d2b941a5f6b95a42d1e60f99ead91c3e7ea93608",
+        "golden_part0.c": "517292d9e75de2f165eecc12871c4176e274aa748c4d547ddd32c2b6ad65ee67",
     },
     ("eq3", 5, True, DEFAULT_SPLIT_TARGET, "ssa"): {
         "golden.h": "667372bf593b2b49b20635c949a870367dc9af348e65bf9be70b73d90f1ed0d0",
-        "golden_part0.c": "00ff56c712ed97b8df0d411c1f0a58daedfc2ac96858cbf1eeae4fc22eb368f0",
+        "golden_part0.c": "78d595b0d1083fec5f080d1614db4400937d973605145d403599f85d2bf82207",
     },
     ("cross_entropy", None, True, DEFAULT_SPLIT_TARGET, "ssa"): {
         "golden.h": "1d0991d510033d73777d615d7088b61a1d0621da90d422f02b4c48ea4047912d",
-        "golden_part0.c": "09cb96fb53c7a0973dbb17e4a98c8e2f86c2f636ef4f98518a9b03d5d3dcaafe",
+        "golden_part0.c": "b76dae4632748026b51e5b5fbdf279d1cddbc00a0606326247286049fd4b1cf5",
     },
     # an accumulator that each later file declares again
     ("long_sum", None, True, MIN_SPLIT_TARGET, "ssa"): {
         "golden.h": "3e060d21c1e6d8dd0fa74a75b79f70b3412a3df0f24b08f4f55a286c33f5ce0f",
-        "golden_part0.c": "b490bfc50c73d65cffe59d429c5c415ba02570156fe573d3e09923a5986c6d74",
-        "golden_part1.c": "6280429724ea8a07b0611f7edeab3f0895d182b80f9d5995bd2c36c963270b5e",
+        "golden_part0.c": "933d08654b5bd41d42b653a731daae6d548c4ab2cb54973776868d4b756b7907",
+        "golden_part1.c": "c4111db5075ee72bface9d34d7c14133f16e77b578548df071fd92d91b4febb1",
     },
     # one accumulator, in the function driver
     ("barrier", 6, True, DEFAULT_SPLIT_TARGET, "ssa"): {
         "golden.h": "29658fb399784008a8ba9b751cab927dec46683621c450469cf9d016f07676c2",
-        "golden_part0.c": "179ec4195ae5928d34f7bcdb25fcdedf8a8a37654cdf6e53124fd66e3f30cb3b",
+        "golden_part0.c": "ba7c57de544c9223708b341241629ba95c6207cf65c78399bf5775d13868ff04",
     },
 }
 
@@ -249,7 +249,7 @@ def test_emit_bytes_match_golden(case):
                            want_hessian="hessian" in modes)
     assert bundle.simplified == do_simplify
     if layout == "tree":
-        bundle = replace(bundle, simplified=False)
+        bundle = bundle.replace(simplified=False)
     cfg = EmitConfig(mode=frozenset(modes), split_target_bytes=split_target, basename="golden",
                      simplified=do_simplify, source_name=f"{name}.c", var_names=fn.var_names)
     art = emit(bundle, vars_, cfg, program)
@@ -697,7 +697,7 @@ def test_negative_zero_lower_entry_is_written(cc, tmp_path):
     program, vars_, bundle = _bundle(
         "double f(const double x[2]){ double e = x[0] * x[1]; return 0; }", "f", "e", ["x"]
     )
-    bundle = replace(bundle, hess_lower=(const(-0.0), bundle.hess_lower[1], const(0.0)))
+    bundle = bundle.replace(hess_lower=(const(-0.0), bundle.hess_lower[1], const(0.0)))
     art = emit(bundle, vars_, EmitConfig(mode=frozenset({"hessian"}), basename="k"), program)
     assert _statement_lines(art) == ["out[0] = -0.0;", "out[2] = 1;"]
     assert "        for (int k = 0; k < 4; ++k) h[k] = 0;" in art.sources[0][1]
@@ -712,7 +712,7 @@ def _ssa_and_tree(bundle, vars_, program, cfg):
     """Both layouts of one simplified bundle: the oracle is its tree layout."""
     assert bundle.simplified
     return (emit(bundle, vars_, cfg, program),
-            emit(replace(bundle, simplified=False), vars_, cfg, program))
+            emit(bundle.replace(simplified=False), vars_, cfg, program))
 
 
 def _assert_kernels_match(cc, directory, ssa, tree, points, n, modes=MODE_ORDER):
@@ -786,7 +786,7 @@ def test_long_sum_accumulator_kernels(cc, tmp_path):
     # expands the sum into each of its 280 entries)
     ssa, tree = _ssa_and_tree(bundle, vars_, program,
                               EmitConfig(mode=frozenset({"function"}), basename="k"))
-    assert "    double t0 = 0 - x[0] * log(x[0] + 1.5) - " in ssa.sources[0][1]
+    assert "    double t0 = 0 - x_0 * log(x_0 + 1.5) - " in ssa.sources[0][1]
     assert "    out[0] = t0 * log(t0 * t0 + 1);" in ssa.sources[0][1]
     _assert_kernels_match(cc, tmp_path / "f", ssa, tree, points, bundle.n, ("function",))
     # the gradient at the smallest split against one file: each later file
@@ -837,37 +837,133 @@ def test_ssa_strict_compile_clean(cc, tmp_path):
     compile_strict(cc, art, str(tmp_path), "eq3")
 
 
-# grid sizes at which these energies are running accumulators; their tree
-# layouts (4.9 MB and 2.4 MB at the default G = 3) take gcc 30 s and 12 s
+# grid sizes at which these energies are running accumulators in bound form
 _ACCUMULATED = {"springs": 5, "barrier": 6}
 
 
-@pytest.mark.parametrize("layout,name", [("ssa", n) for n in CORPUS]
-                         + [("tree", n) for n in CORPUS if n not in _ACCUMULATED])
+@pytest.mark.parametrize("name", list(CORPUS))
+@pytest.mark.parametrize("layout", ["ssa", "tree"])
 def test_corpus_strict_compile_clean(cc, tmp_path, layout, name):
-    fn = corpus_function(name, s=_ACCUMULATED.get(name))
+    # an unused local would fail -Wall -Wextra -Werror
+    fn = corpus_function(name, s=_ACCUMULATED.get(name) if layout == "ssa" else None)
     _, program, vars_ = corpus_program(fn)
     bundle = derive_bundle(program, vars_)
     if layout == "tree":
-        bundle = replace(bundle, simplified=False)
+        bundle = bundle.replace(simplified=False)
     art = emit(bundle, vars_, EmitConfig(basename="k", var_names=fn.var_names), program)
-    if name in _ACCUMULATED:
+    if name in _ACCUMULATED and layout == "ssa":
         assert "\n    double t" in art.sources[0][1]
+    _assert_exact_locals(art, program, vars_)
     compile_strict(cc, art, str(tmp_path), "k")
 
 
 def test_temporaries_avoid_parameter_names(cc, tmp_path):
-    # a parameter named t0 moves the temporaries to t_0, t_1, ...
+    # a parameter named t0 moves the temporaries to t_0, t_1, ..., and its
+    # elements' locals to t0__0, t0__1, ...
     src = ("double f(const double *t0) {\n    double e = 1;\n"
            "    for (int i = 0; i < 3; i++) {\n        e = e * (4 * t0[i] * (1 - t0[i]));\n"
            "    }\n    return 0;\n}\n")
     program, vars_, bundle = _bundle(src, "f", "e", ["t0"])
     ssa, tree = _ssa_and_tree(bundle, vars_, program, EmitConfig(basename="k"))
     body = "".join(text for _, text in ssa.sources)
-    assert "const double t0[3] = " in body and "const double t_0 = " in body
+    assert "const double t0__0 = vals[0], t0__1 = vals[1], t0__2 = vals[2];" in body
+    assert "const double t_0 = " in body
     assert "const double t0 = " not in body
     points = np.random.default_rng(3).uniform(0.05, 0.95, size=(50, 3))
     _assert_kernels_match(cc, tmp_path, ssa, tree, points, bundle.n)
+
+
+# --- one scalar local per input slot a chunk reads ---------------------------------
+
+
+def _chunks(artifact):
+    """Each chunk function's body lines, over every file."""
+    return [body.splitlines() for _, text in artifact.sources
+            for body in re.findall(r"_chunk_\d+\(const double\* vals, double\* out\)\n\{\n(.*?)\n\}\n",
+                                   text, re.S)]
+
+
+def _assert_exact_locals(artifact, program, vars_):
+    """Each chunk declares, in one line, a local loaded from its slot of
+    `vals` for exactly the input slots its other lines read."""
+    layout = layout_slots(program, vars_)
+    _, names = codegen._c_names(program)
+    local = {names[label]: i for i, label in enumerate(layout)}
+    for body in _chunks(artifact):
+        loads = [ln for ln in body if "= vals[" in ln]
+        declared = [(name, int(k)) for name, k in re.findall(r"(\w+) = vals\[(\d+)\]", "".join(loads))]
+        read = set(re.findall(r"\w+", "\n".join(ln for ln in body if ln not in loads))) & local.keys()
+        assert len(loads) <= 1 and [name for name, _ in declared] == sorted(read, key=local.get)
+        assert all(local[name] == k for name, k in declared)
+
+
+def _assert_matches_tape(cc, directory, artifact, bundle, program, vars_, points):
+    """Every driver of `artifact` agrees with the tape at rtol 1e-12."""
+    n = bundle.n
+    layout = layout_slots(program, vars_)
+    exprs = {"function": [bundle.f], "gradient": list(bundle.grad),
+             "hessian": [bundle.hess_entry(i, j) for i in range(n) for j in range(n)]}
+    got = run_drivers(cc, artifact, str(directory), "k", points, n)
+    assert got.keys() == set(MODE_ORDER)
+    for mode, values in got.items():
+        want = evaluate(compile_exprs(exprs[mode], layout), points)
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=1e-14, err_msg=mode)
+
+
+# (source, differentiated parameters, a local that must be declared, one
+# that must not): the element locals clash with nothing, in either layout
+_LOCALS_CASES = {
+    "gap": ("double f(const double x[3]) {\n    double e = x[0] * x[2] + sin(x[2]);\n"
+            "    return 0;\n}\n", ["x"], "const double x_0 = vals[0], x_2 = vals[2];", "x_1 ="),
+    "scalar_x_1": ("double f(const double x[2], double x_1) {\n"
+                   "    double e = x[0] * x[1] * x_1 + x[1] * x_1;\n    return 0;\n}\n",
+                   ["x", "x_1"], "x__0 = vals[0], x__1 = vals[1], x_1 = vals[2];", "x_0 ="),
+    "array_t_scalar_t0": ("double f(const double t[3], double t0) {\n    double e = t0;\n"
+                          "    for (int i = 0; i < 3; i++) {\n"
+                          "        e = e * (4 * t[i] * (1 - t[i]));\n    }\n"
+                          "    return 0;\n}\n", ["t", "t0"], "const double t_0 = ", "t_0 = vals"),
+    "two_dims": ("double f(const double a[2][3], const double b[2]) {\n    double e = 0;\n"
+                 "    for (int i = 0; i < 2; i++) {\n        for (int j = 0; j < 3; j++) {\n"
+                 "            e = e + b[i] * a[i][j] * a[1 - i][2 - j];\n        }\n    }\n"
+                 "    return 0;\n}\n", ["a"], "a_1_2 = vals[5]", "a[1][2]"),
+}
+
+
+@pytest.mark.parametrize("case", list(_LOCALS_CASES))
+@pytest.mark.parametrize("layout", ["ssa", "tree"])
+def test_element_locals(cc, tmp_path, case, layout):
+    src, var_names, present, absent = _LOCALS_CASES[case]
+    program, vars_, bundle = _bundle(src, "f", "e", var_names)
+    if layout == "tree":
+        bundle = bundle.replace(simplified=False)
+    art = emit(bundle, vars_, EmitConfig(basename="k"), program)
+    body = "".join(text for _, text in art.sources)
+    if layout == "ssa" or "t_0" not in present:
+        assert present in body
+    assert absent not in body
+    _assert_exact_locals(art, program, vars_)
+    compile_strict(cc, art, str(tmp_path / "strict"), "k")
+    points = np.random.default_rng(20).uniform(0.1, 0.9, size=(40, len(program.inputs)))
+    _assert_matches_tape(cc, tmp_path / "run", art, bundle, program, vars_, points)
+
+
+def test_temporaries_and_elements_take_one_more_underscore_together():
+    # a scalar t0 moves the temporaries to t_K, and so the elements of t,
+    # which would be t_K too, to t__K
+    program = unroll(parse_source(_LOCALS_CASES["array_t_scalar_t0"][0], "f", "e"))
+    prefix, names = codegen._c_names(program)
+    assert prefix == "t_"
+    assert names == {"t[0]": "t__0", "t[1]": "t__1", "t[2]": "t__2", "t0": "t0"}
+    # an array named like a <math.h> macro's stem: M_PI[2] is not M_PI_2
+    src = "double f(const double M_PI[3]) {\n    double e = M_PI[2];\n    return 0;\n}\n"
+    prefix, names = codegen._c_names(unroll(parse_source(src, "f", "e")))
+    assert prefix == "t_" and names["M_PI[2]"] == "M_PI__2"
+    # a 1-D x_1 beside a 2-D x: x[1][0] and x_1[0] would both be x_1_0
+    src = ("double f(const double x[2][2], const double x_1[1]) {\n"
+           "    double e = x[1][0] * x_1[0];\n    return 0;\n}\n")
+    prefix, names = codegen._c_names(unroll(parse_source(src, "f", "e")))
+    assert names["x[1][0]"] == "x__1__0" and names["x_1[0]"] == "x_1__0"
+    assert len(set(names.values())) == len(names)
 
 
 def _ssa_split_artifacts():

@@ -1,5 +1,5 @@
-"""Every name a module of the package imports is used in it, and the
-package defines one dataclass.
+"""Every name a module of the package imports is used in it, the package
+defines no dataclass, and the command line starts without the heavy modules.
 
 A deletion that leaves an import behind fails here.  A name the module
 lists in `__all__` is a re-export and counts as used, as does the
@@ -8,6 +8,9 @@ lists in `__all__` is a re-export and counts as used, as does the
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,9 +49,9 @@ def test_an_unused_import_is_found():
     assert _unused_imports(tree) == [(2, "regex"), (3, "a")]
 
 
-def test_the_derivative_bundle_is_the_only_dataclass():
+def test_no_class_is_a_dataclass():
     # each dataclass generates its methods when acorns is imported, which
-    # every command-line run pays for; the other classes are records
+    # every command-line run pays for; the classes are records instead
     found = set()
     for path in _PACKAGE.glob("*.py"):
         module = importlib.import_module("acorns" if path.stem == "__init__" else f"acorns.{path.stem}")
@@ -56,4 +59,18 @@ def test_the_derivative_bundle_is_the_only_dataclass():
             if (isinstance(obj, type) and obj.__module__.startswith("acorns")
                     and hasattr(obj, "__dataclass_fields__")):
                 found.add(f"{obj.__module__}.{obj.__qualname__}")
-    assert found == {"acorns.derivatives.DerivativeBundle"}
+    assert found == set()
+
+
+def test_the_command_line_imports_no_heavy_module():
+    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, and
+    # numpy is for `verify` alone, so generating imports none of them; -S
+    # keeps the site's .pth files, which may import anything, out of it
+    code = ("import sys\nimport acorns.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'numpy'} & sys.modules.keys()))")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(_PACKAGE.parent)
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

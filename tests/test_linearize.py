@@ -9,7 +9,6 @@ short, as oracles.
 
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -126,7 +125,7 @@ def test_linearization_matches_the_walks_it_replaced(do_simplify):
     for case, program, vars_ in _cases():
         bundle = derive_bundle(program, vars_, do_simplify=do_simplify)
         activity = {label: 1 << j for j, label in enumerate(vars_.labels)}
-        params = codegen._param_bits(program)
+        params = codegen._param_bits(codegen.layout_slots(program, vars_))
         slots = program.input_labels()
         for stage in STAGES:
             roots = bundle.exprs(stage)
@@ -240,7 +239,7 @@ def test_replaced_expressions_are_linearized_afresh(do_simplify):
     _, program, vars_ = corpus_program(fn)
     bundle = derive_bundle(program, vars_, do_simplify=do_simplify)
     grad = tuple(Binary("*", const(2.0), Call("sin", (g,))) for g in bundle.grad)
-    changed = replace(bundle, grad=grad)
+    changed = bundle.replace(grad=grad)
     assert changed.linear is bundle.linear  # the stale linearisation rides along
     lin = changed.linearized("gradient")
     assert lin is not bundle.linear["gradient"] and lin.roots == grad

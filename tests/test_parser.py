@@ -162,6 +162,32 @@ def test_tokenize_errors(src, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("src,message", [
+    # after a comment over two lines, the column counts from the second
+    ("double f(double x) {\n    double e = x; /* one\n   two */ e = e + x @ x;\n"
+     "    return 0;\n}\n", "3:21: unexpected character '@'"),
+    # a tab is one column
+    ("double f(double x) {\n\tdouble e = x @ x;\n\treturn 0;\n}\n",
+     "2:15: unexpected character '@'"),
+    # a carriage return ends no line, and the line feed after it does
+    ("double f(double x) {\r\n    double e = x @ x;\r\n    return 0;\r\n}\r\n",
+     "2:18: unexpected character '@'"),
+])
+def test_diagnostics_locate_the_character_after_layout(src, message):
+    with pytest.raises(ParseError) as exc:
+        parse_source(src, "f", "e")
+    assert str(exc.value) == message
+
+
+def test_tokens_end_with_eof_after_any_layout():
+    assert [(t.kind, str(t.span)) for t in tokenize("")] == [("eof", "1:1")]
+    assert [(t.kind, str(t.span)) for t in tokenize("x")] == [("ident", "1:1"), ("eof", "1:2")]
+    assert [(t.kind, str(t.span)) for t in tokenize("x /* a\n b */\t")] == [
+        ("ident", "1:1"), ("eof", "2:7")]
+    assert [(t.kind, str(t.span)) for t in tokenize("x\n  // end\n")] == [
+        ("ident", "1:1"), ("eof", "3:1")]
+
+
 def test_intrinsic_arity_checked():
     with pytest.raises(ParseError):
         parse_source("double f(double x){ double e = pow(x); return 0; }", "f", "e")
