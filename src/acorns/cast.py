@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Iterator, Union
 
 from .errors import SourceSpan
 from .record import Record, set_field
@@ -161,7 +160,7 @@ class Call(_Node):
         set_field(self, "span", span)
 
 
-Expr = Union[Constant, Var, ArrayRef, Unary, Binary, Call]
+Expr = (Constant, Var, ArrayRef, Unary, Binary, Call)
 
 
 def _repr_items(value) -> list:
@@ -303,7 +302,7 @@ class Block(Record, uncompared=("span",)):
         super().__init__(body, span)
 
 
-Stmt = Union[Declaration, Assignment, ForLoop, If, Return, Block]
+Stmt = (Declaration, Assignment, ForLoop, If, Return, Block)
 
 
 class Param(Record):
@@ -556,7 +555,7 @@ def children(node: Expr) -> tuple:
     return ()
 
 
-def post_order(root: Expr, done, kids=children) -> Iterator[Expr]:
+def post_order(root: Expr, done, kids=children):
     """Yield each node under `root` whose id() is not in `done`, children first.
 
     A node is yielded once all its `kids` are in `done`, and the caller

@@ -218,8 +218,7 @@ def _run_verify(argv) -> int:
         if args.function in CORPUS:
             fn = corpus_function(args.function, s=args.s)
             if args.box is not None:
-                fn = CorpusFunction(fn.name, fn.source, fn.func_name, fn.energy_var, fn.var_names,
-                                    {**fn.boxes, **dict.fromkeys(fn.var_names, args.box)}, fn.s)
+                fn = fn.replace(boxes={**fn.boxes, **dict.fromkeys(fn.var_names, args.box)})
         else:
             if not (args.func and args.energy and args.vars):
                 print("acorns_autodiff verify: file inputs need --func, --energy and --vars",

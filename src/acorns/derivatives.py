@@ -110,23 +110,22 @@ class VarIndexMap(Record):
 STAGES = ("function", "gradient", "hessian")
 
 
-class DerivativeBundle(Record, uncompared=("linear",)):
+class DerivativeBundle(Record):
     """Energy expression, gradient, and lower-triangular Hessian.
 
-    `linear` maps a stage to the `Linearized` of its expressions that
-    `derive_bundle` built; `linearized` hands it out only while those are
-    still this bundle's, so a bundle made by `replace` with new expressions
-    is linearised afresh.  `==` and `hash` skip it.
+    `linearized` keeps each stage's `Linearized` in the bundle's
+    `__dict__`, keyed by the stage, which is not a field: `derive_bundle`
+    stores the three it built there, and a bundle made by `replace`, a copy
+    or a pickle starts without them and is linearised afresh.
     """
 
-    __slots__ = ("f", "grad", "hess_lower", "simplified", "linear")
+    __slots__ = ("f", "grad", "hess_lower", "simplified", "__dict__")
 
-    def __init__(self, f: Expr, grad: tuple, hess_lower: tuple, simplified: bool = False,
-                 linear: dict | None = None):
+    def __init__(self, f: Expr, grad: tuple, hess_lower: tuple, simplified: bool = False):
         # hess_lower is row-major, entry (i, j) with i >= j at i*(i+1)//2 + j;
         # a simplified bundle was built by the simplifying sweeps and is
         # emitted in bound form
-        super().__init__(f, grad, hess_lower, simplified, {} if linear is None else linear)
+        super().__init__(f, grad, hess_lower, simplified)
 
     @property
     def n(self) -> int:
@@ -142,12 +141,10 @@ class DerivativeBundle(Record, uncompared=("linear",)):
         return {"function": (self.f,), "gradient": self.grad, "hessian": self.hess_lower}[stage]
 
     def linearized(self, stage: str) -> Linearized:
-        """`linearize(self.exprs(stage))`, reusing `derive_bundle`'s."""
-        exprs = self.exprs(stage)
-        lin = self.linear.get(stage)
-        if (lin is None or len(lin.roots) != len(exprs)
-                or any(a is not b for a, b in zip(lin.roots, exprs))):
-            lin = linearize(exprs)
+        """`linearize(self.exprs(stage))`, made once per bundle."""
+        lin = self.__dict__.get(stage)
+        if lin is None:
+            lin = self.__dict__[stage] = linearize(self.exprs(stage))
         return lin
 
 
@@ -614,4 +611,6 @@ def derive_bundle(
                          for i, label in enumerate(vars_.labels) for g in grad[:i + 1])
         linear["hessian"] = lin = linearize(hess)
         _check_cap(lin, cap)
-    return DerivativeBundle(f, grad, hess, do_simplify, linear)
+    bundle = DerivativeBundle(f, grad, hess, do_simplify)
+    bundle.__dict__.update(linear)
+    return bundle

@@ -10,11 +10,16 @@ Two evaluators over the same scalar semantics:
   ``eval_expr`` calls (numpy's SIMD transcendentals can differ by an ulp),
   so the two agree bitwise except for NaN payloads.
 
-A tape instruction is a tuple ``(op, a, b)`` whose result is the register
-numbered by its position, and ``op`` is the node's own operator name:
+Both tapes, ``compile_exprs``'s over expressions and ``compile_program``'s
+over a straight-line program, are built from a ``cast.linearize`` of their
+roots by one instruction per node.  A tape instruction is a tuple
+``(op, a, b)`` whose result is the register numbered by its position, and
+``op`` is the node's own operator name:
 
 * ``("slot", i, 0)`` loads input slot i, and ``("const", value, 0)`` the
   constant value;
+* ``("reg", k, 0)`` is register k again: a program's read of a slot that
+  an earlier assignment wrote, k being that assignment's right-hand side;
 * a ``Binary.op`` such as ``"+"`` or ``"<"``, and ``"pow"``, read
   registers a and b;
 * ``"neg"`` and the other ``Call.name`` intrinsics read register a only,
@@ -35,16 +40,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import TYPE_CHECKING
 
 from .cast import (INTRINSICS, Binary, Call, Constant, Expr, Linearized, Unary, Var, children,
                    linearize, post_order)
 from .errors import UnboundSlot
 from .flatten import StraightLineProgram
 from .record import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 HAVE_NATIVE = False  # no compiled evaluator; kept for callers that record it
 
@@ -169,46 +170,35 @@ class Tape(Record):
         return len(self.out_regs)
 
 
-class _TapeBuilder:
-    """A program's tape, walked assignment by assignment: a slot that an
-    earlier assignment wrote reads that assignment's register.  The
-    program is compiled once, so this one walk costs less than a
-    linearisation would."""
-
-    def __init__(self, slots):
-        self.slot_index = {label: i for i, label in enumerate(slots)}
-        self.slots = tuple(slots)
-        self.ops: list[tuple] = []
-        self.reg_of: dict[int, int] = {}  # id(node) -> register
-        self.named: dict[str, int] = {}  # assigned slot name -> register
-
-    def compile(self, e: Expr) -> int:
-        """The register of `e`, compiling each node not yet on the tape."""
-        reg_of = self.reg_of
-        for node in post_order(e, reg_of):
-            if isinstance(node, Binary):
-                instr = (node.op, reg_of[id(node.lhs)], reg_of[id(node.rhs)])
-            elif isinstance(node, Constant):
-                instr = ("const", node.value, 0)
-            elif isinstance(node, Var):
-                reg = self.named.get(node.name)
-                if reg is not None:
-                    reg_of[id(node)] = reg
-                    continue
-                slot = self.slot_index.get(node.name)
+def _instructions(lin: Linearized, slots, named: dict) -> list:
+    """The instruction of each node of `lin`, in its order, so a node's
+    register is its position.  A `Var` whose name `named` maps to a register
+    before it reads that register; any other names an input slot."""
+    slot_index = {label: i for i, label in enumerate(slots)}
+    start, operands = lin.start, lin.operands
+    ops: list = []
+    for node, a, b in zip(lin.nodes, start, start[1:]):
+        if isinstance(node, Binary):
+            instr = (node.op, operands[a], operands[a + 1])
+        elif isinstance(node, Constant):
+            instr = ("const", node.value, 0)
+        elif isinstance(node, Var):
+            reg = named.get(node.name)
+            if reg is not None and reg < len(ops):
+                instr = ("reg", reg, 0)
+            else:
+                slot = slot_index.get(node.name)
                 if slot is None:
                     raise UnboundSlot(node.name)
                 instr = ("slot", slot, 0)
-            elif isinstance(node, Unary):
-                instr = ("neg", reg_of[id(node.operand)], 0)
-            elif isinstance(node, Call):
-                regs = [reg_of[id(a)] for a in node.args] + [0]
-                instr = (node.name, regs[0], regs[1])
-            else:
-                raise TypeError(f"cannot compile {node!r}")
-            reg_of[id(node)] = len(self.ops)
-            self.ops.append(instr)
-        return reg_of[id(e)]
+        elif isinstance(node, Unary):
+            instr = ("neg", operands[a], 0)
+        elif isinstance(node, Call):
+            instr = (node.name, operands[a], operands[a + 1] if b - a > 1 else 0)
+        else:
+            raise TypeError(f"cannot compile {node!r}")
+        ops.append(instr)
+    return ops
 
 
 def compile_exprs(exprs, slots, lin: Linearized | None = None) -> Tape:
@@ -220,39 +210,25 @@ def compile_exprs(exprs, slots, lin: Linearized | None = None) -> Tape:
     """
     if lin is None:
         lin = linearize(exprs)
-    slot_index = {label: i for i, label in enumerate(slots)}
-    start, operands = lin.start, lin.operands
-    ops: list = []
-    for node, a, b in zip(lin.nodes, start, start[1:]):
-        if isinstance(node, Binary):
-            instr = (node.op, operands[a], operands[a + 1])
-        elif isinstance(node, Constant):
-            instr = ("const", node.value, 0)
-        elif isinstance(node, Var):
-            slot = slot_index.get(node.name)
-            if slot is None:
-                raise UnboundSlot(node.name)
-            instr = ("slot", slot, 0)
-        elif isinstance(node, Unary):
-            instr = ("neg", operands[a], 0)
-        elif isinstance(node, Call):
-            instr = (node.name, operands[a], operands[a + 1] if b - a > 1 else 0)
-        else:
-            raise TypeError(f"cannot compile {node!r}")
-        ops.append(instr)
-    return Tape(ops, list(lin.at), tuple(slots))
+    return Tape(_instructions(lin, slots, {}), list(lin.at), tuple(slots))
 
 
 def compile_program(p: StraightLineProgram) -> Tape:
-    """Compile a straight-line program; the single output is the energy."""
-    b = _TapeBuilder(p.input_labels())
-    for a in p.assigns:
-        b.named[a.target] = b.compile(a.rhs)
+    """Compile a straight-line program; the single output is the energy.
+
+    The tape is that of the linearised right-hand sides, in program order:
+    a slot that an earlier assignment wrote reads the register of that
+    assignment's right-hand side.
+    """
+    slots = p.input_labels()
+    lin = linearize([a.rhs for a in p.assigns])
+    named = {a.target: reg for a, reg in zip(p.assigns, lin.at)}
+    ops = _instructions(lin, slots, named)
     try:
-        out = b.named[p.output]
+        out = named[p.output]
     except KeyError:
         raise UnboundSlot(p.output) from None
-    return Tape(b.ops, [out], b.slots)
+    return Tape(ops, [out], tuple(slots))
 
 
 # Registers x points per evaluation chunk; bounds `evaluate`'s working set
@@ -295,6 +271,8 @@ def _run_chunk(ops: list, cols: np.ndarray) -> list:
     for op, a, b in ops:
         if op == "slot":
             r = cols[a]
+        elif op == "reg":
+            r = regs[a]
         elif op == "const":
             r = np.full(n, a, np.float64)
         else:

@@ -226,7 +226,7 @@ class _Parser:
             rank += 1
         return Param(name, rank, tuple(extents))
 
-    def function(self) -> tuple[str, list[Param], list[Stmt], SourceSpan]:
+    def function(self) -> tuple[str, list[Param], list[Stmt] | None]:
         self.type_specifier()
         name_tok = self.expect("ident", "function name")
         self.expect("(")
@@ -240,9 +240,8 @@ class _Parser:
                 self.next()
         self.expect(")")
         if self.accept(";"):  # prototype: skip
-            return name_tok.text, params, None, name_tok.span
-        body = self.compound()
-        return name_tok.text, params, body, name_tok.span
+            return name_tok.text, params, None
+        return name_tok.text, params, self.compound()
 
     # -- statements ----------------------------------------------------------
 
@@ -470,12 +469,12 @@ def parse_source(source_text: str, func_name: str, energy_var: str) -> FunctionI
     parser = _Parser(tokenize(source_text))
     found = None
     while parser.peek().kind != "eof":
-        name, params, body, span = parser.function()
+        name, params, body = parser.function()
         if name == func_name and body is not None:
-            found = (params, body, span)
+            found = (params, body)
     if found is None:
         raise MissingFunction(func_name)
-    params, body, span = found
+    params, body = found
     ir = FunctionIR(func_name, tuple(params), energy_var, tuple(body))
     if not _check_scopes(ir):
         raise MissingEnergyVar(energy_var)

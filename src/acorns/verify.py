@@ -10,7 +10,6 @@ differentiator they validate.  numpy is imported on first use, as in
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .cast import (ArrayRef, Assignment, Block, Declaration, Expr, ForLoop, FunctionIR, If, Return,
                    Var, children, operands, post_order)
@@ -20,9 +19,6 @@ from .flatten import StraightLineProgram, element_labels, eval_const, slot_label
 from .interp import _apply, compile_exprs, compile_program, evaluate, eval_expr
 from .parser import parse_source, validate_subset
 from .record import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 GRAD_TOL = 1e-5
 HESS_TOL = 5e-4
@@ -206,8 +202,7 @@ def corpus_function(name: str, s: int | None = None) -> CorpusFunction:
     if fn.s is None:
         return fn
     s = fn.s if s is None else s
-    return CorpusFunction(fn.name, fn.source.format(s=s), fn.func_name, fn.energy_var,
-                          fn.var_names, fn.boxes, s)
+    return fn.replace(source=fn.source.format(s=s), s=s)
 
 
 def corpus_program(fn: CorpusFunction):
@@ -245,7 +240,7 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
     memory: dict[str, float] = {}
     arrays: dict[str, list] = {}  # local array -> extents
 
-    def read(label: str, span) -> float:
+    def read(label: str) -> float:
         if label in memory:
             return memory[label]
         if label.split("[", 1)[0] in params:
@@ -259,10 +254,10 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
         values: dict[int, float] = {}
         for node in post_order(e, values, operands):
             if isinstance(node, Var):
-                value = float(env[node.name]) if node.name in env else read(node.name, node.span)
+                value = float(env[node.name]) if node.name in env else read(node.name)
             elif isinstance(node, ArrayRef):
                 indices = tuple(eval_const(ix, env) for ix in node.indices)
-                value = read(slot_label(node.base, indices), node.span)
+                value = read(slot_label(node.base, indices))
             else:
                 value = _apply(node, [values[id(k)] for k in children(node)])
             values[id(node)] = value

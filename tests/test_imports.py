@@ -63,11 +63,12 @@ def test_no_class_is_a_dataclass():
 
 
 def test_the_command_line_imports_no_heavy_module():
-    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, and
-    # numpy is for `verify` alone, so generating imports none of them; -S
-    # keeps the site's .pth files, which may import anything, out of it
+    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, numpy
+    # is for `verify` alone, and `typing` would serve annotations alone, so
+    # generating imports none of them; -S keeps the site's .pth files, which
+    # may import anything, out of it
     code = ("import sys\nimport acorns.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'numpy'} & sys.modules.keys()))")
+            "print(sorted({'dataclasses', 'inspect', 'numpy', 'typing'} & sys.modules.keys()))")
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(_PACKAGE.parent)
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,

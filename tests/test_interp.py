@@ -7,13 +7,13 @@ import pytest
 
 from acorns.cast import _PRECEDENCE, INTRINSICS
 from acorns.errors import UnboundSlot
-from acorns.flatten import unroll
+from acorns.flatten import InputSlot, SlpAssign, StraightLineProgram, unroll
 import acorns.interp
 from acorns.interp import compile_exprs, compile_program, eval_expr, evaluate
 from acorns.parser import parse_expr, parse_source
 from acorns.verify import corpus_function, corpus_program
 
-from randgen import random_expr
+from randgen import random_expr, random_loop_program
 
 
 def _bits(x: float) -> bytes:
@@ -77,23 +77,41 @@ def test_eval_comparisons():
 # --- tape compilation and evaluation -----------------------------------------
 
 
-def test_tape_matches_eval_expr_on_corpus():
+def _program_cases():
+    """(ir, program, points): corpus entries, random loop programs, and an
+    energy that is a bare copy of another local, so that an assignment's
+    root is itself a `reg` alias."""
+    from acorns.verify import sample_points
+
     for name, s in [("eq1", None), ("eq2", None), ("eq3", 3), ("cross_entropy", None)]:
         fn = corpus_function(name, s=s)
-        _, program, _ = corpus_program(fn)
+        ir, program, _ = corpus_program(fn)
+        yield ir, program, sample_points(fn, program, 30, np.random.default_rng(5))
+    rng, nprng = random.Random(2121), np.random.default_rng(2121)
+    for _ in range(20):
+        ir = parse_source(*random_loop_program(rng))
+        program = unroll(ir)
+        yield ir, program, nprng.uniform(0.5, 2.0, (10, len(program.inputs)))
+    ir = parse_source("double f(double x) { double t = x * x; double e = t; return 0; }",
+                      "f", "e")
+    program = unroll(ir)
+    tape = compile_program(program)
+    op, a, _ = tape.ops[tape.out_regs[0]]
+    assert op == "reg" and tape.ops[a][0] == "*"
+    yield ir, program, nprng.uniform(-2.0, 2.0, (10, 1))
+
+
+def test_tape_matches_eval_expr_on_corpus():
+    from acorns.derivatives import substitute
+    from acorns.verify import run_ir
+
+    for ir, program, pts in _program_cases():
         tape = compile_program(program)
-        labels = tape.slots
-        rng = np.random.default_rng(5)
-        from acorns.verify import sample_points
-
-        pts = sample_points(fn, program, 30, rng)
         got = evaluate(tape, pts)
-        from acorns.derivatives import substitute
-
         e = substitute(program)
         for p in range(pts.shape[0]):
-            ref = eval_expr(e, dict(zip(labels, pts[p])))
-            assert _bits(got[p, 0]) == _bits(ref)
+            bindings = dict(zip(tape.slots, pts[p].tolist()))
+            assert _bits(got[p, 0]) == _bits(eval_expr(e, bindings)) == _bits(run_ir(ir, bindings))
 
 
 def test_compile_exprs_multi_output():
@@ -106,6 +124,18 @@ def test_compile_exprs_multi_output():
 def test_compile_exprs_unbound_slot():
     with pytest.raises(UnboundSlot):
         compile_exprs([parse_expr("q")], ["x"])
+    # a program reads an input or an earlier target, and its output is
+    # assigned; an unknown slot is reported before a missing output
+    from acorns.cast import Binary, Var
+
+    inputs = (InputSlot("x", (), "x"),)
+    for rhs, output, missing in ((Binary("+", Var("x"), Var("q")), "e@2", "q"),
+                                 (Binary("*", Var("x"), Var("e@1")), "e@1", "e@1"),
+                                 (Var("x"), "e@2", "e@2")):
+        program = StraightLineProgram(inputs, (SlpAssign("e@1", "e", rhs),), output)
+        with pytest.raises(UnboundSlot) as raised:
+            compile_program(program)
+        assert raised.value.name == missing
 
 
 def test_shared_subtrees_compile_once():

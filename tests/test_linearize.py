@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from acorns import codegen
+from acorns import codegen, derivatives
 from acorns.cast import (Binary, Call, Constant, SharedText, Unary, Var, children, const,
                          count_nodes, linearize, post_order, to_source)
 from acorns.codegen import EmitConfig, emit
@@ -79,7 +79,8 @@ def _walk_order(root, masks: dict, wanted: int) -> list:
 
 
 def _walk_tape(exprs, slots) -> tuple:
-    """The former `_TapeBuilder` under `compile_exprs`: (ops, out_regs)."""
+    """The tape as the former per-node walk built it, before `compile_exprs`
+    and `compile_program` both read a linearisation: (ops, out_regs)."""
     slot_index = {label: i for i, label in enumerate(slots)}
     ops: list = []
     reg_of: dict = {}
@@ -120,8 +121,12 @@ def _cases():
             program, [p for p in ("u", "a") if p in params])
 
 
+def _refuse_linearize(roots):
+    raise AssertionError("linearised again")
+
+
 @pytest.mark.parametrize("do_simplify", [False, True], ids=["raw", "simplified"])
-def test_linearization_matches_the_walks_it_replaced(do_simplify):
+def test_linearization_matches_the_walks_it_replaced(do_simplify, monkeypatch):
     for case, program, vars_ in _cases():
         bundle = derive_bundle(program, vars_, do_simplify=do_simplify)
         activity = {label: 1 << j for j, label in enumerate(vars_.labels)}
@@ -129,8 +134,9 @@ def test_linearization_matches_the_walks_it_replaced(do_simplify):
         slots = program.input_labels()
         for stage in STAGES:
             roots = bundle.exprs(stage)
-            lin = bundle.linearized(stage)
-            assert lin is bundle.linear[stage], case
+            with monkeypatch.context() as m:  # derive_bundle's is handed out
+                m.setattr(derivatives, "linearize", _refuse_linearize)
+                lin = bundle.linearized(stage)
             assert [id(n) for n in lin.nodes] == [id(n) for n in _walk_nodes(roots)], case
             ids = list(map(id, lin.nodes))
             assert dict(zip(ids, lin.uses)) == _walk_uses(roots), case
@@ -234,18 +240,28 @@ def test_sizes_past_int64_stay_exact():
 
 
 @pytest.mark.parametrize("do_simplify", [False, True], ids=["raw", "simplified"])
-def test_replaced_expressions_are_linearized_afresh(do_simplify):
+def test_replaced_expressions_are_linearized_afresh(do_simplify, monkeypatch):
     fn = corpus_function("eq3", s=3)
     _, program, vars_ = corpus_program(fn)
     bundle = derive_bundle(program, vars_, do_simplify=do_simplify)
     grad = tuple(Binary("*", const(2.0), Call("sin", (g,))) for g in bundle.grad)
     changed = bundle.replace(grad=grad)
-    assert changed.linear is bundle.linear  # the stale linearisation rides along
     lin = changed.linearized("gradient")
-    assert lin is not bundle.linear["gradient"] and lin.roots == grad
-    assert changed.linearized("hessian") is bundle.linear["hessian"]
+    assert lin is not bundle.linearized("gradient") and lin.roots == grad
+    assert changed.linearized("gradient") is lin  # made once
+    hess = changed.linearized("hessian")
+    assert hess is not bundle.linearized("hessian") and hess.roots == bundle.hess_lower
+    with monkeypatch.context() as m:  # derive_bundle's are the ones emit reads
+        m.setattr(derivatives, "linearize", _refuse_linearize)
+        before = _sources(bundle, vars_, program)
     fresh = DerivativeBundle(bundle.f, grad, bundle.hess_lower, do_simplify)
-    assert fresh.linear == {}
     got = _sources(changed, vars_, program)
-    assert got == _sources(fresh, vars_, program) != _sources(bundle, vars_, program)
+    assert got == _sources(fresh, vars_, program) != before
     assert "sin(" in got[1][0][1]
+
+
+def test_repr_of_a_bundle_is_the_same_from_run_to_run():
+    _, program, vars_ = corpus_program(corpus_function("eq3", s=3))
+    texts = [repr(derive_bundle(program, vars_)) for _ in range(2)]
+    assert texts[0] == texts[1] and "0x" not in texts[0]
+    assert texts[0].startswith("DerivativeBundle(f=")
