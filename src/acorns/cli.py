@@ -22,6 +22,7 @@ import sys
 from . import __version__
 from .codegen import DEFAULT_SPLIT_TARGET, EmitConfig, emit
 from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle
+from .elements import element_loops
 from .errors import AcornsError, BoundExplosion, ExpressionExplosion
 from .flatten import dump_text, serialize, unroll
 from .parser import parse_source, validate_subset
@@ -109,13 +110,21 @@ def _run_pipeline(args) -> int:
             return EXIT_INPUT
         program = unroll(ir)
         vars_ = VarIndexMap.from_names(program, args.vars)
-        bundle = derive_bundle(
-            program, vars_,
-            do_simplify=not args.no_simplify,
-            cap=_node_cap(),
-            want_gradient=bool(modes & {"gradient", "hessian"}),
-            want_hessian="hessian" in modes,
-        )
+        loops = None
+        if not (args.no_simplify or "hessian" in modes):
+            loops = element_loops(ir, program, vars_)
+        if loops is None:
+            bundle = derive_bundle(
+                program, vars_,
+                do_simplify=not args.no_simplify,
+                cap=_node_cap(),
+                want_gradient=bool(modes & {"gradient", "hessian"}),
+                want_hessian="hessian" in modes,
+            )
+        else:  # one bundle per loop nest, of its body
+            bundle = tuple(derive_bundle(nest.program, nest.vars_, cap=_node_cap(),
+                                         want_gradient="gradient" in modes, want_hessian=False)
+                           for nest in loops.nests)
         cfg = EmitConfig(
             mode=modes,
             split_target_bytes=args.split_size,
@@ -125,7 +134,7 @@ def _run_pipeline(args) -> int:
             source_name=os.path.basename(args.input),
             var_names=tuple(args.vars),
         )
-        artifact = emit(bundle, vars_, cfg, program)
+        artifact = emit(bundle, vars_, cfg, program, loops)
     except (BoundExplosion, ExpressionExplosion) as exc:
         print(f"acorns_autodiff: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

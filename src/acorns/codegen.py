@@ -35,6 +35,26 @@ live and spills them to a 7 KB stack frame, which makes most of its compile
 time.  The lines add the terms in the same order, so the kernel's values
 do not change.  An unsimplified bundle writes each entry as one expanded
 expression.
+
+On the element path (`elements.element_loops`: a simplified run without a
+Hessian, of an energy summed over a perfect loop nest; the module says
+which loops qualify and which fall back) there is one chunk per mode, in
+one file.  Each runs every loop nest, with its headers printed from the
+source, around one iteration's body in bound form.  The function chunk
+sets `double e = <initial value>;`, each iteration writes `e = <body>;`,
+adding the terms in loop order as the unrolled kernel does, and the chunk
+ends with `out[0] = e;`.  The gradient chunk zero-fills `out[0..n)` and
+each iteration adds each read's local derivative into its element,
+`out[<index>] += <entry>;`, so the gradient is summed element by element,
+in loop order.  `GeneratedArtifact.n_statements` counts these body lines,
+one per nest and one per read of a differentiated element, not one per
+element.  These chunks qualify `vals` and `out` with `restrict` where they
+are defined (the header's declarations are compatible): the gradient loop
+reads `vals` after storing to `out`, and without the qualifier gcc -O2
+neither vectorizes it nor keeps the loads ahead of the stores.  On the
+grad_steps benchmark input the gradient took 947 ns a point without it and
+477 ns with it, against 467 ns unrolled (x86-64, one pinned core, best of
+30 calls over 2,000 points).
 """
 
 from __future__ import annotations
@@ -44,7 +64,8 @@ import math
 import re
 
 from .cast import INTRINSICS, Expr, SharedText, is_const, to_source
-from .derivatives import STAGES, DerivativeBundle, VarIndexMap
+from .derivatives import STAGES, DerivativeBundle, VarIndexMap, layout_slots
+from .elements import ENERGY_NAME, ElementLoops, ElementNest
 from .errors import AcornsError
 from .flatten import StraightLineProgram
 from .record import Record
@@ -116,13 +137,6 @@ class Statement(Record):
     def size(self) -> int:
         """Bytes the statement takes in a chunk function, roughly."""
         return sum(len(decl) + 16 for _, decl in self.temps) + len(self.text) + 16
-
-
-def layout_slots(program: StraightLineProgram, vars_: VarIndexMap) -> list:
-    """Per-point slot order: independent vars first, then remaining inputs."""
-    chosen = set(vars_.labels)
-    rest = [s.label for s in program.inputs if s.label not in chosen]
-    return list(vars_.labels) + rest
 
 
 def _param_bits(layout: list) -> dict:
@@ -262,9 +276,14 @@ def _guard_name(basename: str) -> str:
     return re.sub(r"[^A-Za-z0-9]", "_", _header_stem(basename)).upper() + "_H"
 
 
-def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
-         program: StraightLineProgram) -> GeneratedArtifact:
-    """Generate the header and split source files for the selected modes."""
+def emit(bundle, vars_: VarIndexMap, cfg: EmitConfig, program: StraightLineProgram,
+         loops: ElementLoops | None = None) -> GeneratedArtifact:
+    """Generate the header and split source files for the selected modes.
+
+    `bundle` is the `DerivativeBundle` of the unrolled `program`, or, on
+    the element path (`loops`, see the module docstring), the tuple of one
+    bundle per loop nest, derived from its body's program.
+    """
     from . import __version__
 
     clash = sorted(program.param_slots.keys() & _C_NAMES)
@@ -272,15 +291,13 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
         raise AcornsError(f"parameter {clash[0]!r} is a name the generated C uses "
                           "(vals, out, a math function, a <math.h> macro or a "
                           "compiler-predefined macro); rename it")
-    n = bundle.n
     layout = layout_slots(program, vars_)
     stride_in = len(layout)
-    out_stride = {"function": 1, "gradient": n, "hessian": n * n}
-
-    prefix, names = _c_names(program)
-    temp = prefix if bundle.simplified else None
-    statements, temps = _statements(bundle, cfg, _param_bits(layout), names, temp)
     stem = _header_stem(cfg.basename)
+    if loops is None:
+        n = bundle.n
+    else:
+        n = vars_.n if "gradient" in cfg.mode else 0
     provenance = [
         f"/* generated by acorns-autodiff {__version__}",
         f" * source: {cfg.source_name}" if cfg.source_name else " * source: <in-memory>",
@@ -289,35 +306,13 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
         f" * recommended compile flags: {RECOMMENDED_FLAGS}",
         " */",
     ]
-
-    # one chunk function per mode per file, numbered in file order
-    texts = []
-    chunks: dict[str, list[int]] = {m: [] for m in MODE_ORDER}  # mode -> its chunks, in order
-    n_chunks = 0
-    for group in split(statements, cfg):
-        lines = [*provenance, f'#include "{stem}.h"', "#include <math.h>", ""]
-        for mode, run in itertools.groupby(group, key=lambda st: st.mode):
-            run = list(run)
-            chunks[mode].append(n_chunks)
-            lines += [f"void {stem}_chunk_{n_chunks}(const double* vals, double* out)", "{"]
-            n_chunks += 1
-            mask = 0
-            for st in run:
-                mask |= st.params
-            decls = _param_decls(layout, names, mask)
-            lines += [*decls, ""] if decls else ["    (void) vals;"]
-            declared: set = set()
-            for st in run:
-                if st.reads:  # re-declare what an earlier file declared
-                    shared = temps[mode]
-                    for k in _missing(st.reads, declared, shared.deps):
-                        lines.append(f"    {shared.decls[k]}")
-                for k, decl in st.temps:
-                    declared.add(k)
-                    lines.append(f"    {decl}")
-                lines.append(f"    {st.text}")
-            lines += ["}", ""]
-        texts.append("\n".join(lines))
+    head = [*provenance, f'#include "{stem}.h"', "#include <math.h>", ""]
+    if loops is None:
+        texts, chunks, n_statements = _unrolled_parts(bundle, cfg, program, layout, stem, head)
+    else:
+        texts, chunks, n_statements = _element_part(bundle, cfg, loops, n, stem, head)
+    n_chunks = sum(map(len, chunks.values()))
+    out_stride = {"function": 1, "gradient": n, "hessian": n * n}
 
     modes = [m for m in MODE_ORDER if m in cfg.mode]
     signature = {m: f"void {DRIVER_NAME[m]}(const double* vals, int num_points, "
@@ -352,4 +347,106 @@ def emit(bundle: DerivativeBundle, vars_: VarIndexMap, cfg: EmitConfig,
                for cid in range(n_chunks)]
     header += ["", f"#endif /* {guard} */", ""]
     sources = tuple((f"{stem}_part{fi}.c", text) for fi, text in enumerate(texts))
-    return GeneratedArtifact("\n".join(header), sources, len(statements))
+    return GeneratedArtifact("\n".join(header), sources, n_statements)
+
+
+def _unrolled_parts(bundle: DerivativeBundle, cfg: EmitConfig, program: StraightLineProgram,
+                    layout: list, stem: str, head: list) -> tuple:
+    """The parts' texts, each mode's chunks in order, and the statement
+    count, of a bundle of the unrolled program: one chunk function per mode
+    per file, numbered in file order."""
+    prefix, names = _c_names(program)
+    temp = prefix if bundle.simplified else None
+    statements, temps = _statements(bundle, cfg, _param_bits(layout), names, temp)
+    texts = []
+    chunks: dict[str, list[int]] = {m: [] for m in MODE_ORDER}
+    n_chunks = 0
+    for group in split(statements, cfg):
+        lines = list(head)
+        for mode, run in itertools.groupby(group, key=lambda st: st.mode):
+            run = list(run)
+            chunks[mode].append(n_chunks)
+            lines += [f"void {stem}_chunk_{n_chunks}(const double* vals, double* out)", "{"]
+            n_chunks += 1
+            mask = 0
+            for st in run:
+                mask |= st.params
+            decls = _param_decls(layout, names, mask)
+            lines += [*decls, ""] if decls else ["    (void) vals;"]
+            declared: set = set()
+            for st in run:
+                if st.reads:  # re-declare what an earlier file declared
+                    shared = temps[mode]
+                    for k in _missing(st.reads, declared, shared.deps):
+                        lines.append(f"    {shared.decls[k]}")
+                for k, decl in st.temps:
+                    declared.add(k)
+                    lines.append(f"    {decl}")
+                lines.append(f"    {st.text}")
+            lines += ["}", ""]
+        texts.append("\n".join(lines))
+    return texts, chunks, len(statements)
+
+
+def _element_part(bundles: tuple, cfg: EmitConfig, loops: ElementLoops, n: int, stem: str,
+                  head: list) -> tuple:
+    """The one part's text, each mode's chunk, and the statement count, of
+    the element path: each chunk runs every loop nest around its body."""
+    lines = list(head)
+    chunks: dict[str, list[int]] = {m: [] for m in MODE_ORDER}
+    n_statements = 0
+    for cid, mode in enumerate(m for m in ("function", "gradient") if m in cfg.mode):
+        chunks[mode].append(cid)
+        bodies = [_element_body(nest, bundle, mode) for nest, bundle in zip(loops.nests, bundles)]
+        lines += [f"void {stem}_chunk_{cid}(const double* restrict vals, double* restrict out)",
+                  "{"]
+        if not any(label in nest.positions
+                   for nest, (read, _, _) in zip(loops.nests, bodies) for label in read):
+            lines.append("    (void) vals;")
+        if mode == "function":
+            lines.append(f"    double {ENERGY_NAME} = {loops.init};")
+        else:
+            lines.append(f"    for (int k = 0; k < {n}; ++k) out[k] = 0;")
+        for nest, (read, body, count) in zip(loops.nests, bodies):
+            if not count:  # a nest that reads no differentiation variable
+                continue
+            n_statements += count
+            loads = [f"{nest.names[label]} = " + (f"vals[{nest.positions[label]}]"
+                                                  if label in nest.positions else nest.ints[label])
+                     for label in read]
+            if loads:
+                body = [f"const double {', '.join(loads)};", *body]
+            depth = len(nest.headers)
+            lines += [f"{'    ' * d}{header} {{" for d, header in enumerate(nest.headers, 1)]
+            lines += ["    " * (depth + 1) + line for line in body]
+            lines += [f"{'    ' * d}}}" for d in range(depth, 0, -1)]
+        if mode == "function":
+            lines.append(f"    out[0] = {ENERGY_NAME};")
+        lines += ["}", ""]
+    return ["\n".join(lines)], chunks, n_statements
+
+
+def _element_body(nest: ElementNest, bundle: DerivativeBundle, mode: str) -> tuple:
+    """The input slots a nest's body reads for `mode`, in slot order, the
+    body's lines and its statements' count: `e = <f>;`, or
+    `out[k] += <entry>;` per gradient entry that is not +0, each after the
+    temporaries it reads first."""
+    lin = bundle.linearized(mode)
+    shared = SharedText(lin.roots, "t", lin, nest.names)
+    bits = {s.label: 1 << i for i, s in enumerate(nest.program.inputs[1:])}
+    masks = lin.masks(bits)
+    if mode == "function":
+        targets = [f"{ENERGY_NAME} ="]
+    else:
+        targets = [f"out[{nest.positions[label]}] +=" for label in nest.vars_.labels]
+    body = []
+    mask = count = 0
+    for target, expr, at in zip(targets, lin.roots, lin.at):
+        first = len(shared.decls)
+        text = to_source(expr, shared)
+        if mode == "gradient" and _zero(expr):
+            continue
+        mask |= masks[at]
+        body += [*shared.decls[first:], f"{target} {text};"]
+        count += 1
+    return [label for label, bit in bits.items() if bit & mask], body, count

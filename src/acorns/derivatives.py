@@ -106,6 +106,13 @@ class VarIndexMap(Record):
         return cls(tuple(labels))
 
 
+def layout_slots(program: StraightLineProgram, vars_: VarIndexMap) -> list:
+    """Per-point slot order: independent vars first, then remaining inputs."""
+    chosen = set(vars_.labels)
+    rest = [s.label for s in program.inputs if s.label not in chosen]
+    return list(vars_.labels) + rest
+
+
 # the bundle's stages, named as the emitted drivers are
 STAGES = ("function", "gradient", "hessian")
 

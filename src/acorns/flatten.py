@@ -171,6 +171,38 @@ _INT_BINARY_FN = {
 }
 
 
+def int_value(e: Expr, ints: dict, env: dict):
+    """`e`'s value as C computes it if `e` is integer-typed, else None;
+    `ints` holds the values of `e`'s integer-typed operands, and gets `e`'s.
+
+    An integer literal, a name bound in `env` (a loop counter or an `int`
+    local), and a negation, arithmetic or a comparison whose operands are
+    all integer-typed, are integer-typed.  C computes such a subexpression
+    in integers, dividing with truncation, and converts the result where a
+    `double` operand or argument meets it: `x * (1 / 2)` is `x * 0`.
+    """
+    if isinstance(e, Constant):
+        if not is_integer_literal(e.text):
+            return None
+        value = int(e.text)
+    elif isinstance(e, Var):
+        if e.name not in env:
+            return None
+        value = env[e.name]
+    elif isinstance(e, Unary):
+        if id(e.operand) not in ints:
+            return None
+        value = -ints[id(e.operand)]
+    elif isinstance(e, Binary) and e.op in _INT_BINARY_FN:
+        if id(e.lhs) not in ints or id(e.rhs) not in ints:
+            return None
+        value = int(_const_value(e, ints, env))
+    else:
+        return None
+    ints[id(e)] = value
+    return value
+
+
 def _const_value(e: Expr, done: dict, env: dict):
     if isinstance(e, Constant):
         if not is_integer_literal(e.text):
@@ -254,15 +286,20 @@ class _Unroller:
     # -- expression rewriting ------------------------------------------------
 
     def rewrite(self, e: Expr, env: dict) -> Expr:
+        """`e` over live slots, each integer-typed subexpression folded to
+        the constant C computes for it (`int_value`); an integer literal
+        stays as it is spelled."""
         done: dict[int, Expr] = {}
+        ints: dict[int, int] = {}  # id(node) -> its value, for the integer-typed nodes
         for node in post_order(e, done, operands):
-            done[id(node)] = self._rewrite_node(node, done, env)
+            done[id(node)] = self._rewrite_node(node, done, env, ints)
         return done[id(e)]
 
-    def _rewrite_node(self, e: Expr, done: dict, env: dict) -> Expr:
+    def _rewrite_node(self, e: Expr, done: dict, env: dict, ints: dict) -> Expr:
+        value = int_value(e, ints, env)
+        if value is not None:
+            return e if isinstance(e, Constant) else const(float(value))
         if isinstance(e, Var):
-            if e.name in env:
-                return const(float(env[e.name]))
             label = e.name
         elif isinstance(e, ArrayRef):
             label = self.element(e, env)

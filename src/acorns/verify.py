@@ -15,7 +15,8 @@ from .cast import (ArrayRef, Assignment, Block, Declaration, Expr, ForLoop, Func
                    Var, children, operands, post_order)
 from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle
 from .errors import AcornsError, UnboundSlot
-from .flatten import StraightLineProgram, element_labels, eval_const, slot_label, unroll
+from .flatten import (StraightLineProgram, element_labels, eval_const, int_value, slot_label,
+                      unroll)
 from .interp import _apply, compile_exprs, compile_program, evaluate, eval_expr
 from .parser import parse_source, validate_subset
 from .record import Record
@@ -252,9 +253,13 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
 
     def ev(e: Expr, env: dict) -> float:
         values: dict[int, float] = {}
+        ints: dict[int, int] = {}  # id(node) -> its value, for the integer-typed nodes
         for node in post_order(e, values, operands):
-            if isinstance(node, Var):
-                value = float(env[node.name]) if node.name in env else read(node.name)
+            as_int = int_value(node, ints, env)
+            if as_int is not None:
+                value = float(as_int)
+            elif isinstance(node, Var):
+                value = read(node.name)
             elif isinstance(node, ArrayRef):
                 indices = tuple(eval_const(ix, env) for ix in node.indices)
                 value = read(slot_label(node.base, indices))

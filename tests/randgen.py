@@ -54,11 +54,13 @@ def _value_expr_src(rng: random.Random, names, depth: int) -> str:
     return f"cos({a})"
 
 
-def random_loop_program(rng: random.Random):
+def random_loop_program(rng: random.Random, accumulate: bool = False):
     """Random function with constant-bound loops (depth <= 3, bounds <= 4).
 
     Returns (source_text, func_name, energy_var).  Parameters: a scalar `u`
-    and a 1-D array `a` indexed by loop counters.
+    and a 1-D array `a` indexed by loop counters.  With `accumulate`, each
+    assignment adds a term to `e` or subtracts one, and every statement
+    outside the loops is a loop.
     """
     lines = [
         "double randfn(double u, const double *a) {",
@@ -79,12 +81,12 @@ def random_loop_program(rng: random.Random):
         expr = _value_expr_src(rng, names, rng.randint(1, 3))
         if rng.random() < 0.6:
             expr = f"({expr} + {array_term()})"
-        op = rng.choice(["+", "-", "*"])
+        op = rng.choice(["+", "-"] if accumulate else ["+", "-", "*"])
         lines.append(f"{indent}e = e {op} ({expr});")
 
     def emit_block(depth, indent):
         for _ in range(rng.randint(1, 2)):
-            if depth < 3 and rng.random() < 0.65:
+            if depth < 3 and (rng.random() < 0.65 or accumulate and not depth):
                 c = f"i{len(counters)}"
                 lo = rng.randint(0, 1)
                 hi = rng.randint(lo, 4)
@@ -97,7 +99,8 @@ def random_loop_program(rng: random.Random):
                 emit_assign(indent)
 
     emit_block(0, "    ")
-    emit_assign("    ")  # ensure at least one unconditional assignment
+    if not accumulate:
+        emit_assign("    ")  # ensure at least one unconditional assignment
     lines.append("    return 0;")
     lines.append("}")
     return "\n".join(lines), "randfn", "e"

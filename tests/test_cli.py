@@ -436,22 +436,36 @@ def test_nested_parentheses_generate(tmp_path):
 
 @pytest.mark.parametrize("n", [12000, 50000])
 def test_deep_loop_gradient_succeeds(tmp_path, n):
-    # the gradient of a long accumulation loop generates and passes verify;
-    # the 2n-term sum of the second is written as a running accumulator
+    # the gradient of a long accumulation loop generates and passes verify.
+    # The command line emits the loop (the element path); unrolled through
+    # the library, the 2n-term sum of the second is written as a running
+    # accumulator
     for term, gradient in (("x[0] * 0.5", f"    out[0] = {n // 2};"),
                            ("x[0] * x[0]", "    double t0 = x_0 + x_0 + x_0")):
         (tmp_path / "deep.c").write_text(_DEEP_LOOP_SRC.format(n=n, term=term))
         code = textwrap.dedent("""\
+            import gc
             from acorns.cli import main
+            from acorns.codegen import EmitConfig, emit
+            from acorns.derivatives import VarIndexMap, derive_bundle
+            from acorns.flatten import unroll
+            from acorns.parser import parse_source
             assert main(["deep.c", "e", "--vars", "x", "--func", "deep", "--mode", "gradient",
                          "--output_filename", "d"]) == 0
             assert main(["verify", "deep.c", "--func", "deep", "--energy", "e", "--vars", "x",
                          "--points", "2", "--mode", "gradient"]) == 0
+            gc.disable()
+            program = unroll(parse_source(open("deep.c").read(), "deep", "e"))
+            vars_ = VarIndexMap.from_names(program, ["x"])
+            bundle = derive_bundle(program, vars_, want_hessian=False)
+            cfg = EmitConfig(mode=frozenset({"gradient"}), basename="u")
+            open("u_part0.c", "w").write(emit(bundle, vars_, cfg, program).sources[0][1])
             """)
         done = _run_python(code, tmp_path)
         assert done.returncode == 0, done.stderr
         assert "Traceback" not in done.stderr
-        assert gradient in (tmp_path / "d_part0.c").read_text()
+        assert f"    for (int i0 = 0; i0 < {n}; ++i0) {{" in (tmp_path / "d_part0.c").read_text()
+        assert gradient in (tmp_path / "u_part0.c").read_text()
         assert "1/1 entries pass" in done.stdout
 
 

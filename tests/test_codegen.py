@@ -363,8 +363,9 @@ def test_negative_literal_under_unary_minus():
     assert to_source(Unary("-", Unary("-", Var("x")))) == "-(-x)"
 
 
-# 0 / (1 - 2) folds to -0.0, so e is -inf at x = 2, not +inf
-_NEGATIVE_ZERO_SRC = "double f(double x){ double e = x / (0 / (1 - 2)); return 0; }"
+# 0.0 / (1.0 - 2.0) folds to -0.0, so e is -inf at x = 2, not +inf (the
+# integer 0 / (1 - 2) is 0, as in C)
+_NEGATIVE_ZERO_SRC = "double f(double x){ double e = x / (0.0 / (1.0 - 2.0)); return 0; }"
 
 
 def test_folded_negative_zero_keeps_its_sign():
