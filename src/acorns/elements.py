@@ -208,7 +208,6 @@ class _Body:
         self.versions: dict[str, int] = {}
         self.current = {energy: energy}  # name -> live slot
         self.locals: set = set()
-        self.accumulations = 0
 
     # -- statements ----------------------------------------------------------
 
@@ -232,7 +231,6 @@ class _Body:
                 for node in reversed(spine):
                     value = Binary(node.op, value, self.rewrite(node.rhs))
                 self.emit(energy, value)
-                self.accumulations += 1
             elif name in self.locals:
                 self.emit(name, self.rewrite(rhs))
             else:
@@ -248,10 +246,10 @@ class _Body:
         self.current[name] = target
 
     def program(self) -> StraightLineProgram:
-        if not self.accumulations:
+        output = self.current[self.rec.energy]
+        if output == self.rec.energy:  # no accumulation
             raise _Unrolled
-        return StraightLineProgram(tuple(self.inputs), tuple(self.assigns),
-                                   self.current[self.rec.energy])
+        return StraightLineProgram(tuple(self.inputs), tuple(self.assigns), output)
 
     # -- expressions ---------------------------------------------------------
 

@@ -198,6 +198,7 @@ _FALLBACKS = {
     "product": ("", "e *= x[i] + u;", _MODES, ()),
     "parameter_write": ("", "x[i] = x[i] * u; e = e + x[i];", _MODES, ()),
     "array_local": ("", "double d[1]; d[0] = x[i]; e = e + d[0];", _MODES, ()),
+    "no_accumulation": ("", "double d = x[i] * u; d = d * d;", _MODES, ()),
     "hessian": ("", "double d = x[i] * u; e = e + d * d;", (*_MODES, "hessian"), ()),
     "no_simplify": ("", "double d = x[i] * u; e = e + d * d;", _MODES, ("--no-simplify",)),
 }
