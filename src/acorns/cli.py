@@ -108,11 +108,13 @@ def _run_pipeline(args) -> int:
             for v in violations:
                 print(f"{args.input}:{v.span}: {v.reason}", file=sys.stderr)
             return EXIT_INPUT
-        program = unroll(ir)
-        vars_ = VarIndexMap.from_names(program, args.vars)
         loops = None
         if not (args.no_simplify or "hessian" in modes):
-            loops = element_loops(ir, program, vars_)
+            loops = element_loops(ir, args.vars)
+        # the element path unrolls only for --dump-slp
+        program = unroll(ir) if loops is None or args.dump_slp else None
+        form = program if loops is None else loops
+        vars_ = VarIndexMap.from_names(form, args.vars)
         if loops is None:
             bundle = derive_bundle(
                 program, vars_,
@@ -134,7 +136,7 @@ def _run_pipeline(args) -> int:
             source_name=os.path.basename(args.input),
             var_names=tuple(args.vars),
         )
-        artifact = emit(bundle, vars_, cfg, program, loops)
+        artifact = emit(bundle, vars_, cfg, form)
     except (BoundExplosion, ExpressionExplosion) as exc:
         print(f"acorns_autodiff: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -276,13 +276,14 @@ def _guard_name(basename: str) -> str:
     return re.sub(r"[^A-Za-z0-9]", "_", _header_stem(basename)).upper() + "_H"
 
 
-def emit(bundle, vars_: VarIndexMap, cfg: EmitConfig, program: StraightLineProgram,
-         loops: ElementLoops | None = None) -> GeneratedArtifact:
+def emit(bundle, vars_: VarIndexMap, cfg: EmitConfig,
+         program: StraightLineProgram | ElementLoops) -> GeneratedArtifact:
     """Generate the header and split source files for the selected modes.
 
     `bundle` is the `DerivativeBundle` of the unrolled `program`, or, on
-    the element path (`loops`, see the module docstring), the tuple of one
-    bundle per loop nest, derived from its body's program.
+    the element path (`program` an `ElementLoops`, see the module
+    docstring), the tuple of one bundle per loop nest, derived from its
+    body's program.
     """
     from . import __version__
 
@@ -294,6 +295,7 @@ def emit(bundle, vars_: VarIndexMap, cfg: EmitConfig, program: StraightLineProgr
     layout = layout_slots(program, vars_)
     stride_in = len(layout)
     stem = _header_stem(cfg.basename)
+    loops = program if isinstance(program, ElementLoops) else None
     if loops is None:
         n = bundle.n
     else:

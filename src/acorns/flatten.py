@@ -13,7 +13,9 @@ every read resolves through it: a scalar or an array element reads the
 slot its last assignment wrote, and a parameter element that no assignment
 has written yet reads its input slot.  Every index is a constant checked
 against its array's rank and declared extents.  A program's input slots,
-grouped by parameter, are `StraightLineProgram.param_slots`.
+grouped by parameter, are `StraightLineProgram.param_slots`; `input_slots`
+lays them out from each parameter's reach, for the unroller and for the
+element path (`elements.element_loops`), which does not unroll.
 """
 
 from __future__ import annotations
@@ -89,15 +91,28 @@ class StraightLineProgram(Record):
 
     @cached_property
     def param_slots(self) -> dict:
-        """Each parameter's input slots, row-major, the parameters in
-        declaration order; a parameter without slots is absent."""
-        groups: dict[str, list] = {}
-        for s in self.inputs:
-            groups.setdefault(s.param, []).append(s)
-        return groups
+        return param_slots(self.inputs)
 
     def input_labels(self) -> list[str]:
         return [s.label for s in self.inputs]
+
+
+def param_slots(inputs) -> dict:
+    """Each parameter's input slots, row-major, the parameters in
+    declaration order; a parameter without slots is absent."""
+    groups: dict[str, list] = {}
+    for s in inputs:
+        groups.setdefault(s.param, []).append(s)
+    return groups
+
+
+def input_slots(reach: dict) -> tuple:
+    """The input slots of parameters that reach `reach[name]`, a list of
+    extents (empty for a scalar), in declaration order: each array's
+    slots are the product of its extents, row-major."""
+    return tuple(InputSlot(name, indices, slot_label(name, indices))
+                 for name, extents in reach.items()
+                 for indices in itertools.product(*map(range, extents)))
 
 
 def strip_version(name: str) -> str:
@@ -203,6 +218,24 @@ def int_value(e: Expr, ints: dict, env: dict):
     return value
 
 
+def fold(e: Expr, env: dict, read) -> Expr:
+    """`e` with each integer-typed subexpression folded to the constant C
+    computes for it (`int_value`), an integer literal staying as it is
+    spelled, and each other variable or array element replaced by
+    `read(node, env)`."""
+    done: dict[int, Expr] = {}
+    ints: dict[int, int] = {}  # id(node) -> its value, for the integer-typed nodes
+    for node in post_order(e, done, operands):
+        value = int_value(node, ints, env)
+        if value is not None:
+            done[id(node)] = node if isinstance(node, Constant) else const(float(value))
+        elif isinstance(node, (Var, ArrayRef)):
+            done[id(node)] = read(node, env)
+        else:
+            done[id(node)] = rebuild(node, done)
+    return done[id(e)]
+
+
 def _const_value(e: Expr, done: dict, env: dict):
     if isinstance(e, Constant):
         if not is_integer_literal(e.text):
@@ -286,25 +319,12 @@ class _Unroller:
     # -- expression rewriting ------------------------------------------------
 
     def rewrite(self, e: Expr, env: dict) -> Expr:
-        """`e` over live slots, each integer-typed subexpression folded to
-        the constant C computes for it (`int_value`); an integer literal
-        stays as it is spelled."""
-        done: dict[int, Expr] = {}
-        ints: dict[int, int] = {}  # id(node) -> its value, for the integer-typed nodes
-        for node in post_order(e, done, operands):
-            done[id(node)] = self._rewrite_node(node, done, env, ints)
-        return done[id(e)]
+        """`e` over live slots, its integer-typed subexpressions folded."""
+        return fold(e, env, self.read)
 
-    def _rewrite_node(self, e: Expr, done: dict, env: dict, ints: dict) -> Expr:
-        value = int_value(e, ints, env)
-        if value is not None:
-            return e if isinstance(e, Constant) else const(float(value))
-        if isinstance(e, Var):
-            label = e.name
-        elif isinstance(e, ArrayRef):
-            label = self.element(e, env)
-        else:
-            return rebuild(e, done)
+    def read(self, e: Expr, env: dict) -> Var:
+        """The live slot a variable or an array element reads."""
+        label = e.name if isinstance(e, Var) else self.element(e, env)
         live = self.current.get(label)
         if live is None:
             raise NotConstant(e.span, f"{label!r} used before assignment")
@@ -365,15 +385,6 @@ class _Unroller:
         else:
             raise TypeError(f"not a statement: {s!r}")
 
-    # -- finalization ----------------------------------------------------------
-
-    def input_slots(self) -> list[InputSlot]:
-        slots = []
-        for name, extents in self.reach.items():  # in declaration order
-            for indices in itertools.product(*map(range, extents)):
-                slots.append(InputSlot(name, indices, slot_label(name, indices)))
-        return slots
-
 
 def slot_label(name: str, indices) -> str:
     """The source label of an element, `a[1][0]`; a scalar's, with no
@@ -387,21 +398,22 @@ def element_labels(name: str, extents) -> list[str]:
     return [slot_label(name, indices) for indices in itertools.product(*map(range, extents))]
 
 
-def unroll(ir: FunctionIR, cap: int = DEFAULT_ASSIGN_CAP) -> StraightLineProgram:
+def unroll(ir: FunctionIR, cap: int | None = None) -> StraightLineProgram:
     """Flatten a function to straight-line form (pre: validate_subset empty).
 
     Every read, of a scalar or of an array element, resolves through one
     slot table from source label to live slot, so a parameter element reads
     its input slot only until an assignment writes it.  Every index is
     checked against its array's rank and declared extents; a parameter's
-    undeclared extent is one past the largest index used.
+    undeclared extent is one past the largest index used.  `cap` bounds
+    the assignments, `DEFAULT_ASSIGN_CAP` when None.
     """
-    u = _Unroller(ir, cap)
+    u = _Unroller(ir, DEFAULT_ASSIGN_CAP if cap is None else cap)
     u.run_block(ir.body, {})
     output = u.current.get(ir.energy_var)
     if output is None:
         raise MissingEnergyVar(ir.energy_var)
-    return StraightLineProgram(tuple(u.input_slots()), tuple(u.assigns), output)
+    return StraightLineProgram(input_slots(u.reach), tuple(u.assigns), output)
 
 
 # ---------------------------------------------------------------------------

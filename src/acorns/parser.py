@@ -566,18 +566,27 @@ def _const_evaluable(e: Expr, allowed: set) -> bool:
 
 
 def validate_subset(ir: FunctionIR) -> list[Violation]:
-    """Check that all control flow is resolvable at transform time."""
+    """Check that all control flow is resolvable at transform time, and
+    that C computes no division in `int` that acorns computes in `double`
+    (`_int_division`)."""
     violations: list[Violation] = []
 
-    def walk(stmts, allowed: set):
-        allowed = set(allowed)
+    def walk(stmts, allowed: set, ints: set):
+        allowed = set(allowed)  # the names of compile-time integers
+        ints = set(ints)  # the names of `int`s: counters and `int` locals
         for s in stmts:
             if isinstance(s, Declaration):
                 for ext in s.extents:
                     if not _const_evaluable(ext, allowed):
                         violations.append(Violation(s.span or SourceSpan(1, 1), f"non-constant array extent for {s.name!r}"))
-                if s.elem_type == "int" and s.init is not None and _const_evaluable(s.init, allowed):
-                    allowed.add(s.name)
+                if s.elem_type == "int":
+                    if s.init is not None and _const_evaluable(s.init, allowed):
+                        allowed.add(s.name)
+                    ints.add(s.name)
+                elif s.init is not None:
+                    check(s.init, ints)
+            elif isinstance(s, Assignment):
+                check(s.rhs, ints)
             elif isinstance(s, ForLoop):
                 here = s.span or SourceSpan(1, 1)
                 if not _const_evaluable(s.init, allowed):
@@ -587,14 +596,57 @@ def validate_subset(ir: FunctionIR) -> list[Violation]:
                     violations.append(Violation(here, "non-constant loop bound"))
                 if not _const_evaluable(s.update, inner):
                     violations.append(Violation(here, "non-constant loop step"))
-                walk(s.body, inner)
+                walk(s.body, inner, ints | {s.counter})
             elif isinstance(s, If):
                 if not _const_evaluable(s.cond, allowed):
                     violations.append(Violation(s.span or SourceSpan(1, 1), "variable conditional"))
-                walk(s.then_body, allowed)
-                walk(s.else_body, allowed)
+                walk(s.then_body, allowed, ints)
+                walk(s.else_body, allowed, ints)
             elif isinstance(s, Block):
-                walk(s.body, allowed)
+                walk(s.body, allowed, ints)
 
-    walk(ir.body, set())
+    def check(e: Expr, ints: set):
+        at = _int_division(e, ints)
+        if at is not None:
+            violations.append(Violation(at.span or SourceSpan(1, 1),
+                                        "integer division of a comparison of doubles: C divides "
+                                        "it in int, acorns in double; make an operand a double"))
+
+    walk(ir.body, set(), set())
     return violations
+
+
+def _int_division(e: Expr, ints: set) -> Binary | None:
+    """The first division in `e` whose operands C computes in `int` and
+    one of which reads a `double` through a comparison, `(x < 1) / 2`, or
+    None.
+
+    A comparison is an `int` in C.  acorns computes a comparison of
+    doubles as a double, 0 or 1, and folds only integer subexpressions of
+    constants (`flatten.int_value`), so `(x < 1) / 2` would be 0.5 to acorns
+    and 0 to the C it emits.  An integer literal, a name in `ints`, a
+    comparison, and a negation or arithmetic of integer operands are
+    integer-typed; one that reads a double is so through a comparison.
+    """
+    typed: dict[int, bool] = {}  # id(node) -> whether it reads a double, for integer-typed nodes
+    seen: set = set()
+    for node in post_order(e, seen, operands):
+        seen.add(id(node))
+        if isinstance(node, Constant):
+            if is_integer_literal(node.text):
+                typed[id(node)] = False
+        elif isinstance(node, Var):
+            if node.name in ints:
+                typed[id(node)] = False
+        elif isinstance(node, Unary):
+            if id(node.operand) in typed:
+                typed[id(node)] = typed[id(node.operand)]
+        elif isinstance(node, Binary):
+            lhs, rhs = typed.get(id(node.lhs)), typed.get(id(node.rhs))
+            if node.op not in ("+", "-", "*", "/"):  # a comparison
+                typed[id(node)] = lhs is not False or rhs is not False
+            elif lhs is not None and rhs is not None:
+                if node.op == "/" and (lhs or rhs):
+                    return node
+                typed[id(node)] = lhs or rhs
+    return None

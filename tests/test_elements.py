@@ -5,8 +5,10 @@ through `derive_bundle` and `emit` over `unroll`, or gcc itself compiling
 the input function.
 """
 
+import contextlib
 import ctypes
 import hashlib
+import io
 import os
 import random
 import subprocess
@@ -14,11 +16,12 @@ import subprocess
 import numpy as np
 import pytest
 
+from acorns import cli, flatten
 from acorns.cli import main
 from acorns.codegen import EmitConfig, emit
 from acorns.derivatives import VarIndexMap, derive_bundle
 from acorns.elements import element_loops
-from acorns.flatten import unroll
+from acorns.flatten import dump_text, serialize, unroll
 from acorns.parser import parse_source
 from acorns.verify import CROSS_ENTROPY_SRC, corpus_function, run_ir, sample_points
 
@@ -54,12 +57,12 @@ def _emissions(src, func, energy, names, modes=_MODES, basename="k"):
     bundle = derive_bundle(program, vars_, want_gradient=want_gradient,
                            want_hessian="hessian" in modes)
     unrolled = emit(bundle, vars_, cfg, program)
-    loops = element_loops(ir, program, vars_)
+    loops = element_loops(ir, names)
     if loops is None:
         return None, unrolled, program
     bundles = tuple(derive_bundle(nest.program, nest.vars_, want_gradient="gradient" in modes,
                                   want_hessian=False) for nest in loops.nests)
-    return emit(bundles, vars_, cfg, program, loops), unrolled, program
+    return emit(bundles, vars_, cfg, loops), unrolled, program
 
 
 def _parity(cc, directory, element, unrolled, points, n):
@@ -167,16 +170,181 @@ def test_element_statements_count_the_loop_body_lines():
 
 def test_element_emission_is_one_file_whatever_the_split():
     fn = corpus_function("barrier", s=6)
-    ir = parse_source(fn.source, fn.func_name, fn.energy_var)
-    program = unroll(ir)
-    vars_ = VarIndexMap.from_names(program, ["x"])
-    loops = element_loops(ir, program, vars_)
+    loops = element_loops(parse_source(fn.source, fn.func_name, fn.energy_var), ["x"])
+    vars_ = VarIndexMap.from_names(loops, ["x"])
     bundles = tuple(derive_bundle(nest.program, nest.vars_, want_hessian=False)
                     for nest in loops.nests)
     art = [emit(bundles, vars_, EmitConfig(mode=frozenset(_MODES), split_target_bytes=size,
-                                           basename="k"), program, loops)
+                                           basename="k"), loops)
            for size in (2**16, 2**24)]
     assert art[0] == art[1] and len(art[0].sources) == 1
+
+
+# --- the element path without unrolling -------------------------------------------
+
+
+def _generate(tmp_path, src, func, energy, names, modes=_MODES, flags=()):
+    """The command line run on `src` in a new directory: its exit code, its
+    stderr with the input's path written `f.c`, and the sha256 of each
+    file it wrote."""
+    work = tmp_path / f"run{len(os.listdir(tmp_path))}"
+    (work / "out").mkdir(parents=True)
+    (work / "f.c").write_text(src)
+    argv = [str(work / "f.c"), energy, "--func", func, "--mode", *modes,
+            "--output_filename", str(work / "out" / "k"), *flags]
+    if names:
+        argv += ["--vars", *names]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    files = {name: (work / "out" / name).read_bytes() for name in os.listdir(work / "out")}
+    return rc, err.getvalue().replace(str(work / "f.c"), "f.c"), _digests(files)
+
+
+def _digest(digests: dict) -> str:
+    """One sha256 over the files' names and sha256s."""
+    lines = "".join(f"{name} {digests[name]}\n" for name in sorted(digests))
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def _refuse_unrolling(monkeypatch):
+    def unrolled(*args, **kwargs):
+        raise AssertionError("unrolled")
+
+    monkeypatch.setattr(flatten, "unroll", unrolled)
+    monkeypatch.setattr(cli, "unroll", unrolled)
+
+
+def _element_inputs() -> dict:
+    inputs = {"grad_steps": (GRAD_STEPS_SRC, "cross_entropy", "loss", ["a"]),
+              "shapes": (_SHAPES_SRC, "f", "e", ["x", "u"])}
+    for name, sizes in (("cross_entropy", [None]), ("springs", range(2, 11)),
+                        ("barrier", range(2, 11))):
+        for s in sizes:
+            fn = corpus_function(name, s=s)
+            inputs[f"{name}{s or ''}"] = (fn.source, fn.func_name, fn.energy_var,
+                                          list(fn.var_names))
+    return inputs
+
+
+_ELEMENT_INPUTS = _element_inputs()
+
+# the sha256 (`_digest`) of what `--mode function gradient` wrote for each
+# input before the element path stopped unrolling
+_ELEMENT_DIGESTS = {
+    "grad_steps": "f37b80deaae6c91fe837f53f8edf2561cac20229e5584d5e9b1605203ed33454",
+    "shapes": "81b10c909475160e077254ad16ce12f1f23f86d0a152932e6b751feabd9a3ac0",
+    "cross_entropy": "1038bd33ebaa62d77d35aa277e973c6f9d0cb52fcc61755c67110012ea90c7a0",
+    "springs2": "74907f3e47cfac7f534a6c50f610282cf982534e8a9eea024d913b9d8b4073fb",
+    "springs3": "ee79bbaa7b4254223a5786daf14bbef53ccd6d116e21ea42e64b9cf9e5decb15",
+    "springs4": "3be01dda67952aa03f0f939dc5580ffae9967bbf6305c62303475f701a18cf58",
+    "springs5": "aae593f540dbcdaf6e3a947bbb039cf624a7caddcd3e84c059549960a2642d99",
+    "springs6": "d917765379b7ab1163abb371c42b0eb215d010246059aec03924b6ad8dcc820b",
+    "springs7": "ac95a12df8e4a16cff69a5a059f835e5cf2f53e62397a24b3540af49b22a2dad",
+    "springs8": "f80f7b5c8cae6ef2373de265006b57f3da593cb0e998881c8b4502d304fb67c0",
+    "springs9": "d8fc0cd995a7a4bbf9107c16eb74a63e2282627df3397b59ecaec4d527a7d334",
+    "springs10": "2c865e9b3ca36735864ff5ea630e20be841e155017e1d6090f1248794d4d43a3",
+    "barrier2": "4fc0c66a81d35e421d6f9a7bc6c67064e2099305ca7feba07cb903ea61b8773b",
+    "barrier3": "f4bc108ef5a5e00b48acaa0a71255da590ed1a49e8407d01be22db4bbc599968",
+    "barrier4": "d2997da46d7533cbf4b2ce2eaad4416639183ecc4eb3ac123cf53534d07f4a1a",
+    "barrier5": "12401cca4a440e0ff2a020f0cdd97d94379425e7715b5ef43d3f72fd0d1eb7be",
+    "barrier6": "8d1f17b675fd26a8b64bf2d22f6d788f7e32197c56a3aa867352570b31d936e2",
+    "barrier7": "5ff27bdea07daae3c6b883cee27c3ae49c23d0126968860c799427f5fa4eb231",
+    "barrier8": "7e7c53146afe93bb770228b0e453dc34edd5f9d9ba20890986587786705aa788",
+    "barrier9": "80586134eb91b692ecbbd50190202b6ce8a66bfc273b20af51a9e45671d6432c",
+    "barrier10": "6c3dfa08a86235602d1327fc46f6624db1cb6f2b71484e8e6b21615f59fc0708",
+}
+
+
+@pytest.mark.parametrize("name", list(_ELEMENT_INPUTS))
+def test_element_path_emits_the_same_bytes_without_unrolling(tmp_path, monkeypatch, name):
+    _refuse_unrolling(monkeypatch)
+    rc, err, digests = _generate(tmp_path, *_ELEMENT_INPUTS[name])
+    assert (rc, err) == (0, "")
+    assert _digest(digests) == _ELEMENT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["grad_steps", "springs5", "shapes"])
+def test_dump_slp_on_the_element_path_unrolls_only_for_the_dump(tmp_path, monkeypatch, name):
+    src, func, energy, names = _ELEMENT_INPUTS[name]
+    calls = []
+    monkeypatch.setattr(cli, "unroll", lambda ir: calls.append(ir) or unroll(ir))
+    rc, err, digests = _generate(tmp_path, src, func, energy, names, flags=["--dump-slp"])
+    assert (rc, err, len(calls)) == (0, "", 1)
+    program = unroll(parse_source(src, func, energy))
+    assert digests.pop("k.slp") == hashlib.sha256(serialize(program)).hexdigest()
+    assert digests.pop("k.slp.txt") == hashlib.sha256(dump_text(program).encode()).hexdigest()
+    assert _digest(digests) == _ELEMENT_DIGESTS[name]
+
+
+# inputs of the element path's shape that unrolling rejects: the walk over
+# the loop counters declines them, and the command line says what the
+# unroller says, at the same place, with the same exit code
+_FAULT_LOOP = """\
+double f(const double{decl}, double u) {{
+    double e = 0;
+    for (int {c} = 0; {c} < {n}; {c}++) {{
+        {body}
+    }}
+    return 0;
+}}
+"""
+
+
+def _fault(term, decl=" *x", c="i"):
+    return _FAULT_LOOP.format(decl=decl, c=c, n=5, body=f"e = e + {term};")
+
+
+_FAULTS = {
+    "out_of_range_late": (_fault("x[i] * u", decl=" x[4]"),
+                          1, "acorns_autodiff: f.c: 4:17: index 4 out of range for 'x'\n"),
+    "negative_late": (_fault("x[3 - i] * u"),
+                      1, "acorns_autodiff: f.c: 4:17: index -1 out of range for 'x'\n"),
+    "negative": (_fault("x[i - 1] * u"),
+                 1, "acorns_autodiff: f.c: 4:17: index -1 out of range for 'x'\n"),
+    "wrong_rank": (_fault("x[i][0] * u"), 1, "acorns_autodiff: f.c: 4:17: unsupported "
+                                             "construct: 2 index(es) into 1-dimensional 'x'\n"),
+    # -2 at i = 2, before the division by zero at i = 3
+    "division_in_index": (_fault("x[i / (i - 3)] * u"),
+                          1, "acorns_autodiff: f.c: 4:17: index -2 out of range for 'x'\n"),
+    "division_by_zero_in_index": (
+        _fault("x[i / (3 - i)] * u"),
+        1, "acorns_autodiff: f.c: 4:21: division by zero in constant expression\n"),
+    "division_by_zero_in_term": (
+        _fault("x[0] * (1 / (t - 3))", c="t"),
+        1, "acorns_autodiff: f.c: 4:27: division by zero in constant expression\n"),
+    # past a cap of 50: 1 + 17 * 3 assignments, and a loop of 60 iterations
+    "over_the_assignment_cap": (
+        _FAULT_LOOP.format(decl=" *x", c="i", n=17,
+                           body="e = e + x[i]; e = e + u; e = e + x[i] * u;"),
+        3, "acorns_autodiff: unrolled assignment count 51 exceeds cap 50\n"),
+    "over_the_iteration_cap": (
+        _FAULT_LOOP.format(decl=" *x", c="i", n=60,
+                           body="for (int j = 0; j < 0; j++) { e = e + x[j]; }"),
+        3, "acorns_autodiff: unrolled assignment count 51 exceeds cap 50\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(_FAULTS))
+def test_element_faults_exit_as_unrolling_does(tmp_path, monkeypatch, name):
+    src, want_rc, want_err = _FAULTS[name]
+    monkeypatch.setattr(flatten, "DEFAULT_ASSIGN_CAP", 50)
+    assert element_loops(parse_source(src, "f", "e"), ["x"]) is None
+    rc, err, digests = _generate(tmp_path, src, "f", "e", ["x"])
+    assert (rc, err, digests) == (want_rc, want_err, {})
+
+
+def test_the_assignment_cap_itself_takes_the_element_path(tmp_path, monkeypatch):
+    # 1 + 7 * 2 + 35 assignments: the cap of 50 is reached, not passed
+    src = ("double f(const double *x, double u) {\n    double e = 0;\n"
+           "    for (int i = 0; i < 7; i++) { double d = x[i] * u; e = e + d * d; }\n"
+           "    for (int i = 0; i < 35; i++) { e = e + x[i]; }\n    return 0;\n}\n")
+    monkeypatch.setattr(flatten, "DEFAULT_ASSIGN_CAP", 50)
+    _refuse_unrolling(monkeypatch)
+    rc, err, _ = _generate(tmp_path, src, "f", "e", ["x"])
+    assert (rc, err) == (0, "")
+    monkeypatch.setattr(flatten, "DEFAULT_ASSIGN_CAP", 49)
+    assert element_loops(parse_source(src, "f", "e"), ["x"]) is None
 
 
 # --- which inputs fall back -------------------------------------------------------
@@ -320,6 +488,24 @@ def test_random_loop_programs_fall_back_or_agree(cc, tmp_path):
     assert element >= 15 and fallback >= 15, (element, fallback)
 
 
+# the sha256 over the 60 `_digest`s of the programs below, as each was
+# emitted before the element path stopped unrolling, element or fallback
+_RANDOM_DIGEST = "c2191fbc684293fa13c1e642d5bfcec65659842cfc296458d5e4f6aa2e21a4b5"
+
+
+def test_random_loop_programs_emit_the_same_bytes(tmp_path):
+    rng = random.Random(2222)
+    digests = []
+    for _ in range(60):
+        src, func, energy = random_loop_program(rng, accumulate=True)
+        program = unroll(parse_source(src, func, energy))
+        names = [p for p in ("a", "u") if p in program.param_slots]
+        rc, err, got = _generate(tmp_path, src, func, energy, names)
+        assert (rc, err) == (0, "")
+        digests.append(_digest(got))
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == _RANDOM_DIGEST
+
+
 # --- integer subexpressions in double arithmetic ---------------------------------
 
 _INT_DIV = {
@@ -331,6 +517,12 @@ _INT_DIV = {
     "truncation": ("double f(const double *x) {\n    double e = 0;\n    int n = 7;\n"
                    "    for (int i = 0; i < 6; i++) {\n"
                    "        e = e + x[0] * ((i - n) / 2) + x[1] * (-i * (3 / 2)) - (i < 2);\n"
+                   "    }\n    return e;\n}\n"),
+    # a comparison of integers folds as C computes it, and a comparison
+    # divided by a double divides in double
+    "comparison": ("double f(const double *x) {\n    double e = 0;\n"
+                   "    for (int i = 0; i < 3; i++) {\n"
+                   "        e = e + x[0] * ((i < 1) / 2 + (x[1] < 1) / 2.0);\n"
                    "    }\n    return e;\n}\n"),
 }
 
@@ -373,3 +565,28 @@ def test_integer_division_by_zero_exits_1_with_its_location(tmp_path, capsys):
                  "--output_filename", str(tmp_path / "k")]) == 1
     assert capsys.readouterr().err.endswith(
         "f.c: 3:50: division by zero in constant expression\n")
+
+
+# a comparison is an `int` in C, so dividing one by an integer divides in int
+_COMPARISON_DIVISION = {
+    "unrolled": ("double f(const double *x, double u) {\n    double e = (x[0] < u) / 2;\n"
+                 "    return 0;\n}\n", "2:27"),
+    "element": (_FAULT_LOOP.format(decl=" *x", c="i", n=3,
+                                   body="e = e + x[i] * (-(x[i] < u) * 3 / (i + 1));"), "4:41"),
+}
+
+_COMPARISON_DIVISION_ERROR = ("integer division of a comparison of doubles: C divides it in "
+                              "int, acorns in double; make an operand a double\n")
+
+
+@pytest.mark.parametrize("name", list(_COMPARISON_DIVISION))
+@pytest.mark.parametrize("flags", [(), ("--no-simplify",)], ids=["simplified", "raw"])
+def test_division_of_a_comparison_exits_1_with_its_location(tmp_path, capsys, name, flags):
+    src, at = _COMPARISON_DIVISION[name]
+    rc, err, digests = _generate(tmp_path, src, "f", "e", ["x"], flags=flags)
+    assert (rc, err, digests) == (1, f"f.c:{at}: {_COMPARISON_DIVISION_ERROR}", {})
+    (tmp_path / "f.c").write_text(src)
+    assert main(["verify", str(tmp_path / "f.c"), "--func", "f", "--energy", "e",
+                 "--vars", "x"]) == 1
+    assert capsys.readouterr().err == (f"acorns_autodiff verify: f.c:{at}: "
+                                       f"{_COMPARISON_DIVISION_ERROR}")
