@@ -114,7 +114,7 @@ def _run_pipeline(args) -> int:
         # the element path unrolls only for --dump-slp
         program = unroll(ir) if loops is None or args.dump_slp else None
         form = program if loops is None else loops
-        vars_ = VarIndexMap.from_names(form, args.vars)
+        vars_ = VarIndexMap.from_names(program, args.vars) if loops is None else loops.vars_
         if loops is None:
             bundle = derive_bundle(
                 program, vars_,

@@ -47,7 +47,6 @@ integer arithmetic per iteration, not an expression tree per element.
 from __future__ import annotations
 
 import math
-import operator
 from functools import cached_property
 
 from . import flatten
@@ -65,7 +64,6 @@ from .cast import (
     Unary,
     Var,
     children,
-    is_integer_literal,
     operands,
     post_order,
     rebuild,
@@ -112,15 +110,16 @@ class ElementNest(Record):
 
 class ElementLoops(Record):
     """A function on the element path: `init` is the C text of `E`'s
-    initial value, `nests` its loop nests in source order, and `inputs`
-    its input slots, those the unrolled program would have, so
+    initial value, `nests` its loop nests in source order, `inputs` its
+    input slots, those the unrolled program would have, so
     `VarIndexMap.from_names`, `layout_slots` and `codegen.emit` take it in
-    place of that program."""
+    place of that program, and `vars_` the differentiated parameters'
+    slots among them."""
 
-    __slots__ = ("init", "nests", "inputs", "__dict__")  # __dict__ holds param_slots
+    __slots__ = ("init", "nests", "inputs", "vars_", "__dict__")  # __dict__ holds param_slots
 
-    def __init__(self, init: str, nests: tuple, inputs: tuple):
-        super().__init__(init, nests, inputs)
+    def __init__(self, init: str, nests: tuple, inputs: tuple, vars_: VarIndexMap | None):
+        super().__init__(init, nests, inputs, vars_)
 
     @cached_property
     def param_slots(self) -> dict:
@@ -146,10 +145,10 @@ def element_loops(ir: FunctionIR, names) -> ElementLoops | None:
         rec.run()
     except (_Unrolled, NotConstant):  # not this path's shape, or a fault unroll reports
         return None
-    loops = ElementLoops(rec.init, (), input_slots(rec.reach))
+    loops = ElementLoops(rec.init, (), input_slots(rec.reach), None)
     vars_ = VarIndexMap.from_names(loops, names)
     try:
-        return loops.replace(nests=rec.nests(loops, vars_))
+        return loops.replace(nests=rec.nests(loops, vars_), vars_=vars_)
     except _Unrolled:
         return None
 
@@ -213,34 +212,27 @@ class _Recogniser:
     def walk(self, loops: list, body: "_Body", per_iteration: int):
         """Run the nest's headers as `flatten._Unroller` runs them and, in
         each iteration of the innermost body, its reads' indices and its
-        integer slots, then widen `reach` by the indices; raise _Unrolled
-        where unrolling would fail: an index out of range, a division by
-        zero, or more than `flatten.DEFAULT_ASSIGN_CAP` assignments or loop
-        iterations.  Each expression is compiled once (`_int_function`):
-        on springs G=100 the walk took 0.07 s, against 0.36 s through
-        `eval_const` (x86-64, one pinned core)."""
+        integer slots, then widen `reach` by the indices; raise _Unrolled,
+        or NotConstant on a division by zero, where unrolling would fail:
+        an index out of range, or more than `flatten.DEFAULT_ASSIGN_CAP`
+        assignments or loop iterations.  Each expression is walked once,
+        by `const_order`, and evaluated by `eval_const`."""
         cap = flatten.DEFAULT_ASSIGN_CAP
-        bound = set(self.int_locals)
-        heads = []
-        for lp in loops:
-            init = _int_function(lp.init, bound)
-            bound = bound | {lp.counter}
-            heads.append((lp.counter, init, _int_function(lp.cond, bound),
-                          _int_function(lp.update, bound)))
+        heads = [(lp, const_order(lp.cond), const_order(lp.update)) for lp in loops]
         # each read's parameter and the least and largest value of each index
         boxes = [(name, [[math.inf, -math.inf] for _ in indices])
                  for _, name, indices in body.reads]
-        dims = [(_int_function(ix, bound), box) for (_, _, indices), (_, read)
+        dims = [(ix, const_order(ix), box) for (_, _, indices), (_, read)
                 in zip(body.reads, boxes) for ix, box in zip(indices, read)]
-        ints = [_int_function(e, bound) for e in body.int_exprs]
+        ints = [(e, const_order(e)) for e in body.int_exprs]
         env = dict(self.int_locals)
         innermost = len(heads) - 1
 
         def run(depth: int):
-            counter, init, cond, update = heads[depth]
-            env[counter] = init(env)
+            lp, cond, update = heads[depth]
+            env[lp.counter] = eval_const(lp.init, env)
             iterations = 0
-            while cond(env):
+            while eval_const(lp.cond, env, cond):
                 iterations += 1
                 if iterations > cap:
                     raise _Unrolled
@@ -250,20 +242,17 @@ class _Recogniser:
                     self.assigns += per_iteration
                     if self.assigns > cap:
                         raise _Unrolled
-                    for f, box in dims:
-                        v = f(env)
+                    for ix, order, box in dims:
+                        v = eval_const(ix, env, order)
                         if v < box[0]:
                             box[0] = v
                         if v > box[1]:
                             box[1] = v
-                    for f in ints:
-                        f(env)
-                env[counter] = update(env)
+                    for e, order in ints:
+                        eval_const(e, env, order)
+                env[lp.counter] = eval_const(lp.update, env, update)
 
-        try:
-            run(0)
-        except ZeroDivisionError:
-            raise _Unrolled from None
+        run(0)
         for name, read in boxes:
             extents, reach = self.params[name].extents, self.reach[name]
             for d, (lo, hi) in enumerate(read):
@@ -293,43 +282,6 @@ class _Recogniser:
 
 def _is_var(e: Expr, name: str) -> bool:
     return isinstance(e, Var) and e.name == name
-
-
-def _int_function(e: Expr, bound: set):
-    """`e`, an integer expression over the names `bound`, as a function of
-    a dict of their values that computes what `eval_const` computes, a
-    division by zero raising ZeroDivisionError; raises _Unrolled where
-    `eval_const` fails whatever the values."""
-    fns: dict = {}
-    for node in const_order(e):
-        if isinstance(node, Constant):
-            if not is_integer_literal(node.text):
-                raise _Unrolled
-            fn = _constant(int(node.text))
-        elif isinstance(node, Var):
-            if node.name not in bound:
-                raise _Unrolled
-            fn = operator.itemgetter(node.name)
-        elif isinstance(node, Unary):
-            fn = _negation(fns[id(node.operand)])
-        elif isinstance(node, Binary) and node.op in _INT_BINARY_FN:
-            fn = _binary(_INT_BINARY_FN[node.op], fns[id(node.lhs)], fns[id(node.rhs)])
-        else:
-            raise _Unrolled
-        fns[id(node)] = fn
-    return fns[id(e)]
-
-
-def _constant(value: int):
-    return lambda env: value
-
-
-def _negation(f):
-    return lambda env: -f(env)
-
-
-def _binary(op, f, g):
-    return lambda env: op(f(env), g(env))
 
 
 def _flat(shape: dict, name: str, indices: tuple) -> Expr:

@@ -12,6 +12,7 @@ import io
 import os
 import random
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,9 +61,10 @@ def _emissions(src, func, energy, names, modes=_MODES, basename="k"):
     loops = element_loops(ir, names)
     if loops is None:
         return None, unrolled, program
+    assert loops.vars_ == vars_
     bundles = tuple(derive_bundle(nest.program, nest.vars_, want_gradient="gradient" in modes,
                                   want_hessian=False) for nest in loops.nests)
-    return emit(bundles, vars_, cfg, loops), unrolled, program
+    return emit(bundles, loops.vars_, cfg, loops), unrolled, program
 
 
 def _parity(cc, directory, element, unrolled, points, n):
@@ -171,10 +173,9 @@ def test_element_statements_count_the_loop_body_lines():
 def test_element_emission_is_one_file_whatever_the_split():
     fn = corpus_function("barrier", s=6)
     loops = element_loops(parse_source(fn.source, fn.func_name, fn.energy_var), ["x"])
-    vars_ = VarIndexMap.from_names(loops, ["x"])
     bundles = tuple(derive_bundle(nest.program, nest.vars_, want_hessian=False)
                     for nest in loops.nests)
-    art = [emit(bundles, vars_, EmitConfig(mode=frozenset(_MODES), split_target_bytes=size,
+    art = [emit(bundles, loops.vars_, EmitConfig(mode=frozenset(_MODES), split_target_bytes=size,
                                            basename="k"), loops)
            for size in (2**16, 2**24)]
     assert art[0] == art[1] and len(art[0].sources) == 1
@@ -345,6 +346,20 @@ def test_the_assignment_cap_itself_takes_the_element_path(tmp_path, monkeypatch)
     assert (rc, err) == (0, "")
     monkeypatch.setattr(flatten, "DEFAULT_ASSIGN_CAP", 49)
     assert element_loops(parse_source(src, "f", "e"), ["x"]) is None
+
+
+def test_long_chains_in_a_bound_and_an_index_walk_at_the_default_recursion_limit(
+        tmp_path, monkeypatch):
+    # the walk evaluates headers and indices by `eval_const`, whose loop over
+    # `const_order` holds no Python frame per level of a 2,000-term chain
+    zeros = " + 0" * 1999
+    src = _FAULT_LOOP.format(decl=" *x", c="i", n=f"3{zeros}", body=f"e = e + x[i{zeros}] * u;")
+    assert sys.getrecursionlimit() < 2000
+    loops = element_loops(parse_source(src, "f", "e"), ["x"])
+    assert [s.label for s in loops.inputs] == ["x[0]", "x[1]", "x[2]", "u"]
+    _refuse_unrolling(monkeypatch)
+    rc, err, digests = _generate(tmp_path, src, "f", "e", ["x"])
+    assert (rc, err, sorted(digests)) == (0, "", ["k.h", "k_part0.c"])
 
 
 # --- which inputs fall back -------------------------------------------------------
