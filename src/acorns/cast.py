@@ -244,6 +244,12 @@ def is_const(e: Expr, value: float | None = None) -> bool:
     return value is None or e.value == value
 
 
+def is_plus_zero(e: Expr) -> bool:
+    """Whether `e` is the constant +0, a derivative entry that the kernels
+    do not write (a -0 keeps its statement and sign)."""
+    return is_const(e, 0) and math.copysign(1.0, e.value) > 0
+
+
 # ---------------------------------------------------------------------------
 # Statements
 
@@ -306,12 +312,13 @@ Stmt = (Declaration, Assignment, ForLoop, If, Return, Block)
 
 
 class Param(Record):
-    __slots__ = ("name", "rank", "extents")
+    __slots__ = ("name", "rank", "extents", "elem_type")
 
-    def __init__(self, name: str, rank: int, extents: tuple = ()):
+    def __init__(self, name: str, rank: int, extents: tuple = (), elem_type: str = "double"):
         # rank 0 is a scalar, k a k-dimensional array; extents holds an int
-        # per dimension, or None where it is not declared
-        super().__init__(name, rank, extents)
+        # per dimension, or None where it is not declared; elem_type is the
+        # type of the scalar or of an element, as spelled ("double", "int")
+        super().__init__(name, rank, extents, elem_type)
 
 
 class FunctionIR(Record):

@@ -22,7 +22,7 @@ import sys
 from . import __version__
 from .codegen import DEFAULT_SPLIT_TARGET, EmitConfig, emit
 from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle
-from .elements import element_loops
+from .elements import element_path
 from .errors import AcornsError, BoundExplosion, ExpressionExplosion
 from .flatten import dump_text, serialize, unroll
 from .parser import parse_source, validate_subset
@@ -108,9 +108,7 @@ def _run_pipeline(args) -> int:
             for v in violations:
                 print(f"{args.input}:{v.span}: {v.reason}", file=sys.stderr)
             return EXIT_INPUT
-        loops = None
-        if not (args.no_simplify or "hessian" in modes):
-            loops = element_loops(ir, args.vars)
+        loops = element_path(ir, args.vars, not args.no_simplify, modes)
         # the element path unrolls only for --dump-slp
         program = unroll(ir) if loops is None or args.dump_slp else None
         form = program if loops is None else loops

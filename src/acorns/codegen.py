@@ -36,7 +36,7 @@ time.  The lines add the terms in the same order, so the kernel's values
 do not change.  An unsimplified bundle writes each entry as one expanded
 expression.
 
-On the element path (`elements.element_loops`: a simplified run without a
+On the element path (`elements.element_path`: a simplified run without a
 Hessian, of an energy summed over a perfect loop nest; the module says
 which loops qualify and which fall back) there is one chunk per mode, in
 one file.  Each runs every loop nest, with its headers printed from the
@@ -60,10 +60,9 @@ grad_steps benchmark input the gradient took 947 ns a point without it and
 from __future__ import annotations
 
 import itertools
-import math
 import re
 
-from .cast import INTRINSICS, Expr, SharedText, is_const, to_source
+from .cast import INTRINSICS, SharedText, is_plus_zero, to_source
 from .derivatives import STAGES, DerivativeBundle, VarIndexMap, layout_slots
 from .elements import ENERGY_NAME, ElementLoops, ElementNest
 from .errors import AcornsError
@@ -170,11 +169,6 @@ def _c_names(program: StraightLineProgram) -> tuple:
             return prefix, names
 
 
-def _zero(e: Expr) -> bool:
-    """Whether `e` is the constant +0 (a -0 keeps its statement and sign)."""
-    return is_const(e, 0) and math.copysign(1.0, e.value) > 0
-
-
 def _statements(bundle: DerivativeBundle, cfg: EmitConfig, bits: dict, names: dict,
                 temp: str | None = None) -> tuple:
     """The statements in order, and the `SharedText` of each mode.
@@ -203,7 +197,7 @@ def _statements(bundle: DerivativeBundle, cfg: EmitConfig, bits: dict, names: di
         for k, expr, at in zip(out[mode], lin.roots, lin.at):
             first = len(shared.decls)
             text = to_source(expr, shared)
-            if mode == "hessian" and _zero(expr):
+            if mode == "hessian" and is_plus_zero(expr):
                 continue
             stmts.append(Statement(mode, f"out[{k}] = {text};", params[at],
                                    tuple(enumerate(shared.decls[first:], first)),
@@ -331,7 +325,7 @@ def emit(bundle, vars_: VarIndexMap, cfg: EmitConfig,
         if mode == "hessian":
             drivers.append(f"        double* h = {out};")
             out = "h"
-            if any(map(_zero, bundle.hess_lower)):
+            if any(map(is_plus_zero, bundle.hess_lower)):
                 drivers.append(f"        for (int k = 0; k < {n * n}; ++k) h[k] = 0;")
         for cid in chunks[mode]:
             drivers.append(f"        {stem}_chunk_{cid}(vals + (long)p * {stride_in}, {out});")
@@ -446,7 +440,7 @@ def _element_body(nest: ElementNest, bundle: DerivativeBundle, mode: str) -> tup
     for target, expr, at in zip(targets, lin.roots, lin.at):
         first = len(shared.decls)
         text = to_source(expr, shared)
-        if mode == "gradient" and _zero(expr):
+        if mode == "gradient" and is_plus_zero(expr):
             continue
         mask |= masks[at]
         body += [*shared.decls[first:], f"{target} {text};"]

@@ -21,9 +21,10 @@ takes this path when all of these hold:
   the loops, so nothing but `E` is carried from one iteration to the next.
 
 Anything else, the `e = e * t` product loop, conditionals and rollouts
-among them, is unrolled.  The caller takes this path only for a
-simplified run without a Hessian; `--no-simplify` and every `--mode` with
-`hessian` are unrolled, whatever the input.
+among them, is unrolled.  `element_path` owns the choice for both the
+command line and `verify`: only a simplified run without a Hessian takes
+this path; `--no-simplify` and every `--mode` with `hessian` are
+unrolled, whatever the input.
 
 A body's program has one input slot per distinct `(parameter, index
 expressions)` read, one per maximal integer-typed subexpression over the
@@ -32,16 +33,19 @@ named like `E`, for `E`'s value before the iteration.  A read of an
 element of a differentiated parameter is a differentiation variable.
 
 The function is not unrolled.  One walk over each nest's iteration space
-(`_Recogniser.walk`) runs the loop headers as the unroller runs them and,
-in each iteration of the innermost body, every read's index expressions
-and every integer slot.  The reads' largest indices give each
-parameter's reach, from which `flatten.input_slots` lays out `vals` as
-the unrolled program's input slots are laid out.  Where unrolling would
+(`_Recogniser.walk`, over the iterations `iterations` yields) runs the
+loop headers as the unroller runs them and, in each iteration of the
+innermost body, every read's index expressions and every integer slot.
+The reads' largest indices give each parameter's reach, from which
+`flatten.input_slots` lays out `vals` as the unrolled program's input
+slots are laid out.  Where unrolling would
 fail, on an index out of range or of the wrong rank, a division by zero,
 a bound that is not constant, or more assignments or loop iterations than
 `flatten.DEFAULT_ASSIGN_CAP` allows, `element_loops` returns None, and
 the caller's `unroll` reports the fault as it always has.  A walk costs
 integer arithmetic per iteration, not an expression tree per element.
+`verify` walks a nest again, by `ElementNest.iterations`, to score the
+gradient the emitted loops compute.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ from .flatten import (
     StraightLineProgram,
     const_order,
     eval_const,
+    eval_consts,
     fold,
     input_slots,
     int_value,
@@ -99,13 +104,26 @@ class ElementNest(Record):
     read to the C expression of its index in `vals`, which is its index in
     the gradient too when it is one of `vars_`, and `ints` each integer
     subexpression's slot to its C expression.
+
+    The same over the source's names: `loops` are the nest's `ForLoop`s,
+    outermost first, entered with the `int` locals `start`; `reads` holds
+    each read's `(label, parameter, index expressions, position)` and
+    `int_exprs` each integer slot's expression, in slot order, each an
+    integer expression over the counters that `iterations` binds.
     """
 
-    __slots__ = ("headers", "program", "vars_", "names", "positions", "ints")
+    __slots__ = ("headers", "program", "vars_", "names", "positions", "ints",
+                 "loops", "start", "reads", "int_exprs")
 
     def __init__(self, headers: tuple, program: StraightLineProgram, vars_: VarIndexMap,
-                 names: dict, positions: dict, ints: dict):
-        super().__init__(headers, program, vars_, names, positions, ints)
+                 names: dict, positions: dict, ints: dict, loops: tuple, start: dict,
+                 reads: tuple, int_exprs: tuple):
+        super().__init__(headers, program, vars_, names, positions, ints, loops, start, reads,
+                         int_exprs)
+
+    def iterations(self):
+        """The nest's iterations, as `iterations` yields them."""
+        return iterations(self.loops, dict(self.start))
 
 
 class ElementLoops(Record):
@@ -135,6 +153,16 @@ def _int_const(value: int) -> Constant:
     return Constant(str(value), float(value))
 
 
+def element_path(ir: FunctionIR, names, simplified: bool, modes) -> ElementLoops | None:
+    """The element form that generating `modes` emits, and `verify` in the
+    mode `modes` holds scores, or None where both unroll `ir`: a run
+    without simplification, one with `hessian` among `modes`, or a
+    function `element_loops` does not take."""
+    if not simplified or "hessian" in modes:
+        return None
+    return element_loops(ir, names)
+
+
 def element_loops(ir: FunctionIR, names) -> ElementLoops | None:
     """The element form of `ir` with the parameters `names` differentiated,
     or None when it must be unrolled (see the module docstring).  A name
@@ -157,6 +185,34 @@ def _no_read(node: Expr, env: dict):
     raise _Unrolled  # E's initial value reads a name
 
 
+def iterations(loops, env: dict):
+    """Run the headers of the perfect nest `loops` (outermost first) as
+    `flatten._Unroller` runs them, from the bindings `env`, and yield
+    `env`, binding every counter, at each iteration of the innermost body;
+    raise _Unrolled past `flatten.DEFAULT_ASSIGN_CAP` iterations of a loop.
+    Each header is walked once, by `const_order`, and evaluated by
+    `eval_const`."""
+    cap = flatten.DEFAULT_ASSIGN_CAP
+    heads = [(lp, const_order(lp.cond), const_order(lp.update)) for lp in loops]
+    innermost = len(heads) - 1
+
+    def run(depth: int):
+        lp, cond, update = heads[depth]
+        env[lp.counter] = eval_const(lp.init, env)
+        count = 0
+        while eval_const(lp.cond, env, cond):
+            count += 1
+            if count > cap:
+                raise _Unrolled
+            if depth < innermost:
+                yield from run(depth + 1)
+            else:
+                yield env
+            env[lp.counter] = eval_const(lp.update, env, update)
+
+    return run(0)
+
+
 class _Recogniser:
     def __init__(self, ir: FunctionIR):
         self.ir = ir
@@ -167,7 +223,7 @@ class _Recogniser:
         # each parameter's extents, as `flatten._Unroller` widens them
         self.reach = {p.name: [n or 0 for n in p.extents] for p in ir.params}
         self.assigns = 0  # the unrolled program's assignments so far
-        self.bodies: list = []  # (headers, program, _Body) of each nest
+        self.bodies: list = []  # (headers, program, _Body, loops, start) of each nest
 
     def run(self):
         """Recognise the function's shape and walk its nests (`walk`)."""
@@ -196,7 +252,8 @@ class _Recogniser:
         for s in loops[-1].body:
             body.statement(s)
         program = body.program()
-        self.walk(loops, body, len(program.assigns))
+        start = dict(self.int_locals)
+        self.walk(iterations(loops, dict(start)), body, len(program.assigns))
         headers = []
         for lp in loops:
             c = counters[lp.counter]
@@ -207,52 +264,32 @@ class _Recogniser:
             else:
                 step = f"{c} = {body.c_int(update)}"
             headers.append(f"for (int {c} = {body.c_int(lp.init)}; {body.c_int(lp.cond)}; {step})")
-        return tuple(headers), program, body
+        return tuple(headers), program, body, tuple(loops), start
 
-    def walk(self, loops: list, body: "_Body", per_iteration: int):
-        """Run the nest's headers as `flatten._Unroller` runs them and, in
-        each iteration of the innermost body, its reads' indices and its
-        integer slots, then widen `reach` by the indices; raise _Unrolled,
-        or NotConstant on a division by zero, where unrolling would fail:
-        an index out of range, or more than `flatten.DEFAULT_ASSIGN_CAP`
-        assignments or loop iterations.  Each expression is walked once,
-        by `const_order`, and evaluated by `eval_const`."""
+    def walk(self, nest_iterations, body: "_Body", per_iteration: int):
+        """In each of a nest's iterations, evaluate its reads' indices and
+        its integer slots, then widen `reach` by the indices; raise
+        _Unrolled, or NotConstant on a division by zero, where unrolling
+        would fail: an index out of range, or more than
+        `flatten.DEFAULT_ASSIGN_CAP` assignments or loop iterations.  The
+        expressions are walked once, by `const_order`, and evaluated
+        together by `eval_consts`."""
         cap = flatten.DEFAULT_ASSIGN_CAP
-        heads = [(lp, const_order(lp.cond), const_order(lp.update)) for lp in loops]
         # each read's parameter and the least and largest value of each index
         boxes = [(name, [[math.inf, -math.inf] for _ in indices])
                  for _, name, indices in body.reads]
-        dims = [(ix, const_order(ix), box) for (_, _, indices), (_, read)
-                in zip(body.reads, boxes) for ix, box in zip(indices, read)]
-        ints = [(e, const_order(e)) for e in body.int_exprs]
-        env = dict(self.int_locals)
-        innermost = len(heads) - 1
-
-        def run(depth: int):
-            lp, cond, update = heads[depth]
-            env[lp.counter] = eval_const(lp.init, env)
-            iterations = 0
-            while eval_const(lp.cond, env, cond):
-                iterations += 1
-                if iterations > cap:
-                    raise _Unrolled
-                if depth < innermost:
-                    run(depth + 1)
-                else:
-                    self.assigns += per_iteration
-                    if self.assigns > cap:
-                        raise _Unrolled
-                    for ix, order, box in dims:
-                        v = eval_const(ix, env, order)
-                        if v < box[0]:
-                            box[0] = v
-                        if v > box[1]:
-                            box[1] = v
-                    for e, order in ints:
-                        eval_const(e, env, order)
-                env[lp.counter] = eval_const(lp.update, env, update)
-
-        run(0)
+        dims = [box for _, read in boxes for box in read]
+        exprs = [ix for _, _, indices in body.reads for ix in indices]
+        order = const_order(*exprs, *body.int_exprs)
+        for env in nest_iterations:
+            self.assigns += per_iteration
+            if self.assigns > cap:
+                raise _Unrolled
+            for v, box in zip(eval_consts(exprs, env, order), dims):
+                if v < box[0]:
+                    box[0] = v
+                if v > box[1]:
+                    box[1] = v
         for name, read in boxes:
             extents, reach = self.params[name].extents, self.reach[name]
             for d, (lo, hi) in enumerate(read):
@@ -271,12 +308,14 @@ class _Recogniser:
         shape = {name: (layout[slots[0].label], tuple(ix + 1 for ix in slots[-1].indices))
                  for name, slots in loops.param_slots.items()}
         nests = []
-        for headers, program, body in self.bodies:
-            positions = {label: body.c_int(_flat(shape, name, indices))
-                         for label, name, indices in body.reads}
+        for headers, program, body, source_loops, start in self.bodies:
+            reads = tuple((label, name, indices, _flat(shape, name, indices))
+                          for label, name, indices in body.reads)
+            positions = {label: body.c_int(flat) for label, _, _, flat in reads}
             var_labels = tuple(label for label, name, _ in body.reads if name in var_params)
             nests.append(ElementNest(headers, program, VarIndexMap(var_labels), body.names,
-                                     positions, body.ints))
+                                     positions, body.ints, source_loops, start, reads,
+                                     tuple(body.int_exprs)))
         return tuple(nests)
 
 

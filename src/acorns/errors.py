@@ -64,10 +64,11 @@ class NotConstant(_Located):
 
 
 class BoundExplosion(AcornsError):
-    """Unrolling would exceed the assignment cap."""
+    """Unrolling would exceed the cap on assignments, or on one loop's
+    iterations; `what` names the count."""
 
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"unrolled assignment count {count} exceeds cap {cap}")
+    def __init__(self, count: int, cap: int, what: str = "unrolled assignment count"):
+        super().__init__(f"{what} {count} exceeds cap {cap}")
         self.count = count
         self.cap = cap
 

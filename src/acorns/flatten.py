@@ -162,14 +162,26 @@ def eval_const(expr: Expr, env: dict, order: list | None = None):
     return done[id(expr)]
 
 
-def const_order(expr: Expr) -> list:
-    """The nodes of `expr` in the order `eval_const` evaluates them: source
-    order, so an evaluation that raises reports the leftmost fault."""
+def eval_consts(exprs, env: dict, order: list) -> list:
+    """The values of the integer expressions `exprs`, as `eval_const`
+    computes each, `order` being `const_order(*exprs)`: a node they share
+    is evaluated once."""
+    done: dict[int, object] = {}
+    for node in order:
+        done[id(node)] = _const_value(node, done, env)
+    return [done[id(e)] for e in exprs]
+
+
+def const_order(*exprs: Expr) -> list:
+    """The nodes of `exprs` in the order `eval_const` evaluates them, each
+    once: source order, so an evaluation that raises reports the leftmost
+    fault."""
     done: set = set()
     order = []
-    for node in post_order(expr, done, operands):
-        done.add(id(node))
-        order.append(node)
+    for expr in exprs:
+        for node in post_order(expr, done, operands):
+            done.add(id(node))
+            order.append(node)
     return order
 
 
@@ -372,7 +384,7 @@ class _Unroller:
                     break
                 iterations += 1
                 if iterations > self.cap:
-                    raise BoundExplosion(iterations, self.cap)
+                    raise BoundExplosion(iterations, self.cap, "loop iteration count")
                 self.run_block(s.body, inner)
                 value = eval_const(s.update, inner, update)
         elif isinstance(s, If):

@@ -206,7 +206,7 @@ class _Parser:
         raise ParseError(tok.span, f"expected type specifier, got {tok.text!r}")
 
     def param(self) -> Param:
-        self.type_specifier()
+        elem_type = self.type_specifier()
         rank = 0
         while self.accept("*"):
             rank += 1
@@ -224,7 +224,7 @@ class _Parser:
                 extents.append(None)
             self.expect("]")
             rank += 1
-        return Param(name, rank, tuple(extents))
+        return Param(name, rank, tuple(extents), elem_type)
 
     def function(self) -> tuple[str, list[Param], list[Stmt] | None]:
         self.type_specifier()
@@ -570,6 +570,7 @@ def validate_subset(ir: FunctionIR) -> list[Violation]:
     that C computes no division in `int` that acorns computes in `double`
     (`_int_division`)."""
     violations: list[Violation] = []
+    held = {p.name for p in ir.params if p.elem_type == "int"}  # read as doubles
 
     def walk(stmts, allowed: set, ints: set):
         allowed = set(allowed)  # the names of compile-time integers
@@ -606,47 +607,57 @@ def validate_subset(ir: FunctionIR) -> list[Violation]:
                 walk(s.body, allowed, ints)
 
     def check(e: Expr, ints: set):
-        at = _int_division(e, ints)
-        if at is not None:
+        found = _int_division(e, ints, held - ints)
+        if found is not None:
+            at, what = found
             violations.append(Violation(at.span or SourceSpan(1, 1),
-                                        "integer division of a comparison of doubles: C divides "
-                                        "it in int, acorns in double; make an operand a double"))
+                                        f"integer division of {what}: C divides it in int, "
+                                        "acorns in double; make an operand a double"))
 
     walk(ir.body, set(), set())
     return violations
 
 
-def _int_division(e: Expr, ints: set) -> Binary | None:
+def _int_division(e: Expr, ints: set, held: set) -> tuple | None:
     """The first division in `e` whose operands C computes in `int` and
-    one of which reads a `double` through a comparison, `(x < 1) / 2`, or
-    None.
+    one of which acorns holds as a `double`, with what that operand reads,
+    or None.
 
-    A comparison is an `int` in C.  acorns computes a comparison of
-    doubles as a double, 0 or 1, and folds only integer subexpressions of
-    constants (`flatten.int_value`), so `(x < 1) / 2` would be 0.5 to acorns
+    acorns holds a comparison of doubles as a double, 0 or 1, where it is an
+    `int` in C, and it reads an `int` parameter, whose names are `held`, or
+    an element of an `int*` one, from `vals` as a double.  It folds only
+    integer subexpressions of constants (`flatten.int_value`), so
+    `(x < 1) / 2` and `n / 2` would be 0.5 to acorns at x < 1 and n = 1,
     and 0 to the C it emits.  An integer literal, a name in `ints`, a
     comparison, and a negation or arithmetic of integer operands are
-    integer-typed; one that reads a double is so through a comparison.
+    integer-typed too; such a node records what it reads as a double.
     """
-    typed: dict[int, bool] = {}  # id(node) -> whether it reads a double, for integer-typed nodes
+    # id(node) -> for an integer-typed node, what it reads as a double, or ""
+    typed: dict[int, str] = {}
     seen: set = set()
     for node in post_order(e, seen, operands):
         seen.add(id(node))
         if isinstance(node, Constant):
             if is_integer_literal(node.text):
-                typed[id(node)] = False
+                typed[id(node)] = ""
         elif isinstance(node, Var):
-            if node.name in ints:
-                typed[id(node)] = False
+            if node.name in held:
+                typed[id(node)] = "an int parameter"
+            elif node.name in ints:
+                typed[id(node)] = ""
+        elif isinstance(node, ArrayRef):
+            if node.base in held:
+                typed[id(node)] = "an int parameter"
         elif isinstance(node, Unary):
             if id(node.operand) in typed:
                 typed[id(node)] = typed[id(node.operand)]
         elif isinstance(node, Binary):
             lhs, rhs = typed.get(id(node.lhs)), typed.get(id(node.rhs))
             if node.op not in ("+", "-", "*", "/"):  # a comparison
-                typed[id(node)] = lhs is not False or rhs is not False
+                doubles = lhs is None or rhs is None
+                typed[id(node)] = "a comparison of doubles" if doubles else lhs or rhs
             elif lhs is not None and rhs is not None:
                 if node.op == "/" and (lhs or rhs):
-                    return node
+                    return node, lhs or rhs
                 typed[id(node)] = lhs or rhs
     return None

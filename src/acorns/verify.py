@@ -3,8 +3,11 @@ pipeline check.
 
 The FD oracles evaluate only the original straight-line program (never a
 differentiated expression), so they are independent of the symbolic
-differentiator they validate.  numpy is imported on first use, as in
-`interp`.
+differentiator they validate.  The analytic side is what the command line
+emits for the mode checked: on the element path (`elements.element_path`)
+the per-iteration gradient of each loop body, summed as the emitted loops
+sum it (`element_gradient`), else the unrolled program's derivatives.
+numpy is imported on first use, as in `interp`.
 """
 
 from __future__ import annotations
@@ -12,12 +15,13 @@ from __future__ import annotations
 import math
 
 from .cast import (ArrayRef, Assignment, Block, Declaration, Expr, ForLoop, FunctionIR, If, Return,
-                   Var, children, operands, post_order)
+                   Var, children, is_plus_zero, operands, post_order)
 from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle
+from .elements import ElementLoops, element_path
 from .errors import AcornsError, UnboundSlot
-from .flatten import (StraightLineProgram, element_labels, eval_const, int_value, slot_label,
-                      unroll)
-from .interp import _apply, compile_exprs, compile_program, evaluate, eval_expr
+from .flatten import (StraightLineProgram, const_order, element_labels, eval_const, eval_consts,
+                      int_value, slot_label, unroll)
+from .interp import CHUNK_CELLS, _apply, compile_exprs, compile_program, evaluate, eval_expr
 from .parser import parse_source, validate_subset
 from .record import Record
 
@@ -27,7 +31,7 @@ DEFAULT_SEED = 20240
 
 __all__ = [
     "CorpusFunction", "CORPUS", "corpus_function", "eval_expr",
-    "fd_gradient", "fd_hessian", "run_ir", "verify", "FdReport", "FdEntry",
+    "fd_gradient", "fd_hessian", "run_ir", "verify", "element_gradient", "FdReport", "FdEntry",
     "GRAD_TOL", "HESS_TOL",
 ]
 
@@ -312,6 +316,75 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The element path's gradient
+
+
+def element_gradient(loops: ElementLoops, program: StraightLineProgram, pts: np.ndarray,
+                     cap: int = DEFAULT_NODE_CAP) -> np.ndarray:
+    """The gradient the element path's kernel computes at each row of `pts`,
+    a point over the unrolled `program`'s input slots.
+
+    Each nest's body is derived as the command line derives it, and its
+    gradient tape is evaluated per point and iteration over the values its
+    slots take there: a read's is the point's value of the input slot of
+    the element its indices name, an integer slot's the value C computes.
+    Each entry that is not the constant +0 is added into a +0-filled
+    gradient at its read's position (`ElementNest.reads`), per point in
+    iteration order, then read order: the sums the emitted chunk computes.
+    The rows are gathered `CHUNK_CELLS` cells at a time.
+    """
+    import numpy as np
+
+    # each parameter's input slots, as an array over its indices of their
+    # positions in a point
+    slot_at = {name: np.empty(tuple(ix + 1 for ix in slots[-1].indices), np.intp)
+               for name, slots in program.param_slots.items()}
+    for k, s in enumerate(program.inputs):
+        slot_at[s.param][s.indices] = k
+    count, n = pts.shape[0], loops.vars_.n
+    grad = np.zeros((count, n))
+    for nest in loops.nests:
+        bundle = derive_bundle(nest.program, nest.vars_, cap=cap, want_hessian=False)
+        lin = bundle.linearized("gradient")
+        live = [k for k, e in enumerate(lin.roots) if not is_plus_zero(e)]
+        if not live:
+            continue
+        labels = [s.label for s in nest.program.inputs[1:]]  # no entry reads E, the first
+        tape = compile_exprs(lin.roots, labels, lin)
+        # per iteration: every read's indices, each live entry's position,
+        # each integer slot's value
+        indices = [ix for _, _, read, _ in nest.reads for ix in read]
+        chosen = set(nest.vars_.labels)
+        flats = [flat for label, _, _, flat in nest.reads if label in chosen]
+        exprs = [*indices, *(flats[k] for k in live), *nest.int_exprs]
+        order = const_order(*exprs)
+        table = [eval_consts(exprs, env, order) for env in nest.iterations()]
+        table = np.array(table, dtype=np.intp).reshape(len(table), len(exprs))
+        positions = table[:, len(indices):len(indices) + len(live)]
+        if positions.size and not 0 <= positions.min() <= positions.max() < n:
+            raise AcornsError(f"element path: gradient position {positions.min()}.."
+                              f"{positions.max()} outside 0..{n - 1}")
+        at = {label: k for k, label in enumerate(labels)}
+        cols = np.empty((len(table), len(nest.reads)), np.intp)  # each read's slot in a point
+        first = 0
+        for r, (_, param, read, _) in enumerate(nest.reads):
+            cols[:, r] = slot_at[param][tuple(table[:, first:first + len(read)].T)]
+            first += len(read)
+        read_at = [at[label] for label, _, _, _ in nest.reads]
+        int_at = [at[label] for label in nest.ints]
+        values = table[:, len(exprs) - len(int_at):].astype(np.float64)
+        rows = len(table) * count  # row r is iteration r // count at point r % count
+        step = max(1, CHUNK_CELLS // len(labels))
+        for lo in range(0, rows, step):
+            it, p = np.divmod(np.arange(lo, min(rows, lo + step)), count)
+            block = np.empty((len(it), len(labels)))
+            block[:, read_at] = pts[p[:, None], cols[it]]
+            block[:, int_at] = values[it]
+            np.add.at(grad, (p[:, None], positions[it]), evaluate(tape, block)[:, live])
+    return grad
+
+
+# ---------------------------------------------------------------------------
 # Finite differences
 
 
@@ -492,7 +565,11 @@ def verify(fn: CorpusFunction, mode: str = "gradient", points: int = 100,
            tolerance: float | None = None, cap: int = DEFAULT_NODE_CAP) -> FdReport:
     """Run the pipeline and compare analytic derivatives with FD oracles.
 
-    `cap` bounds the derivative expressions' size, as in `derive_bundle`.
+    The analytic derivatives are those the command line emits for `mode`
+    (`elements.element_path`): on the element path, the gradient its loops
+    sum (`element_gradient`), else the unrolled program's.  The FD oracle
+    always evaluates the unrolled program.  `cap` bounds the derivative
+    expressions' size, as in `derive_bundle`.
     """
     import numpy as np
 
@@ -500,9 +577,8 @@ def verify(fn: CorpusFunction, mode: str = "gradient", points: int = 100,
         raise AcornsError(f"verify mode must be gradient or hessian, not {mode!r}")
     if points < 1:  # each entry is scored at its worst point
         raise AcornsError(f"verify needs at least 1 point, not {points}")
-    _, program, vars_ = corpus_program(fn)
-    bundle = derive_bundle(program, vars_, do_simplify=do_simplify, cap=cap,
-                           want_hessian=(mode == "hessian"))
+    ir, program, vars_ = corpus_program(fn)
+    loops = element_path(ir, fn.var_names, do_simplify, (mode,))
     n = vars_.n
     if mode == "gradient":
         names = [f"grad[{j}]" for j in range(n)]
@@ -512,11 +588,15 @@ def verify(fn: CorpusFunction, mode: str = "gradient", points: int = 100,
         tol = HESS_TOL if tolerance is None else tolerance
 
     labels = [s.label for s in program.inputs]
-    lin = bundle.linearized(mode)
-    tape = compile_exprs(lin.roots, labels, lin)
     rng = np.random.default_rng(seed)
     pts = sample_points(fn, program, points, rng)
-    analytic = evaluate(tape, pts)
+    if loops is None:
+        bundle = derive_bundle(program, vars_, do_simplify=do_simplify, cap=cap,
+                               want_hessian=(mode == "hessian"))
+        lin = bundle.linearized(mode)
+        analytic = evaluate(compile_exprs(lin.roots, labels, lin), pts)
+    else:
+        analytic = element_gradient(loops, program, pts, cap)
 
     report = FdReport(fn.name, mode, tol, points, seed, tuple(labels), pts.tolist())
     oracle = _ProgramEvaluator(program, vars_)  # one program tape for every point

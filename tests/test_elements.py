@@ -17,14 +17,16 @@ import sys
 import numpy as np
 import pytest
 
-from acorns import cli, flatten
+from acorns import cli, elements, flatten
 from acorns.cli import main
+from acorns.cast import Binary
 from acorns.codegen import EmitConfig, emit
-from acorns.derivatives import VarIndexMap, derive_bundle
-from acorns.elements import element_loops
+from acorns.derivatives import VarIndexMap, derive_bundle, layout_slots
+from acorns.elements import ElementLoops, element_loops
 from acorns.flatten import dump_text, serialize, unroll
 from acorns.parser import parse_source
-from acorns.verify import CROSS_ENTROPY_SRC, corpus_function, run_ir, sample_points
+from acorns.verify import (CORPUS, CROSS_ENTROPY_SRC, CorpusFunction, corpus_function, run_ir,
+                           sample_points)
 
 from cc_util import compile_strict, run_drivers
 from randgen import random_loop_program
@@ -322,7 +324,7 @@ _FAULTS = {
     "over_the_iteration_cap": (
         _FAULT_LOOP.format(decl=" *x", c="i", n=60,
                            body="for (int j = 0; j < 0; j++) { e = e + x[j]; }"),
-        3, "acorns_autodiff: unrolled assignment count 51 exceeds cap 50\n"),
+        3, "acorns_autodiff: loop iteration count 51 exceeds cap 50\n"),
 }
 
 
@@ -605,3 +607,190 @@ def test_division_of_a_comparison_exits_1_with_its_location(tmp_path, capsys, na
                  "--vars", "x"]) == 1
     assert capsys.readouterr().err == (f"acorns_autodiff verify: f.c:{at}: "
                                        f"{_COMPARISON_DIVISION_ERROR}")
+
+
+# an `int` parameter is read from `vals` as a double, so dividing it by an
+# integer divides in int in C, and in double in acorns
+_INT_PARAM_DIVISION = {
+    "scalar": ("double f(double x, int n) {\n    double e = x * (n / 2);\n    return 0;\n}\n",
+               "2:23"),
+    "element": ("double f(const double *x, const int *m) {\n    double e = 0;\n"
+                "    for (int i = 0; i < 3; i++) {\n        e = e + x[i] * (m[i] / 2);\n    }\n"
+                "    return 0;\n}\n", "4:30"),
+}
+
+_INT_PARAM_DIVISION_ERROR = ("integer division of an int parameter: C divides it in int, "
+                             "acorns in double; make an operand a double\n")
+
+
+@pytest.mark.parametrize("name", list(_INT_PARAM_DIVISION))
+@pytest.mark.parametrize("flags", [(), ("--no-simplify",)], ids=["simplified", "raw"])
+def test_division_of_an_int_parameter_exits_1_with_its_location(tmp_path, capsys, name, flags):
+    src, at = _INT_PARAM_DIVISION[name]
+    rc, err, digests = _generate(tmp_path, src, "f", "e", ["x"], flags=flags)
+    assert (rc, err, digests) == (1, f"f.c:{at}: {_INT_PARAM_DIVISION_ERROR}", {})
+    (tmp_path / "f.c").write_text(src)
+    assert main(["verify", str(tmp_path / "f.c"), "--func", "f", "--energy", "e",
+                 "--vars", "x", *flags]) == 1
+    assert capsys.readouterr().err == (f"acorns_autodiff verify: f.c:{at}: "
+                                       f"{_INT_PARAM_DIVISION_ERROR}")
+
+
+def test_an_int_parameter_times_a_double_generates(tmp_path, capsys):
+    src = "double f(double x, int n) {\n    double e = x * n;\n    return 0;\n}\n"
+    rc, err, digests = _generate(tmp_path, src, "f", "e", ["x"])
+    assert (rc, err, sorted(digests)) == (0, "", ["k.h", "k_part0.c"])
+    (tmp_path / "f.c").write_text(src)
+    assert main(["verify", str(tmp_path / "f.c"), "--func", "f", "--energy", "e",
+                 "--vars", "x"]) == 0
+
+
+# --- verify on the element path ---------------------------------------------------
+
+_VERIFY_MODULE = sys.modules["acorns.verify"]  # `acorns.verify` is the function
+
+
+def _verified(name) -> CorpusFunction:
+    """An element input as `verify` takes it: grad_steps as the benchmark
+    verifies it, the shapes input, or a corpus entry (`springs4` is
+    springs at G=4)."""
+    if name == "grad_steps":
+        return CorpusFunction("grad_steps", GRAD_STEPS_SRC, "cross_entropy", "loss", ("a",),
+                              {"a": (0.01, 1.0)})
+    if name == "shapes":
+        return CorpusFunction("shapes", _SHAPES_SRC, "f", "e", ("x", "u"),
+                              dict.fromkeys(("x", "u", "w"), (0.5, 1.5)))
+    base = name.rstrip("0123456789")
+    return corpus_function(base, s=int(name[len(base):]) if name != base else None)
+
+
+def _scoring(monkeypatch) -> list:
+    """Record each `element_gradient` call verify makes: (loops, points, gradient)."""
+    scored = []
+    original = _VERIFY_MODULE.element_gradient
+
+    def spy(loops, program, pts, cap):
+        grad = original(loops, program, pts, cap)
+        scored.append((loops, program, pts, grad))
+        return grad
+
+    monkeypatch.setattr(_VERIFY_MODULE, "element_gradient", spy)
+    return scored
+
+
+def _element_kernel_gradient(cc, directory, fn, program, pts):
+    """The generated element kernel's gradient at `pts`, laid out over the
+    unrolled `program`'s input slots, compiled into poisoned buffers."""
+    element, _, _ = _emissions(fn.source, fn.func_name, fn.energy_var, fn.var_names,
+                               ("gradient",))
+    loops = element_loops(parse_source(fn.source, fn.func_name, fn.energy_var), fn.var_names)
+    labels = program.input_labels()
+    vals = pts[:, [labels.index(label) for label in layout_slots(loops, loops.vars_)]]
+    return run_drivers(cc, element, str(directory), "k", vals, loops.vars_.n)["gradient"]
+
+
+@pytest.mark.parametrize("name", ["grad_steps", "shapes", "cross_entropy",
+                                  *(f"springs{g}" for g in range(2, 7)),
+                                  *(f"barrier{g}" for g in range(2, 7))])
+def test_verify_scores_the_gradient_the_element_kernel_computes(cc, tmp_path, monkeypatch, name):
+    fn = _verified(name)
+    scored = _scoring(monkeypatch)
+    report = _VERIFY_MODULE.verify(fn, points=40)
+    assert report.ok
+    (_, program, pts, grad), = scored
+    for k, entry in enumerate(report.entries):
+        assert entry.analytic == grad[entry.point, k]
+    got = _element_kernel_gradient(cc, tmp_path, fn, program, pts)
+    assert got.tobytes() == grad.tobytes()
+
+
+def test_verify_takes_the_path_generate_takes(tmp_path, monkeypatch):
+    emitted = []
+    monkeypatch.setattr(cli, "emit", lambda bundle, vars_, cfg, form: (
+        emitted.append(isinstance(form, ElementLoops)) or emit(bundle, vars_, cfg, form)))
+    programs, derived = [], []
+    monkeypatch.setattr(_VERIFY_MODULE, "unroll", lambda ir: programs.append(unroll(ir))
+                        or programs[-1])
+    monkeypatch.setattr(_VERIFY_MODULE, "derive_bundle", lambda p, *args, **kwargs: (
+        derived.append(p) or derive_bundle(p, *args, **kwargs)))
+    table = {}
+    for name in CORPUS:
+        fn = corpus_function(name)
+        for mode in ("gradient", "hessian"):
+            for flags in ((), ("--no-simplify",)):
+                rc, err, _ = _generate(tmp_path, fn.source, fn.func_name, fn.energy_var,
+                                       list(fn.var_names), modes=(mode,), flags=flags)
+                assert (rc, err) == (0, "")
+                programs.clear()
+                derived.clear()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    rc = main(["verify", name, "--mode", mode, "--points", "2", *flags])
+                assert rc == 0
+                verified = not any(p is program for p in derived for program in programs)
+                table[name, mode, bool(flags)] = emitted.pop(), verified
+    assert not emitted
+    assert {key for key, (generated, verified) in table.items() if verified} == {
+        (name, "gradient", False) for name in ("cross_entropy", "springs", "barrier")}
+    assert all(generated == verified for generated, verified in table.values()), table
+
+
+# a read whose extents differ, so transposing its strides permutes its
+# positions in `vals` and in the gradient, under a weight that tells the
+# elements apart
+_NON_SQUARE_SRC = """\
+double f(const double **a) {
+    double e = 0;
+    for (int i = 0; i < 2; i++) {
+        for (int j = 0; j < 3; j++) {
+            e = e + (3 * i + j + 1) * a[i][j] * a[i][j] * a[i][j];
+        }
+    }
+    return 0;
+}
+"""
+
+
+def _transpose_read_positions(monkeypatch):
+    """Make the element path lay its reads out with the first index fastest."""
+    original = elements._flat
+
+    def transposed(shape, name, indices):
+        base, extents = shape[name]
+        return original({name: (base, extents[::-1])}, name, indices[::-1])
+
+    monkeypatch.setattr(elements, "_flat", transposed)
+
+
+def test_verify_fails_an_element_kernel_whose_read_positions_are_transposed(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "f.c").write_text(_NON_SQUARE_SRC)
+    argv = ["verify", str(tmp_path / "f.c"), "--func", "f", "--energy", "e", "--vars", "a",
+            "--mode", "gradient", "--points", "5"]
+    assert main(argv) == 0
+    _transpose_read_positions(monkeypatch)
+    assert main(argv) == 1
+    assert "FAIL" in capsys.readouterr().out
+    # the unrolled derivation the element path replaced never reaches `_flat`
+    monkeypatch.setattr(_VERIFY_MODULE, "element_path", lambda *args: None)
+    assert main(argv) == 0
+
+
+def test_transposed_read_positions_break_the_element_kernel(cc, tmp_path, monkeypatch):
+    # the fault verify fails above is one in the emitted kernel
+    _transpose_read_positions(monkeypatch)
+    element, unrolled, program = _emissions(_NON_SQUARE_SRC, "f", "e", ["a"], ("gradient",))
+    points = np.random.default_rng(25).uniform(0.5, 1.5, size=(20, len(program.inputs)))
+    got = run_drivers(cc, element, str(tmp_path / "element"), "k", points, 6)["gradient"]
+    want = run_drivers(cc, unrolled, str(tmp_path / "unrolled"), "k", points, 6)["gradient"]
+    assert not np.allclose(got, want)
+
+
+def test_verify_refuses_a_gradient_position_out_of_range(tmp_path, monkeypatch, capsys):
+    original = elements._flat
+    monkeypatch.setattr(elements, "_flat", lambda shape, name, indices: Binary(
+        "+", original(shape, name, indices), elements._int_const(1)))
+    (tmp_path / "f.c").write_text(_NON_SQUARE_SRC)
+    assert main(["verify", str(tmp_path / "f.c"), "--func", "f", "--energy", "e",
+                 "--vars", "a"]) == 1
+    assert capsys.readouterr().err == ("acorns_autodiff verify: element path: gradient position "
+                                       "1..6 outside 0..5\n")

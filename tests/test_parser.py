@@ -70,6 +70,13 @@ def test_array_param_declared_extents():
     assert ir.params[0].extents == (2, 3)
 
 
+def test_params_record_their_element_type():
+    ir = parse_source("double f(double x, int n, const int *m, const double **a)"
+                      "{ double e = x; return 0; }", "f", "e")
+    assert [(p.name, p.rank, p.elem_type) for p in ir.params] == [
+        ("x", 0, "double"), ("n", 0, "int"), ("m", 1, "int"), ("a", 2, "double")]
+
+
 def test_compound_assignment_desugars():
     ir = parse_source("double f(double x){ double e = 0; e += x; e *= 2; return 0; }", "f", "e")
     a1, a2 = ir.body[1], ir.body[2]
