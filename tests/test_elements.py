@@ -664,44 +664,38 @@ def _verified(name) -> CorpusFunction:
     return corpus_function(base, s=int(name[len(base):]) if name != base else None)
 
 
-def _scoring(monkeypatch) -> list:
-    """Record each `element_gradient` call verify makes: (loops, points, gradient)."""
-    scored = []
-    original = _VERIFY_MODULE.element_gradient
-
-    def spy(loops, program, pts, cap):
-        grad = original(loops, program, pts, cap)
-        scored.append((loops, program, pts, grad))
-        return grad
-
-    monkeypatch.setattr(_VERIFY_MODULE, "element_gradient", spy)
-    return scored
-
-
-def _element_kernel_gradient(cc, directory, fn, program, pts):
-    """The generated element kernel's gradient at `pts`, laid out over the
-    unrolled `program`'s input slots, compiled into poisoned buffers."""
-    element, _, _ = _emissions(fn.source, fn.func_name, fn.energy_var, fn.var_names,
-                               ("gradient",))
-    loops = element_loops(parse_source(fn.source, fn.func_name, fn.energy_var), fn.var_names)
-    labels = program.input_labels()
-    vals = pts[:, [labels.index(label) for label in layout_slots(loops, loops.vars_)]]
-    return run_drivers(cc, element, str(directory), "k", vals, loops.vars_.n)["gradient"]
-
-
 @pytest.mark.parametrize("name", ["grad_steps", "shapes", "cross_entropy",
                                   *(f"springs{g}" for g in range(2, 7)),
                                   *(f"barrier{g}" for g in range(2, 7))])
 def test_verify_scores_the_gradient_the_element_kernel_computes(cc, tmp_path, monkeypatch, name):
     fn = _verified(name)
-    scored = _scoring(monkeypatch)
+    scored = []
+    original = _VERIFY_MODULE.element_gradient
+    monkeypatch.setattr(_VERIFY_MODULE, "element_gradient", lambda loops, program, pts, cap: (
+        scored.append((loops, program, pts, original(loops, program, pts, cap))) or scored[-1][3]))
     report = _VERIFY_MODULE.verify(fn, points=40)
     assert report.ok
-    (_, program, pts, grad), = scored
+    (loops, program, pts, grad), = scored
     for k, entry in enumerate(report.entries):
         assert entry.analytic == grad[entry.point, k]
-    got = _element_kernel_gradient(cc, tmp_path, fn, program, pts)
+    # the generated kernel, over the same points laid out as `vals`
+    element, _, _ = _emissions(fn.source, fn.func_name, fn.energy_var, fn.var_names,
+                               ("gradient",))
+    labels = program.input_labels()
+    vals = pts[:, [labels.index(label) for label in layout_slots(loops, loops.vars_)]]
+    got = run_drivers(cc, element, str(tmp_path), "k", vals, loops.vars_.n)["gradient"]
     assert got.tobytes() == grad.tobytes()
+
+
+def test_element_gradient_is_the_same_in_any_chunks(monkeypatch):
+    # grad_steps' body has 3 slots: chunks of 2 rows split iterations and points
+    fn = _verified("grad_steps")
+    ir, program, _ = _VERIFY_MODULE.corpus_program(fn)
+    loops = element_loops(ir, fn.var_names)
+    pts = sample_points(fn, program, 3, np.random.default_rng(26))
+    whole = _VERIFY_MODULE.element_gradient(loops, program, pts)
+    monkeypatch.setattr(_VERIFY_MODULE, "CHUNK_CELLS", 7)
+    assert _VERIFY_MODULE.element_gradient(loops, program, pts).tobytes() == whole.tobytes()
 
 
 def test_verify_takes_the_path_generate_takes(tmp_path, monkeypatch):
