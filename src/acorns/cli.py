@@ -89,17 +89,30 @@ def _node_cap() -> int:
         return DEFAULT_NODE_CAP
 
 
+def _read_source(path: str, prog: str) -> str | int:
+    """The text of the C source file `path`, or, after a one-line
+    diagnostic, the exit code: 2 when it cannot be read, 1 when it is not
+    UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        print(f"{prog}: cannot read {path}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"{prog}: {path}: not UTF-8 text (byte {exc.start})", file=sys.stderr)
+        return EXIT_INPUT
+
+
 def _run_pipeline(args) -> int:
     modes = frozenset(args.mode)
     if not args.vars and modes & {"gradient", "hessian"}:
         print("acorns_autodiff: error: --vars is required for gradient/hessian output",
               file=sys.stderr)
         return EXIT_INPUT
-    try:
-        source_text = open(args.input, encoding="utf-8").read()
-    except OSError as exc:
-        print(f"acorns_autodiff: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    source_text = _read_source(args.input, "acorns_autodiff")
+    if isinstance(source_text, int):
+        return source_text
 
     try:
         ir = parse_source(source_text, args.func, args.energy_var)
@@ -204,7 +217,7 @@ def _verify_parser() -> _ArgumentParser:
                         "step count for rollout")
     p.add_argument("--points", type=_AT_LEAST_ONE, default=100)
     p.add_argument("--mode", default="gradient", choices=["gradient", "hessian"])
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "non-negative"), default=None)
     p.add_argument("--no-simplify", action="store_true")
     p.add_argument("--tolerance", default=None,
                    type=_checked(float, lambda v: 0 < v < math.inf, "positive and finite"))
@@ -233,12 +246,9 @@ def _run_verify(argv) -> int:
                 print("acorns_autodiff verify: file inputs need --func, --energy and --vars",
                       file=sys.stderr)
                 return EXIT_INPUT
-            try:
-                source = open(args.function, encoding="utf-8").read()
-            except OSError as exc:
-                print(f"acorns_autodiff verify: cannot read {args.function}: {exc}",
-                      file=sys.stderr)
-                return EXIT_IO
+            source = _read_source(args.function, "acorns_autodiff verify")
+            if isinstance(source, int):
+                return source
             fn = CorpusFunction(
                 name=os.path.basename(args.function), source=source,
                 func_name=args.func, energy_var=args.energy,

@@ -40,7 +40,12 @@ On the element path (`elements.element_path`: a simplified run without a
 Hessian, of an energy summed over a perfect loop nest; the module says
 which loops qualify and which fall back) there is one chunk per mode, in
 one file.  Each runs every loop nest, with its headers printed from the
-source, around one iteration's body in bound form.  The function chunk
+source, around one iteration's body in bound form.  `elements` describes
+a nest over the source's names, and this module alone spells it in C
+(`_nest_text`): the counters are `i0`, `i1`, ... by depth, `E`'s running
+value is `e` and the body's inputs `v1`, `v2`, ..., each loaded from
+`vals` at its read's position or computed from its integer expression,
+with each `int` local printed as its value.  The function chunk
 sets `double e = <initial value>;`, each iteration writes `e = <body>;`,
 adding the terms in loop order as the unrolled kernel does, and the chunk
 ends with `out[0] = e;`.  The gradient chunk zero-fills `out[0..n)` and
@@ -62,9 +67,10 @@ from __future__ import annotations
 import itertools
 import re
 
-from .cast import INTRINSICS, SharedText, is_plus_zero, to_source
+from .cast import (INTRINSICS, Binary, Constant, Expr, SharedText, Var, is_plus_zero, post_order,
+                   rebuild, to_source)
 from .derivatives import STAGES, DerivativeBundle, VarIndexMap, layout_slots
-from .elements import ENERGY_NAME, ElementLoops, ElementNest
+from .elements import ElementLoops, ElementNest, _int_const
 from .errors import AcornsError
 from .flatten import StraightLineProgram
 from .record import Record
@@ -77,6 +83,9 @@ DEFAULT_SPLIT_TARGET = 16 * 2**20
 MIN_SPLIT_TARGET = 2**16
 
 RECOMMENDED_FLAGS = "-O3 -ffast-math -flto"
+
+# the C name of the energy's running value in an element chunk
+ENERGY_NAME = "e"
 
 # names a local of a chunk function cannot take: its arguments, the
 # math functions an expression or its derivatives may call, the object-like
@@ -391,29 +400,31 @@ def _element_part(bundles: tuple, cfg: EmitConfig, loops: ElementLoops, n: int, 
     lines = list(head)
     chunks: dict[str, list[int]] = {m: [] for m in MODE_ORDER}
     n_statements = 0
+    texts = [_nest_text(nest) for nest in loops.nests]
     for cid, mode in enumerate(m for m in ("function", "gradient") if m in cfg.mode):
         chunks[mode].append(cid)
-        bodies = [_element_body(nest, bundle, mode) for nest, bundle in zip(loops.nests, bundles)]
+        bodies = [_element_body(nest, text, bundle, mode)
+                  for nest, text, bundle in zip(loops.nests, texts, bundles)]
         lines += [f"void {stem}_chunk_{cid}(const double* restrict vals, double* restrict out)",
                   "{"]
-        if not any(label in nest.positions
-                   for nest, (read, _, _) in zip(loops.nests, bodies) for label in read):
+        if not any(label in positions
+                   for (_, _, positions, _), (read, _, _) in zip(texts, bodies) for label in read):
             lines.append("    (void) vals;")
         if mode == "function":
-            lines.append(f"    double {ENERGY_NAME} = {loops.init};")
+            lines.append(f"    double {ENERGY_NAME} = {to_source(loops.init)};")
         else:
             lines.append(f"    for (int k = 0; k < {n}; ++k) out[k] = 0;")
-        for nest, (read, body, count) in zip(loops.nests, bodies):
+        for (headers, names, positions, ints), (read, body, count) in zip(texts, bodies):
             if not count:  # a nest that reads no differentiation variable
                 continue
             n_statements += count
-            loads = [f"{nest.names[label]} = " + (f"vals[{nest.positions[label]}]"
-                                                  if label in nest.positions else nest.ints[label])
+            loads = [f"{names[label]} = " + (f"vals[{positions[label]}]"
+                                             if label in positions else ints[label])
                      for label in read]
             if loads:
                 body = [f"const double {', '.join(loads)};", *body]
-            depth = len(nest.headers)
-            lines += [f"{'    ' * d}{header} {{" for d, header in enumerate(nest.headers, 1)]
+            depth = len(headers)
+            lines += [f"{'    ' * d}{header} {{" for d, header in enumerate(headers, 1)]
             lines += ["    " * (depth + 1) + line for line in body]
             lines += [f"{'    ' * d}}}" for d in range(depth, 0, -1)]
         if mode == "function":
@@ -422,19 +433,58 @@ def _element_part(bundles: tuple, cfg: EmitConfig, loops: ElementLoops, n: int, 
     return ["\n".join(lines)], chunks, n_statements
 
 
-def _element_body(nest: ElementNest, bundle: DerivativeBundle, mode: str) -> tuple:
+def _nest_text(nest: ElementNest) -> tuple:
+    """A nest's C: its loops' headers, outermost first, each input slot's
+    local name, and the C text of each read's position in `vals` and of
+    each integer slot.
+
+    The counters are named `i0`, `i1`, ... by depth, `E`'s slot
+    `ENERGY_NAME` and the others `v1`, `v2`, ... in slot order.  An `int`
+    local prints as its value, and a header's update `i = i + 1` as `++i`.
+    """
+    counters = {lp.counter: f"i{depth}" for depth, lp in enumerate(nest.loops)}
+
+    def c_int(e: Expr) -> str:
+        done: dict[int, Expr] = {}
+        for node in post_order(e, done):
+            if isinstance(node, Var) and node.name in nest.start:
+                done[id(node)] = _int_const(nest.start[node.name])
+            else:
+                done[id(node)] = rebuild(node, done)
+        root = done[id(e)]
+        return to_source(root, SharedText((root,), names=counters))
+
+    headers = []
+    for lp in nest.loops:
+        c, update = counters[lp.counter], lp.update
+        if (isinstance(update, Binary) and update.op == "+" and isinstance(update.lhs, Var)
+                and update.lhs.name == lp.counter
+                and isinstance(update.rhs, Constant) and update.rhs.text == "1"):
+            step = f"++{c}"
+        else:
+            step = f"{c} = {c_int(update)}"
+        headers.append(f"for (int {c} = {c_int(lp.init)}; {c_int(lp.cond)}; {step})")
+    names = {s.label: f"v{k}" for k, s in enumerate(nest.program.inputs)}
+    names[nest.program.inputs[0].label] = ENERGY_NAME
+    positions = {label: c_int(position) for label, position in nest.reads}
+    ints = {label: c_int(e) for label, e in nest.ints}
+    return headers, names, positions, ints
+
+
+def _element_body(nest: ElementNest, text: tuple, bundle: DerivativeBundle, mode: str) -> tuple:
     """The input slots a nest's body reads for `mode`, in slot order, the
     body's lines and its statements' count: `e = <f>;`, or
     `out[k] += <entry>;` per gradient entry that is not +0, each after the
-    temporaries it reads first."""
+    temporaries it reads first.  `text` is the nest's `_nest_text`."""
+    _, names, positions, _ = text
     lin = bundle.linearized(mode)
-    shared = SharedText(lin.roots, "t", lin, nest.names)
+    shared = SharedText(lin.roots, "t", lin, names)
     bits = {s.label: 1 << i for i, s in enumerate(nest.program.inputs[1:])}
     masks = lin.masks(bits)
     if mode == "function":
         targets = [f"{ENERGY_NAME} ="]
     else:
-        targets = [f"out[{nest.positions[label]}] +=" for label in nest.vars_.labels]
+        targets = [f"out[{positions[label]}] +=" for label in nest.vars_.labels]
     body = []
     mask = count = 0
     for target, expr, at in zip(targets, lin.roots, lin.at):

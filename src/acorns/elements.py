@@ -33,19 +33,23 @@ named like `E`, for `E`'s value before the iteration.  A read of an
 element of a differentiated parameter is a differentiation variable.
 
 The function is not unrolled.  One walk over each nest's iteration space
-(`_Recogniser.walk`, over the iterations `iterations` yields) runs the
-loop headers as the unroller runs them and, in each iteration of the
-innermost body, every read's index expressions and every integer slot.
-The reads' largest indices give each parameter's reach, from which
+(`_Recogniser.walk`, over the iterations `flatten.iterations` yields, the
+runner the unroller runs each `for` by) evaluates, in each iteration of
+the innermost body, every read's index expressions and every integer
+slot.  The reads' largest indices give each parameter's reach, from which
 `flatten.input_slots` lays out `vals` as the unrolled program's input
-slots are laid out.  Where unrolling would
-fail, on an index out of range or of the wrong rank, a division by zero,
-a bound that is not constant, or more assignments or loop iterations than
-`flatten.DEFAULT_ASSIGN_CAP` allows, `element_loops` returns None, and
-the caller's `unroll` reports the fault as it always has.  A walk costs
-integer arithmetic per iteration, not an expression tree per element.
-`verify` walks a nest again, by `ElementNest.iterations`, to score the
-gradient the emitted loops compute.
+slots are laid out.  Where unrolling would fail, on an index out of range
+or of the wrong rank, a division by zero, a bound that is not constant,
+or more assignments or loop iterations than `flatten.DEFAULT_ASSIGN_CAP`
+allows, `element_loops` returns None, and the caller's `unroll` reports
+the fault as it always has.  A walk costs integer arithmetic per
+iteration, not an expression tree per element.
+
+Each nest is described once, over the source's names (`ElementNest`):
+its loops, its body's program, and each read's position in `vals` and
+each integer slot as integer expressions over the loop counters.
+`codegen` spells that in C, and `verify` runs the same loops by
+`flatten.iterations` and reads each value at the same position.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ from .cast import (
     ForLoop,
     FunctionIR,
     Return,
-    SharedText,
     Unary,
     Var,
     children,
@@ -74,7 +77,7 @@ from .cast import (
     to_source,
 )
 from .derivatives import VarIndexMap, layout_slots
-from .errors import NotConstant
+from .errors import BoundExplosion, NotConstant
 from .flatten import (
     _INT_BINARY_FN,
     VERSION_SEP,
@@ -87,48 +90,35 @@ from .flatten import (
     fold,
     input_slots,
     int_value,
+    iterations,
     param_slots,
 )
 from .record import Record
 
-# the C name of the energy's running value in an element chunk
-ENERGY_NAME = "e"
-
 
 class ElementNest(Record):
-    """One loop nest of the element path.
+    """One loop nest of the element path, over the source's names.
 
-    `headers` are its loops' C headers, outermost first, and `program` one
-    iteration of its innermost body, whose first input slot is `E`'s.
-    `names` maps each input slot to its C name, `positions` each parameter
-    read to the C expression of its index in `vals`, which is its index in
-    the gradient too when it is one of `vars_`, and `ints` each integer
-    subexpression's slot to its C expression.
-
-    The same over the source's names: `loops` are the nest's `ForLoop`s,
-    outermost first, entered with the `int` locals `start`; `reads` holds
-    each read's `(label, parameter, index expressions, position)` and
-    `int_exprs` each integer slot's expression, in slot order, each an
-    integer expression over the counters that `iterations` binds.
+    `loops` are the nest's `ForLoop`s, outermost first, entered with the
+    `int` locals `start`, and `program` one iteration of its innermost
+    body, whose first input slot is `E`'s.  `reads` holds each parameter
+    read's `(label, position)`, the position being its index in `vals`,
+    which is its index in the gradient too when it is one of `vars_`, and
+    `ints` each integer slot's `(label, expression)`.  Both are in slot
+    order, and each position and expression is an integer expression over
+    the counters that `flatten.iterations` binds.
     """
 
-    __slots__ = ("headers", "program", "vars_", "names", "positions", "ints",
-                 "loops", "start", "reads", "int_exprs")
+    __slots__ = ("program", "vars_", "loops", "start", "reads", "ints")
 
-    def __init__(self, headers: tuple, program: StraightLineProgram, vars_: VarIndexMap,
-                 names: dict, positions: dict, ints: dict, loops: tuple, start: dict,
-                 reads: tuple, int_exprs: tuple):
-        super().__init__(headers, program, vars_, names, positions, ints, loops, start, reads,
-                         int_exprs)
-
-    def iterations(self):
-        """The nest's iterations, as `iterations` yields them."""
-        return iterations(self.loops, dict(self.start))
+    def __init__(self, program: StraightLineProgram, vars_: VarIndexMap, loops: tuple,
+                 start: dict, reads: tuple, ints: tuple):
+        super().__init__(program, vars_, loops, start, reads, ints)
 
 
 class ElementLoops(Record):
-    """A function on the element path: `init` is the C text of `E`'s
-    initial value, `nests` its loop nests in source order, `inputs` its
+    """A function on the element path: `init` is `E`'s initial value, a
+    constant expression, `nests` its loop nests in source order, `inputs` its
     input slots, those the unrolled program would have, so
     `VarIndexMap.from_names`, `layout_slots` and `codegen.emit` take it in
     place of that program, and `vars_` the differentiated parameters'
@@ -136,7 +126,7 @@ class ElementLoops(Record):
 
     __slots__ = ("init", "nests", "inputs", "vars_", "__dict__")  # __dict__ holds param_slots
 
-    def __init__(self, init: str, nests: tuple, inputs: tuple, vars_: VarIndexMap | None):
+    def __init__(self, init: Expr, nests: tuple, inputs: tuple, vars_: VarIndexMap | None):
         super().__init__(init, nests, inputs, vars_)
 
     @cached_property
@@ -171,7 +161,7 @@ def element_loops(ir: FunctionIR, names) -> ElementLoops | None:
     rec = _Recogniser(ir)
     try:
         rec.run()
-    except (_Unrolled, NotConstant):  # not this path's shape, or a fault unroll reports
+    except (_Unrolled, NotConstant, BoundExplosion):  # not this path, or a fault unroll reports
         return None
     loops = ElementLoops(rec.init, (), input_slots(rec.reach), None)
     vars_ = VarIndexMap.from_names(loops, names)
@@ -185,45 +175,17 @@ def _no_read(node: Expr, env: dict):
     raise _Unrolled  # E's initial value reads a name
 
 
-def iterations(loops, env: dict):
-    """Run the headers of the perfect nest `loops` (outermost first) as
-    `flatten._Unroller` runs them, from the bindings `env`, and yield
-    `env`, binding every counter, at each iteration of the innermost body;
-    raise _Unrolled past `flatten.DEFAULT_ASSIGN_CAP` iterations of a loop.
-    Each header is walked once, by `const_order`, and evaluated by
-    `eval_const`."""
-    cap = flatten.DEFAULT_ASSIGN_CAP
-    heads = [(lp, const_order(lp.cond), const_order(lp.update)) for lp in loops]
-    innermost = len(heads) - 1
-
-    def run(depth: int):
-        lp, cond, update = heads[depth]
-        env[lp.counter] = eval_const(lp.init, env)
-        count = 0
-        while eval_const(lp.cond, env, cond):
-            count += 1
-            if count > cap:
-                raise _Unrolled
-            if depth < innermost:
-                yield from run(depth + 1)
-            else:
-                yield env
-            env[lp.counter] = eval_const(lp.update, env, update)
-
-    return run(0)
-
-
 class _Recogniser:
     def __init__(self, ir: FunctionIR):
         self.ir = ir
         self.energy = ir.energy_var
         self.params = {p.name: p for p in ir.params}
         self.int_locals: dict[str, int] = {}  # the `int` locals outside the loops -> their values
-        self.init: str | None = None  # E's initial value, as the unroller folds it
+        self.init: Expr | None = None  # E's initial value, as the unroller folds it
         # each parameter's extents, as `flatten._Unroller` widens them
         self.reach = {p.name: [n or 0 for n in p.extents] for p in ir.params}
         self.assigns = 0  # the unrolled program's assignments so far
-        self.bodies: list = []  # (headers, program, _Body, loops, start) of each nest
+        self.bodies: list = []  # (program, _Body, loops, start) of each nest
 
     def run(self):
         """Recognise the function's shape and walk its nests (`walk`)."""
@@ -234,7 +196,7 @@ class _Recogniser:
                 self.int_locals[s.name] = eval_const(s.init, self.int_locals)
             elif (isinstance(s, Declaration) and s.name == self.energy and self.init is None
                     and s.elem_type == "double" and not s.extents and s.init is not None):
-                self.init = to_source(fold(s.init, self.int_locals, _no_read))
+                self.init = fold(s.init, self.int_locals, _no_read)
                 self.assigns += 1
             elif isinstance(s, ForLoop) and self.init is not None:
                 self.bodies.append(self.nest(s))
@@ -247,30 +209,20 @@ class _Recogniser:
         loops = [loop]
         while len(loops[-1].body) == 1 and isinstance(loops[-1].body[0], ForLoop):
             loops.append(loops[-1].body[0])
-        counters = {lp.counter: f"i{depth}" for depth, lp in enumerate(loops)}
-        body = _Body(self, counters)
+        body = _Body(self, {lp.counter for lp in loops})
         for s in loops[-1].body:
             body.statement(s)
         program = body.program()
         start = dict(self.int_locals)
-        self.walk(iterations(loops, dict(start)), body, len(program.assigns))
-        headers = []
-        for lp in loops:
-            c = counters[lp.counter]
-            update = lp.update
-            if (isinstance(update, Binary) and update.op == "+" and _is_var(update.lhs, lp.counter)
-                    and isinstance(update.rhs, Constant) and update.rhs.text == "1"):
-                step = f"++{c}"
-            else:
-                step = f"{c} = {body.c_int(update)}"
-            headers.append(f"for (int {c} = {body.c_int(lp.init)}; {body.c_int(lp.cond)}; {step})")
-        return tuple(headers), program, body, tuple(loops), start
+        self.walk(loops, start, body, len(program.assigns))
+        return program, body, tuple(loops), start
 
-    def walk(self, nest_iterations, body: "_Body", per_iteration: int):
-        """In each of a nest's iterations, evaluate its reads' indices and
-        its integer slots, then widen `reach` by the indices; raise
-        _Unrolled, or NotConstant on a division by zero, where unrolling
-        would fail: an index out of range, or more than
+    def walk(self, loops: list, start: dict, body: "_Body", per_iteration: int):
+        """In each iteration of the nest `loops`, entered with the `int`
+        locals `start`, evaluate the body's reads' indices and its integer
+        slots, then widen `reach` by the indices; raise _Unrolled,
+        NotConstant on a division by zero, or BoundExplosion, where
+        unrolling would fail: an index out of range, or more than
         `flatten.DEFAULT_ASSIGN_CAP` assignments or loop iterations.  The
         expressions are walked once, by `const_order`, and evaluated
         together by `eval_consts`."""
@@ -280,8 +232,8 @@ class _Recogniser:
                  for _, name, indices in body.reads]
         dims = [box for _, read in boxes for box in read]
         exprs = [ix for _, _, indices in body.reads for ix in indices]
-        order = const_order(*exprs, *body.int_exprs)
-        for env in nest_iterations:
+        order = const_order(*exprs, *(e for _, e in body.ints))
+        for env in iterations(loops, dict(start), cap):
             self.assigns += per_iteration
             if self.assigns > cap:
                 raise _Unrolled
@@ -308,14 +260,12 @@ class _Recogniser:
         shape = {name: (layout[slots[0].label], tuple(ix + 1 for ix in slots[-1].indices))
                  for name, slots in loops.param_slots.items()}
         nests = []
-        for headers, program, body, source_loops, start in self.bodies:
-            reads = tuple((label, name, indices, _flat(shape, name, indices))
+        for program, body, source_loops, start in self.bodies:
+            reads = tuple((label, _flat(shape, name, indices))
                           for label, name, indices in body.reads)
-            positions = {label: body.c_int(flat) for label, _, _, flat in reads}
             var_labels = tuple(label for label, name, _ in body.reads if name in var_params)
-            nests.append(ElementNest(headers, program, VarIndexMap(var_labels), body.names,
-                                     positions, body.ints, source_loops, start, reads,
-                                     tuple(body.int_exprs)))
+            nests.append(ElementNest(program, VarIndexMap(var_labels), source_loops, start, reads,
+                                     tuple(body.ints)))
         return tuple(nests)
 
 
@@ -346,15 +296,13 @@ def _flat(shape: dict, name: str, indices: tuple) -> Expr:
 class _Body:
     """One iteration of a nest's innermost body, built as a program."""
 
-    def __init__(self, rec: _Recogniser, counters: dict):
+    def __init__(self, rec: _Recogniser, counters: set):
         self.rec = rec
-        self.counters = counters  # source name -> C name
+        self.counters = counters
         energy = rec.energy
         self.slots: dict = {}  # (param, index expressions) or an integer expression -> label
         self.inputs = [InputSlot(energy, (), energy)]
-        self.names = {energy: ENERGY_NAME}
-        self.ints: dict[str, str] = {}  # an integer subexpression's label -> its C text
-        self.int_exprs: list[Expr] = []  # the integer subexpressions, in slot order
+        self.ints: list = []  # (label, integer expression) of each integer slot, in slot order
         self.reads: list = []  # (label, parameter, index expressions) of each read, in slot order
         self.assigns: list[SlpAssign] = []
         self.versions: dict[str, int] = {}
@@ -494,21 +442,7 @@ class _Body:
                 self.reads.append((label, name, indices))
             else:
                 label = to_source(key)
-                self.ints[label] = self.c_int(key)
-                self.int_exprs.append(key)
+                self.ints.append((label, key))
             self.slots[key] = label
-            self.names[label] = f"v{len(self.inputs)}"
             self.inputs.append(InputSlot(param, (), label))
         return Var(label)
-
-    def c_int(self, e: Expr) -> str:
-        """An integer expression's C text: `int` locals are their values
-        and counters their C names."""
-        done: dict[int, Expr] = {}
-        for node in post_order(e, done):
-            if isinstance(node, Var) and node.name in self.rec.int_locals:
-                done[id(node)] = _int_const(self.rec.int_locals[node.name])
-            else:
-                done[id(node)] = rebuild(node, done)
-        root = done[id(e)]
-        return to_source(root, SharedText((root,), names=self.counters))

@@ -185,6 +185,34 @@ def const_order(*exprs: Expr) -> list:
     return order
 
 
+def iterations(loops, env: dict, cap: int):
+    """Run the headers of the perfect nest `loops` (outermost first) from
+    the bindings `env`, and yield `env`, binding every counter, at each
+    iteration of the innermost body; raise BoundExplosion past `cap`
+    iterations of a loop.  Each header is walked once, by `const_order`,
+    and evaluated by `eval_const`.  The unroller runs each `for` by it, one
+    loop at a time; the element path's walk (`elements`) and `verify` run
+    a nest by it."""
+    heads = [(lp, const_order(lp.cond), const_order(lp.update)) for lp in loops]
+    innermost = len(heads) - 1
+
+    def run(depth: int):
+        lp, cond, update = heads[depth]
+        env[lp.counter] = eval_const(lp.init, env)
+        count = 0
+        while eval_const(lp.cond, env, cond):
+            count += 1
+            if count > cap:
+                raise BoundExplosion(count, cap, "loop iteration count")
+            if depth < innermost:
+                yield from run(depth + 1)
+            else:
+                yield env
+            env[lp.counter] = eval_const(lp.update, env, update)
+
+    return run(0)
+
+
 def _c_int_div(a: int, b: int) -> int:
     q = abs(a) // abs(b)  # C integer division truncates toward zero
     return q if (a >= 0) == (b >= 0) else -q
@@ -374,19 +402,8 @@ class _Unroller:
             else:
                 self.emit(self.element(lv, env), rhs)
         elif isinstance(s, ForLoop):
-            value = eval_const(s.init, env)
-            cond, update = const_order(s.cond), const_order(s.update)
-            iterations = 0
-            while True:
-                inner = dict(env)
-                inner[s.counter] = value
-                if not eval_const(s.cond, inner, cond):
-                    break
-                iterations += 1
-                if iterations > self.cap:
-                    raise BoundExplosion(iterations, self.cap, "loop iteration count")
-                self.run_block(s.body, inner)
-                value = eval_const(s.update, inner, update)
+            for inner in iterations((s,), dict(env), self.cap):
+                self.run_block(s.body, dict(inner))
         elif isinstance(s, If):
             taken = s.then_body if eval_const(s.cond, env) else s.else_body
             self.run_block(taken, dict(env))

@@ -5,9 +5,11 @@ The FD oracles evaluate only the original straight-line program (never a
 differentiated expression), so they are independent of the symbolic
 differentiator they validate.  The analytic side is what the command line
 emits for the mode checked: on the element path (`elements.element_path`)
-the per-iteration gradient of each loop body, summed as the emitted loops
-sum it (`element_gradient`), else the unrolled program's derivatives.
-numpy is imported on first use, as in `interp`.
+the per-iteration gradient of each loop body, its loops run by
+`flatten.iterations` and its values read at the positions in `vals` the
+kernel loads, summed as the emitted loops sum it (`element_gradient`),
+else the unrolled program's derivatives.  An `int` parameter is sampled
+at integers.  numpy is imported on first use, as in `interp`.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ import math
 
 from .cast import (ArrayRef, Assignment, Block, Declaration, Expr, ForLoop, FunctionIR, If, Return,
                    Var, children, is_plus_zero, operands, post_order)
-from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle
+from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle, layout_slots
 from .elements import ElementLoops, element_path
 from .errors import AcornsError, UnboundSlot
-from .flatten import (StraightLineProgram, const_order, element_labels, eval_const, eval_consts,
-                      int_value, slot_label, unroll)
+from .flatten import (DEFAULT_ASSIGN_CAP, StraightLineProgram, const_order, element_labels,
+                      eval_const, eval_consts, int_value, iterations, slot_label, unroll)
 from .interp import CHUNK_CELLS, _apply, compile_exprs, compile_program, evaluate, eval_expr
 from .parser import parse_source, validate_subset
 from .record import Record
@@ -221,14 +223,31 @@ def corpus_program(fn: CorpusFunction):
 
 
 def sample_points(fn: CorpusFunction, program: StraightLineProgram, count: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Sample `count` full input-slot vectors inside the function's safe box."""
+                  rng: np.random.Generator, int_params=frozenset()) -> np.ndarray:
+    """Sample `count` full input-slot vectors inside the function's safe box.
+
+    A slot of a parameter named in `int_params`, the `int` ones, takes an
+    integer from `ceil(lo)` to `floor(hi)` (the floor of a uniform draw
+    one wider), and a box that holds none raises AcornsError.  Every slot
+    takes one draw of one `uniform` call, so the other slots' values do
+    not depend on `int_params`."""
+    import numpy as np
+
     lows, highs = [], []
     for slot in program.inputs:
         lo, hi = fn.boxes.get(slot.param, (0.01, 1.0))
+        if slot.param in int_params:
+            if math.ceil(lo) > math.floor(hi):
+                raise AcornsError(f"int parameter {slot.param!r}: its box {lo:g} {hi:g} "
+                                  "holds no integer")
+            lo, hi = math.ceil(lo), math.floor(hi) + 1
         lows.append(lo)
         highs.append(hi)
-    return rng.uniform(lows, highs, size=(count, len(program.inputs)))
+    pts = rng.uniform(lows, highs, size=(count, len(program.inputs)))
+    cols = [k for k, slot in enumerate(program.inputs) if slot.param in int_params]
+    # a draw rounded up to its high end stays in the box
+    pts[:, cols] = np.minimum(np.floor(pts[:, cols]), np.array(highs)[cols] - 1)
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +343,22 @@ def element_gradient(loops: ElementLoops, program: StraightLineProgram, pts: np.
     """The gradient the element path's kernel computes at each row of `pts`,
     a point over the unrolled `program`'s input slots.
 
-    Each nest's body is derived as the command line derives it, and its
-    gradient tape is evaluated per point and iteration over the values its
-    slots take there: a read's is the point's value of the input slot of
-    the element its indices name, an integer slot's the value C computes.
-    Each entry that is not the constant +0 is added into a +0-filled
-    gradient at its read's position (`ElementNest.reads`), per point in
-    iteration order, then read order: the sums the emitted chunk computes.
-    The rows are gathered `CHUNK_CELLS` cells at a time.
+    Each point is laid out as the kernel's `vals` (`layout_slots`).  Each
+    nest's body is derived as the command line derives it, its loops are
+    run by `flatten.iterations`, and its gradient tape is evaluated per
+    point and iteration over the values its slots take there: a read's is
+    the value in `vals` at the position the kernel loads it from
+    (`ElementNest.reads`), an integer slot's the value C computes.  Each
+    entry that is not the constant +0 is added into a +0-filled gradient
+    at its read's position, per point in iteration order, then read order:
+    the sums the emitted chunk computes.  A position outside the gradient
+    or outside `vals` raises AcornsError.  The rows are gathered
+    `CHUNK_CELLS` cells at a time.
     """
     import numpy as np
 
-    # each parameter's input slots, as an array over its indices of their
-    # positions in a point
-    slot_at = {name: np.empty(tuple(ix + 1 for ix in slots[-1].indices), np.intp)
-               for name, slots in program.param_slots.items()}
-    for k, s in enumerate(program.inputs):
-        slot_at[s.param][s.indices] = k
+    at = {s.label: k for k, s in enumerate(program.inputs)}
+    vals = pts[:, [at[label] for label in layout_slots(loops, loops.vars_)]]
     count, n = pts.shape[0], loops.vars_.n
     grad = np.zeros((count, n))
     for nest in loops.nests:
@@ -351,34 +369,31 @@ def element_gradient(loops: ElementLoops, program: StraightLineProgram, pts: np.
             continue
         labels = [s.label for s in nest.program.inputs[1:]]  # no entry reads E, the first
         tape = compile_exprs(lin.roots, labels, lin)
-        # per iteration: every read's indices, each live entry's position,
-        # each integer slot's value
-        indices = [ix for _, _, read, _ in nest.reads for ix in read]
-        chosen = set(nest.vars_.labels)
-        flats = [flat for label, _, _, flat in nest.reads if label in chosen]
-        exprs = [*indices, *(flats[k] for k in live), *nest.int_exprs]
+        # per iteration: each read's position in `vals`, each integer slot's value
+        exprs = [*(position for _, position in nest.reads), *(e for _, e in nest.ints)]
         order = const_order(*exprs)
-        table = [eval_consts(exprs, env, order) for env in nest.iterations()]
+        table = [eval_consts(exprs, env, order)
+                 for env in iterations(nest.loops, dict(nest.start), DEFAULT_ASSIGN_CAP)]
         table = np.array(table, dtype=np.intp).reshape(len(table), len(exprs))
-        positions = table[:, len(indices):len(indices) + len(live)]
+        reads = table[:, :len(nest.reads)]
+        read_of = {label: r for r, (label, _) in enumerate(nest.reads)}
+        positions = reads[:, [read_of[nest.vars_.labels[k]] for k in live]]
         if positions.size and not 0 <= positions.min() <= positions.max() < n:
             raise AcornsError(f"element path: gradient position {positions.min()}.."
                               f"{positions.max()} outside 0..{n - 1}")
-        at = {label: k for k, label in enumerate(labels)}
-        cols = np.empty((len(table), len(nest.reads)), np.intp)  # each read's slot in a point
-        first = 0
-        for r, (_, param, read, _) in enumerate(nest.reads):
-            cols[:, r] = slot_at[param][tuple(table[:, first:first + len(read)].T)]
-            first += len(read)
-        read_at = [at[label] for label, _, _, _ in nest.reads]
-        int_at = [at[label] for label in nest.ints]
-        values = table[:, len(exprs) - len(int_at):].astype(np.float64)
+        if reads.size and not 0 <= reads.min() <= reads.max() < vals.shape[1]:
+            raise AcornsError(f"element path: read position {reads.min()}..{reads.max()} "
+                              f"outside 0..{vals.shape[1] - 1}")
+        col = {label: k for k, label in enumerate(labels)}
+        read_at = [col[label] for label, _ in nest.reads]
+        int_at = [col[label] for label, _ in nest.ints]
+        values = table[:, len(nest.reads):].astype(np.float64)
         rows = len(table) * count  # row r is iteration r // count at point r % count
         step = max(1, CHUNK_CELLS // len(labels))
         for lo in range(0, rows, step):
             it, p = np.divmod(np.arange(lo, min(rows, lo + step)), count)
             block = np.empty((len(it), len(labels)))
-            block[:, read_at] = pts[p[:, None], cols[it]]
+            block[:, read_at] = vals[p[:, None], reads[it]]
             block[:, int_at] = values[it]
             np.add.at(grad, (p[:, None], positions[it]), evaluate(tape, block)[:, live])
     return grad
@@ -589,7 +604,8 @@ def verify(fn: CorpusFunction, mode: str = "gradient", points: int = 100,
 
     labels = [s.label for s in program.inputs]
     rng = np.random.default_rng(seed)
-    pts = sample_points(fn, program, points, rng)
+    pts = sample_points(fn, program, points, rng,
+                        {p.name for p in ir.params if p.elem_type == "int"})
     if loops is None:
         bundle = derive_bundle(program, vars_, do_simplify=do_simplify, cap=cap,
                                want_hessian=(mode == "hessian"))

@@ -98,6 +98,20 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_input_that_is_not_utf8_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "f.c"
+    path.write_bytes(b"double f(double x) {\n    double e = x; /* \xff */\n    return 0;\n}\n")
+    argv, prog = {
+        "generate": ([str(path), "e", "--vars", "x", "--func", "f",
+                      "--output_filename", str(tmp_path / "d")], "acorns_autodiff"),
+        "verify": (["verify", str(path), "--func", "f", "--energy", "e", "--vars", "x"],
+                   "acorns_autodiff verify"),
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"{prog}: {path}: not UTF-8 text (byte 42)\n"
+
+
 def test_parse_error_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.c"
     bad.write_text("double f(double x){ double e = x +; return 0; }")
@@ -621,7 +635,9 @@ def test_verify_prints_subset_violations_as_generate_does(tmp_path, capsys, monk
     (["eq1", "--tolerance", "0"], "argument --tolerance: must be positive and finite, got 0"),
     (["eq1", "--tolerance", "nan"],
      "argument --tolerance: must be positive and finite, got nan"),
-], ids=["points", "points_zero", "s", "box", "box_infinite", "tolerance", "tolerance_nan"])
+    (["eq1", "--seed", "-1"], "argument --seed: must be non-negative, got -1"),
+], ids=["points", "points_zero", "s", "box", "box_infinite", "tolerance", "tolerance_nan",
+        "seed"])
 def test_verify_rejects_bad_numeric_arguments(function_0_file, capsys, args, message):
     if args[0] == "FILE":
         args = [function_0_file, "--func", "function_0", "--energy", "energy",

@@ -744,11 +744,28 @@ double f(const double **a) {
 """
 
 
-def _transpose_read_positions(monkeypatch):
-    """Make the element path lay its reads out with the first index fastest."""
+# `a` differentiated under the weight `w`, both [2][3]
+_WEIGHTED_SRC = """\
+double f(const double **a, const double **w) {
+    double e = 0;
+    for (int i = 0; i < 2; i++) {
+        for (int j = 0; j < 3; j++) {
+            e = e + w[i][j] * a[i][j] * a[i][j];
+        }
+    }
+    return 0;
+}
+"""
+
+
+def _transpose_read_positions(monkeypatch, names=None):
+    """Make the element path lay the reads of `names`, or of every
+    parameter, out with the first index fastest."""
     original = elements._flat
 
     def transposed(shape, name, indices):
+        if names is not None and name not in names:
+            return original(shape, name, indices)
         base, extents = shape[name]
         return original({name: (base, extents[::-1])}, name, indices[::-1])
 
@@ -788,3 +805,29 @@ def test_verify_refuses_a_gradient_position_out_of_range(tmp_path, monkeypatch, 
                  "--vars", "a"]) == 1
     assert capsys.readouterr().err == ("acorns_autodiff verify: element path: gradient position "
                                        "1..6 outside 0..5\n")
+
+
+def test_verify_reads_the_values_at_the_positions_the_kernel_loads(tmp_path, monkeypatch, capsys):
+    # transposing the non-differentiated `w` leaves the gradient's positions
+    # as they were and changes only which weight each iteration loads
+    (tmp_path / "f.c").write_text(_WEIGHTED_SRC)
+    argv = ["verify", str(tmp_path / "f.c"), "--func", "f", "--energy", "e", "--vars", "a",
+            "--mode", "gradient", "--points", "5"]
+    assert main(argv) == 0
+    _transpose_read_positions(monkeypatch, {"w"})
+    assert main(argv) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_refuses_a_read_position_out_of_range(tmp_path, monkeypatch, capsys):
+    # `w` follows the 6 elements of `a` in vals; 6 more put it past the end,
+    # where numpy would wrap a negative index or raise on a large one
+    original = elements._flat
+    monkeypatch.setattr(elements, "_flat", lambda shape, name, indices: (
+        original(shape, name, indices) if name == "a"
+        else Binary("+", original(shape, name, indices), elements._int_const(6))))
+    (tmp_path / "f.c").write_text(_WEIGHTED_SRC)
+    assert main(["verify", str(tmp_path / "f.c"), "--func", "f", "--energy", "e",
+                 "--vars", "a"]) == 1
+    assert capsys.readouterr().err == ("acorns_autodiff verify: element path: read position "
+                                       "0..17 outside 0..11\n")

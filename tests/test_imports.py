@@ -1,9 +1,10 @@
-"""Every name a module of the package imports is used in it, the package
-defines no dataclass, and the command line starts without the heavy modules.
+"""Every name a module of the package imports is used in it, every private
+name it defines is read somewhere, the package defines no dataclass, and the
+command line starts without the heavy modules.
 
-A deletion that leaves an import behind fails here.  A name the module
-lists in `__all__` is a re-export and counts as used, as does the
-`annotations` of a `from __future__` import.
+A deletion that leaves an import or a private helper behind fails here.  A
+name the module lists in `__all__` is a re-export and counts as used, as
+does the `annotations` of a `from __future__` import.
 """
 
 import ast
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "acorns"
+_ROOT = Path(__file__).resolve().parent.parent
+_PACKAGE = _ROOT / "src" / "acorns"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -47,6 +49,46 @@ def test_an_unused_import_is_found():
     tree = ast.parse("import os\nimport re as regex\nfrom x import a, b\n__all__ = ['b']\n"
                      "def f():\n    return os.sep\n")
     assert _unused_imports(tree) == [(2, "regex"), (3, "a")]
+
+
+def _dead_private_names(modules: dict, readers) -> list:
+    """The `(module, name)` of each private top-level name (`_x`, not a
+    dunder) that the trees `modules` (module -> tree) define and none of
+    the trees `readers` reads, as a name or an attribute."""
+    read = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [(module, name) for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    return sorted(dead)
+
+
+def test_no_private_name_is_dead():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in _PACKAGE.glob("*.py")}
+    others = [ast.parse(p.read_text(encoding="utf-8"))
+              for folder in ("tests", "perfbench") for p in (_ROOT / folder).glob("*.py")]
+    assert _dead_private_names(modules, [*modules.values(), *others]) == []
+
+
+def test_a_dead_private_name_is_found():
+    tree = ast.parse("import m\n_A = 1\n_B: int = 2\n__all__ = []\n"
+                     "def _f():\n    return _A\ndef _g():\n    return m._h\nclass _C:\n    pass\n")
+    assert _dead_private_names({"mod": tree}, [tree]) == [("mod", "_B"), ("mod", "_C"),
+                                                          ("mod", "_f"), ("mod", "_g")]
 
 
 def test_no_class_is_a_dataclass():

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from acorns.cli import main
 from acorns.derivatives import VarIndexMap, derive_bundle, substitute
 from acorns.errors import AcornsError
 from acorns.flatten import unroll
@@ -13,6 +14,7 @@ from acorns.parser import parse_source
 from acorns.verify import (
     CORPUS,
     GRAD_TOL,
+    CorpusFunction,
     FdReport,
     HESS_TOL,
     corpus_function,
@@ -127,6 +129,34 @@ def test_sample_points_seeded_reproducible():
     assert (a == b).all()
     lo, hi = fn.boxes["x"]
     assert (a >= lo).all() and (a <= hi).all()
+
+
+_INT_PARAMS_SRC = ("double f(double x, int n, const int *m) {\n"
+                   "    double e = x * n + x * x * m[0] * m[1];\n    return 0;\n}\n")
+
+
+def test_int_parameters_are_sampled_at_integers():
+    fn = CorpusFunction("f", _INT_PARAMS_SRC, "f", "e", ("x",),
+                        {"x": (0.1, 0.9), "n": (-2.5, 3.5), "m": (1.0, 4.0)})
+    _, program, _ = corpus_program(fn)
+    assert program.input_labels() == ["x", "n", "m[0]", "m[1]"]
+    pts = sample_points(fn, program, 400, np.random.default_rng(3), {"n", "m"})
+    plain = sample_points(fn, program, 400, np.random.default_rng(3))
+    assert pts[:, 0].tobytes() == plain[:, 0].tobytes()  # the double slot draws as before
+    assert set(pts[:, 1]) == {-2.0, -1.0, 0.0, 1.0, 2.0, 3.0}
+    assert set(pts[:, 2:].ravel()) == {1.0, 2.0, 3.0, 4.0}
+    report = verify(fn, points=20)
+    assert report.ok
+    assert all(v == int(v) for point in report.samples for v in point[1:])
+
+
+def test_an_int_parameter_whose_box_holds_no_integer_exits_1(tmp_path, capsys):
+    (tmp_path / "f.c").write_text(_INT_PARAMS_SRC)
+    argv = ["verify", str(tmp_path / "f.c"), "--func", "f", "--energy", "e", "--vars", "x", "n"]
+    assert main([*argv, "--box", "0.2", "1.5"]) == 0
+    assert main([*argv, "--box", "0.2", "0.8"]) == 1
+    assert capsys.readouterr().err == ("acorns_autodiff verify: int parameter 'n': its box "
+                                       "0.2 0.8 holds no integer\n")
 
 
 # --- verify -------------------------------------------------------------------
