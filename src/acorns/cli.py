@@ -234,8 +234,30 @@ def _verify_parser() -> _ArgumentParser:
     return p
 
 
+def _misplaced_verify_flag(args) -> str | None:
+    """Why a flag given does not apply to the input named, or None: `--s`
+    sizes only a sized corpus entry, and `--func`, `--energy` and `--vars`
+    describe only a file input."""
+    if args.function in CORPUS:
+        for flag, value in (("--func", args.func), ("--energy", args.energy),
+                            ("--vars", args.vars)):
+            if value is not None:
+                return f"{flag} applies to file inputs, not to corpus entry {args.function}"
+    if args.s is None:
+        return None
+    sized = [name for name in CORPUS if corpus_function(name).s is not None]
+    if args.function in sized:
+        return None
+    what = f"corpus entry {args.function}" if args.function in CORPUS else "a file input"
+    return f"--s applies to the sized corpus entries ({', '.join(sized)}), not to {what}"
+
+
 def _run_verify(argv) -> int:
     args = _verify_parser().parse_args(argv)
+    misplaced = _misplaced_verify_flag(args)
+    if misplaced:
+        print(f"acorns_autodiff verify: {misplaced}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         if args.function in CORPUS:
             fn = corpus_function(args.function, s=args.s)

@@ -28,6 +28,18 @@ roots by one instruction per node.  A tape instruction is a tuple
 Instructions are in topological order, so every operand register comes
 before its user.
 
+A chunk keeps a register only while a later instruction reads it: `Tape`
+works out once the instruction after which each register is dead, and the
+most registers alive at once, its `peak`; a chunk drops each dead register
+and holds `CHUNK_CELLS // peak` points.  When every register of every
+point fits in `CHUNK_CELLS`, one chunk keeps them all, and that work is
+skipped.  An intrinsic calls its scalar
+function for the chunk's first point, and again only at a point whose
+operands differ from that point's in some bit: the finite-difference
+oracle's points differ in one or two slots, so most of an intrinsic's
+operands repeat.  Equal operand bits give equal result bits, so this
+changes no value.
+
 The scalar intrinsics follow C99 Annex F: domain errors give NaN, poles
 and overflow give a signed infinity, and nothing raises.
 
@@ -38,6 +50,7 @@ numpy is imported on first use, not with the module, so generating code
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 
@@ -152,8 +165,13 @@ def eval_expr(e: Expr, bindings: dict) -> float:
 # Tape compilation
 
 
+# the instructions that read no register, and those that read register b too
+_READS_NONE = frozenset(("slot", "const"))
+_READS_B = frozenset(_BINARY_FN) | {name for name, arity in INTRINSICS.items() if arity == 2}
+
+
 class Tape(Record):
-    __slots__ = ("ops", "out_regs", "slots")
+    __slots__ = ("ops", "out_regs", "slots", "__dict__")
 
     def __init__(self, ops: list, out_regs: list, slots: tuple):
         # ops holds (op, a, b) per instruction (see the module docstring),
@@ -168,6 +186,32 @@ class Tape(Record):
     @property
     def n_out(self) -> int:
         return len(self.out_regs)
+
+    @functools.cached_property
+    def frees(self) -> list:
+        """Per instruction, the registers it is the last reader of: a tuple,
+        most often empty.  A register that nothing reads is dead after its
+        own instruction; an output register is never dead."""
+        ops = self.ops
+        last = list(range(len(ops)))
+        for i, (op, a, b) in enumerate(ops):
+            if op not in _READS_NONE:
+                last[a] = i
+                if op in _READS_B:
+                    last[b] = i
+        for r in self.out_regs:
+            last[r] = len(ops)
+        frees = [()] * (len(ops) + 1)
+        for k, i in enumerate(last):
+            frees[i] += (k,)
+        return frees[:-1]
+
+    @functools.cached_property
+    def peak(self) -> int:
+        """The most registers alive at once: at instruction i, the i + 1
+        made so far less those dead before it.  At least 1."""
+        dead = itertools.accumulate(map(len, self.frees), initial=0)
+        return max(map(operator.sub, range(1, len(self.ops) + 1), dead), default=1)
 
 
 def _instructions(lin: Linearized, slots, named: dict) -> list:
@@ -231,8 +275,8 @@ def compile_program(p: StraightLineProgram) -> Tape:
     return Tape(ops, [out], tuple(slots))
 
 
-# Registers x points per evaluation chunk; bounds `evaluate`'s working set
-# (every instruction keeps its register for the chunk) at 32 MiB.
+# Live registers x points per evaluation chunk: bounds the registers a
+# chunk holds at once (`Tape.peak` of them per point) at 32 MiB.
 CHUNK_CELLS = 1 << 22
 
 
@@ -245,10 +289,25 @@ def _array_fn() -> dict:
     def compare(ufunc):
         return lambda a, b: ufunc(a, b).astype(np.float64)
 
-    def per_point(fn, arity):  # eval_expr's scalar function, called once per point
-        if arity == 2:
-            return lambda a, b: np.fromiter(map(fn, a.tolist(), b.tolist()), np.float64, len(a))
-        return lambda a, _: np.fromiter(map(fn, a.tolist()), np.float64, len(a))
+    def shared_rows(fn, arity):
+        """eval_expr's scalar function, called for row 0 and for each row
+        whose operands differ from row 0's in some bit; the other rows take
+        row 0's result."""
+        def call(*args):
+            out = np.empty(len(args[0]))
+            if not len(out):
+                return out
+            differ = np.zeros(len(out), bool)
+            for x in args:
+                bits = x.view(np.uint64)
+                differ |= bits != bits[0]
+            rows = np.flatnonzero(differ)
+            out[:] = fn(*(x.item(0) for x in args))
+            out[rows] = np.fromiter(map(fn, *(x[rows].tolist() for x in args)), np.float64,
+                                    len(rows))
+            return out
+
+        return call if arity == 2 else lambda a, _: call(a)
 
     table = {
         "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
@@ -257,18 +316,20 @@ def _array_fn() -> dict:
         "neg": lambda a, _: np.negative(a),
     }
     for name, fn in _INTRINSIC_FN.items():
-        table[name] = per_point(fn, INTRINSICS[name])
+        table[name] = shared_rows(fn, INTRINSICS[name])
     return table
 
 
-def _run_chunk(ops: list, cols: np.ndarray) -> list:
-    """Execute the tape over one chunk; `cols` is (n_slots, n). Returns the registers."""
+def _run_chunk(ops: list, frees, cols) -> list:
+    """Execute the tape `ops` over one chunk; `cols[i]` is slot i's values,
+    and `frees` yields per instruction the registers to drop after it.
+    Returns the registers, a dropped one as None."""
     import numpy as np
 
     fns = _array_fn()
     n = cols.shape[1]
-    regs: list[np.ndarray] = []
-    for op, a, b in ops:
+    regs: list[np.ndarray | None] = []
+    for (op, a, b), dead in zip(ops, frees):
         if op == "slot":
             r = cols[a]
         elif op == "reg":
@@ -278,27 +339,36 @@ def _run_chunk(ops: list, cols: np.ndarray) -> list:
         else:
             r = fns[op](regs[a], regs[b])
         regs.append(r)
+        for k in dead:
+            regs[k] = None
     return regs
 
 
 def evaluate(tape: Tape, points) -> np.ndarray:
     """Evaluate a tape at many points.
 
-    `points` is (num_points, n_slots); returns (num_points, n_out).
+    `points` is (num_points, n_slots); returns (num_points, n_out).  Points
+    laid out slot by slot (Fortran order) are read in place, others copied
+    so.
     """
     import numpy as np
 
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points.reshape(1, -1)
     if points.shape[1] != tape.n_slots:
         raise ValueError(f"expected {tape.n_slots} slots per point, got {points.shape[1]}")
+    points = np.asfortranarray(points)
     out = np.empty((points.shape[0], tape.n_out), dtype=np.float64)
-    chunk = max(1, CHUNK_CELLS // max(1, len(tape.ops)))
+    if points.shape[0] * len(tape.ops) <= CHUNK_CELLS:
+        # every register of every point fits: one chunk, and none dropped
+        frees, chunk = itertools.repeat(()), max(1, points.shape[0])
+    else:
+        frees, chunk = tape.frees, max(1, CHUNK_CELLS // tape.peak)
     with np.errstate(all="ignore"):
         for lo in range(0, points.shape[0], chunk):
             hi = lo + chunk
-            regs = _run_chunk(tape.ops, points[lo:hi].T.copy())
+            regs = _run_chunk(tape.ops, frees, points[lo:hi].T)
             for j, r in enumerate(tape.out_regs):
                 out[lo:hi, j] = regs[r]
     return out

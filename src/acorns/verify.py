@@ -14,6 +14,7 @@ at integers.  numpy is imported on first use, as in `interp`.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .cast import (ArrayRef, Assignment, Block, Declaration, Expr, ForLoop, FunctionIR, If, Return,
@@ -392,7 +393,7 @@ def element_gradient(loops: ElementLoops, program: StraightLineProgram, pts: np.
         step = max(1, CHUNK_CELLS // len(labels))
         for lo in range(0, rows, step):
             it, p = np.divmod(np.arange(lo, min(rows, lo + step)), count)
-            block = np.empty((len(it), len(labels)))
+            block = np.empty((len(it), len(labels)), order="F")
             block[:, read_at] = vals[p[:, None], reads[it]]
             block[:, int_at] = values[it]
             np.add.at(grad, (p[:, None], positions[it]), evaluate(tape, block)[:, live])
@@ -407,8 +408,13 @@ def element_gradient(loops: ElementLoops, program: StraightLineProgram, pts: np.
 FD_BLOCK_BYTES = 64 * 2**20
 
 
+# the signs of the (i, j) steps in the rows pp, pm, mp, mm of an off-diagonal pair
+_OFF_SIGNS = (1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0)
+
+
 class _ProgramEvaluator:
-    """Evaluates only the original program; the oracle's f(x)."""
+    """Evaluates only the original program; the oracle's f(x).  It also
+    holds the FD stencils over its variables, built on first use."""
 
     def __init__(self, program: StraightLineProgram, vars_: VarIndexMap):
         import numpy as np
@@ -421,7 +427,8 @@ class _ProgramEvaluator:
                 steps: np.ndarray) -> np.ndarray:
         """f at `count` copies of `point`, copy rows[k] having steps[k] added
         to its slot cols[k] (`rows` ascending, each slot stepped at most once
-        per copy).  Builds at most `FD_BLOCK_BYTES` of copies at a time."""
+        per copy).  Builds at most `FD_BLOCK_BYTES` of copies at a time, laid
+        out slot by slot as `evaluate` reads them."""
         import numpy as np
 
         per_block = max(1, FD_BLOCK_BYTES // (8 * point.size))
@@ -429,10 +436,40 @@ class _ProgramEvaluator:
         for lo in range(0, count, per_block):
             hi = min(count, lo + per_block)
             a, b = np.searchsorted(rows, (lo, hi))
-            block = np.repeat(point.reshape(1, -1), hi - lo, axis=0)
+            block = np.empty((hi - lo, point.size), order="F")
+            block[:] = point
             block[rows[a:b] - lo, cols[a:b]] += steps[a:b]
             vals[lo:hi] = evaluate(self.tape, block)[:, 0]
         return vals
+
+    @functools.cached_property
+    def gradient_stencil(self) -> tuple:
+        """(rows, cols, var, signs) of the central-difference gradient: row
+        rows[k] steps slot cols[k], of variable var[k], by signs[k] times
+        that variable's step.  Rows 2v and 2v + 1 step variable v up and
+        down."""
+        import numpy as np
+
+        n = len(self.var_pos)
+        var = np.repeat(np.arange(n), 2)
+        return np.arange(2 * n), self.var_pos[var], var, np.tile((1.0, -1.0), n)
+
+    @functools.cached_property
+    def hessian_stencil(self) -> tuple:
+        """(rows, cols, var, signs, i, j) of the second differences, as in
+        `gradient_stencil`, and the off-diagonal pairs (i, j), j < i.  Row 0
+        is the point itself; rows 2v + 1 and 2v + 2 step variable v up and
+        down; then 4 rows per pair step both i and j: 1 + 2n^2 rows in all."""
+        import numpy as np
+
+        n = len(self.var_pos)
+        i, j = np.tril_indices(n, -1)
+        off_rows = np.arange(2 * n + 1, 1 + 2 * n * n)
+        rows = np.concatenate((np.arange(1, 2 * n + 1), np.repeat(off_rows, 2)))
+        var = np.concatenate((np.repeat(np.arange(n), 2),
+                              np.tile(np.stack((i, j), axis=1), 4).ravel()))
+        signs = np.concatenate((np.tile((1.0, -1.0), n), np.tile(_OFF_SIGNS, len(i))))
+        return rows, self.var_pos[var], var, signs, i, j
 
 
 def _steps(f: _ProgramEvaluator, point: np.ndarray) -> np.ndarray:
@@ -452,15 +489,10 @@ def fd_gradient(program: StraightLineProgram, vars_: VarIndexMap,
 
     f = oracle if oracle is not None else _ProgramEvaluator(program, vars_)
     n, h = vars_.n, _steps(f, point)
-    # rows 2j and 2j + 1 step variable j up and down
-    vals = f.stepped(point, 2 * n, np.arange(2 * n), np.repeat(f.var_pos, 2),
-                     np.stack((h, -h), axis=1).ravel())
+    rows, cols, var, signs = f.gradient_stencil
+    vals = f.stepped(point, 2 * n, rows, cols, h[var] * signs)
     with np.errstate(all="ignore"):
         return (vals[0::2] - vals[1::2]) / (2 * h)
-
-
-# the signs of the (i, j) steps in the rows pp, pm, mp, mm of an off-diagonal pair
-_OFF_SIGNS = (1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0)
 
 
 def fd_hessian(program: StraightLineProgram, vars_: VarIndexMap,
@@ -472,17 +504,9 @@ def fd_hessian(program: StraightLineProgram, vars_: VarIndexMap,
     import numpy as np
 
     f = oracle if oracle is not None else _ProgramEvaluator(program, vars_)
-    n, h, pos = vars_.n, _steps(f, point), f.var_pos
-    i, j = np.tril_indices(n, -1)  # the off-diagonal pairs, j < i
-    # row 0 is the point itself; rows 2v + 1 and 2v + 2 step variable v up
-    # and down; then 4 rows per pair step both i and j: 1 + 2n^2 rows in all
-    off_rows = np.arange(2 * n + 1, 1 + 2 * n * n)
-    off_cols = np.tile(np.stack((pos[i], pos[j]), axis=1), 4)
-    off_steps = _OFF_SIGNS * np.tile(np.stack((h[i], h[j]), axis=1), 4)
-    vals = f.stepped(point, 1 + 2 * n * n,
-                     np.concatenate((np.arange(1, 2 * n + 1), np.repeat(off_rows, 2))),
-                     np.concatenate((np.repeat(pos, 2), off_cols.ravel())),
-                     np.concatenate((np.stack((h, -h), axis=1).ravel(), off_steps.ravel())))
+    n, h = vars_.n, _steps(f, point)
+    rows, cols, var, signs, i, j = f.hessian_stencil
+    vals = f.stepped(point, 1 + 2 * n * n, rows, cols, h[var] * signs)
     up, dn = vals[1:2 * n + 1:2], vals[2:2 * n + 2:2]
     pp, pm, mp, mm = vals[2 * n + 1:].reshape(-1, 4).T
     with np.errstate(all="ignore"):

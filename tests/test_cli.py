@@ -585,6 +585,24 @@ def test_verify_user_file_needs_metadata(function_0_file, capsys):
     assert "--func" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["eq1", "--s", "7"], "--s"),
+    (["FILE", "--func", "function_0", "--energy", "energy", "--vars", "x", "--s", "50"], "--s"),
+    (["eq3", "--vars", "nope", "--func", "zzz"], "--func"),
+    (["springs", "--energy", "e"], "--energy"),
+    (["cross_entropy", "--vars", "a"], "--vars"),
+])
+def test_verify_refuses_a_flag_that_does_not_apply(function_0_file, capsys, argv, flag):
+    # --s sizes a sized corpus entry only; --func, --energy and --vars
+    # describe a file input only
+    argv = [function_0_file if a == "FILE" else a for a in argv]
+    assert main(["verify", *argv, "--points", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"acorns_autodiff verify: {flag} applies to ")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_impossible_tolerance_fails(capsys):
     rc = main(["verify", "eq1", "--points", "5", "--tolerance", "1e-18"])
     assert rc == 1

@@ -190,13 +190,133 @@ def test_every_operator_matches_eval_expr():
     assert set(acorns.interp._array_fn()) == set(_PRECEDENCE) | set(INTRINSICS) | {"neg"}
 
 
+def _chunk_sizes(monkeypatch) -> list:
+    """The point count of each `_run_chunk` call from here on."""
+    sizes = []
+    run_chunk = acorns.interp._run_chunk
+
+    def counted(ops, frees, cols):
+        sizes.append(cols.shape[1])
+        return run_chunk(ops, frees, cols)
+
+    monkeypatch.setattr(acorns.interp, "_run_chunk", counted)
+    return sizes
+
+
 def test_evaluate_chunks_match_single_chunk(monkeypatch):
     exprs, pts = _parity_case()
     tape = compile_exprs(exprs, ["x", "y", "z"])
     whole = evaluate(tape, pts)
     # 7 points per chunk: 50 points end in a partial chunk
-    monkeypatch.setattr(acorns.interp, "CHUNK_CELLS", 7 * len(tape.ops))
+    monkeypatch.setattr(acorns.interp, "CHUNK_CELLS", 7 * tape.peak)
+    sizes = _chunk_sizes(monkeypatch)
     assert evaluate(tape, pts).tobytes() == whole.tobytes()
+    assert sizes == [7] * 7 + [1]
+
+
+def test_an_accumulator_chain_runs_in_one_chunk(monkeypatch):
+    # the 20,000 assignments e = e + x * x of an unrolled accumulation loop
+    # make 100,001 instructions, of which at most 4 registers are alive at
+    # once, so 4,000 points fit one chunk
+    from acorns.cast import Binary, Constant, Var
+
+    assigns = [SlpAssign("e@0", "e", Constant("0", 0.0))]
+    for k in range(1, 20_001):
+        rhs = Binary("+", Var(f"e@{k - 1}"), Binary("*", Var("x"), Var("x")))
+        assigns.append(SlpAssign(f"e@{k}", "e", rhs))
+    program = StraightLineProgram((InputSlot("x", (), "x"),), tuple(assigns), "e@20000")
+    tape = compile_program(program)
+    assert len(tape.ops) == 100_001 and tape.peak == 4
+    sizes = _chunk_sizes(monkeypatch)
+    pts = np.linspace(-2.0, 2.0, 4_000).reshape(-1, 1)
+    got = evaluate(tape, pts)
+    assert sizes == [4_000]
+    for r in (0, 1_234, 3_999):
+        x, acc = pts[r, 0], 0.0
+        for _ in range(20_000):
+            acc = acc + x * x
+        assert got[r, 0] == acc
+
+
+def _nan(payload: int, sign: int = 0) -> float:
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | 0x7FF8 << 48 | payload))[0]
+
+
+_INTRINSIC_EXPRS = [parse_expr(f"{name}(x)") for name in INTRINSICS if name != "pow"]
+_INTRINSIC_EXPRS += [parse_expr("pow(x, y)"), parse_expr("pow(y, x)")]
+
+
+@pytest.mark.parametrize("rows", [
+    # equal to row 0 but for the sign of a zero
+    [(0.0, -1.0), (-0.0, -1.0), (0.0, -1.0), (-0.0, -1.0), (0.0, -1.0)],
+    # NaNs that differ only in payload or sign
+    [(_nan(1), 2.0), (_nan(2), 2.0), (_nan(1), 2.0), (_nan(1, 1), 2.0), (_nan(0), 2.0)],
+    # infinities and log's pole
+    [(math.inf, 3.0), (-math.inf, 3.0), (0.0, 3.0), (math.inf, 3.0), (-0.0, -3.0)],
+    # pow's base repeats and only its exponent differs
+    [(2.0, 1.0), (2.0, 2.0), (2.0, 1.0), (2.0, 0.5), (2.0, -1.0), (2.0, 1.0)],
+    # one row
+    [(0.7, 1.5)],
+    # every row differs
+    [(0.1 * k - 0.3, 1.0 + k) for k in range(9)],
+])
+def test_intrinsics_on_shared_rows_match_eval_expr_bitwise(rows):
+    # an intrinsic calls its scalar function only at a row whose operand bits
+    # differ from row 0's, and copies row 0's result elsewhere: every bit,
+    # the NaN payload included, is eval_expr's
+    tape = compile_exprs(_INTRINSIC_EXPRS, ["x", "y"])
+    got = evaluate(tape, np.array(rows))
+    ref = np.array([[eval_expr(e, {"x": x, "y": y}) for e in _INTRINSIC_EXPRS] for x, y in rows])
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_intrinsics_on_no_rows():
+    tape = compile_exprs(_INTRINSIC_EXPRS, ["x", "y"])
+    assert evaluate(tape, np.empty((0, 2))).shape == (0, len(_INTRINSIC_EXPRS))
+    empty = np.empty(0)
+    for name in INTRINSICS:
+        assert acorns.interp._array_fn()[name](empty, empty).shape == (0,)
+
+
+def _registers(tape, pts) -> list:
+    """The registers `_run_chunk` returns over the points `pts`."""
+    return acorns.interp._run_chunk(tape.ops, tape.frees, np.asfortranarray(pts).T)
+
+
+def test_an_output_read_later_is_kept():
+    # x * y is an output and an operand of the second output; every other
+    # register is dropped after its last reader
+    xy = parse_expr("x * y")
+    from acorns.cast import Binary, Constant
+
+    tape = compile_exprs([xy, Binary("+", xy, Constant("1", 1.0))], ["x", "y"])
+    assert [op for op, _, _ in tape.ops] == ["slot", "slot", "*", "const", "+"]
+    assert tape.frees == [(), (), (0, 1), (), (3,)] and tape.peak == 3
+    regs = _registers(tape, np.array([[2.0, 3.0], [4.0, 5.0]]))
+    assert regs[:2] == [None, None] and regs[3] is None
+    assert regs[2].tolist() == [6.0, 20.0] and regs[4].tolist() == [7.0, 21.0]
+    assert evaluate(tape, np.array([[2.0, 3.0]])).tolist() == [[6.0, 7.0]]
+
+
+def test_an_alias_outlives_the_register_it_reads():
+    # e = t reads t's register k by ("reg", k, 0): k is dropped after that
+    # read, and the alias, the output, still holds the values
+    p = unroll(parse_source("double f(double x) { double t = x * x; double e = t; return 0; }",
+                            "f", "e"))
+    tape = compile_program(p)
+    assert tape.ops == [("slot", 0, 0), ("slot", 0, 0), ("*", 1, 0), ("reg", 2, 0)]
+    assert tape.frees == [(), (), (0, 1), (2,)]
+    regs = _registers(tape, np.array([[3.0], [-2.0]]))
+    assert regs[:3] == [None] * 3 and regs[3].tolist() == [9.0, 4.0]
+
+
+def test_a_unary_instruction_does_not_read_register_0():
+    # sqrt and neg carry b = 0, which is no read: register 0 (a slot load)
+    # is dropped after x * y, its last reader
+    tape = compile_exprs([parse_expr("-sqrt(x * y)")], ["x", "y"])
+    assert [op for op, _, _ in tape.ops] == ["slot", "slot", "*", "sqrt", "neg"]
+    assert tape.frees == [(), (), (0, 1), (2,), (3,)] and tape.peak == 3
+    assert evaluate(tape, np.array([[2.0, 8.0]])).tolist() == [[-4.0]]
 
 
 _INF = math.inf
@@ -234,6 +354,7 @@ def test_evaluate_shape_checks():
         evaluate(tape, np.zeros((3, 5)))
     out = evaluate(tape, np.array([1.0, 2.0]))  # 1-D point promoted to one row
     assert out.shape == (1, 1)
+    assert evaluate(compile_exprs([], ["x"]), np.zeros((3, 1))).shape == (3, 0)
 
 
 def test_program_tape_local_reuse():

@@ -109,6 +109,33 @@ def test_fd_blocks_match_one_block(monkeypatch):
     assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
 
 
+def test_fd_calls_sqrt_at_the_rows_that_differ():
+    # springs G=10 has 180 sqrt instructions, each of one spring's length,
+    # which reads 4 variables.  The FD gradient's 400 rows at a point step
+    # one variable each, so a sqrt's operand differs from row 0's at no more
+    # than the 8 rows that step its variables, but for the 2 springs that
+    # read variable 0, which row 0 steps, where up to all 400 rows differ.
+    # The analytic side is the element path's: 2 sqrt instructions over
+    # 90 iterations at each point
+    interp = importlib.import_module("acorns.interp")
+    fns, sqrt, calls = interp._INTRINSIC_FN, interp._INTRINSIC_FN["sqrt"], [0]
+
+    def counted(u):
+        calls[0] += 1
+        return sqrt(u)
+
+    fns["sqrt"] = counted
+    interp._array_fn.cache_clear()
+    try:
+        assert verify(corpus_function("springs", s=10), points=2).ok
+    finally:
+        fns["sqrt"] = sqrt
+        interp._array_fn.cache_clear()
+    fd = 2 * (180 * (1 + 8) + 2 * 400)  # a call per row would make 2 * 180 * 400
+    analytic = 2 * 90 * 2
+    assert calls[0] <= fd + analytic
+
+
 def test_fd_step_scales_with_magnitude():
     # f(x) = x^2 at a large point still differentiates accurately
     program = unroll(parse_source(
