@@ -31,14 +31,12 @@ before its user.
 A chunk keeps a register only while a later instruction reads it: `Tape`
 works out once the instruction after which each register is dead, and the
 most registers alive at once, its `peak`; a chunk drops each dead register
-and holds `CHUNK_CELLS // peak` points.  When every register of every
-point fits in `CHUNK_CELLS`, one chunk keeps them all, and that work is
-skipped.  An intrinsic calls its scalar
+and holds `CHUNK_CELLS // peak` points.  An intrinsic calls its scalar
 function for the chunk's first point, and again only at a point whose
 operands differ from that point's in some bit: the finite-difference
-oracle's points differ in one or two slots, so most of an intrinsic's
-operands repeat.  Equal operand bits give equal result bits, so this
-changes no value.
+oracle's points differ from its first, the unstepped point, in one or two
+slots, so most of an intrinsic's operands repeat.  Equal operand bits give
+equal result bits, so this changes no value.
 
 The scalar intrinsics follow C99 Annex F: domain errors give NaN, poles
 and overflow give a signed infinity, and nothing raises.
@@ -360,15 +358,11 @@ def evaluate(tape: Tape, points) -> np.ndarray:
         raise ValueError(f"expected {tape.n_slots} slots per point, got {points.shape[1]}")
     points = np.asfortranarray(points)
     out = np.empty((points.shape[0], tape.n_out), dtype=np.float64)
-    if points.shape[0] * len(tape.ops) <= CHUNK_CELLS:
-        # every register of every point fits: one chunk, and none dropped
-        frees, chunk = itertools.repeat(()), max(1, points.shape[0])
-    else:
-        frees, chunk = tape.frees, max(1, CHUNK_CELLS // tape.peak)
+    chunk = max(1, CHUNK_CELLS // tape.peak)
     with np.errstate(all="ignore"):
         for lo in range(0, points.shape[0], chunk):
             hi = lo + chunk
-            regs = _run_chunk(tape.ops, frees, points[lo:hi].T)
+            regs = _run_chunk(tape.ops, tape.frees, points[lo:hi].T)
             for j, r in enumerate(tape.out_regs):
                 out[lo:hi, j] = regs[r]
     return out

@@ -428,18 +428,25 @@ class _ProgramEvaluator:
         """f at `count` copies of `point`, copy rows[k] having steps[k] added
         to its slot cols[k] (`rows` ascending, each slot stepped at most once
         per copy).  Builds at most `FD_BLOCK_BYTES` of copies at a time, laid
-        out slot by slot as `evaluate` reads them."""
+        out slot by slot as `evaluate` reads them.
+
+        Each block is one `evaluate` chunk whose first row is `point` itself,
+        put before the block's copies when its first copy is stepped, so an
+        intrinsic calls its scalar function there and at the copies that
+        step one of its operands' variables, and nowhere else."""
         import numpy as np
 
-        per_block = max(1, FD_BLOCK_BYTES // (8 * point.size))
+        per_block = max(1, min(FD_BLOCK_BYTES // (8 * point.size),
+                               CHUNK_CELLS // self.tape.peak) - 1)
         vals = np.empty(count)
         for lo in range(0, count, per_block):
             hi = min(count, lo + per_block)
             a, b = np.searchsorted(rows, (lo, hi))
-            block = np.empty((hi - lo, point.size), order="F")
+            first = int(a < b and rows[a] == lo)  # the row of the block's first copy
+            block = np.empty((first + hi - lo, point.size), order="F")
             block[:] = point
-            block[rows[a:b] - lo, cols[a:b]] += steps[a:b]
-            vals[lo:hi] = evaluate(self.tape, block)[:, 0]
+            block[rows[a:b] - lo + first, cols[a:b]] += steps[a:b]
+            vals[lo:hi] = evaluate(self.tape, block)[first:, 0]
         return vals
 
     @functools.cached_property

@@ -88,8 +88,9 @@ def test_fd_hessian_product_poly():
 
 
 def test_fd_blocks_match_one_block(monkeypatch):
-    # with room for 3 rows per block the oracles evaluate their 36 and 649
-    # stepped rows a block at a time, and give the same bits as in one block
+    # with room for 3 rows per block, the oracles evaluate their 36 and 649
+    # rows 2 at a time, each block after the unstepped point (the Hessian's
+    # first row is that point), and give the same bits as in one block
     verify_module = importlib.import_module("acorns.verify")
     fn = corpus_function("barrier", s=3)
     _, program, vars_ = corpus_program(fn)
@@ -99,24 +100,47 @@ def test_fd_blocks_match_one_block(monkeypatch):
 
     def evaluate(tape, points):
         sizes.append(len(points))
+        assert points[0].tobytes() == point.tobytes()
         return verify_module.evaluate.__wrapped__(tape, points)
 
     evaluate.__wrapped__ = verify_module.evaluate
     monkeypatch.setattr(verify_module, "evaluate", evaluate)
     monkeypatch.setattr(verify_module, "FD_BLOCK_BYTES", 3 * 8 * point.size + 7)
     blocked = [fd_gradient(program, vars_, point), fd_hessian(program, vars_, point)]
-    assert sizes == [3] * 12 + [3] * 216 + [1]
+    assert sizes == [3] * 18 + [2] + [3] * 323 + [2]
     assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
+
+
+def test_fd_blocks_fit_one_chunk(monkeypatch):
+    # with room for 4 points' live registers per chunk, each FD block is
+    # one chunk of the unstepped point and 3 stepped rows, so no chunk
+    # starts at a stepped row
+    interp, verify_module = (importlib.import_module(f"acorns.{m}") for m in ("interp", "verify"))
+    fn = corpus_function("barrier", s=3)
+    _, program, vars_ = corpus_program(fn)
+    point = sample_points(fn, program, 1, np.random.default_rng(4))[0]
+    whole = fd_gradient(program, vars_, point)
+    oracle = verify_module._ProgramEvaluator(program, vars_)
+    for module in (interp, verify_module):
+        monkeypatch.setattr(module, "CHUNK_CELLS", 4 * oracle.tape.peak)
+    firsts, run_chunk = [], interp._run_chunk
+
+    def counted(ops, frees, cols):
+        firsts.append(cols[:, 0].tobytes())
+        return run_chunk(ops, frees, cols)
+
+    monkeypatch.setattr(interp, "_run_chunk", counted)
+    assert fd_gradient(program, vars_, point, oracle=oracle).tobytes() == whole.tobytes()
+    assert firsts == [point.tobytes()] * 12
 
 
 def test_fd_calls_sqrt_at_the_rows_that_differ():
     # springs G=10 has 180 sqrt instructions, each of one spring's length,
     # which reads 4 variables.  The FD gradient's 400 rows at a point step
-    # one variable each, so a sqrt's operand differs from row 0's at no more
-    # than the 8 rows that step its variables, but for the 2 springs that
-    # read variable 0, which row 0 steps, where up to all 400 rows differ.
-    # The analytic side is the element path's: 2 sqrt instructions over
-    # 90 iterations at each point
+    # one variable each and follow the unstepped point, so each sqrt is
+    # called there and at no more than the 8 rows that step its variables:
+    # 1 + 2 * 4 calls per FD evaluation.  The analytic side is the element
+    # path's: 2 sqrt instructions over 90 iterations at each point
     interp = importlib.import_module("acorns.interp")
     fns, sqrt, calls = interp._INTRINSIC_FN, interp._INTRINSIC_FN["sqrt"], [0]
 
@@ -131,7 +155,7 @@ def test_fd_calls_sqrt_at_the_rows_that_differ():
     finally:
         fns["sqrt"] = sqrt
         interp._array_fn.cache_clear()
-    fd = 2 * (180 * (1 + 8) + 2 * 400)  # a call per row would make 2 * 180 * 400
+    fd = 2 * 180 * (1 + 2 * 4)  # a call per row would make 2 * 180 * 400
     analytic = 2 * 90 * 2
     assert calls[0] <= fd + analytic
 
