@@ -235,7 +235,7 @@ ONE = const(1.0, "1")
 
 def is_integer_literal(text: str) -> bool:
     """Whether a numeric literal's spelling is an integer's: no point, no exponent."""
-    return not any(ch in text for ch in ".eE")
+    return "." not in text and "e" not in text and "E" not in text
 
 
 def is_const(e: Expr, value: float | None = None) -> bool:

@@ -68,7 +68,6 @@ from .cast import (
     ForLoop,
     FunctionIR,
     Return,
-    Unary,
     Var,
     children,
     operands,
@@ -79,7 +78,6 @@ from .cast import (
 from .derivatives import VarIndexMap, layout_slots
 from .errors import BoundExplosion, NotConstant
 from .flatten import (
-    _INT_BINARY_FN,
     VERSION_SEP,
     InputSlot,
     SlpAssign,
@@ -89,8 +87,9 @@ from .flatten import (
     eval_consts,
     fold,
     input_slots,
-    int_value,
+    int_typed,
     iterations,
+    loop_heads,
     param_slots,
 )
 from .record import Record
@@ -171,7 +170,7 @@ def element_loops(ir: FunctionIR, names) -> ElementLoops | None:
         return None
 
 
-def _no_read(node: Expr, env: dict):
+def _no_read(node: Expr, env: dict, indices):
     raise _Unrolled  # E's initial value reads a name
 
 
@@ -224,8 +223,8 @@ class _Recogniser:
         NotConstant on a division by zero, or BoundExplosion, where
         unrolling would fail: an index out of range, or more than
         `flatten.DEFAULT_ASSIGN_CAP` assignments or loop iterations.  The
-        expressions are walked once, by `const_order`, and evaluated
-        together by `eval_consts`."""
+        headers and the expressions are compiled once, by `loop_heads` and
+        `const_order`, and the expressions run together by `eval_consts`."""
         cap = flatten.DEFAULT_ASSIGN_CAP
         # each read's parameter and the least and largest value of each index
         boxes = [(name, [[math.inf, -math.inf] for _ in indices])
@@ -233,11 +232,11 @@ class _Recogniser:
         dims = [box for _, read in boxes for box in read]
         exprs = [ix for _, _, indices in body.reads for ix in indices]
         order = const_order(*exprs, *(e for _, e in body.ints))
-        for env in iterations(loops, dict(start), cap):
+        for env in iterations(loop_heads(loops), dict(start), cap):
             self.assigns += per_iteration
             if self.assigns > cap:
                 raise _Unrolled
-            for v, box in zip(eval_consts(exprs, env, order), dims):
+            for v, box in zip(eval_consts(order, env), dims):
                 if v < box[0]:
                     box[0] = v
                 if v > box[1]:
@@ -299,6 +298,7 @@ class _Body:
     def __init__(self, rec: _Recogniser, counters: set):
         self.rec = rec
         self.counters = counters
+        self.bound = counters | set(rec.int_locals)  # the names bound to integers
         energy = rec.energy
         self.slots: dict = {}  # (param, index expressions) or an integer expression -> label
         self.inputs = [InputSlot(energy, (), energy)]
@@ -358,23 +358,20 @@ class _Body:
         reads no counter is folded as the unroller folds it; a maximal one
         that does becomes an input slot."""
         new: dict[int, Expr] = {}
-        known: dict[int, int] = {}  # id(node) -> value, integer-typed without a counter
-        counted: dict[int, Expr] = {}  # id(node) -> its integer expression, over counters
+        ints: dict = {}  # the integer-typed nodes (`integer`)
         seen: set = set()
 
         def value(k: Expr) -> Expr:
-            got = counted.get(id(k))
-            return new[id(k)] if got is None else self.slot(got, got)
+            if id(k) not in ints:
+                return new[id(k)]
+            got = ints[id(k)]
+            if got is not None:
+                return self.slot(got, got)
+            return k if isinstance(k, Constant) else self.folded(k)
 
         for node in post_order(e, seen, operands):
             seen.add(id(node))
-            folded = int_value(node, known, self.rec.int_locals)
-            if folded is not None:
-                new[id(node)] = node if isinstance(node, Constant) else _int_const(folded)
-                continue
-            symbolic = self.integer(node, known, counted)
-            if symbolic is not None:
-                counted[id(node)] = symbolic
+            if self.integer(node, ints):
                 continue
             if isinstance(node, Var):
                 new[id(node)] = self.var(node)
@@ -388,34 +385,36 @@ class _Body:
                 new[id(node)] = rebuild(node, {id(k): value(k) for k in children(node)})
         return value(e)
 
-    def integer(self, node: Expr, known: dict, counted: dict) -> Expr | None:
-        """`node` as an integer expression over the counters, with the
-        other integer-typed operands folded, if it reads a counter and is
-        integer-typed; else None."""
-        if isinstance(node, Var):
-            return node if node.name in self.counters else None
-        if not (isinstance(node, Unary)
-                or isinstance(node, Binary) and node.op in _INT_BINARY_FN):
-            return None
+    def integer(self, node: Expr, ints: dict) -> bool:
+        """Whether `node` is integer-typed over the `int` locals and the
+        counters (`flatten.int_typed`), its operands' entries being in
+        `ints`; if it is, give it its entry: None where it reads no
+        counter, as it folds to its value (`folded`), else it as an integer
+        expression over the counters, its operands that read none
+        folded."""
+        if not int_typed(node, ints, self.bound):
+            return False
         kids = children(node)
-        if not all(id(k) in known or id(k) in counted for k in kids):
-            return None
-        return rebuild(node, {id(k): counted.get(id(k)) or _int_const(known[id(k)])
-                              for k in kids})
+        if isinstance(node, Var) and node.name in self.counters or \
+                any(ints[id(k)] is not None for k in kids):
+            ints[id(node)] = rebuild(node, {id(k): ints[id(k)] or self.folded(k) for k in kids})
+        else:
+            ints[id(node)] = None
+        return True
+
+    def folded(self, node: Expr) -> Constant:
+        """An integer-typed node that reads no counter, folded."""
+        return _int_const(eval_const(node, self.rec.int_locals))
 
     def index(self, ix: Expr) -> Expr:
         """An index as an integer expression over the counters."""
-        known: dict[int, int] = {}
-        counted: dict[int, Expr] = {}
+        ints: dict = {}
         seen: set = set()
         for node in post_order(ix, seen, operands):
             seen.add(id(node))
-            if int_value(node, known, self.rec.int_locals) is None:
-                got = self.integer(node, known, counted)
-                if got is None:
-                    raise _Unrolled
-                counted[id(node)] = got
-        return counted.get(id(ix)) or _int_const(known[id(ix)])
+            if not self.integer(node, ints):
+                raise _Unrolled
+        return ints[id(ix)] or self.folded(ix)
 
     def var(self, node: Var) -> Var:
         name = node.name

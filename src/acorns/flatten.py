@@ -16,6 +16,19 @@ against its array's rank and declared extents.  A program's input slots,
 grouped by parameter, are `StraightLineProgram.param_slots`; `input_slots`
 lays them out from each parameter's reach, for the unroller and for the
 element path (`elements.element_loops`), which does not unroll.
+
+A loop runs the same statements again with new counter values, so what
+does not change between runs is compiled once: an integer expression into
+a step list (`const_order`), a loop's header into the step lists of
+`loop_heads`, and each expression the unroller rewrites into a fold plan
+(`fold_plan`), which records which nodes are integer-typed, which are
+reads, with their indices' step lists, and which are rebuilt.  The
+unroller keys step lists and headers on their statement node, and a fold
+plan on its expression node and on which of the expression's names are
+bound to integers; an iteration then costs the counters' values, the
+reads and the new nodes.  Integer arithmetic is C's: `int` arithmetic
+whose result leaves `int`'s range is a located error, as a division by
+zero is, and a literal above `INT_MAX` is a `long`.
 """
 
 from __future__ import annotations
@@ -143,64 +156,239 @@ def dump_text(p: StraightLineProgram) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compile-time evaluation
+# Compile-time evaluation (see the module docstring)
+
+# the range of C's `int`
+INT_MIN, INT_MAX = -2**31, 2**31 - 1
 
 
-def eval_const(expr: Expr, env: dict, order: list | None = None):
-    """Evaluate an integer/boolean expression over the given bindings.
+class _NotInteger(Exception):
+    """A step reached a node that has no compile-time integer value."""
 
-    `order` is `const_order(expr)`, for a caller that evaluates `expr` many
-    times, as a loop does its condition and update, and walks it once.
+
+def _refuse(_a, _b):
+    raise _NotInteger
+
+
+def _c_int_div(a: int, b: int) -> int:
+    q = abs(a) // abs(b)  # C integer division truncates toward zero; b == 0 raises
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+# C's `int` arithmetic: a result outside `int`'s range raises OverflowError,
+# as signed overflow is undefined in C
+def _add(a, b):
+    r = a + b
+    if INT_MIN <= r <= INT_MAX:
+        return r
+    raise OverflowError
+
+
+def _sub(a, b):
+    r = a - b
+    if INT_MIN <= r <= INT_MAX:
+        return r
+    raise OverflowError
+
+
+def _mul(a, b):
+    r = a * b
+    if INT_MIN <= r <= INT_MAX:
+        return r
+    raise OverflowError
+
+
+def _div(a, b):
+    r = _c_int_div(a, b)
+    if r <= INT_MAX:  # only INT_MIN / -1 leaves the range
+        return r
+    raise OverflowError
+
+
+def _negate(a, _b):
+    if a != INT_MIN:
+        return -a
+    raise OverflowError
+
+
+def _negate_long(a, _b):
+    return -a
+
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+# the binary operators over compile-time integers, as C computes them in
+# `int`, and in `long`, where an operand is a `long`
+_INT_FN = {"+": _add, "-": _sub, "*": _mul, "/": _div, **_COMPARE}
+_LONG_FN = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _c_int_div,
+            **_COMPARE}
+
+
+def int_typed(node: Expr, typed, bound) -> bool:
+    """Whether `node` is integer-typed, `typed` holding the ids of its
+    integer-typed operands and `bound` the names bound to integers (loop
+    counters and `int` locals).
+
+    An integer literal, a bound name, and a negation, arithmetic or a
+    comparison whose operands are all integer-typed, are integer-typed.  C
+    computes such a subexpression in integers, dividing with truncation,
+    and converts the result where a `double` operand or argument meets
+    it: `x * (1 / 2)` is `x * 0`.  The one rule for `fold_plan`, and so
+    for the unroller and `verify.run_ir`, and for the element path.
     """
-    done: dict[int, object] = {}
-    if order is None:
-        if not isinstance(expr, (Unary, Binary)):  # most indices: a leaf needs no walk
-            return _const_value(expr, done, env)
-        order = const_order(expr)
-    for node in order:
-        done[id(node)] = _const_value(node, done, env)
-    return done[id(expr)]
+    if isinstance(node, Constant):
+        return is_integer_literal(node.text)
+    if isinstance(node, Var):
+        return node.name in bound
+    if isinstance(node, Unary):
+        return id(node.operand) in typed
+    if isinstance(node, Binary):
+        return node.op in _INT_FN and id(node.lhs) in typed and id(node.rhs) in typed
+    return False
 
 
-def eval_consts(exprs, env: dict, order: list) -> list:
-    """The values of the integer expressions `exprs`, as `eval_const`
-    computes each, `order` being `const_order(*exprs)`: a node they share
-    is evaluated once."""
-    done: dict[int, object] = {}
-    for node in order:
-        done[id(node)] = _const_value(node, done, env)
-    return [done[id(e)] for e in exprs]
+class ConstOrder:
+    """The step list `const_order` compiles.
+
+    `regs` holds the registers before the first step: the environment's
+    place, then each integer literal's value and each name.  Each step is
+    `(fn, a, b)`, whose value `fn(regs[a], regs[b])` is the next register:
+    a name's looks the name up in the environment, and an operator's is
+    its C function.  `nodes` holds each step's node, for its diagnostic,
+    and `roots` each expression's register.
+    """
+
+    __slots__ = ("regs", "steps", "nodes", "roots")
+
+    def __init__(self, regs: list, steps: list, nodes: list, roots: list):
+        self.regs, self.steps, self.nodes, self.roots = regs, steps, nodes, roots
 
 
-def const_order(*exprs: Expr) -> list:
-    """The nodes of `exprs` in the order `eval_const` evaluates them, each
-    once: source order, so an evaluation that raises reports the leftmost
-    fault."""
-    done: set = set()
-    order = []
+def const_order(*exprs: Expr) -> ConstOrder:
+    """The step list that evaluates the integer expressions `exprs`, each
+    node once: in source order, so an evaluation that raises reports the
+    leftmost fault.  A literal above `INT_MAX` is a `long` in C, as is an
+    operation with a `long` operand; `int` arithmetic whose result leaves
+    `int`'s range raises, as a division by zero does.  A caller that
+    evaluates `exprs` many times, a loop header or the indices of a
+    statement the unroller runs again, keeps the list: it is keyed on the
+    expression nodes alone, whatever the bindings."""
+    consts: list = [None]  # register 0 is the environment
+    steps: list = []  # (fn, a, b); a register below 0 is step ~r, placed after the constants
+    nodes: list = []
+    at: dict[int, int] = {}  # id(node) -> its register
+    wide: set = set()  # ids of the nodes of type `long`
     for expr in exprs:
-        for node in post_order(expr, done, operands):
-            done.add(id(node))
-            order.append(node)
-    return order
+        if id(expr) in at:
+            continue
+        # a leaf, as most indices are, needs no walk
+        walk = (expr,) if isinstance(expr, (Constant, Var)) else post_order(expr, at, operands)
+        for node in walk:
+            if isinstance(node, Constant) and is_integer_literal(node.text):
+                value = int(node.text)
+                if value > INT_MAX:
+                    wide.add(id(node))
+                at[id(node)] = len(consts)
+                consts.append(value)
+                continue
+            is_long = False
+            if isinstance(node, Var):
+                step = (operator.getitem, 0, len(consts))
+                consts.append(node.name)
+            elif isinstance(node, Unary):
+                a = at[id(node.operand)]
+                is_long = id(node.operand) in wide
+                step = (_negate_long if is_long else _negate, a, a)
+            elif isinstance(node, Binary) and node.op in _INT_FN:
+                is_long = node.op not in _COMPARE and (id(node.lhs) in wide or id(node.rhs) in wide)
+                step = ((_LONG_FN if is_long else _INT_FN)[node.op],
+                        at[id(node.lhs)], at[id(node.rhs)])
+            else:
+                step = (_refuse, 0, 0)
+            if is_long:
+                wide.add(id(node))
+            at[id(node)] = ~len(steps)
+            steps.append(step)
+            nodes.append(node)
+    roots = [at[id(e)] for e in exprs]
+    if steps:
+        base = len(consts)
+        steps = [(fn, a if a >= 0 else base + ~a, b if b >= 0 else base + ~b)
+                 for fn, a, b in steps]
+        roots = [r if r >= 0 else base + ~r for r in roots]
+    return ConstOrder(consts, steps, nodes, roots)
 
 
-def iterations(loops, env: dict, cap: int):
-    """Run the headers of the perfect nest `loops` (outermost first) from
+def _run(order: ConstOrder, env: dict) -> list:
+    """The registers of `order` run over the bindings `env`."""
+    regs = order.regs.copy()
+    regs[0] = env
+    push = regs.append
+    try:
+        for fn, a, b in order.steps:
+            push(fn(regs[a], regs[b]))
+    except (KeyError, ZeroDivisionError, OverflowError, _NotInteger) as exc:
+        raise _fault(order.nodes[len(regs) - len(order.regs)], exc) from None
+    return regs
+
+
+def _fault(node: Expr, exc: Exception) -> NotConstant:
+    """The diagnostic for the step at `node` that raised `exc`."""
+    if isinstance(exc, KeyError):
+        return NotConstant(node.span, f"{node.name!r} is not compile-time constant")
+    if isinstance(exc, ZeroDivisionError):
+        return NotConstant(node.span, "division by zero in constant expression")
+    if isinstance(exc, OverflowError):
+        return NotConstant(node.span, "int overflow in constant expression")
+    if isinstance(node, Constant):
+        return NotConstant(node.span, f"non-integer literal {node.text!r} in constant context")
+    return NotConstant(getattr(node, "span", None), "expression is not compile-time constant")
+
+
+def eval_const(expr: Expr, env: dict):
+    """Evaluate an integer/boolean expression over the given bindings, as C
+    does (`const_order`); raise NotConstant on a fault.  A caller that
+    evaluates an expression many times compiles it once, by `const_order`,
+    and runs it by `eval_consts`."""
+    return _value(const_order(expr), env)
+
+
+def eval_consts(order: ConstOrder, env: dict) -> list:
+    """The values of the expressions `order = const_order(*exprs)`
+    evaluates, in one run: a node they share is evaluated once."""
+    regs = _run(order, env)
+    return [regs[r] for r in order.roots]
+
+
+def _value(order: ConstOrder, env: dict):
+    """The value of the one expression `order` evaluates."""
+    return _run(order, env)[order.roots[0]]
+
+
+def loop_heads(loops) -> tuple:
+    """The headers of the perfect nest `loops`, outermost first, for
+    `iterations`: each loop's counter and the step lists of its
+    initializer, condition and update."""
+    return tuple((lp.counter, const_order(lp.init), const_order(lp.cond), const_order(lp.update))
+                 for lp in loops)
+
+
+def iterations(heads: tuple, env: dict, cap: int):
+    """Run the headers `heads = loop_heads(loops)` of a perfect nest from
     the bindings `env`, and yield `env`, binding every counter, at each
     iteration of the innermost body; raise BoundExplosion past `cap`
-    iterations of a loop.  Each header is walked once, by `const_order`,
-    and evaluated by `eval_const`.  The unroller runs each `for` by it, one
-    loop at a time; the element path's walk (`elements`) and `verify` run
-    a nest by it."""
-    heads = [(lp, const_order(lp.cond), const_order(lp.update)) for lp in loops]
+    iterations of a loop.  The headers are compiled once, by `loop_heads`,
+    and a caller that runs a nest again keeps them: the unroller keys them
+    on the `for` statement, which it runs by this one loop at a time; the
+    element path's walk (`elements`) and `verify` compile each nest once."""
     innermost = len(heads) - 1
 
     def run(depth: int):
-        lp, cond, update = heads[depth]
-        env[lp.counter] = eval_const(lp.init, env)
+        counter, init, cond, update = heads[depth]
+        env[counter] = _value(init, env)
         count = 0
-        while eval_const(lp.cond, env, cond):
+        while _value(cond, env):
             count += 1
             if count > cap:
                 raise BoundExplosion(count, cap, "loop iteration count")
@@ -208,91 +396,109 @@ def iterations(loops, env: dict, cap: int):
                 yield from run(depth + 1)
             else:
                 yield env
-            env[lp.counter] = eval_const(lp.update, env, update)
+            env[counter] = _value(update, env)
 
     return run(0)
 
 
-def _c_int_div(a: int, b: int) -> int:
-    q = abs(a) // abs(b)  # C integer division truncates toward zero
-    return q if (a >= 0) == (b >= 0) else -q
+# the kinds of a fold plan's actions
+_INT, _READ, _BINARY, _UNARY, _CALL = range(5)
 
 
-# the binary operators over compile-time integers, as C computes them
-_INT_BINARY_FN = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _c_int_div,
-    "<": operator.lt, "<=": operator.le, ">": operator.gt,
-    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
-}
+class FoldPlan(Record):
+    """The fold plan `fold_plan` compiles.
 
-
-def int_value(e: Expr, ints: dict, env: dict):
-    """`e`'s value as C computes it if `e` is integer-typed, else None;
-    `ints` holds the values of `e`'s integer-typed operands, and gets `e`'s.
-
-    An integer literal, a name bound in `env` (a loop counter or an `int`
-    local), and a negation, arithmetic or a comparison whose operands are
-    all integer-typed, are integer-typed.  C computes such a subexpression
-    in integers, dividing with truncation, and converts the result where a
-    `double` operand or argument meets it: `x * (1 / 2)` is `x * 0`.
+    `values` holds a place per node of the expression, in source order:
+    a literal's holds the literal, which stays as it is spelled, and every
+    other's None until an action makes it (none makes a node that is part
+    of a larger integer-typed one).  Each action is `(kind, k, node, a,
+    b)`, making `values[k]`: `_INT` folds an integer-typed `node` by the
+    step list `a`; `_READ` reads a variable or an array element, `a` being
+    the step list of its indices; `_BINARY`, `_UNARY` and `_CALL` rebuild
+    `node` over the operands at `a` and `b`, or at the positions `a`.
+    `root` is the expression's place, and `names` holds the names the
+    expression reads as operands, on whose bindings the plan depends.
     """
-    if isinstance(e, Constant):
-        if not is_integer_literal(e.text):
-            return None
-        value = int(e.text)
-    elif isinstance(e, Var):
-        if e.name not in env:
-            return None
-        value = env[e.name]
-    elif isinstance(e, Unary):
-        if id(e.operand) not in ints:
-            return None
-        value = -ints[id(e.operand)]
-    elif isinstance(e, Binary) and e.op in _INT_BINARY_FN:
-        if id(e.lhs) not in ints or id(e.rhs) not in ints:
-            return None
-        value = int(_const_value(e, ints, env))
-    else:
-        return None
-    ints[id(e)] = value
-    return value
+
+    __slots__ = ("values", "actions", "root", "names")
+
+    def __init__(self, values: list, actions: list, root: int, names: tuple):
+        super().__init__(values, actions, root, names)
+
+
+def fold_plan(e: Expr, bound) -> FoldPlan:
+    """The fold plan of `e` where the names in `bound` are bound to
+    integers (`fold`).  A caller that folds `e` many times keys the plan on
+    `e` and on which of the plan's `names` are bound: the unroller does,
+    per statement it runs again."""
+    at: dict[int, int] = {}  # id(node) -> its place
+    typed: set = set()  # ids of the integer-typed nodes
+    folds: dict = {}  # id(node) -> the index in `actions` of an integer-typed node's fold
+    values: list = []
+    actions: list = []  # a fold stays None where its node is part of a larger one
+    names: dict = {}
+    for node in post_order(e, at, operands):
+        k = at[id(node)] = len(values)
+        if isinstance(node, Constant):  # a literal stays as it is spelled
+            values.append(node)
+            if int_typed(node, typed, bound):
+                typed.add(id(node))
+            continue
+        values.append(None)
+        if isinstance(node, Var):
+            names[node.name] = None
+        if int_typed(node, typed, bound):
+            typed.add(id(node))
+            folds[id(node)] = len(actions)
+            actions.append(None)
+            continue
+        if folds:
+            for kid in operands(node):  # an integer-typed operand is not part of a larger one
+                got = folds.get(id(kid))
+                if got is not None:
+                    actions[got] = (_INT, at[id(kid)], kid, const_order(kid), None)
+        if isinstance(node, Var):
+            actions.append((_READ, k, node, None, None))
+        elif isinstance(node, ArrayRef):
+            actions.append((_READ, k, node, const_order(*node.indices), None))
+        elif isinstance(node, Binary):
+            actions.append((_BINARY, k, node, at[id(node.lhs)], at[id(node.rhs)]))
+        elif isinstance(node, Unary):
+            actions.append((_UNARY, k, node, at[id(node.operand)], None))
+        elif isinstance(node, Call):
+            actions.append((_CALL, k, node, tuple(at[id(a)] for a in node.args), None))
+    got = folds.get(id(e))
+    if got is not None:
+        actions[got] = (_INT, at[id(e)], e, const_order(e), None)
+    return FoldPlan(values, [a for a in actions if a is not None], at[id(e)], tuple(names))
+
+
+def run_fold(plan: FoldPlan, env: dict, read) -> Expr:
+    """The expression `plan` folds over the bindings `env`: each
+    integer-typed node that is not part of a larger one folded to the
+    constant C computes for it, an integer literal staying as it is
+    spelled, and each other variable or array element replaced by
+    `read(node, env, indices)`, `indices` being the step list of an array
+    element's indices and None for a variable."""
+    values = plan.values.copy()
+    for kind, k, node, a, b in plan.actions:
+        if kind == _BINARY:
+            values[k] = Binary(node.op, values[a], values[b], node.span)
+        elif kind == _READ:
+            values[k] = read(node, env, a)
+        elif kind == _INT:
+            values[k] = const(float(_value(a, env)))
+        elif kind == _UNARY:
+            values[k] = Unary(node.op, values[a], node.span)
+        else:
+            values[k] = Call(node.name, tuple([values[i] for i in a]), node.span)
+    return values[plan.root]
 
 
 def fold(e: Expr, env: dict, read) -> Expr:
-    """`e` with each integer-typed subexpression folded to the constant C
-    computes for it (`int_value`), an integer literal staying as it is
-    spelled, and each other variable or array element replaced by
-    `read(node, env)`."""
-    done: dict[int, Expr] = {}
-    ints: dict[int, int] = {}  # id(node) -> its value, for the integer-typed nodes
-    for node in post_order(e, done, operands):
-        value = int_value(node, ints, env)
-        if value is not None:
-            done[id(node)] = node if isinstance(node, Constant) else const(float(value))
-        elif isinstance(node, (Var, ArrayRef)):
-            done[id(node)] = read(node, env)
-        else:
-            done[id(node)] = rebuild(node, done)
-    return done[id(e)]
-
-
-def _const_value(e: Expr, done: dict, env: dict):
-    if isinstance(e, Constant):
-        if not is_integer_literal(e.text):
-            raise NotConstant(e.span, f"non-integer literal {e.text!r} in constant context")
-        return int(e.text)
-    if isinstance(e, Var):
-        if e.name not in env:
-            raise NotConstant(e.span, f"{e.name!r} is not compile-time constant")
-        return env[e.name]
-    if isinstance(e, Unary):
-        return -done[id(e.operand)]
-    if isinstance(e, Binary) and e.op in _INT_BINARY_FN:
-        a, b = done[id(e.lhs)], done[id(e.rhs)]
-        if e.op == "/" and b == 0:
-            raise NotConstant(e.span, "division by zero in constant expression")
-        return _INT_BINARY_FN[e.op](a, b)
-    raise NotConstant(getattr(e, "span", None), "expression is not compile-time constant")
+    """`e` folded once over the bindings `env` (`run_fold`), by a plan
+    built for it (`fold_plan`)."""
+    return run_fold(fold_plan(e, env), env, read)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +513,10 @@ class _Unroller:
         self.versions: dict[str, int] = {}  # slot label -> last version number
         self.current: dict[str, str] = {}  # slot label -> live slot name
         self.assigns: list[SlpAssign] = []
+        # id(node) -> what is compiled for it: a statement's or an lvalue's
+        # step list, a loop's headers, an expression's fold plans by the
+        # names bound; the function's nodes outlive the unroller
+        self.compiled: dict[int, object] = {}
         for p in ir.params:
             self.reach[p.name] = [n or 0 for n in p.extents]
             if p.rank:
@@ -316,15 +526,16 @@ class _Unroller:
 
     # -- slot bookkeeping ---------------------------------------------------
 
-    def element(self, ref: ArrayRef, env: dict) -> str:
-        """The label of the element `ref` names, its indices checked against
-        the array's rank and extents.  A parameter element enters the slot
-        table as its input slot when first named, and widens the parameter's
-        undeclared extents to cover it."""
+    def element(self, ref: ArrayRef, env: dict, indices: ConstOrder) -> str:
+        """The label of the element `ref` names, its indices, which
+        `indices` evaluates, checked against the array's rank and extents.
+        A parameter element enters the slot table as its input slot when
+        first named, and widens the parameter's undeclared extents to cover
+        it."""
         extents = self.arrays.get(ref.base)
         if extents is None:
             raise NotConstant(ref.span, f"unknown array {ref.base!r}")
-        indices = tuple(eval_const(ix, env) for ix in ref.indices)
+        indices = eval_consts(indices, env)
         if len(indices) != len(extents):
             raise UnsupportedConstruct(ref.span, f"{len(indices)} index(es) into "
                                                  f"{len(extents)}-dimensional {ref.base!r}")
@@ -356,15 +567,35 @@ class _Unroller:
         self.assigns.append(SlpAssign(target, label, rhs, from_decl))
         self.current[label] = target
 
-    # -- expression rewriting ------------------------------------------------
+    # -- compiled forms ------------------------------------------------------
+
+    def order(self, node, exprs) -> ConstOrder:
+        """The step list of `exprs`, compiled once for `node`."""
+        got = self.compiled.get(id(node))
+        if got is None:
+            got = self.compiled[id(node)] = const_order(*exprs)
+        return got
 
     def rewrite(self, e: Expr, env: dict) -> Expr:
-        """`e` over live slots, its integer-typed subexpressions folded."""
-        return fold(e, env, self.read)
+        """`e` over live slots, its integer-typed subexpressions folded, by
+        the fold plan compiled for `e` and the names of it that `env`
+        binds."""
+        plans = self.compiled.get(id(e))
+        if plans is None:
+            plan = fold_plan(e, env)
+            bound = frozenset(name for name in plan.names if name in env)
+            self.compiled[id(e)] = (plan.names, {bound: plan})
+        else:
+            names, by_bound = plans
+            bound = frozenset(name for name in names if name in env)
+            plan = by_bound.get(bound)
+            if plan is None:
+                plan = by_bound[bound] = fold_plan(e, bound)
+        return run_fold(plan, env, self.read)
 
-    def read(self, e: Expr, env: dict) -> Var:
+    def read(self, e: Expr, env: dict, indices: ConstOrder | None) -> Var:
         """The live slot a variable or an array element reads."""
-        label = e.name if isinstance(e, Var) else self.element(e, env)
+        label = e.name if indices is None else self.element(e, env, indices)
         live = self.current.get(label)
         if live is None:
             raise NotConstant(e.span, f"{label!r} used before assignment")
@@ -385,9 +616,9 @@ class _Unroller:
             if s.elem_type == "int":
                 if s.init is None:
                     raise NotConstant(s.span, f"int local {s.name!r} needs a constant initializer")
-                env[s.name] = eval_const(s.init, env)
+                env[s.name] = _value(self.order(s, (s.init,)), env)
             elif s.extents:
-                self.arrays[s.name] = tuple(eval_const(x, env) for x in s.extents)
+                self.arrays[s.name] = tuple(eval_consts(self.order(s, s.extents), env))
                 if s.init is not None:
                     raise UnsupportedConstruct(s.span, "array initializer")
             elif s.init is not None:
@@ -400,12 +631,15 @@ class _Unroller:
                     raise UnsupportedConstruct(lv.span, "assignment to a loop counter")
                 self.emit(lv.name, rhs)
             else:
-                self.emit(self.element(lv, env), rhs)
+                self.emit(self.element(lv, env, self.order(lv, lv.indices)), rhs)
         elif isinstance(s, ForLoop):
-            for inner in iterations((s,), dict(env), self.cap):
+            heads = self.compiled.get(id(s))
+            if heads is None:
+                heads = self.compiled[id(s)] = loop_heads((s,))
+            for inner in iterations(heads, dict(env), self.cap):
                 self.run_block(s.body, dict(inner))
         elif isinstance(s, If):
-            taken = s.then_body if eval_const(s.cond, env) else s.else_body
+            taken = s.then_body if _value(self.order(s, (s.cond,)), env) else s.else_body
             self.run_block(taken, dict(env))
         elif isinstance(s, Block):
             self.run_block(s.body, dict(env))

@@ -626,7 +626,7 @@ def _int_division(e: Expr, ints: set, held: set) -> tuple | None:
     acorns holds a comparison of doubles as a double, 0 or 1, where it is an
     `int` in C, and it reads an `int` parameter, whose names are `held`, or
     an element of an `int*` one, from `vals` as a double.  It folds only
-    integer subexpressions of constants (`flatten.int_value`), so
+    integer subexpressions of constants (`flatten.int_typed`), so
     `(x < 1) / 2` and `n / 2` would be 0.5 to acorns at x < 1 and n = 1,
     and 0 to the C it emits.  An integer literal, a name in `ints`, a
     comparison, and a negation or arithmetic of integer operands are

@@ -17,14 +17,14 @@ from __future__ import annotations
 import functools
 import math
 
-from .cast import (ArrayRef, Assignment, Block, Declaration, Expr, ForLoop, FunctionIR, If, Return,
-                   Var, children, is_plus_zero, operands, post_order)
+from .cast import (Assignment, Block, Constant, Declaration, Expr, ForLoop, FunctionIR, If,
+                   Return, Var, is_plus_zero)
 from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle, layout_slots
 from .elements import ElementLoops, element_path
 from .errors import AcornsError, UnboundSlot
 from .flatten import (DEFAULT_ASSIGN_CAP, StraightLineProgram, const_order, element_labels,
-                      eval_const, eval_consts, int_value, iterations, slot_label, unroll)
-from .interp import CHUNK_CELLS, _apply, compile_exprs, compile_program, evaluate, eval_expr
+                      eval_const, eval_consts, fold, iterations, loop_heads, slot_label, unroll)
+from .interp import CHUNK_CELLS, compile_exprs, compile_program, evaluate, eval_expr
 from .parser import parse_source, validate_subset
 from .record import Record
 
@@ -258,8 +258,10 @@ def sample_points(fn: CorpusFunction, program: StraightLineProgram, count: int,
 def run_ir(ir: FunctionIR, bindings: dict) -> float:
     """Execute a FunctionIR directly, loops and all; returns the energy value.
 
-    Arithmetic uses exactly the same scalar operations as `eval_expr`, so
-    the result is bitwise identical to evaluating the unrolled program.
+    Each right-hand side is folded as the unroller folds it
+    (`flatten.fold`), its reads replaced by the values they read, and
+    evaluated by `eval_expr`, so the result is bitwise identical to
+    evaluating the unrolled program.
     """
     params = {p.name for p in ir.params}
     memory: dict[str, float] = {}
@@ -275,22 +277,14 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
                 raise UnboundSlot(label) from None
         raise UnboundSlot(label)
 
+    def loaded(node: Expr, env: dict, indices) -> Constant:
+        label = node.name if indices is None else \
+            slot_label(node.base, eval_consts(indices, env))
+        v = read(label)
+        return Constant(repr(v), v)
+
     def ev(e: Expr, env: dict) -> float:
-        values: dict[int, float] = {}
-        ints: dict[int, int] = {}  # id(node) -> its value, for the integer-typed nodes
-        for node in post_order(e, values, operands):
-            as_int = int_value(node, ints, env)
-            if as_int is not None:
-                value = float(as_int)
-            elif isinstance(node, Var):
-                value = read(node.name)
-            elif isinstance(node, ArrayRef):
-                indices = tuple(eval_const(ix, env) for ix in node.indices)
-                value = read(slot_label(node.base, indices))
-            else:
-                value = _apply(node, [values[id(k)] for k in children(node)])
-            values[id(node)] = value
-        return values[id(e)]
+        return eval_expr(fold(e, env, loaded), {})
 
     def store(lvalue: Expr, value: float, env: dict):
         if isinstance(lvalue, Var):
@@ -373,8 +367,9 @@ def element_gradient(loops: ElementLoops, program: StraightLineProgram, pts: np.
         # per iteration: each read's position in `vals`, each integer slot's value
         exprs = [*(position for _, position in nest.reads), *(e for _, e in nest.ints)]
         order = const_order(*exprs)
-        table = [eval_consts(exprs, env, order)
-                 for env in iterations(nest.loops, dict(nest.start), DEFAULT_ASSIGN_CAP)]
+        heads = loop_heads(nest.loops)
+        table = [eval_consts(order, env)
+                 for env in iterations(heads, dict(nest.start), DEFAULT_ASSIGN_CAP)]
         table = np.array(table, dtype=np.intp).reshape(len(table), len(exprs))
         reads = table[:, :len(nest.reads)]
         read_of = {label: r for r, (label, _) in enumerate(nest.reads)}

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -147,6 +148,11 @@ def test_subset_violation_exits_1(tmp_path, capsys):
     ("double a[2]; double e = a[0] * s;", "a[0]", "'a[0]' used before assignment"),
     ("double e = x[1 / 0];", "/ 0", "division by zero in constant expression"),
     ("double e = x[sin(1)];", "sin", "expression is not compile-time constant"),
+    # `int` arithmetic whose result leaves `int`'s range is undefined in C
+    ("double e = s * (65536 * 65536);", "* 65536)", "int overflow in constant expression"),
+    ("double e = s * ((-2147483647 - 1) / -1);", "/ -1", "int overflow in constant expression"),
+    ("double e = s * -(-2147483647 - 1);", "-(-", "int overflow in constant expression"),
+    ("double e = x[65536 * 65536 - 1];", "* 65536 -", "int overflow in constant expression"),
     # a loop-local declared without a value does not keep the last iteration's
     ("double e = 0; for (int i = 0; i < 3; i++) { double a[2]; if (i > 0) { e = e + a[0]; } "
      "a[0] = s * i; }", "a[0]; }", "'a[0]' used before assignment"),
@@ -161,6 +167,7 @@ def test_subset_violation_exits_1(tmp_path, capsys):
      "'d' used before assignment"),
 ], ids=["past_extent", "local_past_extent", "negative", "too_many_indices", "scalar_param",
         "scalar_local", "unassigned", "unassigned_element", "division_by_zero", "call_index",
+        "int_overflow", "int_min_by_minus_one", "int_min_negated", "index_overflow",
         "loop_local_element", "loop_local_scalar", "bare_block_scope", "sibling_array_to_scalar",
         "sibling_scalar_to_array"])
 def test_unroll_errors_exit_1_with_a_located_line(tmp_path, capsys, monkeypatch, body, at,
@@ -173,6 +180,79 @@ def test_unroll_errors_exit_1_with_a_located_line(tmp_path, capsys, monkeypatch,
     assert rc == 1
     assert err == f"acorns_autodiff: bad.c: 2:{5 + body.index(at)}: {message}\n"
     assert not (tmp_path / "gen").exists()
+
+
+_INT_OVERFLOW_SRC = """\
+double f(const double *x) {
+    double e = 0;
+    for (int i = 0; i < 2; i++) e = e + x[i] * (i * 50000 * 50000 + 1);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_int_overflow_exits_1_with_its_location(tmp_path, capsys, monkeypatch, command):
+    # 50000 * 50000 overflows `int` at i = 1, which C leaves undefined: gcc's
+    # kernel gave -1794967295 at -O0 and 1 at -O2 where acorns scored 2.5e9
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.c").write_text(_INT_OVERFLOW_SRC)
+    if command == "generate":
+        argv, lead = ["f.c", "e", "--vars", "x", "--func", "f", "--output_filename", "d",
+                      "--mode", "function", "gradient"], "acorns_autodiff: f.c"
+    else:
+        argv, lead = ["verify", "f.c", "--func", "f", "--energy", "e", "--vars", "x",
+                      "--points", "2"], "acorns_autodiff verify"
+    assert main(argv) == 1
+    col = _INT_OVERFLOW_SRC.splitlines()[2].index("* 50000 +") + 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"{lead}: 3:{col}: int overflow in constant expression\n")
+    assert not list(tmp_path.glob("d*"))
+
+
+# a literal above INT_MAX is a `long` in C, and arithmetic with one does not
+# overflow: the sha256 of each file written, unchanged since before `int`
+# arithmetic was checked.  `long.c` is unrolled; `elem.c` takes the element
+# path, whose loop computes `i0 * 3000000000 + 1` in C
+_LONG_SRC = """\
+double f(const double *x, double u) {{
+    double e = {init};
+    for (int i = 0; i < 3; i++) {{
+        e = e + x[i] * (i * 3000000000 + 1) - u * (2147483647 + 0);
+    }}
+    return 0;
+}}
+"""
+
+_LONG_DIGESTS = {
+    "long.c": {
+        "ka.h": "0c875ff0e8db89ec3937d6faef34ef776f9835faece14304a15dd61ee0c09ace",
+        "ka_part0.c": "6f08b4a20b0ac638d486a451701eb701bdad22b515fb524a7d94fa80468b7eb4",
+        "kb.h": "e1f030576ff4d54d6a46ea99519b8178ca5982a8e6ed0717c4f566c5d851722b",
+        "kb_part0.c": "9cc6b5c37b4a6c9cadef95e1f5d9de1ccfd25bb247d6fb393d9db522b11b6391",
+    },
+    "elem.c": {
+        "k.h": "c698f2ba36238cfbf60b4e2771f71805a37b7f78bf30782092d11eb22814109d",
+        "k_part0.c": "cc9ec6f568fa28b7825461df7a964def8f981a0af5793420bc06fd903a1f4b25",
+    },
+}
+# (output stem, modes) of each run
+_LONG_RUNS = {"long.c": [("ka", ["function", "gradient"]),
+                         ("kb", ["function", "gradient", "hessian"])],
+              "elem.c": [("k", ["function", "gradient"])]}
+
+
+@pytest.mark.parametrize("name", list(_LONG_DIGESTS))
+def test_long_arithmetic_generates_unchanged(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(_LONG_SRC.format(init="u * 3000000000" if name == "long.c"
+                                                  else "0"))
+    for stem, modes in _LONG_RUNS[name]:
+        assert main([name, "e", "--vars", "x", "u", "--func", "f", "--output_filename", stem,
+                     "--mode", *modes]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir() if p.name != name}
+    assert written == _LONG_DIGESTS[name]
 
 
 def test_sibling_bare_blocks_may_each_declare_a_name(tmp_path, capsys, monkeypatch):

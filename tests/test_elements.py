@@ -316,6 +316,13 @@ _FAULTS = {
     "division_by_zero_in_term": (
         _fault("x[0] * (1 / (t - 3))", c="t"),
         1, "acorns_autodiff: f.c: 4:27: division by zero in constant expression\n"),
+    # `int` arithmetic that overflows, in C undefined: at i = 1
+    "int_overflow_in_term": (
+        _fault("x[i] * (i * 50000 * 50000 + 1)"),
+        1, "acorns_autodiff: f.c: 4:35: int overflow in constant expression\n"),
+    "int_overflow_in_index": (
+        _fault("x[i * 65536 * 65536] * u"),
+        1, "acorns_autodiff: f.c: 4:29: int overflow in constant expression\n"),
     # past a cap of 50: 1 + 17 * 3 assignments, and a loop of 60 iterations
     "over_the_assignment_cap": (
         _FAULT_LOOP.format(decl=" *x", c="i", n=17,

@@ -1,28 +1,33 @@
+import hashlib
+import operator
 import random
 import re
 import struct
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from acorns.cast import Binary, Constant, Var, const, to_source
+from acorns.cast import Binary, Constant, Unary, Var, const, to_source
 from acorns.derivatives import VarIndexMap, derive_bundle, substitute
 from acorns.errors import BoundExplosion, FormatError, NotConstant, UnboundSlot
 from acorns.flatten import (
     StraightLineProgram,
     SlpAssign,
     InputSlot,
+    const_order,
     deserialize,
     dump_text,
     eval_const,
+    eval_consts,
     pretty_assign,
     serialize,
     unroll,
 )
 from acorns.interp import eval_expr
 from acorns.parser import parse_expr, parse_source
-from acorns.verify import CROSS_ENTROPY_SRC, run_ir
+from acorns.verify import CORPUS, CROSS_ENTROPY_SRC, corpus_function, run_ir
 
 
 def _parse(src, func="f", energy="e"):
@@ -61,6 +66,119 @@ def test_eval_const_matches_python(a, b, op):
     e = Binary(op, const(float(a), str(a)), const(float(b), str(b)))
     expected = {"+": a + b, "-": a - b, "*": a * b}[op]
     assert eval_const(e, {}) == expected
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2147483647 + 0", 2147483647),
+    ("-2147483647 - 1", -2147483648),
+    # a literal above INT_MAX is a `long` in C, and so is arithmetic on one
+    ("3000000000 * 2", 6000000000),
+    ("-2147483648", -2147483648),
+    ("2147483648 / -1", -2147483648),
+    ("(3000000000 > 2) + 2147483646", 2147483647),
+])
+def test_eval_const_computes_in_int_and_long(text, value):
+    assert eval_const(parse_expr(text), {}) == value
+
+
+@pytest.mark.parametrize("text, at", [
+    ("2147483647 + 1", "+"),
+    ("-2147483647 - 2", "- 2"),
+    ("65536 * 65536", "*"),
+    ("(-2147483647 - 1) / -1", "/ -1"),
+    ("-(-2147483647 - 1)", "-("),
+    ("i * 50000 * 50000 + 1", "* 50000 +"),
+    ("i * 50000 * 50000 + 1 / 0", "* 50000 +"),  # the leftmost fault
+])
+def test_eval_const_int_overflow_is_located(text, at):
+    # signed overflow is undefined in C: `int` arithmetic whose result leaves
+    # `int`'s range fails where it stands, as a division by zero does
+    with pytest.raises(NotConstant) as info:
+        eval_const(parse_expr(text), {"i": 1})
+    assert str(info.value) == f"1:{text.index(at) + 1}: int overflow in constant expression"
+
+
+_INT_MIN, _INT_MAX = -2**31, 2**31 - 1
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+                "==": operator.eq, "!=": operator.ne}
+
+
+def _reference(e, env):
+    """`(value, is_long)` of the integer expression `e`, by recursion: C's
+    `int` arithmetic, `long` where a literal above INT_MAX is an operand,
+    and NotConstant at the first fault left to right."""
+    if isinstance(e, Constant):
+        if any(ch in e.text for ch in ".eE"):
+            raise NotConstant(e.span, f"non-integer literal {e.text!r} in constant context")
+        return int(e.text), int(e.text) > _INT_MAX
+    if isinstance(e, Var):
+        if e.name not in env:
+            raise NotConstant(e.span, f"{e.name!r} is not compile-time constant")
+        return env[e.name], False
+    if isinstance(e, Unary):
+        a, wide = _reference(e.operand, env)
+        r = -a
+    else:
+        (a, wide_a), (b, wide_b) = _reference(e.lhs, env), _reference(e.rhs, env)
+        if e.op in _COMPARISONS:
+            return _COMPARISONS[e.op](a, b), False
+        wide = wide_a or wide_b
+        if e.op == "/":
+            if b == 0:
+                raise NotConstant(e.span, "division by zero in constant expression")
+            r = int(Fraction(a, b))  # truncated toward zero
+        else:
+            r = {"+": a + b, "-": a - b, "*": a * b}[e.op]
+    if not wide and not _INT_MIN <= r <= _INT_MAX:
+        raise NotConstant(e.span, "int overflow in constant expression")
+    return r, wide
+
+
+def _int_source(rng, depth):
+    """Random integer expression text: literals, bound and unbound names, a
+    non-integer literal now and then, `+ - * /`, comparisons and negation."""
+    if depth == 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.45:
+            return rng.choice(["0", "1", "2", "3", "7", "46341", "65536", "2147483647",
+                               "3000000000"])
+        if r < 0.9:
+            return rng.choice(["i", "j", "k", "m"])
+        return rng.choice(["u", "1.5"])
+    if rng.random() < 0.15:
+        return f"-({_int_source(rng, depth - 1)})"
+    op = rng.choice(["+", "-", "*", "/", "/", "<", "<=", ">", ">=", "==", "!="])
+    return f"({_int_source(rng, depth - 1)} {op} {_int_source(rng, depth - 1)})"
+
+
+def _outcome(run):
+    try:
+        return "value", run()
+    except NotConstant as exc:
+        return "fault", (type(exc), str(exc), exc.span)
+
+
+def test_eval_const_matches_a_recursive_reference():
+    # values and bool-ness equal, and every fault the reference's leftmost:
+    # its type, its message and its span
+    env = {"i": -7, "j": 3, "k": _INT_MIN, "m": _INT_MAX}
+    rng = random.Random(27)
+    kinds = set()
+    for _ in range(3000):
+        trees = [parse_expr(_int_source(rng, rng.randint(0, 5))) for _ in range(3)]
+        want = _outcome(lambda: [_reference(t, env)[0] for t in trees])
+        got = _outcome(lambda: eval_consts(const_order(*trees), env))
+        assert got == want
+        if want[0] == "value":
+            assert [type(v) for v in got[1]] == [type(v) for v in want[1]]
+        kinds.add(want[1][1].split(": ", 1)[1] if want[0] == "fault" else "value")
+        one = _outcome(lambda: eval_const(trees[0], env))
+        assert one == _outcome(lambda: _reference(trees[0], env)[0])
+        if one[0] == "value":
+            assert type(one[1]) is type(_reference(trees[0], env)[0])
+    assert {"value", "division by zero in constant expression",
+            "int overflow in constant expression", "'u' is not compile-time constant",
+            "non-integer literal '1.5' in constant context"} <= kinds
 
 
 # --- unroll ------------------------------------------------------------------
@@ -237,7 +355,92 @@ def test_loop_condition_and_update_are_walked_once(monkeypatch):
     p = unroll(_parse("double f(double x){ double e = 0; for (int i = 0; i < 50; i++) "
                       "{ for (int j = 0; j < 2; j++) { e = e + x; } } return 0; }"))
     assert len(p.assigns) == 101
-    assert len(walks) == 2 + 2 * 50  # each loop run: its condition and its update
+    # each loop's header, compiled once for its `for` statement: its
+    # initializer, its condition and its update, though the inner loop runs
+    # 50 times
+    assert len(walks) == 2 * 3
+
+
+_GUARD_SRC = """\
+double f(const double *x, double *y) {{
+    double e = 0;
+    int k = 2;
+    for (int i = 0; i < {n}; i++) {{
+        for (int j = 0; j < 2; j++) {{
+            double t = x[j + 1] * (i + k);
+            if (j > 0) {{ y[j] = t; }}
+            e = e + y[j] * t * (j - 1 / 2);
+        }}
+    }}
+    return 0;
+}}
+"""
+
+
+def test_unrolling_walks_each_statement_as_often_at_any_loop_length(monkeypatch):
+    # a statement's tree is walked when its plan is built, not per
+    # iteration: every walk in `flatten` is a `post_order`
+    import acorns.flatten as flatten
+
+    original = flatten.post_order
+    walks = []
+
+    def counted(*args):
+        walks.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(flatten, "post_order", counted)
+    counts = []
+    for n in (10, 1000):
+        walks.clear()
+        p = unroll(_parse(_GUARD_SRC.format(n=n)))
+        assert len(p.assigns) == 1 + n * 5
+        counts.append(len(walks))
+    assert counts[0] == counts[1]
+
+
+# sha256 of `serialize(unroll(ir))`: the unrolled program stays
+# byte-identical across refactors of the unroller
+_GRAD_STEPS_SRC = """\
+double cross_entropy(const double **a, const double **b){
+    double loss = 0;
+    for(int t = 0; t < 8; t++){
+        for(int i = 0; i < 10; i++){
+            for(int j = 0; j < 10; j++){
+                loss = loss - b[i][j] * log(a[i][j] + 0.001 * (t + 1));
+            }
+        }
+    }
+    return loss;
+}
+"""
+
+GOLDEN_UNROLL = {
+    ("eq1", None): "faee12d9d380a673f0e58f3fb452769524de83b9ef5734d8579fa6561a95cf57",
+    ("eq2", None): "566ed68abea5a94fe25b359f2b1bf4d7ebb266f6959c071af1f70323c37ac3fa",
+    ("eq3", None): "67401fe211357b5956fbd9d543c63d094851bbca682a36f282ac9fbd0924ef48",
+    ("cross_entropy", None): "29c99fe87ca3e4350892ef2c36cf066e206315b67030afb46b8c1cebe5074a78",
+    ("function_0", None): "422cd18898f0ae2d713d75d528624c234e6d8eab9b97cc14bdb7e5e5b854bd42",
+    ("const_fn", None): "49f06691a63bf98c5f167c42fb6e54918f90c8f2ca8f7868ee4f83e79663c64e",
+    ("springs", None): "e649543b6ae87d225bbc52d4071aed94a5cea6b5bc84722ab96e7d6e62e13ef4",
+    ("barrier", None): "83b169d5c76d39ca445fd24c72c3f17ea2b6dba67be7c0ad22a7e10aacb7fff6",
+    ("rollout", None): "24a39cab6ab94f1ae99f7beec6a9c0c70dc32e2dd4eb97b6b507243aaf986678",
+    ("springs", 4): "dc4ded4965bc5b514dd28e9f19392ba3dca5009365df71b21391d965957a7dc3",
+    ("barrier", 4): "44550dccfb06298be45f8633027dea801461146b4992f790f1ea22387d0be387",
+    ("grad_steps", 8): "c96e6f816fb7d08ac82a002ccc978537f088dbd5b95153a3b766f9de1e0e0900",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_UNROLL), ids=lambda c: f"{c[0]}_{c[1]}")
+def test_unrolled_bytes_match_golden(case):
+    name, s = case
+    assert set(CORPUS) <= {n for n, size in GOLDEN_UNROLL if size is None}
+    if name == "grad_steps":  # the benchmark's grad_steps input, 8 steps over 10 x 10
+        ir = parse_source(_GRAD_STEPS_SRC, "cross_entropy", "loss")
+    else:
+        fn = corpus_function(name, s)
+        ir = parse_source(fn.source, fn.func_name, fn.energy_var)
+    assert hashlib.sha256(serialize(unroll(ir))).hexdigest() == GOLDEN_UNROLL[case]
 
 
 def test_param_slots_group_the_inputs_in_declaration_order():

@@ -7,7 +7,7 @@ import pytest
 
 from acorns.cli import main
 from acorns.derivatives import VarIndexMap, derive_bundle, substitute
-from acorns.errors import AcornsError
+from acorns.errors import AcornsError, NotConstant
 from acorns.flatten import unroll
 from acorns.interp import eval_expr
 from acorns.parser import parse_source
@@ -57,6 +57,23 @@ def test_run_ir_conditional_path():
     """
     ir = parse_source(src, "f", "e")
     assert run_ir(ir, {"x": 1.0}) == 13.0
+
+
+@pytest.mark.parametrize("term, at", [
+    ("x * (i * 50000 * 50000 + 1)", "* 50000 +"),  # in a statement
+    ("y[i * 65536 * 65536]", "* 65536]"),  # in an index
+    ("x * ((-i - 2147483647) / -1)", "/ -1"),  # INT_MIN / -1 at i = 1
+])
+def test_run_ir_reports_int_overflow_as_unrolling_does(term, at):
+    src = ("double f(double x, double *y) {\n    double e = 0;\n"
+           f"    for (int i = 0; i < 2; i++) {{ e = e + {term}; }}\n    return 0;\n}}\n")
+    ir = parse_source(src, "f", "e")
+    want = f"3:{src.splitlines()[2].index(at) + 1}: int overflow in constant expression"
+    with pytest.raises(NotConstant) as oracle:
+        run_ir(ir, {"x": 1.0, "y[0]": 1.0})
+    with pytest.raises(NotConstant) as unrolled:
+        unroll(ir)
+    assert str(oracle.value) == str(unrolled.value) == want
 
 
 # --- finite differences -------------------------------------------------------
