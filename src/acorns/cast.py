@@ -611,6 +611,15 @@ def rebuild(node: Expr, new: dict) -> Expr:
     return node
 
 
+def replace_vars(e: Expr, replace) -> Expr:
+    """`e` with each variable `v` replaced by `replace(v)`, the nodes above
+    them rebuilt (`rebuild`)."""
+    done: dict[int, Expr] = {}
+    for node in post_order(e, done):
+        done[id(node)] = replace(node) if isinstance(node, Var) else rebuild(node, done)
+    return done[id(e)]
+
+
 class Linearized:
     """The union DAG of `roots` as arrays: each node once, children first.
 

@@ -67,10 +67,10 @@ from __future__ import annotations
 import itertools
 import re
 
-from .cast import (INTRINSICS, Binary, Constant, Expr, SharedText, Var, is_plus_zero, post_order,
-                   rebuild, to_source)
+from .cast import (INTRINSICS, Binary, Constant, Expr, SharedText, Var, const, is_plus_zero,
+                   replace_vars, to_source)
 from .derivatives import STAGES, DerivativeBundle, VarIndexMap, layout_slots
-from .elements import ElementLoops, ElementNest, _int_const
+from .elements import ElementLoops, ElementNest
 from .errors import AcornsError
 from .flatten import StraightLineProgram
 from .record import Record
@@ -444,14 +444,12 @@ def _nest_text(nest: ElementNest) -> tuple:
     """
     counters = {lp.counter: f"i{depth}" for depth, lp in enumerate(nest.loops)}
 
+    def local(v: Var) -> Expr:
+        value = nest.start.get(v.name)
+        return v if value is None else const(value, str(value))
+
     def c_int(e: Expr) -> str:
-        done: dict[int, Expr] = {}
-        for node in post_order(e, done):
-            if isinstance(node, Var) and node.name in nest.start:
-                done[id(node)] = _int_const(nest.start[node.name])
-            else:
-                done[id(node)] = rebuild(node, done)
-        root = done[id(e)]
+        root = replace_vars(e, local)
         return to_source(root, SharedText((root,), names=counters))
 
     headers = []

@@ -39,11 +39,12 @@ the innermost body, every read's index expressions and every integer
 slot.  The reads' largest indices give each parameter's reach, from which
 `flatten.input_slots` lays out `vals` as the unrolled program's input
 slots are laid out.  Where unrolling would fail, on an index out of range
-or of the wrong rank, a division by zero, a bound that is not constant,
-or more assignments or loop iterations than `flatten.DEFAULT_ASSIGN_CAP`
-allows, `element_loops` returns None, and the caller's `unroll` reports
-the fault as it always has.  A walk costs integer arithmetic per
-iteration, not an expression tree per element.
+or of the wrong rank, a division by zero, an `int` value out of range, a
+bound that is not constant, or more assignments, loop iterations or input
+slots than `flatten.DEFAULT_ASSIGN_CAP` allows, `element_loops` returns
+None, and the caller's `unroll` reports the fault as it always has.  A
+walk costs integer arithmetic per iteration, not an expression tree per
+element.
 
 Each nest is described once, over the source's names (`ElementNest`):
 its loops, its body's program, and each read's position in `vals` and
@@ -70,6 +71,7 @@ from .cast import (
     Return,
     Var,
     children,
+    const,
     operands,
     post_order,
     rebuild,
@@ -78,9 +80,8 @@ from .cast import (
 from .derivatives import VarIndexMap, layout_slots
 from .errors import BoundExplosion, NotConstant
 from .flatten import (
-    VERSION_SEP,
     InputSlot,
-    SlpAssign,
+    SlotTable,
     StraightLineProgram,
     const_order,
     eval_const,
@@ -91,6 +92,7 @@ from .flatten import (
     iterations,
     loop_heads,
     param_slots,
+    to_int,
 )
 from .record import Record
 
@@ -137,11 +139,6 @@ class _Unrolled(Exception):
     """The function is not on the element path."""
 
 
-def _int_const(value: int) -> Constant:
-    """An integer literal, spelled as C reads an `int`."""
-    return Constant(str(value), float(value))
-
-
 def element_path(ir: FunctionIR, names, simplified: bool, modes) -> ElementLoops | None:
     """The element form that generating `modes` emits, and `verify` in the
     mode `modes` holds scores, or None where both unroll `ir`: a run
@@ -160,9 +157,10 @@ def element_loops(ir: FunctionIR, names) -> ElementLoops | None:
     rec = _Recogniser(ir)
     try:
         rec.run()
+        inputs = input_slots(rec.reach, flatten.DEFAULT_ASSIGN_CAP)
     except (_Unrolled, NotConstant, BoundExplosion):  # not this path, or a fault unroll reports
         return None
-    loops = ElementLoops(rec.init, (), input_slots(rec.reach), None)
+    loops = ElementLoops(rec.init, (), inputs, None)
     vars_ = VarIndexMap.from_names(loops, names)
     try:
         return loops.replace(nests=rec.nests(loops, vars_), vars_=vars_)
@@ -192,7 +190,7 @@ class _Recogniser:
             if isinstance(s, Declaration) and s.elem_type == "int" and not s.extents:
                 if s.init is None:
                     raise _Unrolled
-                self.int_locals[s.name] = eval_const(s.init, self.int_locals)
+                self.int_locals[s.name] = to_int(eval_const(s.init, self.int_locals), s.init)
             elif (isinstance(s, Declaration) and s.name == self.energy and self.init is None
                     and s.elem_type == "double" and not s.extents and s.init is not None):
                 self.init = fold(s.init, self.int_locals, _no_read)
@@ -282,10 +280,10 @@ def _flat(shape: dict, name: str, indices: tuple) -> Expr:
     terms = []
     stride = 1
     for ix, n in zip(reversed(indices), reversed(extents)):
-        terms.append(ix if stride == 1 else Binary("*", ix, _int_const(stride)))
+        terms.append(ix if stride == 1 else Binary("*", ix, const(stride, str(stride))))
         stride *= n
     if base or not terms:
-        terms.append(_int_const(base))
+        terms.append(const(base, str(base)))
     flat = terms[-1]
     for t in reversed(terms[:-1]):
         flat = Binary("+", flat, t)
@@ -293,7 +291,8 @@ def _flat(shape: dict, name: str, indices: tuple) -> Expr:
 
 
 class _Body:
-    """One iteration of a nest's innermost body, built as a program."""
+    """One iteration of a nest's innermost body, built as a program by the
+    unroller's slot table (`flatten.SlotTable`)."""
 
     def __init__(self, rec: _Recogniser, counters: set):
         self.rec = rec
@@ -304,9 +303,8 @@ class _Body:
         self.inputs = [InputSlot(energy, (), energy)]
         self.ints: list = []  # (label, integer expression) of each integer slot, in slot order
         self.reads: list = []  # (label, parameter, index expressions) of each read, in slot order
-        self.assigns: list[SlpAssign] = []
-        self.versions: dict[str, int] = {}
-        self.current = {energy: energy}  # name -> live slot
+        self.table = SlotTable(flatten.DEFAULT_ASSIGN_CAP)
+        self.table.live[energy] = energy
         self.locals: set = set()
 
     # -- statements ----------------------------------------------------------
@@ -315,9 +313,9 @@ class _Body:
         energy = self.rec.energy
         if isinstance(s, Declaration) and s.elem_type == "double" and not s.extents:
             self.locals.add(s.name)
-            self.current.pop(s.name, None)  # a declaration run again starts unassigned
+            self.table.unassign([s.name])
             if s.init is not None:
-                self.emit(s.name, self.rewrite(s.init), True)
+                self.table.emit(s.name, self.rewrite(s.init), True)
         elif isinstance(s, Assignment) and isinstance(s.lvalue, Var):
             name, rhs = s.lvalue.name, s.rhs
             if name == energy:  # E = E + a - b ..., a left spine of sums down to E
@@ -327,29 +325,22 @@ class _Body:
                     rhs = rhs.lhs
                 if not (spine and _is_var(rhs, energy)):
                     raise _Unrolled
-                value = Var(self.current[energy])
+                value = Var(self.table.live[energy])
                 for node in reversed(spine):
                     value = Binary(node.op, value, self.rewrite(node.rhs))
-                self.emit(energy, value)
+                self.table.emit(energy, value)
             elif name in self.locals:
-                self.emit(name, self.rewrite(rhs))
+                self.table.emit(name, self.rewrite(rhs))
             else:
                 raise _Unrolled  # a write to a parameter or a counter
         else:
             raise _Unrolled
 
-    def emit(self, name: str, rhs: Expr, from_decl: bool = False):
-        v = self.versions.get(name, 0) + 1
-        self.versions[name] = v
-        target = f"{name}{VERSION_SEP}{v}"
-        self.assigns.append(SlpAssign(target, name, rhs, from_decl))
-        self.current[name] = target
-
     def program(self) -> StraightLineProgram:
-        output = self.current[self.rec.energy]
+        output = self.table.live[self.rec.energy]
         if output == self.rec.energy:  # no accumulation
             raise _Unrolled
-        return StraightLineProgram(tuple(self.inputs), tuple(self.assigns), output)
+        return StraightLineProgram(tuple(self.inputs), tuple(self.table.assigns), output)
 
     # -- expressions ---------------------------------------------------------
 
@@ -404,7 +395,8 @@ class _Body:
 
     def folded(self, node: Expr) -> Constant:
         """An integer-typed node that reads no counter, folded."""
-        return _int_const(eval_const(node, self.rec.int_locals))
+        value = eval_const(node, self.rec.int_locals)
+        return const(value, str(value))
 
     def index(self, ix: Expr) -> Expr:
         """An index as an integer expression over the counters."""
@@ -421,7 +413,7 @@ class _Body:
         if name == self.rec.energy:
             raise _Unrolled  # E read outside its accumulation
         if name in self.locals:
-            live = self.current.get(name)
+            live = self.table.live.get(name)
             if live is None:
                 raise _Unrolled
             return Var(live)

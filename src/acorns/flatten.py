@@ -8,13 +8,15 @@ assigned more than once get one versioned slot per definition
 Expression leaves in the straight-line program are ``Var`` nodes naming
 either an input slot or an earlier versioned target.
 
-The unroller keeps one slot table from source label to live slot, and
-every read resolves through it: a scalar or an array element reads the
-slot its last assignment wrote, and a parameter element that no assignment
-has written yet reads its input slot.  Every index is a constant checked
-against its array's rank and declared extents.  A program's input slots,
-grouped by parameter, are `StraightLineProgram.param_slots`; `input_slots`
-lays them out from each parameter's reach, for the unroller and for the
+One slot table (`SlotTable`) owns the versions, each source label's live
+slot and the assignments, for the unroller and for the element path's
+body (`elements._Body`), and every read resolves through it: a scalar or
+an array element reads the slot its last assignment wrote, and a
+parameter element that no assignment has written yet reads its input
+slot.  Every index is a constant checked against its array's rank and
+declared extents.  A program's input slots, grouped by parameter, are
+`StraightLineProgram.param_slots`; `input_slots` counts them, then lays
+them out from each parameter's reach, for the unroller and for the
 element path (`elements.element_loops`), which does not unroll.
 
 A loop runs the same statements again with new counter values, so what
@@ -23,17 +25,21 @@ a step list (`const_order`), a loop's header into the step lists of
 `loop_heads`, and each expression the unroller rewrites into a fold plan
 (`fold_plan`), which records which nodes are integer-typed, which are
 reads, with their indices' step lists, and which are rebuilt.  The
-unroller keys step lists and headers on their statement node, and a fold
-plan on its expression node and on which of the expression's names are
-bound to integers; an iteration then costs the counters' values, the
-reads and the new nodes.  Integer arithmetic is C's: `int` arithmetic
-whose result leaves `int`'s range is a located error, as a division by
-zero is, and a literal above `INT_MAX` is a `long`.
+unroller keys each compiled form on its node alone: binding is lexical,
+and `parser._check_scopes` rejects every declaration that shadows or
+redeclares a visible name, so the names bound to integers where a node
+stands are the same each time the unroller reaches it.  An iteration then
+costs the counters' values, the reads and the new nodes.  Integer
+arithmetic is C's: `int` arithmetic whose result leaves `int`'s range is a
+located error, as a division by zero is, and a literal above `INT_MAX` is
+a `long`.  A value stored into an `int` name, an `int` local or a loop
+counter, must be in `int`'s range (`to_int`), where C would convert it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import struct
 from functools import cached_property
@@ -58,7 +64,7 @@ from .cast import (
     is_integer_literal,
     operands,
     post_order,
-    rebuild,
+    replace_vars,
     to_source,
 )
 from .errors import (
@@ -119,33 +125,24 @@ def param_slots(inputs) -> dict:
     return groups
 
 
-def input_slots(reach: dict) -> tuple:
+def input_slots(reach: dict, cap: int) -> tuple:
     """The input slots of parameters that reach `reach[name]`, a list of
     extents (empty for a scalar), in declaration order: each array's
-    slots are the product of its extents, row-major."""
+    slots are the product of its extents, row-major.  Raise BoundExplosion
+    when there are more than `cap`, before making any."""
+    count = sum(math.prod(extents) for extents in reach.values())
+    if count > cap:
+        raise BoundExplosion(count, cap, "input slot count")
     return tuple(InputSlot(name, indices, slot_label(name, indices))
                  for name, extents in reach.items()
                  for indices in itertools.product(*map(range, extents)))
 
 
-def strip_version(name: str) -> str:
-    return name.split(VERSION_SEP, 1)[0]
-
-
-def display_expr(e: Expr) -> Expr:
-    """Replace versioned slot references by their source-level names."""
-    done: dict[int, Expr] = {}
-    for node in post_order(e, done):
-        if isinstance(node, Var) and VERSION_SEP in node.name:
-            done[id(node)] = Var(strip_version(node.name))
-        else:
-            done[id(node)] = rebuild(node, done)
-    return done[id(e)]
-
-
 def pretty_assign(a: SlpAssign) -> str:
+    """`a` as source, each versioned slot read by its source-level name."""
     lead = "double " if a.from_decl else ""
-    return f"{lead}{a.display} = {to_source(display_expr(a.rhs))};"
+    rhs = replace_vars(a.rhs, lambda v: Var(v.name.split(VERSION_SEP, 1)[0]))
+    return f"{lead}{a.display} = {to_source(rhs)};"
 
 
 def dump_text(p: StraightLineProgram) -> str:
@@ -366,11 +363,20 @@ def _value(order: ConstOrder, env: dict):
     return _run(order, env)[order.roots[0]]
 
 
+def to_int(value: int, expr: Expr) -> int:
+    """`value`, which `expr` computes, as an `int` name stores it: C would
+    convert a value outside `int`'s range, so it is a located error, as
+    `int` overflow is."""
+    if INT_MIN <= value <= INT_MAX:
+        return value
+    raise NotConstant(expr.span, f"value {value} out of range for int")
+
+
 def loop_heads(loops) -> tuple:
     """The headers of the perfect nest `loops`, outermost first, for
-    `iterations`: each loop's counter and the step lists of its
-    initializer, condition and update."""
-    return tuple((lp.counter, const_order(lp.init), const_order(lp.cond), const_order(lp.update))
+    `iterations`: each loop and the step lists of its initializer,
+    condition and update."""
+    return tuple((lp, const_order(lp.init), const_order(lp.cond), const_order(lp.update))
                  for lp in loops)
 
 
@@ -378,15 +384,16 @@ def iterations(heads: tuple, env: dict, cap: int):
     """Run the headers `heads = loop_heads(loops)` of a perfect nest from
     the bindings `env`, and yield `env`, binding every counter, at each
     iteration of the innermost body; raise BoundExplosion past `cap`
-    iterations of a loop.  The headers are compiled once, by `loop_heads`,
-    and a caller that runs a nest again keeps them: the unroller keys them
-    on the `for` statement, which it runs by this one loop at a time; the
-    element path's walk (`elements`) and `verify` compile each nest once."""
+    iterations of a loop.  A counter stores its values as an `int`
+    (`to_int`).  The headers are compiled once, by `loop_heads`, and a
+    caller that runs a nest again keeps them: the unroller keys them on the
+    `for` statement, which it runs by this one loop at a time; the element
+    path's walk (`elements`) and `verify` compile each nest once."""
     innermost = len(heads) - 1
 
     def run(depth: int):
-        counter, init, cond, update = heads[depth]
-        env[counter] = _value(init, env)
+        lp, init, cond, update = heads[depth]
+        env[lp.counter] = to_int(_value(init, env), lp.init)
         count = 0
         while _value(cond, env):
             count += 1
@@ -396,7 +403,7 @@ def iterations(heads: tuple, env: dict, cap: int):
                 yield from run(depth + 1)
             else:
                 yield env
-            env[counter] = _value(update, env)
+            env[lp.counter] = to_int(_value(update, env), lp.update)
 
     return run(0)
 
@@ -416,27 +423,27 @@ class FoldPlan(Record):
     step list `a`; `_READ` reads a variable or an array element, `a` being
     the step list of its indices; `_BINARY`, `_UNARY` and `_CALL` rebuild
     `node` over the operands at `a` and `b`, or at the positions `a`.
-    `root` is the expression's place, and `names` holds the names the
-    expression reads as operands, on whose bindings the plan depends.
+    `root` is the expression's place.
     """
 
-    __slots__ = ("values", "actions", "root", "names")
+    __slots__ = ("values", "actions", "root")
 
-    def __init__(self, values: list, actions: list, root: int, names: tuple):
-        super().__init__(values, actions, root, names)
+    def __init__(self, values: list, actions: list, root: int):
+        super().__init__(values, actions, root)
 
 
 def fold_plan(e: Expr, bound) -> FoldPlan:
     """The fold plan of `e` where the names in `bound` are bound to
     integers (`fold`).  A caller that folds `e` many times keys the plan on
-    `e` and on which of the plan's `names` are bound: the unroller does,
-    per statement it runs again."""
+    `e` alone, as the unroller does: binding is lexical and
+    `parser._check_scopes` rejects every declaration that shadows or
+    redeclares a visible name, so the names bound to integers where `e`
+    stands are the same each time it is reached."""
     at: dict[int, int] = {}  # id(node) -> its place
     typed: set = set()  # ids of the integer-typed nodes
     folds: dict = {}  # id(node) -> the index in `actions` of an integer-typed node's fold
     values: list = []
     actions: list = []  # a fold stays None where its node is part of a larger one
-    names: dict = {}
     for node in post_order(e, at, operands):
         k = at[id(node)] = len(values)
         if isinstance(node, Constant):  # a literal stays as it is spelled
@@ -445,8 +452,6 @@ def fold_plan(e: Expr, bound) -> FoldPlan:
                 typed.add(id(node))
             continue
         values.append(None)
-        if isinstance(node, Var):
-            names[node.name] = None
         if int_typed(node, typed, bound):
             typed.add(id(node))
             folds[id(node)] = len(actions)
@@ -470,7 +475,7 @@ def fold_plan(e: Expr, bound) -> FoldPlan:
     got = folds.get(id(e))
     if got is not None:
         actions[got] = (_INT, at[id(e)], e, const_order(e), None)
-    return FoldPlan(values, [a for a in actions if a is not None], at[id(e)], tuple(names))
+    return FoldPlan(values, [a for a in actions if a is not None], at[id(e)])
 
 
 def run_fold(plan: FoldPlan, env: dict, read) -> Expr:
@@ -505,26 +510,51 @@ def fold(e: Expr, env: dict, read) -> Expr:
 # Unrolling
 
 
+class SlotTable:
+    """The slots of a straight-line program being built: each source
+    label's live slot, and the assignments so far.  An assignment to a
+    label writes the label's next version, `label@1`, `label@2`, ..., and
+    makes it live, so a read of the label resolves to the last write before
+    it.  The unroller and the element path's body (`elements._Body`) build
+    their programs by it."""
+
+    def __init__(self, cap: int):
+        self.cap = cap  # the most assignments
+        self.live: dict[str, str] = {}  # slot label -> live slot name
+        self.versions: dict[str, int] = {}  # slot label -> last version number
+        self.assigns: list[SlpAssign] = []
+
+    def unassign(self, labels):
+        """Drop `labels` from the table: a declaration run again, in a loop
+        or a block, starts unassigned."""
+        for label in labels:
+            self.live.pop(label, None)
+
+    def emit(self, label: str, rhs: Expr, from_decl: bool = False):
+        """Assign `rhs` to the next version of `label`; raise BoundExplosion
+        past `cap` assignments."""
+        if len(self.assigns) >= self.cap:
+            raise BoundExplosion(len(self.assigns) + 1, self.cap)
+        v = self.versions[label] = self.versions.get(label, 0) + 1
+        target = f"{label}{VERSION_SEP}{v}"
+        self.assigns.append(SlpAssign(target, label, rhs, from_decl))
+        self.live[label] = target
+
+
 class _Unroller:
     def __init__(self, ir: FunctionIR, cap: int):
-        self.cap = cap
+        self.table = SlotTable(cap)
         self.arrays: dict[str, tuple] = {}  # array -> extents, None where undeclared
         self.reach: dict[str, list] = {}  # parameter -> the extents of its input slots
-        self.versions: dict[str, int] = {}  # slot label -> last version number
-        self.current: dict[str, str] = {}  # slot label -> live slot name
-        self.assigns: list[SlpAssign] = []
-        # id(node) -> what is compiled for it: a statement's or an lvalue's
-        # step list, a loop's headers, an expression's fold plans by the
-        # names bound; the function's nodes outlive the unroller
-        self.compiled: dict[int, object] = {}
+        # id(node) -> what is compiled for it (`compiled`); the function's
+        # nodes outlive the unroller
+        self.forms: dict[int, object] = {}
         for p in ir.params:
             self.reach[p.name] = [n or 0 for n in p.extents]
             if p.rank:
                 self.arrays[p.name] = p.extents
             else:
-                self.current[p.name] = p.name
-
-    # -- slot bookkeeping ---------------------------------------------------
+                self.table.live[p.name] = p.name
 
     def element(self, ref: ArrayRef, env: dict, indices: ConstOrder) -> str:
         """The label of the element `ref` names, its indices, which
@@ -544,59 +574,32 @@ class _Unroller:
                 raise NotConstant(ref.span, f"index {ix} out of range for {ref.base!r}")
         label = slot_label(ref.base, indices)
         reach = self.reach.get(ref.base)
-        if reach is not None and label not in self.current:
-            self.current[label] = label
+        if reach is not None and label not in self.table.live:
+            self.table.live[label] = label
             reach[:] = map(max, reach, (ix + 1 for ix in indices))
         return label
 
-    def new_version(self, label: str) -> str:
-        v = self.versions.get(label, 0) + 1
-        self.versions[label] = v
-        return f"{label}{VERSION_SEP}{v}"
-
-    def unassign(self, labels):
-        """Drop `labels` from the slot table: a declaration run again, in a
-        loop or a block, starts unassigned."""
-        for label in labels:
-            self.current.pop(label, None)
-
-    def emit(self, label: str, rhs: Expr, from_decl: bool = False):
-        if len(self.assigns) >= self.cap:
-            raise BoundExplosion(len(self.assigns) + 1, self.cap)
-        target = self.new_version(label)
-        self.assigns.append(SlpAssign(target, label, rhs, from_decl))
-        self.current[label] = target
-
-    # -- compiled forms ------------------------------------------------------
-
-    def order(self, node, exprs) -> ConstOrder:
-        """The step list of `exprs`, compiled once for `node`."""
-        got = self.compiled.get(id(node))
+    def compiled(self, node, make, *args):
+        """`make(*args)`, compiled once for `node`: a statement's or an
+        lvalue's step list (`const_order`), a `for` statement's header
+        (`loop_heads`) or an expression's fold plan (`fold_plan`).  Keyed
+        on the node alone: binding is lexical and `parser._check_scopes`
+        rejects every declaration that shadows or redeclares a visible
+        name, so each run of a node sees the same names bound to
+        integers."""
+        got = self.forms.get(id(node))
         if got is None:
-            got = self.compiled[id(node)] = const_order(*exprs)
+            got = self.forms[id(node)] = make(*args)
         return got
 
     def rewrite(self, e: Expr, env: dict) -> Expr:
-        """`e` over live slots, its integer-typed subexpressions folded, by
-        the fold plan compiled for `e` and the names of it that `env`
-        binds."""
-        plans = self.compiled.get(id(e))
-        if plans is None:
-            plan = fold_plan(e, env)
-            bound = frozenset(name for name in plan.names if name in env)
-            self.compiled[id(e)] = (plan.names, {bound: plan})
-        else:
-            names, by_bound = plans
-            bound = frozenset(name for name in names if name in env)
-            plan = by_bound.get(bound)
-            if plan is None:
-                plan = by_bound[bound] = fold_plan(e, bound)
-        return run_fold(plan, env, self.read)
+        """`e` over live slots, its integer-typed subexpressions folded."""
+        return run_fold(self.compiled(e, fold_plan, e, env), env, self.read)
 
     def read(self, e: Expr, env: dict, indices: ConstOrder | None) -> Var:
         """The live slot a variable or an array element reads."""
         label = e.name if indices is None else self.element(e, env, indices)
-        live = self.current.get(label)
+        live = self.table.live.get(label)
         if live is None:
             raise NotConstant(e.span, f"{label!r} used before assignment")
         return Var(live)
@@ -612,35 +615,34 @@ class _Unroller:
             # the name starts unassigned, also where a loop runs the
             # declaration again or a sibling block declared it, as an array
             # or a scalar
-            self.unassign([s.name, *element_labels(s.name, self.arrays.pop(s.name, ()))])
+            self.table.unassign([s.name, *element_labels(s.name, self.arrays.pop(s.name, ()))])
             if s.elem_type == "int":
                 if s.init is None:
                     raise NotConstant(s.span, f"int local {s.name!r} needs a constant initializer")
-                env[s.name] = _value(self.order(s, (s.init,)), env)
+                env[s.name] = to_int(_value(self.compiled(s, const_order, s.init), env), s.init)
             elif s.extents:
-                self.arrays[s.name] = tuple(eval_consts(self.order(s, s.extents), env))
+                extents = self.compiled(s, const_order, *s.extents)
+                self.arrays[s.name] = tuple(eval_consts(extents, env))
                 if s.init is not None:
                     raise UnsupportedConstruct(s.span, "array initializer")
             elif s.init is not None:
-                self.emit(s.name, self.rewrite(s.init, env), from_decl=True)
+                self.table.emit(s.name, self.rewrite(s.init, env), from_decl=True)
         elif isinstance(s, Assignment):
             rhs = self.rewrite(s.rhs, env)
             lv = s.lvalue
             if isinstance(lv, Var):
                 if lv.name in env:
                     raise UnsupportedConstruct(lv.span, "assignment to a loop counter")
-                self.emit(lv.name, rhs)
+                self.table.emit(lv.name, rhs)
             else:
-                self.emit(self.element(lv, env, self.order(lv, lv.indices)), rhs)
+                indices = self.compiled(lv, const_order, *lv.indices)
+                self.table.emit(self.element(lv, env, indices), rhs)
         elif isinstance(s, ForLoop):
-            heads = self.compiled.get(id(s))
-            if heads is None:
-                heads = self.compiled[id(s)] = loop_heads((s,))
-            for inner in iterations(heads, dict(env), self.cap):
+            for inner in iterations(self.compiled(s, loop_heads, (s,)), dict(env), self.table.cap):
                 self.run_block(s.body, dict(inner))
         elif isinstance(s, If):
-            taken = s.then_body if _value(self.order(s, (s.cond,)), env) else s.else_body
-            self.run_block(taken, dict(env))
+            cond = self.compiled(s, const_order, s.cond)
+            self.run_block(s.then_body if _value(cond, env) else s.else_body, dict(env))
         elif isinstance(s, Block):
             self.run_block(s.body, dict(env))
         elif isinstance(s, Return):
@@ -673,10 +675,10 @@ def unroll(ir: FunctionIR, cap: int | None = None) -> StraightLineProgram:
     """
     u = _Unroller(ir, DEFAULT_ASSIGN_CAP if cap is None else cap)
     u.run_block(ir.body, {})
-    output = u.current.get(ir.energy_var)
+    output = u.table.live.get(ir.energy_var)
     if output is None:
         raise MissingEnergyVar(ir.energy_var)
-    return StraightLineProgram(input_slots(u.reach), tuple(u.assigns), output)
+    return StraightLineProgram(input_slots(u.reach, u.table.cap), tuple(u.table.assigns), output)
 
 
 # ---------------------------------------------------------------------------

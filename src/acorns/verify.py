@@ -23,7 +23,8 @@ from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle, layout_sl
 from .elements import ElementLoops, element_path
 from .errors import AcornsError, UnboundSlot
 from .flatten import (DEFAULT_ASSIGN_CAP, StraightLineProgram, const_order, element_labels,
-                      eval_const, eval_consts, fold, iterations, loop_heads, slot_label, unroll)
+                      eval_const, eval_consts, fold, iterations, loop_heads, slot_label, to_int,
+                      unroll)
 from .interp import CHUNK_CELLS, compile_exprs, compile_program, evaluate, eval_expr
 from .parser import parse_source, validate_subset
 from .record import Record
@@ -300,7 +301,7 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
                 for label in [s.name, *element_labels(s.name, arrays.pop(s.name, ()))]:
                     memory.pop(label, None)
                 if s.elem_type == "int":
-                    env[s.name] = eval_const(s.init, env)
+                    env[s.name] = to_int(eval_const(s.init, env), s.init)
                 elif s.extents:
                     arrays[s.name] = [eval_const(x, env) for x in s.extents]
                 elif s.init is not None:
@@ -308,14 +309,14 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
             elif isinstance(s, Assignment):
                 store(s.lvalue, ev(s.rhs, env), env)
             elif isinstance(s, ForLoop):
-                value = eval_const(s.init, env)
+                value = to_int(eval_const(s.init, env), s.init)
                 while True:
                     inner = dict(env)
                     inner[s.counter] = value
                     if not eval_const(s.cond, inner):
                         break
                     run_block(s.body, inner)
-                    value = eval_const(s.update, inner)
+                    value = to_int(eval_const(s.update, inner), s.update)
             elif isinstance(s, If):
                 run_block(s.then_body if eval_const(s.cond, env) else s.else_body, dict(env))
             elif isinstance(s, Block):

@@ -517,6 +517,38 @@ def test_deep_nesting_exits_3_without_traceback(tmp_path, command):
     assert "deep.c" in lines[0]
 
 
+_HUGE_PARAMS = {
+    # (source, its input slot count): an extent widened to one past the
+    # index read, and a declared extent of which one element is read
+    "read": ("double f(const double *x) {\n    double e = x[3000000000];\n    return 0;\n}\n",
+             3000000001),
+    "declared": ("double f(const double x[300000000]) {\n    double e = x[0];\n    return 0;\n}\n",
+                 300000000),
+}
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+@pytest.mark.parametrize("form", list(_HUGE_PARAMS))
+def test_huge_parameters_exit_3_before_their_slots_are_made(tmp_path, form, command):
+    # the slots are counted before one is made: under a 1 GB address space
+    # making them would run out of memory
+    src, count = _HUGE_PARAMS[form]
+    (tmp_path / "f.c").write_text(src)
+    if command == "generate":
+        argv, prog = ["f.c", "e", "--vars", "x", "--func", "f", "--output_filename", "d"], ""
+    else:
+        argv, prog = ["verify", "f.c", "--func", "f", "--energy", "e", "--vars", "x"], " verify"
+    code = textwrap.dedent(f"""\
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from acorns.cli import main
+        sys.exit(main({argv!r}))
+        """)
+    done = _run_python(code, tmp_path)
+    assert done.stderr == f"acorns_autodiff{prog}: input slot count {count} exceeds cap 10000000\n"
+    assert done.returncode == 3
+
+
 def test_nested_parentheses_generate(tmp_path):
     (tmp_path / "deep.c").write_text(_nested_src(256))
     code = textwrap.dedent("""\

@@ -19,7 +19,7 @@ import pytest
 
 from acorns import cli, elements, flatten
 from acorns.cli import main
-from acorns.cast import Binary
+from acorns.cast import Binary, const
 from acorns.codegen import EmitConfig, emit
 from acorns.derivatives import VarIndexMap, derive_bundle, layout_slots
 from acorns.elements import ElementLoops, element_loops
@@ -323,6 +323,14 @@ _FAULTS = {
     "int_overflow_in_index": (
         _fault("x[i * 65536 * 65536] * u"),
         1, "acorns_autodiff: f.c: 4:29: int overflow in constant expression\n"),
+    # a value outside `int`'s range, which C would convert where an `int`
+    # name stores it: an `int` local, and a counter's update
+    "int_local_out_of_range": (
+        _fault("x[i] * k").replace("e = 0;\n", "e = 0;\n    int k = 3000000000;\n"),
+        1, "acorns_autodiff: f.c: 3:13: value 3000000000 out of range for int\n"),
+    "int_counter_out_of_range": (
+        _fault("x[0] * u").replace("i++", "i = i + 2147483648"),
+        1, "acorns_autodiff: f.c: 3:34: value 2147483648 out of range for int\n"),
     # past a cap of 50: 1 + 17 * 3 assignments, and a loop of 60 iterations
     "over_the_assignment_cap": (
         _FAULT_LOOP.format(decl=" *x", c="i", n=17,
@@ -806,7 +814,7 @@ def test_transposed_read_positions_break_the_element_kernel(cc, tmp_path, monkey
 def test_verify_refuses_a_gradient_position_out_of_range(tmp_path, monkeypatch, capsys):
     original = elements._flat
     monkeypatch.setattr(elements, "_flat", lambda shape, name, indices: Binary(
-        "+", original(shape, name, indices), elements._int_const(1)))
+        "+", original(shape, name, indices), const(1, "1")))
     (tmp_path / "f.c").write_text(_NON_SQUARE_SRC)
     assert main(["verify", str(tmp_path / "f.c"), "--func", "f", "--energy", "e",
                  "--vars", "a"]) == 1
@@ -832,7 +840,7 @@ def test_verify_refuses_a_read_position_out_of_range(tmp_path, monkeypatch, caps
     original = elements._flat
     monkeypatch.setattr(elements, "_flat", lambda shape, name, indices: (
         original(shape, name, indices) if name == "a"
-        else Binary("+", original(shape, name, indices), elements._int_const(6))))
+        else Binary("+", original(shape, name, indices), const(6, "6"))))
     (tmp_path / "f.c").write_text(_WEIGHTED_SRC)
     assert main(["verify", str(tmp_path / "f.c"), "--func", "f", "--energy", "e",
                  "--vars", "a"]) == 1

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from acorns.cast import Binary, Constant, Unary, Var, const, to_source
+from acorns.cli import main
 from acorns.derivatives import VarIndexMap, derive_bundle, substitute
 from acorns.errors import BoundExplosion, FormatError, NotConstant, UnboundSlot
 from acorns.flatten import (
@@ -344,6 +345,65 @@ def test_blocks_and_redeclared_locals_agree_with_run_ir():
         with pytest.raises(UnboundSlot):  # nor keeps a sibling block's `d` of the other rank
             run_ir(_parse(f"double f(double x){{ double e = 0; {changed_rank} return 0; }}"),
                    {"x": 1.0})
+
+
+def test_a_name_is_an_int_in_one_block_and_a_slot_in_its_sibling():
+    # which names are bound to integers where a node stands is fixed by the
+    # scopes, so the unroller compiles each node once: here sibling blocks
+    # declare `k` as an `int` and as a `double`, and the loop reaches each
+    # block's nodes twice
+    ir = _parse("double f(double x){ double e = 0; for (int i = 0; i < 2; i++) { "
+                "{ int k = i + 1; e = e + x * k; } { double k = x * i; e = e + x * k; } } "
+                "return 0; }")
+    p = unroll(ir)
+    assert [pretty_assign(a) for a in p.body_assigns] == [
+        "e = e + x * 1;", "e = e + x * k;", "e = e + x * 2;", "e = e + x * k;"]
+    assert [to_source(a.rhs) for a in p.assigns if a.display == "k"] == ["x * 0", "x * 1"]
+    f = substitute(p)
+    rng = random.Random(28)
+    for _ in range(20):
+        bindings = {"x": rng.uniform(-4, 4)}
+        assert struct.pack("<d", eval_expr(f, bindings)) == struct.pack("<d", run_ir(ir, bindings))
+
+
+_INT_OUT_OF_RANGE = {
+    "local": ("double f(double x) {\n    int k = 3000000000;\n    double e = x * k;\n"
+              "    return e;\n}\n", "2:13: value 3000000000 out of range for int"),
+    # the update is computed in `long`, then stored into `int`
+    "update": ("double f(const double *x) {\n    double e = 0;\n"
+               "    for (int i = 0; i < 3; i = i + 2147483648) e = e + x[0];\n    return e;\n}\n",
+               "3:34: value 2147483648 out of range for int"),
+}
+
+
+@pytest.mark.parametrize("name", list(_INT_OUT_OF_RANGE))
+def test_an_int_name_refuses_a_value_out_of_its_range(name, tmp_path, monkeypatch, capsys):
+    # C would convert the value where the `int` name stores it: a compiled
+    # kernel would compute with another value, or loop forever
+    src, want = _INT_OUT_OF_RANGE[name]
+    ir = _parse(src)
+    with pytest.raises(NotConstant) as unrolled:
+        unroll(ir)
+    with pytest.raises(NotConstant) as ran:
+        run_ir(ir, {"x": 1.0, "x[0]": 1.0})
+    assert str(unrolled.value) == str(ran.value) == want
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.c").write_text(src)
+    assert main(["f.c", "e", "--vars", "x", "--func", "f", "--output_filename", "d"]) == 1
+    assert main(["verify", "f.c", "--func", "f", "--energy", "e", "--vars", "x"]) == 1
+    assert capsys.readouterr().err == (f"acorns_autodiff: f.c: {want}\n"
+                                       f"acorns_autodiff verify: {want}\n")
+
+
+def test_an_int_name_stores_int_min(tmp_path, monkeypatch):
+    # a negated `long` literal whose value is in `int`'s range
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.c").write_text("double f(double x) {\n    int k = -2147483648;\n"
+                                  "    double e = x * k;\n    return e;\n}\n")
+    assert main(["f.c", "e", "--vars", "x", "--func", "f", "--output_filename", "d",
+                 "--mode", "gradient"]) == 0
+    assert "    out[0] = -2147483648;\n" in (tmp_path / "d_part0.c").read_text()
+    assert main(["verify", "f.c", "--func", "f", "--energy", "e", "--vars", "x"]) == 0
 
 
 def test_loop_condition_and_update_are_walked_once(monkeypatch):
