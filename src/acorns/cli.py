@@ -126,16 +126,17 @@ def _run_pipeline(args) -> int:
         program = unroll(ir) if loops is None or args.dump_slp else None
         form = program if loops is None else loops
         vars_ = VarIndexMap.from_names(program, args.vars) if loops is None else loops.vars_
+        cap = _node_cap()  # once per run: it may warn
         if loops is None:
             bundle = derive_bundle(
                 program, vars_,
                 do_simplify=not args.no_simplify,
-                cap=_node_cap(),
+                cap=cap,
                 want_gradient=bool(modes & {"gradient", "hessian"}),
                 want_hessian="hessian" in modes,
             )
         else:  # one bundle per loop nest, of its body
-            bundle = tuple(derive_bundle(nest.program, nest.vars_, cap=_node_cap(),
+            bundle = tuple(derive_bundle(nest.program, nest.vars_, cap=cap,
                                          want_gradient="gradient" in modes, want_hessian=False)
                            for nest in loops.nests)
         cfg = EmitConfig(

@@ -31,6 +31,11 @@ expressions)` read, one per maximal integer-typed subexpression over the
 counters that meets a `double` (`(t + 1)` in `0.001 * (t + 1)`), and one,
 named like `E`, for `E`'s value before the iteration.  A read of an
 element of a differentiated parameter is a differentiation variable.
+The body folds its integers by the unroller's `flatten.fold` over the
+`int` locals, each maximal integer-typed subexpression (`flatten.int_typed`)
+and each index: one that reads no counter becomes the constant the
+unroller prints (`1` for a true comparison), and one that does, its parts
+that read none folded, is an integer expression over the counters.
 
 The function is not unrolled.  One walk over each nest's iteration space
 (`_Recogniser.walk`, over the iterations `flatten.iterations` yields, the
@@ -88,6 +93,7 @@ from .flatten import (
     eval_consts,
     fold,
     input_slots,
+    int_expr,
     int_typed,
     iterations,
     loop_heads,
@@ -170,6 +176,10 @@ def element_loops(ir: FunctionIR, names) -> ElementLoops | None:
 
 def _no_read(node: Expr, env: dict, indices):
     raise _Unrolled  # E's initial value reads a name
+
+
+def _counter(node: Var, env: dict, indices) -> Var:
+    return node  # a counter, the one name an integer-typed node reads that is not an `int` local
 
 
 class _Recogniser:
@@ -296,7 +306,6 @@ class _Body:
 
     def __init__(self, rec: _Recogniser, counters: set):
         self.rec = rec
-        self.counters = counters
         self.bound = counters | set(rec.int_locals)  # the names bound to integers
         energy = rec.energy
         self.slots: dict = {}  # (param, index expressions) or an integer expression -> label
@@ -345,68 +354,38 @@ class _Body:
     # -- expressions ---------------------------------------------------------
 
     def rewrite(self, e: Expr) -> Expr:
-        """`e` over the body's slots.  An integer-typed subexpression that
-        reads no counter is folded as the unroller folds it; a maximal one
-        that does becomes an input slot."""
+        """`e` over the body's slots.  A maximal integer-typed subexpression
+        (`flatten.int_typed`) is folded by `flatten.fold` over the `int`
+        locals, as the unroller folds it, and so is each index an array
+        read reads."""
         new: dict[int, Expr] = {}
-        ints: dict = {}  # the integer-typed nodes (`integer`)
+        typed: set = set()  # the ids of the integer-typed nodes
         seen: set = set()
 
         def value(k: Expr) -> Expr:
-            if id(k) not in ints:
+            if id(k) not in typed:
                 return new[id(k)]
-            got = ints[id(k)]
-            if got is not None:
-                return self.slot(got, got)
-            return k if isinstance(k, Constant) else self.folded(k)
+            # a maximal integer-typed node: its value where it reads no
+            # counter, else the slot of it over the counters
+            got = fold(k, self.rec.int_locals, _counter)
+            return got if isinstance(got, Constant) else self.slot(got, got)
 
         for node in post_order(e, seen, operands):
             seen.add(id(node))
-            if self.integer(node, ints):
-                continue
-            if isinstance(node, Var):
+            if int_typed(node, typed, self.bound):
+                typed.add(id(node))
+            elif isinstance(node, Var):
                 new[id(node)] = self.var(node)
             elif isinstance(node, ArrayRef):
                 param = self.rec.params.get(node.base)
-                if param is None or len(node.indices) != param.rank:
-                    raise _Unrolled  # a local array, or an index of the wrong rank
-                indices = tuple(self.index(ix) for ix in node.indices)
+                if param is None or len(node.indices) != param.rank or \
+                        not all(int_expr(ix, self.bound) for ix in node.indices):
+                    raise _Unrolled  # a local array, an index of the wrong rank or not integer
+                indices = tuple(fold(ix, self.rec.int_locals, _counter) for ix in node.indices)
                 new[id(node)] = self.slot((node.base, indices), node.base)
             else:
                 new[id(node)] = rebuild(node, {id(k): value(k) for k in children(node)})
         return value(e)
-
-    def integer(self, node: Expr, ints: dict) -> bool:
-        """Whether `node` is integer-typed over the `int` locals and the
-        counters (`flatten.int_typed`), its operands' entries being in
-        `ints`; if it is, give it its entry: None where it reads no
-        counter, as it folds to its value (`folded`), else it as an integer
-        expression over the counters, its operands that read none
-        folded."""
-        if not int_typed(node, ints, self.bound):
-            return False
-        kids = children(node)
-        if isinstance(node, Var) and node.name in self.counters or \
-                any(ints[id(k)] is not None for k in kids):
-            ints[id(node)] = rebuild(node, {id(k): ints[id(k)] or self.folded(k) for k in kids})
-        else:
-            ints[id(node)] = None
-        return True
-
-    def folded(self, node: Expr) -> Constant:
-        """An integer-typed node that reads no counter, folded."""
-        value = eval_const(node, self.rec.int_locals)
-        return const(value, str(value))
-
-    def index(self, ix: Expr) -> Expr:
-        """An index as an integer expression over the counters."""
-        ints: dict = {}
-        seen: set = set()
-        for node in post_order(ix, seen, operands):
-            seen.add(id(node))
-            if not self.integer(node, ints):
-                raise _Unrolled
-        return ints[id(ix)] or self.folded(ix)
 
     def var(self, node: Var) -> Var:
         name = node.name

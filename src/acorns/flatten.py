@@ -232,7 +232,9 @@ def int_typed(node: Expr, typed, bound) -> bool:
     computes such a subexpression in integers, dividing with truncation,
     and converts the result where a `double` operand or argument meets
     it: `x * (1 / 2)` is `x * 0`.  The one rule for `fold_plan`, and so
-    for the unroller and `verify.run_ir`, and for the element path.
+    for the unroller, `verify.run_ir` and the element path's body
+    (`elements._Body`), and, by `int_expr`, for the parser's constant
+    checks.
     """
     if isinstance(node, Constant):
         return is_integer_literal(node.text)
@@ -243,6 +245,20 @@ def int_typed(node: Expr, typed, bound) -> bool:
     if isinstance(node, Binary):
         return node.op in _INT_FN and id(node.lhs) in typed and id(node.rhs) in typed
     return False
+
+
+def int_expr(e: Expr, bound) -> bool:
+    """Whether every node of `e` is integer-typed (`int_typed`) where the
+    names in `bound` are bound to integers: whether `e` is a compile-time
+    integer there.  The parser asks it of loop headers, conditions, array
+    extents and `int` initializers, and the element path's body of each
+    index it reads."""
+    typed: set = set()
+    for node in post_order(e, typed, operands):
+        if not int_typed(node, typed, bound):
+            return False
+        typed.add(id(node))
+    return True
 
 
 class ConstOrder:
@@ -366,9 +382,9 @@ def _value(order: ConstOrder, env: dict):
 def to_int(value: int, expr: Expr) -> int:
     """`value`, which `expr` computes, as an `int` name stores it: C would
     convert a value outside `int`'s range, so it is a located error, as
-    `int` overflow is."""
+    `int` overflow is.  A comparison's `True` is stored as 1."""
     if INT_MIN <= value <= INT_MAX:
-        return value
+        return int(value)
     raise NotConstant(expr.span, f"value {value} out of range for int")
 
 
@@ -571,7 +587,7 @@ class _Unroller:
                                                  f"{len(extents)}-dimensional {ref.base!r}")
         for ix, n in zip(indices, extents):
             if ix < 0 or n is not None and ix >= n:
-                raise NotConstant(ref.span, f"index {ix} out of range for {ref.base!r}")
+                raise NotConstant(ref.span, f"index {ix:d} out of range for {ref.base!r}")
         label = slot_label(ref.base, indices)
         reach = self.reach.get(ref.base)
         if reach is not None and label not in self.table.live:
@@ -653,8 +669,8 @@ class _Unroller:
 
 def slot_label(name: str, indices) -> str:
     """The source label of an element, `a[1][0]`; a scalar's, with no
-    indices, is its name."""
-    return name + "".join(f"[{ix}]" for ix in indices)
+    indices, is its name.  A comparison's `True` as an index is 1."""
+    return name + "".join(f"[{ix:d}]" for ix in indices)
 
 
 def element_labels(name: str, extents) -> list[str]:

@@ -48,6 +48,7 @@ from .errors import (
     SourceSpan,
     UnsupportedConstruct,
 )
+from .flatten import int_expr
 from .record import Record, set_field
 
 _UNSUPPORTED_KEYWORDS = {
@@ -138,6 +139,9 @@ def tokenize(source: str) -> list[Token]:
         if ident:
             text, kind = ident, ident if ident in _KEYWORDS else "ident"
         elif number:
+            if number[0] == "0" and len(number) > 1 and is_integer_literal(number):
+                raise UnsupportedConstruct(SourceSpan(line, col, len(number)),
+                                           "octal integer literal")  # C reads 010 as 8
             text, kind = number, "number"
         elif other in _PUNCT_SET:
             text = kind = other
@@ -550,21 +554,6 @@ def parse_expr(text: str) -> Expr:
     return e
 
 
-def _const_evaluable(e: Expr, allowed: set) -> bool:
-    seen: set = set()
-    for node in post_order(e, seen, operands):
-        if isinstance(node, Constant):
-            ok = is_integer_literal(node.text)
-        elif isinstance(node, Var):
-            ok = node.name in allowed
-        else:  # array refs and intrinsic calls are never compile-time
-            ok = isinstance(node, (Unary, Binary))
-        if not ok:
-            return False
-        seen.add(id(node))
-    return True
-
-
 def validate_subset(ir: FunctionIR) -> list[Violation]:
     """Check that all control flow is resolvable at transform time, and
     that C computes no division in `int` that acorns computes in `double`
@@ -578,10 +567,10 @@ def validate_subset(ir: FunctionIR) -> list[Violation]:
         for s in stmts:
             if isinstance(s, Declaration):
                 for ext in s.extents:
-                    if not _const_evaluable(ext, allowed):
+                    if not int_expr(ext, allowed):
                         violations.append(Violation(s.span or SourceSpan(1, 1), f"non-constant array extent for {s.name!r}"))
                 if s.elem_type == "int":
-                    if s.init is not None and _const_evaluable(s.init, allowed):
+                    if s.init is not None and int_expr(s.init, allowed):
                         allowed.add(s.name)
                     ints.add(s.name)
                 elif s.init is not None:
@@ -590,16 +579,16 @@ def validate_subset(ir: FunctionIR) -> list[Violation]:
                 check(s.rhs, ints)
             elif isinstance(s, ForLoop):
                 here = s.span or SourceSpan(1, 1)
-                if not _const_evaluable(s.init, allowed):
+                if not int_expr(s.init, allowed):
                     violations.append(Violation(here, "non-constant loop start"))
                 inner = allowed | {s.counter}
-                if not _const_evaluable(s.cond, inner):
+                if not int_expr(s.cond, inner):
                     violations.append(Violation(here, "non-constant loop bound"))
-                if not _const_evaluable(s.update, inner):
+                if not int_expr(s.update, inner):
                     violations.append(Violation(here, "non-constant loop step"))
                 walk(s.body, inner, ints | {s.counter})
             elif isinstance(s, If):
-                if not _const_evaluable(s.cond, allowed):
+                if not int_expr(s.cond, allowed):
                     violations.append(Violation(s.span or SourceSpan(1, 1), "variable conditional"))
                 walk(s.then_body, allowed, ints)
                 walk(s.else_body, allowed, ints)

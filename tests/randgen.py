@@ -104,3 +104,75 @@ def random_loop_program(rng: random.Random, accumulate: bool = False):
     lines.append("    return 0;")
     lines.append("}")
     return "\n".join(lines), "randfn", "e"
+
+
+def random_element_program(rng: random.Random):
+    """Random function of the element path's shape whose integers meet
+    doubles: `int` locals before one or two perfect loop nests (depth <= 3,
+    bounds <= 4), and in each innermost body `double` locals and `e = e ±
+    term` lines.  Terms read `x` at non-negative index expressions over the
+    counters and the `int` locals, the scalar `u`, and integer
+    subexpressions such as `(i0 + n)`, `(i1 - n) / 2`, `(i0 < n)`, `(n < 3)`
+    and `-(i0 * n)`.
+
+    Returns (source_text, func_name, energy_var).
+    """
+    n, m = rng.randint(1, 3), rng.randint(0, 2)
+    lines = ["double randel(const double *x, double u) {",
+             f"    double e = {rng.choice(['0', '1.5'])};",
+             f"    int n = {n};",
+             f"    int m = n + {m};" if rng.random() < 0.5 else f"    int m = {m};"]
+    ints = ["n", "m"]
+
+    def index(counters):
+        c, k = rng.choice(counters), rng.choice(ints)
+        return rng.choice([c, k, f"{c} + {k}", f"{c} * {k} + {c}", f"{c} + ({k} < 3)",
+                           f"({c} + n) / 2"])
+
+    def integer(counters):
+        c, k = rng.choice(counters), rng.choice(ints)
+        return rng.choice([f"({c} + {k})", f"({c} - {k}) / 2", f"({c} < {k})", f"({k} < 3)",
+                           f"-({c} * {k})", f"({k} * 2 - 1)"])
+
+    def factor(counters, scalars):
+        roll = rng.random()
+        if roll < 0.45:
+            return f"x[{index(counters)}]"
+        if roll < 0.75:
+            return integer(counters)
+        if roll < 0.9:
+            return rng.choice(scalars)
+        return f"{rng.uniform(0.1, 2.0):.3f}"
+
+    def term(counters, scalars):
+        read = f"x[{index(counters)}]"
+        roll = rng.random()
+        if roll < 0.4:
+            return f"{read} * {factor(counters, scalars)}"
+        if roll < 0.6:
+            return f"{read} / (1 + {rng.choice(counters)} + n)"
+        if roll < 0.8:
+            return f"sin({read} + {integer(counters)})"
+        return f"{factor(counters, scalars)} * {read} + {integer(counters)}"
+
+    for _ in range(rng.randint(1, 2)):
+        counters = []
+        indent = "    "
+        for _ in range(rng.randint(1, 3)):
+            c = f"i{len(counters)}"
+            lo = rng.randint(0, 1)
+            lines.append(f"{indent}for (int {c} = {lo}; {c} < {rng.randint(lo + 1, 4)}; {c}++) {{")
+            counters.append(c)
+            indent += "    "
+        scalars = ["u"]
+        for k in range(rng.randint(0, 2)):
+            lines.append(f"{indent}double t{k} = {term(counters, scalars)};")
+            scalars.append(f"t{k}")
+        for _ in range(rng.randint(1, 2)):
+            terms = "".join(f" {rng.choice('+-')} {term(counters, scalars)}"
+                            for _ in range(rng.randint(1, 2)))
+            lines.append(f"{indent}e = e{terms};")
+        for depth in range(len(counters), 0, -1):
+            lines.append("    " * depth + "}")
+    lines += ["    return e;", "}"]
+    return "\n".join(lines) + "\n", "randel", "e"

@@ -136,10 +136,44 @@ def test_subset_violation_exits_1(tmp_path, capsys):
     assert "bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "verify"])
+@pytest.mark.parametrize("literal", ["010", "00", "0777"])
+def test_an_octal_literal_exits_1_with_its_location(tmp_path, capsys, monkeypatch, command,
+                                                    literal):
+    # C reads 010 as 8, and acorns read it as 10
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.c").write_text(
+        f"double f(const double *x) {{\n    double e = ({literal} + 1) * x[0];\n"
+        "    return e;\n}\n")
+    if command == "generate":
+        rc = main(["f.c", "e", "--vars", "x", "--func", "f", "--output_filename", "gen/d"])
+        prefix = "acorns_autodiff: f.c: "
+    else:
+        rc = main(["verify", "f.c", "--func", "f", "--energy", "e", "--vars", "x"])
+        prefix = "acorns_autodiff verify: "
+    assert rc == 1
+    assert capsys.readouterr().err == (f"{prefix}2:17: unsupported construct: "
+                                       "octal integer literal\n")
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("literal", ["0", "0.5", "00.5", "010.0", "010e1"])
+def test_a_literal_with_a_leading_zero_that_is_not_octal_generates(tmp_path, capsys, literal):
+    (tmp_path / "f.c").write_text(
+        f"double f(const double *x) {{\n    double e = ({literal} + 1) * x[0];\n"
+        "    return e;\n}\n")
+    assert main([str(tmp_path / "f.c"), "e", "--vars", "x", "--func", "f",
+                 "--output_filename", str(tmp_path / "d"), "--mode", "gradient"]) == 0
+    text = (tmp_path / "d_part0.c").read_text()
+    assert f"out[0] = {float(literal) + 1:g};" in text.replace(".0;", ";"), text
+
+
 @pytest.mark.parametrize("body, at, message", [
     ("double e = x[0] * x[5];", "x[5]", "index 5 out of range for 'x'"),
     ("double a[2]; a[3] = s; double e = s;", "a[3]", "index 3 out of range for 'a'"),
     ("double e = x[-1];", "x[-1]", "index -1 out of range for 'x'"),
+    # a comparison is the int 1, not Python's True
+    ("double a[1]; a[0] = s; double e = a[(1 < 2)];", "a[(1", "index 1 out of range for 'a'"),
     ("double e = x[0][1];", "x[0]",
      "unsupported construct: 2 index(es) into 1-dimensional 'x'"),
     ("double e = s[0];", "s[0]", "unknown array 's'"),
@@ -165,7 +199,8 @@ def test_subset_violation_exits_1(tmp_path, capsys):
      "d[0]; }", "unknown array 'd'"),
     ("double e = 0; { double d = s; } { double d[2]; e = d; }", "d; }",
      "'d' used before assignment"),
-], ids=["past_extent", "local_past_extent", "negative", "too_many_indices", "scalar_param",
+], ids=["past_extent", "local_past_extent", "negative", "comparison_index", "too_many_indices",
+        "scalar_param",
         "scalar_local", "unassigned", "unassigned_element", "division_by_zero", "call_index",
         "int_overflow", "int_min_by_minus_one", "int_min_negated", "index_overflow",
         "loop_local_element", "loop_local_scalar", "bare_block_scope", "sibling_array_to_scalar",
@@ -299,6 +334,19 @@ def test_bad_node_cap_warns_and_continues(function_0_file, tmp_path, capsys, mon
                "--func", "function_0", "--output_filename", str(tmp_path / "d")])
     assert rc == 0
     assert "ACORNS_MAX_NODES" in capsys.readouterr().err
+
+
+def test_bad_node_cap_warns_once_per_run(tmp_path, capsys, monkeypatch):
+    # two loop nests, each derived on its own
+    monkeypatch.setenv("ACORNS_MAX_NODES", "abc")
+    (tmp_path / "f.c").write_text(
+        "double f(const double *x) {\n    double e = 0;\n"
+        "    for (int i = 0; i < 3; i++) { e = e + x[i] * x[i]; }\n"
+        "    for (int j = 0; j < 3; j++) { e = e - sin(x[j]); }\n    return e;\n}\n")
+    assert main([str(tmp_path / "f.c"), "e", "--vars", "x", "--func", "f",
+                 "--mode", "function", "gradient", "--output_filename", str(tmp_path / "d")]) == 0
+    assert "for (int i0 = " in (tmp_path / "d_part0.c").read_text()
+    assert capsys.readouterr().err == "warning: ignoring non-integer ACORNS_MAX_NODES='abc'\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])

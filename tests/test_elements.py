@@ -29,7 +29,7 @@ from acorns.verify import (CORPUS, CROSS_ENTROPY_SRC, CorpusFunction, corpus_fun
                            sample_points)
 
 from cc_util import compile_strict, run_drivers
-from randgen import random_loop_program
+from randgen import random_element_program, random_loop_program
 
 # the benchmark's grad_steps input
 GRAD_STEPS_SRC = """\
@@ -538,6 +538,30 @@ def test_random_loop_programs_emit_the_same_bytes(tmp_path):
     assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == _RANDOM_DIGEST
 
 
+def test_random_element_programs_fold_their_integers_as_gcc_does(cc, tmp_path):
+    # `int` locals and integer arithmetic meeting doubles, in indices and
+    # in slots: each element kernel compiles strictly, computes what the
+    # unrolled kernel computes, and verifies
+    rng = random.Random(2929)
+    nprng = np.random.default_rng(2929)
+    element = 0
+    for k in range(30):
+        src, func, energy = random_element_program(rng)
+        names = [p for p in ("x", "u") if p in unroll(parse_source(src, func, energy)).param_slots]
+        got, unrolled, program = _emissions(src, func, energy, names)
+        if got is None:
+            continue
+        element += 1
+        compile_strict(cc, got, str(tmp_path / f"s{k}"), "k")
+        points = nprng.uniform(0.5, 1.5, size=(10, len(program.inputs)))
+        _parity(cc, tmp_path / f"r{k}", got, unrolled, points,
+                VarIndexMap.from_names(program, names).n)
+        fn = CorpusFunction(f"r{k}", src, func, energy, tuple(names),
+                            dict.fromkeys(names, (0.5, 1.5)))
+        assert _VERIFY_MODULE.verify(fn, points=3).ok, src
+    assert element >= 25, element
+
+
 # --- integer subexpressions in double arithmetic ---------------------------------
 
 _INT_DIV = {
@@ -556,6 +580,16 @@ _INT_DIV = {
                    "    for (int i = 0; i < 3; i++) {\n"
                    "        e = e + x[0] * ((i < 1) / 2 + (x[1] < 1) / 2.0);\n"
                    "    }\n    return e;\n}\n"),
+    # a comparison of `int` locals folds to 1 or 0, alone and in a counter's slot
+    "int_locals": ("double f(const double *x) {\n    double e = 0;\n    int n = 2;\n"
+                   "    for (int i = 0; i < 4; i++) {\n"
+                   "        e = e + x[0] * x[0] + (n < 3) + x[1] / (i + (n < 3));\n"
+                   "    }\n    return e;\n}\n"),
+    # a comparison's value stored into an `int` local and read as an index
+    "comparison_values": ("double f(const double *x) {\n    double e = 0;\n    int n = (2 < 3);\n"
+                          "    for (int i = 0; i < n + 1; i++) {\n"
+                          "        e = e + x[i] * x[n] + x[(i < 1)];\n"
+                          "    }\n    return e;\n}\n"),
 }
 
 
@@ -583,6 +617,8 @@ def test_integer_division_computes_what_gcc_computes(cc, tmp_path, name):
     raw = emit(derive_bundle(program, vars_, do_simplify=False, want_gradient=False,
                              want_hessian=False), vars_, cfg, program)
     assert (element is None) == (name == "constant")
+    if element is not None:
+        compile_strict(cc, element, str(tmp_path / "strict"), "k")
     for k, art in enumerate((simplified, raw, element)):
         if art is not None:
             got = run_drivers(cc, art, str(tmp_path / str(k)), "k", points, 0)["function"]
