@@ -380,9 +380,7 @@ class SharedText:
     atom and has several uses is a temporary.  Its first use appends
     `const double <temp>K = <its text>;` to `decls`, K being the number of
     lines in `decls` before it, and every use, that first one included,
-    prints `<temp>K`.  `deps[K]` lists the lines that line reads, and after
-    each `render`, `reads` holds the lines of earlier renders that the
-    root's text or its new lines read.
+    prints `<temp>K`.
 
     A sum whose left spine holds more than `ACCUMULATOR_TERMS` `+`/`-`
     nodes that render inline is bound too, as a running accumulator: its
@@ -413,9 +411,6 @@ class SharedText:
         self.text: dict[int, str] = {}  # id(node) -> text of a node with uses left
         self.temp = temp
         self.decls: list[str] = []
-        self.deps: list[tuple] = []
-        self.reads: frozenset = frozenset()
-        self._index: dict[int, int] = {}  # id(node) -> K, for temporaries with uses left
         # id(node) -> [its accumulator's name] once the first line is written, else []
         self._lines: dict[int, list] = {}
 
@@ -425,15 +420,12 @@ class SharedText:
             self.uses[key] = left
             return self.text[key]
         del self.uses[key]
-        self._index.pop(key, None)
         return self.text.pop(key)
 
     def render(self, root: Expr) -> str:
         """`root`'s text.  Uses an explicit stack, so depth is not bounded by
         the recursion limit."""
         out: list[str] = []
-        first = len(self.decls)
-        reads: list[set] = [set()]  # temporaries read by the root, then by each open declaration
         # work items: text, (node, context precedence, is right operand), or
         # (None, id(node), start, named, acc): out[start:] is the whole text
         # of a shared or named node, and `acc` is None or, for a running
@@ -457,9 +449,6 @@ class SharedText:
                     else:
                         acc.append(f"{self.temp}{k}")
                         self.decls.append(f"double {acc[0]} = {text};")
-                    self.deps.append(tuple(sorted(reads.pop())))
-                    self._index[key] = k
-                    reads[-1].add(k)
                     text = acc[0] if acc else f"{self.temp}{k}"
                 self.text[key] = text
                 out.append(self._take(key))
@@ -482,14 +471,10 @@ class SharedText:
                 out.append("(")
                 work.append(")")
             if key in self.text:
-                if key in self._index:
-                    reads[-1].add(self._index[key])
                 out.append(self._take(key))
                 continue
             if named or self.uses[key] > 1:
                 work.append((None, key, len(out), named, acc))
-                if named:
-                    reads.append(set())
             else:
                 del self.uses[key]
             if isinstance(node, Constant):
@@ -514,9 +499,6 @@ class SharedText:
                     work.append((a, 0, False))
             else:
                 raise TypeError(f"not an expression: {node!r}")
-        new = range(first, len(self.decls))
-        self.reads = frozenset(k for k in reads[0].union(*(self.deps[j] for j in new))
-                               if k < first)
         return "".join(out)
 
     def _mark_sum(self, top: Binary):

@@ -291,7 +291,10 @@ def _run_verify(argv) -> int:
         print(f"acorns_autodiff verify: {args.function}: {_exhausted(exc)}", file=sys.stderr)
         return EXIT_RESOURCE
     except AcornsError as exc:
-        print(f"acorns_autodiff verify: {exc}", file=sys.stderr)
+        # a located error in a file names the file, as generate's does
+        located = args.function not in CORPUS and getattr(exc, "span", None)
+        print(f"acorns_autodiff verify: {f'{args.function}: ' if located else ''}{exc}",
+              file=sys.stderr)
         return EXIT_INPUT
     print(report.render_machine() if args.machine else report.render())
     return EXIT_OK if report.ok else EXIT_INPUT

@@ -26,15 +26,16 @@ and gcc 12.2 -O2 took 7.2-8.7 s on its C with a line per entry against
 A simplified bundle is emitted in bound (SSA) form: within one driver, a
 subexpression that several entries or operands share is declared once as
 a `const double tK` temporary, just before the statement that first reads
-it, and a chunk that reads a temporary declared in an earlier file declares
-it again.  A sum of more than `cast.ACCUMULATOR_TERMS` terms is a running
-accumulator, `double tK = <first terms>;` then `tK = tK - <next terms>;`
-lines, because gcc -O2 evaluates every term of one long expression before
-its first addition: on a sum of 800 `log` terms it keeps all 800 results
-live and spills them to a 7 KB stack frame, which makes most of its compile
-time.  The lines add the terms in the same order, so the kernel's values
-do not change.  An unsimplified bundle writes each entry as one expanded
-expression.
+it.  A chunk function in a later file than its driver's first renders its
+statements again, over their own DAG: it declares the temporaries they
+share, and reads none of another file's.  A sum of more than
+`cast.ACCUMULATOR_TERMS` terms is a running accumulator, `double tK =
+<first terms>;` then `tK = tK - <next terms>;` lines, because gcc -O2
+evaluates every term of one long expression before its first addition: on
+a sum of 800 `log` terms it keeps all 800 results live and spills them to a
+7 KB stack frame, which makes most of its compile time.  The lines add
+the terms in the same order, so the kernel's values do not change.  An
+unsimplified bundle writes each entry as one expanded expression.
 
 On the element path (`elements.element_path`: a simplified run without a
 Hessian, of an energy summed over a perfect loop nest; the module says
@@ -131,20 +132,20 @@ class GeneratedArtifact(Record):
 
 
 class Statement(Record):
-    __slots__ = ("mode", "text", "params", "temps", "reads")
+    __slots__ = ("mode", "text", "params", "temps", "target", "expr")
 
     def __init__(self, mode: str, text: str, params: int, temps: tuple = (),
-                 reads: frozenset = frozenset()):
-        # text is the `out[k] = ...;` line; params the input slots it reads,
-        # as a mask of `_param_bits`; temps the (K, line) of each temporary's
-        # lines it reads first; reads the temporaries of earlier statements
-        # it reads
-        super().__init__(mode, text, params, temps, reads)
+                 target: str = "", expr: Expr | None = None):
+        # text is the `<target> ...;` line; params the input slots it reads,
+        # as a mask of `_param_bits`; temps the lines of the temporaries it
+        # reads first; target its `out[k] =` and expr its root, from which a
+        # later file renders it again
+        super().__init__(mode, text, params, temps, target, expr)
 
     @property
     def size(self) -> int:
         """Bytes the statement takes in a chunk function, roughly."""
-        return sum(len(decl) + 16 for _, decl in self.temps) + len(self.text) + 16
+        return sum(len(decl) + 16 for decl in self.temps) + len(self.text) + 16
 
 
 def _param_bits(layout: list) -> dict:
@@ -179,8 +180,8 @@ def _c_names(program: StraightLineProgram) -> tuple:
 
 
 def _statements(bundle: DerivativeBundle, cfg: EmitConfig, bits: dict, names: dict,
-                temp: str | None = None) -> tuple:
-    """The statements in order, and the `SharedText` of each mode.
+                temp: str | None = None) -> list:
+    """The statements in order.
 
     Each mode's expressions are rendered over that mode's DAG, whose
     linearisation (`DerivativeBundle.linearized`) gives the use counts and
@@ -196,12 +197,11 @@ def _statements(bundle: DerivativeBundle, cfg: EmitConfig, bits: dict, names: di
     out = {"function": (0,), "gradient": range(n),  # each mode's out indices, in order
            "hessian": (i * n + j for i in range(n) for j in range(i + 1))}
     stmts = []
-    temps: dict = {}
     for mode in MODE_ORDER:
         if mode not in cfg.mode or not bundle.exprs(mode):
             continue
         lin = bundle.linearized(mode)
-        shared = temps[mode] = SharedText(lin.roots, temp, lin, names)
+        shared = SharedText(lin.roots, temp, lin, names)
         params = lin.masks(bits)
         for k, expr, at in zip(out[mode], lin.roots, lin.at):
             first = len(shared.decls)
@@ -209,9 +209,8 @@ def _statements(bundle: DerivativeBundle, cfg: EmitConfig, bits: dict, names: di
             if mode == "hessian" and is_plus_zero(expr):
                 continue
             stmts.append(Statement(mode, f"out[{k}] = {text};", params[at],
-                                   tuple(enumerate(shared.decls[first:], first)),
-                                   shared.reads))
-    return stmts, temps
+                                   tuple(shared.decls[first:]), f"out[{k}] =", expr))
+    return stmts
 
 
 def split(statements: list, cfg: EmitConfig) -> list:
@@ -237,20 +236,6 @@ def split(statements: list, cfg: EmitConfig) -> list:
     if current or not files:
         files.append(current)
     return files
-
-
-def _missing(reads: frozenset, declared: set, deps: list) -> list:
-    """The temporaries `reads` needs that `declared` lacks, with the ones
-    their declarations need, in declaration order; adds them to `declared`."""
-    need = set()
-    stack = [k for k in reads if k not in declared]
-    while stack:
-        k = stack.pop()
-        if k not in need:
-            need.add(k)
-            stack.extend(j for j in deps[k] if j not in declared)
-    declared |= need
-    return sorted(need)
 
 
 def _param_decls(layout: list, names: dict, mask: int) -> list:
@@ -359,10 +344,13 @@ def _unrolled_parts(bundle: DerivativeBundle, cfg: EmitConfig, program: Straight
                     layout: list, stem: str, head: list) -> tuple:
     """The parts' texts, each mode's chunks in order, and the statement
     count, of a bundle of the unrolled program: one chunk function per mode
-    per file, numbered in file order."""
+    per file, numbered in file order.  A mode's first run is written as
+    `_statements` rendered it; a later run in bound form is rendered again
+    over its own roots, so its temporaries are its own."""
     prefix, names = _c_names(program)
     temp = prefix if bundle.simplified else None
-    statements, temps = _statements(bundle, cfg, _param_bits(layout), names, temp)
+    statements = _statements(bundle, cfg, _param_bits(layout), names, temp)
+    written = set()  # the modes whose first run is written
     texts = []
     chunks: dict[str, list[int]] = {m: [] for m in MODE_ORDER}
     n_chunks = 0
@@ -378,16 +366,17 @@ def _unrolled_parts(bundle: DerivativeBundle, cfg: EmitConfig, program: Straight
                 mask |= st.params
             decls = _param_decls(layout, names, mask)
             lines += [*decls, ""] if decls else ["    (void) vals;"]
-            declared: set = set()
+            shared = None
+            if mode in written and temp is not None:
+                shared = SharedText([st.expr for st in run], temp, names=names)
+            written.add(mode)
             for st in run:
-                if st.reads:  # re-declare what an earlier file declared
-                    shared = temps[mode]
-                    for k in _missing(st.reads, declared, shared.deps):
-                        lines.append(f"    {shared.decls[k]}")
-                for k, decl in st.temps:
-                    declared.add(k)
-                    lines.append(f"    {decl}")
-                lines.append(f"    {st.text}")
+                temps, text = st.temps, st.text
+                if shared is not None:
+                    first = len(shared.decls)
+                    text = f"{st.target} {to_source(st.expr, shared)};"
+                    temps = shared.decls[first:]
+                lines += [f"    {line}" for line in (*temps, text)]
             lines += ["}", ""]
         texts.append("\n".join(lines))
     return texts, chunks, len(statements)

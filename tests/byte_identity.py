@@ -15,9 +15,12 @@ their arguments, with and without `--dump-slp`, and `verify` and `verify
 --machine` on them at two seeds; `--dump-slp` on every corpus entry at its
 default size, with and without `--no-simplify`; springs and barrier at
 G=2..10 in `--mode function gradient --dump-slp` and in `--mode hessian`;
-`verify` and `verify --machine` on every corpus entry in both modes; and
+`verify` and `verify --machine` on every corpus entry in both modes;
 inputs that pin octal literals, the node-cap warning and `int` locals
-folded in an element body.
+folded in an element body; and, at `--split-size 65536`, which spreads each
+over several files, springs and barrier at G=10 in `--mode hessian`, eq3
+at s=50 in all modes and the long sum of `tests/test_codegen.py` in
+`--mode gradient`.
 """
 
 from __future__ import annotations
@@ -136,6 +139,16 @@ def runs() -> list:
                               "--output_filename", "out/k", *flags), {"f.c": src}, env))
         out.append(Run(f"{name} verify", ("verify", "f.c", "--func", "f", "--energy", "e",
                                           "--vars", "x"), {"f.c": src}, env))
+    from test_codegen import _LONG_SUM_SRC
+    split = ("--split-size", "65536")
+    for label, name, s, modes in (("springs G=10", "springs", 10, ("hessian",)),
+                                  ("barrier G=10", "barrier", 10, ("hessian",)),
+                                  ("eq3 s=50", "eq3", 50, ("function", "gradient", "hessian"))):
+        fn = corpus_function(name, s=s)
+        out.append(_generate(f"{label} {' '.join(modes)} split 65536", fn.source, fn.func_name,
+                             fn.energy_var, fn.var_names, "--mode", *modes, *split))
+    out.append(_generate("long_sum gradient split 65536", _LONG_SUM_SRC, "long_sum", "e", ("x",),
+                         "--mode", "gradient", *split))
     return out
 
 

@@ -150,7 +150,7 @@ def test_an_octal_literal_exits_1_with_its_location(tmp_path, capsys, monkeypatc
         prefix = "acorns_autodiff: f.c: "
     else:
         rc = main(["verify", "f.c", "--func", "f", "--energy", "e", "--vars", "x"])
-        prefix = "acorns_autodiff verify: "
+        prefix = "acorns_autodiff verify: f.c: "
     assert rc == 1
     assert capsys.readouterr().err == (f"{prefix}2:17: unsupported construct: "
                                        "octal integer literal\n")
@@ -237,7 +237,7 @@ def test_int_overflow_exits_1_with_its_location(tmp_path, capsys, monkeypatch, c
                       "--mode", "function", "gradient"], "acorns_autodiff: f.c"
     else:
         argv, lead = ["verify", "f.c", "--func", "f", "--energy", "e", "--vars", "x",
-                      "--points", "2"], "acorns_autodiff verify"
+                      "--points", "2"], "acorns_autodiff verify: f.c"
     assert main(argv) == 1
     col = _INT_OVERFLOW_SRC.splitlines()[2].index("* 50000 +") + 1
     out = capsys.readouterr()
@@ -802,6 +802,20 @@ def test_verify_prints_subset_violations_as_generate_does(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err == "acorns_autodiff verify: bad.c:3:5: non-constant loop bound\n"
     assert "Violation(" not in err
+
+
+def test_verify_names_the_file_of_a_located_error_as_generate_does(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.c").write_text(
+        "double f(const double x[3]) {\n    double e = x[5];\n    return 0;\n}\n")
+    assert main(["r.c", "e", "--func", "f", "--vars", "x", "--output_filename", "out"]) == 1
+    generated = capsys.readouterr().err
+    assert main(["verify", "r.c", "--func", "f", "--energy", "e", "--vars", "x"]) == 1
+    verified = capsys.readouterr().err
+    located = "r.c: 2:16: index 5 out of range for 'x'\n"
+    assert (generated, verified) == (f"acorns_autodiff: {located}",
+                                     f"acorns_autodiff verify: {located}")
 
 
 @pytest.mark.parametrize("args,message", [

@@ -157,9 +157,14 @@ double f(double x) {
 
 @pytest.mark.parametrize("src,func,energy,names", [
     (_SHAPES_SRC, "f", "e", ["x", "u"]), (GRAD_STEPS_SRC, "cross_entropy", "loss", ["a"]),
-    (_NO_READ_SRC, "f", "e", ["x"])], ids=["shapes", "grad_steps", "no_read"])
+    (_NO_READ_SRC, "f", "e", ["x"]),
+    *[(fn.source, fn.func_name, fn.energy_var, list(fn.var_names))
+      for fn in (corpus_function("springs", s=4), corpus_function("barrier", s=4),
+                 corpus_function("cross_entropy"))]],
+    ids=["shapes", "grad_steps", "no_read", "springs_4", "barrier_4", "cross_entropy"])
 def test_element_output_compiles_strictly(cc, tmp_path, src, func, energy, names):
     element, _, _ = _emissions(src, func, energy, names)
+    assert element is not None  # the input takes the element path
     compile_strict(cc, element, str(tmp_path), "k")
 
 

@@ -392,7 +392,7 @@ def test_an_int_name_refuses_a_value_out_of_its_range(name, tmp_path, monkeypatc
     assert main(["f.c", "e", "--vars", "x", "--func", "f", "--output_filename", "d"]) == 1
     assert main(["verify", "f.c", "--func", "f", "--energy", "e", "--vars", "x"]) == 1
     assert capsys.readouterr().err == (f"acorns_autodiff: f.c: {want}\n"
-                                       f"acorns_autodiff verify: {want}\n")
+                                       f"acorns_autodiff verify: f.c: {want}\n")
 
 
 def test_an_int_name_stores_int_min(tmp_path, monkeypatch):
