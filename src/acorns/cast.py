@@ -10,6 +10,7 @@ depth.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 
 from .errors import SourceSpan
@@ -517,6 +518,12 @@ class SharedText:
             name: list = []  # set by the first line
             for node in [top, *spine[1 - ACCUMULATOR_TERMS::-ACCUMULATOR_TERMS]]:
                 self._lines[id(node)] = name
+
+
+def temp_pattern(temp: str) -> re.Pattern:
+    """The pattern of the names `SharedText` gives its temporaries under the
+    prefix `temp`, `<temp>K`, with K as group 1."""
+    return re.compile(rf"\b{re.escape(temp)}(\d+)\b")
 
 
 def to_source(e: Expr, shared: SharedText | None = None) -> str:

@@ -23,7 +23,7 @@ from . import __version__
 from .codegen import DEFAULT_SPLIT_TARGET, EmitConfig, emit
 from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle
 from .elements import element_path
-from .errors import AcornsError, BoundExplosion, ExpressionExplosion
+from .errors import AcornsError, BoundExplosion, ExpressionExplosion, SubsetViolations
 from .flatten import dump_text, serialize, unroll
 from .parser import parse_source, validate_subset
 from .verify import CORPUS, CorpusFunction, verify as run_verify, corpus_function
@@ -104,6 +104,14 @@ def _read_source(path: str, prog: str) -> str | int:
         return EXIT_INPUT
 
 
+def _violated(prog: str, path: str, exc: SubsetViolations) -> int:
+    """Print `<prog>: <path>:<line>:<col>: <reason>` for each violation of
+    the subset, `path` as given; the exit code."""
+    for v in exc.violations:
+        print(f"{prog}: {path}:{v.span}: {v.reason}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def _run_pipeline(args) -> int:
     modes = frozenset(args.mode)
     if not args.vars and modes & {"gradient", "hessian"}:
@@ -118,9 +126,7 @@ def _run_pipeline(args) -> int:
         ir = parse_source(source_text, args.func, args.energy_var)
         violations = validate_subset(ir)
         if violations:
-            for v in violations:
-                print(f"{args.input}:{v.span}: {v.reason}", file=sys.stderr)
-            return EXIT_INPUT
+            raise SubsetViolations(args.input, violations)
         loops = element_path(ir, args.vars, not args.no_simplify, modes)
         # the element path unrolls only for --dump-slp
         program = unroll(ir) if loops is None or args.dump_slp else None
@@ -155,6 +161,8 @@ def _run_pipeline(args) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"acorns_autodiff: {args.input}: {_exhausted(exc)}", file=sys.stderr)
         return EXIT_RESOURCE
+    except SubsetViolations as exc:
+        return _violated("acorns_autodiff", args.input, exc)
     except AcornsError as exc:
         print(f"acorns_autodiff: {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -290,6 +298,8 @@ def _run_verify(argv) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"acorns_autodiff verify: {args.function}: {_exhausted(exc)}", file=sys.stderr)
         return EXIT_RESOURCE
+    except SubsetViolations as exc:
+        return _violated("acorns_autodiff verify", args.function, exc)
     except AcornsError as exc:
         # a located error in a file names the file, as generate's does
         located = args.function not in CORPUS and getattr(exc, "span", None)

@@ -3,10 +3,11 @@
 The generated artifact is one header plus N source files.  Statements are
 packed greedily into files of roughly `split_target_bytes`; each run of
 same-mode statements in a file becomes a chunk function evaluating one
-point, and exported drivers (`compute`, `compute_grad`, `compute_hess`)
-in part 0 loop over points calling the chunks in order.  A chunk function
-loads from `vals` exactly the input slots its run of statements reads,
-each into a `const double` local of its own: a scalar parameter keeps its
+point (in bound form, several: see below), and exported drivers
+(`compute`, `compute_grad`, `compute_hess`) in part 0 loop over points
+calling the chunks in order.  A chunk function loads from `vals` exactly
+the input slots its statements read, each into a `const double` local of
+its own: a scalar parameter keeps its
 name and an array element is named like `x_3` or `a_1_0` (`_c_names`
 gives the rule, which also names the temporaries).  Each node's input
 slots are one int mask, found by one pass over the arrays of its mode's
@@ -26,16 +27,37 @@ and gcc 12.2 -O2 took 7.2-8.7 s on its C with a line per entry against
 A simplified bundle is emitted in bound (SSA) form: within one driver, a
 subexpression that several entries or operands share is declared once as
 a `const double tK` temporary, just before the statement that first reads
-it.  A chunk function in a later file than its driver's first renders its
-statements again, over their own DAG: it declares the temporaries they
-share, and reads none of another file's.  A sum of more than
-`cast.ACCUMULATOR_TERMS` terms is a running accumulator, `double tK =
-<first terms>;` then `tK = tK - <next terms>;` lines, because gcc -O2
-evaluates every term of one long expression before its first addition: on
-a sum of 800 `log` terms it keeps all 800 results live and spills them to a
-7 KB stack frame, which makes most of its compile time.  The lines add
-the terms in the same order, so the kernel's values do not change.  An
-unsimplified bundle writes each entry as one expanded expression.
+it.  A sum of more than `cast.ACCUMULATOR_TERMS` terms is a running
+accumulator, `double tK = <first terms>;` then `tK = tK - <next terms>;`
+lines, because gcc -O2 evaluates every term of one long expression before
+its first addition: on a sum of 800 `log` terms it keeps all 800 results
+live and spills them to a 7 KB stack frame, which makes most of its
+compile time.  The lines add the terms in the same order, so the kernel's
+values do not change.  An unsimplified bundle writes each entry as one
+expanded expression.
+
+In bound form a run of statements in a file is also cut into chunk
+functions of at most `CHUNK_TARGET_BYTES`, in `Statement.size` units, as
+`split` cuts files (an oversize statement is a function of its own):
+gcc -O2 time grows faster than linearly with the size of one function.
+A temporary whose lines all sit in one function stays its `const double`
+local.  Any other, one that a later function or file reads, is kept in a
+slot of its driver's per-point workspace, `double w[K];` declared inside
+the point loop (so under `--parallel` each iteration has its own; `w`
+takes an underscore more while it is the name of an input's local): its
+declaration is the store `w[j] = ...;`, an accumulator's later lines
+`w[j] = w[j] - ...;`, and every reader reads `w[j]`.  So no file computes
+again what an earlier one computed.  A slot is free again after the line
+that reads it last, and K is the largest number of slots live at one
+line.  Only a chunk function that reads or writes a slot takes `double*
+w`, so output whose runs each fit under the bound is as it was without
+the workspace.  The bound comes from a sweep of 16, 24, 32 and 48 KiB
+over the gcc 12.2 -O2 times of eq3 s=20 and s=50, barrier G=6 and springs
+G=6, all modes in one file (x86-64, one pinned core, best of 3 per round,
+five rounds): 16 to 32 KiB summed to within 3% of each other and to about
+0.63 of one function per driver, and 48 KiB does not cut eq3 s=20's
+41 KiB Hessian.  Of those, 32 KiB writes the fewest bytes, and it keeps
+springs, which compiles almost linearly in one function, at that time.
 
 On the element path (`elements.element_path`: a simplified run without a
 Hessian, of an energy summed over a perfect loop nest; the module says
@@ -65,11 +87,12 @@ grad_steps benchmark input the gradient took 947 ns a point without it and
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 
 from .cast import (INTRINSICS, Binary, Constant, Expr, SharedText, Var, const, is_plus_zero,
-                   replace_vars, to_source)
+                   replace_vars, temp_pattern, to_source)
 from .derivatives import STAGES, DerivativeBundle, VarIndexMap, layout_slots
 from .elements import ElementLoops, ElementNest
 from .errors import AcornsError
@@ -84,6 +107,12 @@ DEFAULT_SPLIT_TARGET = 16 * 2**20
 MIN_SPLIT_TARGET = 2**16
 
 RECOMMENDED_FLAGS = "-O3 -ffast-math -flto"
+
+# the size (`Statement.size`) past which a chunk function in bound form is
+# closed within its file; see the module docstring
+CHUNK_TARGET_BYTES = 32 * 2**10
+
+_WORD = re.compile(r"[A-Za-z_]\w*").findall
 
 # the C name of the energy's running value in an element chunk
 ENERGY_NAME = "e"
@@ -132,15 +161,13 @@ class GeneratedArtifact(Record):
 
 
 class Statement(Record):
-    __slots__ = ("mode", "text", "params", "temps", "target", "expr")
+    __slots__ = ("mode", "text", "params", "temps")
 
-    def __init__(self, mode: str, text: str, params: int, temps: tuple = (),
-                 target: str = "", expr: Expr | None = None):
-        # text is the `<target> ...;` line; params the input slots it reads,
+    def __init__(self, mode: str, text: str, params: int, temps: tuple = ()):
+        # text is the `out[k] = ...;` line; params the input slots it reads,
         # as a mask of `_param_bits`; temps the lines of the temporaries it
-        # reads first; target its `out[k] =` and expr its root, from which a
-        # later file renders it again
-        super().__init__(mode, text, params, temps, target, expr)
+        # reads first
+        super().__init__(mode, text, params, temps)
 
     @property
     def size(self) -> int:
@@ -209,7 +236,7 @@ def _statements(bundle: DerivativeBundle, cfg: EmitConfig, bits: dict, names: di
             if mode == "hessian" and is_plus_zero(expr):
                 continue
             stmts.append(Statement(mode, f"out[{k}] = {text};", params[at],
-                                   tuple(shared.decls[first:]), f"out[{k}] =", expr))
+                                   tuple(shared.decls[first:])))
     return stmts
 
 
@@ -217,25 +244,31 @@ def split(statements: list, cfg: EmitConfig) -> list:
     """Greedy in-order packing of statements into per-file groups; no
     statements make one empty group, the file that holds the drivers."""
     reserve = min(16384, cfg.split_target_bytes // 4)  # headroom for boilerplate
-    budget = cfg.split_target_bytes - reserve
-    files: list[list] = []
+    return _pack(statements, cfg.split_target_bytes - reserve)
+
+
+def _pack(statements: list, budget: int) -> list:
+    """Greedy in-order packing of statements into groups whose sizes
+    (`Statement.size`) sum to at most `budget`; an oversize statement is a
+    group of its own, and no statements make one empty group."""
+    groups: list[list] = []
     current: list = []
     size = 0
     for st in statements:
         nbytes = st.size
         if current and size + nbytes > budget:
-            files.append(current)
+            groups.append(current)
             current = []
             size = 0
         current.append(st)
         size += nbytes
-        if nbytes > budget:  # oversize statement occupies its own file
-            files.append(current)
+        if nbytes > budget:
+            groups.append(current)
             current = []
             size = 0
-    if current or not files:
-        files.append(current)
-    return files
+    if current or not groups:
+        groups.append(current)
+    return groups
 
 
 def _param_decls(layout: list, names: dict, mask: int) -> list:
@@ -298,10 +331,12 @@ def emit(bundle, vars_: VarIndexMap, cfg: EmitConfig,
     ]
     head = [*provenance, f'#include "{stem}.h"', "#include <math.h>", ""]
     if loops is None:
-        texts, chunks, n_statements = _unrolled_parts(bundle, cfg, program, layout, stem, head)
+        texts, chunks, workspaces, n_statements = _unrolled_parts(bundle, cfg, program, layout,
+                                                                  stem, head)
     else:
         texts, chunks, n_statements = _element_part(bundle, cfg, loops, n, stem, head)
-    n_chunks = sum(map(len, chunks.values()))
+        workspaces = {}
+    takes = dict(itertools.chain.from_iterable(chunks.values()))  # chunk -> its workspace or ""
     out_stride = {"function": 1, "gradient": n, "hessian": n * n}
 
     modes = [m for m in MODE_ORDER if m in cfg.mode]
@@ -315,14 +350,17 @@ def emit(bundle, vars_: VarIndexMap, cfg: EmitConfig,
         if cfg.parallel:
             drivers += ["#ifdef _OPENMP", "#pragma omp parallel for", "#endif"]
         drivers.append("    for (int p = 0; p < num_points; ++p) {")
+        if mode in workspaces:
+            drivers.append(f"        double {workspaces[mode]};")
         out = f"{DRIVER_OUT_ARG[mode]} + (long)p * {out_stride[mode]}"
         if mode == "hessian":
             drivers.append(f"        double* h = {out};")
             out = "h"
             if any(map(is_plus_zero, bundle.hess_lower)):
                 drivers.append(f"        for (int k = 0; k < {n * n}; ++k) h[k] = 0;")
-        for cid in chunks[mode]:
-            drivers.append(f"        {stem}_chunk_{cid}(vals + (long)p * {stride_in}, {out});")
+        for cid, ws in chunks[mode]:
+            args = f"vals + (long)p * {stride_in}, {out}" + (f", {ws}" if ws else "")
+            drivers.append(f"        {stem}_chunk_{cid}({args});")
         if mode == "hessian" and n > 1:
             drivers += [f"        for (int i = 1; i < {n}; ++i)",
                         f"            for (int j = 0; j < i; ++j) h[j * {n} + i] = h[i * {n} + j];"]
@@ -333,8 +371,10 @@ def emit(bundle, vars_: VarIndexMap, cfg: EmitConfig,
     header = [*provenance, f"#ifndef {guard}", f"#define {guard}", ""]
     header += [f"{signature[m]};" for m in modes]
     header += ["", "/* per-point chunk functions, called in order by the drivers */"]
-    header += [f"void {stem}_chunk_{cid}(const double* vals, double* out);"
-               for cid in range(n_chunks)]
+    if any(takes.values()):
+        header.append("/* a third argument is the driver's per-point workspace */")
+    header += [f"void {stem}_chunk_{cid}({_chunk_params(takes[cid])});"
+               for cid in range(len(takes))]
     header += ["", f"#endif /* {guard} */", ""]
     sources = tuple((f"{stem}_part{fi}.c", text) for fi, text in enumerate(texts))
     return GeneratedArtifact("\n".join(header), sources, n_statements)
@@ -342,44 +382,122 @@ def emit(bundle, vars_: VarIndexMap, cfg: EmitConfig,
 
 def _unrolled_parts(bundle: DerivativeBundle, cfg: EmitConfig, program: StraightLineProgram,
                     layout: list, stem: str, head: list) -> tuple:
-    """The parts' texts, each mode's chunks in order, and the statement
-    count, of a bundle of the unrolled program: one chunk function per mode
-    per file, numbered in file order.  A mode's first run is written as
-    `_statements` rendered it; a later run in bound form is rendered again
-    over its own roots, so its temporaries are its own."""
+    """The parts' texts, each mode's chunks in call order, the workspace
+    `w[K]` of each mode that has one, and the statement count, of a bundle
+    of the unrolled program.  A chunk is `(its number, the workspace name
+    it takes or "")`; chunks are numbered in file order.  Each file holds one chunk function
+    per run of a mode's statements; in bound form a run is cut into chunk
+    functions of at most `CHUNK_TARGET_BYTES` each (`_pack`), and the
+    temporaries that cross functions go through the workspace
+    (`_workspace`)."""
     prefix, names = _c_names(program)
     temp = prefix if bundle.simplified else None
-    statements = _statements(bundle, cfg, _param_bits(layout), names, temp)
-    written = set()  # the modes whose first run is written
-    texts = []
-    chunks: dict[str, list[int]] = {m: [] for m in MODE_ORDER}
-    n_chunks = 0
-    for group in split(statements, cfg):
-        lines = list(head)
+    bits = _param_bits(layout)
+    statements = _statements(bundle, cfg, bits, names, temp)
+    groups = split(statements, cfg)
+    pieces = []  # (file, mode, statements) of each chunk function, in file order
+    for fi, group in enumerate(groups):
         for mode, run in itertools.groupby(group, key=lambda st: st.mode):
             run = list(run)
-            chunks[mode].append(n_chunks)
-            lines += [f"void {stem}_chunk_{n_chunks}(const double* vals, double* out)", "{"]
-            n_chunks += 1
-            mask = 0
-            for st in run:
+            pieces += [(fi, mode, piece)
+                       for piece in (_pack(run, CHUNK_TARGET_BYTES) if temp else [run])]
+    ws = _workspace_name(names)
+    local_bits = {names[label]: bit for label, bit in bits.items()}
+    bodies: dict[int, tuple] = {}  # chunk number -> (its lines, the workspace it takes or "")
+    workspaces = {}
+    for mode in MODE_ORDER:
+        own = [cid for cid, piece in enumerate(pieces) if piece[1] == mode]
+        lines, uses, size = _workspace([pieces[cid][2] for cid in own], temp, ws)
+        bodies.update(zip(own, zip(lines, (ws if use else "" for use in uses))))
+        if size:
+            workspaces[mode] = f"{ws}[{size}]"
+    texts = [list(head) for _ in groups]
+    chunks: dict[str, list] = {m: [] for m in MODE_ORDER}
+    for cid, (fi, mode, piece) in enumerate(pieces):
+        body, takes = bodies[cid]
+        chunks[mode].append((cid, takes))
+        lines = texts[fi]
+        lines += [f"void {stem}_chunk_{cid}({_chunk_params(takes)})", "{"]
+        mask = 0
+        if takes:  # a root's slots that it reads through the workspace are not read here
+            for word in set(_WORD(" ".join(body))):
+                mask |= local_bits.get(word, 0)
+        else:
+            for st in piece:
                 mask |= st.params
-            decls = _param_decls(layout, names, mask)
-            lines += [*decls, ""] if decls else ["    (void) vals;"]
-            shared = None
-            if mode in written and temp is not None:
-                shared = SharedText([st.expr for st in run], temp, names=names)
-            written.add(mode)
-            for st in run:
-                temps, text = st.temps, st.text
-                if shared is not None:
-                    first = len(shared.decls)
-                    text = f"{st.target} {to_source(st.expr, shared)};"
-                    temps = shared.decls[first:]
-                lines += [f"    {line}" for line in (*temps, text)]
-            lines += ["}", ""]
-        texts.append("\n".join(lines))
-    return texts, chunks, len(statements)
+        decls = _param_decls(layout, names, mask)
+        lines += [*decls, ""] if decls else ["    (void) vals;"]
+        lines += [f"    {line}" for line in body]
+        lines += ["}", ""]
+    return ["\n".join(lines) for lines in texts], chunks, workspaces, len(statements)
+
+
+def _chunk_params(ws: str) -> str:
+    """A chunk function's parameters; `ws` names the workspace it takes, if any."""
+    return "const double* vals, double* out" + (f", double* {ws}" if ws else "")
+
+
+def _workspace_name(names: dict) -> str:
+    """`w`, with as many underscores added as make it no input slot's local."""
+    taken = set(names.values())
+    return next(ws for ws in ("w" + "_" * m for m in itertools.count()) if ws not in taken)
+
+
+def _workspace(pieces: list, temp: str | None, ws: str) -> tuple:
+    """The lines of each of one mode's chunk functions, given their
+    statements in call order, whether each takes the workspace `ws`, and the
+    workspace's size K.
+
+    A temporary that occurs in one function only stays its local.  Any
+    other is kept in a slot `ws[j]` of the driver's per-point `double
+    ws[K]`: each of its lines, in every function, spells it `ws[j]`, and
+    its declaration is a plain store.  A slot is free again after the line
+    that reads it last, and goes to the next such temporary first written
+    on a later line, lowest slot first; so K is the largest number of them
+    live at one line."""
+    lines = [[line for st in piece for line in (*st.temps, st.text)] for piece in pieces]
+    plain = lines, [False] * len(lines), 0
+    if temp is None or len(pieces) < 2:
+        return plain
+    name = temp_pattern(temp)
+    home: dict[str, int] = {}  # a temporary's number -> the function it first occurs in
+    first: dict[str, int] = {}  # ... -> the line it first occurs on, counted over the mode
+    last: dict[str, int] = {}  # ... -> the line it last occurs on
+    crossing = set()
+    occurs = [set() for _ in lines]  # the temporaries each function reads or writes
+    at = 0
+    for f, body in enumerate(lines):
+        for line in body:
+            for k in name.findall(line):
+                occurs[f].add(k)
+                if k not in home:
+                    home[k], first[k] = f, at
+                elif home[k] != f:
+                    crossing.add(k)
+                last[k] = at
+            at += 1
+    if not crossing:
+        return plain
+    slot: dict[str, int] = {}
+    free: list[int] = []  # slots free again, a heap
+    busy: list[tuple] = []  # (last line, slot) of each slot taken, a heap
+    for k in sorted(crossing, key=first.get):
+        while busy and busy[0][0] < first[k]:
+            heapq.heappush(free, heapq.heappop(busy)[1])
+        slot[k] = heapq.heappop(free) if free else len(busy)  # no slot free: all are busy
+        heapq.heappush(busy, (last[k], slot[k]))
+
+    def spell(m: re.Match) -> str:
+        j = slot.get(m.group(1))
+        return m.group(0) if j is None else f"{ws}[{j}]"
+
+    stores = (f"const double {ws}[", f"double {ws}[")
+    spelled = []
+    for body in lines:
+        body = [name.sub(spell, line) for line in body]
+        spelled.append([line.removeprefix("const ").removeprefix("double ")
+                        if line.startswith(stores) else line for line in body])
+    return spelled, [not crossing.isdisjoint(ks) for ks in occurs], len(free) + len(busy)
 
 
 def _element_part(bundles: tuple, cfg: EmitConfig, loops: ElementLoops, n: int, stem: str,
@@ -387,11 +505,11 @@ def _element_part(bundles: tuple, cfg: EmitConfig, loops: ElementLoops, n: int, 
     """The one part's text, each mode's chunk, and the statement count, of
     the element path: each chunk runs every loop nest around its body."""
     lines = list(head)
-    chunks: dict[str, list[int]] = {m: [] for m in MODE_ORDER}
+    chunks: dict[str, list] = {m: [] for m in MODE_ORDER}
     n_statements = 0
     texts = [_nest_text(nest) for nest in loops.nests]
     for cid, mode in enumerate(m for m in ("function", "gradient") if m in cfg.mode):
-        chunks[mode].append(cid)
+        chunks[mode].append((cid, ""))
         bodies = [_element_body(nest, text, bundle, mode)
                   for nest, text, bundle in zip(loops.nests, texts, bundles)]
         lines += [f"void {stem}_chunk_{cid}(const double* restrict vals, double* restrict out)",

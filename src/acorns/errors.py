@@ -47,6 +47,15 @@ class UnsupportedConstruct(_Located):
         self.construct = construct
 
 
+class SubsetViolations(AcornsError):
+    """Valid C outside the supported subset: `violations` holds each place's
+    span and reason, and the message names them in `name`."""
+
+    def __init__(self, name: str, violations):
+        super().__init__("\n".join(f"{name}:{v.span}: {v.reason}" for v in violations))
+        self.violations = tuple(violations)
+
+
 class MissingFunction(AcornsError):
     def __init__(self, name: str):
         super().__init__(f"function '{name}' not found in input")

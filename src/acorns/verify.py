@@ -21,7 +21,7 @@ from .cast import (Assignment, Block, Constant, Declaration, Expr, ForLoop, Func
                    Return, Var, is_plus_zero)
 from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle, layout_slots
 from .elements import ElementLoops, element_path
-from .errors import AcornsError, UnboundSlot
+from .errors import AcornsError, SubsetViolations, UnboundSlot
 from .flatten import (DEFAULT_ASSIGN_CAP, StraightLineProgram, const_order, element_labels,
                       eval_const, eval_consts, fold, iterations, loop_heads, slot_label, to_int,
                       unroll)
@@ -218,7 +218,7 @@ def corpus_program(fn: CorpusFunction):
     ir = parse_source(fn.source, fn.func_name, fn.energy_var)
     violations = validate_subset(ir)
     if violations:
-        raise AcornsError("\n".join(f"{fn.name}:{v.span}: {v.reason}" for v in violations))
+        raise SubsetViolations(fn.name, violations)
     program = unroll(ir)
     vars_ = VarIndexMap.from_names(program, fn.var_names)
     return ir, program, vars_

@@ -1,6 +1,6 @@
 """Compare what two source trees of acorns print and write, run by run.
 
-    python tests/byte_identity.py OTHER_SRC
+    python tests/byte_identity.py [--kernels] OTHER_SRC
 
 For each run on a fixed list (`runs`), call `python -m acorns.cli` twice,
 with this checkout's `src` and with `OTHER_SRC` (for example the `src` of a
@@ -21,6 +21,13 @@ folded in an element body; and, at `--split-size 65536`, which spreads each
 over several files, springs and barrier at G=10 in `--mode hessian`, eq3
 at s=50 in all modes and the long sum of `tests/test_codegen.py` in
 `--mode gradient`.
+
+With `--kernels`, each run whose written C differs and that differs in
+nothing else is compiled on both sides (`tests/cc_util.run_drivers`, at
+-O0 and at -O2), and every driver runs on the same seeded points, drawn in
+the run's box, into buffers poisoned with 0xAB.  A run whose drivers all
+agree bitwise is listed as such and does not count as differing; each
+driver that does not agree is listed, and counts.
 """
 
 from __future__ import annotations
@@ -29,14 +36,22 @@ import hashlib
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
+import numpy as np
+
+from cc_util import DRIVERS, run_drivers
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+CC = "gcc"
+KERNEL_SEED = 31
+KERNEL_POINTS = 100
 
 
 class Run(NamedTuple):
@@ -44,6 +59,7 @@ class Run(NamedTuple):
     argv: tuple  # the arguments after `python -m acorns.cli`, inputs named relative
     inputs: dict  # file name -> text, written in the run's directory
     env: dict = {}  # variables set for the run
+    box: tuple = (0.01, 1.0)  # where `--kernels` draws every input slot
 
 
 class Outcome(NamedTuple):
@@ -53,9 +69,11 @@ class Outcome(NamedTuple):
     files: dict  # written file, relative -> sha256
 
 
-def _generate(name: str, src: str, func: str, energy: str, names, *flags) -> Run:
-    return Run(name, ("f.c", energy, "--vars", *names, "--func", func,
-                      "--output_filename", "out/k", *flags), {"f.c": src})
+def _generate(name: str, fn, *flags) -> Run:
+    """A generate run of the corpus function `fn`, drawn in its box."""
+    return Run(name, ("f.c", fn.energy_var, "--vars", *fn.var_names, "--func", fn.func_name,
+                      "--output_filename", "out/k", *flags), {"f.c": fn.source},
+               box=fn.boxes.get(fn.var_names[0], (0.01, 1.0)))
 
 
 def _loop(body: str) -> str:
@@ -106,13 +124,13 @@ def runs() -> list:
     """The fixed list of runs (see the module docstring)."""
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
-    from acorns.verify import CORPUS, corpus_function
+    from acorns.verify import CORPUS, CorpusFunction, corpus_function
     out = []
     for name, w in _workloads().items():
-        inputs = {"f.c": w.source}
-        out.append(Run(name, tuple(w.generate_argv("f.c", "out/k")), inputs))
+        inputs, box = {"f.c": w.source}, w.boxes[w.var_param]
+        out.append(Run(name, tuple(w.generate_argv("f.c", "out/k")), inputs, box=box))
         out.append(Run(f"{name} --dump-slp", (*w.generate_argv("f.c", "out/k"), "--dump-slp"),
-                       inputs))
+                       inputs, box=box))
         for seed in (0, 7):
             argv = tuple(w.verify_argv("f.c", seed))
             out.append(Run(f"{name} verify seed {seed}", argv, inputs))
@@ -120,15 +138,14 @@ def runs() -> list:
     for name in CORPUS:
         fn = corpus_function(name)
         for flags in ((), ("--no-simplify",)):
-            out.append(_generate(" ".join((name, "--dump-slp", *flags)), fn.source, fn.func_name,
-                                 fn.energy_var, fn.var_names, "--dump-slp", *flags))
+            out.append(_generate(" ".join((name, "--dump-slp", *flags)), fn, "--dump-slp",
+                                 *flags))
     for name in ("springs", "barrier"):
         for g in range(2, 11):
             fn = corpus_function(name, s=g)
-            args = fn.source, fn.func_name, fn.energy_var, fn.var_names
-            out.append(_generate(f"{name} G={g} function gradient", *args,
+            out.append(_generate(f"{name} G={g} function gradient", fn,
                                  "--mode", "function", "gradient", "--dump-slp"))
-            out.append(_generate(f"{name} G={g} hessian", *args, "--mode", "hessian"))
+            out.append(_generate(f"{name} G={g} hessian", fn, "--mode", "hessian"))
     for name in CORPUS:
         for mode in ("gradient", "hessian"):
             argv = ("verify", name, "--mode", mode)
@@ -144,11 +161,10 @@ def runs() -> list:
     for label, name, s, modes in (("springs G=10", "springs", 10, ("hessian",)),
                                   ("barrier G=10", "barrier", 10, ("hessian",)),
                                   ("eq3 s=50", "eq3", 50, ("function", "gradient", "hessian"))):
-        fn = corpus_function(name, s=s)
-        out.append(_generate(f"{label} {' '.join(modes)} split 65536", fn.source, fn.func_name,
-                             fn.energy_var, fn.var_names, "--mode", *modes, *split))
-    out.append(_generate("long_sum gradient split 65536", _LONG_SUM_SRC, "long_sum", "e", ("x",),
-                         "--mode", "gradient", *split))
+        out.append(_generate(f"{label} {' '.join(modes)} split 65536", corpus_function(name, s=s),
+                             "--mode", *modes, *split))
+    long_sum = CorpusFunction("long_sum", _LONG_SUM_SRC, "long_sum", "e", ("x",), {"x": (0.1, 2.0)})
+    out.append(_generate("long_sum gradient split 65536", long_sum, "--mode", "gradient", *split))
     return out
 
 
@@ -186,15 +202,46 @@ def differences(this: Outcome, other: Outcome) -> list:
     return found
 
 
-def compare(this_src, other_src, run_list, work: pathlib.Path) -> list:
+class Artifact(NamedTuple):
+    header: str
+    sources: list  # (file name, text) of each part, in order
+
+
+def _drivers(work: pathlib.Path, run: Run, opt: str) -> dict:
+    """Each driver's outputs, by mode, on the C that `run` wrote in `work`,
+    built at `opt`."""
+    parts = sorted(work.glob("out/k_part*.c"), key=lambda p: int(p.stem[len("k_part"):]))
+    art = Artifact((work / "out" / "k.h").read_text(), [(p.name, p.read_text()) for p in parts])
+    n = int(re.search(r"\(n = (\d+)\)", art.header).group(1))
+    stride = int(re.search(r"vals \+ \(long\)p \* (\d+)", art.sources[0][1]).group(1))
+    points = np.random.default_rng(KERNEL_SEED).uniform(*run.box, size=(KERNEL_POINTS, stride))
+    return run_drivers(CC, art, str(work / f"build{opt}"), "k", points, n, (opt,))
+
+
+def compare(this_src, other_src, run_list, work: pathlib.Path, agreed: list | None = None) -> list:
     """One line per run of `run_list` whose outcomes under `this_src` and
-    `other_src` differ, in list order; the two sides of a run run at once."""
+    `other_src` differ, in list order; the two sides of a run run at once.
+    With `agreed`, a run that differs only in the C it writes is compiled
+    (see the module docstring): when every driver agrees, its name goes to
+    `agreed` instead, and otherwise its line names the drivers that do not."""
     lines = []
     with ThreadPoolExecutor(2) as pool:
         for k, run in enumerate(run_list):
-            sides = [pool.submit(outcome, pathlib.Path(src), run, work / f"{k}{side}")
-                     for side, src in (("a", this_src), ("b", other_src))]
+            dirs = [work / f"{k}{side}" for side in "ab"]
+            sides = [pool.submit(outcome, pathlib.Path(src), run, d)
+                     for src, d in zip((this_src, other_src), dirs)]
             found = differences(*(side.result() for side in sides))
+            if (found and agreed is not None
+                    and all(re.fullmatch(r"out/k(_part\d+\.c|\.h) differs", f) for f in found)):
+                found = []
+                for opt in ("-O0", "-O2"):
+                    this, other = pool.map(lambda d: _drivers(d, run, opt), dirs)
+                    found += [f"{DRIVERS[mode]} at {opt} not bitwise equal"
+                              for mode in sorted(this.keys() | other.keys())
+                              if mode not in this or mode not in other
+                              or this[mode].tobytes() != other[mode].tobytes()]
+                if not found:
+                    agreed.append(run.name)
             if found:
                 lines.append(f"{run.name}: {'; '.join(found)}")
     return lines
@@ -202,15 +249,21 @@ def compare(this_src, other_src, run_list, work: pathlib.Path) -> list:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
+    kernels = args[:1] == ["--kernels"]
+    if len(args) != 1 + kernels:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     run_list = runs()
+    agreed = [] if kernels else None
     with tempfile.TemporaryDirectory() as work:
-        lines = compare(SRC, pathlib.Path(args[0]).resolve(), run_list, pathlib.Path(work))
+        lines = compare(SRC, pathlib.Path(args[-1]).resolve(), run_list, pathlib.Path(work),
+                        agreed)
+    for name in agreed or ():
+        print(f"{name}: C differs, every driver bitwise equal at -O0 and -O2")
     for line in lines:
         print(line)
-    print(f"{len(run_list)} runs, {len(lines)} differ")
+    print(f"{len(run_list)} runs, {len(lines)} differ"
+          + (f", {len(agreed)} more in their C alone" if kernels else ""))
     return 1 if lines else 0
 
 

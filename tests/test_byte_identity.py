@@ -34,3 +34,33 @@ def test_the_list_covers_the_workloads_and_the_corpus():
                  "springs G=10 hessian", "rollout verify --machine hessian", "octal verify"):
         assert name in names
     assert byte_identity.main([]) == 2
+
+
+def _copy_with(tmp_path, module, old, new):
+    """A copy of the package whose `module` has `old` replaced by `new`."""
+    other = tmp_path / "other"
+    shutil.copytree(SRC / "acorns", other / "acorns",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = other / "acorns" / module
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    return other
+
+
+def test_kernels_of_c_that_differs_alone_are_compared(cc, tmp_path):
+    # the version heads each generated file, so only comments differ
+    other = _copy_with(tmp_path, "__init__.py", '__version__ = "', '__version__ = "9.')
+    agreed = []
+    assert compare(SRC, other, _RUNS, tmp_path / "work", agreed) == []
+    assert agreed == ["generate"]
+
+
+def test_kernels_that_differ_are_listed(cc, tmp_path):
+    other = _copy_with(tmp_path, "codegen.py", 'f"out[{k}] = {text};"', 'f"out[{k}] = -({text});"')
+    agreed = []
+    (line,) = compare(SRC, other, _RUNS[:1], tmp_path / "work", agreed)
+    assert agreed == []
+    assert line == "generate: " + "; ".join(
+        f"{driver} at {opt} not bitwise equal" for opt in ("-O0", "-O2")
+        for driver in ("compute", "compute_grad", "compute_hess"))

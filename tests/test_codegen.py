@@ -1,7 +1,9 @@
+import collections
 import hashlib
 import math
 import random
 import re
+import subprocess
 
 import numpy as np
 import pytest
@@ -182,16 +184,18 @@ GOLDEN_EMIT = {
         "golden.h": "1d0991d510033d73777d615d7088b61a1d0621da90d422f02b4c48ea4047912d",
         "golden_part0.c": "b76dae4632748026b51e5b5fbdf279d1cddbc00a0606326247286049fd4b1cf5",
     },
-    # an accumulator that each later file renders again for itself
+    # a gradient cut into chunk functions, the later file reading part 0's
+    # temporaries from the workspace
     ("long_sum", None, True, MIN_SPLIT_TARGET, "ssa"): {
-        "golden.h": "3e060d21c1e6d8dd0fa74a75b79f70b3412a3df0f24b08f4f55a286c33f5ce0f",
-        "golden_part0.c": "933d08654b5bd41d42b653a731daae6d548c4ab2cb54973776868d4b756b7907",
-        "golden_part1.c": "3010d6332a686ad04d4fc706a26a811abed47c4f3116c47a6f22733b9dca55ce",
+        "golden.h": "f3086a23e645fb423dacd7b624ea0aa572afd72e29c04272c702f44bc28ab5ef",
+        "golden_part0.c": "8057a4a44c0d045b1faa69688fe9711654d9770bba58b53e091cba5462bca2bd",
+        "golden_part1.c": "1b6d47222190497a550e8242c2c780295084669d9d70f768bbf9812dab583886",
     },
-    # one accumulator, in the function driver
+    # one accumulator, in the function driver, and a Hessian cut into
+    # chunk functions in one file
     ("barrier", 6, True, DEFAULT_SPLIT_TARGET, "ssa"): {
-        "golden.h": "29658fb399784008a8ba9b751cab927dec46683621c450469cf9d016f07676c2",
-        "golden_part0.c": "ba7c57de544c9223708b341241629ba95c6207cf65c78399bf5775d13868ff04",
+        "golden.h": "d87c02ec013e902fcdb209025415278c3aa368124cd554c8c71e9762577b89eb",
+        "golden_part0.c": "7e46b8a0adde386bceb6a0bbbe1211f12a502faa3e3f7e28713b2514166f02ce",
     },
 }
 
@@ -784,9 +788,9 @@ def test_long_sum_accumulator_kernels(cc, tmp_path):
     assert "    double t0 = 0 - x_0 * log(x_0 + 1.5) - " in ssa.sources[0][1]
     assert "    out[0] = t0 * log(t0 * t0 + 1);" in ssa.sources[0][1]
     _assert_kernels_match(cc, tmp_path / "f", ssa, tree, points, bundle.n, ("function",))
-    # the gradient at the smallest split against one file: each later file
-    # renders its statements for itself, the accumulator included, and
-    # declares only the temporaries they read
+    # the gradient at the smallest split against one file: the accumulator
+    # is computed once, in part 0, and a later file declares no temporary
+    # but reads what it needs of part 0's from the workspace
     modes = frozenset({"gradient"})
     small, whole = (emit(bundle, vars_, EmitConfig(mode=modes, split_target_bytes=target,
                                                    basename="k"), program)
@@ -794,9 +798,11 @@ def test_long_sum_accumulator_kernels(cc, tmp_path):
     assert _out_order(small) == _out_order(whole)
     lines = [text.splitlines() for _, text in small.sources]
     assert len(lines) >= 2
-    assert all(sum(ln.startswith("    double t") for ln in part) == 1 for part in lines)
-    assert all(sum(ln.startswith("    const double") for ln in part) < 100
-               for part in lines[1:])
+    assert sum(" = 0 - x_0 * " in ln for part in lines for ln in part) == 1
+    assert sum(ln.startswith("    double t") for ln in lines[0]) == 1
+    assert not any(ln.startswith(("    double t", "    const double t"))
+                   for part in lines[1:] for ln in part)
+    assert all("w[" in text for _, text in small.sources[1:])
     for opt in ("-O0", "-O2"):
         got = run_drivers(cc, small, str(tmp_path / f"small{opt}"), "k", points, 280, (opt,))
         want = run_drivers(cc, whole, str(tmp_path / f"whole{opt}"), "k", points, 280, (opt,))
@@ -877,8 +883,8 @@ def test_temporaries_avoid_parameter_names(cc, tmp_path):
 def _chunks(artifact):
     """Each chunk function's body lines, over every file."""
     return [body.splitlines() for _, text in artifact.sources
-            for body in re.findall(r"_chunk_\d+\(const double\* vals, double\* out\)\n\{\n(.*?)\n\}\n",
-                                   text, re.S)]
+            for body in re.findall(r"_chunk_\d+\(const double\* vals, double\* out(?:, double\* w)?\)"
+                                   r"\n\{\n(.*?)\n\}\n", text, re.S)]
 
 
 def _assert_exact_locals(artifact, program, vars_):
@@ -995,3 +1001,159 @@ def test_ssa_split_invariance(cc, tmp_path, name, s):
                            ("-O0",))["hessian"]
                for target, art in artifacts.items()]
     assert results[0].tobytes() == results[1].tobytes() == results[2].tobytes()
+
+
+# --- bounded chunk functions and the per-point workspace ----------------------------
+
+
+def _called_lines(artifact, mode):
+    """`mode`'s chunk functions in its driver's call order, as (chunk, file,
+    line) for each line after the chunk's loads from `vals`."""
+    texts = {int(cid): (fi, body.splitlines())
+             for fi, (_, text) in enumerate(artifact.sources)
+             for cid, body in re.findall(r"^void k_chunk_(\d+)\(const double\* vals, double\* out"
+                                         r"(?:, double\* w)?\)\n\{\n(.*?)\n\}\n", text, re.M | re.S)}
+    driver = re.search(rf"^void {codegen.DRIVER_NAME[mode]}\(.*?^\}}$", artifact.sources[0][1],
+                       re.M | re.S).group(0)
+    return [(cid, texts[cid][0], ln[4:]) for cid in map(int, re.findall(r"k_chunk_(\d+)\(", driver))
+            for ln in texts[cid][1] if ln and "= vals[" not in ln and ln != "    (void) vals;"]
+
+
+def _workspace_size(artifact, mode):
+    driver = re.search(rf"^void {codegen.DRIVER_NAME[mode]}\(.*?^\}}$", artifact.sources[0][1],
+                       re.M | re.S).group(0)
+    found = re.findall(r"^        double w\[(\d+)\];$", driver, re.M)
+    return int(found[0]) if found else 0
+
+
+@pytest.mark.parametrize("name,s,split_target", [
+    ("eq3", 50, 2**16), ("eq3", 20, DEFAULT_SPLIT_TARGET), ("barrier", 6, DEFAULT_SPLIT_TARGET),
+    ("springs", 6, 2**16), ("long_sum", None, 2**16)])
+def test_bound_chunks_read_crossing_temporaries_from_the_workspace(monkeypatch, name, s,
+                                                                     split_target):
+    # the bound output, each slot read as the temporary last stored in it,
+    # is line for line the output of one function per driver
+    fn, modes = _golden_function(name, s)
+    _, program, vars_ = corpus_program(fn)
+    bundle = derive_bundle(program, vars_, want_hessian="hessian" in modes)
+    cfg = EmitConfig(mode=frozenset(modes), split_target_bytes=split_target, basename="k")
+    bound = emit(bundle, vars_, cfg, program)
+    monkeypatch.setattr(codegen, "CHUNK_TARGET_BYTES", 2**40)
+    whole = emit(bundle, vars_, cfg.replace(split_target_bytes=DEFAULT_SPLIT_TARGET), program)
+    split_modes = 0
+    for mode in modes:
+        got, want = _called_lines(bound, mode), _called_lines(whole, mode)
+        assert len(got) == len(want) and len({cid for cid, _, _ in want}) == 1
+        held = {}  # slot -> the temporary stored in it last
+        home = {}  # a temporary -> the chunk that computes it
+        sizes = collections.Counter()  # chunk -> the `Statement.size` of its lines
+        outs = collections.Counter()  # chunk -> its statements
+        readers = collections.defaultdict(set)  # a slot's temporary -> the chunks that read it
+        span = {}  # a slot's temporary -> its first and last line
+        for at, ((cid, fi, line), (_, _, orig)) in enumerate(zip(got, want)):
+            sizes[cid] += len(orig) + 16
+            outs[cid] += orig.startswith("out[")
+
+            def read(m):
+                t = held[m.group(1)]
+                readers[t].add(cid)
+                span[t] = (span[t][0], at)
+                return t
+
+            target = re.match(r"(?:const double |double )?(t\d+) = ", orig)
+            store = re.match(r"w\[(\d+)\] = (.*)", line)
+            if store:
+                rhs = re.sub(r"w\[(\d+)\]", read, store.group(2))
+                t = held[store.group(1)] = target.group(1)
+                span.setdefault(t, (at, at))
+                line = f"{orig[:target.start(1)]}{t} = {rhs}"
+            else:
+                line = re.sub(r"w\[(\d+)\]", read, line)
+            assert line == orig
+            if target:
+                home.setdefault(target.group(1), cid)
+        # each function holds at most the bound, or one oversize statement
+        assert all(size <= codegen.CHUNK_TARGET_BYTES or outs[cid] == 1
+                   for cid, size in sizes.items())
+        split_modes += len(sizes) > len({fi for _, fi, _ in got})
+        # a temporary stays a local unless a later function reads it (and,
+        # line for line, no file computes one that an earlier file computed)
+        assert all(readers[t] - {home[t]} for t in span)
+        # K slots: as many as temporaries live at one line, which is at
+        # least as many as live across one boundary between functions
+        live = [sum(first <= at <= last for first, last in span.values())
+                for at in range(len(got))]
+        order = list(dict.fromkeys(cid for cid, _, _ in got))
+        spans = [(order.index(home[t]), max(map(order.index, readers[t]))) for t in span]
+        across = [sum(a <= b < z for a, z in spans) for b in range(len(order) - 1)]
+        size = _workspace_size(bound, mode)
+        assert size == max(live, default=0) >= max(across, default=0)
+        if (name, s, mode) == ("eq3", 50, "hessian"):
+            assert size == max(across) > 0
+    assert split_modes >= 1  # the bound closed some function inside a file
+
+
+def test_workspace_kernels_match_one_function_kernels(cc, tmp_path, monkeypatch):
+    # random programs cut at a tiny bound, so that slots are reused often
+    rng = random.Random(3131)
+    nprng = np.random.default_rng(3131)
+    checked = used = 0
+    while checked < 20:
+        src, func, energy = random_loop_program(rng)
+        program = unroll(parse_source(src, func, energy))
+        params = {slot.param for slot in program.inputs}
+        vars_ = VarIndexMap.from_names(program, [p for p in ("u", "a") if p in params])
+        bundle = derive_bundle(program, vars_)
+        cfg = EmitConfig(basename="k")
+        whole = emit(bundle, vars_, cfg, program)
+        if sum(len(text) for _, text in whole.sources) > 2**16:
+            continue
+        checked += 1
+        monkeypatch.setattr(codegen, "CHUNK_TARGET_BYTES", 120)
+        cut = emit(bundle, vars_, cfg, program)
+        monkeypatch.undo()
+        if "double* w" not in cut.header:
+            continue
+        used += 1
+        points = nprng.uniform(0.5, 2.0, size=(50, len(program.inputs)))
+        _assert_kernels_match(cc, tmp_path / str(checked), cut, whole, points, bundle.n)
+        compile_strict(cc, cut, str(tmp_path / f"strict{checked}"), "k")
+    assert used >= 10  # 10 of 20 with this seed
+
+
+def test_workspace_avoids_an_input_named_w(cc, tmp_path, monkeypatch):
+    src = ("double f(const double *x, double w) {\n    double e = w;\n"
+           "    for (int i = 0; i < 6; i++) {\n        e = e * (4 * x[i] * (1 - x[i]));\n"
+           "    }\n    return 0;\n}\n")
+    program, vars_, bundle = _bundle(src, "f", "e", ["x", "w"])
+    whole = emit(bundle, vars_, EmitConfig(basename="k"), program)
+    monkeypatch.setattr(codegen, "CHUNK_TARGET_BYTES", 300)
+    cut = emit(bundle, vars_, EmitConfig(basename="k"), program)
+    assert "double* w_);" in cut.header and "double* w)" not in cut.header
+    compile_strict(cc, cut, str(tmp_path / "strict"), "k")
+    points = np.random.default_rng(4).uniform(0.05, 0.95, size=(40, 7))
+    _assert_kernels_match(cc, tmp_path, cut, whole, points, bundle.n)
+
+
+def test_parallel_workspace_kernels_match_serial(cc, tmp_path, monkeypatch):
+    # under OpenMP each iteration of the point loop declares its own workspace
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    if subprocess.run([cc, "-fopenmp", str(probe), "-o", str(tmp_path / "probe")],
+                      capture_output=True).returncode:
+        pytest.skip(f"{cc} cannot compile with -fopenmp")
+    fn = corpus_function("eq3", s=20)
+    _, program, vars_ = corpus_program(fn)
+    bundle = derive_bundle(program, vars_)
+    n = bundle.n
+    serial = emit(bundle, vars_, EmitConfig(basename="k"), program)
+    parallel = emit(bundle, vars_, EmitConfig(basename="k", parallel=True), program)
+    assert "        double w[" in parallel.sources[0][1]
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    points = sample_points(fn, program, 300, np.random.default_rng(31))
+    for mode, stride in (("function", 1), ("gradient", n), ("hessian", n * n)):
+        got = compile_and_run(cc, parallel, str(tmp_path / f"parallel_{mode}"), "k", mode, points,
+                              stride, ("-fopenmp",))
+        want = compile_and_run(cc, serial, str(tmp_path / f"serial_{mode}"), "k", mode, points,
+                               stride)
+        assert got.tobytes() == want.tobytes(), mode

@@ -476,8 +476,8 @@ _WORKLOAD_DIGESTS = {
         "der_part8.c": "f0b52ed49030dcaf251f1f730cb2af3b1f12a28982b65a62dc1b22ea58393b4e",
     }),
     "hess_verify": (20, (), {
-        "der.h": "4535efd5fcc574e5fefcac312f6f87755a5ea7f177dd92d10937dd8edeac1723",
-        "der_part0.c": "27084f55d684cc83022c0583323556c4e6fe92d0ccc5f0d37a6b01271008e6cc",
+        "der.h": "ed901642083bc354b9f3ac4c0b14702a9138c4a0af9edbe5285a02ce9a0b7255",
+        "der_part0.c": "ad2e9d0010b095d1209c1456cbae6f2b9c45e368f7a6a3a1fd0d261137b68163",
     }),
 }
 
@@ -657,11 +657,12 @@ _COMPARISON_DIVISION_ERROR = ("integer division of a comparison of doubles: C di
 def test_division_of_a_comparison_exits_1_with_its_location(tmp_path, capsys, name, flags):
     src, at = _COMPARISON_DIVISION[name]
     rc, err, digests = _generate(tmp_path, src, "f", "e", ["x"], flags=flags)
-    assert (rc, err, digests) == (1, f"f.c:{at}: {_COMPARISON_DIVISION_ERROR}", {})
+    assert (rc, err, digests) == (1, f"acorns_autodiff: f.c:{at}: {_COMPARISON_DIVISION_ERROR}",
+                                  {})
     (tmp_path / "f.c").write_text(src)
     assert main(["verify", str(tmp_path / "f.c"), "--func", "f", "--energy", "e",
                  "--vars", "x"]) == 1
-    assert capsys.readouterr().err == (f"acorns_autodiff verify: f.c:{at}: "
+    assert capsys.readouterr().err == (f"acorns_autodiff verify: {tmp_path / 'f.c'}:{at}: "
                                        f"{_COMPARISON_DIVISION_ERROR}")
 
 
@@ -684,11 +685,12 @@ _INT_PARAM_DIVISION_ERROR = ("integer division of an int parameter: C divides it
 def test_division_of_an_int_parameter_exits_1_with_its_location(tmp_path, capsys, name, flags):
     src, at = _INT_PARAM_DIVISION[name]
     rc, err, digests = _generate(tmp_path, src, "f", "e", ["x"], flags=flags)
-    assert (rc, err, digests) == (1, f"f.c:{at}: {_INT_PARAM_DIVISION_ERROR}", {})
+    assert (rc, err, digests) == (1, f"acorns_autodiff: f.c:{at}: {_INT_PARAM_DIVISION_ERROR}",
+                                  {})
     (tmp_path / "f.c").write_text(src)
     assert main(["verify", str(tmp_path / "f.c"), "--func", "f", "--energy", "e",
                  "--vars", "x", *flags]) == 1
-    assert capsys.readouterr().err == (f"acorns_autodiff verify: f.c:{at}: "
+    assert capsys.readouterr().err == (f"acorns_autodiff verify: {tmp_path / 'f.c'}:{at}: "
                                        f"{_INT_PARAM_DIVISION_ERROR}")
 
 
