@@ -7,12 +7,12 @@ point (in bound form, several: see below), and exported drivers
 (`compute`, `compute_grad`, `compute_hess`) in part 0 loop over points
 calling the chunks in order.  A chunk function loads from `vals` exactly
 the input slots its statements read, each into a `const double` local of
-its own: a scalar parameter keeps its
-name and an array element is named like `x_3` or `a_1_0` (`_c_names`
-gives the rule, which also names the temporaries).  Each node's input
-slots are one int mask, found by one pass over the arrays of its mode's
-linearisation (`DerivativeBundle.linearized`), which also gives
-`SharedText` its use counts.  Output text is fully deterministic for a
+its own: a scalar parameter keeps its name and an array element is named
+like `x_3` or `a_1_0` (`_c_names` gives the rule, which also names the
+temporaries).  Each node's input slots are one int mask, found by one
+pass over the arrays of its mode's linearisation
+(`DerivativeBundle.linearized`), which also gives `SharedText` its use
+counts.  Output text is fully deterministic for a
 given bundle and config.
 
 The Hessian chunks write only the lower entries `(i, j <= i)` that are not
@@ -54,10 +54,11 @@ w`, so output whose runs each fit under the bound is as it was without
 the workspace.  The bound comes from a sweep of 16, 24, 32 and 48 KiB
 over the gcc 12.2 -O2 times of eq3 s=20 and s=50, barrier G=6 and springs
 G=6, all modes in one file (x86-64, one pinned core, best of 3 per round,
-five rounds): 16 to 32 KiB summed to within 3% of each other and to about
-0.63 of one function per driver, and 48 KiB does not cut eq3 s=20's
-41 KiB Hessian.  Of those, 32 KiB writes the fewest bytes, and it keeps
-springs, which compiles almost linearly in one function, at that time.
+two sweeps of two and three rounds): 32 KiB had the lowest sum of each
+input's best time in both, about 0.63 of one function per driver, with 16
+and 24 KiB within 3% of it; 48 KiB does not cut eq3 s=20's 41 KiB
+Hessian.  32 KiB also writes the fewest bytes of the three, and keeps
+springs, which compiles almost linearly in one function, near that time.
 
 On the element path (`elements.element_path`: a simplified run without a
 Hessian, of an energy summed over a perfect loop nest; the module says
@@ -199,7 +200,7 @@ def _c_names(program: StraightLineProgram) -> tuple:
         names = {s.label: s.param + "".join(f"{sep}{i}" for i in s.indices)
                  for s in program.inputs}
         elements = [names[s.label] for s in program.inputs if s.indices]
-        temp = re.compile(re.escape(prefix) + r"\d+").fullmatch
+        temp = temp_pattern(prefix).fullmatch
         if (len(set(elements)) == len(elements)
                 and not (params.keys() | _C_NAMES).intersection(elements)
                 and not any(map(temp, params))):
@@ -385,51 +386,54 @@ def _unrolled_parts(bundle: DerivativeBundle, cfg: EmitConfig, program: Straight
     """The parts' texts, each mode's chunks in call order, the workspace
     `w[K]` of each mode that has one, and the statement count, of a bundle
     of the unrolled program.  A chunk is `(its number, the workspace name
-    it takes or "")`; chunks are numbered in file order.  Each file holds one chunk function
-    per run of a mode's statements; in bound form a run is cut into chunk
-    functions of at most `CHUNK_TARGET_BYTES` each (`_pack`), and the
-    temporaries that cross functions go through the workspace
-    (`_workspace`)."""
+    it takes or "")`; chunks are numbered in file order.  Each file holds
+    one chunk function per run of a mode's statements; in bound form a run
+    is cut into chunk functions of at most `CHUNK_TARGET_BYTES` each
+    (`_pack`), and the temporaries that cross functions go through the
+    workspace (`_workspace`)."""
     prefix, names = _c_names(program)
     temp = prefix if bundle.simplified else None
     bits = _param_bits(layout)
     statements = _statements(bundle, cfg, bits, names, temp)
-    groups = split(statements, cfg)
-    pieces = []  # (file, mode, statements) of each chunk function, in file order
-    for fi, group in enumerate(groups):
-        for mode, run in itertools.groupby(group, key=lambda st: st.mode):
-            run = list(run)
-            pieces += [(fi, mode, piece)
-                       for piece in (_pack(run, CHUNK_TARGET_BYTES) if temp else [run])]
+    files = []  # each file's chunk functions, as (mode, statements), in call order
+    for group in split(statements, cfg):
+        runs = [(mode, list(run)) for mode, run in itertools.groupby(group, key=lambda st: st.mode)]
+        files.append([(mode, piece) for mode, run in runs
+                      for piece in (_pack(run, CHUNK_TARGET_BYTES) if temp else [run])])
+    pieces = [piece for file in files for piece in file]  # in chunk number order
     ws = _workspace_name(names)
     local_bits = {names[label]: bit for label, bit in bits.items()}
     bodies: dict[int, tuple] = {}  # chunk number -> (its lines, the workspace it takes or "")
     workspaces = {}
     for mode in MODE_ORDER:
-        own = [cid for cid, piece in enumerate(pieces) if piece[1] == mode]
-        lines, uses, size = _workspace([pieces[cid][2] for cid in own], temp, ws)
-        bodies.update(zip(own, zip(lines, (ws if use else "" for use in uses))))
+        own = [cid for cid, piece in enumerate(pieces) if piece[0] == mode]
+        lines, takes, size = _workspace([pieces[cid][1] for cid in own], temp, ws)
+        bodies.update(zip(own, zip(lines, takes)))
         if size:
             workspaces[mode] = f"{ws}[{size}]"
-    texts = [list(head) for _ in groups]
+    texts = []
     chunks: dict[str, list] = {m: [] for m in MODE_ORDER}
-    for cid, (fi, mode, piece) in enumerate(pieces):
-        body, takes = bodies[cid]
-        chunks[mode].append((cid, takes))
-        lines = texts[fi]
-        lines += [f"void {stem}_chunk_{cid}({_chunk_params(takes)})", "{"]
-        mask = 0
-        if takes:  # a root's slots that it reads through the workspace are not read here
-            for word in set(_WORD(" ".join(body))):
-                mask |= local_bits.get(word, 0)
-        else:
-            for st in piece:
-                mask |= st.params
-        decls = _param_decls(layout, names, mask)
-        lines += [*decls, ""] if decls else ["    (void) vals;"]
-        lines += [f"    {line}" for line in body]
-        lines += ["}", ""]
-    return ["\n".join(lines) for lines in texts], chunks, workspaces, len(statements)
+    numbers = itertools.count()
+    for file in files:
+        lines = list(head)
+        for mode, piece in file:
+            cid = next(numbers)
+            body, takes = bodies.pop(cid)
+            chunks[mode].append((cid, takes))
+            lines += [f"void {stem}_chunk_{cid}({_chunk_params(takes)})", "{"]
+            mask = 0
+            if takes:  # a root's slots that it reads through the workspace are not read here
+                for word in set(_WORD(" ".join(body))):
+                    mask |= local_bits.get(word, 0)
+            else:
+                for st in piece:
+                    mask |= st.params
+            decls = _param_decls(layout, names, mask)
+            lines += [*decls, ""] if decls else ["    (void) vals;"]
+            lines += [f"    {line}" for line in body]
+            lines += ["}", ""]
+        texts.append("\n".join(lines))
+    return texts, chunks, workspaces, len(statements)
 
 
 def _chunk_params(ws: str) -> str:
@@ -445,8 +449,8 @@ def _workspace_name(names: dict) -> str:
 
 def _workspace(pieces: list, temp: str | None, ws: str) -> tuple:
     """The lines of each of one mode's chunk functions, given their
-    statements in call order, whether each takes the workspace `ws`, and the
-    workspace's size K.
+    statements in call order, the workspace each takes (`ws` or ""), and
+    the workspace's size K.
 
     A temporary that occurs in one function only stays its local.  Any
     other is kept in a slot `ws[j]` of the driver's per-point `double
@@ -456,19 +460,21 @@ def _workspace(pieces: list, temp: str | None, ws: str) -> tuple:
     on a later line, lowest slot first; so K is the largest number of them
     live at one line."""
     lines = [[line for st in piece for line in (*st.temps, st.text)] for piece in pieces]
-    plain = lines, [False] * len(lines), 0
+    plain = lines, [""] * len(lines), 0
     if temp is None or len(pieces) < 2:
         return plain
-    name = temp_pattern(temp)
+    # each line cut at its temporaries: text, number, text, number, ..., text
+    cut = temp_pattern(temp).split
+    cuts = [[cut(line) for line in body] for body in lines]
     home: dict[str, int] = {}  # a temporary's number -> the function it first occurs in
     first: dict[str, int] = {}  # ... -> the line it first occurs on, counted over the mode
     last: dict[str, int] = {}  # ... -> the line it last occurs on
     crossing = set()
     occurs = [set() for _ in lines]  # the temporaries each function reads or writes
     at = 0
-    for f, body in enumerate(lines):
-        for line in body:
-            for k in name.findall(line):
+    for f, body in enumerate(cuts):
+        for parts in body:
+            for k in parts[1::2]:
                 occurs[f].add(k)
                 if k not in home:
                     home[k], first[k] = f, at
@@ -478,26 +484,28 @@ def _workspace(pieces: list, temp: str | None, ws: str) -> tuple:
             at += 1
     if not crossing:
         return plain
-    slot: dict[str, int] = {}
+    slot: dict[str, str] = {}  # a crossing temporary's number -> its spelling `ws[j]`
     free: list[int] = []  # slots free again, a heap
     busy: list[tuple] = []  # (last line, slot) of each slot taken, a heap
     for k in sorted(crossing, key=first.get):
         while busy and busy[0][0] < first[k]:
             heapq.heappush(free, heapq.heappop(busy)[1])
-        slot[k] = heapq.heappop(free) if free else len(busy)  # no slot free: all are busy
-        heapq.heappush(busy, (last[k], slot[k]))
-
-    def spell(m: re.Match) -> str:
-        j = slot.get(m.group(1))
-        return m.group(0) if j is None else f"{ws}[{j}]"
-
+        j = heapq.heappop(free) if free else len(busy)  # no slot free: all are busy
+        heapq.heappush(busy, (last[k], j))
+        slot[k] = f"{ws}[{j}]"
     stores = (f"const double {ws}[", f"double {ws}[")
-    spelled = []
-    for body in lines:
-        body = [name.sub(spell, line) for line in body]
-        spelled.append([line.removeprefix("const ").removeprefix("double ")
-                        if line.startswith(stores) else line for line in body])
-    return spelled, [not crossing.isdisjoint(ks) for ks in occurs], len(free) + len(busy)
+    spelled = [list(body) for body in lines]
+    for body, parts_of in zip(spelled, cuts):
+        for i, parts in enumerate(parts_of):
+            if crossing.isdisjoint(parts[1::2]):
+                continue
+            parts[1::2] = [slot.get(k) or temp + k for k in parts[1::2]]
+            line = "".join(parts)
+            if line.startswith(stores):  # a slot's declaration is a plain store
+                line = line.removeprefix("const ").removeprefix("double ")
+            body[i] = line
+    takes = ["" if crossing.isdisjoint(ks) else ws for ks in occurs]
+    return spelled, takes, len(free) + len(busy)
 
 
 def _element_part(bundles: tuple, cfg: EmitConfig, loops: ElementLoops, n: int, stem: str,
