@@ -131,7 +131,8 @@ def _run_pipeline(args) -> int:
         # the element path unrolls only for --dump-slp
         program = unroll(ir) if loops is None or args.dump_slp else None
         form = program if loops is None else loops
-        vars_ = VarIndexMap.from_names(program, args.vars) if loops is None else loops.vars_
+        vars_ = loops.vars_ if loops is not None else \
+            VarIndexMap.from_names(program, args.vars, {p.name for p in ir.params})
         cap = _node_cap()  # once per run: it may warn
         if loops is None:
             bundle = derive_bundle(

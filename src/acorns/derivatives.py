@@ -95,10 +95,16 @@ class VarIndexMap(Record):
         return len(self.labels)
 
     @classmethod
-    def from_names(cls, program: StraightLineProgram, names) -> "VarIndexMap":
+    def from_names(cls, program: StraightLineProgram, names, params=()) -> "VarIndexMap":
+        """The input slots of the parameters `names`, each parameter's
+        row-major.  A name with no slots raises: as a parameter that is
+        never read where it is among `params`, the function's parameters'
+        names, else as no parameter."""
         labels: list[str] = []
         for name in names:
             if name not in program.param_slots:
+                if name in params:
+                    raise AcornsError(f"--vars name {name!r} is a parameter that is never read")
                 raise AcornsError(f"--vars name {name!r} is not an input parameter")
             labels.extend(s.label for s in program.param_slots[name])
         if len(set(labels)) != len(labels):

@@ -26,16 +26,21 @@ command line and `verify`: only a simplified run without a Hessian takes
 this path; `--no-simplify` and every `--mode` with `hessian` are
 unrolled, whatever the input.
 
-A body's program has one input slot per distinct `(parameter, index
-expressions)` read, one per maximal integer-typed subexpression over the
-counters that meets a `double` (`(t + 1)` in `0.001 * (t + 1)`), and one,
-named like `E`, for `E`'s value before the iteration.  A read of an
-element of a differentiated parameter is a differentiation variable.
-The body folds its integers by the unroller's `flatten.fold` over the
-`int` locals, each maximal integer-typed subexpression (`flatten.int_typed`)
-and each index: one that reads no counter becomes the constant the
-unroller prints (`1` for a true comparison), and one that does, its parts
-that read none folded, is an integer expression over the counters.
+A body's program is what the unroller's one statement runner
+(`flatten._Unroller`) makes of one run of the body with the nest's
+counters symbolic, bound to integers but with no value.  It has one
+input slot per distinct `(parameter, index expressions)` read, one per
+maximal integer-typed subexpression over the counters that meets a
+`double` (`(t + 1)` in `0.001 * (t + 1)`), and one, named like `E`, for
+`E`'s value before the iteration.  A read of an element of a
+differentiated parameter is a differentiation variable.  The run folds
+integers as unrolling does, over the `int` locals (`flatten.fold`): each
+maximal integer-typed subexpression (`flatten.int_typed`) and each index
+that reads no counter becomes the constant the unroller prints (`1` for a
+true comparison), and one that does, its parts that read none folded, is
+an integer expression over the counters.  The runner refuses what has no
+form over symbolic counters (`flatten.Refused`): a write to a parameter or
+a counter, and `E` read outside its accumulation.
 
 The function is not unrolled.  One walk over each nest's iteration space
 (`_Recogniser.walk`, over the iterations `flatten.iterations` yields, the
@@ -64,37 +69,18 @@ import math
 from functools import cached_property
 
 from . import flatten
-from .cast import (
-    ArrayRef,
-    Assignment,
-    Binary,
-    Constant,
-    Declaration,
-    Expr,
-    ForLoop,
-    FunctionIR,
-    Return,
-    Var,
-    children,
-    const,
-    operands,
-    post_order,
-    rebuild,
-    to_source,
-)
+from .cast import Assignment, Binary, Declaration, Expr, ForLoop, FunctionIR, Return, const
 from .derivatives import VarIndexMap, layout_slots
-from .errors import BoundExplosion, NotConstant
+from .errors import BoundExplosion, NotConstant, UnsupportedConstruct
 from .flatten import (
     InputSlot,
-    SlotTable,
+    Refused,
     StraightLineProgram,
     const_order,
     eval_const,
     eval_consts,
     fold,
     input_slots,
-    int_expr,
-    int_typed,
     iterations,
     loop_heads,
     param_slots,
@@ -141,10 +127,6 @@ class ElementLoops(Record):
         return param_slots(self.inputs)
 
 
-class _Unrolled(Exception):
-    """The function is not on the element path."""
-
-
 def element_path(ir: FunctionIR, names, simplified: bool, modes) -> ElementLoops | None:
     """The element form that generating `modes` emits, and `verify` in the
     mode `modes` holds scores, or None where both unroll `ir`: a run
@@ -158,28 +140,25 @@ def element_path(ir: FunctionIR, names, simplified: bool, modes) -> ElementLoops
 def element_loops(ir: FunctionIR, names) -> ElementLoops | None:
     """The element form of `ir` with the parameters `names` differentiated,
     or None when it must be unrolled (see the module docstring).  A name
-    that is no parameter, or a repeated one, raises as
+    with no input slot, or a repeated one, raises as
     `VarIndexMap.from_names` does."""
     rec = _Recogniser(ir)
     try:
         rec.run()
         inputs = input_slots(rec.reach, flatten.DEFAULT_ASSIGN_CAP)
-    except (_Unrolled, NotConstant, BoundExplosion):  # not this path, or a fault unroll reports
+    # not this path, or a fault unroll reports
+    except (Refused, NotConstant, UnsupportedConstruct, BoundExplosion):
         return None
     loops = ElementLoops(rec.init, (), inputs, None)
-    vars_ = VarIndexMap.from_names(loops, names)
+    vars_ = VarIndexMap.from_names(loops, names, {p.name for p in ir.params})
     try:
         return loops.replace(nests=rec.nests(loops, vars_), vars_=vars_)
-    except _Unrolled:
+    except Refused:
         return None
 
 
 def _no_read(node: Expr, env: dict, indices):
-    raise _Unrolled  # E's initial value reads a name
-
-
-def _counter(node: Var, env: dict, indices) -> Var:
-    return node  # a counter, the one name an integer-typed node reads that is not an `int` local
+    raise Refused  # E's initial value reads a name
 
 
 class _Recogniser:
@@ -192,14 +171,14 @@ class _Recogniser:
         # each parameter's extents, as `flatten._Unroller` widens them
         self.reach = {p.name: [n or 0 for n in p.extents] for p in ir.params}
         self.assigns = 0  # the unrolled program's assignments so far
-        self.bodies: list = []  # (program, _Body, loops, start) of each nest
+        self.bodies: list = []  # (program, reads, ints, loops, start) of each nest
 
     def run(self):
         """Recognise the function's shape and walk its nests (`walk`)."""
         for s in self.ir.body:
             if isinstance(s, Declaration) and s.elem_type == "int" and not s.extents:
                 if s.init is None:
-                    raise _Unrolled
+                    raise Refused
                 self.int_locals[s.name] = to_int(eval_const(s.init, self.int_locals), s.init)
             elif (isinstance(s, Declaration) and s.name == self.energy and self.init is None
                     and s.elem_type == "double" and not s.extents and s.init is not None):
@@ -208,26 +187,40 @@ class _Recogniser:
             elif isinstance(s, ForLoop) and self.init is not None:
                 self.bodies.append(self.nest(s))
             elif not isinstance(s, Return):
-                raise _Unrolled
+                raise Refused
         if not self.bodies:
-            raise _Unrolled
+            raise Refused
 
     def nest(self, loop: ForLoop) -> tuple:
+        """A nest's innermost body, run once by the unroller over its
+        counters (`flatten._Unroller`), and walked."""
         loops = [loop]
         while len(loops[-1].body) == 1 and isinstance(loops[-1].body[0], ForLoop):
             loops.append(loops[-1].body[0])
-        body = _Body(self, {lp.counter for lp in loops})
-        for s in loops[-1].body:
-            body.statement(s)
-        program = body.program()
+        body = loops[-1].body
+        if not all(isinstance(s, Assignment) or isinstance(s, Declaration)
+                   and s.elem_type == "double" and not s.extents for s in body):
+            raise Refused
+        counters = frozenset(lp.counter for lp in loops)
+        run = flatten._Unroller(self.ir, flatten.DEFAULT_ASSIGN_CAP, counters)
+        run.run_block(body, dict(self.int_locals))
+        output = run.table.live[self.energy]
+        if output == self.energy:  # no accumulation
+            raise Refused
+        energy = InputSlot(self.energy, (), self.energy)
+        program = StraightLineProgram(
+            (energy, *(InputSlot(param or label, (), label) for label, param, _ in run.inputs)),
+            tuple(run.table.assigns), output)
+        reads = [(label, param, key) for label, param, key in run.inputs if param is not None]
+        ints = [(label, key) for label, param, key in run.inputs if param is None]
         start = dict(self.int_locals)
-        self.walk(loops, start, body, len(program.assigns))
-        return program, body, tuple(loops), start
+        self.walk(loops, start, reads, ints, len(program.assigns))
+        return program, reads, ints, tuple(loops), start
 
-    def walk(self, loops: list, start: dict, body: "_Body", per_iteration: int):
+    def walk(self, loops: list, start: dict, reads: list, ints: list, per_iteration: int):
         """In each iteration of the nest `loops`, entered with the `int`
-        locals `start`, evaluate the body's reads' indices and its integer
-        slots, then widen `reach` by the indices; raise _Unrolled,
+        locals `start`, evaluate the indices of the body's `reads` and its
+        integer slots `ints`, then widen `reach` by the indices; raise Refused,
         NotConstant on a division by zero, or BoundExplosion, where
         unrolling would fail: an index out of range, or more than
         `flatten.DEFAULT_ASSIGN_CAP` assignments or loop iterations.  The
@@ -236,14 +229,14 @@ class _Recogniser:
         cap = flatten.DEFAULT_ASSIGN_CAP
         # each read's parameter and the least and largest value of each index
         boxes = [(name, [[math.inf, -math.inf] for _ in indices])
-                 for _, name, indices in body.reads]
+                 for _, name, indices in reads]
         dims = [box for _, read in boxes for box in read]
-        exprs = [ix for _, _, indices in body.reads for ix in indices]
-        order = const_order(*exprs, *(e for _, e in body.ints))
+        exprs = [ix for _, _, indices in reads for ix in indices]
+        order = const_order(*exprs, *(e for _, e in ints))
         for env in iterations(loop_heads(loops), dict(start), cap):
             self.assigns += per_iteration
             if self.assigns > cap:
-                raise _Unrolled
+                raise Refused
             for v, box in zip(eval_consts(order, env), dims):
                 if v < box[0]:
                     box[0] = v
@@ -255,7 +248,7 @@ class _Recogniser:
                 if lo > hi:  # never read
                     continue
                 if lo < 0 or extents[d] is not None and hi >= extents[d]:
-                    raise _Unrolled
+                    raise Refused
                 reach[d] = max(reach[d], hi + 1)
 
     def nests(self, loops: ElementLoops, vars_: VarIndexMap) -> tuple:
@@ -267,17 +260,12 @@ class _Recogniser:
         shape = {name: (layout[slots[0].label], tuple(ix + 1 for ix in slots[-1].indices))
                  for name, slots in loops.param_slots.items()}
         nests = []
-        for program, body, source_loops, start in self.bodies:
-            reads = tuple((label, _flat(shape, name, indices))
-                          for label, name, indices in body.reads)
-            var_labels = tuple(label for label, name, _ in body.reads if name in var_params)
-            nests.append(ElementNest(program, VarIndexMap(var_labels), source_loops, start, reads,
-                                     tuple(body.ints)))
+        for program, reads, ints, source_loops, start in self.bodies:
+            var_labels = tuple(label for label, name, _ in reads if name in var_params)
+            nests.append(ElementNest(program, VarIndexMap(var_labels), source_loops, start,
+                                     tuple((label, _flat(shape, name, indices))
+                                           for label, name, indices in reads), tuple(ints)))
         return tuple(nests)
-
-
-def _is_var(e: Expr, name: str) -> bool:
-    return isinstance(e, Var) and e.name == name
 
 
 def _flat(shape: dict, name: str, indices: tuple) -> Expr:
@@ -285,7 +273,7 @@ def _flat(shape: dict, name: str, indices: tuple) -> Expr:
     parameter's first slot."""
     got = shape.get(name)
     if got is None:
-        raise _Unrolled  # a parameter no executed iteration read
+        raise Refused  # a parameter no executed iteration read
     base, extents = got
     terms = []
     stride = 1
@@ -298,121 +286,3 @@ def _flat(shape: dict, name: str, indices: tuple) -> Expr:
     for t in reversed(terms[:-1]):
         flat = Binary("+", flat, t)
     return flat
-
-
-class _Body:
-    """One iteration of a nest's innermost body, built as a program by the
-    unroller's slot table (`flatten.SlotTable`)."""
-
-    def __init__(self, rec: _Recogniser, counters: set):
-        self.rec = rec
-        self.bound = counters | set(rec.int_locals)  # the names bound to integers
-        energy = rec.energy
-        self.slots: dict = {}  # (param, index expressions) or an integer expression -> label
-        self.inputs = [InputSlot(energy, (), energy)]
-        self.ints: list = []  # (label, integer expression) of each integer slot, in slot order
-        self.reads: list = []  # (label, parameter, index expressions) of each read, in slot order
-        self.table = SlotTable(flatten.DEFAULT_ASSIGN_CAP)
-        self.table.live[energy] = energy
-        self.locals: set = set()
-
-    # -- statements ----------------------------------------------------------
-
-    def statement(self, s):
-        energy = self.rec.energy
-        if isinstance(s, Declaration) and s.elem_type == "double" and not s.extents:
-            self.locals.add(s.name)
-            self.table.unassign([s.name])
-            if s.init is not None:
-                self.table.emit(s.name, self.rewrite(s.init), True)
-        elif isinstance(s, Assignment) and isinstance(s.lvalue, Var):
-            name, rhs = s.lvalue.name, s.rhs
-            if name == energy:  # E = E + a - b ..., a left spine of sums down to E
-                spine = []
-                while isinstance(rhs, Binary) and rhs.op in ("+", "-"):
-                    spine.append(rhs)
-                    rhs = rhs.lhs
-                if not (spine and _is_var(rhs, energy)):
-                    raise _Unrolled
-                value = Var(self.table.live[energy])
-                for node in reversed(spine):
-                    value = Binary(node.op, value, self.rewrite(node.rhs))
-                self.table.emit(energy, value)
-            elif name in self.locals:
-                self.table.emit(name, self.rewrite(rhs))
-            else:
-                raise _Unrolled  # a write to a parameter or a counter
-        else:
-            raise _Unrolled
-
-    def program(self) -> StraightLineProgram:
-        output = self.table.live[self.rec.energy]
-        if output == self.rec.energy:  # no accumulation
-            raise _Unrolled
-        return StraightLineProgram(tuple(self.inputs), tuple(self.table.assigns), output)
-
-    # -- expressions ---------------------------------------------------------
-
-    def rewrite(self, e: Expr) -> Expr:
-        """`e` over the body's slots.  A maximal integer-typed subexpression
-        (`flatten.int_typed`) is folded by `flatten.fold` over the `int`
-        locals, as the unroller folds it, and so is each index an array
-        read reads."""
-        new: dict[int, Expr] = {}
-        typed: set = set()  # the ids of the integer-typed nodes
-        seen: set = set()
-
-        def value(k: Expr) -> Expr:
-            if id(k) not in typed:
-                return new[id(k)]
-            # a maximal integer-typed node: its value where it reads no
-            # counter, else the slot of it over the counters
-            got = fold(k, self.rec.int_locals, _counter)
-            return got if isinstance(got, Constant) else self.slot(got, got)
-
-        for node in post_order(e, seen, operands):
-            seen.add(id(node))
-            if int_typed(node, typed, self.bound):
-                typed.add(id(node))
-            elif isinstance(node, Var):
-                new[id(node)] = self.var(node)
-            elif isinstance(node, ArrayRef):
-                param = self.rec.params.get(node.base)
-                if param is None or len(node.indices) != param.rank or \
-                        not all(int_expr(ix, self.bound) for ix in node.indices):
-                    raise _Unrolled  # a local array, an index of the wrong rank or not integer
-                indices = tuple(fold(ix, self.rec.int_locals, _counter) for ix in node.indices)
-                new[id(node)] = self.slot((node.base, indices), node.base)
-            else:
-                new[id(node)] = rebuild(node, {id(k): value(k) for k in children(node)})
-        return value(e)
-
-    def var(self, node: Var) -> Var:
-        name = node.name
-        if name == self.rec.energy:
-            raise _Unrolled  # E read outside its accumulation
-        if name in self.locals:
-            live = self.table.live.get(name)
-            if live is None:
-                raise _Unrolled
-            return Var(live)
-        param = self.rec.params.get(name)
-        if param is None or param.rank:
-            raise _Unrolled  # an array read whole
-        return self.slot((name, ()), name)
-
-    def slot(self, key, param) -> Var:
-        """The input slot of a parameter read `(param, indices)`, or, with
-        `key` an integer expression, of its value as a double."""
-        label = self.slots.get(key)
-        if label is None:
-            if isinstance(key, tuple):
-                name, indices = key
-                label = name + "".join(f"[{to_source(ix)}]" for ix in indices)
-                self.reads.append((label, name, indices))
-            else:
-                label = to_source(key)
-                self.ints.append((label, key))
-            self.slots[key] = label
-            self.inputs.append(InputSlot(param, (), label))
-        return Var(label)

@@ -8,13 +8,16 @@ assigned more than once get one versioned slot per definition
 Expression leaves in the straight-line program are ``Var`` nodes naming
 either an input slot or an earlier versioned target.
 
-One slot table (`SlotTable`) owns the versions, each source label's live
-slot and the assignments, for the unroller and for the element path's
-body (`elements._Body`), and every read resolves through it: a scalar or
-an array element reads the slot its last assignment wrote, and a
-parameter element that no assignment has written yet reads its input
-slot.  Every index is a constant checked against its array's rank and
-declared extents.  A program's input slots, grouped by parameter, are
+One statement runner (`_Unroller`) runs the function's statements, and
+the element path's loop bodies (`elements`), into one slot table
+(`SlotTable`), which owns the versions, each source label's live slot and
+the assignments; every read resolves through it: a scalar or an array
+element reads the slot its last assignment wrote, and a parameter element
+that no assignment has written yet reads its input slot.  Every index is a
+constant checked against its array's rank and declared extents, except in
+a loop body run once over symbolic counters, loop counters that have no
+value, where a parameter element keeps its index expressions.  A
+program's input slots, grouped by parameter, are
 `StraightLineProgram.param_slots`; `input_slots` counts them, then lays
 them out from each parameter's reach, for the unroller and for the
 element path (`elements.element_loops`), which does not unroll.
@@ -232,9 +235,8 @@ def int_typed(node: Expr, typed, bound) -> bool:
     computes such a subexpression in integers, dividing with truncation,
     and converts the result where a `double` operand or argument meets
     it: `x * (1 / 2)` is `x * 0`.  The one rule for `fold_plan`, and so
-    for the unroller, `verify.run_ir` and the element path's body
-    (`elements._Body`), and, by `int_expr`, for the parser's constant
-    checks.
+    for the unroller, its runs over symbolic counters and `verify.run_ir`,
+    and, by `int_expr`, for the parser's constant checks.
     """
     if isinstance(node, Constant):
         return is_integer_literal(node.text)
@@ -251,8 +253,8 @@ def int_expr(e: Expr, bound) -> bool:
     """Whether every node of `e` is integer-typed (`int_typed`) where the
     names in `bound` are bound to integers: whether `e` is a compile-time
     integer there.  The parser asks it of loop headers, conditions, array
-    extents and `int` initializers, and the element path's body of each
-    index it reads."""
+    extents and `int` initializers, and the unroller of each index it
+    folds over symbolic counters."""
     typed: set = set()
     for node in post_order(e, typed, operands):
         if not int_typed(node, typed, bound):
@@ -425,7 +427,7 @@ def iterations(heads: tuple, env: dict, cap: int):
 
 
 # the kinds of a fold plan's actions
-_INT, _READ, _BINARY, _UNARY, _CALL = range(5)
+_INT, _READ, _BINARY, _UNARY, _CALL, _SYMBOL = range(6)
 
 
 class FoldPlan(Record):
@@ -438,8 +440,10 @@ class FoldPlan(Record):
     b)`, making `values[k]`: `_INT` folds an integer-typed `node` by the
     step list `a`; `_READ` reads a variable or an array element, `a` being
     the step list of its indices; `_BINARY`, `_UNARY` and `_CALL` rebuild
-    `node` over the operands at `a` and `b`, or at the positions `a`.
-    `root` is the expression's place.
+    `node` over the operands at `a` and `b`, or at the positions `a`; and
+    `_SYMBOL` stands for an array element, or an integer-typed node that
+    reads a symbolic counter, in a plan over symbolic counters.  `root` is
+    the expression's place.
     """
 
     __slots__ = ("values", "actions", "root")
@@ -448,40 +452,61 @@ class FoldPlan(Record):
         super().__init__(values, actions, root)
 
 
-def fold_plan(e: Expr, bound) -> FoldPlan:
+def fold_plan(e: Expr, bound, symbolic=frozenset()) -> FoldPlan:
     """The fold plan of `e` where the names in `bound` are bound to
-    integers (`fold`).  A caller that folds `e` many times keys the plan on
-    `e` alone, as the unroller does: binding is lexical and
-    `parser._check_scopes` rejects every declaration that shadows or
-    redeclares a visible name, so the names bound to integers where `e`
-    stands are the same each time it is reached."""
+    integers (`fold`), and those in `symbolic` are too but have no value
+    (`_Unroller`).  In a plan over symbolic counters, every array element,
+    and each integer-typed node that reads a symbolic counter and is not
+    part of a larger one, is a `_SYMBOL` action, the latter placed just
+    before its parent's action, after every read its parent's operands
+    make.  A caller that folds `e` many times keys the plan on `e` alone,
+    as the unroller does: binding is lexical and `parser._check_scopes`
+    rejects every declaration that shadows or redeclares a visible name, so
+    the names bound to integers where `e` stands are the same each time it
+    is reached."""
+    names = {*bound, *symbolic} if symbolic else bound
     at: dict[int, int] = {}  # id(node) -> its place
     typed: set = set()  # ids of the integer-typed nodes
+    reads_symbol: set = set()  # ids of the integer-typed nodes that read a symbolic counter
     folds: dict = {}  # id(node) -> the index in `actions` of an integer-typed node's fold
     values: list = []
     actions: list = []  # a fold stays None where its node is part of a larger one
+
+    def fold_action(kid: Expr) -> tuple:
+        if id(kid) in reads_symbol:
+            return (_SYMBOL, at[id(kid)], kid, None, None)
+        return (_INT, at[id(kid)], kid, const_order(kid), None)
+
     for node in post_order(e, at, operands):
         k = at[id(node)] = len(values)
         if isinstance(node, Constant):  # a literal stays as it is spelled
             values.append(node)
-            if int_typed(node, typed, bound):
+            if int_typed(node, typed, names):
                 typed.add(id(node))
             continue
         values.append(None)
-        if int_typed(node, typed, bound):
+        if int_typed(node, typed, names):
             typed.add(id(node))
+            if symbolic and (node.name in symbolic if isinstance(node, Var)
+                             else any(id(kid) in reads_symbol for kid in operands(node))):
+                reads_symbol.add(id(node))
             folds[id(node)] = len(actions)
             actions.append(None)
             continue
         if folds:
-            for kid in operands(node):  # an integer-typed operand is not part of a larger one
+            # an integer-typed operand is not part of a larger one; left to
+            # right, as a symbolic one's input slot is made in that order
+            for kid in reversed(operands(node)):
                 got = folds.get(id(kid))
-                if got is not None:
-                    actions[got] = (_INT, at[id(kid)], kid, const_order(kid), None)
+                if got is not None and id(kid) in reads_symbol:
+                    actions.append(fold_action(kid))
+                elif got is not None:
+                    actions[got] = fold_action(kid)
         if isinstance(node, Var):
             actions.append((_READ, k, node, None, None))
         elif isinstance(node, ArrayRef):
-            actions.append((_READ, k, node, const_order(*node.indices), None))
+            actions.append((_SYMBOL, k, node, None, None) if symbolic else
+                           (_READ, k, node, const_order(*node.indices), None))
         elif isinstance(node, Binary):
             actions.append((_BINARY, k, node, at[id(node.lhs)], at[id(node.rhs)]))
         elif isinstance(node, Unary):
@@ -490,17 +515,18 @@ def fold_plan(e: Expr, bound) -> FoldPlan:
             actions.append((_CALL, k, node, tuple(at[id(a)] for a in node.args), None))
     got = folds.get(id(e))
     if got is not None:
-        actions[got] = (_INT, at[id(e)], e, const_order(e), None)
+        actions[got] = fold_action(e)
     return FoldPlan(values, [a for a in actions if a is not None], at[id(e)])
 
 
-def run_fold(plan: FoldPlan, env: dict, read) -> Expr:
+def run_fold(plan: FoldPlan, env: dict, read, symbol=None) -> Expr:
     """The expression `plan` folds over the bindings `env`: each
     integer-typed node that is not part of a larger one folded to the
     constant C computes for it, an integer literal staying as it is
-    spelled, and each other variable or array element replaced by
+    spelled, each other variable or array element replaced by
     `read(node, env, indices)`, `indices` being the step list of an array
-    element's indices and None for a variable."""
+    element's indices and None for a variable, and, in a plan over
+    symbolic counters, each `_SYMBOL` node by `symbol(node, env)`."""
     values = plan.values.copy()
     for kind, k, node, a, b in plan.actions:
         if kind == _BINARY:
@@ -511,8 +537,10 @@ def run_fold(plan: FoldPlan, env: dict, read) -> Expr:
             values[k] = const(float(_value(a, env)))
         elif kind == _UNARY:
             values[k] = Unary(node.op, values[a], node.span)
-        else:
+        elif kind == _CALL:
             values[k] = Call(node.name, tuple([values[i] for i in a]), node.span)
+        else:
+            values[k] = symbol(node, env)
     return values[plan.root]
 
 
@@ -531,8 +559,7 @@ class SlotTable:
     label's live slot, and the assignments so far.  An assignment to a
     label writes the label's next version, `label@1`, `label@2`, ..., and
     makes it live, so a read of the label resolves to the last write before
-    it.  The unroller and the element path's body (`elements._Body`) build
-    their programs by it."""
+    it.  The unroller builds its programs by it."""
 
     def __init__(self, cap: int):
         self.cap = cap  # the most assignments
@@ -557,20 +584,52 @@ class SlotTable:
         self.live[label] = target
 
 
+class Refused(Exception):
+    """A run over symbolic counters (`_Unroller`) reached what has no form
+    over them: a local array indexed by a symbolic counter, a write to a
+    parameter or a counter, or the energy variable read outside its
+    accumulation."""
+
+
+def _unbound(node: Expr, env: dict, indices) -> Expr:
+    return node  # a name the fold leaves: a symbolic counter, or what makes no integer expression
+
+
 class _Unroller:
-    def __init__(self, ir: FunctionIR, cap: int):
+    """The statement runner: runs a function's statements into a slot
+    table (`SlotTable`).
+
+    A counter in `symbolic` is bound to integers but has no value, as a
+    loop counter does where a loop body is run once for every iteration
+    (`elements`).  Then the energy variable's value before the run is an
+    input slot, read only as the first operand of its own accumulation
+    (`accumulate`), parameters are only read, and every parameter element,
+    and each integer-typed node that reads a symbolic counter and is not
+    part of a larger one (`fold_plan`), is an input slot (`symbol`): an
+    element keeps its index expressions and an integer-typed node its
+    expression, each folded over the counters (`fold`).  `inputs` holds
+    each input slot in the order first read; anything else that has no
+    form over the counters raises Refused.
+    """
+
+    def __init__(self, ir: FunctionIR, cap: int, symbolic=frozenset()):
         self.table = SlotTable(cap)
         self.arrays: dict[str, tuple] = {}  # array -> extents, None where undeclared
         self.reach: dict[str, list] = {}  # parameter -> the extents of its input slots
         # id(node) -> what is compiled for it (`compiled`); the function's
         # nodes outlive the unroller
         self.forms: dict[int, object] = {}
+        self.symbolic = symbolic
+        self.energy = ir.energy_var if symbolic else None
+        # with symbolic counters, each input slot's (label, parameter, key),
+        # the parameter None and the key its expression for an integer slot
+        self.inputs: list = []
+        if symbolic:
+            self.table.live[self.energy] = self.energy
         for p in ir.params:
             self.reach[p.name] = [n or 0 for n in p.extents]
             if p.rank:
                 self.arrays[p.name] = p.extents
-            else:
-                self.table.live[p.name] = p.name
 
     def element(self, ref: ArrayRef, env: dict, indices: ConstOrder) -> str:
         """The label of the element `ref` names, its indices, which
@@ -610,15 +669,64 @@ class _Unroller:
 
     def rewrite(self, e: Expr, env: dict) -> Expr:
         """`e` over live slots, its integer-typed subexpressions folded."""
-        return run_fold(self.compiled(e, fold_plan, e, env), env, self.read)
+        plan = self.compiled(e, fold_plan, e, env, self.symbolic)
+        return run_fold(plan, env, self.read, self.symbol)
 
     def read(self, e: Expr, env: dict, indices: ConstOrder | None) -> Var:
-        """The live slot a variable or an array element reads."""
+        """The live slot a variable or an array element reads.  A scalar
+        parameter, whose reach is `[]`, enters the slot table as its input
+        slot when first read."""
         label = e.name if indices is None else self.element(e, env, indices)
         live = self.table.live.get(label)
         if live is None:
-            raise NotConstant(e.span, f"{label!r} used before assignment")
+            if self.reach.get(label) != []:
+                raise NotConstant(e.span, f"{label!r} used before assignment")
+            live = self.enter(label, label, ())
+        elif label == self.energy:
+            raise Refused  # the energy variable read outside its accumulation
         return Var(live)
+
+    def symbol(self, node: Expr, env: dict) -> Var:
+        """The input slot of an array element, or of an integer-typed node
+        that reads a symbolic counter, in a run over symbolic counters; a
+        local array's element is read where no index reads one."""
+        if not isinstance(node, ArrayRef):
+            key = fold(node, env, _unbound)
+            label, param = to_source(key), None
+        else:
+            key = tuple(fold(ix, env, _unbound) for ix in node.indices)
+            if node.base not in self.reach:  # a local array
+                if not all(isinstance(ix, Constant) for ix in key):
+                    raise Refused
+                return self.read(node, env, const_order(*node.indices))
+            if len(key) != len(self.arrays.get(node.base, ())) or \
+                    not all(int_expr(ix, self.symbolic) for ix in key):
+                raise Refused  # an index of the wrong rank, or not an integer
+            label, param = node.base + "".join(f"[{to_source(ix)}]" for ix in key), node.base
+        return Var(self.table.live.get(label) or self.enter(label, param, key))
+
+    def enter(self, label: str, param: str | None, key) -> str:
+        """Make `label` an input slot, of the parameter `param`, read first
+        here."""
+        self.table.live[label] = label
+        if self.symbolic:
+            self.inputs.append((label, param, key))
+        return label
+
+    def accumulate(self, rhs: Expr, env: dict) -> Expr:
+        """`rhs` of the energy variable `E`'s accumulation `E = E + a - b
+        ...`, a left spine of sums down to `E`, over live slots; `E` is read
+        nowhere else in a run over symbolic counters."""
+        spine = []
+        while isinstance(rhs, Binary) and rhs.op in ("+", "-"):
+            spine.append(rhs)
+            rhs = rhs.lhs
+        if not (spine and isinstance(rhs, Var) and rhs.name == self.energy):
+            raise Refused
+        value = Var(self.table.live[self.energy])
+        for node in reversed(spine):
+            value = Binary(node.op, value, self.rewrite(node.rhs, env))
+        return value
 
     # -- statement execution -------------------------------------------------
 
@@ -644,12 +752,15 @@ class _Unroller:
             elif s.init is not None:
                 self.table.emit(s.name, self.rewrite(s.init, env), from_decl=True)
         elif isinstance(s, Assignment):
-            rhs = self.rewrite(s.rhs, env)
             lv = s.lvalue
+            name = lv.name if isinstance(lv, Var) else lv.base
+            if self.symbolic and (name in self.symbolic or name in self.reach):
+                raise Refused  # a write to a counter or a parameter
+            rhs = self.accumulate(s.rhs, env) if name == self.energy else self.rewrite(s.rhs, env)
             if isinstance(lv, Var):
-                if lv.name in env:
+                if name in env:
                     raise UnsupportedConstruct(lv.span, "assignment to a loop counter")
-                self.table.emit(lv.name, rhs)
+                self.table.emit(name, rhs)
             else:
                 indices = self.compiled(lv, const_order, *lv.indices)
                 self.table.emit(self.element(lv, env, indices), rhs)

@@ -317,10 +317,11 @@ class _Parser:
         return stmt
 
     def assignment_core(self) -> Stmt:
+        prefix = self.accept("++") or self.accept("--")  # `++x`, as `x++`
         lv = self.postfix()
         if not isinstance(lv, (Var, ArrayRef)):
             raise ParseError(self.peek().span, "assignment target must be a variable or array element")
-        tok = self.next()
+        tok = prefix or self.next()
         if tok.kind == "=":
             return Assignment(lv, self.expr(), span=tok.span)
         if tok.kind in ("+=", "-=", "*="):
@@ -355,10 +356,11 @@ class _Parser:
         return ForLoop(counter_tok.text, init, cond, update, tuple(body), span=for_tok.span)
 
     def for_update(self, counter: str) -> Expr:
+        prefix = self.accept("++") or self.accept("--")  # `++x`, as `x++`
         name_tok = self.expect("ident", "loop counter in update")
         if name_tok.text != counter:
             raise ParseError(name_tok.span, f"loop update must modify the counter {counter!r}")
-        tok = self.next()
+        tok = prefix or self.next()
         cvar = Var(counter, span=name_tok.span)
         if tok.kind == "++":
             return Binary("+", cvar, const(1.0, "1"), span=tok.span)

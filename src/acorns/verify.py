@@ -220,7 +220,7 @@ def corpus_program(fn: CorpusFunction):
     if violations:
         raise SubsetViolations(fn.name, violations)
     program = unroll(ir)
-    vars_ = VarIndexMap.from_names(program, fn.var_names)
+    vars_ = VarIndexMap.from_names(program, fn.var_names, {p.name for p in ir.params})
     return ir, program, vars_
 
 

@@ -5,7 +5,11 @@ breaks, indentation, blank lines).
 Run as a script, it prints the count of each module under `src/acorns`
 and their total:
 
-    python tests/code_lines.py
+    python tests/code_lines.py [OTHER_SRC]
+
+With `OTHER_SRC`, another tree's `src` (for example that of a checkout of
+the parent commit), it prints each module's count there and here, side by
+side, and both totals; a module one side lacks counts `-` there.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import ast
 import io
 import pathlib
+import sys
 import tokenize
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -44,13 +49,26 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main():
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        n = code_lines(path.read_text())
-        total += n
-        print(f"{path.name:16} {n:5}")
-    print(f"{'total':16} {total:5}")
+def counts(package: pathlib.Path) -> dict:
+    """Each module of `package` -> its code lines."""
+    return {path.name: code_lines(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) > 1:
+        raise SystemExit("usage: python tests/code_lines.py [OTHER_SRC]")
+    here = counts(PACKAGE)
+    if not args:
+        for name, n in here.items():
+            print(f"{name:16} {n:5}")
+        print(f"{'total':16} {sum(here.values()):5}")
+        return
+    other = counts(pathlib.Path(args[0]) / "acorns")
+    print(f"{'':16} {'other':>6} {'here':>6}")
+    for name in sorted(other.keys() | here.keys()):
+        print(f"{name:16} {other.get(name, '-'):>6} {here.get(name, '-'):>6}")
+    print(f"{'total':16} {sum(other.values()):6} {sum(here.values()):6}")
 
 
 if __name__ == "__main__":

@@ -217,6 +217,45 @@ def test_unroll_errors_exit_1_with_a_located_line(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "gen").exists()
 
 
+def test_a_prefix_loop_update_emits_the_bytes_of_the_postfix_one(tmp_path):
+    src = ("double f(const double *x) {{\n    double e = 0;\n"
+           "    for (int i = 0; i < 3; {update}) {{ e = e + x[i] * x[i]; }}\n    return e;\n}}\n")
+    outputs = []
+    for update in ("++i", "i++"):
+        (tmp_path / "f.c").write_text(src.format(update=update))
+        stem = tmp_path / update / "k"
+        assert main([str(tmp_path / "f.c"), "e", "--vars", "x", "--func", "f", "--mode",
+                     "function", "gradient", "--output_filename", str(stem)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(stem.parent.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert b"for (int i0 = 0; i0 < 3; ++i0)" in outputs[0]["k_part0.c"]
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+@pytest.mark.parametrize("body", [
+    "double e = y * y;",
+    "double e = y;\n    for (int i = 0; i < 0; i++) { e = e + x[i]; }",
+], ids=["unread", "zero_trip_loop"])
+def test_a_vars_parameter_never_read_exits_1_naming_it(tmp_path, capsys, monkeypatch, command,
+                                                       body):
+    # `x` has no input slot: it is a parameter, but nothing reads it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.c").write_text(f"double f(const double *x, double y) {{\n    {body}\n"
+                                  "    return e;\n}\n")
+    for name, message in (("x", "is a parameter that is never read"),
+                          ("z", "is not an input parameter")):
+        if command == "generate":
+            rc = main(["f.c", "e", "--vars", name, "y", "--func", "f",
+                       "--output_filename", "gen/d"])
+            prefix = "acorns_autodiff: f.c: "
+        else:
+            rc = main(["verify", "f.c", "--func", "f", "--energy", "e", "--vars", name, "y"])
+            prefix = "acorns_autodiff verify: "
+        assert rc == 1
+        assert capsys.readouterr().err == f"{prefix}--vars name {name!r} {message}\n"
+    assert not (tmp_path / "gen").exists()
+
+
 _INT_OVERFLOW_SRC = """\
 double f(const double *x) {
     double e = 0;

@@ -336,6 +336,10 @@ _FAULTS = {
     "int_counter_out_of_range": (
         _fault("x[0] * u").replace("i++", "i = i + 2147483648"),
         1, "acorns_autodiff: f.c: 3:34: value 2147483648 out of range for int\n"),
+    # a write to a loop counter, which the run over symbolic counters refuses
+    "counter_write": (
+        _FAULT_LOOP.format(decl=" *x", c="i", n=5, body="e = e + x[i] * u; i = i + 1;"),
+        1, "acorns_autodiff: f.c: 4:27: unsupported construct: assignment to a loop counter\n"),
     # past a cap of 50: 1 + 17 * 3 assignments, and a loop of 60 iterations
     "over_the_assignment_cap": (
         _FAULT_LOOP.format(decl=" *x", c="i", n=17,
@@ -403,6 +407,7 @@ _FALLBACKS = {
     "product": ("", "e *= x[i] + u;", _MODES, ()),
     "parameter_write": ("", "x[i] = x[i] * u; e = e + x[i];", _MODES, ()),
     "array_local": ("", "double d[1]; d[0] = x[i]; e = e + d[0];", _MODES, ()),
+    "int_local": ("", "int k = i + 1; e = e + x[i] * k;", _MODES, ()),
     "no_accumulation": ("", "double d = x[i] * u; d = d * d;", _MODES, ()),
     "hessian": ("", "double d = x[i] * u; e = e + d * d;", (*_MODES, "hessian"), ()),
     "no_simplify": ("", "double d = x[i] * u; e = e + d * d;", _MODES, ("--no-simplify",)),

@@ -84,6 +84,18 @@ def test_compound_assignment_desugars():
     assert a2.rhs == Binary("*", Var("e"), Constant("2", 2.0))
 
 
+def test_prefix_increment_and_decrement_parse_as_the_postfix_forms():
+    def body(text):
+        src = f"double f(double d){{ double e = 0; {text} return 0; }}"
+        return parse_source(src, "f", "e").body
+
+    assert body("++d; --d;") == body("d++; d--;")
+    assert body("for (int i = 0; i < 3; ++i) { e = e + d; }") == \
+        body("for (int i = 0; i < 3; i++) { e = e + d; }")
+    assert body("for (int i = 3; i > 0; --i) { e = e + d; }") == \
+        body("for (int i = 3; i > 0; i--) { e = e + d; }")
+
+
 def test_constant_text_preserved():
     ir = parse_source("double f(double x){ double e = x * 0.00001; return 0; }", "f", "e")
     rhs = ir.body[0].init
@@ -101,6 +113,9 @@ def test_constant_text_preserved():
         ("float f(double x){ double e = x; return 0; }", "float"),
         ("double f(double x){ double e = x % 2; return 0; }", "modulo"),
         ("double f(double x){ double e = x * 3 % 2 + 1; return 0; }", "modulo"),
+        ("double f(double x){ double e = x + ++x; return 0; }", "'++'"),
+        ("double f(double x){ double e = 0; for (int i = 0; i < 2; i = --i + 3) {} return 0; }",
+         "'--'"),
     ],
 )
 def test_unsupported_constructs(source, construct):
