@@ -472,11 +472,6 @@ def fold_plan(e: Expr, bound, symbolic=frozenset()) -> FoldPlan:
     values: list = []
     actions: list = []  # a fold stays None where its node is part of a larger one
 
-    def fold_action(kid: Expr) -> tuple:
-        if id(kid) in reads_symbol:
-            return (_SYMBOL, at[id(kid)], kid, None, None)
-        return (_INT, at[id(kid)], kid, const_order(kid), None)
-
     for node in post_order(e, at, operands):
         k = at[id(node)] = len(values)
         if isinstance(node, Constant):  # a literal stays as it is spelled
@@ -498,10 +493,12 @@ def fold_plan(e: Expr, bound, symbolic=frozenset()) -> FoldPlan:
             # right, as a symbolic one's input slot is made in that order
             for kid in reversed(operands(node)):
                 got = folds.get(id(kid))
-                if got is not None and id(kid) in reads_symbol:
-                    actions.append(fold_action(kid))
-                elif got is not None:
-                    actions[got] = fold_action(kid)
+                if got is None:
+                    continue
+                if id(kid) in reads_symbol:
+                    actions.append((_SYMBOL, at[id(kid)], kid, None, None))
+                else:
+                    actions[got] = (_INT, at[id(kid)], kid, const_order(kid), None)
         if isinstance(node, Var):
             actions.append((_READ, k, node, None, None))
         elif isinstance(node, ArrayRef):
@@ -515,7 +512,8 @@ def fold_plan(e: Expr, bound, symbolic=frozenset()) -> FoldPlan:
             actions.append((_CALL, k, node, tuple(at[id(a)] for a in node.args), None))
     got = folds.get(id(e))
     if got is not None:
-        actions[got] = fold_action(e)
+        actions[got] = ((_SYMBOL, at[id(e)], e, None, None) if id(e) in reads_symbol else
+                        (_INT, at[id(e)], e, const_order(e), None))
     return FoldPlan(values, [a for a in actions if a is not None], at[id(e)])
 
 
@@ -586,9 +584,9 @@ class SlotTable:
 
 class Refused(Exception):
     """A run over symbolic counters (`_Unroller`) reached what has no form
-    over them: a local array indexed by a symbolic counter, a write to a
-    parameter or a counter, or the energy variable read outside its
-    accumulation."""
+    over them: an element index of the wrong rank or not an integer, a
+    write to a parameter or a counter, or the energy variable read outside
+    its accumulation."""
 
 
 def _unbound(node: Expr, env: dict, indices) -> Expr:
@@ -630,6 +628,8 @@ class _Unroller:
             self.reach[p.name] = [n or 0 for n in p.extents]
             if p.rank:
                 self.arrays[p.name] = p.extents
+            elif not symbolic:
+                self.table.live[p.name] = p.name
 
     def element(self, ref: ArrayRef, env: dict, indices: ConstOrder) -> str:
         """The label of the element `ref` names, its indices, which
@@ -673,9 +673,10 @@ class _Unroller:
         return run_fold(plan, env, self.read, self.symbol)
 
     def read(self, e: Expr, env: dict, indices: ConstOrder | None) -> Var:
-        """The live slot a variable or an array element reads.  A scalar
-        parameter, whose reach is `[]`, enters the slot table as its input
-        slot when first read."""
+        """The live slot a variable or an array element reads.  In a run
+        over symbolic counters a scalar parameter, whose reach is `[]`,
+        enters the slot table as its input slot when first read, so `inputs`
+        lists it in read order; otherwise each is live from the start."""
         label = e.name if indices is None else self.element(e, env, indices)
         live = self.table.live.get(label)
         if live is None:
@@ -687,18 +688,14 @@ class _Unroller:
         return Var(live)
 
     def symbol(self, node: Expr, env: dict) -> Var:
-        """The input slot of an array element, or of an integer-typed node
-        that reads a symbolic counter, in a run over symbolic counters; a
-        local array's element is read where no index reads one."""
+        """The input slot of a parameter element, or of an integer-typed
+        node that reads a symbolic counter, in a run over symbolic
+        counters."""
         if not isinstance(node, ArrayRef):
             key = fold(node, env, _unbound)
             label, param = to_source(key), None
         else:
             key = tuple(fold(ix, env, _unbound) for ix in node.indices)
-            if node.base not in self.reach:  # a local array
-                if not all(isinstance(ix, Constant) for ix in key):
-                    raise Refused
-                return self.read(node, env, const_order(*node.indices))
             if len(key) != len(self.arrays.get(node.base, ())) or \
                     not all(int_expr(ix, self.symbolic) for ix in key):
                 raise Refused  # an index of the wrong rank, or not an integer
@@ -712,6 +709,14 @@ class _Unroller:
         if self.symbolic:
             self.inputs.append((label, param, key))
         return label
+
+    def assigned(self, lv: Expr, rhs: Expr, env: dict) -> Expr:
+        """`rhs`, assigned to `lv` in a run over symbolic counters, over
+        live slots."""
+        name = lv.name if isinstance(lv, Var) else lv.base
+        if name in self.symbolic or name in self.reach:
+            raise Refused  # a write to a counter or a parameter
+        return self.accumulate(rhs, env) if name == self.energy else self.rewrite(rhs, env)
 
     def accumulate(self, rhs: Expr, env: dict) -> Expr:
         """`rhs` of the energy variable `E`'s accumulation `E = E + a - b
@@ -753,14 +758,11 @@ class _Unroller:
                 self.table.emit(s.name, self.rewrite(s.init, env), from_decl=True)
         elif isinstance(s, Assignment):
             lv = s.lvalue
-            name = lv.name if isinstance(lv, Var) else lv.base
-            if self.symbolic and (name in self.symbolic or name in self.reach):
-                raise Refused  # a write to a counter or a parameter
-            rhs = self.accumulate(s.rhs, env) if name == self.energy else self.rewrite(s.rhs, env)
+            rhs = self.assigned(lv, s.rhs, env) if self.symbolic else self.rewrite(s.rhs, env)
             if isinstance(lv, Var):
-                if name in env:
+                if lv.name in env:
                     raise UnsupportedConstruct(lv.span, "assignment to a loop counter")
-                self.table.emit(name, rhs)
+                self.table.emit(lv.name, rhs)
             else:
                 indices = self.compiled(lv, const_order, *lv.indices)
                 self.table.emit(self.element(lv, env, indices), rhs)

@@ -216,6 +216,18 @@ def test_empty_iteration_space():
     assert len(p.body_assigns) == 0
 
 
+@pytest.mark.parametrize("body", [
+    "for (int i = 0; i < 0; i++) { e = e + x[i]; }",
+    "if (0) { e = e + x[0]; }",
+])
+def test_an_energy_parameter_no_statement_assigns_is_its_input_slot(body):
+    src = f"double f(const double *x, double e) {{ {body} return e; }}"
+    p = unroll(_parse(src))
+    assert p.output == "e"
+    assert [s.label for s in p.inputs] == ["e"]
+    assert p.body_assigns == ()
+
+
 def test_nested_2x3_loop_counter_substitution():
     src = """
     double f(double x) {
