@@ -204,13 +204,13 @@ class _Recogniser:
         counters = frozenset(lp.counter for lp in loops)
         run = flatten._Unroller(self.ir, flatten.DEFAULT_ASSIGN_CAP, counters)
         run.run_block(body, dict(self.int_locals))
-        output = run.table.live[self.energy]
+        output = run.live[self.energy]
         if output == self.energy:  # no accumulation
             raise Refused
         energy = InputSlot(self.energy, (), self.energy)
         program = StraightLineProgram(
             (energy, *(InputSlot(param or label, (), label) for label, param, _ in run.inputs)),
-            tuple(run.table.assigns), output)
+            tuple(run.assigns), output)
         reads = [(label, param, key) for label, param, key in run.inputs if param is not None]
         ints = [(label, key) for label, param, key in run.inputs if param is None]
         start = dict(self.int_locals)

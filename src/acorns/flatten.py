@@ -9,34 +9,36 @@ Expression leaves in the straight-line program are ``Var`` nodes naming
 either an input slot or an earlier versioned target.
 
 One statement runner (`_Unroller`) runs the function's statements, and
-the element path's loop bodies (`elements`), into one slot table
-(`SlotTable`), which owns the versions, each source label's live slot and
-the assignments; every read resolves through it: a scalar or an array
-element reads the slot its last assignment wrote, and a parameter element
-that no assignment has written yet reads its input slot.  Every index is a
-constant checked against its array's rank and declared extents, except in
-a loop body run once over symbolic counters, loop counters that have no
-value, where a parameter element keeps its index expressions.  A
-program's input slots, grouped by parameter, are
-`StraightLineProgram.param_slots`; `input_slots` counts them, then lays
-them out from each parameter's reach, for the unroller and for the
-element path (`elements.element_loops`), which does not unroll.
+the element path's loop bodies (`elements`).  It owns the versions, each
+source label's live slot and the assignments, and every read resolves
+through it: a scalar or an array element reads the slot its last
+assignment wrote, and a parameter element that no assignment has written
+yet reads its input slot.  Every index is a constant checked against its
+array's rank and declared extents, except in a loop body run once over
+symbolic counters, loop counters that have no value, where a parameter
+element keeps its index expressions.  A program's input slots, grouped by
+parameter, are `StraightLineProgram.param_slots`; `input_slots` counts
+them, then lays them out from each parameter's reach, for the unroller
+and for the element path (`elements.element_loops`), which does not
+unroll.
 
 A loop runs the same statements again with new counter values, so what
 does not change between runs is compiled once: an integer expression into
 a step list (`const_order`), a loop's header into the step lists of
 `loop_heads`, and each expression the unroller rewrites into a fold plan
-(`fold_plan`), which records which nodes are integer-typed, which are
-reads, with their indices' step lists, and which are rebuilt.  The
-unroller keys each compiled form on its node alone: binding is lexical,
-and `parser._check_scopes` rejects every declaration that shadows or
+(`fold_plan`), which, from one pass that types every node (`_typed`),
+records which integer-typed nodes are folded, which nodes are reads, with
+their indices' step lists, and which are rebuilt.  The unroller keys each
+compiled form on its node alone: binding is lexical, and
+`parser._check_scopes` rejects every declaration that shadows or
 redeclares a visible name, so the names bound to integers where a node
 stands are the same each time the unroller reaches it.  An iteration then
 costs the counters' values, the reads and the new nodes.  Integer
 arithmetic is C's: `int` arithmetic whose result leaves `int`'s range is a
-located error, as a division by zero is, and a literal above `INT_MAX` is
-a `long`.  A value stored into an `int` name, an `int` local or a loop
-counter, must be in `int`'s range (`to_int`), where C would convert it.
+located error (`_in_int`), as a division by zero is, and a literal above
+`INT_MAX` is a `long`.  A value stored into an `int` name, an `int` local
+or a loop counter, must be in `int`'s range (`to_int`), where C would
+convert it; neither is assigned after its declaration.
 """
 
 from __future__ import annotations
@@ -175,54 +177,30 @@ def _c_int_div(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-# C's `int` arithmetic: a result outside `int`'s range raises OverflowError,
-# as signed overflow is undefined in C
-def _add(a, b):
-    r = a + b
-    if INT_MIN <= r <= INT_MAX:
-        return r
-    raise OverflowError
-
-
-def _sub(a, b):
-    r = a - b
-    if INT_MIN <= r <= INT_MAX:
-        return r
-    raise OverflowError
-
-
-def _mul(a, b):
-    r = a * b
-    if INT_MIN <= r <= INT_MAX:
-        return r
-    raise OverflowError
-
-
-def _div(a, b):
-    r = _c_int_div(a, b)
-    if r <= INT_MAX:  # only INT_MIN / -1 leaves the range
-        return r
-    raise OverflowError
-
-
-def _negate(a, _b):
-    if a != INT_MIN:
-        return -a
-    raise OverflowError
-
-
 def _negate_long(a, _b):
     return -a
+
+
+def _in_int(fn):
+    """`fn` as C computes it in `int`: a result outside `int`'s range raises
+    OverflowError, as signed overflow is undefined in C."""
+    def checked(a, b):
+        r = fn(a, b)
+        if INT_MIN <= r <= INT_MAX:
+            return r
+        raise OverflowError
+    return checked
 
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
 # the binary operators over compile-time integers, as C computes them in
-# `int`, and in `long`, where an operand is a `long`
-_INT_FN = {"+": _add, "-": _sub, "*": _mul, "/": _div, **_COMPARE}
+# `long`, where an operand is a `long`, and otherwise in `int`
 _LONG_FN = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _c_int_div,
             **_COMPARE}
+_INT_FN = {**_COMPARE, **{op: _in_int(_LONG_FN[op]) for op in "+-*/"}}
+_negate = _in_int(_negate_long)
 
 
 def int_typed(node: Expr, typed, bound) -> bool:
@@ -255,12 +233,22 @@ def int_expr(e: Expr, bound) -> bool:
     integer there.  The parser asks it of loop headers, conditions, array
     extents and `int` initializers, and the unroller of each index it
     folds over symbolic counters."""
-    typed: set = set()
-    for node in post_order(e, typed, operands):
-        if not int_typed(node, typed, bound):
-            return False
-        typed.add(id(node))
-    return True
+    return id(e) in _typed(e, bound)[0]
+
+
+def _typed(e: Expr, names, symbolic=frozenset()) -> tuple:
+    """The ids of the integer-typed nodes of `e` (`int_typed`) where the
+    names in `names` are bound to integers, and the ids of those of them
+    that read a name in `symbolic`."""
+    typed, reads, seen = set(), set(), set()
+    for node in post_order(e, seen, operands):
+        seen.add(id(node))
+        if int_typed(node, typed, names):
+            typed.add(id(node))
+            if symbolic and (node.name in symbolic if isinstance(node, Var)
+                             else any(id(kid) in reads for kid in operands(node))):
+                reads.add(id(node))
+    return typed, reads
 
 
 class ConstOrder:
@@ -433,17 +421,17 @@ _INT, _READ, _BINARY, _UNARY, _CALL, _SYMBOL = range(6)
 class FoldPlan(Record):
     """The fold plan `fold_plan` compiles.
 
-    `values` holds a place per node of the expression, in source order:
-    a literal's holds the literal, which stays as it is spelled, and every
-    other's None until an action makes it (none makes a node that is part
-    of a larger integer-typed one).  Each action is `(kind, k, node, a,
-    b)`, making `values[k]`: `_INT` folds an integer-typed `node` by the
-    step list `a`; `_READ` reads a variable or an array element, `a` being
-    the step list of its indices; `_BINARY`, `_UNARY` and `_CALL` rebuild
-    `node` over the operands at `a` and `b`, or at the positions `a`; and
-    `_SYMBOL` stands for an array element, or an integer-typed node that
-    reads a symbolic counter, in a plan over symbolic counters.  `root` is
-    the expression's place.
+    `values` holds a place per node the walk visits, in source order: a
+    literal's holds the literal, which stays as it is spelled, and every
+    other's None until an action makes it.  The walk does not enter an
+    integer-typed node.  Each action is `(kind, k, node, a, b)`, making
+    `values[k]`: `_INT` folds an integer-typed `node` by the step list `a`;
+    `_READ` reads a variable or an array element, `a` being the step list
+    of its indices; `_BINARY`, `_UNARY` and `_CALL` rebuild `node` over the
+    operands at `a` and `b`, or at the positions `a`; and `_SYMBOL` stands
+    for an array element, or an integer-typed node that reads a symbolic
+    counter, in a plan over symbolic counters.  `root` is the expression's
+    place.
     """
 
     __slots__ = ("values", "actions", "root")
@@ -455,50 +443,36 @@ class FoldPlan(Record):
 def fold_plan(e: Expr, bound, symbolic=frozenset()) -> FoldPlan:
     """The fold plan of `e` where the names in `bound` are bound to
     integers (`fold`), and those in `symbolic` are too but have no value
-    (`_Unroller`).  In a plan over symbolic counters, every array element,
-    and each integer-typed node that reads a symbolic counter and is not
-    part of a larger one, is a `_SYMBOL` action, the latter placed just
-    before its parent's action, after every read its parent's operands
-    make.  A caller that folds `e` many times keys the plan on `e` alone,
-    as the unroller does: binding is lexical and `parser._check_scopes`
-    rejects every declaration that shadows or redeclares a visible name, so
-    the names bound to integers where `e` stands are the same each time it
-    is reached."""
-    names = {*bound, *symbolic} if symbolic else bound
+    (`_Unroller`).  The walk does not enter an integer-typed node
+    (`_typed`), so each one it meets is not part of a larger one: it is
+    folded where it is met, or, in a plan over symbolic counters, if it
+    reads a symbolic counter, is a `_SYMBOL` action placed just before its
+    parent's action, after every read its parent's operands make.  Every
+    array element is a `_SYMBOL` action there.  A caller that folds `e` many
+    times keys the plan on `e` alone, as the unroller does: binding is
+    lexical and `parser._check_scopes` rejects every declaration that
+    shadows or redeclares a visible name, so the names bound to integers
+    where `e` stands are the same each time it is reached."""
+    typed, reads = _typed(e, {*bound, *symbolic} if symbolic else bound, symbolic)
     at: dict[int, int] = {}  # id(node) -> its place
-    typed: set = set()  # ids of the integer-typed nodes
-    reads_symbol: set = set()  # ids of the integer-typed nodes that read a symbolic counter
-    folds: dict = {}  # id(node) -> the index in `actions` of an integer-typed node's fold
     values: list = []
-    actions: list = []  # a fold stays None where its node is part of a larger one
-
-    for node in post_order(e, at, operands):
+    actions: list = []
+    for node in post_order(e, at, lambda n: () if id(n) in typed else operands(n)):
         k = at[id(node)] = len(values)
         if isinstance(node, Constant):  # a literal stays as it is spelled
             values.append(node)
-            if int_typed(node, typed, names):
-                typed.add(id(node))
             continue
         values.append(None)
-        if int_typed(node, typed, names):
-            typed.add(id(node))
-            if symbolic and (node.name in symbolic if isinstance(node, Var)
-                             else any(id(kid) in reads_symbol for kid in operands(node))):
-                reads_symbol.add(id(node))
-            folds[id(node)] = len(actions)
-            actions.append(None)
+        if id(node) in typed:
+            if id(node) not in reads:
+                actions.append((_INT, k, node, const_order(node), None))
+            elif node is e:  # a root has no parent
+                actions.append((_SYMBOL, k, node, None, None))
             continue
-        if folds:
-            # an integer-typed operand is not part of a larger one; left to
-            # right, as a symbolic one's input slot is made in that order
-            for kid in reversed(operands(node)):
-                got = folds.get(id(kid))
-                if got is None:
-                    continue
-                if id(kid) in reads_symbol:
-                    actions.append((_SYMBOL, at[id(kid)], kid, None, None))
-                else:
-                    actions[got] = (_INT, at[id(kid)], kid, const_order(kid), None)
+        # left to right, as a symbolic one's input slot is made in that order
+        for kid in reversed(operands(node)) if reads else ():
+            if id(kid) in reads:
+                actions.append((_SYMBOL, at[id(kid)], kid, None, None))
         if isinstance(node, Var):
             actions.append((_READ, k, node, None, None))
         elif isinstance(node, ArrayRef):
@@ -510,11 +484,7 @@ def fold_plan(e: Expr, bound, symbolic=frozenset()) -> FoldPlan:
             actions.append((_UNARY, k, node, at[id(node.operand)], None))
         elif isinstance(node, Call):
             actions.append((_CALL, k, node, tuple(at[id(a)] for a in node.args), None))
-    got = folds.get(id(e))
-    if got is not None:
-        actions[got] = ((_SYMBOL, at[id(e)], e, None, None) if id(e) in reads_symbol else
-                        (_INT, at[id(e)], e, const_order(e), None))
-    return FoldPlan(values, [a for a in actions if a is not None], at[id(e)])
+    return FoldPlan(values, actions, at[id(e)])
 
 
 def run_fold(plan: FoldPlan, env: dict, read, symbol=None) -> Expr:
@@ -552,36 +522,6 @@ def fold(e: Expr, env: dict, read) -> Expr:
 # Unrolling
 
 
-class SlotTable:
-    """The slots of a straight-line program being built: each source
-    label's live slot, and the assignments so far.  An assignment to a
-    label writes the label's next version, `label@1`, `label@2`, ..., and
-    makes it live, so a read of the label resolves to the last write before
-    it.  The unroller builds its programs by it."""
-
-    def __init__(self, cap: int):
-        self.cap = cap  # the most assignments
-        self.live: dict[str, str] = {}  # slot label -> live slot name
-        self.versions: dict[str, int] = {}  # slot label -> last version number
-        self.assigns: list[SlpAssign] = []
-
-    def unassign(self, labels):
-        """Drop `labels` from the table: a declaration run again, in a loop
-        or a block, starts unassigned."""
-        for label in labels:
-            self.live.pop(label, None)
-
-    def emit(self, label: str, rhs: Expr, from_decl: bool = False):
-        """Assign `rhs` to the next version of `label`; raise BoundExplosion
-        past `cap` assignments."""
-        if len(self.assigns) >= self.cap:
-            raise BoundExplosion(len(self.assigns) + 1, self.cap)
-        v = self.versions[label] = self.versions.get(label, 0) + 1
-        target = f"{label}{VERSION_SEP}{v}"
-        self.assigns.append(SlpAssign(target, label, rhs, from_decl))
-        self.live[label] = target
-
-
 class Refused(Exception):
     """A run over symbolic counters (`_Unroller`) reached what has no form
     over them: an element index of the wrong rank or not an integer, a
@@ -594,8 +534,14 @@ def _unbound(node: Expr, env: dict, indices) -> Expr:
 
 
 class _Unroller:
-    """The statement runner: runs a function's statements into a slot
-    table (`SlotTable`).
+    """The statement runner: runs a function's statements into the slots
+    of a straight-line program.  Each assignment to a source label writes
+    the label's next version, `label@1`, `label@2`, ... (`emit`), and makes
+    it the label's live slot (`live`), so a read of the label resolves to
+    the last write before it; `assigns` holds the assignments so far.  The
+    names bound to integers, `int` locals and loop counters, are bound in
+    the run's environment and never assigned: a write to one names which
+    it is (`counters`).
 
     A counter in `symbolic` is bound to integers but has no value, as a
     loop counter does where a loop body is run once for every iteration
@@ -611,7 +557,11 @@ class _Unroller:
     """
 
     def __init__(self, ir: FunctionIR, cap: int, symbolic=frozenset()):
-        self.table = SlotTable(cap)
+        self.cap = cap  # the most assignments
+        self.live: dict[str, str] = {}  # slot label -> live slot name
+        self.versions: dict[str, int] = {}  # slot label -> last version number
+        self.assigns: list[SlpAssign] = []
+        self.counters: set = set()  # the names bound to integers whose binding is a counter's
         self.arrays: dict[str, tuple] = {}  # array -> extents, None where undeclared
         self.reach: dict[str, list] = {}  # parameter -> the extents of its input slots
         # id(node) -> what is compiled for it (`compiled`); the function's
@@ -623,19 +573,19 @@ class _Unroller:
         # the parameter None and the key its expression for an integer slot
         self.inputs: list = []
         if symbolic:
-            self.table.live[self.energy] = self.energy
+            self.live[self.energy] = self.energy
         for p in ir.params:
             self.reach[p.name] = [n or 0 for n in p.extents]
             if p.rank:
                 self.arrays[p.name] = p.extents
             elif not symbolic:
-                self.table.live[p.name] = p.name
+                self.live[p.name] = p.name
 
     def element(self, ref: ArrayRef, env: dict, indices: ConstOrder) -> str:
         """The label of the element `ref` names, its indices, which
         `indices` evaluates, checked against the array's rank and extents.
-        A parameter element enters the slot table as its input slot when
-        first named, and widens the parameter's undeclared extents to cover
+        A parameter element becomes live as its input slot when first
+        named, and widens the parameter's undeclared extents to cover
         it."""
         extents = self.arrays.get(ref.base)
         if extents is None:
@@ -649,8 +599,8 @@ class _Unroller:
                 raise NotConstant(ref.span, f"index {ix:d} out of range for {ref.base!r}")
         label = slot_label(ref.base, indices)
         reach = self.reach.get(ref.base)
-        if reach is not None and label not in self.table.live:
-            self.table.live[label] = label
+        if reach is not None and label not in self.live:
+            self.live[label] = label
             reach[:] = map(max, reach, (ix + 1 for ix in indices))
         return label
 
@@ -675,10 +625,10 @@ class _Unroller:
     def read(self, e: Expr, env: dict, indices: ConstOrder | None) -> Var:
         """The live slot a variable or an array element reads.  In a run
         over symbolic counters a scalar parameter, whose reach is `[]`,
-        enters the slot table as its input slot when first read, so `inputs`
-        lists it in read order; otherwise each is live from the start."""
+        becomes live as its input slot when first read, so `inputs` lists
+        it in read order; otherwise each is live from the start."""
         label = e.name if indices is None else self.element(e, env, indices)
-        live = self.table.live.get(label)
+        live = self.live.get(label)
         if live is None:
             if self.reach.get(label) != []:
                 raise NotConstant(e.span, f"{label!r} used before assignment")
@@ -700,12 +650,12 @@ class _Unroller:
                     not all(int_expr(ix, self.symbolic) for ix in key):
                 raise Refused  # an index of the wrong rank, or not an integer
             label, param = node.base + "".join(f"[{to_source(ix)}]" for ix in key), node.base
-        return Var(self.table.live.get(label) or self.enter(label, param, key))
+        return Var(self.live.get(label) or self.enter(label, param, key))
 
     def enter(self, label: str, param: str | None, key) -> str:
         """Make `label` an input slot, of the parameter `param`, read first
         here."""
-        self.table.live[label] = label
+        self.live[label] = label
         if self.symbolic:
             self.inputs.append((label, param, key))
         return label
@@ -728,10 +678,20 @@ class _Unroller:
             rhs = rhs.lhs
         if not (spine and isinstance(rhs, Var) and rhs.name == self.energy):
             raise Refused
-        value = Var(self.table.live[self.energy])
+        value = Var(self.live[self.energy])
         for node in reversed(spine):
             value = Binary(node.op, value, self.rewrite(node.rhs, env))
         return value
+
+    def emit(self, label: str, rhs: Expr, from_decl: bool = False):
+        """Assign `rhs` to the next version of `label`; raise BoundExplosion
+        past `cap` assignments."""
+        if len(self.assigns) >= self.cap:
+            raise BoundExplosion(len(self.assigns) + 1, self.cap)
+        v = self.versions[label] = self.versions.get(label, 0) + 1
+        target = f"{label}{VERSION_SEP}{v}"
+        self.assigns.append(SlpAssign(target, label, rhs, from_decl))
+        self.live[label] = target
 
     # -- statement execution -------------------------------------------------
 
@@ -744,8 +704,10 @@ class _Unroller:
             # the name starts unassigned, also where a loop runs the
             # declaration again or a sibling block declared it, as an array
             # or a scalar
-            self.table.unassign([s.name, *element_labels(s.name, self.arrays.pop(s.name, ()))])
+            for label in (s.name, *element_labels(s.name, self.arrays.pop(s.name, ()))):
+                self.live.pop(label, None)
             if s.elem_type == "int":
+                self.counters.discard(s.name)
                 if s.init is None:
                     raise NotConstant(s.span, f"int local {s.name!r} needs a constant initializer")
                 env[s.name] = to_int(_value(self.compiled(s, const_order, s.init), env), s.init)
@@ -755,19 +717,22 @@ class _Unroller:
                 if s.init is not None:
                     raise UnsupportedConstruct(s.span, "array initializer")
             elif s.init is not None:
-                self.table.emit(s.name, self.rewrite(s.init, env), from_decl=True)
+                self.emit(s.name, self.rewrite(s.init, env), from_decl=True)
         elif isinstance(s, Assignment):
             lv = s.lvalue
             rhs = self.assigned(lv, s.rhs, env) if self.symbolic else self.rewrite(s.rhs, env)
             if isinstance(lv, Var):
                 if lv.name in env:
-                    raise UnsupportedConstruct(lv.span, "assignment to a loop counter")
-                self.table.emit(lv.name, rhs)
+                    raise UnsupportedConstruct(lv.span, "assignment to a loop counter"
+                                               if lv.name in self.counters else
+                                               "assignment to an int local")
+                self.emit(lv.name, rhs)
             else:
                 indices = self.compiled(lv, const_order, *lv.indices)
-                self.table.emit(self.element(lv, env, indices), rhs)
+                self.emit(self.element(lv, env, indices), rhs)
         elif isinstance(s, ForLoop):
-            for inner in iterations(self.compiled(s, loop_heads, (s,)), dict(env), self.table.cap):
+            self.counters.add(s.counter)
+            for inner in iterations(self.compiled(s, loop_heads, (s,)), dict(env), self.cap):
                 self.run_block(s.body, dict(inner))
         elif isinstance(s, If):
             cond = self.compiled(s, const_order, s.cond)
@@ -795,19 +760,19 @@ def element_labels(name: str, extents) -> list[str]:
 def unroll(ir: FunctionIR, cap: int | None = None) -> StraightLineProgram:
     """Flatten a function to straight-line form (pre: validate_subset empty).
 
-    Every read, of a scalar or of an array element, resolves through one
-    slot table from source label to live slot, so a parameter element reads
-    its input slot only until an assignment writes it.  Every index is
+    Every read, of a scalar or of an array element, resolves from source
+    label to live slot (`_Unroller`), so a parameter element reads its
+    input slot only until an assignment writes it.  Every index is
     checked against its array's rank and declared extents; a parameter's
     undeclared extent is one past the largest index used.  `cap` bounds
     the assignments, `DEFAULT_ASSIGN_CAP` when None.
     """
     u = _Unroller(ir, DEFAULT_ASSIGN_CAP if cap is None else cap)
     u.run_block(ir.body, {})
-    output = u.table.live.get(ir.energy_var)
+    output = u.live.get(ir.energy_var)
     if output is None:
         raise MissingEnergyVar(ir.energy_var)
-    return StraightLineProgram(input_slots(u.reach, u.table.cap), tuple(u.table.assigns), output)
+    return StraightLineProgram(input_slots(u.reach, u.cap), tuple(u.assigns), output)
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +786,6 @@ _TAG_VAR = 1
 _TAG_UNARY = 2
 _TAG_BINARY = 3
 _TAG_CALL = 4
-_TAG_ARRAYREF = 5
 
 _OPS = ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=")
 _OP_CODE = {op: i for i, op in enumerate(_OPS)}
@@ -851,9 +815,6 @@ def _w_expr(out: list, e: Expr):
         elif isinstance(e, Call):
             out.append(bytes([_TAG_CALL, len(e.args)]))
             _w_str(out, e.name)
-        elif isinstance(e, ArrayRef):
-            out.append(bytes([_TAG_ARRAYREF, len(e.indices)]))
-            _w_str(out, e.base)
         else:
             raise TypeError(f"not an expression: {e!r}")
         stack.extend(reversed(children(e)))
@@ -901,10 +862,6 @@ class _Reader:
             argc = self.u8()
             name = self.str_()
             return (lambda ops: Call(name, tuple(ops))), argc
-        if tag == _TAG_ARRAYREF:
-            n = self.u8()
-            base = self.str_()
-            return (lambda ops: ArrayRef(base, tuple(ops))), n
         raise FormatError(f"unknown expression tag {tag}")
 
     def expr(self) -> Expr:

@@ -16,8 +16,11 @@ their arguments, with and without `--dump-slp`, and `verify` and `verify
 default size, with and without `--no-simplify`; springs and barrier at
 G=2..10 in `--mode function gradient --dump-slp` and in `--mode hessian`;
 `verify` and `verify --machine` on every corpus entry in both modes;
-inputs that pin octal literals, the node-cap warning and `int` locals
-folded in an element body; and, at `--split-size 65536`, which spreads each
+inputs that pin octal literals, the node-cap warning, `int` locals
+folded in an element body, the statement runner's faults (a write to an
+`int` local, at the top level and in a loop body, an `int` local without
+an initializer, an array initializer) and, with `--dump-slp`, an energy
+with unary minuses; and, at `--split-size 65536`, which spreads each
 over several files, springs and barrier at G=10 in `--mode hessian`, eq3
 at s=50 in all modes and the long sum of `tests/test_codegen.py` in
 `--mode gradient`.
@@ -81,8 +84,9 @@ def _loop(body: str) -> str:
             f"    for (int i = 0; i < 4; i++) {{\n        {body}\n    }}\n    return e;\n}}\n")
 
 
-# inputs of octal literals, the node-cap warning and `int` locals in an
-# element body: name -> (source, extra generate flags, environment)
+# inputs of octal literals, the node-cap warning, `int` locals in an
+# element body, the statement runner's faults and negations in `--dump-slp`:
+# name -> (source, extra generate flags, environment)
 _INPUTS = {
     "octal": ("double f(const double *x) {\n    double e = (010 + 1) * x[0];\n    return e;\n}\n",
               (), {}),
@@ -109,6 +113,19 @@ _INPUTS = {
                            ("--mode", "function", "gradient"), {}),
     "large_value_in_a_counter_slot": (_loop("e = e + x[i] / (i + n * 1000000000000000);"),
                                       ("--mode", "function", "gradient"), {}),
+    "int_local_write": ("double f(double x) {\n    int n = 2;\n    n = 3;\n"
+                        "    double e = x * n;\n    return e;\n}\n", (), {}),
+    "int_local_write_in_a_loop": (
+        "double f(const double *x) {\n    double e = 0;\n    for (int i = 0; i < 3; i++) {\n"
+        "        int k = 2;\n        k = i;\n        e = e + x[i] * k;\n    }\n"
+        "    return e;\n}\n", (), {}),
+    "int_local_without_initializer": (
+        "double f(double x) {\n    double e = x;\n    int n;\n    return e;\n}\n", (), {}),
+    "array_initializer": (
+        "double f(double x) {\n    double e = x;\n    double a[2] = 1;\n    return e;\n}\n",
+        (), {}),
+    "negations": ("double f(const double *x) {\n    double e = -x[0] * -(x[1] + 1);\n"
+                  "    return e;\n}\n", ("--dump-slp",), {}),
 }
 
 

@@ -9,10 +9,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from acorns.cast import Binary, Constant, Unary, Var, const, to_source
+from acorns.cast import Binary, Constant, Unary, Var, children, const, to_source
 from acorns.cli import main
 from acorns.derivatives import VarIndexMap, derive_bundle, substitute
-from acorns.errors import BoundExplosion, FormatError, NotConstant, UnboundSlot
+from acorns.errors import (
+    BoundExplosion,
+    FormatError,
+    NotConstant,
+    UnboundSlot,
+    UnsupportedConstruct,
+)
 from acorns.flatten import (
     StraightLineProgram,
     SlpAssign,
@@ -22,6 +28,8 @@ from acorns.flatten import (
     dump_text,
     eval_const,
     eval_consts,
+    int_expr,
+    int_typed,
     pretty_assign,
     serialize,
     unroll,
@@ -180,6 +188,48 @@ def test_eval_const_matches_a_recursive_reference():
     assert {"value", "division by zero in constant expression",
             "int overflow in constant expression", "'u' is not compile-time constant",
             "non-integer literal '1.5' in constant context"} <= kinds
+
+
+def _mixed_source(rng, depth):
+    """Random expression text mixing integer and double literals, bound and
+    unbound names, negation, arithmetic, comparisons, array elements and
+    calls."""
+    if depth == 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.35:
+            return rng.choice(["0", "2", "3000000000", "1.5", "2.0", "1e3", "00.5"])
+        if r < 0.8:
+            return rng.choice(["i", "j", "u", "v"])
+        return rng.choice(["x[i]", "x[1.5]", "x[2 * j]"])
+    r = rng.random()
+    if r < 0.15:
+        return f"-({_mixed_source(rng, depth - 1)})"
+    if r < 0.2:
+        return f"x[{_mixed_source(rng, depth - 1)}]"
+    if r < 0.25:
+        return f"sin({_mixed_source(rng, depth - 1)})"
+    if r < 0.3:
+        return f"pow({_mixed_source(rng, depth - 1)}, {_mixed_source(rng, depth - 1)})"
+    op = rng.choice(["+", "-", "*", "/", "<", ">=", "==", "!="])
+    return f"({_mixed_source(rng, depth - 1)} {op} {_mixed_source(rng, depth - 1)})"
+
+
+def _every_node_int_typed(e, bound):
+    kids = children(e)
+    typed = {id(k) for k in kids if _every_node_int_typed(k, bound)}
+    return len(typed) == len(kids) and int_typed(e, typed, bound)
+
+
+def test_int_expr_matches_a_recursive_reference():
+    bound = {"i", "j"}
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(3000):
+        e = parse_expr(_mixed_source(rng, rng.randint(0, 5)))
+        want = _every_node_int_typed(e, bound)
+        assert int_expr(e, bound) == want, to_source(e)
+        seen.add((want, isinstance(e, (Binary, Unary))))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # --- unroll ------------------------------------------------------------------
@@ -418,6 +468,47 @@ def test_an_int_name_stores_int_min(tmp_path, monkeypatch):
     assert main(["verify", "f.c", "--func", "f", "--energy", "e", "--vars", "x"]) == 0
 
 
+# what the statement runner refuses, at the place it names: an `int` local
+# or a loop counter is never assigned after its declaration
+_RUNNER_FAULTS = {
+    "int_local_write": ("double f(double x) {\n    int n = 2;\n    n = 3;\n"
+                        "    double e = x * n;\n    return e;\n}\n",
+                        "3:5: unsupported construct: assignment to an int local"),
+    "int_local_write_in_a_loop": (
+        "double f(const double *x) {\n    double e = 0;\n    for (int i = 0; i < 3; i++) {\n"
+        "        int k = 2;\n        k = i;\n        e = e + x[i] * k;\n    }\n"
+        "    return e;\n}\n", "5:9: unsupported construct: assignment to an int local"),
+    "int_local_without_initializer": (
+        "double f(double x) {\n    double e = x;\n    int n;\n    return e;\n}\n",
+        "3:9: int local 'n' needs a constant initializer"),
+    "array_initializer": (
+        "double f(double x) {\n    double e = x;\n    double a[2] = 1;\n    return e;\n}\n",
+        "3:12: unsupported construct: array initializer"),
+}
+
+
+@pytest.mark.parametrize("name", list(_RUNNER_FAULTS))
+def test_runner_faults_exit_1_with_their_location(name, tmp_path, monkeypatch, capsys):
+    src, want = _RUNNER_FAULTS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.c").write_text(src)
+    assert main(["f.c", "e", "--vars", "x", "--func", "f", "--output_filename", "d"]) == 1
+    assert main(["verify", "f.c", "--func", "f", "--energy", "e", "--vars", "x"]) == 1
+    assert capsys.readouterr().err == (f"acorns_autodiff: f.c: {want}\n"
+                                       f"acorns_autodiff verify: f.c: {want}\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "f.c"]
+
+
+@pytest.mark.parametrize("blocks, want", [
+    ("{ int k = 2; } for (int k = 0; k < 2; k++) { k = 1; }", "a loop counter"),
+    ("for (int k = 0; k < 2; k++) { e = e + x; } { int k = 2; k = 1; }", "an int local"),
+])
+def test_a_write_names_the_binding_its_name_has_there(blocks, want):
+    # sibling blocks may bind one name as a loop counter and as an `int` local
+    with pytest.raises(UnsupportedConstruct, match=f"assignment to {want}$"):
+        unroll(_parse(f"double f(double x){{ double e = x; {blocks} return 0; }}"))
+
+
 def test_loop_condition_and_update_are_walked_once(monkeypatch):
     import acorns.flatten as flatten
 
@@ -589,6 +680,28 @@ def test_magic_and_version_checked():
         deserialize(bad_version)
     with pytest.raises(FormatError):
         deserialize(data[:-3])
+
+
+def test_negations_round_trip():
+    p = unroll(_parse("double f(const double *x){ double e = -x[0] * -(x[1] + 1); return 0; }"))
+    assert to_source(p.assigns[0].rhs) == "-x[0] * -(x[1] + 1)"
+    assert deserialize(serialize(p)) == p
+
+
+def _slp_str(text):
+    return struct.pack("<I", len(text)) + text.encode()
+
+
+def test_an_unknown_expression_tag_is_refused():
+    # one assignment `e@1 = <tag 5, rank 1, base "x", operand 0>`: an
+    # unrolled program's leaves are `Var`s, and no node has tag 5
+    data = (b"SLP1" + struct.pack("<III", 1, 0, 1) + _slp_str("e@1") + _slp_str("e") + b"\0"
+            + bytes([5, 1]) + _slp_str("x") + b"\0" + _slp_str("0") + _slp_str("e@1"))
+    with pytest.raises(FormatError, match="^unknown expression tag 5$"):
+        deserialize(data)
+    # the same stream with a `Var` in place of the tag-5 node reads
+    ok = data.replace(bytes([5, 1]) + _slp_str("x") + b"\0" + _slp_str("0"), b"\1" + _slp_str("x"))
+    assert deserialize(ok).assigns[0].rhs == Var("x")
 
 
 def test_constant_text_survives_round_trip():
