@@ -632,9 +632,10 @@ class Linearized:
         # a list when a size overflows int64
         self.sizes = sizes
 
-    def masks(self, bits: dict) -> list:
+    def masks(self, bits: dict, call: int = 0) -> list:
         """Each node's mask: a variable's `bits.get(name, 0)`, any other
-        node's the OR of its operands' masks."""
+        node's the OR of its operands' masks, and a `Call` node's holds the
+        bit `call` too."""
         out: list = []
         append = out.append
         operand = iter(self.operands).__next__  # node by node, in order
@@ -642,13 +643,14 @@ class Linearized:
         for node, a, b in zip(self.nodes, start, start[1:]):
             if a == b:
                 append(bits.get(node.name, 0) if isinstance(node, Var) else 0)
-            elif b - a == 2:
-                append(out[operand()] | out[operand()])
+                continue
+            if b - a == 2:
+                mask = out[operand()] | out[operand()]
             else:
                 mask = 0
                 for _ in range(b - a):
                     mask |= out[operand()]
-                append(mask)
+            append(mask | call if type(node) is Call else mask)
         return out
 
     def order(self, root: int, masks: list, wanted: int) -> list:

@@ -15,6 +15,24 @@ pass over the arrays of its mode's linearisation
 counts.  Output text is fully deterministic for a
 given bundle and config.
 
+A part includes `<math.h>` only when one of its statements' expressions
+holds a `Call`, the bit `Linearized.masks` gives a call, or, on the element
+path, when a body or `E`'s initial value does: gcc 12.2 -O2 -c took 13.9
+ms of CPU on a file holding only the include against 8.0 ms on an empty
+one (x86-64, medians of 20 alternated runs), and a polynomial such as eq3
+calls nothing.  In bound form a part may include it for a call that a
+temporary of an earlier function computes.
+
+`emit` assembles one part at a time: it renders the statements that fill
+a part, joins the part's text, and keeps only that text before it renders
+the next, so while it runs it holds the DAG, the texts of the parts made so
+far and one part being made.  Bound form is the exception: its statements
+are all rendered first, since a temporary's workspace slot depends on the
+line that reads it last, and its text is one line per DAG node.  On the
+tree layout of eq3 s=12 (2.07 MB of C in 79 parts of 64 KiB), emit's
+tracemalloc peak beyond what it returns is 0.52 MB; it was 2.08 MB while
+every statement's text lived until the last part was joined.
+
 The Hessian chunks write only the lower entries `(i, j <= i)` that are not
 the constant +0.  Per point, `compute_hess` zero-fills the n*n block when
 some lower entry is +0, calls the chunks, then copies the lower triangle
@@ -92,8 +110,8 @@ import heapq
 import itertools
 import re
 
-from .cast import (INTRINSICS, Binary, Constant, Expr, SharedText, Var, const, is_plus_zero,
-                   replace_vars, temp_pattern, to_source)
+from .cast import (INTRINSICS, Binary, Call, Constant, Expr, SharedText, Var, const, is_plus_zero,
+                   linearize, replace_vars, temp_pattern, to_source)
 from .derivatives import STAGES, DerivativeBundle, VarIndexMap, layout_slots
 from .elements import ElementLoops, ElementNest
 from .errors import AcornsError
@@ -162,13 +180,13 @@ class GeneratedArtifact(Record):
 
 
 class Statement(Record):
-    __slots__ = ("mode", "text", "params", "temps")
+    __slots__ = ("mode", "text", "params", "temps", "calls")
 
-    def __init__(self, mode: str, text: str, params: int, temps: tuple = ()):
+    def __init__(self, mode: str, text: str, params: int, temps: tuple = (), calls: bool = False):
         # text is the `out[k] = ...;` line; params the input slots it reads,
         # as a mask of `_param_bits`; temps the lines of the temporaries it
-        # reads first
-        super().__init__(mode, text, params, temps)
+        # reads first; calls whether its expression's DAG holds a `Call`
+        super().__init__(mode, text, params, temps, calls)
 
     @property
     def size(self) -> int:
@@ -208,73 +226,77 @@ def _c_names(program: StraightLineProgram) -> tuple:
 
 
 def _statements(bundle: DerivativeBundle, cfg: EmitConfig, bits: dict, names: dict,
-                temp: str | None = None) -> list:
-    """The statements in order.
+                temp: str | None = None):
+    """The statements in order, rendered one at a time as they are asked
+    for.
 
     Each mode's expressions are rendered over that mode's DAG, whose
     linearisation (`DerivativeBundle.linearized`) gives the use counts and
-    each statement's mask of input slots (`_param_bits`); an input slot
-    prints as its local's name in `names`.  With `temp` they are
-    in bound form, so a temporary serves one driver; without it every
-    expression is one expanded `out[k] = ...;` line.  The Hessian has a
-    statement per lower entry that is not +0: its driver zero-fills and
-    mirrors the rest.  A +0 entry is rendered all the same, which spends
-    its use and writes nothing else.
+    each statement's mask of input slots (`_param_bits`) and whether it
+    calls a function; an input slot prints as its local's name in `names`.
+    With `temp` they are in bound form, so a temporary serves one driver;
+    without it every expression is one expanded `out[k] = ...;` line.  The
+    Hessian has a statement per lower entry that is not +0: its driver
+    zero-fills and mirrors the rest.  A +0 entry is rendered all the same,
+    which spends its use and writes nothing else.
     """
     n = bundle.n
     out = {"function": (0,), "gradient": range(n),  # each mode's out indices, in order
            "hessian": (i * n + j for i in range(n) for j in range(i + 1))}
-    stmts = []
+    call = 1 << len(bits)  # the mask bit of a `Call`, past every input slot's
     for mode in MODE_ORDER:
         if mode not in cfg.mode or not bundle.exprs(mode):
             continue
         lin = bundle.linearized(mode)
         shared = SharedText(lin.roots, temp, lin, names)
-        params = lin.masks(bits)
+        masks = lin.masks(bits, call)
         for k, expr, at in zip(out[mode], lin.roots, lin.at):
             first = len(shared.decls)
             text = to_source(expr, shared)
             if mode == "hessian" and is_plus_zero(expr):
                 continue
-            stmts.append(Statement(mode, f"out[{k}] = {text};", params[at],
-                                   tuple(shared.decls[first:])))
-    return stmts
+            mask = masks[at]
+            yield Statement(mode, f"out[{k}] = {text};", mask & ~call,
+                            tuple(shared.decls[first:]), mask & call != 0)
 
 
-def split(statements: list, cfg: EmitConfig) -> list:
-    """Greedy in-order packing of statements into per-file groups; no
-    statements make one empty group, the file that holds the drivers."""
+def split(statements, cfg: EmitConfig):
+    """Greedy in-order packing of statements into per-file groups, each
+    yielded once it is full; no statements make one empty group, the file
+    that holds the drivers."""
     reserve = min(16384, cfg.split_target_bytes // 4)  # headroom for boilerplate
     return _pack(statements, cfg.split_target_bytes - reserve)
 
 
-def _pack(statements: list, budget: int) -> list:
+def _pack(statements, budget: int):
     """Greedy in-order packing of statements into groups whose sizes
-    (`Statement.size`) sum to at most `budget`; an oversize statement is a
-    group of its own, and no statements make one empty group."""
-    groups: list[list] = []
+    (`Statement.size`) sum to at most `budget`, each yielded once it is
+    full; an oversize statement is a group of its own, and no statements
+    make one empty group."""
     current: list = []
     size = 0
+    empty = True
     for st in statements:
+        empty = False
         nbytes = st.size
         if current and size + nbytes > budget:
-            groups.append(current)
+            yield current
             current = []
             size = 0
         current.append(st)
         size += nbytes
         if nbytes > budget:
-            groups.append(current)
+            yield current
             current = []
             size = 0
-    if current or not groups:
-        groups.append(current)
-    return groups
+    if current or empty:
+        yield current
 
 
-def _param_decls(layout: list, names: dict, mask: int) -> list:
-    """Declare a `const double` local, loaded from vals, for each input
-    slot whose bit (`_param_bits`) is set in `mask`, in `vals` order.
+def _param_decl(layout: list, names: dict, mask: int) -> str:
+    """The line that declares a `const double` local, loaded from vals, for
+    each input slot whose bit (`_param_bits`) is set in `mask`, in `vals`
+    order; "" when no bit is.
 
     An array element is a scalar local of its own, not an element of a
     local array: gcc turns each read of `x[3]` from `const double x[12] =
@@ -287,7 +309,7 @@ def _param_decls(layout: list, names: dict, mask: int) -> list:
     """
     loads = [f"{names[layout[i]]} = vals[{i}]"
              for i, bit in enumerate(reversed(f"{mask:b}")) if bit == "1"]
-    return [f"    const double {', '.join(loads)};"] if loads else []
+    return f"    const double {', '.join(loads)};" if loads else ""
 
 
 def _header_stem(basename: str) -> str:
@@ -330,7 +352,11 @@ def emit(bundle, vars_: VarIndexMap, cfg: EmitConfig,
         f" * recommended compile flags: {RECOMMENDED_FLAGS}",
         " */",
     ]
-    head = [*provenance, f'#include "{stem}.h"', "#include <math.h>", ""]
+
+    def head(calls: bool) -> list:
+        """The lines a part starts with; `calls` when its code calls a math function."""
+        return [*provenance, f'#include "{stem}.h"', *(["#include <math.h>"] if calls else []), ""]
+
     if loops is None:
         texts, chunks, workspaces, n_statements = _unrolled_parts(bundle, cfg, program, layout,
                                                                   stem, head)
@@ -382,7 +408,7 @@ def emit(bundle, vars_: VarIndexMap, cfg: EmitConfig,
 
 
 def _unrolled_parts(bundle: DerivativeBundle, cfg: EmitConfig, program: StraightLineProgram,
-                    layout: list, stem: str, head: list) -> tuple:
+                    layout: list, stem: str, head) -> tuple:
     """The parts' texts, each mode's chunks in call order, the workspace
     `w[K]` of each mode that has one, and the statement count, of a bundle
     of the unrolled program.  A chunk is `(its number, the workspace name
@@ -390,37 +416,48 @@ def _unrolled_parts(bundle: DerivativeBundle, cfg: EmitConfig, program: Straight
     one chunk function per run of a mode's statements; in bound form a run
     is cut into chunk functions of at most `CHUNK_TARGET_BYTES` each
     (`_pack`), and the temporaries that cross functions go through the
-    workspace (`_workspace`)."""
+    workspace (`_workspace`).  `head(calls)` gives a part's first lines.
+
+    A part is assembled from the statements that fill it, and only its
+    text is kept before the next part is rendered.  In bound form every
+    statement is rendered first, because a temporary's slot in the
+    workspace depends on the line that reads it last; the tree layout has
+    no temporaries, so its statements are rendered part by part."""
     prefix, names = _c_names(program)
     temp = prefix if bundle.simplified else None
     bits = _param_bits(layout)
-    statements = _statements(bundle, cfg, bits, names, temp)
-    files = []  # each file's chunk functions, as (mode, statements), in call order
-    for group in split(statements, cfg):
-        runs = [(mode, list(run)) for mode, run in itertools.groupby(group, key=lambda st: st.mode)]
-        files.append([(mode, piece) for mode, run in runs
-                      for piece in (_pack(run, CHUNK_TARGET_BYTES) if temp else [run])])
-    pieces = [piece for file in files for piece in file]  # in chunk number order
-    ws = _workspace_name(names)
-    local_bits = {names[label]: bit for label, bit in bits.items()}
-    bodies: dict[int, tuple] = {}  # chunk number -> (its lines, the workspace it takes or "")
+    # each file's chunk functions, as (mode, statements), in call order
+    files = ([(mode, piece) for mode, run in itertools.groupby(group, key=lambda st: st.mode)
+              for piece in (_pack(run, CHUNK_TARGET_BYTES) if temp else [list(run)])]
+             for group in split(_statements(bundle, cfg, bits, names, temp), cfg))
+    bodies: dict[int, tuple] = {}  # bound form: chunk number -> (its lines, its workspace or "")
     workspaces = {}
-    for mode in MODE_ORDER:
-        own = [cid for cid, piece in enumerate(pieces) if piece[0] == mode]
-        lines, takes, size = _workspace([pieces[cid][1] for cid in own], temp, ws)
-        bodies.update(zip(own, zip(lines, takes)))
-        if size:
-            workspaces[mode] = f"{ws}[{size}]"
-    texts = []
+    if temp:
+        files = list(files)
+        pieces = [piece for file in files for piece in file]  # in chunk number order
+        ws = _workspace_name(names)
+        for mode in MODE_ORDER:
+            own = [cid for cid, piece in enumerate(pieces) if piece[0] == mode]
+            lines, takes, size = _workspace([pieces[cid][1] for cid in own], temp, ws)
+            bodies.update(zip(own, zip(lines, takes)))
+            if size:
+                workspaces[mode] = f"{ws}[{size}]"
+    local_bits = {names[label]: bit for label, bit in bits.items()}
     chunks: dict[str, list] = {m: [] for m in MODE_ORDER}
     numbers = itertools.count()
-    for file in files:
-        lines = list(head)
+    n_statements = 0
+
+    def part_text(file: list) -> str:
+        """A file's text; its statements go when it returns."""
+        nonlocal n_statements
+        # the text in pieces, each line followed by its newline
+        out = [f"{line}\n" for line in head(any(st.calls for _, piece in file for st in piece))]
         for mode, piece in file:
             cid = next(numbers)
-            body, takes = bodies.pop(cid)
+            n_statements += len(piece)
+            body, takes = bodies.pop(cid) if temp else (_lines(piece), "")
             chunks[mode].append((cid, takes))
-            lines += [f"void {stem}_chunk_{cid}({_chunk_params(takes)})", "{"]
+            out.append(f"void {stem}_chunk_{cid}({_chunk_params(takes)})\n{{\n")
             mask = 0
             if takes:  # a root's slots that it reads through the workspace are not read here
                 for word in set(_WORD(" ".join(body))):
@@ -428,12 +465,23 @@ def _unrolled_parts(bundle: DerivativeBundle, cfg: EmitConfig, program: Straight
             else:
                 for st in piece:
                     mask |= st.params
-            decls = _param_decls(layout, names, mask)
-            lines += [*decls, ""] if decls else ["    (void) vals;"]
-            lines += [f"    {line}" for line in body]
-            lines += ["}", ""]
-        texts.append("\n".join(lines))
-    return texts, chunks, workspaces, len(statements)
+            decl = _param_decl(layout, names, mask)
+            out.append(f"{decl}\n\n" if decl else "    (void) vals;\n")
+            for line in body:
+                out += ("    ", line, "\n")
+            out.append("}\n\n")
+        out[-1] = out[-1][:-1]  # the text ends with its last line's newline
+        return "".join(out)
+
+    # `map` keeps no file once its text is made, so the next one renders without it
+    texts = list(map(part_text, files))
+    return texts, chunks, workspaces, n_statements
+
+
+def _lines(piece: list) -> list:
+    """The lines of a chunk function's statements, each after the
+    temporaries it reads first."""
+    return [line for st in piece for line in (*st.temps, st.text)]
 
 
 def _chunk_params(ws: str) -> str:
@@ -447,7 +495,7 @@ def _workspace_name(names: dict) -> str:
     return next(ws for ws in ("w" + "_" * m for m in itertools.count()) if ws not in taken)
 
 
-def _workspace(pieces: list, temp: str | None, ws: str) -> tuple:
+def _workspace(pieces: list, temp: str, ws: str) -> tuple:
     """The lines of each of one mode's chunk functions, given their
     statements in call order, the workspace each takes (`ws` or ""), and
     the workspace's size K.
@@ -459,9 +507,9 @@ def _workspace(pieces: list, temp: str | None, ws: str) -> tuple:
     that reads it last, and goes to the next such temporary first written
     on a later line, lowest slot first; so K is the largest number of them
     live at one line."""
-    lines = [[line for st in piece for line in (*st.temps, st.text)] for piece in pieces]
+    lines = [_lines(piece) for piece in pieces]
     plain = lines, [""] * len(lines), 0
-    if temp is None or len(pieces) < 2:
+    if len(pieces) < 2:
         return plain
     # each line cut at its temporaries: text, number, text, number, ..., text
     cut = temp_pattern(temp).split
@@ -509,12 +557,13 @@ def _workspace(pieces: list, temp: str | None, ws: str) -> tuple:
 
 
 def _element_part(bundles: tuple, cfg: EmitConfig, loops: ElementLoops, n: int, stem: str,
-                  head: list) -> tuple:
+                  head) -> tuple:
     """The one part's text, each mode's chunk, and the statement count, of
     the element path: each chunk runs every loop nest around its body."""
-    lines = list(head)
+    lines = []
     chunks: dict[str, list] = {m: [] for m in MODE_ORDER}
     n_statements = 0
+    calls = False
     texts = [_nest_text(nest) for nest in loops.nests]
     for cid, mode in enumerate(m for m in ("function", "gradient") if m in cfg.mode):
         chunks[mode].append((cid, ""))
@@ -523,16 +572,18 @@ def _element_part(bundles: tuple, cfg: EmitConfig, loops: ElementLoops, n: int, 
         lines += [f"void {stem}_chunk_{cid}(const double* restrict vals, double* restrict out)",
                   "{"]
         if not any(label in positions
-                   for (_, _, positions, _), (read, _, _) in zip(texts, bodies) for label in read):
+                   for (_, _, positions, _), (read, *_) in zip(texts, bodies) for label in read):
             lines.append("    (void) vals;")
         if mode == "function":
             lines.append(f"    double {ENERGY_NAME} = {to_source(loops.init)};")
+            calls |= any(isinstance(node, Call) for node in linearize((loops.init,)).nodes)
         else:
             lines.append(f"    for (int k = 0; k < {n}; ++k) out[k] = 0;")
-        for (headers, names, positions, ints), (read, body, count) in zip(texts, bodies):
+        for (headers, names, positions, ints), (read, body, count, call) in zip(texts, bodies):
             if not count:  # a nest that reads no differentiation variable
                 continue
             n_statements += count
+            calls |= call
             loads = [f"{names[label]} = " + (f"vals[{positions[label]}]"
                                              if label in positions else ints[label])
                      for label in read]
@@ -545,7 +596,7 @@ def _element_part(bundles: tuple, cfg: EmitConfig, loops: ElementLoops, n: int, 
         if mode == "function":
             lines.append(f"    out[0] = {ENERGY_NAME};")
         lines += ["}", ""]
-    return ["\n".join(lines)], chunks, n_statements
+    return ["\n".join([*head(calls), *lines])], chunks, n_statements
 
 
 def _nest_text(nest: ElementNest) -> tuple:
@@ -586,14 +637,16 @@ def _nest_text(nest: ElementNest) -> tuple:
 
 def _element_body(nest: ElementNest, text: tuple, bundle: DerivativeBundle, mode: str) -> tuple:
     """The input slots a nest's body reads for `mode`, in slot order, the
-    body's lines and its statements' count: `e = <f>;`, or
-    `out[k] += <entry>;` per gradient entry that is not +0, each after the
-    temporaries it reads first.  `text` is the nest's `_nest_text`."""
+    body's lines, its statements' count, and whether it calls a function:
+    `e = <f>;`, or `out[k] += <entry>;` per gradient entry that is not +0,
+    each after the temporaries it reads first.  `text` is the nest's
+    `_nest_text`."""
     _, names, positions, _ = text
     lin = bundle.linearized(mode)
     shared = SharedText(lin.roots, "t", lin, names)
     bits = {s.label: 1 << i for i, s in enumerate(nest.program.inputs[1:])}
-    masks = lin.masks(bits)
+    call = 1 << len(bits)  # the mask bit of a `Call`, past every input slot's
+    masks = lin.masks(bits, call)
     if mode == "function":
         targets = [f"{ENERGY_NAME} ="]
     else:
@@ -608,4 +661,4 @@ def _element_body(nest: ElementNest, text: tuple, bundle: DerivativeBundle, mode
         mask |= masks[at]
         body += [*shared.decls[first:], f"{target} {text};"]
         count += 1
-    return [label for label, bit in bits.items() if bit & mask], body, count
+    return [label for label, bit in bits.items() if bit & mask], body, count, mask & call != 0

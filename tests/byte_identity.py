@@ -1,6 +1,6 @@
 """Compare what two source trees of acorns print and write, run by run.
 
-    python tests/byte_identity.py [--kernels] OTHER_SRC
+    python tests/byte_identity.py [--kernels] [--rss] OTHER_SRC
 
 For each run on a fixed list (`runs`), call `python -m acorns.cli` twice,
 with this checkout's `src` and with `OTHER_SRC` (for example the `src` of a
@@ -31,6 +31,18 @@ nothing else is compiled on both sides (`tests/cc_util.run_drivers`, at
 the run's box, into buffers poisoned with 0xAB.  A run whose drivers all
 agree bitwise is listed as such and does not count as differing; each
 driver that does not agree is listed, and counts.
+
+With `--rss`, each run's peak resident set size is read from its
+process's rusage (`os.wait4` on its pid, so the two sides, which run at
+once, do not mix; see `_LAUNCH`), and every run whose peak moved by more than `RSS_MOVE` (5%)
+between the two trees is listed as `OTHER_SRC`'s peak, then this
+checkout's.  The list then also holds `MEMORY_RUNS`, raw Hessians of eq3
+at s=25 (54 MB of C) and springs at G=4 and G=6 (342 MB of C, and a peak
+of several hundred MB on each side, the two at once), which are listed
+whatever they moved.  The peak counts the whole `python -m acorns.cli` process:
+interpreter, imports, derivation and emission.  Each side's runs share a
+bytecode cache of their own in the comparator's temporary directory, so
+the first run of each side compiles the modules it imports.
 """
 
 from __future__ import annotations
@@ -55,6 +67,30 @@ SRC = ROOT / "src"
 CC = "gcc"
 KERNEL_SEED = 31
 KERNEL_POINTS = 100
+# a peak RSS that moves by more than this share between the two sides is listed (`--rss`)
+RSS_MOVE = 0.05
+# `python -S -c _LAUNCH FD ARGV...` runs ARGV as its child and writes the
+# child's peak RSS (`os.wait4`), in KiB, to the file descriptor FD, then
+# exits as the child did.  A child's `ru_maxrss` counts the resident size
+# of the process it was forked from, so each run is forked from this small
+# interpreter, not from the comparator, which holds numpy and the run list.
+_LAUNCH = """\
+import os, signal, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.argv[2], sys.argv[2:])
+_, status, usage = os.wait4(pid, 0)
+os.write(int(sys.argv[1]), b"%d" % usage.ru_maxrss)
+code = os.waitstatus_to_exitcode(status)
+if code < 0:
+    signal.signal(-code, signal.SIG_DFL)
+    os.kill(os.getpid(), -code)
+sys.exit(code)
+"""
+# raw Hessians that write megabytes of C, run with `--rss` alone: label -> (corpus name, size)
+MEMORY_RUNS = {"eq3 s=25 hessian --no-simplify": ("eq3", 25),
+               "springs G=4 hessian --no-simplify": ("springs", 4),
+               "springs G=6 hessian --no-simplify": ("springs", 6)}
 
 
 class Run(NamedTuple):
@@ -70,6 +106,7 @@ class Outcome(NamedTuple):
     stdout: str
     stderr: str
     files: dict  # written file, relative -> sha256
+    peak_rss_kb: int  # the child's peak resident set size, in KiB
 
 
 def _generate(name: str, fn, *flags) -> Run:
@@ -137,8 +174,9 @@ def _workloads() -> dict:
     return module.WORKLOADS
 
 
-def runs() -> list:
-    """The fixed list of runs (see the module docstring)."""
+def runs(memory: bool = False) -> list:
+    """The fixed list of runs (see the module docstring), and with
+    `memory` the runs of `MEMORY_RUNS` after them."""
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
     from acorns.verify import CORPUS, CorpusFunction, corpus_function
@@ -182,24 +220,37 @@ def runs() -> list:
                              "--mode", *modes, *split))
     long_sum = CorpusFunction("long_sum", _LONG_SUM_SRC, "long_sum", "e", ("x",), {"x": (0.1, 2.0)})
     out.append(_generate("long_sum gradient split 65536", long_sum, "--mode", "gradient", *split))
+    if memory:
+        out += [_generate(label, corpus_function(name, s=s), "--no-simplify", "--mode", "hessian")
+                for label, (name, s) in MEMORY_RUNS.items()]
     return out
 
 
-def outcome(src: pathlib.Path, run: Run, work: pathlib.Path) -> Outcome:
+def outcome(src: pathlib.Path, run: Run, work: pathlib.Path, pycache: pathlib.Path) -> Outcome:
     """What `run` prints and writes with the package at `src`, run in the
-    new directory `work`."""
+    new directory `work`, its bytecode cached under `pycache`: one per
+    side, so that a tree's own `__pycache__`, or its absence, does not tilt
+    the peaks."""
     work.mkdir(parents=True)
     (work / "out").mkdir()
     for name, text in run.inputs.items():
         (work / name).write_text(text)
-    env = {k: v for k, v in os.environ.items() if k != "ACORNS_MAX_NODES"}
-    env.update(run.env, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-m", "acorns.cli", *run.argv], cwd=work, env=env,
-                          capture_output=True, text=True)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("ACORNS_MAX_NODES", "PYTHONDONTWRITEBYTECODE")}
+    env.update(run.env, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=str(pycache))
+    with (tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err,
+          tempfile.TemporaryFile() as rss):
+        code = subprocess.run([sys.executable, "-S", "-c", _LAUNCH, str(rss.fileno()),
+                               sys.executable, "-m", "acorns.cli", *run.argv],
+                              cwd=work, env=env, stdout=out, stderr=err,
+                              pass_fds=(rss.fileno(),)).returncode
+        streams = []
+        for stream in (out, err, rss):
+            stream.seek(0)
+            streams.append(stream.read().decode().replace(str(work), "<dir>"))
     files = {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(work.rglob("*")) if p.is_file() and p.name not in run.inputs}
-    mask = lambda text: text.replace(str(work), "<dir>")
-    return Outcome(done.returncode, mask(done.stdout), mask(done.stderr), files)
+    return Outcome(code, *streams[:2], files, int(streams[2]))
 
 
 def differences(this: Outcome, other: Outcome) -> list:
@@ -235,19 +286,25 @@ def _drivers(work: pathlib.Path, run: Run, opt: str) -> dict:
     return run_drivers(CC, art, str(work / f"build{opt}"), "k", points, n, (opt,))
 
 
-def compare(this_src, other_src, run_list, work: pathlib.Path, agreed: list | None = None) -> list:
+def compare(this_src, other_src, run_list, work: pathlib.Path, agreed: list | None = None,
+            rss: dict | None = None) -> list:
     """One line per run of `run_list` whose outcomes under `this_src` and
     `other_src` differ, in list order; the two sides of a run run at once.
     With `agreed`, a run that differs only in the C it writes is compiled
     (see the module docstring): when every driver agrees, its name goes to
-    `agreed` instead, and otherwise its line names the drivers that do not."""
+    `agreed` instead, and otherwise its line names the drivers that do not.
+    With `rss`, each run's name maps to its two peaks, `other_src`'s first,
+    in KiB."""
     lines = []
     with ThreadPoolExecutor(2) as pool:
         for k, run in enumerate(run_list):
             dirs = [work / f"{k}{side}" for side in "ab"]
-            sides = [pool.submit(outcome, pathlib.Path(src), run, d)
-                     for src, d in zip((this_src, other_src), dirs)]
-            found = differences(*(side.result() for side in sides))
+            sides = [pool.submit(outcome, pathlib.Path(src), run, d, work / f"pycache-{side}")
+                     for src, d, side in zip((this_src, other_src), dirs, "ab")]
+            this, other = (side.result() for side in sides)
+            if rss is not None:
+                rss[run.name] = (other.peak_rss_kb, this.peak_rss_kb)
+            found = differences(this, other)
             if (found and agreed is not None
                     and all(re.fullmatch(r"out/k(_part\d+\.c|\.h) differs", f) for f in found)):
                 found = []
@@ -266,21 +323,26 @@ def compare(this_src, other_src, run_list, work: pathlib.Path, agreed: list | No
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    kernels = args[:1] == ["--kernels"]
-    if len(args) != 1 + kernels:
+    flags = set(args[:-1])
+    if not args or len(flags) != len(args) - 1 or not flags <= {"--kernels", "--rss"}:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    run_list = runs()
-    agreed = [] if kernels else None
+    run_list = runs(memory="--rss" in flags)
+    agreed = [] if "--kernels" in flags else None
+    rss = {} if "--rss" in flags else None
     with tempfile.TemporaryDirectory() as work:
         lines = compare(SRC, pathlib.Path(args[-1]).resolve(), run_list, pathlib.Path(work),
-                        agreed)
+                        agreed, rss)
     for name in agreed or ():
         print(f"{name}: C differs, every driver bitwise equal at -O0 and -O2")
+    for name, (there, here) in (rss or {}).items():
+        if abs(here - there) > RSS_MOVE * there or name in MEMORY_RUNS:
+            print(f"{name}: peak RSS {there / 1024:.1f} -> {here / 1024:.1f} MB "
+                  f"({(here - there) / there:+.1%})")
     for line in lines:
         print(line)
     print(f"{len(run_list)} runs, {len(lines)} differ"
-          + (f", {len(agreed)} more in their C alone" if kernels else ""))
+          + (f", {len(agreed)} more in their C alone" if agreed is not None else ""))
     return 1 if lines else 0
 
 

@@ -1,5 +1,6 @@
 """The byte-identity comparator (`tests/byte_identity.py`) on small runs."""
 
+import resource
 import shutil
 
 import byte_identity
@@ -34,6 +35,19 @@ def test_the_list_covers_the_workloads_and_the_corpus():
                  "springs G=10 hessian", "rollout verify --machine hessian", "octal verify"):
         assert name in names
     assert byte_identity.main([]) == 2
+    assert byte_identity.main(["--heap", "src"]) == 2
+    assert byte_identity.main(["--rss", "--rss", "src"]) == 2
+    with_memory = [run.name for run in runs(memory=True)]
+    assert with_memory == names + list(byte_identity.MEMORY_RUNS)
+
+
+def test_rss_holds_each_runs_peak_on_both_sides(tmp_path):
+    rss = {}
+    assert compare(SRC, SRC, _RUNS, tmp_path, rss=rss) == []
+    assert list(rss) == ["generate", "verify"]
+    assert all(5_000 < peak < 2_000_000 for peaks in rss.values() for peak in peaks)  # KiB
+    # the run's own peak, not the resident size of the process that started it
+    assert max(rss["generate"]) < resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def _copy_with(tmp_path, module, old, new):

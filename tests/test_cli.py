@@ -301,13 +301,13 @@ double f(const double *x, double u) {{
 _LONG_DIGESTS = {
     "long.c": {
         "ka.h": "0c875ff0e8db89ec3937d6faef34ef776f9835faece14304a15dd61ee0c09ace",
-        "ka_part0.c": "6f08b4a20b0ac638d486a451701eb701bdad22b515fb524a7d94fa80468b7eb4",
+        "ka_part0.c": "d60ccef1c04d624e49a1ad8f4be9a80606e0947c2fca63ab6e999b21165dbfa0",
         "kb.h": "e1f030576ff4d54d6a46ea99519b8178ca5982a8e6ed0717c4f566c5d851722b",
-        "kb_part0.c": "9cc6b5c37b4a6c9cadef95e1f5d9de1ccfd25bb247d6fb393d9db522b11b6391",
+        "kb_part0.c": "fae43033ae5f343671874f67755449e3a17f927ea6e5dc5db562e1d1a6ece633",
     },
     "elem.c": {
         "k.h": "c698f2ba36238cfbf60b4e2771f71805a37b7f78bf30782092d11eb22814109d",
-        "k_part0.c": "cc9ec6f568fa28b7825461df7a964def8f981a0af5793420bc06fd903a1f4b25",
+        "k_part0.c": "67f11187fa8f644312cd0f180933220a4f4058afc721ade379835033dffdcd1e",
     },
 }
 # (output stem, modes) of each run

