@@ -16,22 +16,15 @@ counts.  Output text is fully deterministic for a
 given bundle and config.
 
 A part includes `<math.h>` only when one of its statements' expressions
-holds a `Call`, the bit `Linearized.masks` gives a call, or, on the element
-path, when a body or `E`'s initial value does: gcc 12.2 -O2 -c took 13.9
-ms of CPU on a file holding only the include against 8.0 ms on an empty
-one (x86-64, medians of 20 alternated runs), and a polynomial such as eq3
-calls nothing.  In bound form a part may include it for a call that a
-temporary of an earlier function computes.
+holds a `Call` (the bit `Linearized.masks` gives a call), or, on the element
+path, when a body or `E`'s initial value does; gcc pays for the include
+even in a part that calls nothing.  In bound form a part may include it
+for a call that a temporary of an earlier function computes.
 
 `emit` assembles one part at a time: it renders the statements that fill
 a part, joins the part's text, and keeps only that text before it renders
-the next, so while it runs it holds the DAG, the texts of the parts made so
-far and one part being made.  Bound form is the exception: its statements
-are all rendered first, since a temporary's workspace slot depends on the
-line that reads it last, and its text is one line per DAG node.  On the
-tree layout of eq3 s=12 (2.07 MB of C in 79 parts of 64 KiB), emit's
-tracemalloc peak beyond what it returns is 0.52 MB; it was 2.08 MB while
-every statement's text lived until the last part was joined.
+the next.  Bound form renders all its statements first, since a
+temporary's workspace slot depends on the line that reads it last.
 
 The Hessian chunks write only the lower entries `(i, j <= i)` that are not
 the constant +0.  Per point, `compute_hess` zero-fills the n*n block when
@@ -111,7 +104,7 @@ import itertools
 import re
 
 from .cast import (INTRINSICS, Binary, Call, Constant, Expr, SharedText, Var, const, is_plus_zero,
-                   linearize, replace_vars, temp_pattern, to_source)
+                   post_order, replace_vars, temp_pattern, to_source)
 from .derivatives import STAGES, DerivativeBundle, VarIndexMap, layout_slots
 from .elements import ElementLoops, ElementNest
 from .errors import AcornsError
@@ -576,7 +569,7 @@ def _element_part(bundles: tuple, cfg: EmitConfig, loops: ElementLoops, n: int, 
             lines.append("    (void) vals;")
         if mode == "function":
             lines.append(f"    double {ENERGY_NAME} = {to_source(loops.init)};")
-            calls |= any(isinstance(node, Call) for node in linearize((loops.init,)).nodes)
+            calls |= any(type(node) is Call for node in post_order(loops.init, set()))
         else:
             lines.append(f"    for (int k = 0; k < {n}; ++k) out[k] = 0;")
         for (headers, names, positions, ints), (read, body, count, call) in zip(texts, bodies):

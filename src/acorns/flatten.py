@@ -426,10 +426,9 @@ class FoldPlan(Record):
     other's None until an action makes it.  The walk does not enter an
     integer-typed node.  Each action is `(kind, k, node, a, b)`, making
     `values[k]`: `_INT` folds an integer-typed `node` by the step list `a`;
-    `_READ` reads a variable or an array element, `a` being its indices
-    as ints when each is an integer literal, else their step list;
-    `_BINARY`, `_UNARY` and `_CALL` rebuild `node` over the operands at `a`
-    and `b`, or at the positions `a`; and `_SYMBOL` stands
+    `_READ` reads a variable or an array element, `a` being the step list
+    of its indices; `_BINARY`, `_UNARY` and `_CALL` rebuild `node` over the
+    operands at `a` and `b`, or at the positions `a`; and `_SYMBOL` stands
     for an array element, or an integer-typed node that reads a symbolic
     counter, in a plan over symbolic counters.  `root` is the expression's
     place.
@@ -478,8 +477,7 @@ def fold_plan(e: Expr, bound, symbolic=frozenset()) -> FoldPlan:
             actions.append((_READ, k, node, None, None))
         elif isinstance(node, ArrayRef):
             actions.append((_SYMBOL, k, node, None, None) if symbolic else
-                           (_READ, k, node, _literal_indices(node) or const_order(*node.indices),
-                            None))
+                           (_READ, k, node, const_order(*node.indices), None))
         elif isinstance(node, Binary):
             actions.append((_BINARY, k, node, at[id(node.lhs)], at[id(node.rhs)]))
         elif isinstance(node, Unary):
@@ -489,27 +487,13 @@ def fold_plan(e: Expr, bound, symbolic=frozenset()) -> FoldPlan:
     return FoldPlan(values, actions, at[id(e)])
 
 
-def _literal_indices(ref: ArrayRef) -> tuple:
-    """The indices of `ref` when each is an integer literal, as ints, else ()."""
-    if all(isinstance(ix, Constant) and is_integer_literal(ix.text) for ix in ref.indices):
-        return tuple(int(ix.text) for ix in ref.indices)
-    return ()
-
-
-def element_indices(indices, env: dict) -> tuple:
-    """The indices of an array element a fold plan reads (`run_fold`):
-    `indices` itself when its literals were resolved as the plan was built,
-    else the values of its step list over the bindings `env`."""
-    return indices if type(indices) is tuple else eval_consts(indices, env)
-
-
 def run_fold(plan: FoldPlan, env: dict, read, symbol=None) -> Expr:
     """The expression `plan` folds over the bindings `env`: each
     integer-typed node that is not part of a larger one folded to the
     constant C computes for it, an integer literal staying as it is
     spelled, each other variable or array element replaced by
-    `read(node, env, indices)`, `indices` being an array element's
-    indices (`element_indices`) and None for a variable, and, in a plan over
+    `read(node, env, indices)`, `indices` being the step list of an array
+    element's indices and None for a variable, and, in a plan over
     symbolic counters, each `_SYMBOL` node by `symbol(node, env)`."""
     values = plan.values.copy()
     for kind, k, node, a, b in plan.actions:
@@ -597,16 +581,16 @@ class _Unroller:
             elif not symbolic:
                 self.live[p.name] = p.name
 
-    def element(self, ref: ArrayRef, env: dict, indices) -> str:
-        """The label of the element `ref` names, its indices
-        (`element_indices`) checked against the array's rank and extents.
+    def element(self, ref: ArrayRef, env: dict, indices: ConstOrder) -> str:
+        """The label of the element `ref` names, its indices, which
+        `indices` evaluates, checked against the array's rank and extents.
         A parameter element becomes live as its input slot when first
         named, and widens the parameter's undeclared extents to cover
         it."""
         extents = self.arrays.get(ref.base)
         if extents is None:
             raise NotConstant(ref.span, f"unknown array {ref.base!r}")
-        indices = element_indices(indices, env)
+        indices = eval_consts(indices, env)
         if len(indices) != len(extents):
             raise UnsupportedConstruct(ref.span, f"{len(indices)} index(es) into "
                                                  f"{len(extents)}-dimensional {ref.base!r}")
@@ -638,7 +622,7 @@ class _Unroller:
         plan = self.compiled(e, fold_plan, e, env, self.symbolic)
         return run_fold(plan, env, self.read, self.symbol)
 
-    def read(self, e: Expr, env: dict, indices) -> Var:
+    def read(self, e: Expr, env: dict, indices: ConstOrder | None) -> Var:
         """The live slot a variable or an array element reads.  In a run
         over symbolic counters a scalar parameter, whose reach is `[]`,
         becomes live as its input slot when first read, so `inputs` lists

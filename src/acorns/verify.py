@@ -22,9 +22,9 @@ from .cast import (Assignment, Block, Constant, Declaration, Expr, ForLoop, Func
 from .derivatives import DEFAULT_NODE_CAP, VarIndexMap, derive_bundle, layout_slots
 from .elements import ElementLoops, element_path
 from .errors import AcornsError, SubsetViolations, UnboundSlot
-from .flatten import (DEFAULT_ASSIGN_CAP, StraightLineProgram, const_order, element_indices,
-                      element_labels, eval_const, eval_consts, fold, iterations, loop_heads,
-                      slot_label, to_int, unroll)
+from .flatten import (DEFAULT_ASSIGN_CAP, StraightLineProgram, const_order, element_labels,
+                      eval_const, eval_consts, fold, iterations, loop_heads, slot_label, to_int,
+                      unroll)
 from .interp import CHUNK_CELLS, compile_exprs, compile_program, evaluate, eval_expr
 from .parser import parse_source, validate_subset
 from .record import Record
@@ -280,7 +280,7 @@ def run_ir(ir: FunctionIR, bindings: dict) -> float:
 
     def loaded(node: Expr, env: dict, indices) -> Constant:
         label = node.name if indices is None else \
-            slot_label(node.base, element_indices(indices, env))
+            slot_label(node.base, eval_consts(indices, env))
         v = read(label)
         return Constant(repr(v), v)
 

@@ -571,9 +571,7 @@ def test_split_respects_budget():
 def test_emit_holds_one_part_at_a_time():
     # a part is assembled from the statements that fill it and only its
     # text is kept, so beyond the artifact it returns emit's working memory
-    # is a part or two and each mode's use counts and masks: 0.52 MB here,
-    # on 2.07 MB of C in 79 parts, against 2.08 MB when every statement's
-    # text lived until the last part was joined
+    # is a part or two and each mode's use counts and masks
     fn = corpus_function("eq3", s=12)
     _, program, vars_ = corpus_program(fn)
     bundle = derive_bundle(program, vars_, do_simplify=False)

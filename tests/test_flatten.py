@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from acorns.cast import ArrayRef, Binary, Constant, Unary, Var, children, const, to_source
+from acorns.cast import Binary, Constant, Unary, Var, children, const, to_source
 from acorns.cli import main
 from acorns.derivatives import VarIndexMap, derive_bundle, substitute
 from acorns.errors import (
@@ -20,17 +20,14 @@ from acorns.errors import (
     UnsupportedConstruct,
 )
 from acorns.flatten import (
-    ConstOrder,
     StraightLineProgram,
     SlpAssign,
     InputSlot,
     const_order,
     deserialize,
     dump_text,
-    element_indices,
     eval_const,
     eval_consts,
-    fold_plan,
     int_expr,
     int_typed,
     pretty_assign,
@@ -236,17 +233,6 @@ def test_int_expr_matches_a_recursive_reference():
 
 
 # --- unroll ------------------------------------------------------------------
-
-
-def test_literal_indices_are_resolved_as_the_plan_is_built():
-    # an element whose indices are all integer literals reads them as ints,
-    # with no step list to compile or run; any other keeps its step list
-    plan = fold_plan(parse_expr("x[1] * a[2][0] + x[i] - x[1.5]"), {"i"})
-    reads = [a for _, _, node, a, _ in plan.actions if isinstance(node, ArrayRef)]
-    assert reads[:2] == [(1,), (2, 0)]
-    assert len(reads) == 4 and all(isinstance(a, ConstOrder) for a in reads[2:])
-    assert element_indices(reads[1], {}) == (2, 0)
-    assert element_indices(reads[2], {"i": 3}) == [3]
 
 
 def test_cross_entropy_unrolls_to_four_assignments():
