@@ -71,13 +71,6 @@ def _pipeline_parser() -> _ArgumentParser:
     return p
 
 
-def _exhausted(exc: BaseException) -> str:
-    """The one-line diagnostic for a RecursionError or a MemoryError."""
-    if isinstance(exc, RecursionError):
-        return "input nests too deeply to process (maximum recursion depth exceeded)"
-    return "out of memory"
-
-
 def _node_cap() -> int:
     raw = os.environ.get("ACORNS_MAX_NODES")
     if not raw:
@@ -104,11 +97,25 @@ def _read_source(path: str, prog: str) -> str | int:
         return EXIT_INPUT
 
 
-def _violated(prog: str, path: str, exc: SubsetViolations) -> int:
-    """Print `<prog>: <path>:<line>:<col>: <reason>` for each violation of
-    the subset, `path` as given; the exit code."""
-    for v in exc.violations:
-        print(f"{prog}: {path}:{v.span}: {v.reason}", file=sys.stderr)
+def _failed(prog: str, path: str, exc: BaseException, name_path) -> int:
+    """Print the diagnostic of `exc`, raised on the input `path`; the exit
+    code: 3 for an explosion, a RecursionError or a MemoryError, 1 for any
+    other `AcornsError`.  A violation of the subset prints `<prog>:
+    <path>:<line>:<col>: <reason>` each, `path` as given; any other
+    `AcornsError` names `path` only when `name_path`."""
+    if isinstance(exc, (BoundExplosion, ExpressionExplosion)):
+        print(f"{prog}: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    if isinstance(exc, (RecursionError, MemoryError)):
+        why = ("input nests too deeply to process (maximum recursion depth exceeded)"
+               if isinstance(exc, RecursionError) else "out of memory")
+        print(f"{prog}: {path}: {why}", file=sys.stderr)
+        return EXIT_RESOURCE
+    if isinstance(exc, SubsetViolations):
+        for v in exc.violations:
+            print(f"{prog}: {path}:{v.span}: {v.reason}", file=sys.stderr)
+    else:
+        print(f"{prog}: {f'{path}: ' if name_path else ''}{exc}", file=sys.stderr)
     return EXIT_INPUT
 
 
@@ -156,17 +163,8 @@ def _run_pipeline(args) -> int:
             var_names=tuple(args.vars),
         )
         artifact = emit(bundle, vars_, cfg, form)
-    except (BoundExplosion, ExpressionExplosion) as exc:
-        print(f"acorns_autodiff: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (RecursionError, MemoryError) as exc:
-        print(f"acorns_autodiff: {args.input}: {_exhausted(exc)}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except SubsetViolations as exc:
-        return _violated("acorns_autodiff", args.input, exc)
-    except AcornsError as exc:
-        print(f"acorns_autodiff: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (AcornsError, RecursionError, MemoryError) as exc:
+        return _failed("acorns_autodiff", args.input, exc, True)
 
     stem = args.output_filename
     out_dir = os.path.dirname(stem)
@@ -293,20 +291,10 @@ def _run_verify(argv) -> int:
         report = run_verify(fn, mode=args.mode, points=args.points,
                             do_simplify=not args.no_simplify,
                             tolerance=args.tolerance, cap=_node_cap(), **kwargs)
-    except (BoundExplosion, ExpressionExplosion) as exc:
-        print(f"acorns_autodiff verify: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (RecursionError, MemoryError) as exc:
-        print(f"acorns_autodiff verify: {args.function}: {_exhausted(exc)}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except SubsetViolations as exc:
-        return _violated("acorns_autodiff verify", args.function, exc)
-    except AcornsError as exc:
+    except (AcornsError, RecursionError, MemoryError) as exc:
         # a located error in a file names the file, as generate's does
         located = args.function not in CORPUS and getattr(exc, "span", None)
-        print(f"acorns_autodiff verify: {f'{args.function}: ' if located else ''}{exc}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        return _failed("acorns_autodiff verify", args.function, exc, located)
     print(report.render_machine() if args.machine else report.render())
     return EXIT_OK if report.ok else EXIT_INPUT
 

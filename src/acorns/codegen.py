@@ -9,17 +9,15 @@ calling the chunks in order.  A chunk function loads from `vals` exactly
 the input slots its statements read, each into a `const double` local of
 its own: a scalar parameter keeps its name and an array element is named
 like `x_3` or `a_1_0` (`_c_names` gives the rule, which also names the
-temporaries).  Each node's input slots are one int mask, found by one
-pass over the arrays of its mode's linearisation
-(`DerivativeBundle.linearized`), which also gives `SharedText` its use
-counts.  Output text is fully deterministic for a
-given bundle and config.
+temporaries).  Output text is fully deterministic for a given bundle and
+config.
 
-A part includes `<math.h>` only when one of its statements' expressions
-holds a `Call` (the bit `Linearized.masks` gives a call), or, on the element
-path, when a body or `E`'s initial value does; gcc pays for the include
-even in a part that calls nothing.  In bound form a part may include it
-for a call that a temporary of an earlier function computes.
+Both paths render their statements through one generator, `_rendered`,
+over a mode's linearisation, whose `masks` give each statement its input
+slots and its call bit.  A part includes `<math.h>` only when a statement
+in it, `E`'s initial value included, has the call bit; gcc pays for the
+include even in a part that calls nothing.  In bound form a part may
+include it for a call that a temporary of an earlier function computes.
 
 `emit` assembles one part at a time: it renders the statements that fill
 a part, joins the part's text, and keeps only that text before it renders
@@ -103,8 +101,8 @@ import heapq
 import itertools
 import re
 
-from .cast import (INTRINSICS, Binary, Call, Constant, Expr, SharedText, Var, const, is_plus_zero,
-                   post_order, replace_vars, temp_pattern, to_source)
+from .cast import (INTRINSICS, Binary, Constant, Expr, Linearized, SharedText, Var, const,
+                   is_plus_zero, linearize, replace_vars, temp_pattern, to_source)
 from .derivatives import STAGES, DerivativeBundle, VarIndexMap, layout_slots
 from .elements import ElementLoops, ElementNest
 from .errors import AcornsError
@@ -176,9 +174,10 @@ class Statement(Record):
     __slots__ = ("mode", "text", "params", "temps", "calls")
 
     def __init__(self, mode: str, text: str, params: int, temps: tuple = (), calls: bool = False):
-        # text is the `out[k] = ...;` line; params the input slots it reads,
-        # as a mask of `_param_bits`; temps the lines of the temporaries it
-        # reads first; calls whether its expression's DAG holds a `Call`
+        # text is the `<target> <expression>;` line; params the input slots
+        # it reads, as a mask of `_param_bits`; temps the lines of the
+        # temporaries it reads first; calls whether its expression's DAG
+        # holds a `Call`
         super().__init__(mode, text, params, temps, calls)
 
     @property
@@ -221,36 +220,41 @@ def _c_names(program: StraightLineProgram) -> tuple:
 def _statements(bundle: DerivativeBundle, cfg: EmitConfig, bits: dict, names: dict,
                 temp: str | None = None):
     """The statements in order, rendered one at a time as they are asked
-    for.
-
-    Each mode's expressions are rendered over that mode's DAG, whose
-    linearisation (`DerivativeBundle.linearized`) gives the use counts and
-    each statement's mask of input slots (`_param_bits`) and whether it
-    calls a function; an input slot prints as its local's name in `names`.
-    With `temp` they are in bound form, so a temporary serves one driver;
-    without it every expression is one expanded `out[k] = ...;` line.  The
-    Hessian has a statement per lower entry that is not +0: its driver
-    zero-fills and mirrors the rest.  A +0 entry is rendered all the same,
-    which spends its use and writes nothing else.
+    for: each mode's `out[k] = ...;` lines (`_rendered`).  With `temp` they
+    are in bound form, so a temporary serves one driver; without it every
+    expression is one expanded line.  The Hessian has a statement per lower
+    entry that is not +0: its driver zero-fills and mirrors the rest.
     """
     n = bundle.n
     out = {"function": (0,), "gradient": range(n),  # each mode's out indices, in order
            "hessian": (i * n + j for i in range(n) for j in range(i + 1))}
-    call = 1 << len(bits)  # the mask bit of a `Call`, past every input slot's
     for mode in MODE_ORDER:
-        if mode not in cfg.mode or not bundle.exprs(mode):
+        if mode in cfg.mode and bundle.exprs(mode):
+            yield from _rendered(mode, bundle.linearized(mode), (f"out[{k}] =" for k in out[mode]),
+                                 mode == "hessian", temp, names, bits)
+
+
+def _rendered(mode: str, lin: Linearized, targets, skip_zero: bool, temp: str | None,
+              names: dict | None, bits: dict):
+    """A `Statement` per root of `lin`, `<target> <text>;` with its target
+    from `targets`, rendered in order over one `SharedText`.
+
+    An input slot prints as its local's name in `names`, and `lin.masks`
+    gives each statement's mask of input slots (`bits`) and whether it
+    calls a function.  With `skip_zero` a +0 root yields nothing; it is
+    rendered all the same, which spends its uses.
+    """
+    shared = SharedText(lin.roots, temp, lin, names)
+    call = 1 << len(bits)  # the mask bit of a `Call`, past every input slot's
+    masks = lin.masks(bits, call)
+    for target, expr, at in zip(targets, lin.roots, lin.at):
+        first = len(shared.decls)
+        text = to_source(expr, shared)
+        if skip_zero and is_plus_zero(expr):
             continue
-        lin = bundle.linearized(mode)
-        shared = SharedText(lin.roots, temp, lin, names)
-        masks = lin.masks(bits, call)
-        for k, expr, at in zip(out[mode], lin.roots, lin.at):
-            first = len(shared.decls)
-            text = to_source(expr, shared)
-            if mode == "hessian" and is_plus_zero(expr):
-                continue
-            mask = masks[at]
-            yield Statement(mode, f"out[{k}] = {text};", mask & ~call,
-                            tuple(shared.decls[first:]), mask & call != 0)
+        mask = masks[at]
+        yield Statement(mode, f"{target} {text};", mask & ~call,
+                        tuple(shared.decls[first:]), mask & call != 0)
 
 
 def split(statements, cfg: EmitConfig):
@@ -421,6 +425,7 @@ def _unrolled_parts(bundle: DerivativeBundle, cfg: EmitConfig, program: Straight
     bits = _param_bits(layout)
     # each file's chunk functions, as (mode, statements), in call order
     files = ([(mode, piece) for mode, run in itertools.groupby(group, key=lambda st: st.mode)
+              # tree runs stay whole: cut, hess_expand's parts took gcc -O2 5.5-6.4 s, not 3.4-3.8
               for piece in (_pack(run, CHUNK_TARGET_BYTES) if temp else [list(run)])]
              for group in split(_statements(bundle, cfg, bits, names, temp), cfg))
     bodies: dict[int, tuple] = {}  # bound form: chunk number -> (its lines, its workspace or "")
@@ -552,7 +557,9 @@ def _workspace(pieces: list, temp: str, ws: str) -> tuple:
 def _element_part(bundles: tuple, cfg: EmitConfig, loops: ElementLoops, n: int, stem: str,
                   head) -> tuple:
     """The one part's text, each mode's chunk, and the statement count, of
-    the element path: each chunk runs every loop nest around its body."""
+    the element path: each chunk runs every loop nest around its body,
+    `e = <f>;` or `out[<index>] += <entry>;` per gradient entry that is not
+    +0, each after the temporaries it reads first."""
     lines = []
     chunks: dict[str, list] = {m: [] for m in MODE_ORDER}
     n_statements = 0
@@ -560,26 +567,38 @@ def _element_part(bundles: tuple, cfg: EmitConfig, loops: ElementLoops, n: int, 
     texts = [_nest_text(nest) for nest in loops.nests]
     for cid, mode in enumerate(m for m in ("function", "gradient") if m in cfg.mode):
         chunks[mode].append((cid, ""))
-        bodies = [_element_body(nest, text, bundle, mode)
-                  for nest, text, bundle in zip(loops.nests, texts, bundles)]
+        bodies = []  # each nest's input slots read, in slot order, and statements
+        for nest, (_, names, positions, _), bundle in zip(loops.nests, texts, bundles):
+            targets = ([f"{ENERGY_NAME} ="] if mode == "function" else
+                       [f"out[{positions[label]}] +=" for label in nest.vars_.labels])
+            bits = {s.label: 1 << i for i, s in enumerate(nest.program.inputs[1:])}
+            body = list(_rendered(mode, bundle.linearized(mode), targets, mode == "gradient",
+                                  "t", names, bits))
+            mask = 0
+            for st in body:
+                mask |= st.params
+            bodies.append(([label for label, bit in bits.items() if bit & mask], body))
         lines += [f"void {stem}_chunk_{cid}(const double* restrict vals, double* restrict out)",
                   "{"]
         if not any(label in positions
-                   for (_, _, positions, _), (read, *_) in zip(texts, bodies) for label in read):
+                   for (_, _, positions, _), (read, _) in zip(texts, bodies) for label in read):
             lines.append("    (void) vals;")
         if mode == "function":
-            lines.append(f"    double {ENERGY_NAME} = {to_source(loops.init)};")
-            calls |= any(type(node) is Call for node in post_order(loops.init, set()))
+            init, = _rendered(mode, linearize((loops.init,)), [f"double {ENERGY_NAME} ="],
+                              False, None, None, {})
+            lines.append(f"    {init.text}")
+            calls |= init.calls
         else:
             lines.append(f"    for (int k = 0; k < {n}; ++k) out[k] = 0;")
-        for (headers, names, positions, ints), (read, body, count, call) in zip(texts, bodies):
-            if not count:  # a nest that reads no differentiation variable
+        for (headers, names, positions, ints), (read, body) in zip(texts, bodies):
+            if not body:  # a nest that reads no differentiation variable
                 continue
-            n_statements += count
-            calls |= call
+            n_statements += len(body)
+            calls |= any(st.calls for st in body)
             loads = [f"{names[label]} = " + (f"vals[{positions[label]}]"
                                              if label in positions else ints[label])
                      for label in read]
+            body = _lines(body)
             if loads:
                 body = [f"const double {', '.join(loads)};", *body]
             depth = len(headers)
@@ -626,32 +645,3 @@ def _nest_text(nest: ElementNest) -> tuple:
     positions = {label: c_int(position) for label, position in nest.reads}
     ints = {label: c_int(e) for label, e in nest.ints}
     return headers, names, positions, ints
-
-
-def _element_body(nest: ElementNest, text: tuple, bundle: DerivativeBundle, mode: str) -> tuple:
-    """The input slots a nest's body reads for `mode`, in slot order, the
-    body's lines, its statements' count, and whether it calls a function:
-    `e = <f>;`, or `out[k] += <entry>;` per gradient entry that is not +0,
-    each after the temporaries it reads first.  `text` is the nest's
-    `_nest_text`."""
-    _, names, positions, _ = text
-    lin = bundle.linearized(mode)
-    shared = SharedText(lin.roots, "t", lin, names)
-    bits = {s.label: 1 << i for i, s in enumerate(nest.program.inputs[1:])}
-    call = 1 << len(bits)  # the mask bit of a `Call`, past every input slot's
-    masks = lin.masks(bits, call)
-    if mode == "function":
-        targets = [f"{ENERGY_NAME} ="]
-    else:
-        targets = [f"out[{positions[label]}] +=" for label in nest.vars_.labels]
-    body = []
-    mask = count = 0
-    for target, expr, at in zip(targets, lin.roots, lin.at):
-        first = len(shared.decls)
-        text = to_source(expr, shared)
-        if mode == "gradient" and is_plus_zero(expr):
-            continue
-        mask |= masks[at]
-        body += [*shared.decls[first:], f"{target} {text};"]
-        count += 1
-    return [label for label, bit in bits.items() if bit & mask], body, count, mask & call != 0

@@ -324,12 +324,9 @@ class _Parser:
         tok = prefix or self.next()
         if tok.kind == "=":
             return Assignment(lv, self.expr(), span=tok.span)
-        if tok.kind in ("+=", "-=", "*="):
+        if tok.kind in ("+=", "-=", "*=", "/="):
             rhs = self.expr()
             return Assignment(lv, Binary(tok.kind[0], lv, rhs, span=tok.span), span=tok.span)
-        if tok.kind == "/=":
-            rhs = self.expr()
-            return Assignment(lv, Binary("/", lv, rhs, span=tok.span), span=tok.span)
         if tok.kind in ("++", "--"):
             op = tok.kind[0]
             return Assignment(lv, Binary(op, lv, const(1.0, "1"), span=tok.span), span=tok.span)

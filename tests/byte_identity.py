@@ -20,10 +20,12 @@ inputs that pin octal literals, the node-cap warning, `int` locals
 folded in an element body, the statement runner's faults (a write to an
 `int` local, at the top level and in a loop body, an `int` local without
 an initializer, an array initializer) and, with `--dump-slp`, an energy
-with unary minuses; and, at `--split-size 65536`, which spreads each
-over several files, springs and barrier at G=10 in `--mode hessian`, eq3
-at s=50 in all modes and the long sum of `tests/test_codegen.py` in
-`--mode gradient`.
+with unary minuses; the input of a +0 gradient entry of
+`tests/test_elements.py` in `--mode function gradient` (the element path)
+and in `--mode gradient hessian` (unrolled); and, at `--split-size 65536`,
+which spreads each over several files, springs and barrier at G=10 in
+`--mode hessian`, eq3 at s=50 in all modes and the long sum of
+`tests/test_codegen.py` in `--mode gradient`.
 
 With `--kernels`, each run whose written C differs and that differs in
 nothing else is compiled on both sides (`tests/cc_util.run_drivers`, at
@@ -218,6 +220,11 @@ def runs(memory: bool = False) -> list:
                                   ("eq3 s=50", "eq3", 50, ("function", "gradient", "hessian"))):
         out.append(_generate(f"{label} {' '.join(modes)} split 65536", corpus_function(name, s=s),
                              "--mode", *modes, *split))
+    from test_elements import PLUS_ZERO_SRC
+    for modes in (("function", "gradient"), ("gradient", "hessian")):
+        out.append(Run(f"plus_zero_entry {' '.join(modes)}",
+                       ("f.c", "e", "--vars", "x", "--func", "f", "--output_filename", "out/k",
+                        "--mode", *modes), {"f.c": PLUS_ZERO_SRC}))
     long_sum = CorpusFunction("long_sum", _LONG_SUM_SRC, "long_sum", "e", ("x",), {"x": (0.1, 2.0)})
     out.append(_generate("long_sum gradient split 65536", long_sum, "--mode", "gradient", *split))
     if memory:

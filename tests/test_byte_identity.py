@@ -32,7 +32,8 @@ def test_the_list_covers_the_workloads_and_the_corpus():
     names = [run.name for run in runs()]
     assert len(names) == len(set(names))
     for name in ("grad_steps", "hess_verify --dump-slp", "hess_expand verify --machine seed 7",
-                 "springs G=10 hessian", "rollout verify --machine hessian", "octal verify"):
+                 "springs G=10 hessian", "rollout verify --machine hessian", "octal verify",
+                 "plus_zero_entry function gradient", "plus_zero_entry gradient hessian"):
         assert name in names
     assert byte_identity.main([]) == 2
     assert byte_identity.main(["--heap", "src"]) == 2
@@ -71,7 +72,7 @@ def test_kernels_of_c_that_differs_alone_are_compared(cc, tmp_path):
 
 
 def test_kernels_that_differ_are_listed(cc, tmp_path):
-    other = _copy_with(tmp_path, "codegen.py", 'f"out[{k}] = {text};"', 'f"out[{k}] = -({text});"')
+    other = _copy_with(tmp_path, "codegen.py", 'f"{target} {text};"', 'f"{target} -({text});"')
     agreed = []
     (line,) = compare(SRC, other, _RUNS[:1], tmp_path / "work", agreed)
     assert agreed == []

@@ -177,6 +177,33 @@ def test_element_statements_count_the_loop_body_lines():
     assert element.n_statements == 1 + 8  # eight reads of x per element
 
 
+# `0 * x[i + 1]` makes x[4]'s gradient entry, and every Hessian entry off the diagonal, +0
+PLUS_ZERO_SRC = ("double f(const double *x) {\n    double e = 0;\n"
+                 "    for (int i = 0; i < 4; i++) {\n        e = e + x[i] * x[i] + 0 * x[i + 1];\n"
+                 "    }\n    return e;\n}\n")
+
+
+def _out_lines(files: dict) -> list:
+    return [line.strip() for line in files["k_part0.c"].decode().splitlines()
+            if line.strip().startswith("out[")]
+
+
+def test_a_plus_zero_entry_is_written_only_in_an_unrolled_gradient(tmp_path):
+    (tmp_path / "element").mkdir()
+    (tmp_path / "unrolled").mkdir()
+    # the element gradient zero-fills, so its +0 entry writes no line, nor loads x[i + 1]
+    element = _cli_files(tmp_path / "element", PLUS_ZERO_SRC, _MODES, (), names=("x",))
+    assert "    for (int k = 0; k < 5; ++k) out[k] = 0;" in element["k_part0.c"].decode()
+    assert _out_lines(element) == ["out[0] = e;", "out[i0] += v1 + v1;"]
+    assert b"v2" not in element["k_part0.c"]
+    # with the Hessian it unrolls: the gradient writes every entry, the Hessian no +0 one
+    unrolled = _cli_files(tmp_path / "unrolled", PLUS_ZERO_SRC, ("gradient", "hessian"), (),
+                          names=("x",))
+    assert "        for (int k = 0; k < 25; ++k) h[k] = 0;" in unrolled["k_part0.c"].decode()
+    assert _out_lines(unrolled) == [*(f"out[{i}] = x_{i} + x_{i};" for i in range(4)),
+                                    "out[4] = 0;", *(f"out[{6 * i}] = 2;" for i in range(4))]
+
+
 def test_element_emission_is_one_file_whatever_the_split():
     fn = corpus_function("barrier", s=6)
     loops = element_loops(parse_source(fn.source, fn.func_name, fn.energy_var), ["x"])
