@@ -3,8 +3,7 @@
 Expression nodes are immutable and compare structurally; the optional
 source span is carried for diagnostics but ignored by equality, so a
 re-parsed pretty-print of a tree compares equal to the original.  Equality,
-hashing, `repr` and pickling walk with explicit stacks, so they work at any
-depth.
+hashing and `repr` walk with explicit stacks, so they work at any depth.
 """
 
 from __future__ import annotations
@@ -29,15 +28,13 @@ INTRINSICS = {
 
 
 class _Node(Record):
-    """Structural `==` and `hash`, `repr`, copying and pickling for the
-    expression nodes, each a frozen `Record` whose `__init__` sets its
-    fields with `set_field`.
+    """Structural `==` and `hash`, and `repr`, for the expression nodes,
+    each a frozen `Record` whose `__init__` sets its fields with
+    `set_field`.
 
     `==` and `hash` read every field but `span`, and `repr` writes every
     field of the class's field tuple as `Name(field=value, ...)`, each with
-    an explicit stack instead of one frame per level.  The nodes are
-    immutable, so a copy is the node itself, and a pickle is the flat list
-    of `_unflatten`.
+    an explicit stack instead of one frame per level.
     """
 
     __slots__ = ()
@@ -57,21 +54,6 @@ class _Node(Record):
             items.append(")")
             work += reversed(items)
         return "".join(out)
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __reduce__(self):
-        records = []  # (class, field values), children first
-        index: dict = {}  # id(node) -> its position in records
-        for node in post_order(self, index):
-            index[id(node)] = len(records)
-            records.append((type(node), tuple(_flat(getattr(node, f), index)
-                                              for f in node._fields)))
-        return _unflatten, (records,)
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
@@ -177,32 +159,6 @@ def _repr_items(value) -> list:
         items += _repr_items(v)
     items.append(",)" if len(value) == 1 else ")")
     return items
-
-
-def _flat(value, index: dict):
-    """A field value with each node in it replaced by `[its index]`; no
-    field holds a list, so a list marks a node."""
-    if isinstance(value, _Node):
-        return [index[id(value)]]
-    if isinstance(value, tuple):
-        return tuple(_flat(v, index) for v in value)
-    return value
-
-
-def _unflatten(records: list) -> Expr:
-    """The last node of `_Node.__reduce__`'s records, rebuilt."""
-    nodes: list = []
-
-    def thaw(value):
-        if isinstance(value, list):
-            return nodes[value[0]]
-        if isinstance(value, tuple):
-            return tuple(thaw(v) for v in value)
-        return value
-
-    for cls, values in records:
-        nodes.append(cls(*(thaw(v) for v in values)))
-    return nodes[-1]
 
 
 def _own_fields(node: Expr) -> tuple:

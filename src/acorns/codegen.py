@@ -123,6 +123,7 @@ RECOMMENDED_FLAGS = "-O3 -ffast-math -flto"
 CHUNK_TARGET_BYTES = 32 * 2**10
 
 _WORD = re.compile(r"[A-Za-z_]\w*").findall
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
 
 # the C name of the energy's running value in an element chunk
 ENERGY_NAME = "e"
@@ -159,6 +160,10 @@ class EmitConfig(Record):
             raise AcornsError("at least one emit mode is required")
         if split_target_bytes < MIN_SPLIT_TARGET:
             raise AcornsError(f"split target must be at least {MIN_SPLIT_TARGET} bytes")
+        stem = _header_stem(basename)  # it names the C functions and the header guard
+        if not _IDENTIFIER(stem):
+            raise AcornsError(f"output file name {stem!r} is not a C identifier "
+                              "([A-Za-z_][A-Za-z0-9_]*)")
         super().__init__(mode, split_target_bytes, parallel, basename, simplified,
                          source_name, var_names)
 
@@ -313,10 +318,6 @@ def _header_stem(basename: str) -> str:
     return basename.replace("\\", "/").rsplit("/", 1)[-1]
 
 
-def _guard_name(basename: str) -> str:
-    return re.sub(r"[^A-Za-z0-9]", "_", _header_stem(basename)).upper() + "_H"
-
-
 def emit(bundle, vars_: VarIndexMap, cfg: EmitConfig,
          program: StraightLineProgram | ElementLoops) -> GeneratedArtifact:
     """Generate the header and split source files for the selected modes.
@@ -391,7 +392,7 @@ def emit(bundle, vars_: VarIndexMap, cfg: EmitConfig,
         drivers += ["    }", "}", ""]
     texts[0] += "\n" + "\n".join(drivers)
 
-    guard = _guard_name(cfg.basename)
+    guard = stem.upper() + "_H"
     header = [*provenance, f"#ifndef {guard}", f"#define {guard}", ""]
     header += [f"{signature[m]};" for m in modes]
     header += ["", "/* per-point chunk functions, called in order by the drivers */"]

@@ -128,8 +128,8 @@ class DerivativeBundle(Record):
 
     `linearized` keeps each stage's `Linearized` in the bundle's
     `__dict__`, keyed by the stage, which is not a field: `derive_bundle`
-    stores the three it built there, and a bundle made by `replace`, a copy
-    or a pickle starts without them and is linearised afresh.
+    stores the three it built there, and a bundle made by `replace` starts
+    without them and is linearised afresh.
     """
 
     __slots__ = ("f", "grad", "hess_lower", "simplified", "__dict__")

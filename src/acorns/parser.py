@@ -490,7 +490,7 @@ def _check_scopes(ir: FunctionIR) -> bool:
     unroller and `run_ir` keep one binding per name.
 
     Returns whether a declaration or an assignment targets the energy
-    variable.
+    variable; a declaration of it must be of a double scalar.
     """
 
     def declare(name: str, span, scope: set):
@@ -519,7 +519,11 @@ def _check_scopes(ir: FunctionIR) -> bool:
                     check_expr(s.init, scope)
                 declare(s.name, s.span, scope)
                 scope.add(s.name)
-                defines |= s.name == ir.energy_var
+                if s.name == ir.energy_var:
+                    if s.elem_type != "double" or s.extents:
+                        raise ParseError(s.span, f"energy variable {s.name!r} must be a "
+                                                 "double scalar")
+                    defines = True
             elif isinstance(s, Assignment):
                 check_expr(s.lvalue, scope)
                 check_expr(s.rhs, scope)

@@ -3,10 +3,10 @@
 A dataclass generates and compiles its methods when its module is
 imported, once per class, and that was most of the command line's start-up.
 A `Record` class writes only its `__slots__` and `__init__`; `==`, `hash`,
-`repr`, copying, pickling and `replace` read the field tuple that the base
-takes from `__slots__` once, when the class is made.  No class of the
-package is a dataclass, so importing it imports neither `dataclasses` nor
-the `inspect` that module pulls in.
+`repr` and `replace` read the field tuple that the base takes from
+`__slots__` once, when the class is made.  No class of the package is a
+dataclass, so importing it imports neither `dataclasses` nor the `inspect`
+that module pulls in.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ class Record:
 
     Records of one class are equal when their compared fields are, as a
     tuple; `hash` hashes that tuple, `repr` writes `Name(field=value, ...)`
-    as a dataclass does, and a copy or a pickle calls the class on the
-    fields, so `__init__` takes every field, in order.  A record is frozen:
-    assigning or deleting a field raises AttributeError, and `__init__` sets
-    the fields through `Record.__init__` or `set_field`.
+    as a dataclass does, and `replace` calls the class on the fields, so
+    `__init__` takes every field, in order.  A record is frozen: assigning
+    or deleting a field raises AttributeError, and `__init__` sets the
+    fields through `Record.__init__` or `set_field`.
 
     A class made with `uncompared` names fields that `==` and `hash` skip.
     A `__dict__` among the slots, which a `functools.cached_property`
@@ -57,9 +57,6 @@ class Record:
     def __repr__(self):
         values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({values})"
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def replace(self, **changes):
         """A record of this class with `changes` in place of those fields."""

@@ -19,10 +19,12 @@ G=2..10 in `--mode function gradient --dump-slp` and in `--mode hessian`;
 inputs that pin octal literals, the node-cap warning, `int` locals
 folded in an element body, the statement runner's faults (a write to an
 `int` local, at the top level and in a loop body, an `int` local without
-an initializer, an array initializer) and, with `--dump-slp`, an energy
-with unary minuses; the input of a +0 gradient entry of
-`tests/test_elements.py` in `--mode function gradient` (the element path)
-and in `--mode gradient hessian` (unrolled); and, at `--split-size 65536`,
+an initializer, an array initializer), with `--dump-slp`, an energy
+with unary minuses, and energies declared `int` and as an array; a
+generate run whose output file name, `my-k`, is not a C identifier; the
+input of a +0 gradient entry of `tests/test_elements.py` in `--mode
+function gradient` (the element path) and in `--mode gradient hessian`
+(unrolled); and, at `--split-size 65536`,
 which spreads each over several files, springs and barrier at G=10 in
 `--mode hessian`, eq3 at s=50 in all modes and the long sum of
 `tests/test_codegen.py` in `--mode gradient`.
@@ -124,7 +126,8 @@ def _loop(body: str) -> str:
 
 
 # inputs of octal literals, the node-cap warning, `int` locals in an
-# element body, the statement runner's faults and negations in `--dump-slp`:
+# element body, the statement runner's faults, negations in `--dump-slp`
+# and energies that are not double scalars:
 # name -> (source, extra generate flags, environment)
 _INPUTS = {
     "octal": ("double f(const double *x) {\n    double e = (010 + 1) * x[0];\n    return e;\n}\n",
@@ -165,6 +168,11 @@ _INPUTS = {
         (), {}),
     "negations": ("double f(const double *x) {\n    double e = -x[0] * -(x[1] + 1);\n"
                   "    return e;\n}\n", ("--dump-slp",), {}),
+    "int_energy": ("double f(const double *x) {\n    int e = 1;\n"
+                   "    for (int i = 0; i < 2; i++) {\n        e = e + x[i];\n    }\n"
+                   "    return e;\n}\n", (), {}),
+    "array_energy": ("double f(const double *x) {\n    double e[2];\n    e[0] = x[0];\n"
+                     "    return 0;\n}\n", (), {}),
 }
 
 
@@ -213,6 +221,9 @@ def runs(memory: bool = False) -> list:
                               "--output_filename", "out/k", *flags), {"f.c": src}, env))
         out.append(Run(f"{name} verify", ("verify", "f.c", "--func", "f", "--energy", "e",
                                           "--vars", "x"), {"f.c": src}, env))
+    out.append(Run("output file name my-k", ("f.c", "e", "--vars", "x", "--func", "f",
+                                             "--output_filename", "out/my-k"),
+                   {"f.c": _INPUTS["negations"][0]}))
     from test_codegen import _LONG_SUM_SRC
     split = ("--split-size", "65536")
     for label, name, s, modes in (("springs G=10", "springs", 10, ("hessian",)),

@@ -99,6 +99,28 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stem, name", [("out/my-k", "my-k"), ("out/9k", "9k"), ("out/", "")])
+def test_an_output_file_name_that_is_not_a_c_identifier_exits_1(function_0_file, tmp_path,
+                                                                 capsys, monkeypatch, stem, name):
+    # the file name names the chunk functions and the header guard
+    monkeypatch.chdir(tmp_path)
+    assert main([function_0_file, "energy", "--vars", "x", "--func", "function_0",
+                 "--output_filename", stem]) == 1
+    assert capsys.readouterr().err == (
+        f"acorns_autodiff: {function_0_file}: output file name {name!r} is not a C identifier "
+        "([A-Za-z_][A-Za-z0-9_]*)\n")
+    assert sorted(os.listdir(tmp_path)) == ["function_0.c"]
+
+
+def test_an_output_directory_that_is_a_file_exits_2(function_0_file, tmp_path, capsys):
+    (tmp_path / "out").write_text("")
+    assert main([function_0_file, "energy", "--vars", "x", "--func", "function_0",
+                 "--output_filename", str(tmp_path / "out" / "k")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("acorns_autodiff: write failed: ") and err.count("\n") == 1
+    assert (tmp_path / "out").read_text() == ""
+
+
 @pytest.mark.parametrize("command", ["generate", "verify"])
 def test_input_that_is_not_utf8_exits_1(tmp_path, capsys, command):
     path = tmp_path / "f.c"

@@ -1,5 +1,3 @@
-import copy
-import pickle
 import sys
 
 import pytest
@@ -122,6 +120,79 @@ def test_unsupported_constructs(source, construct):
     with pytest.raises(UnsupportedConstruct) as exc:
         parse_source(source, "f", "e")
     assert construct.strip("'") in str(exc.value)
+
+
+# a body's first statement starts at column 42
+_BODY = "double f(const double *x){ double e = 0; %s return e; }"
+
+
+@pytest.mark.parametrize("src, error, message", [
+    ("double f(x){ double e = 1; return e; }",
+     ParseError, "1:10: expected type specifier, got 'x'"),
+    ("double f(double x[2.5]){ double e = 1; return e; }",
+     ParseError, "1:19: array extent must be an integer literal"),
+    ("double f(double x){ double e = x;", ParseError, "1:34: unexpected end of input inside block"),
+    (_BODY % "float y = 1;",
+     UnsupportedConstruct, "1:42: unsupported construct: float type (use double)"),
+    (_BODY % "else;", ParseError, "1:42: unexpected keyword 'else'"),
+    (_BODY % "const void y;", ParseError, "1:53: cannot declare a void variable"),
+    (_BODY % "double *p;",
+     UnsupportedConstruct, "1:49: unsupported construct: local pointer declaration"),
+    (_BODY % "double a[2] = {1, 2};",
+     UnsupportedConstruct, "1:56: unsupported construct: brace initializer"),
+    (_BODY % "(e + 1) = 1;",
+     ParseError, "1:50: assignment target must be a variable or array element"),
+    (_BODY % "e;", ParseError, "1:43: expected assignment operator, got ';'"),
+    (_BODY % "for (i = 0; i < 2; i++) e = e + x[i];", UnsupportedConstruct,
+     "1:47: unsupported construct: for loop without `int` counter declaration"),
+    (_BODY % "for (int i = 0; i; i++) e = e + x[i];", UnsupportedConstruct,
+     "1:42: unsupported construct: loop condition must compare the counter against a bound"),
+    (_BODY % "for (int i = 0; i < 2; i++) ;", ParseError, "1:42: loop body is empty"),
+    (_BODY % "for (int i = 0; i < 2; j++) e = e + x[i];",
+     ParseError, "1:65: loop update must modify the counter 'i'"),
+    (_BODY % "for (int i = 1; i < 8; i *= 2) e = e + x[i];",
+     UnsupportedConstruct, "1:67: unsupported construct: loop update form '*='"),
+    (_BODY % "e = (x[0] + 1)[0];",
+     UnsupportedConstruct, "1:59: unsupported construct: indexing a non-identifier expression"),
+])
+def test_each_rejection_names_its_place_and_reason(src, error, message):
+    with pytest.raises(error) as exc:
+        parse_source(src, "f", "e")
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("src, at", [
+    ("double f(const double *x){\n    int e = 1;\n    return e;\n}\n", "2:9"),
+    ("double f(const double *x){\n    double e[2];\n    e[0] = x[0];\n    return 0;\n}\n",
+     "2:12"),
+    # the loop's write would report an assignment to an int local
+    ("double f(const double *x){\n    int e = 1;\n    for (int i = 0; i < 2; i++) {\n"
+     "        e = e + x[i];\n    }\n    return e;\n}\n", "2:9"),
+])
+def test_an_energy_variable_must_be_declared_a_double_scalar(src, at):
+    with pytest.raises(ParseError) as exc:
+        parse_source(src, "f", "e")
+    assert str(exc.value) == f"{at}: energy variable 'e' must be a double scalar"
+
+
+def test_accepted_forms_that_add_nothing():
+    assert parse_expr("+x") == Var("x")
+    # an empty statement, a prototype before the definition, `(void)` and `x[]`
+    ir = parse_source("double g(void);\ndouble g(void){ double e = 1;; ; return e; }", "g", "e")
+    assert ir.params == () and len(ir.body) == 2
+    (x,) = parse_source("double f(double x[]);\ndouble f(double x[]){ double e = x[0]; "
+                        "return e; }", "f", "e").params
+    assert (x.name, x.rank, x.extents) == ("x", 1, (None,))
+
+
+@pytest.mark.parametrize("body, reason", [
+    ("double a[x[0]];", "1:49: non-constant array extent for 'a'"),
+    ("for (int i = x[0]; i < 2; i++) e = e + x[i];", "1:42: non-constant loop start"),
+    ("for (int i = 0; i < 2; i += x[0]) e = e + x[i];", "1:42: non-constant loop step"),
+])
+def test_validate_non_constant_extents_and_loop_heads(body, reason):
+    violations = validate_subset(parse_source(_BODY % body, "f", "e"))
+    assert [f"{v.span}: {v.reason}" for v in violations] == [reason]
 
 
 def test_first_fault_in_source_order_is_reported():
@@ -302,7 +373,7 @@ def test_print_parse_round_trip(e):
     assert parse_expr(to_source(e)) == e
 
 
-# --- repr, copying and pickling of deep trees --------------------------------
+# --- repr, equality and hashing of deep trees --------------------------------
 
 
 def test_repr_writes_the_dataclass_text():
@@ -319,21 +390,26 @@ def test_repr_writes_the_dataclass_text():
         "Call(name='sqrt', args=(Var(name='x', span=None),), span=None)")
 
 
-def test_deep_chain_repr_copy_and_pickle():
+def _chain(depth: int) -> Binary:
+    """`x + y + ... + y`, `depth` additions deep, of one shared `y`."""
     x, y = Var("x"), Var("y")
     chain = x
-    for _ in range(3000):
+    for _ in range(depth):
         chain = Binary("+", chain, y)
+    return chain
+
+
+def test_deep_chain_repr_eq_and_hash():
+    chain = _chain(3000)
     assert sys.getrecursionlimit() < 3000
     assert repr(chain) == "Binary(op='+', lhs=" * 3000 + "Var(name='x', span=None)" + (
         ", rhs=Var(name='y', span=None), span=None)" * 3000)
-    assert copy.deepcopy(chain) is chain and copy.copy(chain) is chain
-    back = pickle.loads(pickle.dumps(chain))
-    assert back is not chain and back == chain
-    assert back.rhs is back.lhs.rhs  # one node per shared node, as pickled
+    other = _chain(3000)
+    assert other is not chain and other == chain and hash(other) == hash(chain)
+    assert other != _chain(2999)
 
 
-def test_shared_dag_repr_copy_and_pickle():
+def test_shared_dag_repr_eq_and_hash():
     x = Var("x", SourceSpan(1, 2, 1))
     square = Binary("*", x, x)
     e = Binary("+", square, Call("pow", (square, Constant("2", 2.0))))
@@ -342,11 +418,9 @@ def test_shared_dag_repr_copy_and_pickle():
     assert repr(e) == (f"Binary(op='+', lhs={square_text}, rhs=Call(name='pow', args=("
                        f"{square_text}, Constant(text='2', value=2.0, span=None)), span=None), "
                        "span=None)")
-    assert copy.deepcopy(e) is e and copy.copy(e) is e
-    back = pickle.loads(pickle.dumps(e))
-    assert back is not e and back == e and hash(back) == hash(e)
-    assert back.lhs is back.rhs.args[0] and back.lhs.lhs is back.lhs.rhs  # still shared
-    assert back.lhs.lhs.span == SourceSpan(1, 2, 1)
+    # the same tree parsed afresh, sharing no node and spanned elsewhere, is equal
+    unshared = parse_expr("x * x + pow(x * x, 2)")
+    assert unshared == e and hash(unshared) == hash(e)
 
 
 @pytest.mark.parametrize("obj, field", [
