@@ -24,10 +24,10 @@ with unary minuses, and energies declared `int` and as an array; a
 generate run whose output file name, `my-k`, is not a C identifier; the
 input of a +0 gradient entry of `tests/test_elements.py` in `--mode
 function gradient` (the element path) and in `--mode gradient hessian`
-(unrolled); and, at `--split-size 65536`,
-which spreads each over several files, springs and barrier at G=10 in
-`--mode hessian`, eq3 at s=50 in all modes and the long sum of
-`tests/test_codegen.py` in `--mode gradient`.
+(unrolled); and, at `--split-size 65536`, which spreads each over several
+files, springs and barrier at G=10 in `--mode hessian`, eq3 at s=50 in
+all modes and the long sum of `tests/test_codegen.py` in `--mode
+gradient`.
 
 With `--kernels`, each run whose written C differs and that differs in
 nothing else is compiled on both sides (`tests/cc_util.run_drivers`, at
