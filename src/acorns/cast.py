@@ -609,19 +609,21 @@ class Linearized:
             append(mask | call if type(node) is Call else mask)
         return out
 
-    def order(self, root: int, masks: list, wanted: int) -> list:
+    def order(self, root: int, masks: list, wanted: int, skip=None) -> list:
         """The positions of the nodes under the one at `root` whose mask
         meets `wanted`, in the order `post_order` yields them from that node
-        alone; `masks` is a result of the method of that name.
+        alone; `masks` is a result of the method of that name.  With `skip`,
+        a container of node ids, the walk enters no node whose id is in it.
 
         A parent's mask holds its operands', so every path to such a node
         passes through such nodes, and the walk enters no other.  It keeps
         an explicit stack and costs the size of what it selects, except
-        under a sole root, whose order is the linearisation's own.
+        under a sole root with nothing to skip, whose order is the
+        linearisation's own.
         """
-        if len(self.roots) == 1 and root == len(self.nodes) - 1:
+        if not skip and len(self.roots) == 1 and root == len(self.nodes) - 1:
             return [i for i, mask in enumerate(masks) if mask & wanted]
-        start, operands = self.start, self.operands
+        nodes, start, operands = self.nodes, self.start, self.operands
         out: list = []
         done: set = set()
         stack = [root]  # a position, or ~position once its operands are pushed
@@ -629,7 +631,7 @@ class Linearized:
             i = stack.pop()
             if i < 0:
                 out.append(~i)
-            elif i not in done and masks[i] & wanted:
+            elif i not in done and masks[i] & wanted and not (skip and id(nodes[i]) in skip):
                 done.add(i)
                 stack.append(~i)
                 stack.extend(k for k in operands[start[i]:start[i + 1]] if k not in done)

@@ -72,14 +72,20 @@ def _pipeline_parser() -> _ArgumentParser:
 
 
 def _node_cap() -> int:
+    """The cap `ACORNS_MAX_NODES` sets, or, after a one-line warning when
+    it is set to something else than an integer of at least 1, the default."""
     raw = os.environ.get("ACORNS_MAX_NODES")
     if not raw:
         return DEFAULT_NODE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         print(f"warning: ignoring non-integer ACORNS_MAX_NODES={raw!r}", file=sys.stderr)
         return DEFAULT_NODE_CAP
+    if cap < 1:
+        print(f"warning: ignoring ACORNS_MAX_NODES={raw!r}: must be at least 1", file=sys.stderr)
+        return DEFAULT_NODE_CAP
+    return cap
 
 
 def _read_source(path: str, prog: str) -> str | int:
@@ -117,6 +123,23 @@ def _failed(prog: str, path: str, exc: BaseException, name_path) -> int:
     else:
         print(f"{prog}: {f'{path}: ' if name_path else ''}{exc}", file=sys.stderr)
     return EXIT_INPUT
+
+
+def _outputs(args, program, artifact):
+    """(path, its text or bytes) of each file a generate run writes, in
+    order, each made as it is asked for."""
+    stem = args.output_filename
+    out_dir = os.path.dirname(stem)
+    if args.dump_slp:
+        yield stem + ".slp", serialize(program)
+        yield stem + ".slp.txt", dump_text(program)
+    yield stem + ".h", artifact.header
+    single = args.single_file and len(artifact.sources) == 1
+    for filename, text in artifact.sources:
+        if single:
+            yield stem + ".c", text
+        else:
+            yield os.path.join(out_dir, filename) if out_dir else filename, text
 
 
 def _run_pipeline(args) -> int:
@@ -166,27 +189,23 @@ def _run_pipeline(args) -> int:
     except (AcornsError, RecursionError, MemoryError) as exc:
         return _failed("acorns_autodiff", args.input, exc, True)
 
-    stem = args.output_filename
-    out_dir = os.path.dirname(stem)
+    out_dir = os.path.dirname(args.output_filename)
+    written = []
     try:
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
-        if args.dump_slp:
-            with open(stem + ".slp", "wb") as fh:
-                fh.write(serialize(program))
-            with open(stem + ".slp.txt", "w", encoding="utf-8") as fh:
-                fh.write(dump_text(program))
-        with open(stem + ".h", "w", encoding="utf-8") as fh:
-            fh.write(artifact.header)
-        single = args.single_file and len(artifact.sources) == 1
-        for filename, text in artifact.sources:
-            path = os.path.join(out_dir, filename) if out_dir else filename
-            if single:
-                path = stem + ".c"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        for path, data in _outputs(args, program, artifact):
+            raw = isinstance(data, bytes)
+            with open(path, "wb" if raw else "w", encoding=None if raw else "utf-8") as fh:
+                written.append(path)
+                fh.write(data)
     except OSError as exc:
         print(f"acorns_autodiff: write failed: {exc}", file=sys.stderr)
+        for path in written:  # a failed run leaves no part of its output
+            try:
+                os.remove(path)
+            except OSError:
+                pass
         return EXIT_IO
 
     print(f"n={vars_.n} statements={artifact.n_statements} files={len(artifact.sources)}")

@@ -16,7 +16,8 @@ their arguments, with and without `--dump-slp`, and `verify` and `verify
 default size, with and without `--no-simplify`; springs and barrier at
 G=2..10 in `--mode function gradient --dump-slp` and in `--mode hessian`;
 `verify` and `verify --machine` on every corpus entry in both modes;
-inputs that pin octal literals, the node-cap warning, `int` locals
+inputs that pin octal literals, the node-cap warnings (a cap that is
+not an integer, and a cap of 0, which the default replaces), `int` locals
 folded in an element body, the statement runner's faults (a write to an
 `int` local, at the top level and in a loop body, an `int` local without
 an initializer, an array initializer), with `--dump-slp`, an energy
@@ -125,7 +126,7 @@ def _loop(body: str) -> str:
             f"    for (int i = 0; i < 4; i++) {{\n        {body}\n    }}\n    return e;\n}}\n")
 
 
-# inputs of octal literals, the node-cap warning, `int` locals in an
+# inputs of octal literals, the node-cap warnings, `int` locals in an
 # element body, the statement runner's faults, negations in `--dump-slp`
 # and energies that are not double scalars:
 # name -> (source, extra generate flags, environment)
@@ -142,6 +143,8 @@ _INPUTS = {
         "    for (int i = 0; i < 3; i++) { e = e + x[i] * x[i]; }\n"
         "    for (int j = 0; j < 3; j++) { e = e - sin(x[j]); }\n    return e;\n}\n",
         ("--mode", "function", "gradient"), {"ACORNS_MAX_NODES": "abc"}),
+    "zero_node_cap": ("double f(const double *x) {\n    double e = x[0] * sin(x[1]);\n"
+                      "    return e;\n}\n", (), {"ACORNS_MAX_NODES": "0"}),
     "folded_comparison": (_loop("e = e + x[i] * x[i] + (n < 3);"),
                           ("--mode", "function", "gradient"), {}),
     "comparison_in_a_counter_slot": (

@@ -40,7 +40,8 @@ def test_the_list_covers_the_workloads_and_the_corpus():
     for name in ("grad_steps", "hess_verify --dump-slp", "hess_expand verify --machine seed 7",
                  "springs G=10 hessian", "rollout verify --machine hessian", "octal verify",
                  "plus_zero_entry function gradient", "plus_zero_entry gradient hessian",
-                 "int_energy", "array_energy verify", "output file name my-k"):
+                 "int_energy", "array_energy verify", "output file name my-k",
+                 "zero_node_cap", "zero_node_cap verify"):
         assert name in names
     assert byte_identity.main([]) == 2
     assert byte_identity.main(["--heap", "src"]) == 2

@@ -121,6 +121,22 @@ def test_an_output_directory_that_is_a_file_exits_2(function_0_file, tmp_path, c
     assert (tmp_path / "out").read_text() == ""
 
 
+@pytest.mark.parametrize("flags", [(), ("--dump-slp",)], ids=["plain", "dump-slp"])
+def test_a_write_that_fails_removes_what_the_run_wrote(function_0_file, tmp_path, capsys,
+                                                       monkeypatch, flags):
+    # the header, and the .slp files first, are written before the part
+    # that a directory of its name stops
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k_part0.c").mkdir()
+    assert main([function_0_file, "energy", "--vars", "x", "--func", "function_0",
+                 "--output_filename", "k", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err == ("acorns_autodiff: write failed: "
+                   "[Errno 21] Is a directory: 'k_part0.c'\n")
+    assert sorted(os.listdir(tmp_path)) == ["function_0.c", "k_part0.c"]
+    assert (tmp_path / "k_part0.c").is_dir()
+
+
 @pytest.mark.parametrize("command", ["generate", "verify"])
 def test_input_that_is_not_utf8_exits_1(tmp_path, capsys, command):
     path = tmp_path / "f.c"
@@ -408,6 +424,22 @@ def test_bad_node_cap_warns_once_per_run(tmp_path, capsys, monkeypatch):
                  "--mode", "function", "gradient", "--output_filename", str(tmp_path / "d")]) == 0
     assert "for (int i0 = " in (tmp_path / "d_part0.c").read_text()
     assert capsys.readouterr().err == "warning: ignoring non-integer ACORNS_MAX_NODES='abc'\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_a_node_cap_below_one_warns_and_takes_the_default(function_0_file, tmp_path, capsys,
+                                                          monkeypatch, value):
+    argv = [function_0_file, "energy", "--vars", "x", "--func", "function_0"]
+    assert main([*argv, "--output_filename", str(tmp_path / "default" / "d")]) == 0
+    monkeypatch.setenv("ACORNS_MAX_NODES", value)
+    capsys.readouterr()
+    warning = f"warning: ignoring ACORNS_MAX_NODES='{value}': must be at least 1\n"
+    assert main([*argv, "--output_filename", str(tmp_path / "capped" / "d")]) == 0
+    assert capsys.readouterr().err == warning
+    assert (_read_outputs(str(tmp_path / "capped" / "d"))
+            == _read_outputs(str(tmp_path / "default" / "d")))
+    assert main(["verify", "function_0", "--points", "3"]) == 0
+    assert capsys.readouterr().err == warning
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
